@@ -58,13 +58,17 @@ test-stream:
 	$(GO) test -race ./internal/trace ./internal/core
 
 # Short coverage-guided fuzz smoke — enough to catch a freshly
-# introduced panic on malformed input (trace parsers) or a broken
-# snapshot/restore contract (codec state splitting) without stalling
-# CI. Go allows one -fuzz target per invocation, hence separate runs.
+# introduced panic on malformed input (trace parsers, marshalled
+# boundary states), a broken snapshot/restore contract (codec state
+# splitting) or a pricing path drifting from codec.Run (the
+# differential FuzzPricingPaths) without stalling CI. Go allows one
+# -fuzz target per invocation, hence separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadText -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotSplit -fuzztime=5s ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzBoundaryState -fuzztime=5s ./internal/codec
+	$(GO) test -run=NONE -fuzz=FuzzPricingPaths -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzTransposeRoundTrip -fuzztime=5s ./internal/bus
 
 # Span-tracing smoke: generate a small synthetic trace, evaluate it

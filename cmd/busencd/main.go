@@ -2,7 +2,7 @@
 // internal/serve job queue over HTTP — streamed trace upload into a
 // content-addressed store, enqueue-and-poll evaluation with per-tenant
 // fairness and quotas, a bytes-bounded result cache — alongside the
-// observability surface (metrics, spans, expvar, optional pprof) of
+// observability surface (metrics, spans, optional pprof) of
 // the original debugging daemon.
 //
 //	busencd -listen :8377             # service + observability endpoints
@@ -12,7 +12,7 @@
 // Endpoints: POST/GET /traces, GET /traces/{digest}, GET /eval (sync
 // for small traces, 202 + /jobs/{id} otherwise), GET /jobs[/{id}],
 // GET /dist (peer protocol upgrade for networked distributed pricing),
-// /healthz /metrics /spans /debug/vars. SIGTERM/SIGINT starts a
+// /healthz /metrics /spans. SIGTERM/SIGINT starts a
 // graceful drain: intake answers
 // 503 + Retry-After while every accepted job runs to completion, then
 // the HTTP server shuts down. /eval still accepts server-local file
@@ -21,7 +21,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -30,7 +29,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -125,23 +123,12 @@ func main() {
 	log.Printf("busencd: drained cleanly")
 }
 
-// publishOnce guards the process-global expvar names: expvar panics on
-// duplicate Publish, and tests build several muxes per process.
-var publishOnce sync.Once
-
 // newMux builds the daemon's handler tree over a serve.Server. Split
 // from main so tests can drive it through httptest without a socket.
 func newMux(withPprof bool, srv *serve.Server) *http.ServeMux {
-	publishOnce.Do(func() {
-		for _, r := range obs.Registries() {
-			r.PublishExpvar("busenc." + r.Name())
-		}
-	})
-
 	mux := http.NewServeMux()
 	srv.Register(mux) // /traces /eval /jobs /jobs/{id} /healthz /spans /slo /dist
 	mux.HandleFunc("/metrics", handleMetrics(srv))
-	mux.Handle("/debug/vars", expvar.Handler())
 	if withPprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

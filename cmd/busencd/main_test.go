@@ -131,12 +131,6 @@ func TestServerEndpoints(t *testing.T) {
 	if code, _ := get(t, srv, "/metrics?format=xml"); code != 400 {
 		t.Errorf("bad format accepted: %d", code)
 	}
-
-	// expvar carries the published registries.
-	if code, body := get(t, srv, "/debug/vars"); code != 200 ||
-		!strings.Contains(body, "busenc.default") {
-		t.Errorf("/debug/vars: %d\n%s", code, body)
-	}
 }
 
 // decodeErrEnvelope asserts a response body is the JSON error envelope

@@ -159,3 +159,6 @@ func (e *adaptiveEnd) Restore(st State) {
 	e.list = append(e.list[:0], s.list...)
 	e.prev = s.prev
 }
+
+// fits implements sizedState: the list never outgrows its entries.
+func (e *adaptiveEnd) fits(st State) bool { return len(st.(adaptiveState).list) <= e.a.entries }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"busenc/internal/bus"
 	"busenc/internal/obs"
 	"busenc/internal/trace"
 )
@@ -148,82 +147,32 @@ var runBufPool = sync.Pool{New: func() any {
 // MaxPerCycle are identical to Run's for every codec; PerLine is filled
 // only when opts.PerLine is set, and decode verification follows
 // opts.Verify. RunFast is safe for concurrent use across goroutines (each
-// call has its own encoder, decoder, bus and pooled buffers).
+// call has its own Pricer).
 func RunFast(c Codec, s *trace.Stream, opts RunOpts) (Result, error) {
-	if usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
-		return Result{}, err
-	} else if usePlane {
-		return runFastPlane(c, s, opts)
-	}
 	root := obs.StartSpan("codec.run_fast", obs.StageEncode).WithCodec(c.Name()).WithStream(s.Name)
-	enc := AsBatch(c.NewEncoder())
-	var b *bus.Bus
-	if opts.PerLine {
-		b = bus.New(c.BusWidth())
-	} else {
-		b = bus.NewAggregate(c.BusWidth())
+	p, err := NewPricer(c, opts)
+	if err == nil {
+		err = chunked(root, s.Entries, p.ConsumeEntries)
 	}
-	var dec Decoder
-	verifyLeft := 0
-	switch opts.Verify {
-	case VerifyFull:
-		dec = c.NewDecoder()
-		verifyLeft = len(s.Entries)
-	case VerifySampled:
-		dec = c.NewDecoder()
-		verifyLeft = VerifySampleLen
+	root.EndErr(err)
+	if err != nil {
+		return Result{}, err
 	}
-	mask := bus.Mask(c.PayloadWidth())
-	buf := runBufPool.Get().(*runBuf)
-	defer runBufPool.Put(buf)
-	entries := s.Entries
+	return p.Result(s.Name), nil
+}
+
+// chunked feeds entries to consume in runChunk batches, one codec.chunk
+// span each, stopping at the first error.
+func chunked(root obs.SpanHandle, entries []trace.Entry, consume func([]trace.Entry) error) error {
 	for base := 0; base < len(entries); base += runChunk {
-		end := base + runChunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		chunk := entries[base:end]
 		csp := root.Child("codec.chunk", obs.StageEncode).WithChunk(base / runChunk)
-		syms := buf.syms[:len(chunk)]
-		words := buf.words[:len(chunk)]
-		for i, e := range chunk {
-			syms[i] = SymbolOf(e)
+		err := consume(entries[base:min(base+runChunk, len(entries))])
+		csp.EndErr(err)
+		if err != nil {
+			return err
 		}
-		enc.EncodeBatch(syms, words)
-		b.Accumulate(words)
-		if dec != nil && verifyLeft > 0 {
-			n := len(chunk)
-			if n > verifyLeft {
-				n = verifyLeft
-			}
-			for i := 0; i < n; i++ {
-				e := chunk[i]
-				got := dec.Decode(words[i], e.Sel())
-				if want := e.Addr & mask; got != want {
-					err := fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), base+i, want, got)
-					csp.EndErr(err)
-					root.EndErr(err)
-					return Result{}, err
-				}
-			}
-			verifyLeft -= n
-			if verifyLeft == 0 {
-				dec = nil
-			}
-		}
-		csp.End()
 	}
-	root.End()
-	RecordRun(c.Name(), int64(len(entries)), b.Transitions())
-	return Result{
-		Codec:       c.Name(),
-		Stream:      s.Name,
-		BusWidth:    c.BusWidth(),
-		Transitions: b.Transitions(),
-		Cycles:      b.Cycles(),
-		PerLine:     b.PerLine(),
-		MaxPerCycle: b.MaxPerCycle(),
-	}, nil
+	return nil
 }
 
 // MustRunFast is RunFast panicking on round-trip failure.

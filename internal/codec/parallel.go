@@ -29,10 +29,10 @@ import (
 //     bookkeeping all parallelize, and because EvaluateParallel runs
 //     many codecs' sweeps concurrently.
 //
-// Each shard worker then re-encodes the single entry just before its
-// boundary (producing the exact word the sequential run drove last),
-// primes its private bus with it (bus.Prime: state only, no cycle), and
-// prices its shard with the regular BatchEncoder chunk loop. The
+// Each shard worker then runs PriceShard: its Pricer re-encodes the
+// single entry just before its boundary (producing the exact word the
+// sequential run drove last), primes its private bus with it
+// (bus.Prime: state only, no cycle), and prices the shard. The
 // reduction is deterministic: results land in a fixed slice slot per
 // shard, buses merge in ascending shard order (bus.Merge), and the
 // lowest shard's error wins — no atomics or locks anywhere in the hot
@@ -106,57 +106,22 @@ func runParallelCuts(c Codec, s *trace.Stream, cuts []int, opts ParallelOpts) (R
 	entries := s.Entries
 	root := obs.StartSpan("codec.run_parallel", obs.StageEval).WithCodec(c.Name()).WithStream(s.Name)
 
-	// Build one seeded encoder per shard: encs[k] holds the state of
-	// the sequential run after entries [0, cuts[k]-1) — i.e. entering
-	// the boundary entry that worker k re-encodes to prime its bus.
-	encs := make([]Encoder, p)
-	encs[0] = c.NewEncoder()
+	// states[k] is the encoder state entering the boundary entry shard k
+	// re-encodes to prime its bus (nil for Seeder codecs, which seed
+	// from the entry before it instead).
+	ssp := root.Child("codec.seed_sweep", obs.StageEncode)
+	states, err := sweepStates(c, entries, cuts)
+	ssp.EndErr(err)
+	if err != nil {
+		root.EndErr(err)
+		return Result{}, err
+	}
 	var sweepEntries int64
-	if _, ok := encs[0].(Seeder); ok {
-		for k := 1; k < p; k++ {
-			enc := c.NewEncoder()
-			if lead := cuts[k] - 1; lead > 0 {
-				enc.(Seeder).SeedFrom(SymbolOf(entries[lead-1]))
-			}
-			encs[k] = enc
-		}
-	} else {
-		// State-only sweep: run the batch kernel over the prefix into a
-		// pooled scratch buffer, snapshotting at each boundary. Nothing
-		// is counted or verified here — the shards redo that work in
-		// parallel.
-		ssp := root.Child("codec.seed_sweep", obs.StageEncode)
-		sweep := c.NewEncoder()
-		sc := sweep.(StateCodec)
-		be := AsBatch(sweep)
-		buf := runBufPool.Get().(*runBuf)
-		j := 0
-		for k := 1; k < p; k++ {
-			lead := cuts[k] - 1
-			for j < lead {
-				m := lead - j
-				if m > runChunk {
-					m = runChunk
-				}
-				syms := buf.syms[:m]
-				for i := 0; i < m; i++ {
-					syms[i] = SymbolOf(entries[j+i])
-				}
-				be.EncodeBatch(syms, buf.words[:m])
-				j += m
-			}
-			enc := c.NewEncoder()
-			enc.(StateCodec).Restore(sc.Snapshot())
-			encs[k] = enc
-		}
-		runBufPool.Put(buf)
-		sweepEntries = int64(cuts[p-1] - 1)
-		if sweepEntries < 0 {
-			sweepEntries = 0
-		}
-		ssp.End()
+	if states != nil {
+		sweepEntries = int64(max(cuts[p-1]-1, 0))
 	}
 
+	ropts := RunOpts{Verify: opts.Verify, PerLine: opts.PerLine, Kernel: opts.Kernel}
 	buses := make([]*bus.Bus, p)
 	errs := make([]error, p)
 	timed := parallelTimed()
@@ -178,8 +143,11 @@ func runParallelCuts(c Codec, s *trace.Stream, cuts []int, opts ParallelOpts) (R
 					bd.SeedSym = SymbolOf(entries[lead-1])
 					bd.HaveSeedSym = true
 				}
+				if states != nil {
+					bd.State = states[k]
+				}
 			}
-			b, err := priceShard(c, entries[cuts[k]:cuts[k+1]], bd, cuts[k], encs[k], opts)
+			b, err := PriceShard(c, entries[cuts[k]:cuts[k+1]], bd, cuts[k], ropts)
 			if timed {
 				RecordShard(time.Since(t0).Nanoseconds())
 			}
@@ -190,22 +158,12 @@ func runParallelCuts(c Codec, s *trace.Stream, cuts []int, opts ParallelOpts) (R
 	wg.Wait()
 	msp := root.Child("codec.merge", obs.StageMerge)
 	merged, err := bus.MergeSlots(buses, errs)
+	msp.EndErr(err)
+	root.EndErr(err)
 	if err != nil {
-		msp.EndErr(err)
-		root.EndErr(err)
 		return Result{}, err
 	}
-	msp.End()
-	root.End()
 	RecordParallel(c.Name(), p, sweepEntries)
 	RecordRun(c.Name(), int64(len(entries)), merged.Transitions())
-	return Result{
-		Codec:       c.Name(),
-		Stream:      s.Name,
-		BusWidth:    c.BusWidth(),
-		Transitions: merged.Transitions(),
-		Cycles:      merged.Cycles(),
-		PerLine:     merged.PerLine(),
-		MaxPerCycle: merged.MaxPerCycle(),
-	}, nil
+	return newResult(c, s.Name, merged), nil
 }

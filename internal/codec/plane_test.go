@@ -120,7 +120,7 @@ func TestPlaneSetPrimed(t *testing.T) {
 	codecs := planeCodecs(t, 29)
 	for i, c := range codecs {
 		// Reference: a sequential scalar run over the suffix with a
-		// seeded encoder and a primed bus — exactly what priceShard does.
+		// seeded encoder and a primed bus — exactly what Pricer.Seed does.
 		enc := c.NewEncoder()
 		enc.(Seeder).SeedFrom(Symbol{Addr: addrs[cut-1]})
 		boundary := enc.Encode(Symbol{Addr: addrs[cut]})

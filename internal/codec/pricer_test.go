@@ -1,0 +1,234 @@
+package codec
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"busenc/internal/bus"
+	"busenc/internal/trace"
+)
+
+// sameResult compares every statistic the pricing paths must agree on.
+func sameResult(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	if got.Transitions != want.Transitions || got.Cycles != want.Cycles || got.MaxPerCycle != want.MaxPerCycle {
+		t.Fatalf("%s: got %d/%d/%d, want %d/%d/%d", label,
+			got.Transitions, got.Cycles, got.MaxPerCycle,
+			want.Transitions, want.Cycles, want.MaxPerCycle)
+	}
+	if !reflect.DeepEqual(got.PerLine, want.PerLine) {
+		t.Fatalf("%s: per-line counts diverge\n got: %v\nwant: %v", label, got.PerLine, want.PerLine)
+	}
+}
+
+// marshalled round-trips st through the wire format, as a boundary
+// state shipped to a worker process arrives.
+func marshalled(t testing.TB, st State) State {
+	t.Helper()
+	data, err := MarshalState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestPriceShardRejectsMismatchedState: a boundary state of the wrong
+// type, or with registers of the wrong size, must come back as an
+// error naming the problem, never as a panic or a half-restored
+// encoder.
+func TestPriceShardRejectsMismatchedState(t *testing.T) {
+	s := randomMixStream(32, 600, 5)
+	for _, tc := range []struct {
+		code string
+		st   State
+		want string
+	}{
+		{"t0", biState{prev: 0x1234}, "codec t0: boundary state is biState, want t0State"},
+		{"businvert", t0State{prevAddr: 8, valid: true}, "codec businvert: boundary state is t0State, want biState"},
+		{"binary", biState{prev: 1}, "codec binary: boundary state is biState, want no state"},
+		{"workzone", wzState{regs: []uint64{1}, age: []int{0}}, "codec workzone: boundary state registers do not fit"},
+		{"adaptive", adaptiveState{list: make([]uint64, 17)}, "codec adaptive: boundary state registers do not fit"},
+	} {
+		c := MustNew(tc.code, 32, Options{Stride: 4})
+		bd := Boundary{Prev: s.Entries[99], SeedSym: SymbolOf(s.Entries[98]), HaveSeedSym: true, State: marshalled(t, tc.st)}
+		_, err := PriceShard(c, s.Entries[100:], bd, 100, RunOpts{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.code, err, tc.want)
+		}
+	}
+}
+
+// runSeeded is the reference for a seeded Pricer: Run's per-entry loop
+// over entries, with the encoder restored to bd.State (or seeded from
+// bd.SeedSym when it has none) and the bus primed by re-encoding
+// bd.Prev.
+func runSeeded(c Codec, bd Boundary, entries []trace.Entry) Result {
+	enc := c.NewEncoder()
+	if bd.State != nil {
+		enc.(StateCodec).Restore(bd.State)
+	} else if bd.HaveSeedSym {
+		enc.(Seeder).SeedFrom(bd.SeedSym)
+	}
+	b := bus.New(c.BusWidth())
+	b.Prime(enc.Encode(SymbolOf(bd.Prev)))
+	for _, e := range entries {
+		b.Drive(enc.Encode(SymbolOf(e)))
+	}
+	return newResult(c, "", b)
+}
+
+// FuzzBoundaryState feeds arbitrary bytes through UnmarshalState and
+// into Pricer.Seed for every registered codec. A state that decodes
+// must either be refused with an error or price the suffix exactly as
+// the reference loop seeded with the same state does — never panic.
+func FuzzBoundaryState(f *testing.F) {
+	s := randomMixStream(32, 300, 7)
+	codecs := allCodecs(f, 32)
+	for i, c := range codecs {
+		cut := 1 + 37*i%(s.Len()-1)
+		enc := c.NewEncoder()
+		for _, e := range s.Entries[:cut-1] {
+			enc.Encode(SymbolOf(e))
+		}
+		data, err := MarshalState(enc.(StateCodec).Snapshot())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, uint16(cut), uint8(i))
+	}
+	f.Add([]byte{wireWorkZone, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(5), uint8(0))
+	f.Add([]byte{wireAdaptive, 40}, uint16(9), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, rawCut uint16, mode uint8) {
+		st, err := UnmarshalState(data)
+		if err != nil {
+			return
+		}
+		cut := 1 + int(rawCut)%(s.Len()-1)
+		bd := Boundary{Prev: s.Entries[cut-1], State: st}
+		if cut >= 2 {
+			bd.SeedSym, bd.HaveSeedSym = SymbolOf(s.Entries[cut-2]), true
+		}
+		for _, c := range codecs {
+			p, err := NewPricer(c, RunOpts{Verify: VerifyMode(mode % 3), PerLine: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Seed(bd) != nil || p.ConsumeEntries(s.Entries[cut:]) != nil {
+				continue
+			}
+			want := runSeeded(c, bd, s.Entries[cut:])
+			sameResult(t, c.Name(), newResult(c, "", p.Bus()), want)
+		}
+	})
+}
+
+// fuzzStream decodes fuzzer bytes into a stream with the regimes the
+// codecs react to: in-sequence runs, repeats, jumps, data accesses and
+// garbage above the payload width.
+func fuzzStream(data []byte) *trace.Stream {
+	s := trace.New("fuzz", 32)
+	addr := uint64(0x0040_0000)
+	for i, b := range data {
+		kind := trace.Instr
+		switch b & 7 {
+		case 0, 1, 2:
+			addr += 4
+		case 3:
+			// repeat
+		case 4:
+			addr = uint64(b)<<10 ^ uint64(i)<<3
+		case 5:
+			addr ^= uint64(b) << 40
+		case 6:
+			kind = trace.DataRead
+		default:
+			kind = trace.DataWrite
+		}
+		if kind == trace.Instr {
+			s.Append(addr, kind)
+		} else {
+			s.Append(0x1000_0000+uint64(b)*0x104, kind)
+		}
+	}
+	return s
+}
+
+// FuzzPricingPaths is the differential target over every pricing path:
+// for the fuzzer's codec, stream, chunk length, shard cut, kernel and
+// verify mode, RunFast, RunStream, runParallelCuts and a PriceShard +
+// bus.MergeSlots chain fed marshalled boundary states (the distributed
+// worker's path) must all equal the reference Run.
+func FuzzPricingPaths(f *testing.F) {
+	codecs := allCodecs(f, 32)
+	for i := range codecs {
+		stream := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0x80, 0xf4, 0x33, 0x41}
+		for j := 0; j < 40*i; j++ {
+			stream = append(stream, byte(j*29+i))
+		}
+		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3))
+	}
+	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8) {
+		c := codecs[int(ci)%len(codecs)]
+		s := fuzzStream(data)
+		n := s.Len()
+		opts := RunOpts{Verify: VerifyMode(verify % 3), PerLine: true, Kernel: Kernel(kernel % 3)}
+		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
+			opts.Kernel = KernelAuto
+		}
+		want, err := Run(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := c.Name() + "/" + opts.Kernel.String()
+		got, err := RunFast(c, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label+"/RunFast", got, want)
+		if got, err = RunStream(c, s.Chunks(1+int(rawChunk)%(n+1)), opts); err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label+"/RunStream", got, want)
+		if n < 2 {
+			return
+		}
+		cuts := []int{0, 1 + int(rawCut)%(n-1), n}
+		popts := ParallelOpts{Verify: opts.Verify, PerLine: true, Kernel: opts.Kernel}
+		if got, err = runParallelCuts(c, s, cuts, popts); err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label+"/runParallelCuts", got, want)
+
+		states, err := BoundaryStates(c, s.Entries, cuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buses := make([]*bus.Bus, len(cuts)-1)
+		errs := make([]error, len(buses))
+		for k := range buses {
+			bd := Boundary{First: k == 0}
+			if lead := cuts[k] - 1; k > 0 {
+				bd.Prev = s.Entries[lead]
+				if lead > 0 {
+					bd.SeedSym, bd.HaveSeedSym = SymbolOf(s.Entries[lead-1]), true
+				}
+				if states[k] != nil {
+					if bd.State, err = UnmarshalState(states[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			buses[k], errs[k] = PriceShard(c, s.Entries[cuts[k]:cuts[k+1]], bd, cuts[k], opts)
+		}
+		merged, err := bus.MergeSlots(buses, errs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label+"/PriceShard", newResult(c, s.Name, merged), want)
+	})
+}

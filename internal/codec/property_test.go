@@ -10,7 +10,7 @@ import (
 
 // allCodecs instantiates every registered code at the given width with
 // reasonable parameters, for cross-cutting property tests.
-func allCodecs(t *testing.T, width int) []Codec {
+func allCodecs(t testing.TB, width int) []Codec {
 	t.Helper()
 	train := randomMixStream(width, 400, 99)
 	zoneBits := 8

@@ -66,15 +66,7 @@ func Run(c Codec, s *trace.Stream) (Result, error) {
 			return Result{}, fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), i, e.Addr&mask, got)
 		}
 	}
-	return Result{
-		Codec:       c.Name(),
-		Stream:      s.Name,
-		BusWidth:    c.BusWidth(),
-		Transitions: b.Transitions(),
-		Cycles:      b.Cycles(),
-		PerLine:     b.PerLine(),
-		MaxPerCycle: b.MaxPerCycle(),
-	}, nil
+	return newResult(c, s.Name, b), nil
 }
 
 // MustRun is Run panicking on round-trip failure; for benches and tables.

@@ -10,9 +10,9 @@ import (
 // Shard pricing with an explicit boundary hand-off. RunParallel
 // (parallel.go) and the distributed sweep (internal/dist) price the
 // same thing — a contiguous run of entries whose encoder state at the
-// left edge was produced elsewhere — so the pricing loop lives here in
-// a shard-local shape: the shard's own entries plus a Boundary value
-// carrying everything that crossed the cut. In-process callers hand the
+// left edge was produced elsewhere — so both go through PriceShard: a
+// Pricer seeded with a Boundary value carrying everything that crossed
+// the cut, then fed the shard's own entries. In-process callers hand the
 // boundary over as live encoder state; the distributed coordinator
 // ships it through MarshalState and the descriptors' boundary entries.
 
@@ -43,151 +43,56 @@ type Boundary struct {
 // the global index of shard[0], used only to position error messages
 // identically to a sequential run. The caller owes exactly one
 // boundary: b.State for prefix-dependent codecs, b.SeedSym for Seeder
-// codecs, neither for shard 0.
-func PriceShard(c Codec, shard []trace.Entry, b Boundary, base int, opts ParallelOpts) (*bus.Bus, error) {
-	enc := c.NewEncoder()
-	if !b.First {
-		if b.State != nil {
-			sc, ok := enc.(StateCodec)
-			if !ok {
-				return nil, fmt.Errorf("codec %s: boundary state for an encoder without StateCodec", c.Name())
-			}
-			sc.Restore(b.State)
-		} else if sd, ok := enc.(Seeder); ok {
-			if b.HaveSeedSym {
-				sd.SeedFrom(b.SeedSym)
-			}
-		} else {
-			return nil, fmt.Errorf("codec %s: mid-stream shard needs explicit boundary state", c.Name())
-		}
-	}
-	return priceShard(c, shard, b, base, enc, opts)
-}
-
-// priceShard is PriceShard after encoder seeding: enc already holds the
-// state entering b.Prev (or the fresh state for shard 0).
-func priceShard(c Codec, shard []trace.Entry, bd Boundary, base int, enc Encoder, opts ParallelOpts) (*bus.Bus, error) {
-	if usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
-		return nil, err
-	} else if usePlane {
-		return priceShardPlane(c, shard, bd, enc, opts)
-	}
-	var b *bus.Bus
-	if opts.PerLine {
-		b = bus.New(c.BusWidth())
-	} else {
-		b = bus.NewAggregate(c.BusWidth())
-	}
-	var dec Decoder
-	verifyLeft := 0
-	if bd.First {
-		switch opts.Verify {
-		case VerifyFull:
-			dec = c.NewDecoder()
-			verifyLeft = len(shard)
-		case VerifySampled:
-			dec = c.NewDecoder()
-			verifyLeft = VerifySampleLen
-		}
-	} else if opts.Verify == VerifyFull {
-		d := c.NewDecoder()
-		if sd, ok := d.(Seeder); ok {
-			if bd.HaveSeedSym {
-				sd.SeedFrom(bd.SeedSym)
-			}
-			dec = d
-			verifyLeft = len(shard) + 1 // boundary entry included
-		}
-	}
-	mask := bus.Mask(c.PayloadWidth())
-	be := AsBatch(enc)
-	buf := runBufPool.Get().(*runBuf)
-	defer runBufPool.Put(buf)
-	if !bd.First {
-		e := bd.Prev
-		word := enc.Encode(SymbolOf(e))
-		b.Prime(word)
-		if dec != nil && verifyLeft > 0 {
-			got := dec.Decode(word, e.Sel())
-			if want := e.Addr & mask; got != want {
-				return nil, fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), base-1, want, got)
-			}
-			verifyLeft--
-		}
-	}
-	for off := 0; off < len(shard); off += runChunk {
-		hi := off + runChunk
-		if hi > len(shard) {
-			hi = len(shard)
-		}
-		chunk := shard[off:hi]
-		syms := buf.syms[:len(chunk)]
-		words := buf.words[:len(chunk)]
-		for i, e := range chunk {
-			syms[i] = SymbolOf(e)
-		}
-		be.EncodeBatch(syms, words)
-		b.Accumulate(words)
-		if dec != nil && verifyLeft > 0 {
-			n := len(chunk)
-			if n > verifyLeft {
-				n = verifyLeft
-			}
-			for i := 0; i < n; i++ {
-				e := chunk[i]
-				got := dec.Decode(words[i], e.Sel())
-				if want := e.Addr & mask; got != want {
-					return nil, fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), base+off+i, want, got)
-				}
-			}
-			verifyLeft -= n
-			if verifyLeft == 0 {
-				dec = nil
-			}
-		}
-	}
-	return b, nil
-}
-
-// priceShardPlane prices a shard on the plane path. Mid-stream seeding
-// maps directly onto PlaneSet.Prime: the boundary entry's re-encoded
-// word (exactly what the scalar path feeds bus.Prime) plus its raw
-// address as the carried-in predecessor. VerifyFull never routes here,
-// so only shard 0 can owe a verification sample — replayed scalar-ly
-// like runFastPlane's.
-func priceShardPlane(c Codec, shard []trace.Entry, bd Boundary, enc Encoder, opts ParallelOpts) (*bus.Bus, error) {
-	if bd.First && opts.Verify == VerifySampled {
-		if err := verifyPrefix(c, shard, VerifySampleLen); err != nil {
-			return nil, err
-		}
-	}
-	ps, err := NewPlaneSet([]Codec{c}, opts.PerLine)
+// codecs, neither for shard 0. opts.Verify applies as Pricer.Seed
+// describes.
+func PriceShard(c Codec, shard []trace.Entry, b Boundary, base int, opts RunOpts) (*bus.Bus, error) {
+	p, err := NewPricer(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	if !bd.First {
-		word := enc.Encode(SymbolOf(bd.Prev))
-		ps.Prime(bd.Prev.Addr, []uint64{word})
+	p.base = base
+	if err := p.Seed(b); err != nil {
+		return nil, err
 	}
-	ps.ConsumeEntries(shard)
-	return ps.Bus(0), nil
+	if err := p.ConsumeEntries(shard); err != nil {
+		return nil, err
+	}
+	return p.Bus(), nil
 }
 
 // BoundaryStates runs the state-only seeding sweep for a distributed
-// sweep: one sequential pass of the batch kernel over the stream prefix
-// (nothing counted, nothing verified) capturing the marshaled encoder
-// state entering each interior cut's boundary entry — the bytes a
-// coordinator ships to worker processes as Boundary.State. cuts is the
-// ascending cut-point slice (len = shards+1, cuts[0] = 0); the returned
-// slice is parallel to it, with states[k] filled for interior cuts
-// whose shard starts mid-stream (cuts[k] > 0) and nil elsewhere. For
-// Seeder codecs no sweep is needed (the boundary seeds in O(1) from the
-// previous symbol) and the result is all nil.
+// sweep and marshals its states (sweepStates) — the bytes a coordinator
+// ships to worker processes as Boundary.State. The returned slice is
+// parallel to cuts; it is all nil for Seeder codecs.
 func BoundaryStates(c Codec, entries []trace.Entry, cuts []int) ([][]byte, error) {
-	states := make([][]byte, len(cuts))
+	states, err := sweepStates(c, entries, cuts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(cuts))
+	for k, st := range states {
+		if st == nil {
+			continue
+		}
+		if out[k], err = MarshalState(st); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// sweepStates runs the state-only seeding sweep: one sequential pass of
+// the batch kernel over the stream prefix (nothing counted, nothing
+// verified) capturing the encoder state entering each interior cut's
+// boundary entry. cuts is the ascending cut-point slice (len =
+// shards+1, cuts[0] = 0); the returned slice is parallel to it, with
+// states[k] filled for interior cuts whose shard starts mid-stream
+// (cuts[k] > 0) and nil elsewhere. Seeder codecs need no sweep (the
+// boundary seeds in O(1) from the previous symbol): the result is nil.
+func sweepStates(c Codec, entries []trace.Entry, cuts []int) ([]State, error) {
 	sweep := c.NewEncoder()
 	if _, ok := sweep.(Seeder); ok {
-		return states, nil
+		return nil, nil
 	}
 	sc, ok := sweep.(StateCodec)
 	if !ok {
@@ -196,6 +101,7 @@ func BoundaryStates(c Codec, entries []trace.Entry, cuts []int) ([][]byte, error
 	be := AsBatch(sweep)
 	buf := runBufPool.Get().(*runBuf)
 	defer runBufPool.Put(buf)
+	states := make([]State, len(cuts))
 	j := 0
 	for k := 1; k < len(cuts)-1; k++ {
 		if cuts[k] == 0 {
@@ -203,24 +109,16 @@ func BoundaryStates(c Codec, entries []trace.Entry, cuts []int) ([][]byte, error
 		}
 		// Advance to the state entering entry cuts[k]-1 (the boundary
 		// entry the shard re-encodes to prime its bus).
-		lead := cuts[k] - 1
-		for j < lead {
-			m := lead - j
-			if m > runChunk {
-				m = runChunk
-			}
+		for lead := cuts[k] - 1; j < lead; {
+			m := min(lead-j, runChunk)
 			syms := buf.syms[:m]
-			for i := 0; i < m; i++ {
+			for i := range syms {
 				syms[i] = SymbolOf(entries[j+i])
 			}
 			be.EncodeBatch(syms, buf.words[:m])
 			j += m
 		}
-		b, err := MarshalState(sc.Snapshot())
-		if err != nil {
-			return nil, err
-		}
-		states[k] = b
+		states[k] = sc.Snapshot()
 	}
 	return states, nil
 }

@@ -1,5 +1,10 @@
 package codec
 
+import (
+	"fmt"
+	"reflect"
+)
+
 // Encoder state capture. Every encoder in the registry implements
 // StateCodec, making its mutable state an explicit, transferable value:
 // Snapshot returns an opaque deep copy and Restore installs one into any
@@ -40,4 +45,32 @@ type StateCodec interface {
 // the previous symbol alone can implement it.
 type Seeder interface {
 	SeedFrom(prev Symbol)
+}
+
+// sizedState is implemented by encoders whose state carries register
+// slices, so a boundary state with registers of the wrong size is
+// refused instead of silently half-restored.
+type sizedState interface {
+	fits(State) bool
+}
+
+// checkState reports why st cannot be restored into enc, a fresh
+// encoder of c: a state of another concrete type (Restore's type
+// assertion would panic) or one whose registers do not fit. States that
+// cross a process boundary (UnmarshalState) come from untrusted bytes.
+func checkState(c Codec, enc StateCodec, st State) error {
+	if got, want := reflect.TypeOf(st), reflect.TypeOf(enc.Snapshot()); got != want {
+		return fmt.Errorf("codec %s: boundary state is %s, want %s", c.Name(), stateName(got), stateName(want))
+	}
+	if sz, ok := enc.(sizedState); ok && !sz.fits(st) {
+		return fmt.Errorf("codec %s: boundary state registers do not fit the codec", c.Name())
+	}
+	return nil
+}
+
+func stateName(t reflect.Type) string {
+	if t == nil {
+		return "no state"
+	}
+	return t.Name()
 }

@@ -1,11 +1,8 @@
 package codec
 
 import (
-	"fmt"
 	"io"
-	"math"
 
-	"busenc/internal/bus"
 	"busenc/internal/obs"
 	"busenc/internal/trace"
 )
@@ -14,8 +11,8 @@ import (
 // RunFast: it drives a trace.ChunkReader through the codec's batch
 // kernel without ever holding the full stream, carrying the sequential
 // encoder/decoder state (T0 reference registers, BI inversion state,
-// INC lines) across chunk boundaries simply by reusing the same encoder
-// instance for every chunk — EncodeBatch is specified to advance state
+// INC lines) across chunk boundaries simply by feeding every chunk to
+// the same Pricer — EncodeBatch is specified to advance state
 // exactly as the equivalent Encode calls would, so chunking is
 // invisible to the codec. Memory use is bounded by the reader's chunk
 // pool plus one pooled symbol/word buffer; trace length only affects
@@ -30,163 +27,26 @@ import (
 // returned as-is. Verification follows opts.Verify; VerifyFull checks
 // every entry just like Run.
 func RunStream(c Codec, r trace.ChunkReader, opts RunOpts) (Result, error) {
-	if usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
-		return Result{}, err
-	} else if usePlane {
-		return runStreamPlane(c, r, opts)
-	}
 	root := obs.StartSpan("codec.run_stream", obs.StageEncode).WithCodec(c.Name()).WithStream(r.Name())
-	enc := AsBatch(c.NewEncoder())
-	var b *bus.Bus
-	if opts.PerLine {
-		b = bus.New(c.BusWidth())
-	} else {
-		b = bus.NewAggregate(c.BusWidth())
-	}
-	var dec Decoder
-	verifyLeft := 0
-	switch opts.Verify {
-	case VerifyFull:
-		// The stream length is unknown up front; verify until EOF.
-		dec = c.NewDecoder()
-		verifyLeft = math.MaxInt
-	case VerifySampled:
-		dec = c.NewDecoder()
-		verifyLeft = VerifySampleLen
-	}
-	mask := bus.Mask(c.PayloadWidth())
-	buf := runBufPool.Get().(*runBuf)
-	defer runBufPool.Put(buf)
-	idx := 0    // absolute entry index, for mismatch reports
-	chunkN := 0 // reader chunks consumed, for span attribution
-	for {
-		ch, err := r.Next()
-		if err == io.EOF {
+	p, err := NewPricer(c, opts)
+	for chunkN := 0; err == nil; chunkN++ {
+		var ch *trace.Chunk
+		if ch, err = r.Next(); err != nil {
 			break
 		}
-		if err != nil {
-			root.EndErr(err)
-			return Result{}, err
-		}
 		csp := root.Child("codec.chunk", obs.StageEncode).WithChunk(chunkN)
-		chunkN++
-		addrs, kinds := ch.Addrs, ch.Kinds
-		// Reader chunks can exceed the engine's batch granularity (e.g.
-		// Stream.Chunks(len(stream))); re-chunk to keep the pooled
-		// buffers fixed-size.
-		for base := 0; base < len(addrs); base += runChunk {
-			end := base + runChunk
-			if end > len(addrs) {
-				end = len(addrs)
-			}
-			n := end - base
-			syms := buf.syms[:n]
-			words := buf.words[:n]
-			for i := 0; i < n; i++ {
-				syms[i] = Symbol{Addr: addrs[base+i], Sel: kinds[base+i] == trace.Instr}
-			}
-			enc.EncodeBatch(syms, words)
-			b.Accumulate(words)
-			if dec != nil && verifyLeft > 0 {
-				vn := n
-				if vn > verifyLeft {
-					vn = verifyLeft
-				}
-				for i := 0; i < vn; i++ {
-					got := dec.Decode(words[i], syms[i].Sel)
-					if want := syms[i].Addr & mask; got != want {
-						ch.Release()
-						err := fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), idx+base+i, want, got)
-						csp.EndErr(err)
-						root.EndErr(err)
-						return Result{}, err
-					}
-				}
-				verifyLeft -= vn
-				if verifyLeft == 0 {
-					dec = nil
-				}
-			}
-		}
-		idx += len(addrs)
+		err = p.Consume(ch.Addrs, ch.Kinds)
 		ch.Release()
-		csp.End()
+		csp.EndErr(err)
 	}
-	root.End()
-	RecordRun(c.Name(), int64(idx), b.Transitions())
-	return Result{
-		Codec:       c.Name(),
-		Stream:      r.Name(),
-		BusWidth:    c.BusWidth(),
-		Transitions: b.Transitions(),
-		Cycles:      b.Cycles(),
-		PerLine:     b.PerLine(),
-		MaxPerCycle: b.MaxPerCycle(),
-	}, nil
-}
-
-// runStreamPlane is RunStream's plane-domain path. Reader chunks carry
-// addresses in SoA form, so they feed the plane set with no
-// symbol-gather at all — the chunk view goes straight into the
-// transpose. Sampled verification replays the leading entries through a
-// scalar encoder/decoder pair as the chunks stream past.
-func runStreamPlane(c Codec, r trace.ChunkReader, opts RunOpts) (Result, error) {
-	root := obs.StartSpan("codec.run_stream", obs.StageEncode).WithCodec(c.Name()).WithStream(r.Name())
-	ps, err := NewPlaneSet([]Codec{c}, opts.PerLine)
+	if err == io.EOF {
+		err = nil
+	}
+	root.EndErr(err)
 	if err != nil {
-		root.EndErr(err)
 		return Result{}, err
 	}
-	var enc Encoder
-	var dec Decoder
-	verifyLeft := 0
-	if opts.Verify == VerifySampled {
-		enc, dec = c.NewEncoder(), c.NewDecoder()
-		verifyLeft = VerifySampleLen
-	}
-	mask := bus.Mask(c.PayloadWidth())
-	idx := 0
-	chunkN := 0
-	for {
-		ch, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			root.EndErr(err)
-			return Result{}, err
-		}
-		csp := root.Child("codec.chunk", obs.StageEncode).WithChunk(chunkN)
-		chunkN++
-		addrs, kinds := ch.Addrs, ch.Kinds
-		if verifyLeft > 0 {
-			vn := len(addrs)
-			if vn > verifyLeft {
-				vn = verifyLeft
-			}
-			for i := 0; i < vn; i++ {
-				sel := kinds[i] == trace.Instr
-				word := enc.Encode(Symbol{Addr: addrs[i], Sel: sel})
-				got := dec.Decode(word, sel)
-				if want := addrs[i] & mask; got != want {
-					ch.Release()
-					err := fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", c.Name(), idx+i, want, got)
-					csp.EndErr(err)
-					root.EndErr(err)
-					return Result{}, err
-				}
-			}
-			verifyLeft -= vn
-		}
-		ps.Consume(addrs)
-		idx += len(addrs)
-		ch.Release()
-		csp.End()
-	}
-	root.End()
-	res := ps.Results(r.Name())[0]
-	RecordRun(c.Name(), int64(idx), res.Transitions)
-	return res, nil
+	return p.Result(r.Name()), nil
 }
 
 // MustRunStream is RunStream panicking on error; for benches and tables.

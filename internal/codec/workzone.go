@@ -132,6 +132,12 @@ func (e *wzEnd) Restore(st State) {
 	e.prev = s.prev
 }
 
+// fits implements sizedState: one register and one age per zone.
+func (e *wzEnd) fits(st State) bool {
+	s := st.(wzState)
+	return len(s.regs) == len(e.regs) && len(s.age) == len(e.age)
+}
+
 func (e *wzEnd) touch(idx int) {
 	for i := range e.age {
 		e.age[i]++

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"busenc/internal/bus"
 	"busenc/internal/codec"
 	"busenc/internal/obs"
 	"busenc/internal/trace"
@@ -15,14 +13,15 @@ import (
 
 // Streaming multi-codec fan-out. EvaluateStreaming reads a trace
 // exactly once and prices every codec concurrently: a single producer
-// parses chunks, converts them to encoder symbols, and broadcasts each
-// pooled, reference-counted block to one bounded channel per codec
-// worker. Backpressure is structural — when the slowest worker falls
-// Depth chunks behind, the producer blocks, so peak memory is
+// parses chunks and broadcasts each pooled, reference-counted
+// trace.Chunk (Retain once per extra worker) to one bounded channel per
+// codec worker, which feeds it to its own codec.Pricer and releases it.
+// Backpressure is structural — when the slowest worker falls Depth
+// chunks behind, the producer blocks, so peak memory is
 //
 //	O(codecs × Depth × chunkLen)
 //
-// symbols regardless of trace length. This is the evaluation path for
+// entries regardless of trace length. This is the evaluation path for
 // traces too large to materialize (the ROADMAP's multi-GB serving
 // scenario); for in-memory streams the batched RunFast remains the
 // lower-overhead choice.
@@ -48,108 +47,29 @@ type FanoutConfig struct {
 	Kernel codec.Kernel
 }
 
-// symBlock is one chunk's worth of encoder symbols, shared read-only by
-// all workers and returned to the pool by the last Release.
-type symBlock struct {
-	syms []codec.Symbol
-	refs atomic.Int32
-}
-
-var symBlockPool = sync.Pool{New: func() any {
-	return &symBlock{syms: make([]codec.Symbol, 0, trace.DefaultChunkLen)}
-}}
-
-func (b *symBlock) release() {
-	n := b.refs.Add(-1)
-	if n > 0 {
-		return
-	}
-	if n < 0 {
-		panic("core: symBlock released more times than retained")
-	}
-	b.syms = b.syms[:0]
-	symBlockPool.Put(b)
-}
-
-// streamWorker accumulates one codec's result over the broadcast blocks.
+// streamWorker prices one codec over the broadcast chunks.
 type streamWorker struct {
-	c          codec.Codec
-	enc        codec.BatchEncoder
-	b          *bus.Bus
-	dec        codec.Decoder
-	verifyLeft int
-	mask       uint64
-	words      []uint64
-	idx        int
-	in         chan *symBlock
-	err        error
-
-	// Plane-path state: when ps is non-nil the worker prices on the
-	// bit-sliced plane kernel (b aliases ps's bus so result() needs no
-	// special case); vEnc re-encodes the verification sample scalar-ly,
-	// and addrs is the worker-local SoA gather buffer.
-	ps    *codec.PlaneSet
-	vEnc  codec.Encoder
-	addrs []uint64
-}
-
-func newStreamWorker(c codec.Codec, cfg FanoutConfig, depth int) (*streamWorker, error) {
-	w := &streamWorker{
-		c:    c,
-		mask: bus.Mask(c.PayloadWidth()),
-		in:   make(chan *symBlock, depth),
-	}
-	usePlane, err := codec.PlaneEligible(c, cfg.Kernel, cfg.Verify)
-	if err != nil {
-		return nil, err
-	}
-	if usePlane {
-		ps, err := codec.NewPlaneSet([]codec.Codec{c}, cfg.PerLine)
-		if err != nil {
-			return nil, err
-		}
-		w.ps = ps
-		w.b = ps.Bus(0)
-		if cfg.Verify == codec.VerifySampled {
-			w.vEnc = c.NewEncoder()
-			w.dec = c.NewDecoder()
-			w.verifyLeft = codec.VerifySampleLen
-		}
-		return w, nil
-	}
-	w.enc = codec.AsBatch(c.NewEncoder())
-	if cfg.PerLine {
-		w.b = bus.New(c.BusWidth())
-	} else {
-		w.b = bus.NewAggregate(c.BusWidth())
-	}
-	switch cfg.Verify {
-	case codec.VerifyFull:
-		w.dec = c.NewDecoder()
-		w.verifyLeft = int(^uint(0) >> 1)
-	case codec.VerifySampled:
-		w.dec = c.NewDecoder()
-		w.verifyLeft = codec.VerifySampleLen
-	}
-	return w, nil
+	name string
+	p    *codec.Pricer
+	in   chan *trace.Chunk
+	err  error
 }
 
 // run drains the worker's channel; after a verification failure it
-// keeps draining (releasing blocks) so the producer can never deadlock
+// keeps draining (releasing chunks) so the producer can never deadlock
 // on a dead consumer. Channel waits are timed only while the histogram
 // is live. parent is the evaluation's root span handle (a value, so the
-// copy into each worker goroutine is race-free); consumed blocks record
+// copy into each worker goroutine is race-free); consumed chunks record
 // as its encode-stage children.
 func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.SpanHandle) {
 	defer wg.Done()
 	timed := m.workerWaitNs != nil
-	blkIdx := 0
-	for {
+	for chunkN := 0; ; chunkN++ {
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}
-		blk, ok := <-w.in
+		ch, ok := <-w.in
 		if timed {
 			m.workerWaitNs.Observe(time.Since(t0).Nanoseconds())
 		}
@@ -157,95 +77,13 @@ func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.Span
 			return
 		}
 		if w.err == nil {
-			sp := parent.Child("core.worker", obs.StageEncode).WithCodec(w.c.Name()).WithChunk(blkIdx)
-			w.consume(blk)
+			sp := parent.Child("core.worker", obs.StageEncode).WithCodec(w.name).WithChunk(chunkN)
+			w.err = w.p.Consume(ch.Addrs, ch.Kinds)
 			sp.EndErr(w.err)
 		} else {
 			m.drainEvents.Inc()
 		}
-		blkIdx++
-		blk.release()
-	}
-}
-
-func (w *streamWorker) consume(blk *symBlock) {
-	if w.ps != nil {
-		w.consumePlane(blk)
-		return
-	}
-	syms := blk.syms
-	n := len(syms)
-	if cap(w.words) < n {
-		w.words = make([]uint64, n)
-	}
-	words := w.words[:n]
-	w.enc.EncodeBatch(syms, words)
-	w.b.Accumulate(words)
-	if w.dec != nil && w.verifyLeft > 0 {
-		vn := n
-		if vn > w.verifyLeft {
-			vn = w.verifyLeft
-		}
-		for i := 0; i < vn; i++ {
-			got := w.dec.Decode(words[i], syms[i].Sel)
-			if want := syms[i].Addr & w.mask; got != want {
-				w.err = fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", w.c.Name(), w.idx+i, want, got)
-				return
-			}
-		}
-		w.verifyLeft -= vn
-		if w.verifyLeft == 0 {
-			w.dec = nil
-		}
-	}
-	w.idx += n
-}
-
-// consumePlane prices one block on the plane path: the SoA address
-// gather happens here, in the worker's goroutine, so the producer's
-// broadcast loop stays untouched. Sampled verification re-encodes the
-// leading entries scalar-ly, exactly like codec.RunStream's plane path.
-func (w *streamWorker) consumePlane(blk *symBlock) {
-	syms := blk.syms
-	n := len(syms)
-	if cap(w.addrs) < n {
-		w.addrs = make([]uint64, n)
-	}
-	addrs := w.addrs[:n]
-	for i := range syms {
-		addrs[i] = syms[i].Addr
-	}
-	if w.dec != nil && w.verifyLeft > 0 {
-		vn := n
-		if vn > w.verifyLeft {
-			vn = w.verifyLeft
-		}
-		for i := 0; i < vn; i++ {
-			word := w.vEnc.Encode(syms[i])
-			got := w.dec.Decode(word, syms[i].Sel)
-			if want := syms[i].Addr & w.mask; got != want {
-				w.err = fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", w.c.Name(), w.idx+i, want, got)
-				return
-			}
-		}
-		w.verifyLeft -= vn
-		if w.verifyLeft == 0 {
-			w.dec = nil
-		}
-	}
-	w.ps.Consume(addrs)
-	w.idx += n
-}
-
-func (w *streamWorker) result(stream string) codec.Result {
-	return codec.Result{
-		Codec:       w.c.Name(),
-		Stream:      stream,
-		BusWidth:    w.c.BusWidth(),
-		Transitions: w.b.Transitions(),
-		Cycles:      w.b.Cycles(),
-		PerLine:     w.b.PerLine(),
-		MaxPerCycle: w.b.MaxPerCycle(),
+		ch.Release()
 	}
 }
 
@@ -268,14 +106,15 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		depth = DefaultFanoutDepth
 	}
 	root := obs.StartSpan("core.evaluate_streaming", obs.StageEval).WithStream(r.Name())
+	ropts := codec.RunOpts{Verify: cfg.Verify, PerLine: cfg.PerLine, Kernel: cfg.Kernel}
 	workers := make([]*streamWorker, len(codes))
 	for i, code := range codes {
 		c, err := codec.New(code, width, opts)
-		if err != nil {
-			root.EndErr(err)
-			return nil, err
+		if err == nil {
+			workers[i] = &streamWorker{name: c.Name(), in: make(chan *trace.Chunk, depth)}
+			workers[i].p, err = codec.NewPricer(c, ropts)
 		}
-		if workers[i], err = newStreamWorker(c, cfg, depth); err != nil {
+		if err != nil {
 			root.EndErr(err)
 			return nil, err
 		}
@@ -302,23 +141,13 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		}
 		bsp := root.Child("core.broadcast", obs.StageRead).WithChunk(chunkN)
 		chunkN++
-		blk := symBlockPool.Get().(*symBlock)
-		if cap(blk.syms) < ch.Len() {
-			blk.syms = make([]codec.Symbol, 0, ch.Len())
-		}
-		syms := blk.syms[:ch.Len()]
-		for i, a := range ch.Addrs {
-			syms[i] = codec.Symbol{Addr: a, Sel: ch.Kinds[i] == trace.Instr}
-		}
-		blk.syms = syms
-		ch.Release()
-		blk.refs.Store(int32(len(workers)))
+		ch.Retain(len(workers) - 1)
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
 		}
 		for _, w := range workers {
-			w.in <- blk
+			w.in <- ch
 		}
 		if timed {
 			m.sendWaitNs.Observe(time.Since(t0).Nanoseconds())
@@ -344,8 +173,7 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 	stream := r.Name()
 	results := make([]codec.Result, len(workers))
 	for i, w := range workers {
-		results[i] = w.result(stream)
-		codec.RecordRun(results[i].Codec, int64(w.idx), results[i].Transitions)
+		results[i] = w.p.Result(stream)
 	}
 	rsp.End()
 	root.End()

@@ -63,8 +63,8 @@ type Opts struct {
 	Shards int
 	// Codecs are the codes to price, all in one pass per shard.
 	Codecs []CodecSpec
-	// Verify, PerLine and Kernel mirror codec.ParallelOpts, with the
-	// same shard-0 verification semantics.
+	// Verify, PerLine and Kernel are the codec.RunOpts every shard is
+	// priced with (codec.PriceShard: shard-0 verification semantics).
 	Verify  codec.VerifyMode
 	PerLine bool
 	Kernel  codec.Kernel

@@ -439,6 +439,8 @@ func TestHeartbeatTimeoutRedispatch(t *testing.T) {
 	// Worker 0's first life stalls after one job: it reads every frame
 	// (so pipelined sends never block) but stops replying, even to
 	// pings — the wedged-peer failure mode EOF detection cannot see.
+	// It is the only worker slot, so no other worker can drain the
+	// queue first: its second job always lands on the stalled life.
 	sp := InProcSpawner(func(id, gen int) WorkerOpts {
 		if id == 0 && gen == 0 {
 			return WorkerOpts{StallAfter: 1}
@@ -446,7 +448,7 @@ func TestHeartbeatTimeoutRedispatch(t *testing.T) {
 		return WorkerOpts{}
 	})
 	res, err := Sweep(path, Opts{
-		Workers: 2, Shards: 8, Codecs: specs, Verify: codec.VerifyNone,
+		Workers: 1, Shards: 8, Codecs: specs, Verify: codec.VerifyNone,
 		Spawn: sp, Net: &ns,
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  150 * time.Millisecond,

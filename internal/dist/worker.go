@@ -247,7 +247,7 @@ func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string,
 		res.Err = err.Error()
 		return res
 	}
-	opts := codec.ParallelOpts{
+	opts := codec.RunOpts{
 		Verify:  codec.VerifyMode(j.Verify),
 		PerLine: j.PerLine,
 		Kernel:  codec.Kernel(j.Kernel),

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -255,11 +254,4 @@ func WriteAllJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snaps)
-}
-
-// PublishExpvar exposes the registry's live snapshot as an expvar
-// variable with the given name (served at /debug/vars). It panics if the
-// expvar name is already taken, mirroring expvar.Publish.
-func (r *Registry) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }
