@@ -118,7 +118,7 @@ serve-smoke:
 # connection dies mid-sweep and is redialed), a busencsweep coordinator
 # pricing over both via -peers, a second sweep against the now-warm
 # stores (the trace ships by digest, so the re-sweep uploads nothing),
-# then a fresh BENCH_dist.json with the tcp sub-record for the CI
+# then a fresh BENCH_dist.json with the tcp.* metrics for the CI
 # artifact upload.
 net-smoke:
 	mkdir -p .net-smoke/store1 .net-smoke/store2
@@ -149,39 +149,39 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkTable4 -benchtime=1x .
 
 # Regenerate the committed machine-readable benchmark records (see
-# README "Performance"): BENCH_engine.json compares the seed reference
-# path to the batched engine on Table 4; BENCH_stream.json compares the
-# materialized path to the streaming fan-out; BENCH_parallel.json
-# compares the warm sequential engine to shard-parallel pricing;
-# BENCH_bitslice.json compares the scalar pricing kernel to the
-# bit-sliced plane kernel on the seedable codec subset;
-# BENCH_dist.json compares a serial decode+price pass to the
-# coordinator/worker distributed sweep with real worker processes. All
-# paths are explicit so the records can never drift apart.
-# BENCH_serve.json captures one 32-tenant load-harness run against a
-# spawned daemon (see serve-smoke); its parity and zero-lost-jobs
-# fields are correctness invariants, its throughput a same-machine band.
+# README "Performance"). Every BENCH_<name>.json has one schema
+# (internal/bench): machine identity, a metrics map and the checks its
+# producer declares. `paper -benchjson DIR` writes BENCH_engine.json
+# (seed reference path vs. the batched engine on Table 4),
+# BENCH_stream.json (materialized path vs. the streaming fan-out),
+# BENCH_parallel.json (warm sequential engine vs. shard-parallel
+# pricing) and BENCH_bitslice.json (scalar vs. bit-sliced plane kernel
+# on the seedable codec subset); `-benchdist` writes BENCH_dist.json
+# (serial decode+price vs. the coordinator/worker distributed sweep,
+# plus the tcp.* networked metrics). BENCH_serve.json captures one
+# 32-tenant load-harness run against a spawned daemon (see
+# serve-smoke).
 benchjson:
-	$(GO) run ./cmd/paper -benchjson BENCH_engine.json -benchstream BENCH_stream.json -benchparallel BENCH_parallel.json -benchbitslice BENCH_bitslice.json
+	$(GO) run ./cmd/paper -benchjson .
 	$(GO) run ./cmd/paper -benchdist BENCH_dist.json
 	mkdir -p .serve-smoke
 	$(GO) build -o .serve-smoke/busencd ./cmd/busencd
 	$(GO) run ./cmd/busencload -spawn .serve-smoke/busencd -tenants 32 -duration 5s -benchjson BENCH_serve.json
 
 # Benchmark-regression gate: generate fresh records into a scratch
-# directory and compare them against the committed ones. Fails on a
-# >25% speedup drop, any parity=false, an alloc-ratio collapse, the
-# bit-sliced kernel's speedup falling below its absolute 5x floor, the
-# distributed sweep falling below its absolute 1.3x floor on boxes with
-# >= 4 CPUs, the networked sweep's pipelined dispatch falling below its
-# 1.2x floor over lock-step on boxes with >= 2 CPUs and >= 2 peers
-# (smaller boxes skip the floors with explicit "skipped: num_cpu=N"
-# notes — loudly, never silently), or the digest-dedup re-sweep
-# shipping any trace bytes (that one always binds: it is correctness,
-# not performance).
+# directory and hold each against the committed one under the checks
+# the committed record declares: same-machine ratio bands (a >25%
+# speedup drop, or the streaming alloc ratio halving, fails), absolute
+# floors (bit-sliced kernel >= 5x on any box; distributed sweep >=
+# 1.3x with >= 4 CPUs; pipelined tcp dispatch >= 1.2x with >= 2 CPUs)
+# and invariants that bind on every machine (parity, zero lost jobs,
+# zero trace bytes re-shipped to warm peers). A check that cannot bind
+# on this box — too few CPUs, or a baseline committed on another
+# machine — is skipped with a "skipped: num_cpu=N" or "cross-machine
+# baseline" note on stdout, loudly, never silently.
 benchguard:
 	mkdir -p .bench-fresh .serve-smoke
-	$(GO) run ./cmd/paper -benchjson .bench-fresh/BENCH_engine.json -benchstream .bench-fresh/BENCH_stream.json -benchparallel .bench-fresh/BENCH_parallel.json -benchbitslice .bench-fresh/BENCH_bitslice.json
+	$(GO) run ./cmd/paper -benchjson .bench-fresh
 	$(GO) run ./cmd/paper -benchdist .bench-fresh/BENCH_dist.json
 	$(GO) build -o .serve-smoke/busencd ./cmd/busencd
 	$(GO) run ./cmd/busencload -spawn .serve-smoke/busencd -tenants 32 -duration 5s -benchjson .bench-fresh/BENCH_serve.json

@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	report(stdout, cfg, sum)
 
 	if cfg.benchOut != "" {
-		if err := bench.WriteRecord(cfg.benchOut, sum.record(cfg)); err != nil {
+		if err := bench.Write(cfg.benchOut, sum.record(cfg)); err != nil {
 			fmt.Fprintf(stderr, "busencload: %v\n", err)
 			return 1
 		}
@@ -234,29 +234,44 @@ type summary struct {
 	Latencies    []time.Duration `json:"-"`
 }
 
-func (s *summary) record(cfg config) bench.ServeRecord {
+// record is the run as a BENCH_serve.json record. Parity and zero lost
+// jobs are correctness invariants and bind on any machine; throughput
+// is a same-machine band.
+func (s *summary) record(cfg config) bench.Record {
 	p50, p95, p99 := percentiles(s.Latencies)
-	return bench.ServeRecord{
-		Bench:         bench.ServeBenchName,
-		NumCPU:        runtime.NumCPU(),
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Tenants:       cfg.tenants,
-		Workers:       cfg.workers,
-		QueueCap:      cfg.queueCap,
-		DurationNs:    s.Elapsed.Nanoseconds(),
-		JobsDone:      s.JobsDone,
-		SyncEvals:     s.SyncEvals,
-		Uploads:       s.Uploads,
-		CacheHits:     s.CacheHits,
-		QueueFull503:  s.QueueFull503,
-		LostJobs:      s.LostJobs,
-		P50Ns:         p50.Nanoseconds(),
-		P95Ns:         p95.Nanoseconds(),
-		P99Ns:         p99.Nanoseconds(),
-		ThroughputJPS: float64(s.JobsDone+s.SyncEvals) / s.Elapsed.Seconds(),
-		Parity:        s.ParityErrs == 0,
+	rec := bench.New("ServeLoad", 0)
+	rec.Metrics = map[string]float64{
+		"gomaxprocs":  float64(runtime.GOMAXPROCS(0)),
+		"tenants":     float64(cfg.tenants),
+		"workers":     float64(cfg.workers),
+		"queue_cap":   float64(cfg.queueCap),
+		"duration_ns": float64(s.Elapsed.Nanoseconds()),
+
+		"jobs_done":      float64(s.JobsDone),
+		"sync_evals":     float64(s.SyncEvals),
+		"uploads":        float64(s.Uploads),
+		"cache_hits":     float64(s.CacheHits),
+		"queue_full_503": float64(s.QueueFull503),
+		"lost_jobs":      float64(s.LostJobs), // accepted jobs that never went terminal
+
+		// End-to-end eval latency percentiles (enqueue/request to result).
+		"p50_ns": float64(p50.Nanoseconds()),
+		"p95_ns": float64(p95.Nanoseconds()),
+		"p99_ns": float64(p99.Nanoseconds()),
+		// Completed evaluations (sync + async) per second.
+		"throughput_jps": float64(s.JobsDone+s.SyncEvals) / s.Elapsed.Seconds(),
+		"parity":         bench.Bool(s.ParityErrs == 0),
 	}
+	rec.Checks = []bench.Check{
+		{Metric: "throughput_jps", Kind: bench.Ratio, Bound: bench.Band},
+		{Metric: "parity", Kind: bench.Invariant, Bound: 1},
+		{Metric: "lost_jobs", Kind: bench.Invariant, Bound: 0},
+		{Metric: "jobs_done", Kind: bench.Floor, Bound: 1},
+		{Metric: "p50_ns", Kind: bench.Floor, Bound: 1},
+		{Metric: "p95_ns", Kind: bench.Floor, Bound: 1},
+		{Metric: "p99_ns", Kind: bench.Floor, Bound: 1},
+	}
+	return rec
 }
 
 // contractMisses lists every smoke assertion the run failed to satisfy.

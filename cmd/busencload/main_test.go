@@ -4,10 +4,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"busenc/internal/bench"
 	"busenc/internal/core"
 	"busenc/internal/serve"
 )
@@ -75,12 +77,21 @@ func TestDriveInProcess(t *testing.T) {
 	if len(sum.Latencies) == 0 {
 		t.Error("no latencies collected")
 	}
+	// The record holds its own floors and invariants, and declares the
+	// checks the committed BENCH_serve.json does.
 	rec := sum.record(cfg)
-	if err := rec.Validate(); err != nil {
-		t.Errorf("summary record invalid: %v", err)
+	if vs, _ := bench.Compare("serve", rec, rec); len(vs) != 0 {
+		t.Errorf("summary record breaks its own checks: %v", vs)
 	}
-	if rec.Parity != true || rec.LostJobs != 0 {
-		t.Errorf("record invariants: parity=%v lost=%d", rec.Parity, rec.LostJobs)
+	committed, err := bench.Read(filepath.Join("..", "..", "BENCH_serve.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, _ := bench.Compare("serve", committed, rec)
+	for _, v := range vs {
+		if v.Metric == "bench" || v.Metric == "checks" || strings.Contains(v.Msg, "missing") {
+			t.Errorf("record does not match the committed schema: %v", v)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"busenc/internal/bench"
@@ -18,11 +19,12 @@ import (
 // sampled verification), checks the two agree transition-for-transition,
 // and writes the numbers as JSON so successive PRs can track the
 // trajectory. The record schema lives in internal/bench, shared with
-// cmd/benchguard, which enforces it in CI. The top-level timings are
-// measured serially (GOMAXPROCS pinned to 1) so successive records stay
-// comparable across machines; Parallel repeats the warm engine run at
-// the process's default GOMAXPROCS so the bounded scheduler's speedup
-// is visible in the trajectory.
+// cmd/benchguard, which enforces the checks each producer declares. The
+// top-level timings are measured serially (GOMAXPROCS pinned to 1) so
+// successive records stay comparable across machines; the parallel.*
+// metrics repeat the warm engine run at the process's default
+// GOMAXPROCS so the bounded scheduler's speedup is visible in the
+// trajectory.
 
 // referenceTable4 rebuilds Table 4 the way the seed implementation did:
 // streams generated from scratch and every codec run entry-at-a-time on
@@ -84,105 +86,106 @@ func sameTotals(a, b map[string][]int64) bool {
 	return true
 }
 
-// benchEngine runs the comparison and writes the JSON record to path.
-func benchEngine(path string, src core.Source, warmIters int) error {
-	if warmIters < 1 {
-		warmIters = 1
+// bestOf runs f iters times (at least once) and returns the last
+// result with the fastest wall time: the best-of-N warm timing every
+// record reports.
+func bestOf[T any](iters int, f func() (T, error)) (T, int64, error) {
+	var last T
+	best := int64(0)
+	for i := 0; i < max(iters, 1); i++ {
+		t := time.Now()
+		got, err := f()
+		if err != nil {
+			return last, 0, err
+		}
+		if ns := time.Since(t).Nanoseconds(); best == 0 || ns < best {
+			best = ns
+		}
+		last = got
 	}
+	return last, best, nil
+}
+
+// sameResults reports whether two result lists agree on every Result
+// field, per-line counts included.
+func sameResults(a, b []codec.Result) bool {
+	return slices.EqualFunc(a, b, func(x, y codec.Result) bool {
+		return x.Codec == y.Codec && x.Stream == y.Stream && x.BusWidth == y.BusWidth &&
+			x.Transitions == y.Transitions && x.Cycles == y.Cycles &&
+			x.MaxPerCycle == y.MaxPerCycle && slices.Equal(x.PerLine, y.PerLine)
+	})
+}
+
+// benchEngine runs the comparison and writes the JSON record to path.
+func benchEngine(path string, src core.Source, warmIters int) (err error) {
 	root := obs.StartSpan("bench.engine", obs.StageBench)
+	defer func() { root.EndErr(err) }()
 
 	// Serial measurements: pin to one proc so records are comparable
 	// across machines and across the trajectory.
 	defaultProcs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(defaultProcs)
 	psp := root.Child("bench.reference", obs.StageBench)
 	t0 := time.Now()
 	refTotals, err := referenceTable4(src)
-	if err != nil {
-		runtime.GOMAXPROCS(defaultProcs)
-		psp.EndErr(err)
-		root.EndErr(err)
+	refNs := time.Since(t0).Nanoseconds()
+	if psp.EndErr(err); err != nil {
 		return err
 	}
-	refNs := time.Since(t0).Nanoseconds()
-	psp.End()
 
 	psp = root.Child("bench.engine_cold", obs.StageBench)
 	t0 = time.Now()
 	tab, err := core.Table4(src)
-	if err != nil {
-		runtime.GOMAXPROCS(defaultProcs)
-		psp.EndErr(err)
-		root.EndErr(err)
+	coldNs := time.Since(t0).Nanoseconds()
+	if psp.EndErr(err); err != nil {
 		return err
 	}
-	coldNs := time.Since(t0).Nanoseconds()
-	psp.End()
 	parity := sameTotals(refTotals, engineTotals(tab))
 
-	warm := func(iters int) (int64, error) {
-		best := int64(0)
-		for i := 0; i < iters; i++ {
-			t0 := time.Now()
-			if _, err := core.Table4(src); err != nil {
-				return 0, err
-			}
-			if ns := time.Since(t0).Nanoseconds(); best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
+	table4 := func() (*core.Table, error) { return core.Table4(src) }
 	psp = root.Child("bench.engine_warm", obs.StageBench)
-	warmNs, err := warm(warmIters)
-	if err != nil {
-		runtime.GOMAXPROCS(defaultProcs)
-		psp.EndErr(err)
-		root.EndErr(err)
+	_, warmNs, err := bestOf(warmIters, table4)
+	if psp.EndErr(err); err != nil {
 		return err
 	}
-	psp.End()
 
 	// Parallel warm run at the default GOMAXPROCS (the caches are warm
 	// either way, so this isolates the scheduler's gain).
 	runtime.GOMAXPROCS(defaultProcs)
 	psp = root.Child("bench.engine_warm_parallel", obs.StageBench)
-	parWarmNs, err := warm(warmIters)
-	if err != nil {
-		psp.EndErr(err)
-		root.EndErr(err)
+	_, parWarmNs, err := bestOf(warmIters, table4)
+	if psp.EndErr(err); err != nil {
 		return err
 	}
-	psp.End()
-	root.End()
 
-	rec := bench.EngineRecord{
-		Bench:        bench.EngineBenchName,
-		Source:       string(src),
-		NumCPU:       runtime.NumCPU(),
-		GoVersion:    runtime.Version(),
-		ChunkLen:     codec.RunChunkLen,
-		GOMAXPROCS:   1,
-		ReferenceNs:  refNs,
-		EngineColdNs: coldNs,
-		EngineWarmNs: warmNs,
-		WarmIters:    warmIters,
-		SpeedupCold:  float64(refNs) / float64(coldNs),
-		SpeedupWarm:  float64(refNs) / float64(warmNs),
-		Parity:       parity,
-		Parallel: bench.ParallelRecord{
-			GOMAXPROCS:      defaultProcs,
-			EngineWarmNs:    parWarmNs,
-			SpeedupWarm:     float64(refNs) / float64(parWarmNs),
-			SpeedupVsSerial: float64(warmNs) / float64(parWarmNs),
-		},
+	rec := bench.New("Table4", codec.RunChunkLen)
+	rec.Info = map[string]any{"source": string(src)}
+	rec.Metrics = map[string]float64{
+		"gomaxprocs":     1, // the serial measurement
+		"reference_ns":   float64(refNs),
+		"engine_cold_ns": float64(coldNs), // first engine call, caches empty
+		"engine_warm_ns": float64(warmNs), // fastest warm engine call
+		"warm_iters":     float64(warmIters),
+		"speedup_cold":   float64(refNs) / float64(coldNs),
+		"speedup_warm":   float64(refNs) / float64(warmNs),
+		"parity":         bench.Bool(parity), // engine totals == reference totals
+
+		"parallel.gomaxprocs":             float64(defaultProcs),
+		"parallel.engine_warm_ns":         float64(parWarmNs),
+		"parallel.speedup_warm":           float64(refNs) / float64(parWarmNs),
+		"parallel.speedup_vs_serial_warm": float64(warmNs) / float64(parWarmNs),
 	}
-	if err := bench.WriteRecord(path, rec); err != nil {
+	rec.Checks = []bench.Check{
+		{Metric: "speedup_warm", Kind: bench.Ratio, Bound: bench.Band},
+		{Metric: "parity", Kind: bench.Invariant, Bound: 1},
+	}
+	if err := bench.Write(path, rec); err != nil {
 		return err
 	}
 	fmt.Printf("engine bench (%s source): reference %.1f ms, engine cold %.1f ms (%.1fx), warm %.1f ms (%.1fx), warm@%d procs %.1f ms (%.2fx vs serial), parity=%v -> %s\n",
-		src, float64(refNs)/1e6, float64(coldNs)/1e6, rec.SpeedupCold,
-		float64(warmNs)/1e6, rec.SpeedupWarm,
-		defaultProcs, float64(parWarmNs)/1e6, rec.Parallel.SpeedupVsSerial, parity, path)
+		src, float64(refNs)/1e6, float64(coldNs)/1e6, rec.Metrics["speedup_cold"],
+		float64(warmNs)/1e6, rec.Metrics["speedup_warm"],
+		defaultProcs, float64(parWarmNs)/1e6, rec.Metrics["parallel.speedup_vs_serial_warm"], parity, path)
 	if !parity {
 		return fmt.Errorf("engine and reference transition totals diverge")
 	}

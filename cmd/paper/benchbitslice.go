@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"busenc/internal/bench"
 	"busenc/internal/codec"
@@ -25,9 +24,9 @@ import (
 //
 // Both sides request identical statistics (per-line counts, so parity
 // covers Transitions, Cycles, PerLine and MaxPerCycle) with VerifyNone,
-// isolating encode+count. SpeedupBitslice = scalar_ns / plane_ns is a
-// same-machine ratio; the guard's BitsliceFloor band (default 5x)
-// enforces the ISSUE target on every regeneration.
+// isolating encode+count. speedup_bitslice = scalar_ns / plane_ns is a
+// same-machine ratio, so the record declares an absolute 5x floor on it
+// that binds on every regeneration, next to the usual relative band.
 
 // bitsliceCodes is the seedable subset with plane-domain kernels.
 var bitsliceCodes = []string{"binary", "gray", "offset", "incxor"}
@@ -36,12 +35,6 @@ var bitsliceCodes = []string{"binary", "gray", "offset", "incxor"}
 func benchBitslice(path string, entries, warmIters int) (err error) {
 	sp := obs.StartSpan("bench.bitslice", obs.StageBench)
 	defer func() { sp.EndErr(err) }()
-	if entries <= 0 {
-		entries = 1 << 20
-	}
-	if warmIters < 1 {
-		warmIters = 1
-	}
 	s := buildBenchTrace(entries)
 	cs := make([]codec.Codec, len(bitsliceCodes))
 	for i, code := range bitsliceCodes {
@@ -51,11 +44,9 @@ func benchBitslice(path string, entries, warmIters int) (err error) {
 
 	// Serial measurement: both paths are single-threaded, so pin to one
 	// proc to keep records insensitive to background scheduling.
-	defaultProcs := runtime.GOMAXPROCS(0)
-	runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(defaultProcs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	scalarSweep := func() ([]codec.Result, error) {
+	scalarResults, scalarNs, err := bestOf(warmIters, func() ([]codec.Result, error) {
 		out := make([]codec.Result, len(cs))
 		sopts := opts
 		sopts.Kernel = codec.KernelScalar
@@ -67,79 +58,41 @@ func benchBitslice(path string, entries, warmIters int) (err error) {
 			out[i] = res
 		}
 		return out, nil
+	})
+	if err != nil {
+		return err
 	}
-	planeSweep := func() ([]codec.Result, error) {
+	planeResults, planeNs, err := bestOf(warmIters, func() ([]codec.Result, error) {
 		return codec.RunPlaneSet(cs, s, opts)
-	}
-	timeSweep := func(sweep func() ([]codec.Result, error)) ([]codec.Result, int64, error) {
-		var results []codec.Result
-		best := int64(0)
-		for i := 0; i < warmIters; i++ {
-			t := time.Now()
-			got, err := sweep()
-			if err != nil {
-				return nil, 0, err
-			}
-			if ns := time.Since(t).Nanoseconds(); best == 0 || ns < best {
-				best = ns
-			}
-			results = got
-		}
-		return results, best, nil
-	}
-
-	scalarResults, scalarNs, err := timeSweep(scalarSweep)
+	})
 	if err != nil {
 		return err
 	}
-	planeResults, planeNs, err := timeSweep(planeSweep)
-	if err != nil {
-		return err
-	}
+	parity := sameResults(scalarResults, planeResults)
 
-	parity := len(scalarResults) == len(planeResults)
-	for i := 0; parity && i < len(scalarResults); i++ {
-		parity = sameResult(scalarResults[i], planeResults[i])
+	rec := bench.New("Bitslice", codec.RunChunkLen)
+	rec.Info = map[string]any{"codecs": bitsliceCodes, "per_line": true}
+	rec.Metrics = map[string]float64{
+		"entries":          float64(entries),
+		"gomaxprocs":       1,
+		"warm_iters":       float64(warmIters),
+		"scalar_ns":        float64(scalarNs), // best warm scalar-kernel sweep
+		"plane_ns":         float64(planeNs),  // best warm RunPlaneSet sweep
+		"speedup_bitslice": float64(scalarNs) / float64(planeNs),
+		"parity":           bench.Bool(parity), // all Result fields identical
 	}
-
-	rec := bench.BitsliceRecord{
-		Bench:           bench.BitsliceBenchName,
-		Entries:         entries,
-		ChunkLen:        codec.RunChunkLen,
-		NumCPU:          runtime.NumCPU(),
-		GoVersion:       runtime.Version(),
-		GOMAXPROCS:      1,
-		Codecs:          bitsliceCodes,
-		PerLine:         true,
-		WarmIters:       warmIters,
-		ScalarNs:        scalarNs,
-		PlaneNs:         planeNs,
-		SpeedupBitslice: float64(scalarNs) / float64(planeNs),
-		Parity:          parity,
+	rec.Checks = []bench.Check{
+		{Metric: "speedup_bitslice", Kind: bench.Floor, Bound: 5},
+		{Metric: "speedup_bitslice", Kind: bench.Ratio, Bound: bench.Band},
+		{Metric: "parity", Kind: bench.Invariant, Bound: 1},
 	}
-	if err := bench.WriteRecord(path, rec); err != nil {
+	if err := bench.Write(path, rec); err != nil {
 		return err
 	}
 	fmt.Printf("bitslice bench: %d entries x %d codecs, scalar %.1f ms, plane %.1f ms (%.2fx), parity=%v -> %s\n",
-		entries, len(cs), float64(scalarNs)/1e6, float64(planeNs)/1e6, rec.SpeedupBitslice, parity, path)
+		entries, len(cs), float64(scalarNs)/1e6, float64(planeNs)/1e6, rec.Metrics["speedup_bitslice"], parity, path)
 	if !parity {
 		return fmt.Errorf("plane-kernel and scalar-kernel results diverge")
 	}
 	return nil
-}
-
-// sameResult compares every statistic a Result carries, per-line counts
-// included.
-func sameResult(a, b codec.Result) bool {
-	if a.Codec != b.Codec || a.Transitions != b.Transitions ||
-		a.Cycles != b.Cycles || a.MaxPerCycle != b.MaxPerCycle ||
-		len(a.PerLine) != len(b.PerLine) {
-		return false
-	}
-	for i := range a.PerLine {
-		if a.PerLine[i] != b.PerLine[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"time"
 
 	"busenc/internal/bench"
 	"busenc/internal/codec"
@@ -32,27 +31,21 @@ import (
 // state sweep, worker spawn, shard pricing and the merge — the honest
 // end-to-end cost a user pays for `busencsweep -workers N`. Parity
 // requires the merged distributed results to match RunFast field for
-// field on every codec. The guard's absolute speedup floor binds only
-// on boxes with >= 4 CPUs (see bench.CompareDist); the record always
-// carries num_cpu so the skip is explicit.
+// field on every codec. The record's absolute speedup floor binds only
+// on boxes with >= 4 CPUs; the record always carries num_cpu so the
+// skip is explicit.
 //
-// The tcp sub-record repeats the sweep over two loopback busencd peers
+// The tcp.* metrics repeat the sweep over two loopback busencd peers
 // speaking the /dist upgrade protocol, comparing the pipelined
 // in-flight window against lock-step window=1 dispatch (the pipelining
-// floor binds on >= 2 CPUs with >= 2 peers), and proves digest dedup:
-// the re-sweep's trace upload must be zero bytes because both peers
-// already hold the trace content-addressed by SHA-256.
+// floor binds on >= 2 CPUs), and prove digest dedup: the re-sweep's
+// trace upload must be zero bytes because both peers already hold the
+// trace content-addressed by SHA-256.
 
 // benchDist runs the comparison and writes BENCH_dist.json.
 func benchDist(path string, entries, warmIters int) (err error) {
 	sp := obs.StartSpan("bench.dist", obs.StageBench)
 	defer func() { sp.EndErr(err) }()
-	if entries <= 0 {
-		entries = 1 << 20
-	}
-	if warmIters < 1 {
-		warmIters = 1
-	}
 	s := buildBenchTrace(entries)
 	tmp, err := os.CreateTemp(filepath.Dir(path), "busenc-bench-*.betr")
 	if err != nil {
@@ -125,95 +118,78 @@ func benchDist(path string, entries, warmIters int) (err error) {
 		})
 	}
 
-	timeSweep := func(sweep func() ([]codec.Result, error)) ([]codec.Result, int64, error) {
-		var results []codec.Result
-		best := int64(0)
-		for i := 0; i < warmIters; i++ {
-			t := time.Now()
-			got, err := sweep()
-			if err != nil {
-				return nil, 0, err
-			}
-			if ns := time.Since(t).Nanoseconds(); best == 0 || ns < best {
-				best = ns
-			}
-			results = got
-		}
-		return results, best, nil
-	}
-
-	serResults, serNs, err := timeSweep(serialSweep)
+	serResults, serNs, err := bestOf(warmIters, serialSweep)
 	if err != nil {
 		return err
 	}
-	distResults, distNs, err := timeSweep(distSweep)
+	distResults, distNs, err := bestOf(warmIters, distSweep)
 	if err != nil {
 		return err
-	}
-
-	sameResults := func(got, want []codec.Result) bool {
-		if len(got) != len(want) {
-			return false
-		}
-		for i, w := range want {
-			g := got[i]
-			if g.Codec != w.Codec || g.Transitions != w.Transitions ||
-				g.Cycles != w.Cycles || g.MaxPerCycle != w.MaxPerCycle {
-				return false
-			}
-		}
-		return true
 	}
 	parity := sameResults(distResults, serResults)
 
-	tcp, err := benchDistTCP(tmpPath, specs, entries, warmIters, serResults, sameResults, timeSweep)
-	if err != nil {
-		return err
-	}
+	rec := bench.New("DistSweep", 0)
+	rec.Info = map[string]any{"codecs": codes}
+	rec.Metrics = map[string]float64{
+		"entries":    float64(entries),
+		"gomaxprocs": float64(runtime.GOMAXPROCS(0)),
+		"workers":    float64(workers),
+		"shards":     float64(shards),
+		"warm_iters": float64(warmIters),
 
-	rec := bench.DistRecord{
-		Bench:        bench.DistBenchName,
-		Entries:      entries,
-		NumCPU:       runtime.NumCPU(),
-		GoVersion:    runtime.Version(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Workers:      workers,
-		Shards:       shards,
-		Codecs:       codes,
-		WarmIters:    warmIters,
-		SerialWarmNs: serNs,
-		DistWarmNs:   distNs,
-		SpeedupDist:  float64(serNs) / float64(distNs),
-		Parity:       parity,
-		TCP:          tcp,
+		// serial_warm_ns is the best warm end-to-end serial pass: decode
+		// the BETR file, RunFast every codec. dist_warm_ns is the best
+		// warm distributed sweep over the same file.
+		"serial_warm_ns": float64(serNs),
+		"dist_warm_ns":   float64(distNs),
+		"speedup_dist":   float64(serNs) / float64(distNs),
+		"parity":         bench.Bool(parity), // dist results == RunFast results, all codecs
 	}
-	if err := bench.WriteRecord(path, rec); err != nil {
+	if err := benchDistTCP(rec.Metrics, tmpPath, specs, entries, warmIters, serResults); err != nil {
 		return err
 	}
+	rec.Checks = []bench.Check{
+		// Below four CPUs the workers timeslice the serial baseline's
+		// own cores and the ratio measures scheduling, not scaling.
+		{Metric: "speedup_dist", Kind: bench.Floor, Bound: 1.3, MinCPU: 4},
+		{Metric: "speedup_dist", Kind: bench.Ratio, Bound: bench.Band},
+		// On one CPU the loopback peers timeslice the coordinator's
+		// core, so keeping the wire full cannot beat lock-step.
+		{Metric: "tcp.speedup_pipelined", Kind: bench.Floor, Bound: 1.2, MinCPU: 2},
+		{Metric: "tcp.speedup_pipelined", Kind: bench.Ratio, Bound: bench.Band},
+		{Metric: "parity", Kind: bench.Invariant, Bound: 1},
+		{Metric: "tcp.parity", Kind: bench.Invariant, Bound: 1},
+		// Dedup is correctness, not speed: a re-sweep against warm
+		// peers ships zero trace bytes on any machine.
+		{Metric: "tcp.dedup_reship_bytes", Kind: bench.Invariant, Bound: 0},
+		{Metric: "tcp.window", Kind: bench.Floor, Bound: 2}, // pipelined, not lock-step
+		{Metric: "tcp.trace_ship_bytes", Kind: bench.Floor, Bound: 1},
+	}
+	if err := bench.Write(path, rec); err != nil {
+		return err
+	}
+	m := rec.Metrics
 	fmt.Printf("dist bench (%d entries, %d cpu): serial warm %.1f ms, distributed warm (%d workers, %d shards) %.1f ms (%.2fx), parity=%v -> %s\n",
-		entries, rec.NumCPU, float64(serNs)/1e6, workers, shards, float64(distNs)/1e6, rec.SpeedupDist, parity, path)
-	fmt.Printf("dist bench tcp (%d peers, %d shards): pipelined (window %d) %.1f ms vs lock-step %.1f ms (%.2fx), shipped %d B once, re-ship %d B (%d dedup hits), parity=%v\n",
-		tcp.Peers, tcp.Shards, tcp.Window, float64(tcp.PipelinedNs)/1e6, float64(tcp.InFlight1Ns)/1e6,
-		tcp.SpeedupPipelined, tcp.TraceShipBytes, tcp.DedupReshipBytes, tcp.DedupHits, tcp.Parity)
+		entries, rec.NumCPU, float64(serNs)/1e6, workers, shards, float64(distNs)/1e6, m["speedup_dist"], parity, path)
+	fmt.Printf("dist bench tcp (%.0f peers, %.0f shards): pipelined (window %.0f) %.1f ms vs lock-step %.1f ms (%.2fx), shipped %.0f B once, re-ship %.0f B (%.0f dedup hits), parity=%v\n",
+		m["tcp.peers"], m["tcp.shards"], m["tcp.window"], m["tcp.pipelined_ns"]/1e6, m["tcp.inflight1_ns"]/1e6,
+		m["tcp.speedup_pipelined"], m["tcp.trace_ship_bytes"], m["tcp.dedup_reship_bytes"], m["tcp.dedup_hits"], m["tcp.parity"] == 1)
 	if !parity {
 		return fmt.Errorf("distributed sweep and sequential RunFast results diverge")
 	}
-	if !tcp.Parity {
+	if m["tcp.parity"] != 1 {
 		return fmt.Errorf("networked sweep and sequential RunFast results diverge")
 	}
-	if tcp.DedupReshipBytes != 0 {
-		return fmt.Errorf("re-sweep against warm peers shipped %d trace bytes, want 0 (digest dedup broken)", tcp.DedupReshipBytes)
+	if n := m["tcp.dedup_reship_bytes"]; n != 0 {
+		return fmt.Errorf("re-sweep against warm peers shipped %.0f trace bytes, want 0 (digest dedup broken)", n)
 	}
 	return nil
 }
 
-// benchDistTCP measures the networked variant: the same sweep over two
-// loopback busencd peers, pipelined window vs lock-step, plus the
-// digest-dedup re-ship evidence.
-func benchDistTCP(tmpPath string, specs []dist.CodecSpec, entries, warmIters int,
-	serResults []codec.Result, sameResults func(got, want []codec.Result) bool,
-	timeSweep func(func() ([]codec.Result, error)) ([]codec.Result, int64, error)) (*bench.DistTCPRecord, error) {
-
+// benchDistTCP measures the networked variant into the tcp.* metrics
+// of m: the same sweep over two loopback busencd peers, pipelined
+// window vs lock-step, plus the digest-dedup re-ship evidence.
+func benchDistTCP(m map[string]float64, tmpPath string, specs []dist.CodecSpec, entries, warmIters int, serResults []codec.Result) error {
 	const (
 		tcpPeers  = 2
 		tcpWindow = 8
@@ -226,18 +202,18 @@ func benchDistTCP(tmpPath string, specs []dist.CodecSpec, entries, warmIters int
 	for i := 0; i < tcpPeers; i++ {
 		dir, err := os.MkdirTemp("", "busenc-bench-peer-")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer os.RemoveAll(dir)
 		srv, err := serve.New(serve.Config{StoreDir: dir})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mux := http.NewServeMux()
 		srv.Register(mux)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		hs := &http.Server{Handler: mux}
 		go hs.Serve(ln)
@@ -261,36 +237,41 @@ func benchDistTCP(tmpPath string, specs []dist.CodecSpec, entries, warmIters int
 	// only dispatch and pricing.
 	var ship dist.NetStats
 	if _, err := tcpSweep(tcpWindow, &ship); err != nil {
-		return nil, fmt.Errorf("networked warm-up sweep: %w", err)
+		return fmt.Errorf("networked warm-up sweep: %w", err)
 	}
-	pipeResults, pipeNs, err := timeSweep(func() ([]codec.Result, error) { return tcpSweep(tcpWindow, nil) })
+	pipeResults, pipeNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(tcpWindow, nil) })
 	if err != nil {
-		return nil, fmt.Errorf("pipelined networked sweep: %w", err)
+		return fmt.Errorf("pipelined networked sweep: %w", err)
 	}
-	lockResults, lockNs, err := timeSweep(func() ([]codec.Result, error) { return tcpSweep(1, nil) })
+	lockResults, lockNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(1, nil) })
 	if err != nil {
-		return nil, fmt.Errorf("lock-step networked sweep: %w", err)
+		return fmt.Errorf("lock-step networked sweep: %w", err)
 	}
 	// Re-sweep with fresh counters: the digest probe must find both
 	// peers warm, so zero trace bytes move.
 	var reship dist.NetStats
 	reResults, err := tcpSweep(tcpWindow, &reship)
 	if err != nil {
-		return nil, fmt.Errorf("dedup re-sweep: %w", err)
+		return fmt.Errorf("dedup re-sweep: %w", err)
 	}
 
-	return &bench.DistTCPRecord{
-		Peers:            tcpPeers,
-		Window:           tcpWindow,
-		Shards:           tcpShards,
-		Entries:          entries,
-		PipelinedNs:      pipeNs,
-		InFlight1Ns:      lockNs,
-		SpeedupPipelined: float64(lockNs) / float64(pipeNs),
-		Parity: sameResults(pipeResults, serResults) &&
-			sameResults(lockResults, serResults) && sameResults(reResults, serResults),
-		TraceShipBytes:   ship.TraceShipBytes.Load(),
-		DedupReshipBytes: reship.TraceShipBytes.Load(),
-		DedupHits:        reship.TraceDedupHits.Load(),
-	}, nil
+	m["tcp.peers"] = tcpPeers
+	m["tcp.window"] = tcpWindow // pipelined in-flight window per peer
+	m["tcp.shards"] = tcpShards
+	m["tcp.entries"] = float64(entries)
+	// pipelined_ns is the best warm networked sweep with the in-flight
+	// window open; inflight1_ns is the same sweep lock-step, one RTT of
+	// dead wire per shard.
+	m["tcp.pipelined_ns"] = float64(pipeNs)
+	m["tcp.inflight1_ns"] = float64(lockNs)
+	m["tcp.speedup_pipelined"] = float64(lockNs) / float64(pipeNs)
+	m["tcp.parity"] = bench.Bool(sameResults(pipeResults, serResults) &&
+		sameResults(lockResults, serResults) && sameResults(reResults, serResults))
+	// trace_ship_bytes is what the first sweep uploaded to the peers'
+	// stores; dedup_reship_bytes is what the re-sweep shipped, and
+	// dedup_hits counts its digest-probe hits.
+	m["tcp.trace_ship_bytes"] = float64(ship.TraceShipBytes.Load())
+	m["tcp.dedup_reship_bytes"] = float64(reship.TraceShipBytes.Load())
+	m["tcp.dedup_hits"] = float64(reship.TraceDedupHits.Load())
+	return nil
 }

@@ -11,8 +11,9 @@ import (
 	"busenc/internal/obs"
 )
 
-// Parallel-engine benchmark (-benchparallel): prices the Table 4 stream
-// suite three ways on the same machine and records the ratios:
+// Parallel-engine benchmark (-benchjson writes BENCH_parallel.json
+// alongside the other records): prices the Table 4 stream suite three
+// ways on the same machine and records the ratios:
 //
 //   - reference: the seed-style per-entry path (streams regenerated,
 //     virtual Encode/Drive/Decode per entry, full verification), serial;
@@ -21,11 +22,11 @@ import (
 //   - parallel warm: core.EvaluateParallel (shard-parallel pricing with
 //     encoder state reseeding) at an elevated GOMAXPROCS.
 //
-// SpeedupParallel = serial_warm / parallel_warm is the shard scaling
+// speedup_parallel = serial_warm / parallel_warm is the shard scaling
 // itself; on a single-CPU machine the shards timeslice one core and the
-// ratio degenerates to ~1x, which is why the record also carries
-// num_cpu and SpeedupVsReference = reference / parallel_warm, a
-// machine-independent floor the guard can always enforce. Parity
+// ratio degenerates to ~1x, which is why its band needs two CPUs and
+// the record also carries speedup_vs_reference = reference /
+// parallel_warm, a band the guard can enforce on any core count. Parity
 // requires all three paths to agree transition-for-transition.
 
 // benchParallel runs the comparison and writes BENCH_parallel.json.
@@ -33,9 +34,6 @@ import (
 func benchParallel(path string, src core.Source, shards, warmIters int) (err error) {
 	sp := obs.StartSpan("bench.parallel", obs.StageBench)
 	defer func() { sp.EndErr(err) }()
-	if warmIters < 1 {
-		warmIters = 1
-	}
 	defaultProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(defaultProcs)
 
@@ -91,25 +89,8 @@ func benchParallel(path string, src core.Source, shards, warmIters int) (err err
 		}
 		return totals, nil
 	}
-	timeSweep := func(sweep func() (map[string][]int64, error)) (map[string][]int64, int64, error) {
-		var totals map[string][]int64
-		best := int64(0)
-		for i := 0; i < warmIters; i++ {
-			t := time.Now()
-			got, err := sweep()
-			if err != nil {
-				return nil, 0, err
-			}
-			if ns := time.Since(t).Nanoseconds(); best == 0 || ns < best {
-				best = ns
-			}
-			totals = got
-		}
-		return totals, best, nil
-	}
-
 	// Serial warm sweep stays pinned to one proc.
-	serTotals, serNs, err := timeSweep(serialSweep)
+	serTotals, serNs, err := bestOf(warmIters, serialSweep)
 	if err != nil {
 		return err
 	}
@@ -122,8 +103,7 @@ func benchParallel(path string, src core.Source, shards, warmIters int) (err err
 		parProcs = 4
 	}
 	runtime.GOMAXPROCS(parProcs)
-	parTotals, parNs, err := timeSweep(parallelSweep)
-	runtime.GOMAXPROCS(defaultProcs)
+	parTotals, parNs, err := bestOf(warmIters, parallelSweep)
 	if err != nil {
 		return err
 	}
@@ -136,29 +116,33 @@ func benchParallel(path string, src core.Source, shards, warmIters int) (err err
 		effShards = parProcs
 	}
 	parity := sameTotals(refTotals, serTotals) && sameTotals(serTotals, parTotals)
-	rec := bench.ParallelEngineRecord{
-		Bench:              bench.ParallelBenchName,
-		Source:             string(src),
-		NumCPU:             runtime.NumCPU(),
-		GoVersion:          runtime.Version(),
-		ChunkLen:           codec.RunChunkLen,
-		GOMAXPROCS:         parProcs,
-		Shards:             effShards,
-		Codecs:             codes,
-		WarmIters:          warmIters,
-		ReferenceNs:        refNs,
-		SerialWarmNs:       serNs,
-		ParallelWarmNs:     parNs,
-		SpeedupParallel:    float64(serNs) / float64(parNs),
-		SpeedupVsReference: float64(refNs) / float64(parNs),
-		Parity:             parity,
+	rec := bench.New("Table4Parallel", codec.RunChunkLen)
+	rec.Info = map[string]any{"source": string(src), "codecs": codes}
+	rec.Metrics = map[string]float64{
+		"gomaxprocs": float64(parProcs), // procs of the parallel measurement
+		"shards":     float64(effShards),
+		"warm_iters": float64(warmIters),
+
+		"reference_ns":         float64(refNs),
+		"serial_warm_ns":       float64(serNs),
+		"parallel_warm_ns":     float64(parNs),
+		"speedup_parallel":     float64(serNs) / float64(parNs),
+		"speedup_vs_reference": float64(refNs) / float64(parNs),
+		"parity":               bench.Bool(parity),
 	}
-	if err := bench.WriteRecord(path, rec); err != nil {
+	rec.Checks = []bench.Check{
+		// Shard scaling cannot show on one core: skipped, with a note,
+		// below two CPUs.
+		{Metric: "speedup_parallel", Kind: bench.Ratio, Bound: bench.Band, MinCPU: 2},
+		{Metric: "speedup_vs_reference", Kind: bench.Ratio, Bound: bench.Band},
+		{Metric: "parity", Kind: bench.Invariant, Bound: 1},
+	}
+	if err := bench.Write(path, rec); err != nil {
 		return err
 	}
 	fmt.Printf("parallel bench (%s source, %d cpu): reference %.1f ms, serial warm %.1f ms, parallel warm@%d procs %.1f ms (%.2fx vs serial, %.1fx vs reference), parity=%v -> %s\n",
 		src, rec.NumCPU, float64(refNs)/1e6, float64(serNs)/1e6,
-		parProcs, float64(parNs)/1e6, rec.SpeedupParallel, rec.SpeedupVsReference, parity, path)
+		parProcs, float64(parNs)/1e6, rec.Metrics["speedup_parallel"], rec.Metrics["speedup_vs_reference"], parity, path)
 	if !parity {
 		return fmt.Errorf("parallel, serial and reference transition totals diverge")
 	}

@@ -11,8 +11,8 @@
 //	                                     # in one bounded-memory pass
 //	paper -trace prog.bin -parallel 4    # shard-parallel pricing with
 //	                                     # reseeded encoder state
-//	paper -benchjson BENCH_engine.json   # time the evaluation engine and the
-//	                                     # streaming pipeline (BENCH_stream.json)
+//	paper -benchjson .                   # write BENCH_{engine,stream,parallel,
+//	                                     # bitslice}.json into a directory
 package main
 
 import (
@@ -26,6 +26,10 @@ import (
 	"busenc/internal/obs"
 )
 
+// benchEntries is the trace length of the stream, bitslice and dist
+// records.
+const benchEntries = 1 << 20
+
 func main() {
 	tableNum := flag.Int("table", 0, "table to print (1-9; 0 = all)")
 	source := flag.String("source", "synthetic", "stream source for Tables 2-7: synthetic | mips")
@@ -38,11 +42,7 @@ func main() {
 	codes := flag.String("codes", "paper", "with -trace: comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
 	kernel := flag.String("kernel", "auto", "with -trace: pricing kernel — \"auto\" (plane-capable codecs use the bit-sliced path), \"scalar\" or \"plane\"")
 	chunkLen := flag.Int("chunklen", 0, "with -trace: chunk size in entries (0 = default)")
-	benchJSON := flag.String("benchjson", "", "benchmark the batched evaluation engine against the reference path and write machine-readable results to this file (e.g. BENCH_engine.json); also writes the streaming-pipeline record (see -benchstream) and the shard-parallel record (see -benchparallel), then exits")
-	benchStreamJSON := flag.String("benchstream", "", "with -benchjson: path for the streaming-pipeline record (default: BENCH_stream.json beside the engine record)")
-	benchParallelJSON := flag.String("benchparallel", "", "with -benchjson: path for the shard-parallel engine record (default: BENCH_parallel.json beside the engine record)")
-	benchBitsliceJSON := flag.String("benchbitslice", "", "with -benchjson: path for the bit-sliced kernel record (default: BENCH_bitslice.json beside the engine record)")
-	benchEntries := flag.Int("benchentries", 1<<20, "with -benchjson: trace length for the streaming-pipeline benchmark")
+	benchJSON := flag.String("benchjson", "", "benchmark the batched evaluation engine, the streaming pipeline, shard-parallel pricing and the bit-sliced kernels against their same-machine baselines, write BENCH_{engine,stream,parallel,bitslice}.json into this directory, then exit")
 	benchDistJSON := flag.String("benchdist", "", "benchmark the distributed coordinator/worker sweep against a serial decode+price pass and write the record to this path (e.g. BENCH_dist.json), then exit")
 	distWorker := flag.Bool("distworker", false, "internal: run as a distributed-sweep protocol worker on stdin/stdout (spawned by -benchdist)")
 	metrics := flag.String("metrics", "", "enable run-time observability and dump all metric registries on exit: \"table\", \"json\" or \"spans\" (to stderr, so table/trace output stays clean; \"spans\" prints per-stage span latency attribution)")
@@ -73,7 +73,7 @@ func main() {
 		return
 	}
 	if *benchDistJSON != "" {
-		if err := benchDist(*benchDistJSON, *benchEntries, 3); err != nil {
+		if err := benchDist(*benchDistJSON, benchEntries, 3); err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)
 		}
@@ -81,31 +81,18 @@ func main() {
 	}
 	src := core.Source(*source)
 	if *benchJSON != "" {
-		if err := benchEngine(*benchJSON, src, 5); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
+		record := func(name string) string { return filepath.Join(*benchJSON, "BENCH_"+name+".json") }
+		err := benchEngine(record("engine"), src, 5)
+		if err == nil {
+			err = benchStream(record("stream"), benchEntries)
 		}
-		streamPath := *benchStreamJSON
-		if streamPath == "" {
-			streamPath = filepath.Join(filepath.Dir(*benchJSON), "BENCH_stream.json")
+		if err == nil {
+			err = benchParallel(record("parallel"), src, 0, 5)
 		}
-		if err := benchStream(streamPath, *benchEntries); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
+		if err == nil {
+			err = benchBitslice(record("bitslice"), benchEntries, 5)
 		}
-		parallelPath := *benchParallelJSON
-		if parallelPath == "" {
-			parallelPath = filepath.Join(filepath.Dir(*benchJSON), "BENCH_parallel.json")
-		}
-		if err := benchParallel(parallelPath, src, 0, 5); err != nil {
-			fmt.Fprintln(os.Stderr, "paper:", err)
-			os.Exit(1)
-		}
-		bitslicePath := *benchBitsliceJSON
-		if bitslicePath == "" {
-			bitslicePath = filepath.Join(filepath.Dir(*benchJSON), "BENCH_bitslice.json")
-		}
-		if err := benchBitslice(bitslicePath, *benchEntries, 5); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)
 		}

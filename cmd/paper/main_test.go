@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,31 +224,60 @@ func TestDumpMetricsSpans(t *testing.T) {
 	}
 }
 
+// readRecord loads a freshly written record and checks it against the
+// committed record of the same name: same bench identity, same declared
+// checks and every committed metric present — what cmd/benchguard
+// would otherwise flag.
+func readRecord(t *testing.T, path, name string) bench.Record {
+	t.Helper()
+	rec, err := bench.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := bench.Read(filepath.Join("..", "..", "BENCH_"+name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Bench != committed.Bench {
+		t.Errorf("bench = %q, committed %q", rec.Bench, committed.Bench)
+	}
+	if !slices.Equal(rec.Checks, committed.Checks) {
+		t.Errorf("checks = %+v, committed %+v", rec.Checks, committed.Checks)
+	}
+	for m := range committed.Metrics {
+		if _, ok := rec.Metrics[m]; !ok {
+			t.Errorf("metric %q missing from the fresh record", m)
+		}
+	}
+	if rec.NumCPU < 1 || rec.GoVersion == "" {
+		t.Errorf("machine identity not recorded: %+v", rec)
+	}
+	if rec.Metrics["parity"] != 1 {
+		t.Error("parity = 0: the measured path diverged from its reference")
+	}
+	return rec
+}
+
+// positive fails the test for every named metric that is not > 0.
+func positive(t *testing.T, rec bench.Record, metrics ...string) {
+	t.Helper()
+	for _, m := range metrics {
+		if rec.Metrics[m] <= 0 {
+			t.Errorf("%s = %v, want > 0", m, rec.Metrics[m])
+		}
+	}
+}
+
 func TestBenchStreamJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_stream.json")
 	out := captureStdout(t, func() error { return benchStream(path, 20000) })
 	if !strings.Contains(out, "parity=true") {
 		t.Errorf("summary missing parity:\n%s", out)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec bench.StreamRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if !rec.Parity {
-		t.Error("streaming diverged from the materialized path")
-	}
-	if rec.MaterializedNs <= 0 || rec.StreamingNs <= 0 {
-		t.Errorf("timings not recorded: %+v", rec)
-	}
-	if rec.MaterializedAllocBytes == 0 || rec.StreamingAllocBytes == 0 {
-		t.Errorf("alloc deltas not recorded: %+v", rec)
-	}
-	if rec.Entries != 20000 || rec.Bench != "StreamPipeline" {
-		t.Errorf("wrong identity: %+v", rec)
+	rec := readRecord(t, path, "stream")
+	positive(t, rec, "materialized_ns", "streaming_ns", "materialized_alloc_bytes", "streaming_alloc_bytes")
+	if rec.Metrics["entries"] != 20000 {
+		t.Errorf("entries = %v, want 20000", rec.Metrics["entries"])
 	}
 }
 
@@ -257,24 +287,26 @@ func TestBenchParallelJSON(t *testing.T) {
 	if !strings.Contains(out, "parity=true") {
 		t.Errorf("summary missing parity:\n%s", out)
 	}
-	rec, err := bench.ReadParallel(path)
-	if err != nil {
-		t.Fatal(err)
+	rec := readRecord(t, path, "parallel")
+	positive(t, rec, "reference_ns", "serial_warm_ns", "parallel_warm_ns")
+	if rec.Info["source"] != "synthetic" {
+		t.Errorf("source = %v, want synthetic", rec.Info["source"])
 	}
-	if !rec.Parity {
-		t.Error("parallel sweep diverged from the serial or reference path")
+	if rec.Metrics["gomaxprocs"] < 4 {
+		t.Errorf("parallel sweep at gomaxprocs %v, want >= 4", rec.Metrics["gomaxprocs"])
 	}
-	if rec.ReferenceNs <= 0 || rec.SerialWarmNs <= 0 || rec.ParallelWarmNs <= 0 {
-		t.Errorf("timings not recorded: %+v", rec)
+}
+
+func TestBenchBitsliceJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_bitslice.json")
+	out := captureStdout(t, func() error { return benchBitslice(path, 20000, 1) })
+	if !strings.Contains(out, "parity=true") {
+		t.Errorf("summary missing parity:\n%s", out)
 	}
-	if rec.Bench != "Table4Parallel" || rec.Source != "synthetic" {
-		t.Errorf("wrong identity: %+v", rec)
-	}
-	if rec.GOMAXPROCS < 4 {
-		t.Errorf("parallel sweep at gomaxprocs %d, want >= 4", rec.GOMAXPROCS)
-	}
-	if rec.NumCPU < 1 || len(rec.Codecs) == 0 {
-		t.Errorf("environment not recorded: %+v", rec)
+	rec := readRecord(t, path, "bitslice")
+	positive(t, rec, "scalar_ns", "plane_ns", "speedup_bitslice")
+	if rec.Metrics["entries"] != 20000 {
+		t.Errorf("entries = %v, want 20000", rec.Metrics["entries"])
 	}
 }
 
@@ -287,21 +319,14 @@ func TestBenchDistJSON(t *testing.T) {
 	if !strings.Contains(out, "parity=true") {
 		t.Errorf("summary missing parity:\n%s", out)
 	}
-	rec, err := bench.ReadDist(path)
-	if err != nil {
-		t.Fatal(err)
+	rec := readRecord(t, path, "dist")
+	positive(t, rec, "serial_warm_ns", "dist_warm_ns", "speedup_dist", "tcp.pipelined_ns", "tcp.trace_ship_bytes")
+	m := rec.Metrics
+	if m["entries"] != 30000 || m["workers"] < 2 || m["shards"] < m["workers"] {
+		t.Errorf("sweep shape not recorded: %v", m)
 	}
-	if !rec.Parity {
-		t.Error("distributed sweep diverged from the serial path")
-	}
-	if rec.SerialWarmNs <= 0 || rec.DistWarmNs <= 0 || rec.SpeedupDist <= 0 {
-		t.Errorf("timings not recorded: %+v", rec)
-	}
-	if rec.Bench != "DistSweep" || rec.Entries != 30000 {
-		t.Errorf("wrong identity: %+v", rec)
-	}
-	if rec.NumCPU < 1 || rec.Workers < 2 || rec.Shards < rec.Workers || len(rec.Codecs) == 0 {
-		t.Errorf("environment not recorded: %+v", rec)
+	if m["tcp.parity"] != 1 || m["tcp.dedup_reship_bytes"] != 0 {
+		t.Errorf("networked invariants broken: tcp.parity %v, tcp.dedup_reship_bytes %v", m["tcp.parity"], m["tcp.dedup_reship_bytes"])
 	}
 }
 
@@ -311,27 +336,12 @@ func TestBenchEngineJSON(t *testing.T) {
 	if !strings.Contains(out, "parity=true") {
 		t.Errorf("summary missing parity:\n%s", out)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	rec := readRecord(t, path, "engine")
+	positive(t, rec, "reference_ns", "engine_cold_ns", "engine_warm_ns", "parallel.gomaxprocs", "parallel.engine_warm_ns")
+	if rec.Info["source"] != "synthetic" {
+		t.Errorf("source = %v, want synthetic", rec.Info["source"])
 	}
-	var rec bench.EngineRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if !rec.Parity {
-		t.Error("engine diverged from the reference path")
-	}
-	if rec.ReferenceNs <= 0 || rec.EngineColdNs <= 0 || rec.EngineWarmNs <= 0 {
-		t.Errorf("timings not recorded: %+v", rec)
-	}
-	if rec.Bench != "Table4" || rec.Source != "synthetic" {
-		t.Errorf("wrong identity: %+v", rec)
-	}
-	if rec.GOMAXPROCS != 1 {
-		t.Errorf("serial record at gomaxprocs %d, want 1", rec.GOMAXPROCS)
-	}
-	if rec.Parallel.GOMAXPROCS < 1 || rec.Parallel.EngineWarmNs <= 0 {
-		t.Errorf("parallel run not recorded: %+v", rec.Parallel)
+	if rec.Metrics["gomaxprocs"] != 1 {
+		t.Errorf("serial record at gomaxprocs %v, want 1", rec.Metrics["gomaxprocs"])
 	}
 }

@@ -1,57 +1,17 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"path/filepath"
+	"slices"
+	"sort"
+)
 
-// Regression guard. CompareEngine and CompareStream hold a fresh record
-// against a committed baseline and return one Violation per broken
-// tolerance band. The bands are ratio-based (see the package comment):
-//
-//   - parity=false in the fresh record always fails — the engine or the
-//     pipeline no longer reproduces the reference numbers;
-//   - a speedup ratio may drop by at most Tolerance.Slowdown
-//     (fractional, default 0.25: a >25% slowdown relative to the
-//     record's own same-machine baseline fails);
-//   - the streaming alloc ratio may shrink by at most a factor of
-//     Tolerance.AllocCollapse (default 2: the pipeline's bounded-memory
-//     property collapsing by 2x fails even if wall time holds).
-//
-// Boundary semantics are inclusive: a fresh value exactly on the band
-// edge passes; only strictly beyond it fails.
-
-// Tolerance configures the guard's bands.
-type Tolerance struct {
-	// Slowdown is the allowed fractional drop in a speedup ratio
-	// (0.25 = fresh may be as low as 75% of the committed speedup).
-	Slowdown float64
-	// AllocCollapse is the factor by which the streaming alloc ratio may
-	// shrink before the guard fails.
-	AllocCollapse float64
-	// BitsliceFloor is the absolute minimum the fresh bitslice record's
-	// scalar/plane speedup may report (0 disables the floor). Unlike the
-	// relative bands this needs no committed baseline: the ratio is
-	// same-machine by construction, so the floor holds on any box.
-	BitsliceFloor float64
-	// DistFloor is the absolute minimum distributed-sweep speedup (0
-	// disables it). It binds only when the measuring box has at least
-	// DistFloorMinCPU CPUs; smaller boxes skip it with an explicit note.
-	DistFloor float64
-	// TCPPipelineFloor is the absolute minimum the networked sweep's
-	// pipelined dispatch may gain over lock-step window=1 dispatch (0
-	// disables it). It binds only with TCPFloorMinCPU or more CPUs and
-	// at least two peers; otherwise it is skipped with an explicit note.
-	TCPPipelineFloor float64
-}
-
-// DefaultTolerance is the band set CI enforces.
-func DefaultTolerance() Tolerance {
-	return Tolerance{Slowdown: 0.25, AllocCollapse: 2, BitsliceFloor: 5, DistFloor: 1.3, TCPPipelineFloor: 1.2}
-}
-
-// Violation is one broken band.
+// Violation is one broken check or malformed record.
 type Violation struct {
-	Record string  // "engine" or "stream"
-	Field  string  // JSON field name
-	Old    float64 // committed value (0 when not applicable)
+	Record string  // record name, e.g. "engine"
+	Metric string  // checked metric, or "bench", "checks", "baseline", "fresh"
+	Old    float64 // committed value or bound (0 when not applicable)
 	New    float64 // fresh value
 	Msg    string
 }
@@ -61,249 +21,130 @@ type Violation struct {
 // column-comparable across runs (no %g magnitude-dependent width).
 func (v Violation) String() string {
 	if v.Old != 0 || v.New != 0 {
-		return fmt.Sprintf("%s: %s: %s (committed %.3f, fresh %.3f)", v.Record, v.Field, v.Msg, v.Old, v.New)
+		return fmt.Sprintf("%s: %s: %s (committed %.3f, fresh %.3f)", v.Record, v.Metric, v.Msg, v.Old, v.New)
 	}
-	return fmt.Sprintf("%s: %s: %s", v.Record, v.Field, v.Msg)
+	return fmt.Sprintf("%s: %s: %s", v.Record, v.Metric, v.Msg)
 }
 
-// speedupDrop checks one ratio band; floor is old*(1-tol), inclusive.
-func speedupDrop(record, field string, old, new, tol float64) *Violation {
-	floor := old * (1 - tol)
-	if new >= floor {
-		return nil
+// sameMachine reports whether two records describe comparable
+// measurement environments. Unknown identity (zero num_cpu or empty
+// go_version on either side) counts as comparable.
+func sameMachine(a, b Record) bool {
+	if a.NumCPU != 0 && b.NumCPU != 0 && a.NumCPU != b.NumCPU {
+		return false
 	}
-	return &Violation{
-		Record: record, Field: field, Old: old, New: new,
-		Msg: fmt.Sprintf("speedup dropped more than %.0f%% below the committed record (floor %.3f)", tol*100, floor),
-	}
+	return a.GoVersion == "" || b.GoVersion == "" || a.GoVersion == b.GoVersion
 }
 
-// CompareEngine holds a fresh engine record against the committed one.
-func CompareEngine(old, fresh EngineRecord, tol Tolerance) []Violation {
-	var out []Violation
-	if err := old.Validate(); err != nil {
-		out = append(out, Violation{Record: "engine", Field: "baseline", Msg: err.Error()})
+// Compare holds the fresh record against the committed one under the
+// committed record's checks. It returns one violation per broken check
+// and one note per check that could not bind on the fresh record's
+// machine. A wrong bench identity, a check list that differs from the
+// committed one, a committed or checked metric missing from the fresh
+// record, and a ratio or floor metric that is not positive (the
+// producer never filled it) are violations too. Boundaries are
+// inclusive: a value exactly on a band or floor passes.
+func Compare(name string, old, fresh Record) (vs []Violation, notes []string) {
+	fail := func(metric string, was, got float64, format string, args ...any) {
+		vs = append(vs, Violation{Record: name, Metric: metric, Old: was, New: got, Msg: fmt.Sprintf(format, args...)})
 	}
-	if err := fresh.Validate(); err != nil {
-		out = append(out, Violation{Record: "engine", Field: "fresh", Msg: err.Error()})
-		return out
+	if fresh.Bench != old.Bench {
+		fail("bench", 0, 0, "bench = %q, want %q", fresh.Bench, old.Bench)
+		return vs, notes
 	}
-	if !fresh.Parity {
-		out = append(out, Violation{Record: "engine", Field: "parity",
-			Msg: "engine and reference transition totals diverge"})
+	if !slices.Equal(fresh.Checks, old.Checks) {
+		fail("checks", 0, 0, "check list differs from the committed record")
 	}
-	if !SameMachine(old.NumCPU, fresh.NumCPU, old.GoVersion, fresh.GoVersion) {
-		return out // cross-box: parity holds everywhere, ratios do not
-	}
-	if v := speedupDrop("engine", "speedup_warm", old.SpeedupWarm, fresh.SpeedupWarm, tol.Slowdown); v != nil {
-		out = append(out, *v)
-	}
-	return out
-}
-
-// CompareStream holds a fresh stream record against the committed one.
-func CompareStream(old, fresh StreamRecord, tol Tolerance) []Violation {
-	var out []Violation
-	if err := old.Validate(); err != nil {
-		out = append(out, Violation{Record: "stream", Field: "baseline", Msg: err.Error()})
-	}
-	if err := fresh.Validate(); err != nil {
-		out = append(out, Violation{Record: "stream", Field: "fresh", Msg: err.Error()})
-		return out
-	}
-	if !fresh.Parity {
-		out = append(out, Violation{Record: "stream", Field: "parity",
-			Msg: "streaming and materialized transition totals diverge"})
-	}
-	if !SameMachine(old.NumCPU, fresh.NumCPU, old.GoVersion, fresh.GoVersion) {
-		return out
-	}
-	if v := speedupDrop("stream", "speedup_streaming", old.SpeedupStreaming, fresh.SpeedupStreaming, tol.Slowdown); v != nil {
-		out = append(out, *v)
-	}
-	if tol.AllocCollapse > 0 {
-		floor := old.AllocRatio / tol.AllocCollapse
-		if fresh.AllocRatio < floor {
-			out = append(out, Violation{
-				Record: "stream", Field: "alloc_ratio", Old: old.AllocRatio, New: fresh.AllocRatio,
-				Msg: fmt.Sprintf("alloc ratio collapsed more than %.3fx below the committed record (floor %.3f)", tol.AllocCollapse, floor),
-			})
+	missing := map[string]bool{}
+	need := func(m string) {
+		if _, ok := fresh.Metrics[m]; !ok {
+			missing[m] = true
 		}
 	}
-	return out
-}
+	for m := range old.Metrics {
+		need(m)
+	}
+	for _, c := range old.Checks {
+		need(c.Metric)
+	}
+	for _, m := range sortedKeys(missing) {
+		fail(m, 0, 0, "missing from the fresh record")
+	}
 
-// CompareParallel holds a fresh parallel-engine record against the
-// committed one. It is CompareParallelNotes without the skip notes —
-// kept for callers that only care about hard failures.
-func CompareParallel(old, fresh ParallelEngineRecord, tol Tolerance) []Violation {
-	out, _ := CompareParallelNotes(old, fresh, tol)
-	return out
-}
-
-// CompareParallelNotes holds a fresh parallel-engine record against the
-// committed one. Both speedup ratios are banded: SpeedupParallel
-// guards the shard scaling itself (meaningful once the machine has
-// cores to scale onto), SpeedupVsReference guards the parallel path's
-// absolute throughput against the seed reference on any machine. On a
-// single-CPU box shard scaling is physically impossible, so the
-// speedup_parallel band is skipped — loudly, via a returned note —
-// rather than failing or silently passing.
-func CompareParallelNotes(old, fresh ParallelEngineRecord, tol Tolerance) ([]Violation, []string) {
-	var out []Violation
-	var notes []string
-	if err := old.Validate(); err != nil {
-		out = append(out, Violation{Record: "parallel", Field: "baseline", Msg: err.Error()})
-	}
-	if err := fresh.Validate(); err != nil {
-		out = append(out, Violation{Record: "parallel", Field: "fresh", Msg: err.Error()})
-		return out, notes
-	}
-	if !fresh.Parity {
-		out = append(out, Violation{Record: "parallel", Field: "parity",
-			Msg: "parallel, serial and reference transition totals diverge"})
-	}
-	if fresh.NumCPU == 1 {
-		notes = append(notes, "parallel: speedup_parallel enforcement skipped: num_cpu=1")
-	}
-	if !SameMachine(old.NumCPU, fresh.NumCPU, old.GoVersion, fresh.GoVersion) {
-		return out, notes
-	}
-	if fresh.NumCPU != 1 {
-		if v := speedupDrop("parallel", "speedup_parallel", old.SpeedupParallel, fresh.SpeedupParallel, tol.Slowdown); v != nil {
-			out = append(out, *v)
+	same := sameMachine(old, fresh)
+	for _, c := range old.Checks {
+		got := fresh.Metrics[c.Metric]
+		if missing[c.Metric] {
+			continue
+		}
+		switch c.Kind {
+		case Invariant:
+			if got != c.Bound {
+				fail(c.Metric, c.Bound, got, "invariant broken: must equal %.3f on every machine", c.Bound)
+			}
+			continue
+		case Ratio, Floor:
+		default:
+			fail(c.Metric, 0, 0, "unknown check kind %q", c.Kind)
+			continue
+		}
+		if got <= 0 {
+			// Reported once, however many checks share the metric.
+			missing[c.Metric] = true
+			fail(c.Metric, 0, got, "%s metric must be > 0 (never measured?)", c.Kind)
+			continue
+		}
+		was := old.Metrics[c.Metric]
+		switch {
+		case fresh.NumCPU < c.MinCPU:
+			notes = append(notes, fmt.Sprintf("%s: %s %s skipped: num_cpu=%d (needs >= %d CPUs)",
+				name, c.Metric, c.Kind, fresh.NumCPU, c.MinCPU))
+		case c.Kind == Floor:
+			if got < c.Bound {
+				fail(c.Metric, c.Bound, got, "fell below the absolute floor %.3f on a %d-CPU box", c.Bound, fresh.NumCPU)
+			}
+		case was <= 0:
+			fail(c.Metric, was, got, "committed ratio metric must be > 0")
+		case !same:
+			notes = append(notes, fmt.Sprintf("%s: %s ratio skipped: cross-machine baseline (%d/%s vs %d/%s)",
+				name, c.Metric, old.NumCPU, old.GoVersion, fresh.NumCPU, fresh.GoVersion))
+		default:
+			if limit := was * (1 - c.Bound); got < limit {
+				fail(c.Metric, was, got, "dropped more than %.0f%% below the committed record (floor %.3f)", c.Bound*100, limit)
+			}
 		}
 	}
-	if v := speedupDrop("parallel", "speedup_vs_reference", old.SpeedupVsReference, fresh.SpeedupVsReference, tol.Slowdown); v != nil {
-		out = append(out, *v)
-	}
-	return out, notes
+	return vs, notes
 }
 
-// CompareBitslice holds a fresh bitslice record against the committed
-// one. Parity always binds; the absolute BitsliceFloor binds on any
-// machine (the ratio inside a record is same-machine); the relative
-// band vs the committed speedup is skipped across machine boundaries
-// like the other ratio bands.
-func CompareBitslice(old, fresh BitsliceRecord, tol Tolerance) []Violation {
-	var out []Violation
-	if err := old.Validate(); err != nil {
-		out = append(out, Violation{Record: "bitslice", Field: "baseline", Msg: err.Error()})
+// Guard compares BENCH_<name>.json in freshDir against the committed
+// record in baselineDir for every name in Names. An unreadable or
+// malformed file is a violation, not an error: the guard's job is to
+// fail loudly, so CI gets one report either way.
+func Guard(baselineDir, freshDir string) (vs []Violation, notes []string) {
+	for _, name := range Names {
+		file := "BENCH_" + name + ".json"
+		old, err := Read(filepath.Join(baselineDir, file))
+		if err != nil {
+			vs = append(vs, Violation{Record: name, Metric: "baseline", Msg: err.Error()})
+		}
+		fresh, ferr := Read(filepath.Join(freshDir, file))
+		if ferr != nil {
+			vs = append(vs, Violation{Record: name, Metric: "fresh", Msg: ferr.Error()})
+		}
+		if err == nil && ferr == nil {
+			v, n := Compare(name, old, fresh)
+			vs, notes = append(vs, v...), append(notes, n...)
+		}
 	}
-	if err := fresh.Validate(); err != nil {
-		out = append(out, Violation{Record: "bitslice", Field: "fresh", Msg: err.Error()})
-		return out
-	}
-	if !fresh.Parity {
-		out = append(out, Violation{Record: "bitslice", Field: "parity",
-			Msg: "plane-kernel and scalar-kernel results diverge"})
-	}
-	if tol.BitsliceFloor > 0 && fresh.SpeedupBitslice < tol.BitsliceFloor {
-		out = append(out, Violation{
-			Record: "bitslice", Field: "speedup_bitslice",
-			Old: tol.BitsliceFloor, New: fresh.SpeedupBitslice,
-			Msg: fmt.Sprintf("bit-sliced speedup fell below the absolute %.1fx floor", tol.BitsliceFloor),
-		})
-	}
-	if !SameMachine(old.NumCPU, fresh.NumCPU, old.GoVersion, fresh.GoVersion) {
-		return out
-	}
-	if v := speedupDrop("bitslice", "speedup_bitslice", old.SpeedupBitslice, fresh.SpeedupBitslice, tol.Slowdown); v != nil {
-		out = append(out, *v)
-	}
-	return out
+	return vs, notes
 }
 
-// Guard loads the committed and fresh record set from the two
-// directories and returns every violation. It is GuardNotes without
-// the skip notes.
-func Guard(baselineDir, freshDir string, tol Tolerance) []Violation {
-	out, _ := GuardNotes(baselineDir, freshDir, tol)
-	return out
-}
-
-// GuardNotes loads the committed and fresh record set from the two
-// directories (BENCH_engine.json, BENCH_stream.json,
-// BENCH_parallel.json, BENCH_bitslice.json, BENCH_dist.json and
-// BENCH_serve.json in each) and returns every violation plus every
-// skip note (bands that
-// could not bind on this machine and were skipped loudly). Unreadable
-// or invalid files are violations, not errors: the guard's job is to
-// fail loudly, so CI gets one unified report either way.
-func GuardNotes(baselineDir, freshDir string, tol Tolerance) ([]Violation, []string) {
-	var out []Violation
-	var notes []string
-	oldEng, err := ReadEngine(baselineDir + "/BENCH_engine.json")
-	if err != nil {
-		out = append(out, Violation{Record: "engine", Field: "baseline", Msg: err.Error()})
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	freshEng, ferr := ReadEngine(freshDir + "/BENCH_engine.json")
-	if ferr != nil {
-		out = append(out, Violation{Record: "engine", Field: "fresh", Msg: ferr.Error()})
-	}
-	if err == nil && ferr == nil {
-		out = append(out, CompareEngine(oldEng, freshEng, tol)...)
-	}
-	oldStr, err := ReadStream(baselineDir + "/BENCH_stream.json")
-	if err != nil {
-		out = append(out, Violation{Record: "stream", Field: "baseline", Msg: err.Error()})
-	}
-	freshStr, ferr := ReadStream(freshDir + "/BENCH_stream.json")
-	if ferr != nil {
-		out = append(out, Violation{Record: "stream", Field: "fresh", Msg: ferr.Error()})
-	}
-	if err == nil && ferr == nil {
-		out = append(out, CompareStream(oldStr, freshStr, tol)...)
-	}
-	oldPar, err := ReadParallel(baselineDir + "/BENCH_parallel.json")
-	if err != nil {
-		out = append(out, Violation{Record: "parallel", Field: "baseline", Msg: err.Error()})
-	}
-	freshPar, ferr := ReadParallel(freshDir + "/BENCH_parallel.json")
-	if ferr != nil {
-		out = append(out, Violation{Record: "parallel", Field: "fresh", Msg: ferr.Error()})
-	}
-	if err == nil && ferr == nil {
-		vs, ns := CompareParallelNotes(oldPar, freshPar, tol)
-		out = append(out, vs...)
-		notes = append(notes, ns...)
-	}
-	oldBit, err := ReadBitslice(baselineDir + "/BENCH_bitslice.json")
-	if err != nil {
-		out = append(out, Violation{Record: "bitslice", Field: "baseline", Msg: err.Error()})
-	}
-	freshBit, ferr := ReadBitslice(freshDir + "/BENCH_bitslice.json")
-	if ferr != nil {
-		out = append(out, Violation{Record: "bitslice", Field: "fresh", Msg: ferr.Error()})
-	}
-	if err == nil && ferr == nil {
-		out = append(out, CompareBitslice(oldBit, freshBit, tol)...)
-	}
-	oldDist, err := ReadDist(baselineDir + "/BENCH_dist.json")
-	if err != nil {
-		out = append(out, Violation{Record: "dist", Field: "baseline", Msg: err.Error()})
-	}
-	freshDist, ferr := ReadDist(freshDir + "/BENCH_dist.json")
-	if ferr != nil {
-		out = append(out, Violation{Record: "dist", Field: "fresh", Msg: ferr.Error()})
-	}
-	if err == nil && ferr == nil {
-		vs, ns := CompareDist(oldDist, freshDist, tol)
-		out = append(out, vs...)
-		notes = append(notes, ns...)
-	}
-	oldServe, err := ReadServe(baselineDir + "/BENCH_serve.json")
-	if err != nil {
-		out = append(out, Violation{Record: "serve", Field: "baseline", Msg: err.Error()})
-	}
-	freshServe, ferr := ReadServe(freshDir + "/BENCH_serve.json")
-	if ferr != nil {
-		out = append(out, Violation{Record: "serve", Field: "fresh", Msg: ferr.Error()})
-	}
-	if err == nil && ferr == nil {
-		vs, ns := CompareServe(oldServe, freshServe, tol)
-		out = append(out, vs...)
-		notes = append(notes, ns...)
-	}
-	return out, notes
+	sort.Strings(keys)
+	return keys
 }

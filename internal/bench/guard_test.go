@@ -1,474 +1,316 @@
 package bench
 
 import (
+	"maps"
+	"math"
+	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// engineFixture is a healthy committed-style record.
-func engineFixture() EngineRecord {
-	return EngineRecord{
-		Bench: EngineBenchName, Source: "synthetic", GOMAXPROCS: 1,
-		ReferenceNs: 120e6, EngineColdNs: 80e6, EngineWarmNs: 5e6, WarmIters: 5,
-		SpeedupCold: 1.5, SpeedupWarm: 24, Parity: true,
-		Parallel: ParallelRecord{GOMAXPROCS: 4, EngineWarmNs: 4e6, SpeedupWarm: 30, SpeedupVsSerial: 1.25},
+// fixtures returns one healthy record per name, measured on an 8-CPU
+// box, declaring the checks its producer declares
+// (TestGuardOnCommittedRecords pins them against the committed files).
+func fixtures() map[string]Record {
+	rec := func(bench string, m map[string]float64, checks ...Check) Record {
+		return Record{Bench: bench, NumCPU: 8, GoVersion: "go1.22.1", Metrics: m, Checks: checks}
+	}
+	ratio := func(m string, bound float64, minCPU int) Check {
+		return Check{Metric: m, Kind: Ratio, Bound: bound, MinCPU: minCPU}
+	}
+	floor := func(m string, bound float64, minCPU int) Check {
+		return Check{Metric: m, Kind: Floor, Bound: bound, MinCPU: minCPU}
+	}
+	inv := func(m string, bound float64) Check { return Check{Metric: m, Kind: Invariant, Bound: bound} }
+	return map[string]Record{
+		"engine": rec("Table4",
+			map[string]float64{"reference_ns": 120e6, "engine_warm_ns": 5e6, "speedup_warm": 24, "parity": 1},
+			ratio("speedup_warm", Band, 0), inv("parity", 1)),
+		"stream": rec("StreamPipeline",
+			map[string]float64{"streaming_ns": 46e6, "speedup_streaming": 1.6, "alloc_ratio": 24, "parity": 1},
+			ratio("speedup_streaming", Band, 0), ratio("alloc_ratio", 0.5, 0), inv("parity", 1)),
+		"parallel": rec("Table4Parallel",
+			map[string]float64{"speedup_parallel": 2.5, "speedup_vs_reference": 60, "parity": 1},
+			ratio("speedup_parallel", Band, 2), ratio("speedup_vs_reference", Band, 0), inv("parity", 1)),
+		"bitslice": rec("Bitslice",
+			map[string]float64{"plane_ns": 10e6, "speedup_bitslice": 6, "parity": 1},
+			floor("speedup_bitslice", 5, 0), ratio("speedup_bitslice", Band, 0), inv("parity", 1)),
+		"dist": rec("DistSweep",
+			map[string]float64{"speedup_dist": 2, "parity": 1, "tcp.peers": 2, "tcp.window": 4,
+				"tcp.speedup_pipelined": 1.6, "tcp.parity": 1, "tcp.trace_ship_bytes": 2.2e6, "tcp.dedup_reship_bytes": 0},
+			floor("speedup_dist", 1.3, 4), ratio("speedup_dist", Band, 0),
+			floor("tcp.speedup_pipelined", 1.2, 2), ratio("tcp.speedup_pipelined", Band, 0),
+			inv("parity", 1), inv("tcp.parity", 1), inv("tcp.dedup_reship_bytes", 0),
+			floor("tcp.window", 2, 0), floor("tcp.trace_ship_bytes", 1, 0)),
+		"serve": rec("ServeLoad",
+			map[string]float64{"throughput_jps": 104, "parity": 1, "lost_jobs": 0, "jobs_done": 400,
+				"p50_ns": 4e6, "p95_ns": 20e6, "p99_ns": 45e6},
+			ratio("throughput_jps", Band, 0), inv("parity", 1), inv("lost_jobs", 0),
+			floor("jobs_done", 1, 0), floor("p50_ns", 1, 0), floor("p95_ns", 1, 0), floor("p99_ns", 1, 0)),
 	}
 }
 
-func parallelFixture() ParallelEngineRecord {
-	return ParallelEngineRecord{
-		Bench: ParallelBenchName, Source: "synthetic", NumCPU: 8, GOMAXPROCS: 8,
-		Shards: 0, Codecs: []string{"binary", "t0", "businvert"}, WarmIters: 5,
-		ReferenceNs: 120e6, SerialWarmNs: 5e6, ParallelWarmNs: 2e6,
-		SpeedupParallel: 2.5, SpeedupVsReference: 60, Parity: true,
-	}
-}
-
-func bitsliceFixture() BitsliceRecord {
-	return BitsliceRecord{
-		Bench: BitsliceBenchName, Entries: 1 << 20, ChunkLen: 4096,
-		NumCPU: 8, GOMAXPROCS: 1, Codecs: []string{"binary", "gray", "offset", "incxor"},
-		PerLine: true, WarmIters: 5, ScalarNs: 60e6, PlaneNs: 10e6,
-		SpeedupBitslice: 6, Parity: true,
-	}
-}
-
-func distFixture() DistRecord {
-	return DistRecord{
-		Bench: DistBenchName, Entries: 1 << 18, NumCPU: 8, GOMAXPROCS: 8,
-		Workers: 3, Shards: 12, Codecs: []string{"binary", "gray", "t0"}, WarmIters: 3,
-		SerialWarmNs: 90e6, DistWarmNs: 45e6, SpeedupDist: 2, Parity: true,
-		TCP: &DistTCPRecord{
-			Peers: 2, Window: 4, Shards: 64, Entries: 1 << 18,
-			PipelinedNs: 50e6, InFlight1Ns: 80e6, SpeedupPipelined: 1.6, Parity: true,
-			TraceShipBytes: 2.2e6, DedupReshipBytes: 0, DedupHits: 2,
-		},
-	}
-}
-
-func serveFixture() ServeRecord {
-	return ServeRecord{
-		Bench: ServeBenchName, NumCPU: 8, GoVersion: "go1.22.1", GOMAXPROCS: 8,
-		Tenants: 32, Workers: 4, QueueCap: 8, DurationNs: 5e9,
-		JobsDone: 400, SyncEvals: 120, Uploads: 40, CacheHits: 90, QueueFull503: 3,
-		LostJobs: 0, P50Ns: 4e6, P95Ns: 20e6, P99Ns: 45e6,
-		ThroughputJPS: 104, Parity: true,
-	}
-}
-
-func streamFixture() StreamRecord {
-	return StreamRecord{
-		Bench: StreamBenchName, Entries: 1 << 20, FileBytes: 2.8e6, ChunkLen: 4096,
-		Depth: 4, GOMAXPROCS: 4, Codecs: []string{"binary", "t0"},
-		MaterializedNs: 73e6, MaterializedAllocBytes: 17e6,
-		StreamingNs: 46e6, StreamingAllocBytes: 7e5,
-		SpeedupStreaming: 1.59, AllocRatio: 24.6, Parity: true,
-	}
+// with returns a copy of r with one metric set to v.
+func with(r Record, metric string, v float64) Record {
+	r.Metrics = maps.Clone(r.Metrics)
+	r.Metrics[metric] = v
+	return r
 }
 
 // TestGuardPassesOnIdenticalRecords: comparing a record against itself
 // must be clean — this is what CI sees when nothing changed.
 func TestGuardPassesOnIdenticalRecords(t *testing.T) {
-	tol := DefaultTolerance()
-	if vs := CompareEngine(engineFixture(), engineFixture(), tol); len(vs) != 0 {
-		t.Errorf("identical engine records flagged: %v", vs)
-	}
-	if vs := CompareStream(streamFixture(), streamFixture(), tol); len(vs) != 0 {
-		t.Errorf("identical stream records flagged: %v", vs)
-	}
-	if vs := CompareParallel(parallelFixture(), parallelFixture(), tol); len(vs) != 0 {
-		t.Errorf("identical parallel records flagged: %v", vs)
-	}
-	if vs := CompareBitslice(bitsliceFixture(), bitsliceFixture(), tol); len(vs) != 0 {
-		t.Errorf("identical bitslice records flagged: %v", vs)
-	}
-	if vs, notes := CompareDist(distFixture(), distFixture(), tol); len(vs) != 0 || len(notes) != 0 {
-		t.Errorf("identical dist records flagged: %v (notes %v)", vs, notes)
-	}
-	if vs, notes := CompareServe(serveFixture(), serveFixture(), tol); len(vs) != 0 || len(notes) != 0 {
-		t.Errorf("identical serve records flagged: %v (notes %v)", vs, notes)
+	for name, r := range fixtures() {
+		if vs, notes := Compare(name, r, r); len(vs) != 0 || len(notes) != 0 {
+			t.Errorf("identical %s records: violations %v, notes %v", name, vs, notes)
+		}
 	}
 }
 
-// TestGuardServe pins the serve record's bands: the zero-lost-jobs and
-// parity invariants bind everywhere, the throughput floor binds only
-// same-machine (skipped with a note across boxes).
-func TestGuardServe(t *testing.T) {
-	tol := DefaultTolerance()
-	old := serveFixture()
-
-	lost := serveFixture()
-	lost.LostJobs = 2
-	vs, _ := CompareServe(old, lost, tol)
-	if len(vs) != 1 || vs[0].Field != "lost_jobs" {
-		t.Errorf("lost jobs: violations = %v, want one lost_jobs violation", vs)
-	}
-
-	bad := serveFixture()
-	bad.Parity = false
-	vs, _ = CompareServe(old, bad, tol)
-	if len(vs) != 1 || vs[0].Field != "parity" {
-		t.Errorf("parity=false: violations = %v", vs)
-	}
-
-	slow := serveFixture()
-	slow.ThroughputJPS = old.ThroughputJPS * 0.5 // beyond the 25% band
-	vs, notes := CompareServe(old, slow, tol)
-	if len(vs) != 1 || vs[0].Field != "throughput_jps" || len(notes) != 0 {
-		t.Errorf("2x throughput drop: violations = %v, notes = %v", vs, notes)
-	}
-	onFloor := serveFixture()
-	onFloor.ThroughputJPS = old.ThroughputJPS * (1 - tol.Slowdown)
-	if vs, _ := CompareServe(old, onFloor, tol); len(vs) != 0 {
-		t.Errorf("throughput exactly on the floor rejected: %v", vs)
-	}
-
-	// Cross-machine: the ratio band skips loudly, the invariants hold.
-	cross := serveFixture()
-	cross.NumCPU = 2
-	cross.ThroughputJPS = 1 // would break the band if it bound
-	vs, notes = CompareServe(old, cross, tol)
-	if len(vs) != 0 {
-		t.Errorf("cross-box throughput drop flagged: %v", vs)
-	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "skipped") {
-		t.Errorf("notes = %v, want one explicit skip note", notes)
-	}
-	cross.LostJobs = 1
-	vs, _ = CompareServe(old, cross, tol)
-	if len(vs) != 1 || vs[0].Field != "lost_jobs" {
-		t.Errorf("cross-box lost jobs: violations = %v", vs)
-	}
-}
-
-// TestGuardFailsOnInjected2xSlowdown is the acceptance criterion: a
-// fresh record whose engine got twice as slow (speedup halved) must be
-// rejected, and the same for the streaming pipeline.
+// TestGuardFailsOnInjected2xSlowdown is the enforcement table: every
+// check every record declares, broken by a 2x slowdown (ratio, floor)
+// or a flipped invariant, yields exactly one violation on that metric,
+// or two where a floor and a band share it.
 func TestGuardFailsOnInjected2xSlowdown(t *testing.T) {
-	tol := DefaultTolerance()
-
-	fresh := engineFixture()
-	fresh.EngineWarmNs *= 2
-	fresh.SpeedupWarm /= 2
-	vs := CompareEngine(engineFixture(), fresh, tol)
-	if len(vs) != 1 || vs[0].Field != "speedup_warm" {
-		t.Errorf("2x engine slowdown: violations = %v, want one speedup_warm violation", vs)
+	table := []struct {
+		record, metric string
+		broken         float64
+		want           int
+	}{
+		{"engine", "speedup_warm", 12, 1},
+		{"engine", "parity", 0, 1},
+		{"stream", "speedup_streaming", 0.8, 1},
+		{"stream", "alloc_ratio", 6, 1}, // quartered: half sits on the 2x band's edge
+		{"stream", "parity", 0, 1},
+		{"parallel", "speedup_parallel", 1.25, 1},
+		{"parallel", "speedup_vs_reference", 30, 1},
+		{"parallel", "parity", 0, 1},
+		{"bitslice", "speedup_bitslice", 3, 2}, // absolute 5x floor and relative band
+		{"bitslice", "parity", 0, 1},
+		{"dist", "speedup_dist", 1, 2},
+		{"dist", "tcp.speedup_pipelined", 0.8, 2},
+		{"dist", "parity", 0, 1},
+		{"dist", "tcp.parity", 0, 1},
+		{"dist", "tcp.dedup_reship_bytes", 4096, 1},
+		{"dist", "tcp.window", 1, 1},
+		{"dist", "tcp.trace_ship_bytes", 0, 1},
+		{"serve", "throughput_jps", 52, 1},
+		{"serve", "parity", 0, 1},
+		{"serve", "lost_jobs", 2, 1},
+		{"serve", "jobs_done", 0, 1},
+		{"serve", "p50_ns", 0, 1},
+		{"serve", "p95_ns", 0, 1},
+		{"serve", "p99_ns", 0, 1},
 	}
-
-	sfresh := streamFixture()
-	sfresh.StreamingNs *= 2
-	sfresh.SpeedupStreaming /= 2
-	svs := CompareStream(streamFixture(), sfresh, tol)
-	if len(svs) != 1 || svs[0].Field != "speedup_streaming" {
-		t.Errorf("2x stream slowdown: violations = %v, want one speedup_streaming violation", svs)
+	fx := fixtures()
+	covered := map[string]bool{}
+	for _, row := range table {
+		covered[row.record+" "+row.metric] = true
+		old := fx[row.record]
+		vs, notes := Compare(row.record, old, with(old, row.metric, row.broken))
+		n := 0
+		for _, v := range vs {
+			if v.Record == row.record && v.Metric == row.metric {
+				n++
+			}
+		}
+		if n != row.want || len(vs) != row.want || len(notes) != 0 {
+			t.Errorf("%s %s = %v: violations %v, notes %v; want %d on that metric only",
+				row.record, row.metric, row.broken, vs, notes, row.want)
+		}
 	}
-
-	pfresh := parallelFixture()
-	pfresh.ParallelWarmNs *= 2
-	pfresh.SpeedupParallel /= 2
-	pfresh.SpeedupVsReference /= 2
-	pvs := CompareParallel(parallelFixture(), pfresh, tol)
-	if len(pvs) != 2 || pvs[0].Field != "speedup_parallel" || pvs[1].Field != "speedup_vs_reference" {
-		t.Errorf("2x parallel slowdown: violations = %v, want both speedup violations", pvs)
-	}
-
-	// A halved bitslice speedup (6 -> 3) breaks both the absolute 5x
-	// floor and the relative band against the committed record.
-	bfresh := bitsliceFixture()
-	bfresh.PlaneNs *= 2
-	bfresh.SpeedupBitslice /= 2
-	bvs := CompareBitslice(bitsliceFixture(), bfresh, tol)
-	if len(bvs) != 2 || bvs[0].Field != "speedup_bitslice" || bvs[1].Field != "speedup_bitslice" {
-		t.Errorf("2x bitslice slowdown: violations = %v, want floor + relative violations", bvs)
-	}
-
-	// A halved dist speedup (2 -> 1) on an 8-CPU box breaks both the
-	// absolute 1.3x floor and the relative band.
-	dfresh := distFixture()
-	dfresh.DistWarmNs *= 2
-	dfresh.SpeedupDist /= 2
-	dvs, _ := CompareDist(distFixture(), dfresh, tol)
-	if len(dvs) != 2 || dvs[0].Field != "speedup_dist" || dvs[1].Field != "speedup_dist" {
-		t.Errorf("2x dist slowdown: violations = %v, want floor + relative violations", dvs)
+	for name, r := range fx {
+		for _, c := range r.Checks {
+			if !covered[name+" "+c.Metric] {
+				t.Errorf("%s check %+v has no row in the table", name, c)
+			}
+		}
 	}
 }
 
-// TestGuardBoundary: a fresh speedup exactly on the tolerance floor
-// passes; epsilon below it fails.
+// TestGuardBoundary: boundaries are inclusive — a fresh value exactly on
+// a band's or floor's edge passes; the next float below it fails.
 func TestGuardBoundary(t *testing.T) {
-	tol := Tolerance{Slowdown: 0.25, AllocCollapse: 2}
-	old := engineFixture()
-
-	onFloor := engineFixture()
-	onFloor.SpeedupWarm = old.SpeedupWarm * 0.75
-	if vs := CompareEngine(old, onFloor, tol); len(vs) != 0 {
-		t.Errorf("exact boundary rejected: %v", vs)
-	}
-
-	below := engineFixture()
-	below.SpeedupWarm = old.SpeedupWarm*0.75 - 1e-9
-	if vs := CompareEngine(old, below, tol); len(vs) != 1 {
-		t.Errorf("just below boundary accepted: %v", vs)
-	}
-
-	sold := streamFixture()
-	sOnFloor := streamFixture()
-	sOnFloor.AllocRatio = sold.AllocRatio / 2
-	if vs := CompareStream(sold, sOnFloor, tol); len(vs) != 0 {
-		t.Errorf("alloc-ratio exact boundary rejected: %v", vs)
-	}
-	sBelow := streamFixture()
-	sBelow.AllocRatio = sold.AllocRatio/2 - 1e-9
-	if vs := CompareStream(sold, sBelow, tol); len(vs) != 1 || vs[0].Field != "alloc_ratio" {
-		t.Errorf("alloc-ratio collapse accepted: %v", vs)
+	for name, r := range fixtures() {
+		for _, c := range r.Checks {
+			if c.Kind == Invariant {
+				continue
+			}
+			one := r
+			one.Checks = []Check{c}
+			edge := c.Bound
+			if c.Kind == Ratio {
+				edge = r.Metrics[c.Metric] * (1 - c.Bound)
+			}
+			if vs, _ := Compare(name, one, with(one, c.Metric, edge)); len(vs) != 0 {
+				t.Errorf("%s %+v: value %v on the edge rejected: %v", name, c, edge, vs)
+			}
+			below := math.Nextafter(edge, 0)
+			if vs, _ := Compare(name, one, with(one, c.Metric, below)); len(vs) != 1 || vs[0].Metric != c.Metric {
+				t.Errorf("%s %+v: value %v just below the edge: violations %v", name, c, below, vs)
+			}
+		}
 	}
 }
 
-// TestGuardParity: parity=false in the fresh record fails regardless of
-// the timings.
+// TestGuardParity: across a machine boundary every ratio band is
+// skipped with a cross-machine note, while every invariant still binds.
 func TestGuardParity(t *testing.T) {
-	fresh := engineFixture()
-	fresh.Parity = false
-	fresh.SpeedupWarm *= 2 // even faster — still must fail
-	vs := CompareEngine(engineFixture(), fresh, DefaultTolerance())
-	if len(vs) != 1 || vs[0].Field != "parity" {
-		t.Errorf("parity=false: violations = %v, want one parity violation", vs)
-	}
-
-	sfresh := streamFixture()
-	sfresh.Parity = false
-	svs := CompareStream(streamFixture(), sfresh, DefaultTolerance())
-	if len(svs) != 1 || svs[0].Field != "parity" {
-		t.Errorf("stream parity=false: violations = %v", svs)
-	}
-
-	pfresh := parallelFixture()
-	pfresh.Parity = false
-	pvs := CompareParallel(parallelFixture(), pfresh, DefaultTolerance())
-	if len(pvs) != 1 || pvs[0].Field != "parity" {
-		t.Errorf("parallel parity=false: violations = %v", pvs)
-	}
-
-	bfresh := bitsliceFixture()
-	bfresh.Parity = false
-	bvs := CompareBitslice(bitsliceFixture(), bfresh, DefaultTolerance())
-	if len(bvs) != 1 || bvs[0].Field != "parity" {
-		t.Errorf("bitslice parity=false: violations = %v", bvs)
-	}
-
-	dfresh := distFixture()
-	dfresh.Parity = false
-	dfresh.NumCPU = 1 // parity binds even where the speedup floor skips
-	dvs, _ := CompareDist(distFixture(), dfresh, DefaultTolerance())
-	if len(dvs) != 1 || dvs[0].Field != "parity" {
-		t.Errorf("dist parity=false: violations = %v", dvs)
+	for name, old := range fixtures() {
+		fresh := old
+		fresh.NumCPU = 2
+		fresh.Metrics = maps.Clone(old.Metrics)
+		var want []string
+		for _, c := range old.Checks {
+			if c.Kind == Invariant {
+				fresh.Metrics[c.Metric] = 1 - c.Bound // flipped
+				want = append(want, c.Metric)
+			}
+		}
+		vs, notes := Compare(name, old, fresh)
+		var got []string
+		for _, v := range vs {
+			got = append(got, v.Metric)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s cross-machine with flipped invariants: violations %v, want one on each of %v", name, vs, want)
+		}
+		for _, c := range old.Checks {
+			note := name + ": " + c.Metric + " ratio skipped: cross-machine baseline (8/go1.22.1 vs 2/go1.22.1)"
+			if c.Kind == Ratio && !slices.Contains(notes, note) {
+				t.Errorf("%s: notes %v, want %q", name, notes, note)
+			}
+		}
 	}
 }
 
-// TestGuardBitsliceFloor: the absolute floor binds on any machine —
-// including across machine boundaries where every relative band is
-// skipped — and a disabled floor (0) lets a slow record through.
+// TestGuardBitsliceFloor: the bit-sliced kernel's absolute 5x floor
+// binds on any machine, including across a machine boundary where its
+// relative band is skipped.
 func TestGuardBitsliceFloor(t *testing.T) {
-	tol := DefaultTolerance()
-	old := bitsliceFixture()
-
-	crossBox := bitsliceFixture()
-	crossBox.NumCPU = 4 // different machine: relative bands skip
-	crossBox.SpeedupBitslice = 4.9
-	vs := CompareBitslice(old, crossBox, tol)
-	if len(vs) != 1 || vs[0].Field != "speedup_bitslice" || !strings.Contains(vs[0].Msg, "floor") {
-		t.Errorf("cross-box sub-floor speedup: violations = %v, want the absolute floor only", vs)
+	old := fixtures()["bitslice"]
+	fresh := with(old, "speedup_bitslice", 4.9)
+	fresh.NumCPU = 4
+	vs, notes := Compare("bitslice", old, fresh)
+	if len(vs) != 1 || vs[0].Metric != "speedup_bitslice" || !strings.Contains(vs[0].Msg, "floor 5.000") {
+		t.Errorf("cross-box 4.9x: violations %v, want the absolute floor only", vs)
 	}
-
-	onFloor := bitsliceFixture()
-	onFloor.NumCPU = 4
-	onFloor.SpeedupBitslice = tol.BitsliceFloor
-	if vs := CompareBitslice(old, onFloor, tol); len(vs) != 0 {
+	if len(notes) != 1 || !strings.Contains(notes[0], "speedup_bitslice ratio skipped: cross-machine baseline") {
+		t.Errorf("cross-box 4.9x: notes %v, want the band's skip", notes)
+	}
+	if vs, _ := Compare("bitslice", old, with(fresh, "speedup_bitslice", 5)); len(vs) != 0 {
 		t.Errorf("speedup exactly on the floor rejected: %v", vs)
 	}
-
-	noFloor := tol
-	noFloor.BitsliceFloor = 0
-	if vs := CompareBitslice(old, crossBox, noFloor); len(vs) != 0 {
-		t.Errorf("disabled floor still flagged: %v", vs)
-	}
 }
 
-// TestGuardDistFloor: the absolute distributed-speedup floor binds only
-// on machines with DistFloorMinCPU or more CPUs; below that it is
-// skipped with an explicit note, never a silent pass.
+// TestGuardDistFloor: a check with min_cpu set — the dist and tcp
+// floors, the parallel scaling band — skips with a note on a box below
+// its gate and binds at the gate.
 func TestGuardDistFloor(t *testing.T) {
-	tol := DefaultTolerance()
-	old := distFixture()
-
-	slow := distFixture()
-	slow.SpeedupDist = 1.1 // below the 1.3x floor on an 8-CPU box
-	vs, notes := CompareDist(old, slow, tol)
-	if len(vs) != 2 || vs[0].Field != "speedup_dist" || !strings.Contains(vs[0].Msg, "floor") {
-		t.Errorf("sub-floor speedup on 8 CPUs: violations = %v, want floor + relative", vs)
+	gated := 0
+	for name, r := range fixtures() {
+		for _, c := range r.Checks {
+			if c.MinCPU == 0 {
+				continue
+			}
+			gated++
+			one := r
+			one.Checks = []Check{c}
+			broken := c.Bound / 2
+			if c.Kind == Ratio {
+				broken = r.Metrics[c.Metric] / 2
+			}
+			for _, cpus := range []int{c.MinCPU - 1, c.MinCPU} {
+				old := one
+				old.NumCPU = cpus
+				vs, notes := Compare(name, old, with(old, c.Metric, broken))
+				if cpus < c.MinCPU {
+					note := name + ": " + c.Metric + " " + string(c.Kind) + " skipped: num_cpu=" + strconv.Itoa(cpus)
+					if len(vs) != 0 || len(notes) != 1 || !strings.HasPrefix(notes[0], note) {
+						t.Errorf("%s %+v on %d CPUs: violations %v, notes %v; want only %q", name, c, cpus, vs, notes, note)
+					}
+				} else if len(vs) != 1 || vs[0].Metric != c.Metric || len(notes) != 0 {
+					t.Errorf("%s %+v on %d CPUs: violations %v, notes %v; want it to bind", name, c, cpus, vs, notes)
+				}
+			}
+		}
 	}
-	if len(notes) != 0 {
-		t.Errorf("floor bound yet notes emitted: %v", notes)
-	}
-
-	// Same sub-floor speedup on a 1-CPU box: no violation, loud notes —
-	// one for the dist floor, one for the tcp pipelining floor.
-	oneCPU := distFixture()
-	oneCPU.NumCPU = 1
-	oneCPU.SpeedupDist = 0.9
-	vs, notes = CompareDist(old, oneCPU, tol)
-	if len(vs) != 0 {
-		t.Errorf("1-CPU box flagged for missing scaling: %v", vs)
-	}
-	if len(notes) != 2 || !strings.Contains(notes[0], "skipped: num_cpu=1") || !strings.Contains(notes[1], "skipped: num_cpu=1") {
-		t.Errorf("notes = %v, want explicit skipped: num_cpu=1 notes for both floors", notes)
-	}
-
-	// Exactly DistFloorMinCPU CPUs and exactly on the floor: binds and
-	// passes (cross-box, so the relative band is out of the picture).
-	onFloor := distFixture()
-	onFloor.NumCPU = DistFloorMinCPU
-	onFloor.SpeedupDist = tol.DistFloor
-	if vs, notes := CompareDist(old, onFloor, tol); len(vs) != 0 || len(notes) != 0 {
-		t.Errorf("speedup exactly on the floor at %d CPUs: violations %v, notes %v", DistFloorMinCPU, vs, notes)
-	}
-
-	noFloor := tol
-	noFloor.DistFloor = 0
-	if vs, notes := CompareDist(old, slow, noFloor); len(vs) != 1 || len(notes) != 0 {
-		t.Errorf("disabled floor: violations = %v (want relative band only), notes %v", vs, notes)
+	if gated != 3 {
+		t.Errorf("%d gated checks, want 3 (parallel band, dist and tcp floors)", gated)
 	}
 }
 
-// TestGuardDistTCP pins the networked sub-record's bands: the record
-// must exist, its parity and zero-byte dedup re-ship invariants bind
-// on any machine, and the pipelining floor is gated on CPUs and peer
-// count with loud skips.
+// TestGuardDistTCP: a fresh dist record without the networked sweep
+// fails once per committed tcp.* metric; the checks on those metrics
+// do not report them a second time.
 func TestGuardDistTCP(t *testing.T) {
-	tol := DefaultTolerance()
-	old := distFixture()
-
-	missing := distFixture()
-	missing.TCP = nil
-	vs, _ := CompareDist(old, missing, tol)
-	if len(vs) != 1 || vs[0].Field != "tcp" || !strings.Contains(vs[0].Msg, "no tcp sub-record") {
-		t.Errorf("missing tcp sub-record: violations = %v, want one tcp violation", vs)
-	}
-
-	noParity := distFixture()
-	noParity.TCP.Parity = false
-	vs, _ = CompareDist(old, noParity, tol)
-	if len(vs) != 1 || vs[0].Field != "tcp.parity" {
-		t.Errorf("tcp parity=false: violations = %v", vs)
-	}
-
-	reship := distFixture()
-	reship.TCP.DedupReshipBytes = 4096
-	vs, _ = CompareDist(old, reship, tol)
-	if len(vs) != 1 || vs[0].Field != "tcp.dedup_reship_bytes" {
-		t.Errorf("re-ship bytes: violations = %v", vs)
-	}
-
-	// Sub-floor pipelining gain on a capable box breaks the absolute
-	// floor and the relative band.
-	slow := distFixture()
-	slow.TCP.PipelinedNs = slow.TCP.InFlight1Ns
-	slow.TCP.SpeedupPipelined = 1.0
-	vs, notes := CompareDist(old, slow, tol)
-	if len(vs) != 2 || vs[0].Field != "tcp.speedup_pipelined" || vs[1].Field != "tcp.speedup_pipelined" {
-		t.Errorf("sub-floor pipelining: violations = %v, want floor + relative", vs)
-	}
-	if len(notes) != 0 {
-		t.Errorf("floor bound yet notes emitted: %v", notes)
-	}
-
-	// One peer: the floor cannot bind (nothing to overlap), loud note.
-	// Cross-box (different NumCPU) so the relative bands stay out of it.
-	onePeer := distFixture()
-	onePeer.NumCPU = 4
-	onePeer.TCP.Peers = 1
-	onePeer.TCP.SpeedupPipelined = 0.9
-	vs, notes = CompareDist(old, onePeer, tol)
-	if len(vs) != 0 {
-		t.Errorf("one-peer box flagged: %v", vs)
-	}
-	found := false
-	for _, n := range notes {
-		if strings.Contains(n, "peers=1") {
-			found = true
+	old := fixtures()["dist"]
+	fresh := old
+	fresh.Metrics = map[string]float64{}
+	var tcp []string
+	for m, v := range old.Metrics {
+		if strings.HasPrefix(m, "tcp.") {
+			tcp = append(tcp, m)
+		} else {
+			fresh.Metrics[m] = v
 		}
 	}
-	if !found {
-		t.Errorf("notes = %v, want an explicit peers=1 skip note", notes)
+	sort.Strings(tcp)
+	vs, _ := Compare("dist", old, fresh)
+	if len(vs) != len(tcp) {
+		t.Fatalf("violations %v, want one per missing metric %v", vs, tcp)
 	}
+	for i, v := range vs {
+		if v.Metric != tcp[i] || !strings.Contains(v.Msg, "missing from the fresh record") {
+			t.Errorf("violation %d = %v, want %s missing", i, v, tcp[i])
+		}
+	}
+}
 
-	// Exactly on the floor at exactly TCPFloorMinCPU CPUs: binds, passes.
-	onFloor := distFixture()
-	onFloor.NumCPU = TCPFloorMinCPU
-	onFloor.TCP.SpeedupPipelined = tol.TCPPipelineFloor
-	vs, notes = CompareDist(old, onFloor, tol)
+// TestGuardServe: a load run that timed nothing — no async job done, no
+// latency percentile — breaks each structural floor of the serve
+// record once, however good its throughput looks.
+func TestGuardServe(t *testing.T) {
+	old := fixtures()["serve"]
+	fresh := with(old, "throughput_jps", 2*old.Metrics["throughput_jps"])
+	for _, m := range []string{"jobs_done", "p50_ns", "p95_ns", "p99_ns"} {
+		fresh.Metrics[m] = 0
+	}
+	vs, _ := Compare("serve", old, fresh)
+	var got []string
 	for _, v := range vs {
-		if strings.HasPrefix(v.Field, "tcp") {
-			t.Errorf("pipelining exactly on the floor rejected: %v", v)
-		}
+		got = append(got, v.Metric)
 	}
-
-	// A baseline without a tcp sub-record (pre-networking) skips the
-	// relative band but still enforces the fresh record's floor.
-	oldNoTCP := distFixture()
-	oldNoTCP.TCP = nil
-	vs, _ = CompareDist(oldNoTCP, slow, tol)
-	if len(vs) != 1 || vs[0].Field != "tcp.speedup_pipelined" {
-		t.Errorf("nil-baseline tcp: violations = %v, want the absolute floor only", vs)
-	}
-
-	noFloor := tol
-	noFloor.TCPPipelineFloor = 0
-	vs, notes = CompareDist(old, slow, noFloor)
-	if len(vs) != 1 || len(notes) != 0 {
-		t.Errorf("disabled tcp floor: violations = %v (want relative band only), notes %v", vs, notes)
+	if want := []string{"jobs_done", "p50_ns", "p95_ns", "p99_ns"}; !slices.Equal(got, want) {
+		t.Errorf("violations %v, want one each on %v", vs, want)
 	}
 }
 
 // TestGuardParallelSkipNote: on a 1-CPU box the shard-scaling band is
-// skipped with an explicit note, while the vs-reference band and parity
-// keep binding.
+// skipped with a note, while the vs-reference band and parity of the
+// same record keep binding.
 func TestGuardParallelSkipNote(t *testing.T) {
-	tol := DefaultTolerance()
-	old := parallelFixture()
+	old := fixtures()["parallel"]
 	old.NumCPU = 1
-
-	fresh := parallelFixture()
-	fresh.NumCPU = 1
-	fresh.SpeedupParallel = 0.4 // would break the relative band if it bound
-	vs, notes := CompareParallelNotes(old, fresh, tol)
-	if len(vs) != 0 {
-		t.Errorf("1-CPU shard scaling flagged: %v", vs)
+	fresh := with(old, "speedup_parallel", 0.4)
+	vs, notes := Compare("parallel", old, fresh)
+	if len(vs) != 0 || len(notes) != 1 || !strings.Contains(notes[0], "speedup_parallel ratio skipped: num_cpu=1") {
+		t.Errorf("1-CPU scaling collapse: violations %v, notes %v", vs, notes)
 	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "skipped: num_cpu=1") {
-		t.Errorf("notes = %v, want one explicit skipped: num_cpu=1 note", notes)
-	}
-
-	// The absolute-throughput band still binds on the same box.
-	fresh.SpeedupVsReference /= 2
-	vs, _ = CompareParallelNotes(old, fresh, tol)
-	if len(vs) != 1 || vs[0].Field != "speedup_vs_reference" {
-		t.Errorf("1-CPU vs-reference slowdown: violations = %v", vs)
-	}
-
-	// On a multi-core box the band binds and no note is emitted.
-	multi := parallelFixture()
-	multi.SpeedupParallel = 0.4
-	vs, notes = CompareParallelNotes(parallelFixture(), multi, tol)
-	if len(vs) != 1 || vs[0].Field != "speedup_parallel" || len(notes) != 0 {
-		t.Errorf("8-CPU scaling collapse: violations = %v, notes = %v", vs, notes)
+	fresh = with(fresh, "speedup_vs_reference", 30)
+	fresh.Metrics["parity"] = 0
+	vs, _ = Compare("parallel", old, fresh)
+	if len(vs) != 2 || vs[0].Metric != "speedup_vs_reference" || vs[1].Metric != "parity" {
+		t.Errorf("1-CPU vs-reference slowdown + parity=0: violations %v", vs)
 	}
 }
 
-// TestSameMachine: unknown identity (zero values from records written
-// before the fields existed) counts as comparable; a mismatch in either
-// CPU count or toolchain skips the ratio bands.
+// TestSameMachine: unknown identity counts as comparable; a mismatch in
+// either CPU count or toolchain does not.
 func TestSameMachine(t *testing.T) {
 	cases := []struct {
 		oldCPU, freshCPU int
@@ -482,201 +324,139 @@ func TestSameMachine(t *testing.T) {
 		{8, 8, "go1.22.1", "go1.23.0", false},
 	}
 	for _, c := range cases {
-		if got := SameMachine(c.oldCPU, c.freshCPU, c.oldGo, c.freshGo); got != c.want {
-			t.Errorf("SameMachine(%d, %d, %q, %q) = %v, want %v",
-				c.oldCPU, c.freshCPU, c.oldGo, c.freshGo, got, c.want)
+		a := Record{NumCPU: c.oldCPU, GoVersion: c.oldGo}
+		b := Record{NumCPU: c.freshCPU, GoVersion: c.freshGo}
+		if got := sameMachine(a, b); got != c.want {
+			t.Errorf("sameMachine(%d/%q, %d/%q) = %v, want %v", c.oldCPU, c.oldGo, c.freshCPU, c.freshGo, got, c.want)
 		}
 	}
-
-	// The skip behavior itself: a 2x engine slowdown measured on a
-	// different machine is not a ratio violation, but parity still binds.
-	old := engineFixture()
-	old.NumCPU = 8
-	fresh := engineFixture()
-	fresh.NumCPU = 4
-	fresh.SpeedupWarm /= 2
-	if vs := CompareEngine(old, fresh, DefaultTolerance()); len(vs) != 0 {
-		t.Errorf("cross-box ratio drop flagged: %v", vs)
-	}
-	fresh.Parity = false
-	vs := CompareEngine(old, fresh, DefaultTolerance())
-	if len(vs) != 1 || vs[0].Field != "parity" {
-		t.Errorf("cross-box parity=false: violations = %v", vs)
-	}
 }
 
-// TestGuardMissingField: a record the producer never filled in (zero
-// timings, wrong bench identity) is a violation, not a silent pass.
+// TestGuardMissingField: a malformed fresh or committed record is a
+// violation, never a silent pass.
 func TestGuardMissingField(t *testing.T) {
-	fresh := engineFixture()
-	fresh.SpeedupWarm = 0
-	vs := CompareEngine(engineFixture(), fresh, DefaultTolerance())
-	if len(vs) != 1 || !strings.Contains(vs[0].Msg, "speedup_warm") {
-		t.Errorf("zero speedup_warm: violations = %v", vs)
+	healthy := fixtures()["engine"]
+	cases := []struct {
+		name       string
+		old, fresh func(Record) Record
+		metric     string
+		msg        string
+	}{
+		{"missing metric", nil, func(r Record) Record {
+			r.Metrics = maps.Clone(r.Metrics)
+			delete(r.Metrics, "reference_ns")
+			return r
+		}, "reference_ns", "missing from the fresh record"},
+		{"missing checked metric", nil, func(r Record) Record {
+			r.Metrics = maps.Clone(r.Metrics)
+			delete(r.Metrics, "speedup_warm")
+			return r
+		}, "speedup_warm", "missing from the fresh record"},
+		{"ratio metric never filled", nil, func(r Record) Record { return with(r, "speedup_warm", 0) },
+			"speedup_warm", "must be > 0"},
+		{"wrong bench", nil, func(r Record) Record { r.Bench = "StreamPipeline"; return r },
+			"bench", `want "Table4"`},
+		{"differing check list", nil, func(r Record) Record { r.Checks = r.Checks[:1]; return r },
+			"checks", "differs from the committed record"},
+		{"committed ratio not positive", func(r Record) Record { return with(r, "speedup_warm", 0) }, nil,
+			"speedup_warm", "committed ratio metric must be > 0"},
+		{"unknown kind", func(r Record) Record {
+			r.Checks = []Check{{Metric: "speedup_warm", Kind: "band", Bound: Band}}
+			return r
+		}, nil, "speedup_warm", `unknown check kind "band"`},
 	}
-
-	wrong := streamFixture()
-	wrong.Bench = "Table4"
-	svs := CompareStream(streamFixture(), wrong, DefaultTolerance())
-	if len(svs) != 1 || !strings.Contains(svs[0].Msg, "bench") {
-		t.Errorf("wrong bench identity: violations = %v", svs)
-	}
-
-	var zero StreamRecord
-	zero.Bench = StreamBenchName
-	zvs := CompareStream(streamFixture(), zero, DefaultTolerance())
-	if len(zvs) != 1 || !strings.Contains(zvs[0].Msg, "materialized_ns") {
-		t.Errorf("all-zero record: violations = %v (want first missing field named)", zvs)
-	}
-
-	bwrong := bitsliceFixture()
-	bwrong.Bench = "bogus"
-	bvs := CompareBitslice(bitsliceFixture(), bwrong, DefaultTolerance())
-	if len(bvs) != 1 || !strings.Contains(bvs[0].Msg, "bench") {
-		t.Errorf("wrong bitslice bench identity: violations = %v", bvs)
-	}
-	bzero := bitsliceFixture()
-	bzero.PlaneNs = 0
-	bzvs := CompareBitslice(bitsliceFixture(), bzero, DefaultTolerance())
-	if len(bzvs) != 1 || !strings.Contains(bzvs[0].Msg, "plane_ns") {
-		t.Errorf("zero plane_ns: violations = %v", bzvs)
+	for _, c := range cases {
+		old, fresh := healthy, healthy
+		if c.old != nil {
+			old = c.old(old)
+			fresh.Checks = old.Checks
+		}
+		if c.fresh != nil {
+			fresh = c.fresh(fresh)
+		}
+		vs, _ := Compare("engine", old, fresh)
+		if len(vs) != 1 || vs[0].Metric != c.metric || !strings.Contains(vs[0].Msg, c.msg) {
+			t.Errorf("%s: violations %v, want one on %s saying %q", c.name, vs, c.metric, c.msg)
+		}
 	}
 }
 
-// TestGuardOnCommittedRecords is the other half of the acceptance
-// criterion: the records committed at the repository root must pass the
-// guard against themselves, and fail once a 2x slowdown is injected.
+// TestGuardOnCommittedRecords: the records committed at the repository
+// root declare exactly the fixtures' checks, pass the guard against
+// themselves with only the three 1-CPU skip notes, and fail once a
+// slowdown past any binding band is injected.
 func TestGuardOnCommittedRecords(t *testing.T) {
-	root := filepath.Join("..", "..")
-	eng, err := ReadEngine(filepath.Join(root, "BENCH_engine.json"))
-	if err != nil {
-		t.Fatalf("committed engine record unreadable: %v", err)
+	fx := fixtures()
+	var notes []string
+	for _, name := range Names {
+		rec, err := Read(filepath.Join("..", "..", "BENCH_"+name+".json"))
+		if err != nil {
+			t.Fatalf("committed %s record unreadable: %v", name, err)
+		}
+		if rec.Bench != fx[name].Bench || !slices.Equal(rec.Checks, fx[name].Checks) {
+			t.Errorf("committed %s record declares %q %+v, want %q %+v", name, rec.Bench, rec.Checks, fx[name].Bench, fx[name].Checks)
+		}
+		vs, ns := Compare(name, rec, rec)
+		if len(vs) != 0 {
+			t.Errorf("committed %s record fails its own guard: %v", name, vs)
+		}
+		notes = append(notes, ns...)
+		for _, c := range rec.Checks {
+			if c.Kind != Ratio || rec.NumCPU < c.MinCPU {
+				continue
+			}
+			slow := with(rec, c.Metric, rec.Metrics[c.Metric]*(1-c.Bound)/2) // half the band's edge
+			if vs, _ := Compare(name, rec, slow); len(vs) == 0 {
+				t.Errorf("slowdown injected into committed %s %s passed the guard", name, c.Metric)
+			}
+		}
 	}
-	str, err := ReadStream(filepath.Join(root, "BENCH_stream.json"))
-	if err != nil {
-		t.Fatalf("committed stream record unreadable: %v", err)
+	want := []string{
+		"parallel: speedup_parallel ratio skipped: num_cpu=1 (needs >= 2 CPUs)",
+		"dist: speedup_dist floor skipped: num_cpu=1 (needs >= 4 CPUs)",
+		"dist: tcp.speedup_pipelined floor skipped: num_cpu=1 (needs >= 2 CPUs)",
 	}
-	par, err := ReadParallel(filepath.Join(root, "BENCH_parallel.json"))
-	if err != nil {
-		t.Fatalf("committed parallel record unreadable: %v", err)
-	}
-	bit, err := ReadBitslice(filepath.Join(root, "BENCH_bitslice.json"))
-	if err != nil {
-		t.Fatalf("committed bitslice record unreadable: %v", err)
-	}
-	dst, err := ReadDist(filepath.Join(root, "BENCH_dist.json"))
-	if err != nil {
-		t.Fatalf("committed dist record unreadable: %v", err)
-	}
-	srv, err := ReadServe(filepath.Join(root, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatalf("committed serve record unreadable: %v", err)
-	}
-	tol := DefaultTolerance()
-	if vs := CompareEngine(eng, eng, tol); len(vs) != 0 {
-		t.Errorf("committed engine record fails its own guard: %v", vs)
-	}
-	if vs := CompareStream(str, str, tol); len(vs) != 0 {
-		t.Errorf("committed stream record fails its own guard: %v", vs)
-	}
-	if vs := CompareParallel(par, par, tol); len(vs) != 0 {
-		t.Errorf("committed parallel record fails its own guard: %v", vs)
-	}
-	if vs := CompareBitslice(bit, bit, tol); len(vs) != 0 {
-		t.Errorf("committed bitslice record fails its own guard: %v", vs)
-	}
-	if vs, _ := CompareDist(dst, dst, tol); len(vs) != 0 {
-		t.Errorf("committed dist record fails its own guard: %v", vs)
-	}
-	if vs, _ := CompareServe(srv, srv, tol); len(vs) != 0 {
-		t.Errorf("committed serve record fails its own guard: %v", vs)
-	}
-
-	slow := eng
-	slow.EngineWarmNs *= 2
-	slow.SpeedupWarm /= 2
-	if vs := CompareEngine(eng, slow, tol); len(vs) == 0 {
-		t.Error("2x slowdown injected into the committed engine record passed the guard")
-	}
-	sslow := str
-	sslow.StreamingNs *= 2
-	sslow.SpeedupStreaming /= 2
-	if vs := CompareStream(str, sslow, tol); len(vs) == 0 {
-		t.Error("2x slowdown injected into the committed stream record passed the guard")
-	}
-	pslow := par
-	pslow.ParallelWarmNs *= 2
-	pslow.SpeedupParallel /= 2
-	pslow.SpeedupVsReference /= 2
-	if vs := CompareParallel(par, pslow, tol); len(vs) == 0 {
-		t.Error("2x slowdown injected into the committed parallel record passed the guard")
-	}
-	bslow := bit
-	bslow.PlaneNs *= 2
-	bslow.SpeedupBitslice /= 2
-	if vs := CompareBitslice(bit, bslow, tol); len(vs) == 0 {
-		t.Error("2x slowdown injected into the committed bitslice record passed the guard")
+	if !slices.Equal(notes, want) {
+		t.Errorf("notes on the committed records:\n%s\nwant:\n%s", strings.Join(notes, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// TestGuardDirs: the directory-level entry point used by cmd/benchguard
-// reports unreadable files as violations and compares what it can read.
+// TestGuardDirs: the directory-level entry point reports missing,
+// unparsable and old-schema files as violations naming their record,
+// and still compares every record it can read.
 func TestGuardDirs(t *testing.T) {
 	base := filepath.Join("..", "..")
-	vs := Guard(base, base, DefaultTolerance())
-	if len(vs) != 0 {
-		t.Errorf("committed records against themselves: %v", vs)
+	if vs, notes := Guard(base, base); len(vs) != 0 || len(notes) != 3 {
+		t.Errorf("committed records against themselves: violations %v, notes %v", vs, notes)
 	}
 
 	empty := t.TempDir()
-	vs = Guard(base, empty, DefaultTolerance())
-	if len(vs) != 6 {
-		t.Errorf("missing fresh records: got %d violations (%v), want 6", len(vs), vs)
+	for _, dirs := range [][2]string{{base, empty}, {empty, base}} {
+		vs, _ := Guard(dirs[0], dirs[1])
+		if len(vs) != len(Names) {
+			t.Errorf("Guard(%s, %s): %d violations (%v), want one per record", dirs[0], dirs[1], len(vs), vs)
+		}
 	}
 
-	// A fresh dir with a broken engine record still gets the stream,
-	// parallel, bitslice, dist and serve pairs compared.
 	broken := t.TempDir()
-	if err := WriteRecord(filepath.Join(broken, "BENCH_engine.json"), EngineRecord{Bench: "bogus"}); err != nil {
-		t.Fatal(err)
+	for _, name := range Names {
+		data, err := os.ReadFile(filepath.Join(base, "BENCH_"+name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch name {
+		case "engine":
+			data = []byte("{")
+		case "stream":
+			data = []byte(`{"bench": "StreamPipeline", "speedup_streaming": 1.3, "parity": true}`)
+		}
+		if err := os.WriteFile(filepath.Join(broken, "BENCH_"+name+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	str, err := ReadStream(filepath.Join(base, "BENCH_stream.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRecord(filepath.Join(broken, "BENCH_stream.json"), str); err != nil {
-		t.Fatal(err)
-	}
-	par, err := ReadParallel(filepath.Join(base, "BENCH_parallel.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRecord(filepath.Join(broken, "BENCH_parallel.json"), par); err != nil {
-		t.Fatal(err)
-	}
-	bit, err := ReadBitslice(filepath.Join(base, "BENCH_bitslice.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRecord(filepath.Join(broken, "BENCH_bitslice.json"), bit); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := ReadDist(filepath.Join(base, "BENCH_dist.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRecord(filepath.Join(broken, "BENCH_dist.json"), dst); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ReadServe(filepath.Join(base, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRecord(filepath.Join(broken, "BENCH_serve.json"), srv); err != nil {
-		t.Fatal(err)
-	}
-	vs = Guard(base, broken, DefaultTolerance())
-	if len(vs) != 1 || vs[0].Record != "engine" {
-		t.Errorf("broken engine + healthy stream/parallel/bitslice/dist/serve: %v, want one engine violation", vs)
+	vs, _ := Guard(base, broken)
+	if len(vs) != 2 || vs[0].Record != "engine" || vs[1].Record != "stream" ||
+		vs[0].Metric != "fresh" || !strings.Contains(vs[1].Msg, "not a benchmark record") {
+		t.Errorf("unparsable engine + old-schema stream record: %v, want one fresh violation each", vs)
 	}
 }

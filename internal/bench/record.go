@@ -1,311 +1,113 @@
-// Package bench defines the machine-readable benchmark records the
-// repository commits (BENCH_engine.json, BENCH_stream.json) and the
-// regression-guard logic that compares fresh records against them.
-// cmd/paper writes these records; cmd/benchguard enforces them in CI.
+// Package bench defines the one machine-readable benchmark record the
+// repository commits (BENCH_<name>.json at the root, one file per name
+// in Names) and the regression guard that holds a fresh record against
+// the committed one. cmd/paper and cmd/busencload write the records;
+// cmd/benchguard enforces them in CI.
 //
-// The guard compares machine-relative ratios (speedups, alloc ratios),
-// not raw nanoseconds: a record committed on one machine stays
-// meaningful on a CI runner with a different clock, because each record
-// carries its own same-machine baseline (the seed reference path, or
-// the materialized pipeline).
+// A record is machine identity, a flat map of every number its producer
+// measured, and the checks the producer declares on those numbers. The
+// guard applies the committed record's checks, so a threshold changes
+// only through a reviewed change to a committed file, never through a
+// flag. Ratio checks compare machine-relative numbers (speedups, alloc
+// ratios), not raw nanoseconds: each record carries its own
+// same-machine baseline measurement, so a record committed on one box
+// stays meaningful on another with a different clock.
 package bench
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 )
 
-// Machine identity fields. Every record carries the CPU count, Go
-// toolchain version and engine chunk length it was measured with:
-// ratios are same-machine by construction, but a baseline committed on
-// one box compared against a fresh record from a very different one
-// can still misfire (a 4-core laptop's parallel scaling vs a 64-core
-// runner's). The guard uses SameMachine to skip ratio bands across
-// such boundaries instead of failing them; records predating these
-// fields (empty/zero identity) compare unconditionally, preserving the
-// old behavior.
+// Names lists the committed records in guard order; the record named n
+// lives in BENCH_n.json.
+var Names = []string{"engine", "stream", "parallel", "bitslice", "dist", "serve"}
 
-// SameMachine reports whether two records' identity fields describe
-// comparable measurement environments. Unknown identity (zero NumCPU
-// or empty GoVersion on either side) counts as comparable.
-func SameMachine(oldCPU, freshCPU int, oldGo, freshGo string) bool {
-	if oldCPU != 0 && freshCPU != 0 && oldCPU != freshCPU {
-		return false
-	}
-	if oldGo != "" && freshGo != "" && oldGo != freshGo {
-		return false
-	}
-	return true
-}
+// Kind says how the guard treats a checked metric.
+type Kind string
 
-// EngineRecord mirrors BENCH_engine.json: one Table 4 regeneration on
-// the seed-style reference path versus the batched evaluation engine,
-// measured serially (GOMAXPROCS=1) with a parallel warm rerun.
-type EngineRecord struct {
-	Bench        string  `json:"bench"`
-	Source       string  `json:"source"`
-	NumCPU       int     `json:"num_cpu,omitempty"`
-	GoVersion    string  `json:"go_version,omitempty"`
-	ChunkLen     int     `json:"chunk_len,omitempty"` // engine batch granularity
-	GOMAXPROCS   int     `json:"gomaxprocs"`          // 1: the serial measurement
-	ReferenceNs  int64   `json:"reference_ns"`        // seed path, streams regenerated
-	EngineColdNs int64   `json:"engine_cold_ns"`      // first engine call, caches empty
-	EngineWarmNs int64   `json:"engine_warm_ns"`      // fastest warm engine call
-	WarmIters    int     `json:"warm_iters"`
-	SpeedupCold  float64 `json:"speedup_cold"`
-	SpeedupWarm  float64 `json:"speedup_warm"`
-	Parity       bool    `json:"parity"` // engine totals == reference totals
-
-	Parallel ParallelRecord `json:"parallel"`
-}
-
-// ParallelRecord is the warm engine rerun at the default GOMAXPROCS.
-type ParallelRecord struct {
-	GOMAXPROCS   int   `json:"gomaxprocs"`
-	EngineWarmNs int64 `json:"engine_warm_ns"`
-	// SpeedupWarm is vs. the serial reference path; SpeedupVsSerial is
-	// the scheduler's own parallel-over-serial warm gain.
-	SpeedupWarm     float64 `json:"speedup_warm"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial_warm"`
-}
-
-// StreamRecord mirrors BENCH_stream.json: all seven paper codecs priced
-// over a serialized trace, materialize-then-run versus the single-pass
-// streaming fan-out.
-type StreamRecord struct {
-	Bench      string   `json:"bench"`
-	Entries    int      `json:"entries"`
-	FileBytes  int64    `json:"file_bytes"`
-	ChunkLen   int      `json:"chunk_len"`
-	NumCPU     int      `json:"num_cpu,omitempty"`
-	GoVersion  string   `json:"go_version,omitempty"`
-	Depth      int      `json:"fanout_depth"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Codecs     []string `json:"codecs"`
-
-	MaterializedNs         int64  `json:"materialized_ns"`
-	MaterializedAllocBytes uint64 `json:"materialized_alloc_bytes"`
-	StreamingNs            int64  `json:"streaming_ns"`
-	StreamingAllocBytes    uint64 `json:"streaming_alloc_bytes"`
-
-	SpeedupStreaming float64 `json:"speedup_streaming"` // materialized/streaming wall time
-	AllocRatio       float64 `json:"alloc_ratio"`       // materialized/streaming alloc bytes
-	Parity           bool    `json:"parity"`
-}
-
-// ParallelEngineRecord mirrors BENCH_parallel.json: the Table 4 stream
-// suite priced codec-by-codec on the warm sequential engine path
-// (GOMAXPROCS=1) versus core.EvaluateParallel's shard-parallel pricing
-// at an elevated GOMAXPROCS, with the seed-style reference path timed
-// on the same suite as a second same-machine baseline. On a single-CPU
-// machine SpeedupParallel degenerates to ~1x (shards timeslice one
-// core); SpeedupVsReference stays meaningful everywhere because it
-// compares against the per-entry reference loop.
-type ParallelEngineRecord struct {
-	Bench      string   `json:"bench"`
-	Source     string   `json:"source"`
-	NumCPU     int      `json:"num_cpu"`
-	GoVersion  string   `json:"go_version,omitempty"`
-	ChunkLen   int      `json:"chunk_len,omitempty"` // engine batch granularity
-	GOMAXPROCS int      `json:"gomaxprocs"`          // procs of the parallel measurement
-	Shards     int      `json:"shards"`              // effective shard count per codec
-	Codecs     []string `json:"codecs"`
-	WarmIters  int      `json:"warm_iters"`
-
-	ReferenceNs    int64 `json:"reference_ns"`     // seed-style per-entry path
-	SerialWarmNs   int64 `json:"serial_warm_ns"`   // warm RunFast sweep at GOMAXPROCS=1
-	ParallelWarmNs int64 `json:"parallel_warm_ns"` // warm EvaluateParallel at GOMAXPROCS above
-
-	// SpeedupParallel is serial_warm_ns / parallel_warm_ns — the
-	// shard-parallel gain over the sequential warm engine path.
-	// SpeedupVsReference is reference_ns / parallel_warm_ns.
-	SpeedupParallel    float64 `json:"speedup_parallel"`
-	SpeedupVsReference float64 `json:"speedup_vs_reference"`
-	Parity             bool    `json:"parity"` // parallel totals == serial totals == reference totals
-}
-
-// BitsliceRecord mirrors BENCH_bitslice.json: the seedable plane-codec
-// subset (binary, gray, offset, incxor) priced over the same
-// materialized trace twice — codec-by-codec on the scalar batch
-// kernels (Kernel forced to scalar) versus one shared-transpose
-// codec.RunPlaneSet sweep — with identical statistics requested from
-// both (per-line counts and max-per-cycle included, so parity covers
-// every Result field). SpeedupBitslice = scalar_ns / plane_ns is the
-// bit-sliced kernel's same-machine gain, the ratio the ISSUE's ≥5x
-// target and the guard's BitsliceFloor band police.
-type BitsliceRecord struct {
-	Bench      string   `json:"bench"`
-	Entries    int      `json:"entries"`
-	ChunkLen   int      `json:"chunk_len"`
-	NumCPU     int      `json:"num_cpu"`
-	GoVersion  string   `json:"go_version"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Codecs     []string `json:"codecs"`
-	PerLine    bool     `json:"per_line"`
-	WarmIters  int      `json:"warm_iters"`
-
-	ScalarNs int64 `json:"scalar_ns"` // best warm scalar-kernel sweep
-	PlaneNs  int64 `json:"plane_ns"`  // best warm RunPlaneSet sweep
-
-	SpeedupBitslice float64 `json:"speedup_bitslice"` // scalar/plane wall time
-	Parity          bool    `json:"parity"`           // all Result fields identical
-}
-
-// EngineBenchName, StreamBenchName, ParallelBenchName and
-// BitsliceBenchName are the identity values of the record kinds;
-// Validate checks them so a mixed-up file pair is a loud failure, not
-// a silent pass.
 const (
-	EngineBenchName   = "Table4"
-	StreamBenchName   = "StreamPipeline"
-	ParallelBenchName = "Table4Parallel"
-	BitsliceBenchName = "Bitslice"
+	// Ratio is a same-machine band: the fresh value must be at least
+	// committed × (1 − Bound). It is skipped, with a note, when the two
+	// records come from different machines.
+	Ratio Kind = "ratio"
+	// Floor is an absolute minimum: the fresh value must be at least
+	// Bound. The ratio inside a record is same-machine by construction,
+	// so a floor needs no committed baseline and binds on any machine.
+	Floor Kind = "floor"
+	// Invariant binds on every machine: the fresh value must equal
+	// Bound (parity = 1, lost jobs = 0).
+	Invariant Kind = "invariant"
 )
 
-// Validate reports the first structurally missing or nonsensical field.
-// A zero timing or ratio means the producer never filled the field (the
-// guard's "missing field" failure mode).
-func (r EngineRecord) Validate() error {
-	switch {
-	case r.Bench != EngineBenchName:
-		return fmt.Errorf("bench = %q, want %q", r.Bench, EngineBenchName)
-	case r.ReferenceNs <= 0:
-		return fmt.Errorf("missing field reference_ns")
-	case r.EngineWarmNs <= 0:
-		return fmt.Errorf("missing field engine_warm_ns")
-	case r.SpeedupWarm <= 0:
-		return fmt.Errorf("missing field speedup_warm")
-	}
-	return nil
+// Band is the relative band every speedup ratio is held to: a fresh
+// speedup more than 25% below the committed one fails.
+const Band = 0.25
+
+// Check is one guarded condition on a metric. A ratio or floor check
+// with MinCPU set binds only when the fresh record's machine has at
+// least MinCPU CPUs: below that the measured path cannot scale, and
+// the check is skipped with a note instead of failing.
+type Check struct {
+	Metric string  `json:"metric"`
+	Kind   Kind    `json:"kind"`
+	Bound  float64 `json:"bound"`
+	MinCPU int     `json:"min_cpu,omitempty"`
 }
 
-// Validate reports the first structurally missing field of a stream
-// record.
-func (r StreamRecord) Validate() error {
-	switch {
-	case r.Bench != StreamBenchName:
-		return fmt.Errorf("bench = %q, want %q", r.Bench, StreamBenchName)
-	case r.MaterializedNs <= 0:
-		return fmt.Errorf("missing field materialized_ns")
-	case r.StreamingNs <= 0:
-		return fmt.Errorf("missing field streaming_ns")
-	case r.SpeedupStreaming <= 0:
-		return fmt.Errorf("missing field speedup_streaming")
-	case r.AllocRatio <= 0:
-		return fmt.Errorf("missing field alloc_ratio")
-	}
-	return nil
+// Record is one benchmark record. Metric names are the producer's JSON
+// field names, nested fields dotted (tcp.pipelined_ns); booleans are
+// 1 or 0 (see Bool). Info holds string context such as the source and
+// the codec list, and is never compared.
+type Record struct {
+	Bench     string             `json:"bench"`
+	NumCPU    int                `json:"num_cpu"`
+	GoVersion string             `json:"go_version"`
+	ChunkLen  int                `json:"chunk_len,omitempty"` // engine batch granularity, where it applies
+	Info      map[string]any     `json:"info,omitempty"`
+	Metrics   map[string]float64 `json:"metrics"`
+	Checks    []Check            `json:"checks"`
 }
 
-// Validate reports the first structurally missing field of a parallel
-// record.
-func (r ParallelEngineRecord) Validate() error {
-	switch {
-	case r.Bench != ParallelBenchName:
-		return fmt.Errorf("bench = %q, want %q", r.Bench, ParallelBenchName)
-	case r.GOMAXPROCS < 1:
-		return fmt.Errorf("missing field gomaxprocs")
-	case r.ReferenceNs <= 0:
-		return fmt.Errorf("missing field reference_ns")
-	case r.SerialWarmNs <= 0:
-		return fmt.Errorf("missing field serial_warm_ns")
-	case r.ParallelWarmNs <= 0:
-		return fmt.Errorf("missing field parallel_warm_ns")
-	case r.SpeedupParallel <= 0:
-		return fmt.Errorf("missing field speedup_parallel")
-	case r.SpeedupVsReference <= 0:
-		return fmt.Errorf("missing field speedup_vs_reference")
-	}
-	return nil
+// New returns a record named bench stamped with this process's machine
+// identity.
+func New(bench string, chunkLen int) Record {
+	return Record{Bench: bench, NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), ChunkLen: chunkLen}
 }
 
-// Validate reports the first structurally missing field of a bitslice
-// record.
-func (r BitsliceRecord) Validate() error {
-	switch {
-	case r.Bench != BitsliceBenchName:
-		return fmt.Errorf("bench = %q, want %q", r.Bench, BitsliceBenchName)
-	case r.Entries <= 0:
-		return fmt.Errorf("missing field entries")
-	case r.ScalarNs <= 0:
-		return fmt.Errorf("missing field scalar_ns")
-	case r.PlaneNs <= 0:
-		return fmt.Errorf("missing field plane_ns")
-	case r.SpeedupBitslice <= 0:
-		return fmt.Errorf("missing field speedup_bitslice")
-	case len(r.Codecs) == 0:
-		return fmt.Errorf("missing field codecs")
+// Bool is the metric value of a boolean: 1 for true, 0 for false.
+func Bool(b bool) float64 {
+	if b {
+		return 1
 	}
-	return nil
+	return 0
 }
 
-// ReadEngine loads and validates an engine record.
-func ReadEngine(path string) (EngineRecord, error) {
-	var r EngineRecord
-	if err := readJSON(path, &r); err != nil {
-		return r, err
-	}
-	if err := r.Validate(); err != nil {
-		return r, fmt.Errorf("%s: %v", path, err)
-	}
-	return r, nil
-}
-
-// ReadStream loads and validates a stream record.
-func ReadStream(path string) (StreamRecord, error) {
-	var r StreamRecord
-	if err := readJSON(path, &r); err != nil {
-		return r, err
-	}
-	if err := r.Validate(); err != nil {
-		return r, fmt.Errorf("%s: %v", path, err)
-	}
-	return r, nil
-}
-
-// ReadParallel loads and validates a parallel-engine record.
-func ReadParallel(path string) (ParallelEngineRecord, error) {
-	var r ParallelEngineRecord
-	if err := readJSON(path, &r); err != nil {
-		return r, err
-	}
-	if err := r.Validate(); err != nil {
-		return r, fmt.Errorf("%s: %v", path, err)
-	}
-	return r, nil
-}
-
-// ReadBitslice loads and validates a bitslice record.
-func ReadBitslice(path string) (BitsliceRecord, error) {
-	var r BitsliceRecord
-	if err := readJSON(path, &r); err != nil {
-		return r, err
-	}
-	if err := r.Validate(); err != nil {
-		return r, fmt.Errorf("%s: %v", path, err)
-	}
-	return r, nil
-}
-
-func readJSON(path string, v any) error {
+// Read loads a record. A file with no bench identity or no metrics (a
+// record of some older schema, say) is an error.
+func Read(path string) (Record, error) {
+	var r Record
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return r, err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, fmt.Errorf("%s: %v", path, err)
 	}
-	return nil
+	if r.Bench == "" || len(r.Metrics) == 0 {
+		return r, fmt.Errorf("%s: not a benchmark record (no bench or metrics)", path)
+	}
+	return r, nil
 }
 
-// WriteRecord writes a record as indented JSON with a trailing newline,
-// the committed-file convention.
-func WriteRecord(path string, rec any) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
+// Write writes a record as indented JSON with a trailing newline, the
+// committed-file convention.
+func Write(path string, r Record) error {
+	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	return os.WriteFile(path, data, 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

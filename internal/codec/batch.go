@@ -128,8 +128,8 @@ type RunOpts struct {
 // (4096 × 24 B ≈ 96 KiB).
 const runChunk = 4096
 
-// RunChunkLen is the engine batch granularity, exported for benchmark
-// records (bench.*Record.ChunkLen identity fields).
+// RunChunkLen is the engine batch granularity, exported for the
+// chunk_len identity field of benchmark records (bench.Record).
 const RunChunkLen = runChunk
 
 type runBuf struct {

@@ -197,6 +197,12 @@ type entryCounter interface {
 	EntryCount() (uint64, bool)
 }
 
+// maxPrealloc caps ReadAll's preallocation. The declared count comes
+// from an untrusted header: a few bytes claiming 2^30 entries must not
+// reserve gigabytes before a single entry has been read. Longer traces
+// still load; the slice grows past the cap as entries arrive.
+const maxPrealloc = 1 << 22
+
 // ReadAll drains a ChunkReader into a materialized Stream. It is the
 // compatibility bridge for callers that genuinely need the whole trace
 // in memory; the streaming evaluators never call it.
@@ -205,8 +211,8 @@ func ReadAll(r ChunkReader) (_ *Stream, err error) {
 	defer func() { sp.EndErr(err) }()
 	s := New(r.Name(), r.Width())
 	if ec, ok := r.(entryCounter); ok {
-		if n, known := ec.EntryCount(); known && n <= 1<<30 {
-			s.Entries = make([]Entry, 0, n)
+		if n, known := ec.EntryCount(); known {
+			s.Entries = make([]Entry, 0, min(n, maxPrealloc))
 		}
 	}
 	for {

@@ -86,6 +86,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{'B', 'E', 'T', 'R', 1, 8, 0, 1, 7, 0})          // bad kind
 	f.Add([]byte{'B', 'E', 'T', 'R', 1, 8, 0xFF, 0xFF, 0xFF, 4}) // huge name length
 	f.Add([]byte{'B', 'E', 'T', 'R', 1, 8, 0, 3, 0, 2, 1, 4})    // truncated entries
+	// A 35-byte file whose header declares ~750M entries: ReadAll once
+	// preallocated all of them and died out of memory.
+	f.Add([]byte("BETR\x01\r\x00\xe6\x92\xfc\xe4\x02\x01\x91\xa0\xb8\xc0\v\x01\xb8\x9f\xa80\x02\xfc\xa0\x9d\x95\t\x00\xf3\xe1\xef\xdf\xc8"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
