@@ -52,10 +52,14 @@ test:
 
 # The streaming pipeline's packages get a dedicated vet + race pass:
 # the fan-out is the only concurrent producer/consumer machinery in the
-# tree, and the pooled-chunk refcounts are easy to get subtly wrong.
+# tree, and the pooled-chunk refcounts are easy to get subtly wrong. The
+# plane group's worker reads the same broadcast chunks as the scalar
+# workers, so the fan-out tests run ten times over under the race
+# detector.
 test-stream:
 	$(GO) vet ./internal/trace ./internal/core
 	$(GO) test -race ./internal/trace ./internal/core
+	$(GO) test -race -count=10 -run EvaluateStreaming ./internal/core
 
 # Short coverage-guided fuzz smoke — enough to catch a freshly
 # introduced panic on malformed input (trace parsers, marshalled

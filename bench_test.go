@@ -378,11 +378,14 @@ func BenchmarkEncodeBatch(b *testing.B) {
 }
 
 // BenchmarkStreamPipeline measures the single-pass streaming fan-out:
-// each iteration re-parses a serialized binary trace and prices all
-// seven paper codecs concurrently under the bounded-memory pipeline.
-// The serialization happens once, outside the timer; with -benchmem,
-// allocs/op should stay flat as the trace grows (pooled chunks, bounded
-// channels), unlike the materialize-then-run path.
+// each iteration re-parses a serialized binary trace and prices a codec
+// set under the bounded-memory pipeline. "paper" is the seven paper
+// codecs (binary and gray share the plane group, the rest are scalar
+// workers); "plane" is the instr-plane set, all four plane codecs in
+// one group, so -cpu 1,2 shows what one transpose per block buys at
+// each core count. The serialization happens once, outside the timer;
+// with -benchmem, allocs/op should stay flat as the trace grows (pooled
+// chunks, bounded channels), unlike the materialize-then-run path.
 func BenchmarkStreamPipeline(b *testing.B) {
 	s := core.ReferenceMuxedStream(1 << 16)
 	var buf bytes.Buffer
@@ -390,20 +393,28 @@ func BenchmarkStreamPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	codes := []string{"binary", "gray", "t0", "businvert", "t0bi", "dualt0", "dualt0bi"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := trace.OpenBinary(bytes.NewReader(data), "bench.bin", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.EvaluateStreaming(r, r.Width(), codes, core.DefaultOptions,
-			core.FanoutConfig{Verify: codec.VerifySampled}); err != nil {
-			b.Fatal(err)
-		}
+	for _, set := range []struct {
+		name  string
+		codes []string
+	}{
+		{"paper", []string{"binary", "gray", "t0", "businvert", "t0bi", "dualt0", "dualt0bi"}},
+		{"plane", []string{"binary", "gray", "offset", "incxor"}},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := trace.OpenBinary(bytes.NewReader(data), "bench.bin", nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := core.EvaluateStreaming(r, r.Width(), set.codes, core.DefaultOptions,
+					core.FanoutConfig{Verify: codec.VerifySampled}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msym/s")
+		})
 	}
-	b.ReportMetric(float64(s.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msym/s")
 }
 
 // BenchmarkMIPSSimulator measures the trace-generation substrate: one full

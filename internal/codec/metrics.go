@@ -10,9 +10,9 @@ import "busenc/internal/obs"
 
 // RecordRun publishes one completed evaluation of a codec into the
 // gated default registry: entries encoded through the codec's batch
-// kernel and bus transitions counted for them. core.EvaluateStreaming
-// calls this for its fan-out workers; RunFast and RunStream call it
-// themselves. A no-op while metrics are disabled.
+// kernel and bus transitions counted for them. Pricer.Result and
+// Collect call it once per codec, so every driver publishes its runs,
+// a grouped plane codec included. A no-op while metrics are disabled.
 func RecordRun(name string, entries, transitions int64) {
 	if !obs.Enabled() {
 		return

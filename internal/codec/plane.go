@@ -201,16 +201,6 @@ func (ps *PlaneSet) consumeBlock(block []uint64) {
 // (bus.Merge) and result extraction.
 func (ps *PlaneSet) Bus(i int) *bus.Bus { return ps.lanes[i].b }
 
-// Results converts the accumulated statistics into one Result per
-// codec, in construction order, labeled with the given stream name.
-func (ps *PlaneSet) Results(stream string) []Result {
-	out := make([]Result, len(ps.lanes))
-	for i, ln := range ps.lanes {
-		out[i] = newResult(ln.pe, stream, ln.b)
-	}
-	return out
-}
-
 // PlaneEligible decides whether an evaluation routes to the plane path,
 // honoring the Kernel selector: VerifyFull needs every encoded word
 // materialized, so it always prices scalar — under KernelPlane that
@@ -235,40 +225,26 @@ func PlaneEligible(c Codec, k Kernel, v VerifyMode) (bool, error) {
 
 // RunPlaneSet prices one materialized stream through several codecs in
 // a single sweep, sharing the per-block address transpose across all of
-// them — the cheapest way to regenerate a multi-codec table. Every
-// codec must have a plane kernel (NewPlaneSet's rule); opts.Kernel is
-// ignored (this entry point IS the plane kernel) and VerifyFull is
-// rejected like KernelPlane. Under VerifySampled each codec's sample is
-// checked by a Pricer over the stream head first. Results come back in
-// codec order and are bit-identical to per-codec RunFast.
+// them — the cheapest way to regenerate a multi-codec table. It drives
+// the one Pricer NewPricers groups them into under KernelPlane, so every
+// codec must have a plane kernel and opts.Kernel is ignored; VerifyFull
+// is rejected, VerifySampled checks each codec's sample on its own
+// verify lane. Results come back in codec order and are bit-identical to
+// per-codec RunFast.
 func RunPlaneSet(codecs []Codec, s *trace.Stream, opts RunOpts) ([]Result, error) {
 	if opts.Verify == VerifyFull {
 		return nil, fmt.Errorf("codec: RunPlaneSet cannot verify every entry; use VerifySampled or per-codec RunFast")
 	}
+	opts.Kernel = KernelPlane
 	root := obs.StartSpan("codec.run_plane_set", obs.StageEncode).WithStream(s.Name)
-	ps, err := NewPlaneSet(codecs, opts.PerLine)
-	if opts.Verify == VerifySampled {
-		head := s.Entries[:min(len(s.Entries), VerifySampleLen)]
-		for i := 0; i < len(codecs) && err == nil; i++ {
-			var p *Pricer
-			if p, err = NewPricer(codecs[i], RunOpts{Verify: VerifySampled}); err == nil {
-				err = p.ConsumeEntries(head)
-			}
-		}
+	ps, err := NewPricers(codecs, opts)
+	for i := 0; i < len(ps) && err == nil; i++ {
+		err = chunked(root, s.Entries, ps[i].ConsumeEntries)
 	}
+	var results []Result
 	if err == nil {
-		err = chunked(root, s.Entries, func(chunk []trace.Entry) error {
-			ps.ConsumeEntries(chunk)
-			return nil
-		})
+		results, err = Collect(ps, s.Name)
 	}
 	root.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	results := ps.Results(s.Name)
-	for _, r := range results {
-		RecordRun(r.Codec, int64(len(s.Entries)), r.Transitions)
-	}
-	return results, nil
+	return results, err
 }

@@ -94,13 +94,12 @@ func TestPlaneSetParity(t *testing.T) {
 						}
 						ps.Consume(addrs[lo:hi])
 					}
-					results := ps.Results(s.Name)
 					for i, c := range codecs {
 						want := MustRun(c, s)
 						if !perLine {
 							want.PerLine = nil
 						}
-						requireSameResult(t, c.Name()+"/plane-set", results[i], want)
+						requireSameResult(t, c.Name()+"/plane-set", newResult(c, s.Name, ps.Bus(i)), want)
 					}
 				}
 			}
@@ -136,7 +135,7 @@ func TestPlaneSetPrimed(t *testing.T) {
 		}
 		ps.Prime(addrs[cut], []uint64{boundary})
 		ps.Consume(addrs[cut+1:])
-		got := ps.Results(s.Name)[0]
+		got := newResult(c, s.Name, ps.Bus(0))
 		want := Result{
 			Codec: c.Name(), Stream: s.Name, BusWidth: c.BusWidth(),
 			Transitions: ref.Transitions(), Cycles: ref.Cycles(),

@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"busenc/internal/bus"
 	"busenc/internal/trace"
@@ -11,39 +12,54 @@ import (
 // The pricing core. The paper's whole evaluation is one loop: encode the
 // address stream, count bus transitions, check that the decode
 // round-trips. Pricer is that loop, and the only copy of it besides the
-// reference Run: RunFast, RunStream, PriceShard (and through it
-// RunParallel and the distributed workers) and core.EvaluateStreaming
-// are thin drivers that feed it entries and read its bus.
+// reference Run: RunFast, RunStream, RunPlaneSet, PriceShard (and
+// through it RunParallel and the distributed workers) and
+// core.EvaluateStreaming are thin drivers that feed it entries and read
+// its buses.
 //
 // A Pricer picks its kernel once (PlaneEligible): the scalar path
-// gathers symbols into a pooled buffer, runs the codec's BatchEncoder
-// and counts with bus.Accumulate; the plane path hands addresses to a
-// one-codec PlaneSet and never materializes encoded words. Decode
-// verification follows a budget fixed at construction — every entry
-// under VerifyFull, the first VerifySampleLen under VerifySampled —
-// and the plane path replays its budget through a scalar encoder.
+// prices one codec, gathering symbols into a pooled buffer, running the
+// codec's BatchEncoder and counting with bus.Accumulate; the plane path
+// hands addresses to a PlaneSet over one or more codecs and never
+// materializes encoded words. NewPricers puts every plane-routed codec
+// of a list into one Pricer, so each 64-address block is transposed
+// once for all of them. Every codec keeps its own bus and its own
+// verify lane: decode verification follows a budget fixed at
+// construction — every entry under VerifyFull, the first
+// VerifySampleLen under VerifySampled — and the plane path replays its
+// budget through a scalar encoder per codec.
 
-// Pricer prices one codec over one contiguous run of a stream, fed in
-// order by any mix of ConsumeEntries and Consume calls. Not safe for
-// concurrent use; build one per goroutine.
+// Pricer prices one codec, or a group of plane-routed codecs, over one
+// contiguous run of a stream, fed in order by any mix of ConsumeEntries
+// and Consume calls. Not safe for concurrent use; build one per
+// goroutine.
 type Pricer struct {
-	c    Codec
-	enc  Encoder      // the scalar kernel's encoder; nil on the plane path
-	be   BatchEncoder // enc's batch view
-	ps   *PlaneSet    // the plane kernel; nil on the scalar path
-	b    *bus.Bus     // the counting bus (ps.Bus(0) on the plane path)
-	mask uint64
+	enc   Encoder      // the scalar kernel's encoder; nil on the plane path
+	be    BatchEncoder // enc's batch view
+	ps    *PlaneSet    // the plane kernel; nil on the scalar path
+	lanes []lane       // one per codec; the scalar path has exactly one
 
-	// dec checks the decode round trip while verifyLeft > 0 and is
-	// dropped once the budget is spent. vEnc re-encodes the verified
-	// entries on the plane path, which has no encoded words to decode.
+	// verifyLeft is the verify budget every lane still checks; Consume
+	// reports a mismatch once it is spent or no lane verifies any more.
 	verify     VerifyMode // opts.Verify, which Seed consults mid-stream
-	dec        Decoder
-	vEnc       Encoder
 	verifyLeft int
 
 	base int // absolute index of the first entry, for mismatch reports
 	n    int // entries consumed
+}
+
+// lane is one codec of a Pricer. dec checks the decode round trip while
+// the budget lasts and is dropped once the codec fails; vEnc re-encodes
+// the verified entries on the plane path, which has no encoded words to
+// decode. err is the codec's first mismatch.
+type lane struct {
+	c    Codec
+	at   int // position in the codec list NewPricers grouped
+	b    *bus.Bus
+	mask uint64
+	dec  Decoder
+	vEnc Encoder
+	err  error
 }
 
 // NewPricer builds a fresh Pricer for c: kernel per opts.Kernel (an
@@ -54,28 +70,78 @@ func NewPricer(c Codec, opts RunOpts) (*Pricer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pricer{c: c, mask: bus.Mask(c.PayloadWidth()), verify: opts.Verify}
-	if usePlane {
-		if p.ps, err = NewPlaneSet([]Codec{c}, opts.PerLine); err != nil {
+	return newPricer([]Codec{c}, []int{0}, usePlane, opts)
+}
+
+// NewPricers builds the Pricers that price codecs over one shared
+// stream, routing each codec as NewPricer does: one Pricer for every
+// plane-routed codec together, first when there is any, then one per
+// scalar codec in list order. Collect returns their results in list
+// order.
+func NewPricers(codecs []Codec, opts RunOpts) ([]*Pricer, error) {
+	var out []*Pricer
+	var planes []Codec
+	var at []int
+	for i, c := range codecs {
+		usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify)
+		if err != nil {
 			return nil, err
 		}
-		p.b = p.ps.Bus(0)
-	} else {
-		p.enc = c.NewEncoder()
-		p.be = AsBatch(p.enc)
-		if opts.PerLine {
-			p.b = bus.New(c.BusWidth())
-		} else {
-			p.b = bus.NewAggregate(c.BusWidth())
+		if usePlane {
+			planes, at = append(planes, c), append(at, i)
+			continue
 		}
+		p, err := newPricer([]Codec{c}, []int{i}, false, opts)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	if len(planes) == 0 {
+		return out, nil
+	}
+	p, err := newPricer(planes, at, true, opts)
+	if err != nil {
+		return nil, err
+	}
+	return append([]*Pricer{p}, out...), nil
+}
+
+// newPricer builds a Pricer over codecs, whose positions in the
+// caller's codec list are at. The scalar path takes exactly one codec.
+func newPricer(codecs []Codec, at []int, usePlane bool, opts RunOpts) (*Pricer, error) {
+	p := &Pricer{lanes: make([]lane, len(codecs)), verify: opts.Verify}
+	if usePlane {
+		var err error
+		if p.ps, err = NewPlaneSet(codecs, opts.PerLine); err != nil {
+			return nil, err
+		}
+	} else {
+		p.enc = codecs[0].NewEncoder()
+		p.be = AsBatch(p.enc)
 	}
 	switch opts.Verify {
 	case VerifyFull:
-		p.dec, p.verifyLeft = c.NewDecoder(), math.MaxInt
+		p.verifyLeft = math.MaxInt
 	case VerifySampled:
-		p.dec, p.verifyLeft = c.NewDecoder(), VerifySampleLen
-		if usePlane {
-			p.vEnc = c.NewEncoder()
+		p.verifyLeft = VerifySampleLen
+	}
+	for i, c := range codecs {
+		ln := &p.lanes[i]
+		*ln = lane{c: c, at: at[i], mask: bus.Mask(c.PayloadWidth())}
+		switch {
+		case usePlane:
+			ln.b = p.ps.Bus(i)
+		case opts.PerLine:
+			ln.b = bus.New(c.BusWidth())
+		default:
+			ln.b = bus.NewAggregate(c.BusWidth())
+		}
+		if p.verifyLeft > 0 {
+			ln.dec = c.NewDecoder()
+			if usePlane {
+				ln.vEnc = c.NewEncoder()
+			}
 		}
 	}
 	return p, nil
@@ -87,21 +153,26 @@ func NewPricer(c Codec, opts RunOpts) (*Pricer, error) {
 // the word the sequential run left on the bus and primes the bus with
 // it. A shard past the first keeps verifying only under VerifyFull with
 // a seedable decoder; any other decoder would need the whole prefix.
-// Seed is a no-op for bd.First.
+// Seed is a no-op for bd.First, and an error on a Pricer over several
+// codecs, which would need a boundary per codec.
 func (p *Pricer) Seed(bd Boundary) error {
 	if bd.First {
 		return nil
 	}
+	if len(p.lanes) != 1 {
+		return fmt.Errorf("codec %s: a mid-stream shard needs a one-codec Pricer", p.Name())
+	}
+	ln := &p.lanes[0]
 	enc := p.enc
 	if enc == nil {
-		enc = p.c.NewEncoder()
+		enc = ln.c.NewEncoder()
 	}
 	if bd.State != nil {
 		sc, ok := enc.(StateCodec)
 		if !ok {
-			return fmt.Errorf("codec %s: boundary state for an encoder without StateCodec", p.c.Name())
+			return fmt.Errorf("codec %s: boundary state for an encoder without StateCodec", ln.c.Name())
 		}
-		if err := checkState(p.c, sc, bd.State); err != nil {
+		if err := checkState(ln.c, sc, bd.State); err != nil {
 			return err
 		}
 		sc.Restore(bd.State)
@@ -110,26 +181,26 @@ func (p *Pricer) Seed(bd Boundary) error {
 			sd.SeedFrom(bd.SeedSym)
 		}
 	} else {
-		return fmt.Errorf("codec %s: mid-stream shard needs explicit boundary state", p.c.Name())
+		return fmt.Errorf("codec %s: mid-stream shard needs explicit boundary state", ln.c.Name())
 	}
-	if sd, ok := p.dec.(Seeder); ok && p.verify == VerifyFull {
+	if sd, ok := ln.dec.(Seeder); ok && p.verify == VerifyFull {
 		if bd.HaveSeedSym {
 			sd.SeedFrom(bd.SeedSym)
 		}
 	} else {
-		p.dec, p.verifyLeft = nil, 0
+		ln.dec, p.verifyLeft = nil, 0
 	}
 	sym := SymbolOf(bd.Prev)
 	word := enc.Encode(sym)
-	if p.dec != nil {
-		if err := p.check(-1, word, sym); err != nil {
+	if ln.dec != nil {
+		if err := p.check(ln, -1, word, sym); err != nil {
 			return err
 		}
 	}
 	if p.ps != nil {
 		p.ps.Prime(bd.Prev.Addr, []uint64{word})
 	} else {
-		p.b.Prime(word)
+		ln.b.Prime(word)
 	}
 	return nil
 }
@@ -189,53 +260,108 @@ func (p *Pricer) gather(n int) int {
 }
 
 // price runs one batch of at most runChunk symbols: on the scalar path
-// it encodes into words and counts; on both paths it spends the verify
-// budget on the leading symbols.
+// it encodes into words and counts; on both paths every lane spends the
+// verify budget on the leading symbols. A lane that mismatches stops
+// verifying while the others go on, so that once verification is over
+// the first failing codec in lane order is reported.
 func (p *Pricer) price(syms []Symbol, words []uint64) error {
 	if p.ps == nil {
 		p.be.EncodeBatch(syms, words)
-		p.b.Accumulate(words)
-	}
-	if p.dec == nil {
-		return nil
+		p.lanes[0].b.Accumulate(words)
 	}
 	n := min(len(syms), p.verifyLeft)
-	for i := 0; i < n; i++ {
-		var word uint64
-		if p.vEnc != nil {
-			word = p.vEnc.Encode(syms[i])
-		} else {
-			word = words[i]
-		}
-		if err := p.check(i, word, syms[i]); err != nil {
-			return err
-		}
+	if n == 0 {
+		return nil
 	}
-	if p.verifyLeft -= n; p.verifyLeft == 0 {
-		p.dec = nil
+	verifying := false
+	for k := range p.lanes {
+		ln := &p.lanes[k]
+		for i := 0; i < n && ln.dec != nil; i++ {
+			word := words[i]
+			if ln.vEnc != nil {
+				word = ln.vEnc.Encode(syms[i])
+			}
+			if err := p.check(ln, i, word, syms[i]); err != nil {
+				ln.err, ln.dec = err, nil
+			}
+		}
+		verifying = verifying || ln.dec != nil
+	}
+	if p.verifyLeft -= n; p.verifyLeft > 0 && verifying {
+		return nil
+	}
+	p.verifyLeft = 0
+	for _, ln := range p.lanes {
+		if ln.err != nil {
+			return ln.err
+		}
 	}
 	return nil
 }
 
-// check decodes word and compares it with sym, the entry at offset i
-// from the next unconsumed one.
-func (p *Pricer) check(i int, word uint64, sym Symbol) error {
-	got := p.dec.Decode(word, sym.Sel)
-	if want := sym.Addr & p.mask; got != want {
-		return fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", p.c.Name(), p.base+p.n+i, want, got)
+// check decodes word on ln and compares it with sym, the entry at
+// offset i from the next unconsumed one.
+func (p *Pricer) check(ln *lane, i int, word uint64, sym Symbol) error {
+	got := ln.dec.Decode(word, sym.Sel)
+	if want := sym.Addr & ln.mask; got != want {
+		return fmt.Errorf("codec %s: round-trip mismatch at entry %d: addr %#x decoded as %#x", ln.c.Name(), p.base+p.n+i, want, got)
 	}
 	return nil
 }
 
-// Bus returns the counting bus, for the ordered shard reduction
-// (bus.MergeSlots).
-func (p *Pricer) Bus() *bus.Bus { return p.b }
+// Name returns the priced codec's name; a group's names are joined
+// by "+".
+func (p *Pricer) Name() string {
+	names := make([]string, len(p.lanes))
+	for i, ln := range p.lanes {
+		names[i] = ln.c.Name()
+	}
+	return strings.Join(names, "+")
+}
 
-// Result converts the counts into a Result labeled with the stream
-// name and publishes the run (RecordRun).
+// Bus returns the counting bus of a one-codec Pricer, for the ordered
+// shard reduction (bus.MergeSlots).
+func (p *Pricer) Bus() *bus.Bus { return p.lanes[0].b }
+
+// Result converts a one-codec Pricer's counts into a Result labeled
+// with the stream name and publishes the run (RecordRun).
 func (p *Pricer) Result(stream string) Result {
-	r := newResult(p.c, stream, p.b)
-	RecordRun(r.Codec, int64(p.n), r.Transitions)
+	return p.lanes[0].result(stream, p.n)
+}
+
+// Collect converts the counts of the Pricers NewPricers built into one
+// Result per codec, in the order of its codec list, labeled with the
+// stream name, and publishes each run (RecordRun). If any codec failed
+// its decode round trip, Collect returns the first such failure in list
+// order instead.
+func Collect(ps []*Pricer, stream string) ([]Result, error) {
+	var failed *lane
+	n := 0
+	for _, p := range ps {
+		for k := range p.lanes {
+			if ln := &p.lanes[k]; ln.err != nil && (failed == nil || ln.at < failed.at) {
+				failed = ln
+			}
+		}
+		n += len(p.lanes)
+	}
+	if failed != nil {
+		return nil, failed.err
+	}
+	out := make([]Result, n)
+	for _, p := range ps {
+		for _, ln := range p.lanes {
+			out[ln.at] = ln.result(stream, p.n)
+		}
+	}
+	return out, nil
+}
+
+// result converts the lane's counts over n entries into a Result and
+// publishes the run.
+func (ln *lane) result(stream string, n int) Result {
+	r := newResult(ln.c, stream, ln.b)
+	RecordRun(r.Codec, int64(n), r.Transitions)
 	return r
 }
 

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +61,64 @@ func TestPriceShardRejectsMismatchedState(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.code, err, tc.want)
 		}
+	}
+}
+
+// failAfter is a plane-routed binary code whose decoder goes wrong at
+// entry at, so tests can place a mismatch anywhere in the stream.
+type failAfter struct {
+	*Binary
+	name string
+	at   int
+}
+
+func (f failAfter) Name() string { return f.name }
+func (f failAfter) NewDecoder() Decoder {
+	return &failingDecoder{Decoder: f.Binary.NewDecoder(), left: f.at}
+}
+
+type failingDecoder struct {
+	Decoder
+	left int
+}
+
+func (d *failingDecoder) Decode(word uint64, sel bool) uint64 {
+	if d.left == 0 {
+		return ^d.Decoder.Decode(word, sel)
+	}
+	d.left--
+	return d.Decoder.Decode(word, sel)
+}
+
+// TestCollectReportsFirstFailureInListOrder: a plane group keeps
+// verifying its other codecs after one fails, so the reported failure
+// is the first failing codec in list order, as separate Pricers would
+// report it, not the first mismatch in stream order.
+func TestCollectReportsFirstFailureInListOrder(t *testing.T) {
+	s := planeTestStream(3000, 11)
+	bin, err := NewBinary(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codecs := []Codec{MustNew("t0", 32, Options{Stride: 4}), failAfter{bin, "late", 700}, failAfter{bin, "early", 30}}
+	ps, err := NewPricers(codecs, RunOpts{Verify: VerifySampled})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 2 {
+		t.Fatalf("%d Pricers, want the plane group and t0", len(ps))
+	}
+	failed := make([]bool, len(ps))
+	for base := 0; base < s.Len(); base += 64 {
+		for k, p := range ps {
+			if !failed[k] {
+				failed[k] = p.ConsumeEntries(s.Entries[base:min(base+64, s.Len())]) != nil
+			}
+		}
+	}
+	_, err = Collect(ps, s.Name)
+	if want := "codec late: round-trip mismatch at entry 700"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Collect error = %v, want %q", err, want)
 	}
 }
 
@@ -162,21 +221,35 @@ func fuzzStream(data []byte) *trace.Stream {
 // for the fuzzer's codec, stream, chunk length, shard cut, kernel and
 // verify mode, RunFast, RunStream, runParallelCuts and a PriceShard +
 // bus.MergeSlots chain fed marshalled boundary states (the distributed
-// worker's path) must all equal the reference Run.
+// worker's path) must all equal the reference Run. So must, for the
+// fuzzer's codec set (a bit mask over the registered codecs, 0 for all
+// of them), the NewPricers grouping fed chunk by chunk through Consume
+// and RunPlaneSet over the set's plane codecs.
 func FuzzPricingPaths(f *testing.F) {
 	codecs := allCodecs(f, 32)
-	for i := range codecs {
+	var planeOnly uint16
+	for i, c := range codecs {
 		stream := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0x80, 0xf4, 0x33, 0x41}
 		for j := 0; j < 40*i; j++ {
 			stream = append(stream, byte(j*29+i))
 		}
-		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3))
+		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3), uint16(0))
+		if HasPlaneKernel(c) {
+			planeOnly |= 1 << i
+		}
 	}
-	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8) {
+	stream := make([]byte, 300)
+	for j := range stream {
+		stream[j] = byte(j*37 + 5)
+	}
+	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelPlane), uint8(VerifySampled), planeOnly)
+	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8, rawSet uint16) {
 		c := codecs[int(ci)%len(codecs)]
 		s := fuzzStream(data)
 		n := s.Len()
+		chunkLen := 1 + int(rawChunk)%(n+1)
 		opts := RunOpts{Verify: VerifyMode(verify % 3), PerLine: true, Kernel: Kernel(kernel % 3)}
+		fuzzGroups(t, codecs, rawSet, s, chunkLen, opts)
 		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
 			opts.Kernel = KernelAuto
 		}
@@ -190,7 +263,7 @@ func FuzzPricingPaths(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameResult(t, label+"/RunFast", got, want)
-		if got, err = RunStream(c, s.Chunks(1+int(rawChunk)%(n+1)), opts); err != nil {
+		if got, err = RunStream(c, s.Chunks(chunkLen), opts); err != nil {
 			t.Fatal(err)
 		}
 		sameResult(t, label+"/RunStream", got, want)
@@ -231,4 +304,71 @@ func FuzzPricingPaths(f *testing.F) {
 		}
 		sameResult(t, label+"/PriceShard", newResult(c, s.Name, merged), want)
 	})
+}
+
+// fuzzGroups is FuzzPricingPaths' grouped half: the codecs rawSet
+// selects (every codec when it selects none) priced through NewPricers
+// and Consume at chunkLen, and their plane codecs through RunPlaneSet,
+// must equal Run codec for codec, in set order.
+func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, chunkLen int, opts RunOpts) {
+	var set, planes []Codec
+	var want, planeWant []Result
+	for i, c := range codecs {
+		if rawSet&(1<<len(codecs)-1) != 0 && rawSet&(1<<i) == 0 {
+			continue
+		}
+		r, err := Run(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, want = append(set, c), append(want, r)
+		if HasPlaneKernel(c) {
+			planes, planeWant = append(planes, c), append(planeWant, r)
+		}
+		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
+			opts.Kernel = KernelAuto
+		}
+	}
+	label := "group/" + opts.Kernel.String()
+	ps, err := NewPricers(set, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := s.Chunks(chunkLen)
+	for {
+		ch, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			if err := p.Consume(ch.Addrs, ch.Kinds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch.Release()
+	}
+	got, err := Collect(ps, s.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	popts := RunOpts{Verify: opts.Verify, PerLine: true}
+	if popts.Verify == VerifyFull {
+		popts.Verify = VerifySampled
+	}
+	planeGot, err := RunPlaneSet(planes, s, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range set {
+		if got[i].Codec != c.Name() {
+			t.Fatalf("%s: result %d is %s, want %s", label, i, got[i].Codec, c.Name())
+		}
+		sameResult(t, label+"/"+c.Name(), got[i], want[i])
+	}
+	for i, c := range planes {
+		sameResult(t, "RunPlaneSet/"+c.Name(), planeGot[i], planeWant[i])
+	}
 }

@@ -15,8 +15,8 @@ import "busenc/internal/obs"
 //   - workers: per-receive wait time (blocked on an empty channel) and
 //     drain events (blocks discarded after the worker failed
 //     verification, while keeping the channel flowing);
-//   - gauges: configured fan-out depth and worker count of the most
-//     recent evaluation.
+//   - gauges: configured fan-out depth and worker count (one worker
+//     per codec.Pricer) of the most recent evaluation.
 type fanoutMetrics struct {
 	sendWaitNs   *obs.Histogram // core.fanout.send_wait_ns
 	workerWaitNs *obs.Histogram // core.fanout.worker_wait_ns

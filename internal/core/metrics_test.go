@@ -11,8 +11,9 @@ import (
 
 // TestEvaluateStreamingMetrics: with observability enabled, one fan-out
 // evaluation must account for every chunk broadcast, every entry
-// encoded per codec, and the configured depth/worker gauges — measured
-// as a snapshot diff so the test is immune to other tests' traffic.
+// encoded per codec — grouped plane codecs included — and the
+// configured depth/worker gauges, one worker per Pricer — measured as a
+// snapshot diff so the test is immune to other tests' traffic.
 func TestEvaluateStreamingMetrics(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -23,7 +24,8 @@ func TestEvaluateStreamingMetrics(t *testing.T) {
 	if err := trace.WriteBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	codes := []string{"binary", "t0", "dualt0bi"}
+	codes := []string{"binary", "t0", "gray", "dualt0bi"}
+	const workers = 3 // t0, dualt0bi and the plane group binary+gray
 
 	before := obs.Default().Snapshot()
 	r, err := trace.OpenBinary(bytes.NewReader(buf.Bytes()), "metrics.bin", nil)
@@ -59,14 +61,14 @@ func TestEvaluateStreamingMetrics(t *testing.T) {
 	if got := d.Gauges["core.fanout.depth"]; got != DefaultFanoutDepth {
 		t.Errorf("fanout.depth gauge = %d, want %d", got, DefaultFanoutDepth)
 	}
-	if got := d.Gauges["core.fanout.workers"]; got != int64(len(codes)) {
-		t.Errorf("fanout.workers gauge = %d, want %d", got, len(codes))
+	if got := d.Gauges["core.fanout.workers"]; got != workers {
+		t.Errorf("fanout.workers gauge = %d, want %d", got, workers)
 	}
 	// Every worker blocks at least once (on the closing channel), so the
 	// wait histogram must have at least one observation per worker.
 	h := d.Histograms["core.fanout.worker_wait_ns"]
-	if h.Count < int64(len(codes)) {
-		t.Errorf("worker_wait_ns count = %d, want >= %d", h.Count, len(codes))
+	if h.Count < workers {
+		t.Errorf("worker_wait_ns count = %d, want >= %d", h.Count, workers)
 	}
 	// The trace pool must balance: everything handed out was released.
 	if got := d.Gauges["trace.pool.in_use"]; got != 0 {

@@ -12,28 +12,36 @@ import (
 )
 
 // Streaming multi-codec fan-out. EvaluateStreaming reads a trace
-// exactly once and prices every codec concurrently: a single producer
-// parses chunks and broadcasts each pooled, reference-counted
-// trace.Chunk (Retain once per extra worker) to one bounded channel per
-// codec worker, which feeds it to its own codec.Pricer and releases it.
-// Backpressure is structural — when the slowest worker falls Depth
-// chunks behind, the producer blocks, so peak memory is
+// exactly once and prices every codec on concurrent workers:
+// codec.NewPricers groups the codecs into Pricers — every plane-routed
+// codec into one, whose PlaneSet transposes each block once for all of
+// them, and one per scalar codec — and a single producer parses chunks
+// and broadcasts each pooled, reference-counted trace.Chunk (Retain
+// once per extra worker) to one bounded channel per Pricer's worker,
+// which feeds it to its Pricer and releases it. Backpressure is
+// structural — when the slowest worker falls Depth chunks behind, the
+// producer blocks, so peak memory is
 //
-//	O(codecs × Depth × chunkLen)
+//	O(Pricers × Depth × chunkLen)
 //
 // entries regardless of trace length. This is the evaluation path for
 // traces too large to materialize (the ROADMAP's multi-GB serving
 // scenario); for in-memory streams the batched RunFast remains the
 // lower-overhead choice.
+//
+// The plane group runs all its codecs' encode and count work on one
+// goroutine. That transposes each block once instead of once per codec,
+// but on a machine with more idle cores than plane codecs one worker
+// per plane codec would overlap that work; see DESIGN §6.1.
 
-// DefaultFanoutDepth is the per-codec bounded channel depth: how many
+// DefaultFanoutDepth is the per-worker bounded channel depth: how many
 // chunks a fast worker may run ahead of the slowest one.
 const DefaultFanoutDepth = 4
 
 // FanoutConfig tunes EvaluateStreaming.
 type FanoutConfig struct {
-	// Depth is the per-codec channel depth in chunks (DefaultFanoutDepth
-	// if <= 0).
+	// Depth is the per-worker channel depth in chunks
+	// (DefaultFanoutDepth if <= 0).
 	Depth int
 	// Verify selects decode round-trip checking per worker; the zero
 	// value is codec.VerifyFull, mirroring RunOpts.
@@ -47,23 +55,24 @@ type FanoutConfig struct {
 	Kernel codec.Kernel
 }
 
-// streamWorker prices one codec over the broadcast chunks.
+// streamWorker prices one Pricer's codecs over the broadcast chunks.
 type streamWorker struct {
-	name string
+	name string // the Pricer's codec names, joined by "+"
 	p    *codec.Pricer
 	in   chan *trace.Chunk
-	err  error
 }
 
 // run drains the worker's channel; after a verification failure it
 // keeps draining (releasing chunks) so the producer can never deadlock
-// on a dead consumer. Channel waits are timed only while the histogram
-// is live. parent is the evaluation's root span handle (a value, so the
+// on a dead consumer, and the failure waits in the Pricer for
+// codec.Collect. Channel waits are timed only while the histogram is
+// live. parent is the evaluation's root span handle (a value, so the
 // copy into each worker goroutine is race-free); consumed chunks record
 // as its encode-stage children.
 func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.SpanHandle) {
 	defer wg.Done()
 	timed := m.workerWaitNs != nil
+	var err error
 	for chunkN := 0; ; chunkN++ {
 		var t0 time.Time
 		if timed {
@@ -76,10 +85,10 @@ func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.Span
 		if !ok {
 			return
 		}
-		if w.err == nil {
+		if err == nil {
 			sp := parent.Child("core.worker", obs.StageEncode).WithCodec(w.name).WithChunk(chunkN)
-			w.err = w.p.Consume(ch.Addrs, ch.Kinds)
-			sp.EndErr(w.err)
+			err = w.p.Consume(ch.Addrs, ch.Kinds)
+			sp.EndErr(err)
 		} else {
 			m.drainEvents.Inc()
 		}
@@ -88,7 +97,8 @@ func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.Span
 }
 
 // EvaluateStreaming reads the trace once and evaluates every named
-// codec concurrently, returning results in the order of codes. width is
+// codec, one worker goroutine per codec.Pricer, returning results in
+// the order of codes. width is
 // the payload width for codec construction (0 means core.Width; pass
 // r.Width() to honor the trace header). The reader is consumed to
 // io.EOF; on any error (reader or codec verification) the already-read
@@ -106,18 +116,23 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		depth = DefaultFanoutDepth
 	}
 	root := obs.StartSpan("core.evaluate_streaming", obs.StageEval).WithStream(r.Name())
-	ropts := codec.RunOpts{Verify: cfg.Verify, PerLine: cfg.PerLine, Kernel: cfg.Kernel}
-	workers := make([]*streamWorker, len(codes))
+	codecs := make([]codec.Codec, len(codes))
 	for i, code := range codes {
 		c, err := codec.New(code, width, opts)
-		if err == nil {
-			workers[i] = &streamWorker{name: c.Name(), in: make(chan *trace.Chunk, depth)}
-			workers[i].p, err = codec.NewPricer(c, ropts)
-		}
 		if err != nil {
 			root.EndErr(err)
 			return nil, err
 		}
+		codecs[i] = c
+	}
+	pricers, err := codec.NewPricers(codecs, codec.RunOpts{Verify: cfg.Verify, PerLine: cfg.PerLine, Kernel: cfg.Kernel})
+	if err != nil {
+		root.EndErr(err)
+		return nil, err
+	}
+	workers := make([]*streamWorker, len(pricers))
+	for i, p := range pricers {
+		workers[i] = &streamWorker{name: p.Name(), p: p, in: make(chan *trace.Chunk, depth)}
 	}
 	m := fanoutBinding.Get()
 	m.depth.Set(int64(depth))
@@ -163,19 +178,9 @@ func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts code
 		root.EndErr(readErr)
 		return nil, readErr
 	}
-	for _, w := range workers {
-		if w.err != nil {
-			root.EndErr(w.err)
-			return nil, w.err
-		}
-	}
 	rsp := root.Child("core.reduce", obs.StageReduce)
-	stream := r.Name()
-	results := make([]codec.Result, len(workers))
-	for i, w := range workers {
-		results[i] = w.p.Result(stream)
-	}
-	rsp.End()
-	root.End()
-	return results, nil
+	results, err := codec.Collect(pricers, r.Name())
+	rsp.EndErr(err)
+	root.EndErr(err)
+	return results, err
 }

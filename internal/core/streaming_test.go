@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"busenc/internal/codec"
+	"busenc/internal/obs"
 	"busenc/internal/trace"
 )
 
@@ -117,8 +118,14 @@ func TestEvaluateStreamingReaderError(t *testing.T) {
 
 // brokenStreamCodec always decodes zero, so verification must fail; the
 // other workers keep draining and the producer must not deadlock even
-// with a tiny channel depth.
+// with a tiny channel depth. It embeds the Codec interface, which hides
+// any plane kernel, so it prices on its own scalar worker.
 type brokenStreamCodec struct{ codec.Codec }
+
+// brokenPlaneCodec is the same failure inside the plane group: it
+// embeds *codec.Binary, so it keeps EncodePlanes and routes into the
+// group's Pricer alongside the other plane codecs.
+type brokenPlaneCodec struct{ *codec.Binary }
 
 type zeroDecoder struct{}
 
@@ -128,6 +135,9 @@ func (zeroDecoder) Reset()                     {}
 func (b brokenStreamCodec) Name() string              { return "xbroken" }
 func (b brokenStreamCodec) NewDecoder() codec.Decoder { return zeroDecoder{} }
 
+func (b brokenPlaneCodec) Name() string              { return "xbrokenplane" }
+func (b brokenPlaneCodec) NewDecoder() codec.Decoder { return zeroDecoder{} }
+
 func init() {
 	codec.Register("xbroken", func(width int, opts codec.Options) (codec.Codec, error) {
 		inner, err := codec.New("binary", width, opts)
@@ -136,22 +146,53 @@ func init() {
 		}
 		return brokenStreamCodec{inner}, nil
 	})
+	codec.Register("xbrokenplane", func(width int, _ codec.Options) (codec.Codec, error) {
+		inner, err := codec.NewBinary(width)
+		if err != nil {
+			return nil, err
+		}
+		return brokenPlaneCodec{inner}, nil
+	})
 }
 
+// TestEvaluateStreamingVerificationFailure: a codec failing its round
+// trip, on its own scalar worker or inside the plane group, must fail
+// the evaluation with an error naming it, without deadlocking the
+// producer at depth 1 and without leaking a pooled chunk.
 func TestEvaluateStreamingVerificationFailure(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
 	sets, err := Streams(Synthetic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := sets[0].Muxed
-	_, err = EvaluateStreaming(s.Chunks(64), Width,
-		[]string{"binary", "xbroken", "t0"}, DefaultOptions,
-		FanoutConfig{Verify: codec.VerifySampled, Depth: 1})
-	if err == nil {
-		t.Fatal("broken decoder not detected")
-	}
-	if got := err.Error(); !contains(got, "xbroken") {
-		t.Errorf("error %q does not name the failing codec", got)
+	for _, tc := range []struct {
+		broken string
+		plane  bool
+		codes  []string
+	}{
+		{"xbroken", false, []string{"binary", "xbroken", "t0"}},
+		{"xbrokenplane", true, []string{"binary", "gray", "xbrokenplane", "t0", "incxor"}},
+		// Both fail at entry 0: the error follows codes order across the
+		// plane group and the scalar workers.
+		{"xbrokenplane", true, []string{"binary", "gray", "xbrokenplane", "xbroken"}},
+		{"xbroken", false, []string{"binary", "xbroken", "gray", "xbrokenplane"}},
+	} {
+		if codec.HasPlaneKernel(codec.MustNew(tc.broken, Width, DefaultOptions)) != tc.plane {
+			t.Fatalf("%s: plane kernel %v, want %v", tc.broken, !tc.plane, tc.plane)
+		}
+		_, err = EvaluateStreaming(s.Chunks(64), Width, tc.codes, DefaultOptions,
+			FanoutConfig{Verify: codec.VerifySampled, Depth: 1})
+		if err == nil {
+			t.Fatalf("%s: broken decoder not detected", tc.broken)
+		}
+		if got := err.Error(); !contains(got, tc.broken+": round-trip mismatch at entry 0") {
+			t.Errorf("%s: error %q does not name the failing codec and entry", tc.broken, got)
+		}
+		if got := obs.Default().Snapshot().Gauges["trace.pool.in_use"]; got != 0 {
+			t.Errorf("%s: trace.pool.in_use = %d after the failed evaluation, want 0", tc.broken, got)
+		}
 	}
 }
 

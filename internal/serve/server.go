@@ -15,6 +15,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -306,13 +307,14 @@ func (s *Server) parseEval(w http.ResponseWriter, r *http.Request) (evalRequest,
 		}
 	}
 	var ok bool
-	if req.spec.ChunkLen, ok = posIntParam(w, q.Get("chunklen"), "chunklen"); !ok {
+	if req.spec.ChunkLen, ok = posIntParam(w, q.Get("chunklen"), "chunklen", MaxChunkLen); !ok {
 		return req, false
 	}
-	if req.spec.Depth, ok = posIntParam(w, q.Get("depth"), "depth"); !ok {
+	if req.spec.Depth, ok = posIntParam(w, q.Get("depth"), "depth", MaxDepth); !ok {
 		return req, false
 	}
-	if req.parallel, ok = posIntParam(w, q.Get("parallel"), "parallel"); !ok {
+	// The shard-parallel path clamps its shard count to the trace length.
+	if req.parallel, ok = posIntParam(w, q.Get("parallel"), "parallel", math.MaxInt); !ok {
 		return req, false
 	}
 	if v := q.Get("stride"); v != "" {
@@ -567,15 +569,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// posIntParam parses an optional positive-integer query parameter,
+// MaxDepth and MaxChunkLen bound the /eval depth and chunklen
+// parameters. Each sizes memory a query holds for its whole evaluation:
+// depth a chunk buffer per fan-out worker, chunklen every pooled chunk
+// at 9 B per entry. Unbounded, one tenant's query could exhaust the
+// daemon's memory.
+const (
+	MaxDepth    = 64
+	MaxChunkLen = 1 << 20
+)
+
+// posIntParam parses an optional integer query parameter in [1, max],
 // writing the 400 envelope itself on a bad value.
-func posIntParam(w http.ResponseWriter, s, name string) (int, bool) {
+func posIntParam(w http.ResponseWriter, s, name string, max int) (int, bool) {
 	if s == "" {
 		return 0, true
 	}
 	n, err := strconv.Atoi(s)
 	if err != nil || n <= 0 {
 		Error(w, http.StatusBadRequest, "%s must be a positive integer, got %q", name, s)
+		return 0, false
+	}
+	if n > max {
+		Error(w, http.StatusBadRequest, "%s must be at most %d, got %d", name, max, n)
 		return 0, false
 	}
 	return n, true

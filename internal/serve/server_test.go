@@ -277,6 +277,11 @@ func TestServerEvalErrors(t *testing.T) {
 		{"unknown digest", "/eval?trace=sha256:" + strings.Repeat("0", 64), 404},
 		{"missing file", "/eval?trace=/no/such/file", 404},
 		{"bad chunklen", "/eval?trace=" + meta.Digest + "&chunklen=-1", 400},
+		// Oversized fan-out knobs are refused at admission, sync and
+		// async alike, before they size any buffer.
+		{"huge chunklen", "/eval?trace=" + meta.Digest + "&chunklen=2000000000", 400},
+		{"huge depth", "/eval?trace=" + meta.Digest + "&depth=1000000000", 400},
+		{"huge depth on async path", "/eval?trace=" + meta.Digest + "&depth=1000000000&mode=async", 400},
 		{"bad stride", "/eval?trace=" + meta.Digest + "&stride=zero", 400},
 		{"bad mode", "/eval?trace=" + meta.Digest + "&mode=maybe", 400},
 		{"bad kernel", "/eval?trace=" + meta.Digest + "&kernel=quantum", 400},

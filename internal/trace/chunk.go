@@ -17,7 +17,7 @@ import (
 // working set of an evaluation is a handful of chunks regardless of
 // trace length. Chunks are reference-counted because the fan-out
 // evaluator (core.EvaluateStreaming) broadcasts one chunk to several
-// codec workers; the last release returns the chunk to its pool.
+// pricing workers; the last release returns the chunk to its pool.
 
 // DefaultChunkLen is the default chunk capacity in entries. It matches
 // the codec engine's batch granularity (codec runChunk), so one chunk

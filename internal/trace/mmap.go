@@ -81,6 +81,44 @@ func (m *memChunkReader) uvarint() (uint64, error) {
 	return x, nil
 }
 
+// betrEntry is the inlined fast path of decodeBETREntry, shared by the
+// per-entry loops of memChunkReader.next and IndexBETR: an entry whose
+// zig-zag delta fits one varint byte — most entries of an in-sequence
+// stream — decodes here without a call. It returns next == pos for
+// every other entry, which the caller hands to decodeBETREntry. (The
+// inliner's budget leaves no room for that call in here: a call alone
+// costs most of it.)
+func betrEntry(data []byte, pos int) (kind Kind, delta uint64, next int) {
+	if pos+1 < len(data) && data[pos] <= byte(DataWrite) && data[pos+1] < 0x80 {
+		b := data[pos+1]
+		return Kind(data[pos]), uint64(b>>1) ^ -uint64(b&1), pos + 2
+	}
+	return 0, 0, pos
+}
+
+// decodeBETREntry decodes the BETR entry at data[pos:] — a kind byte,
+// then the zig-zag varint of the address delta — and returns the kind,
+// the delta to add to the previous address and the position after the
+// entry. The error is the cause only; callers prefix the entry
+// position.
+func decodeBETREntry(data []byte, pos int) (Kind, uint64, int, error) {
+	if pos >= len(data) {
+		return 0, 0, pos, io.ErrUnexpectedEOF
+	}
+	kb := data[pos]
+	if kb > byte(DataWrite) {
+		return 0, 0, pos, fmt.Errorf("bad kind %d", kb)
+	}
+	ux, sz := binary.Uvarint(data[pos+1:])
+	if sz <= 0 {
+		if sz == 0 {
+			return 0, 0, pos, io.ErrUnexpectedEOF
+		}
+		return 0, 0, pos, errVarintOverflow
+	}
+	return Kind(kb), ux>>1 ^ -(ux & 1), pos + 1 + sz, nil
+}
+
 func (m *memChunkReader) readHeader() error {
 	if len(m.data) < len(binMagic) {
 		return m.ctx("reading magic: %v", io.ErrUnexpectedEOF)
@@ -151,35 +189,18 @@ func (m *memChunkReader) next() (*Chunk, error) {
 	pos := m.pos
 	prev := m.prev
 	for i := uint64(0); i < n; i++ {
-		if pos >= len(data) {
-			ch.Release()
-			m.err = m.ctx("entry %d: %v", entry+i, io.ErrUnexpectedEOF)
-			return nil, m.err
-		}
-		kb := data[pos]
-		pos++
-		if kb > byte(DataWrite) {
-			ch.Release()
-			m.err = m.ctx("entry %d: bad kind %d", entry+i, kb)
-			return nil, m.err
-		}
-		ux, sz := binary.Uvarint(data[pos:])
-		if sz <= 0 {
-			ch.Release()
-			if sz == 0 {
-				m.err = m.ctx("entry %d: %v", entry+i, io.ErrUnexpectedEOF)
-			} else {
-				m.err = m.ctx("entry %d: %v", entry+i, errVarintOverflow)
+		kind, delta, next := betrEntry(data, pos)
+		if next == pos {
+			var err error
+			if kind, delta, next, err = decodeBETREntry(data, pos); err != nil {
+				ch.Release()
+				m.err = m.ctx("entry %d: %v", entry+i, err)
+				return nil, m.err
 			}
-			return nil, m.err
 		}
-		pos += sz
-		delta := int64(ux >> 1)
-		if ux&1 != 0 {
-			delta = ^delta
-		}
-		prev += uint64(delta)
-		ch.append(prev, Kind(kb))
+		pos = next
+		prev += delta
+		ch.append(prev, kind)
 	}
 	m.pos = pos
 	m.prev = prev

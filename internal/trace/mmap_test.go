@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,29 +24,51 @@ func writeBinaryFile(t *testing.T, s *Stream) string {
 	return path
 }
 
+// smallDeltaStream steps the address by less than 64 either way, so
+// most zig-zag deltas fit one varint byte (the in-line decode path),
+// with an occasional 32-bit jump that needs several.
+func smallDeltaStream(n int, seed int64) *Stream {
+	rng := rand.New(rand.NewSource(seed))
+	s := New("small", 32)
+	addr := uint64(0x0040_0000)
+	for i := 0; i < n; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			addr = rng.Uint64() & 0xFFFFFFFF
+		case 1, 2, 3:
+			addr -= uint64(rng.Intn(64))
+		default:
+			addr += uint64(rng.Intn(64))
+		}
+		s.Append(addr, Kind(rng.Intn(3)))
+	}
+	return s
+}
+
 func TestNewMemReaderParity(t *testing.T) {
-	s := randomStream(5000, 11)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	// Small pool: many chunk boundaries inside the decode loop.
-	r, err := NewMemReader(buf.Bytes(), "mem", NewChunkPool(17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Name() != s.Name || r.Width() != s.Width {
-		t.Fatalf("header mismatch: %q/%d vs %q/%d", r.Name(), r.Width(), s.Name, s.Width)
-	}
-	if n, ok := r.(entryCounter).EntryCount(); !ok || n != uint64(len(s.Entries)) {
-		t.Fatalf("EntryCount = %d,%v; want %d,true", n, ok, len(s.Entries))
-	}
-	got, err := ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !streamsEqual(s, got) {
-		t.Error("mem reader mismatch vs original stream")
+	for _, s := range []*Stream{randomStream(5000, 11), smallDeltaStream(5000, 11)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		// Small pool: many chunk boundaries inside the decode loop.
+		r, err := NewMemReader(buf.Bytes(), "mem", NewChunkPool(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Name() != s.Name || r.Width() != s.Width {
+			t.Fatalf("header mismatch: %q/%d vs %q/%d", r.Name(), r.Width(), s.Name, s.Width)
+		}
+		if n, ok := r.(entryCounter).EntryCount(); !ok || n != uint64(len(s.Entries)) {
+			t.Fatalf("EntryCount = %d,%v; want %d,true", n, ok, len(s.Entries))
+		}
+		got, err := ReadAll(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !streamsEqual(s, got) {
+			t.Errorf("%s: mem reader mismatch vs original stream", s.Name)
+		}
 	}
 }
 
@@ -160,6 +183,36 @@ func TestNewMemReaderErrors(t *testing.T) {
 	if _, err = ReadAll(r); err == nil || !strings.Contains(err.Error(), "bad kind") {
 		t.Errorf("bad kind: got %v", err)
 	}
+	// Bad kind byte in front of a one-byte delta, which the in-line path
+	// would otherwise decode.
+	bad = oneByteBadKind(t)
+	r, err = NewMemReader(bad, "f", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = ReadAll(r); err == nil || err.Error() != "trace: f: entry 1: bad kind 7" {
+		t.Errorf("bad kind before a one-byte delta: got %v", err)
+	}
+}
+
+// oneByteBadKind returns a three-entry BETR trace whose deltas each fit
+// one varint byte, with entry 1's kind byte set to 7.
+func oneByteBadKind(t *testing.T) []byte {
+	t.Helper()
+	s := New("k", 32)
+	for _, a := range []uint64{0x10, 0x14, 0x18} {
+		s.Append(a, Instr)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if binaryPayloadLen(s) != 6 {
+		t.Fatalf("payload of %d bytes, want three two-byte entries", binaryPayloadLen(s))
+	}
+	data[len(data)-4] = 7
+	return data
 }
 
 // binaryPayloadLen computes the byte length of s's entry payload by

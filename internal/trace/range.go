@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -73,12 +72,12 @@ func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 	}
 	var prevAddr, prev2Addr uint64
 	var prevKind, prev2Kind Kind
-	pos := int64(m.pos)
+	pos := m.pos
 	addr := uint64(0)
 	k := 0
 	for e := int64(0); e <= total; e++ {
 		for k <= parts && targets[k] == e {
-			idx.Cuts = append(idx.Cuts, RangeCut{Entry: e, Off: pos,
+			idx.Cuts = append(idx.Cuts, RangeCut{Entry: e, Off: int64(pos),
 				PrevAddr: prevAddr, PrevKind: prevKind,
 				Prev2Addr: prev2Addr, Prev2Kind: prev2Kind})
 			k++
@@ -86,28 +85,16 @@ func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 		if e == total {
 			break
 		}
-		if pos >= int64(len(data)) {
-			return nil, m.ctx("entry %d: %v", e, io.ErrUnexpectedEOF)
-		}
-		kb := data[pos]
-		if kb > byte(DataWrite) {
-			return nil, m.ctx("entry %d: bad kind %d", e, kb)
-		}
-		ux, sz := binary.Uvarint(data[pos+1:])
-		if sz <= 0 {
-			if sz == 0 {
-				return nil, m.ctx("entry %d: %v", e, io.ErrUnexpectedEOF)
+		kind, delta, next := betrEntry(data, pos)
+		if next == pos {
+			if kind, delta, next, err = decodeBETREntry(data, pos); err != nil {
+				return nil, m.ctx("entry %d: %v", e, err)
 			}
-			return nil, m.ctx("entry %d: %v", e, errVarintOverflow)
 		}
-		delta := int64(ux >> 1)
-		if ux&1 != 0 {
-			delta = ^delta
-		}
-		addr += uint64(delta)
-		pos += 1 + int64(sz)
+		addr += delta
+		pos = next
 		prev2Addr, prev2Kind = prevAddr, prevKind
-		prevAddr, prevKind = addr, Kind(kb)
+		prevAddr, prevKind = addr, kind
 	}
 	if got := len(idx.Cuts); got != parts+1 {
 		return nil, fmt.Errorf("trace: planned %d cuts for %d parts", got, parts)

@@ -13,7 +13,13 @@ import (
 // reproduce the original entries exactly — cut metadata (byte offsets,
 // delta bases, boundary entries) included.
 func TestIndexBETRRangeParity(t *testing.T) {
-	s := randomStream(4000, 19)
+	for _, s := range []*Stream{randomStream(4000, 19), smallDeltaStream(4000, 19)} {
+		indexRangeParity(t, s)
+	}
+}
+
+func indexRangeParity(t *testing.T, s *Stream) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, s); err != nil {
 		t.Fatal(err)
@@ -112,6 +118,9 @@ func TestIndexBETRErrors(t *testing.T) {
 		if _, err := IndexBETR(data[:cut], "t.betr", 4); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+	if _, err := IndexBETR(oneByteBadKind(t), "f", 2); err == nil || err.Error() != "trace: f: entry 1: bad kind 7" {
+		t.Errorf("bad kind before a one-byte delta: got %v", err)
 	}
 }
 
