@@ -94,12 +94,14 @@ trace-smoke:
 # resume over two loopback TCP busencd peers. The coordinator/worker
 # machinery is the most concurrent code in the tree, so the whole dist
 # package (and the CLI that drives it) runs under the race detector
-# here.
+# here. The dispatcher tests then race five times over: the per-slot
+# window decides which slot's goroutine takes each job.
 dist-smoke:
 	$(GO) vet ./internal/dist ./cmd/busencsweep
 	$(GO) test -race -run TestDistSmoke -v ./internal/dist
 	$(GO) test -race -run TestNetSmoke -v ./internal/serve
 	$(GO) test -race ./internal/dist ./cmd/busencsweep
+	$(GO) test -race -count=5 -run 'Window|Plans|Checkpoint|WorkerDeath|Heartbeat' ./internal/dist
 
 # Multi-tenant service smoke — the exact CI scenario: build the daemon
 # and the load harness as real binaries (SIGTERM must reach a real

@@ -52,7 +52,7 @@ func main() {
 		maxBytes   = flag.Int64("max-trace-bytes", 0, "per-tenant stored trace byte quota (0 = unlimited)")
 		drainWait  = flag.Duration("drain-timeout", 60*time.Second, "max time to wait for in-flight jobs on shutdown")
 		linger     = flag.Duration("drain-linger", 200*time.Millisecond, "grace for final /jobs polls after the drain completes")
-		distFail   = flag.Int("dist-failafter", 0, "fault injection: the first /dist peer connection dies after pricing N shards (0 = off)")
+		distFail   = flag.Int("dist-failafter", 0, "fault injection: the first /dist peer connection dies after pricing N jobs (0 = off)")
 	)
 	flag.Parse()
 

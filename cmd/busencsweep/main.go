@@ -1,11 +1,12 @@
 // Command busencsweep prices bus-encoding codecs over huge traces by
-// distributing contiguous shards to a pool of worker processes and/or
-// networked busencd peers.
+// distributing jobs to a pool of worker processes and/or networked
+// busencd peers.
 //
 // Usage:
 //
 //	busencsweep -trace huge.betr                       # all codecs, one worker
-//	busencsweep -trace huge.betr -workers 8 -shards 64 # real fan-out
+//	busencsweep -trace huge.betr -workers 8 -shards 64 # real fan-out, at
+//	                                                   # most 64 jobs
 //	busencsweep -trace huge.betr -checkpoint sweep.json  # resumable: rerun the
 //	                                                     # same command after a
 //	                                                     # kill to pick up where
@@ -16,12 +17,16 @@
 //	busencsweep -worker                                # internal: protocol
 //	                                                   # worker on stdin/stdout
 //
-// The trace is planned into byte-range shards over one mmap view (text
-// traces are converted to a temporary BETR file once); local workers
-// share the file through the page cache, so nothing is copied. Remote
-// peers receive the trace once, content-addressed by SHA-256 digest —
-// a re-sweep against a peer that already holds the trace ships zero
-// bytes. Results are bit-identical to a sequential run for every
+// -shards is the job budget. The prefix-dependent codecs (bus-invert,
+// the T0 family, working-zone, adaptive) are priced whole-trace, in up
+// to one codec group per worker or peer; the codecs that seed from the
+// previous entries (binary, gray, offset, incxor, beach) are cut into
+// byte-range shards with the rest of the budget, over one mmap view
+// (text traces are converted to a temporary BETR file once). Local
+// workers share the file through the page cache, so nothing is copied.
+// Remote peers receive the trace once, content-addressed by SHA-256
+// digest — a re-sweep against a peer that already holds the trace ships
+// zero bytes. Results are bit-identical to a sequential run for every
 // codec, over any mix of local workers and peers.
 package main
 
@@ -47,15 +52,15 @@ func main() {
 	workers := flag.Int("workers", 1, "worker processes to spawn (with -peers, 0 means peers only)")
 	peers := flag.String("peers", "", "comma-separated busencd peer addresses (host:port) to price on over TCP")
 	window := flag.Int("window", 0, "max jobs in flight per worker/peer (0 = default, 1 = lock-step)")
-	shards := flag.Int("shards", 0, "contiguous shards to plan (0 = 4 per worker)")
+	shards := flag.Int("shards", 0, "job budget: the most jobs to plan (0 = 4 per worker/peer)")
 	checkpoint := flag.String("checkpoint", "", "journal path for checkpoint/resume; rerunning the same sweep against an existing journal resumes it")
 	codes := flag.String("codes", "all", "comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
 	stride := flag.Uint64("stride", 4, "in-sequence stride S for the stride-aware codes (t0*, dualt0*, gray, incxor); 4 matches the paper's word-addressed MIPS and the other CLIs")
 	verify := flag.String("verify", "sampled", "decode verification: \"full\", \"sampled\" or \"none\"")
 	perLine := flag.Bool("perline", false, "collect per-line transition counts")
 	kernel := flag.String("kernel", "auto", "pricing kernel: \"auto\", \"scalar\" or \"plane\"")
-	killWorker := flag.String("killworker", "", "fault injection: \"id:jobs\" kills worker id's first life after that many jobs (it respawns; the orphaned shard is retried)")
-	stopAfter := flag.Int("stopafter", 0, "fault injection: stop the coordinator after this many shard results are journaled (requires -checkpoint to be resumable)")
+	killWorker := flag.String("killworker", "", "fault injection: \"id:jobs\" kills worker id's first life after that many jobs (it respawns; the orphaned jobs are retried)")
+	stopAfter := flag.Int("stopafter", 0, "fault injection: stop the coordinator after this many job results are journaled (requires -checkpoint to be resumable)")
 	asJSON := flag.Bool("json", false, "emit JSON instead of an aligned table")
 	metrics := flag.Bool("metrics", false, "enable observability counters and dump them to stderr on exit")
 	spantrace := flag.String("spantrace", "", "write the sweep's merged distributed trace (coordinator + every worker/peer lane, clock-aligned) to this file as Chrome trace-event JSON")

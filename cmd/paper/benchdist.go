@@ -27,20 +27,22 @@ import (
 //     re-executed with the hidden -distworker flag, exactly how
 //     cmd/busencsweep fans out).
 //
-// Each timed distributed iteration includes planning, the boundary
-// state sweep, worker spawn, shard pricing and the merge — the honest
-// end-to-end cost a user pays for `busencsweep -workers N`. Parity
+// Each timed distributed iteration includes planning, worker spawn,
+// job pricing and the merge — the honest end-to-end cost a user pays
+// for `busencsweep -workers N`. Parity
 // requires the merged distributed results to match RunFast field for
 // field on every codec. The record's absolute speedup floor binds only
 // on boxes with >= 4 CPUs; the record always carries num_cpu so the
 // skip is explicit.
 //
 // The tcp.* metrics repeat the sweep over two loopback busencd peers
-// speaking the /dist upgrade protocol, comparing the pipelined
-// in-flight window against lock-step window=1 dispatch (the pipelining
-// floor binds on >= 2 CPUs), and prove digest dedup: the re-sweep's
-// trace upload must be zero bytes because both peers already hold the
-// trace content-addressed by SHA-256.
+// speaking the /dist upgrade protocol. They compare the pipelined
+// in-flight window against lock-step window=1 dispatch on the Seeder
+// codecs, the only ones the planner cuts into many small jobs (the
+// pipelining floor binds on >= 2 CPUs), and prove digest dedup: the
+// re-sweep's trace upload must be zero bytes because both peers
+// already hold the trace content-addressed by SHA-256. The cold ship
+// sweep and the re-sweep price all codecs.
 
 // benchDist runs the comparison and writes BENCH_dist.json.
 func benchDist(path string, entries, warmIters int) (err error) {
@@ -145,7 +147,7 @@ func benchDist(path string, entries, warmIters int) (err error) {
 		"speedup_dist":   float64(serNs) / float64(distNs),
 		"parity":         bench.Bool(parity), // dist results == RunFast results, all codecs
 	}
-	if err := benchDistTCP(rec.Metrics, tmpPath, specs, entries, warmIters, serResults); err != nil {
+	if err := benchDistTCP(&rec, tmpPath, specs, entries, warmIters, serResults); err != nil {
 		return err
 	}
 	rec.Checks = []bench.Check{
@@ -187,17 +189,37 @@ func benchDist(path string, entries, warmIters int) (err error) {
 }
 
 // benchDistTCP measures the networked variant into the tcp.* metrics
-// of m: the same sweep over two loopback busencd peers, pipelined
-// window vs lock-step, plus the digest-dedup re-ship evidence.
-func benchDistTCP(m map[string]float64, tmpPath string, specs []dist.CodecSpec, entries, warmIters int, serResults []codec.Result) error {
+// of rec: the same sweep over two loopback busencd peers, pipelined
+// window vs lock-step on the Seeder codecs (listed in the record's
+// tcp_window_codecs info), plus the digest-dedup re-ship evidence on
+// all codecs.
+func benchDistTCP(rec *bench.Record, tmpPath string, specs []dist.CodecSpec, entries, warmIters int, serResults []codec.Result) error {
 	const (
 		tcpPeers  = 2
 		tcpWindow = 8
-		// Dispatch-bound on purpose: many small shards put the per-shard
+		// Dispatch-bound on purpose: many small jobs put the per-job
 		// round trip on the critical path, which is exactly what the
 		// in-flight window is meant to hide.
 		tcpShards = 128
 	)
+	// The planner prices every prefix-dependent codec whole-trace, so
+	// only the Seeder codecs fill the 128 jobs the window pipelines.
+	var seedSpecs []dist.CodecSpec
+	var seedResults []codec.Result
+	var seedNames []string
+	for i, spec := range specs {
+		c, err := spec.New()
+		if err != nil {
+			return err
+		}
+		if _, ok := c.NewEncoder().(codec.Seeder); ok {
+			seedSpecs = append(seedSpecs, spec)
+			seedResults = append(seedResults, serResults[i])
+			seedNames = append(seedNames, spec.Name)
+		}
+	}
+	rec.Info["tcp_window_codecs"] = seedNames
+	m := rec.Metrics
 	peers := make([]string, 0, tcpPeers)
 	for i := 0; i < tcpPeers; i++ {
 		dir, err := os.MkdirTemp("", "busenc-bench-peer-")
@@ -221,7 +243,7 @@ func benchDistTCP(m map[string]float64, tmpPath string, specs []dist.CodecSpec, 
 		peers = append(peers, ln.Addr().String())
 	}
 
-	tcpSweep := func(window int, ns *dist.NetStats) ([]codec.Result, error) {
+	tcpSweep := func(specs []dist.CodecSpec, window int, ns *dist.NetStats) ([]codec.Result, error) {
 		return dist.Sweep(tmpPath, dist.Opts{
 			Peers:  peers,
 			Window: window,
@@ -236,21 +258,22 @@ func benchDistTCP(m map[string]float64, tmpPath string, specs []dist.CodecSpec, 
 	// and warms their mmap caches; every timed iteration after it pays
 	// only dispatch and pricing.
 	var ship dist.NetStats
-	if _, err := tcpSweep(tcpWindow, &ship); err != nil {
+	coldResults, err := tcpSweep(specs, tcpWindow, &ship)
+	if err != nil {
 		return fmt.Errorf("networked warm-up sweep: %w", err)
 	}
-	pipeResults, pipeNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(tcpWindow, nil) })
+	pipeResults, pipeNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(seedSpecs, tcpWindow, nil) })
 	if err != nil {
 		return fmt.Errorf("pipelined networked sweep: %w", err)
 	}
-	lockResults, lockNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(1, nil) })
+	lockResults, lockNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(seedSpecs, 1, nil) })
 	if err != nil {
 		return fmt.Errorf("lock-step networked sweep: %w", err)
 	}
 	// Re-sweep with fresh counters: the digest probe must find both
 	// peers warm, so zero trace bytes move.
 	var reship dist.NetStats
-	reResults, err := tcpSweep(tcpWindow, &reship)
+	reResults, err := tcpSweep(specs, tcpWindow, &reship)
 	if err != nil {
 		return fmt.Errorf("dedup re-sweep: %w", err)
 	}
@@ -259,14 +282,14 @@ func benchDistTCP(m map[string]float64, tmpPath string, specs []dist.CodecSpec, 
 	m["tcp.window"] = tcpWindow // pipelined in-flight window per peer
 	m["tcp.shards"] = tcpShards
 	m["tcp.entries"] = float64(entries)
-	// pipelined_ns is the best warm networked sweep with the in-flight
-	// window open; inflight1_ns is the same sweep lock-step, one RTT of
-	// dead wire per shard.
+	// pipelined_ns is the best warm networked sweep of the Seeder
+	// codecs with the in-flight window open; inflight1_ns is the same
+	// sweep lock-step, one RTT of dead wire per job.
 	m["tcp.pipelined_ns"] = float64(pipeNs)
 	m["tcp.inflight1_ns"] = float64(lockNs)
 	m["tcp.speedup_pipelined"] = float64(lockNs) / float64(pipeNs)
-	m["tcp.parity"] = bench.Bool(sameResults(pipeResults, serResults) &&
-		sameResults(lockResults, serResults) && sameResults(reResults, serResults))
+	m["tcp.parity"] = bench.Bool(sameResults(coldResults, serResults) && sameResults(reResults, serResults) &&
+		sameResults(pipeResults, seedResults) && sameResults(lockResults, seedResults))
 	// trace_ship_bytes is what the first sweep uploaded to the peers'
 	// stores; dedup_reship_bytes is what the re-sweep shipped, and
 	// dedup_hits counts its digest-probe hits.

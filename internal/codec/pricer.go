@@ -13,8 +13,8 @@ import (
 // address stream, count bus transitions, check that the decode
 // round-trips. Pricer is that loop, and the only copy of it besides the
 // reference Run: RunFast, RunStream, RunPlaneSet, PriceShard (and
-// through it RunParallel and the distributed workers) and
-// core.EvaluateStreaming are thin drivers that feed it entries and read
+// through it RunParallel), core.EvaluateStreaming and the distributed
+// workers (internal/dist) are thin drivers that feed it entries and read
 // its buses.
 //
 // A Pricer picks its kernel once (PlaneEligible): the scalar path
@@ -147,60 +147,71 @@ func newPricer(codecs []Codec, at []int, usePlane bool, opts RunOpts) (*Pricer, 
 	return p, nil
 }
 
-// Seed joins the stream mid-way at bd, before the first Consume call:
-// the encoder takes bd.State (checked against the codec's own state
-// type) or seeds from bd.SeedSym, then re-encodes bd.Prev to recover
-// the word the sequential run left on the bus and primes the bus with
-// it. A shard past the first keeps verifying only under VerifyFull with
-// a seedable decoder; any other decoder would need the whole prefix.
-// Seed is a no-op for bd.First, and an error on a Pricer over several
-// codecs, which would need a boundary per codec.
+// Seed joins the stream mid-way at bd, before the first Consume call.
+// Every lane's encoder takes bd.State (checked against the codec's own
+// state type) or seeds from bd.SeedSym, then re-encodes bd.Prev to
+// recover the word the sequential run left on the bus and primes the
+// bus with it. A state belongs to one codec, so only a one-codec Pricer
+// takes one; a plane group seeds from bd.SeedSym, which every plane
+// codec can (they are all Seeders). Past a cut a lane keeps verifying
+// only under VerifyFull with a seedable decoder, which rules out the
+// plane path; any other decoder would need the whole prefix. bd.Base
+// positions mismatch reports; for bd.First it is all Seed sets.
 func (p *Pricer) Seed(bd Boundary) error {
+	p.base = bd.Base
 	if bd.First {
 		return nil
 	}
-	if len(p.lanes) != 1 {
-		return fmt.Errorf("codec %s: a mid-stream shard needs a one-codec Pricer", p.Name())
-	}
-	ln := &p.lanes[0]
-	enc := p.enc
-	if enc == nil {
-		enc = ln.c.NewEncoder()
-	}
-	if bd.State != nil {
-		sc, ok := enc.(StateCodec)
-		if !ok {
-			return fmt.Errorf("codec %s: boundary state for an encoder without StateCodec", ln.c.Name())
-		}
-		if err := checkState(ln.c, sc, bd.State); err != nil {
-			return err
-		}
-		sc.Restore(bd.State)
-	} else if sd, ok := enc.(Seeder); ok {
-		if bd.HaveSeedSym {
-			sd.SeedFrom(bd.SeedSym)
-		}
-	} else {
-		return fmt.Errorf("codec %s: mid-stream shard needs explicit boundary state", ln.c.Name())
-	}
-	if sd, ok := ln.dec.(Seeder); ok && p.verify == VerifyFull {
-		if bd.HaveSeedSym {
-			sd.SeedFrom(bd.SeedSym)
-		}
-	} else {
-		ln.dec, p.verifyLeft = nil, 0
+	if bd.State != nil && len(p.lanes) != 1 {
+		return fmt.Errorf("codec %s: a boundary state seeds a one-codec Pricer", p.Name())
 	}
 	sym := SymbolOf(bd.Prev)
-	word := enc.Encode(sym)
-	if ln.dec != nil {
-		if err := p.check(ln, -1, word, sym); err != nil {
-			return err
+	words := make([]uint64, len(p.lanes))
+	verifying := false
+	for k := range p.lanes {
+		ln := &p.lanes[k]
+		enc := p.enc
+		if enc == nil {
+			enc = ln.c.NewEncoder()
+		}
+		if bd.State != nil {
+			sc, ok := enc.(StateCodec)
+			if !ok {
+				return fmt.Errorf("codec %s: boundary state for an encoder without StateCodec", ln.c.Name())
+			}
+			if err := checkState(ln.c, sc, bd.State); err != nil {
+				return err
+			}
+			sc.Restore(bd.State)
+		} else if sd, ok := enc.(Seeder); ok {
+			if bd.HaveSeedSym {
+				sd.SeedFrom(bd.SeedSym)
+			}
+		} else {
+			return fmt.Errorf("codec %s: mid-stream shard needs explicit boundary state", ln.c.Name())
+		}
+		if sd, ok := ln.dec.(Seeder); ok && p.verify == VerifyFull {
+			if bd.HaveSeedSym {
+				sd.SeedFrom(bd.SeedSym)
+			}
+		} else {
+			ln.dec = nil
+		}
+		words[k] = enc.Encode(sym)
+		if ln.dec != nil {
+			if err := p.check(ln, -1, words[k], sym); err != nil {
+				return err
+			}
+			verifying = true
 		}
 	}
+	if !verifying {
+		p.verifyLeft = 0
+	}
 	if p.ps != nil {
-		p.ps.Prime(bd.Prev.Addr, []uint64{word})
+		p.ps.Prime(bd.Prev.Addr, words)
 	} else {
-		ln.b.Prime(word)
+		p.lanes[0].b.Prime(words[0])
 	}
 	return nil
 }
@@ -335,6 +346,42 @@ func (p *Pricer) Result(stream string) Result {
 // its decode round trip, Collect returns the first such failure in list
 // order instead.
 func Collect(ps []*Pricer, stream string) ([]Result, error) {
+	n, err := checkLanes(ps)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, n)
+	for _, p := range ps {
+		for _, ln := range p.lanes {
+			out[ln.at] = ln.result(stream, p.n)
+		}
+	}
+	return out, nil
+}
+
+// CollectBuses is Collect's bus-level sibling for shard pricing: the
+// counting bus of every codec of the Pricers NewPricers built, in the
+// order of its codec list, ready for the ordered reduction
+// (bus.MergeSlots) or for shipping as bus.Stats. It publishes nothing
+// and fails like Collect.
+func CollectBuses(ps []*Pricer) ([]*bus.Bus, error) {
+	n, err := checkLanes(ps)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*bus.Bus, n)
+	for _, p := range ps {
+		for _, ln := range p.lanes {
+			out[ln.at] = ln.b
+		}
+	}
+	return out, nil
+}
+
+// checkLanes returns the number of codecs across ps and the decode
+// failure of the first failing codec in the order of NewPricers' codec
+// list, if any.
+func checkLanes(ps []*Pricer) (int, error) {
 	var failed *lane
 	n := 0
 	for _, p := range ps {
@@ -346,15 +393,9 @@ func Collect(ps []*Pricer, stream string) ([]Result, error) {
 		n += len(p.lanes)
 	}
 	if failed != nil {
-		return nil, failed.err
+		return n, failed.err
 	}
-	out := make([]Result, n)
-	for _, p := range ps {
-		for _, ln := range p.lanes {
-			out[ln.at] = ln.result(stream, p.n)
-		}
-	}
-	return out, nil
+	return n, nil
 }
 
 // result converts the lane's counts over n entries into a Result and

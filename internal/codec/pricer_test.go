@@ -220,11 +220,13 @@ func fuzzStream(data []byte) *trace.Stream {
 // FuzzPricingPaths is the differential target over every pricing path:
 // for the fuzzer's codec, stream, chunk length, shard cut, kernel and
 // verify mode, RunFast, RunStream, runParallelCuts and a PriceShard +
-// bus.MergeSlots chain fed marshalled boundary states (the distributed
-// worker's path) must all equal the reference Run. So must, for the
-// fuzzer's codec set (a bit mask over the registered codecs, 0 for all
-// of them), the NewPricers grouping fed chunk by chunk through Consume
-// and RunPlaneSet over the set's plane codecs.
+// bus.MergeSlots chain fed marshalled boundary states must all equal
+// the reference Run. So must, for the fuzzer's codec set (a bit mask
+// over the registered codecs, 0 for all of them), the NewPricers
+// grouping fed chunk by chunk through Consume, RunPlaneSet over the
+// set's plane codecs, and the distributed worker's composition over the
+// set's Seeder codecs: NewPricers + Seed + Consume on each side of the
+// cut, merged with bus.MergeSlots.
 func FuzzPricingPaths(f *testing.F) {
 	codecs := allCodecs(f, 32)
 	var planeOnly uint16
@@ -243,13 +245,15 @@ func FuzzPricingPaths(f *testing.F) {
 		stream[j] = byte(j*37 + 5)
 	}
 	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelPlane), uint8(VerifySampled), planeOnly)
+	// The seeded plane group under the auto kernel, cut mid-block.
+	f.Add(uint8(1), stream, uint16(50), uint16(130), uint8(KernelAuto), uint8(VerifySampled), planeOnly)
 	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8, rawSet uint16) {
 		c := codecs[int(ci)%len(codecs)]
 		s := fuzzStream(data)
 		n := s.Len()
 		chunkLen := 1 + int(rawChunk)%(n+1)
 		opts := RunOpts{Verify: VerifyMode(verify % 3), PerLine: true, Kernel: Kernel(kernel % 3)}
-		fuzzGroups(t, codecs, rawSet, s, chunkLen, opts)
+		fuzzGroups(t, codecs, rawSet, s, chunkLen, rawCut, opts)
 		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
 			opts.Kernel = KernelAuto
 		}
@@ -308,11 +312,12 @@ func FuzzPricingPaths(f *testing.F) {
 
 // fuzzGroups is FuzzPricingPaths' grouped half: the codecs rawSet
 // selects (every codec when it selects none) priced through NewPricers
-// and Consume at chunkLen, and their plane codecs through RunPlaneSet,
-// must equal Run codec for codec, in set order.
-func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, chunkLen int, opts RunOpts) {
-	var set, planes []Codec
-	var want, planeWant []Result
+// and Consume at chunkLen, their plane codecs through RunPlaneSet, and
+// their Seeder codecs cut at rawCut (fuzzSeededHalves) must equal Run
+// codec for codec, in set order.
+func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, chunkLen int, rawCut uint16, opts RunOpts) {
+	var set, planes, seeders []Codec
+	var want, planeWant, seederWant []Result
 	for i, c := range codecs {
 		if rawSet&(1<<len(codecs)-1) != 0 && rawSet&(1<<i) == 0 {
 			continue
@@ -325,32 +330,15 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 		if HasPlaneKernel(c) {
 			planes, planeWant = append(planes, c), append(planeWant, r)
 		}
+		if _, ok := c.NewEncoder().(Seeder); ok {
+			seeders, seederWant = append(seeders, c), append(seederWant, r)
+		}
 		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
 			opts.Kernel = KernelAuto
 		}
 	}
 	label := "group/" + opts.Kernel.String()
-	ps, err := NewPricers(set, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := s.Chunks(chunkLen)
-	for {
-		ch, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range ps {
-			if err := p.Consume(ch.Addrs, ch.Kinds); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ch.Release()
-	}
-	got, err := Collect(ps, s.Name)
+	got, err := Collect(priceRange(t, set, s, 0, s.Len(), chunkLen, opts), s.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,4 +359,74 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 	for i, c := range planes {
 		sameResult(t, "RunPlaneSet/"+c.Name(), planeGot[i], planeWant[i])
 	}
+	if n := s.Len(); n >= 2 && len(seeders) > 0 {
+		fuzzSeededHalves(t, seeders, seederWant, s, 1+int(rawCut)%(n-1), chunkLen, opts)
+	}
+}
+
+// fuzzSeededHalves prices the Seeder codecs over [0, cut) and [cut, n)
+// the way a distributed worker prices its jobs, one NewPricers + Seed +
+// Consume pass per side, merges the two sides per codec with
+// bus.MergeSlots and requires Run's statistics. Under VerifySampled the
+// plane codecs form one seeded plane group; under VerifyFull every codec
+// prices scalar and keeps verifying past the cut.
+func fuzzSeededHalves(t *testing.T, seeders []Codec, want []Result, s *trace.Stream, cut, chunkLen int, opts RunOpts) {
+	sides := make([][]*bus.Bus, len(seeders))
+	for _, rg := range [][2]int{{0, cut}, {cut, s.Len()}} {
+		buses, err := CollectBuses(priceRange(t, seeders, s, rg[0], rg[1], chunkLen, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range buses {
+			sides[i] = append(sides[i], b)
+		}
+	}
+	for i, c := range seeders {
+		merged, err := bus.MergeSlots(sides[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "seeded/"+opts.Kernel.String()+"/"+c.Name(), newResult(c, s.Name, merged), want[i])
+	}
+}
+
+// priceRange prices entries [lo, hi) of s through NewPricers, seeded at
+// lo as a distributed worker seeds its job, fed chunk by chunk through
+// Consume at chunkLen.
+func priceRange(t *testing.T, codecs []Codec, s *trace.Stream, lo, hi, chunkLen int, opts RunOpts) []*Pricer {
+	t.Helper()
+	ps, err := NewPricers(codecs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd := Boundary{First: lo == 0, Base: lo}
+	if lo > 0 {
+		bd.Prev = s.Entries[lo-1]
+		if lo >= 2 {
+			bd.SeedSym, bd.HaveSeedSym = SymbolOf(s.Entries[lo-2]), true
+		}
+	}
+	for _, p := range ps {
+		if err := p.Seed(bd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub := &trace.Stream{Name: s.Name, Width: s.Width, Entries: s.Entries[lo:hi]}
+	r := sub.Chunks(chunkLen)
+	for {
+		ch, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			if err := p.Consume(ch.Addrs, ch.Kinds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch.Release()
+	}
+	return ps
 }

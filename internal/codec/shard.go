@@ -8,13 +8,13 @@ import (
 )
 
 // Shard pricing with an explicit boundary hand-off. RunParallel
-// (parallel.go) and the distributed sweep (internal/dist) price the
-// same thing — a contiguous run of entries whose encoder state at the
-// left edge was produced elsewhere — so both go through PriceShard: a
-// Pricer seeded with a Boundary value carrying everything that crossed
-// the cut, then fed the shard's own entries. In-process callers hand the
-// boundary over as live encoder state; the distributed coordinator
-// ships it through MarshalState and the descriptors' boundary entries.
+// (parallel.go) prices a contiguous run of entries whose encoder state
+// at the left edge was produced elsewhere through PriceShard: a Pricer
+// seeded with a Boundary value carrying everything that crossed the
+// cut, then fed the shard's own entries. The distributed workers
+// (internal/dist) seed the Pricers NewPricers builds from the same
+// Boundary, but only ever cut Seeder codecs, so their boundaries carry
+// no state.
 
 // Boundary describes how a shard joins the stream at its left edge.
 type Boundary struct {
@@ -36,21 +36,23 @@ type Boundary struct {
 	// precedence over SeedSym and is required for prefix-dependent
 	// codecs.
 	State State
+	// Base is the global index of the shard's first entry, used only to
+	// position mismatch reports identically to a sequential run.
+	Base int
 }
 
 // PriceShard prices a shard of the stream on a private bus and returns
 // the accumulator for the ordered reduction (bus.MergeSlots). base is
-// the global index of shard[0], used only to position error messages
-// identically to a sequential run. The caller owes exactly one
-// boundary: b.State for prefix-dependent codecs, b.SeedSym for Seeder
-// codecs, neither for shard 0. opts.Verify applies as Pricer.Seed
-// describes.
+// the global index of shard[0] and overrides b.Base. The caller owes
+// exactly one boundary: b.State for prefix-dependent codecs, b.SeedSym
+// for Seeder codecs, neither for shard 0. opts.Verify applies as
+// Pricer.Seed describes.
 func PriceShard(c Codec, shard []trace.Entry, b Boundary, base int, opts RunOpts) (*bus.Bus, error) {
 	p, err := NewPricer(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	p.base = base
+	b.Base = base
 	if err := p.Seed(b); err != nil {
 		return nil, err
 	}
@@ -60,10 +62,12 @@ func PriceShard(c Codec, shard []trace.Entry, b Boundary, base int, opts RunOpts
 	return p.Bus(), nil
 }
 
-// BoundaryStates runs the state-only seeding sweep for a distributed
-// sweep and marshals its states (sweepStates) — the bytes a coordinator
-// ships to worker processes as Boundary.State. The returned slice is
-// parallel to cuts; it is all nil for Seeder codecs.
+// BoundaryStates runs the state-only seeding sweep and marshals its
+// states (sweepStates): the bytes that carry Boundary.State across a
+// process boundary. internal/dist never needs them, since it never cuts
+// a prefix-dependent codec; cmd/busencbench times this sweep as the
+// cost such a cut would pay. The returned slice is parallel to cuts; it
+// is all nil for Seeder codecs.
 func BoundaryStates(c Codec, entries []trace.Entry, cuts []int) ([][]byte, error) {
 	states, err := sweepStates(c, entries, cuts)
 	if err != nil {

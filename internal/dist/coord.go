@@ -7,8 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"busenc/internal/bus"
@@ -17,14 +17,15 @@ import (
 	"busenc/internal/trace"
 )
 
-// Coordinator: plan -> seed sweep -> dispatch -> merge. Concurrency is
-// deliberately boring — one goroutine per slot (local worker process or
-// TCP peer) pulling shard indices off a shared queue with a bounded
-// in-flight window (see dispatch.go), results funneled to the
-// coordinator goroutine over a channel, no shared mutable state beyond
-// the counters. Determinism comes from the merge, not the schedule:
-// results land in fixed per-shard slots and buses merge in ascending
-// shard order, so any interleaving of workers produces the same totals.
+// Coordinator: plan -> dispatch -> merge. Concurrency is deliberately
+// boring — one goroutine per slot (local worker process or TCP peer)
+// pulling job indices off a shared queue with a bounded in-flight
+// window (see dispatch.go), results funneled to the coordinator
+// goroutine over a channel, no shared mutable state beyond the
+// counters. Determinism comes from the plan and the merge, not the
+// schedule: results land in fixed per-job slots and each codec's buses
+// merge in entry order, so any interleaving of workers produces the
+// same totals.
 
 // Spawner creates worker transports. id is the worker's slot in the
 // pool; gen counts respawns of that slot (0 for the first spawn), which
@@ -57,14 +58,17 @@ type Opts struct {
 	// Peers is non-empty, in which case <= 0 means no local workers
 	// (a peers-only sweep needs no Spawn at all).
 	Workers int
-	// Shards is the number of contiguous shards; <= 0 means 4 per
-	// slot (workers + peers), the smallest count that keeps the pool
-	// busy while shard runtimes vary.
+	// Shards is the job budget: the most jobs the sweep plans; <= 0
+	// means 4 per slot (workers + peers), the smallest count that keeps
+	// the pool busy while job runtimes vary. Prefix-dependent codecs
+	// take up to one whole-trace job per slot and the Seeder codecs are
+	// cut into the rest (see plan.go).
 	Shards int
-	// Codecs are the codes to price, all in one pass per shard.
+	// Codecs are the codes to price.
 	Codecs []CodecSpec
-	// Verify, PerLine and Kernel are the codec.RunOpts every shard is
-	// priced with (codec.PriceShard: shard-0 verification semantics).
+	// Verify, PerLine and Kernel are the codec.RunOpts every job is
+	// priced with (codec.Pricer: a job past entry 0 verifies only as
+	// Pricer.Seed allows).
 	Verify  codec.VerifyMode
 	PerLine bool
 	Kernel  codec.Kernel
@@ -74,18 +78,18 @@ type Opts struct {
 	// (cmd/busencsweep passes the re-exec spawner, tests pass
 	// in-process pipes).
 	Spawn Spawner
-	// Peers are busencd addresses (host:port) to price shards on over
+	// Peers are busencd addresses (host:port) to price jobs on over
 	// TCP. Each peer is one slot in the pool, mixed freely with local
 	// workers. The trace is shipped once per peer by SHA-256 digest
 	// into its content-addressed store before dispatch; a peer that
 	// already holds the digest receives zero trace bytes.
 	Peers []string
-	// Window bounds in-flight shards per slot; <= 0 means
-	// DefaultWindow. Window 1 reproduces the old lock-step dispatch.
+	// Window bounds in-flight jobs per slot; <= 0 means
+	// DefaultWindow. Window 1 is lock-step dispatch.
 	Window int
 	// HeartbeatInterval and HeartbeatTimeout tune liveness probing of
 	// busy slots; <= 0 means the defaults. A slot silent past the
-	// timeout is declared dead and its shards re-dispatch.
+	// timeout is declared dead and its jobs re-dispatch.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	// Net, when non-nil, accumulates network-transport counters
@@ -98,11 +102,11 @@ type Opts struct {
 	// the multi-process timeline. Harvesting only observes — results
 	// are bit-identical with it on or off.
 	Harvest *SpanHarvest
-	// StopAfter, when positive, stops the sweep after that many shard
+	// StopAfter, when positive, stops the sweep after that many job
 	// results have been journaled, returning ErrStopped — the
 	// coordinator half of the kill/resume tests.
 	StopAfter int
-	// RetryLimit is the number of times a shard orphaned by a worker
+	// RetryLimit is the number of times a job orphaned by a worker
 	// death is re-dispatched before the sweep fails; <= 0 means 1
 	// (retry once).
 	RetryLimit int
@@ -112,7 +116,7 @@ type Opts struct {
 // returns one Result per requested codec, in opts.Codecs order, each
 // bit-identical to codec.RunFast over the same stream. Text traces are
 // converted to a temporary BETR file once; BETR traces are shared with
-// the workers by path, so no shard data crosses the pipes.
+// the workers by path, so no trace data crosses the pipes.
 func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	if len(opts.Codecs) == 0 {
 		return nil, fmt.Errorf("dist: no codecs requested")
@@ -128,9 +132,10 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	if workers > 0 && opts.Spawn == nil {
 		return nil, fmt.Errorf("dist: no worker spawner")
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 4 * (workers + len(opts.Peers))
+	slots := workers + len(opts.Peers)
+	budget := opts.Shards
+	if budget <= 0 {
+		budget = 4 * slots
 	}
 
 	var rootCtx obs.SpanContext
@@ -140,20 +145,27 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	}
 	root := obs.StartSpanCtx("dist.sweep", obs.StageEval, rootCtx).WithStream(path)
 
-	// Plan: one scan of the byte view yields the shard descriptors.
+	// Plan: lay out the jobs, then one scan of the byte view yields the
+	// entry cuts they price between.
 	psp := root.Child("dist.plan", obs.StageRead)
-	plan, cleanup, err := planTrace(path, shards)
+	jobs, parts, err := planJobs(opts.Codecs, slots, budget)
+	if err != nil {
+		psp.EndErr(err)
+		root.EndErr(err)
+		return nil, err
+	}
+	plan, cleanup, err := planTrace(path, jobs, parts)
 	if err != nil {
 		psp.EndErr(err)
 		root.EndErr(err)
 		return nil, err
 	}
 	defer cleanup()
-	digest := planDigest(plan.idx, opts.Codecs, int(opts.Verify), opts.PerLine, int(opts.Kernel))
+	digest := planDigest(plan, opts.Codecs, int(opts.Verify), opts.PerLine, int(opts.Kernel))
 	psp.End()
 
 	// Checkpoint: recover what a previous coordinator already priced.
-	prior, jr, err := openCheckpoint(opts.Checkpoint, digest, plan, shards, opts.Codecs)
+	prior, jr, err := openCheckpoint(opts.Checkpoint, digest, plan, opts.Codecs)
 	if err != nil {
 		root.EndErr(err)
 		return nil, err
@@ -162,22 +174,9 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 		defer jr.Close()
 	}
 
-	// Seed sweep: one sequential state-only pass per prefix-dependent
-	// codec, producing the marshaled boundary state each mid-stream
-	// shard needs. Skipped entirely when every codec seeds from the
-	// previous symbol, or when the journal already holds the states.
-	ssp := root.Child("dist.seed_sweep", obs.StageEncode)
-	states, err := boundaryStates(plan, opts.Codecs, shards, prior, jr)
-	if err != nil {
-		ssp.EndErr(err)
-		root.EndErr(err)
-		return nil, err
-	}
-	ssp.End()
-
 	// Slot pool: one config per local worker plus one per TCP peer.
 	// Peers are handshaken (version via /healthz) and the trace is
-	// shipped by digest before any shard is dispatched, so a dispatch
+	// shipped by digest before any job is dispatched, so a dispatch
 	// never stalls on a bulk upload.
 	cfgs := make([]slotConfig, 0, workers+len(opts.Peers))
 	for i := 0; i < workers; i++ {
@@ -198,8 +197,8 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 		}
 	}
 
-	// Dispatch: fan the not-yet-done shards out to the pool.
-	stats, err := dispatch(root, plan, opts, cfgs, shards, states, prior, jr)
+	// Dispatch: fan the not-yet-done jobs out to the pool.
+	stats, err := dispatch(root, plan, opts, cfgs, prior, jr)
 	if err != nil {
 		root.EndErr(err)
 		return nil, err
@@ -214,7 +213,7 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 		hsp.EndErr(harvestPeerSpans(opts.Peers, opts.Harvest))
 	}
 
-	// Merge: ascending shard order, per codec.
+	// Merge: per codec, over the jobs that priced it, in entry order.
 	msp := root.Child("dist.merge", obs.StageMerge)
 	results, err := mergeStats(plan, opts.Codecs, stats)
 	if err != nil {
@@ -227,19 +226,20 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	return results, nil
 }
 
-// planned is the coordinator's view of the trace: the shard index plus
-// the mapped byte view it was planned over.
+// planned is the coordinator's view of the sweep: the jobs, the entry
+// cuts they price between, and the mapped byte view the cuts index.
 type planned struct {
 	path string // BETR path the workers open (maybe a temp conversion)
 	idx  *trace.BETRIndex
 	data []byte
+	jobs []job
 }
 
-// planTrace maps the trace and plans shard descriptors over it. A text
-// trace (anything without the BETR magic) is decoded once and
-// materialized as a temporary BETR file so workers can byte-range it;
-// the returned cleanup removes the temp file and unmaps the view.
-func planTrace(path string, shards int) (*planned, func(), error) {
+// planTrace maps the trace and cuts it into parts entry shards for
+// jobs. A text trace (anything without the BETR magic) is decoded once
+// and materialized as a temporary BETR file so workers can byte-range
+// it; the returned cleanup removes the temp file and unmaps the view.
+func planTrace(path string, jobs []job, parts int) (*planned, func(), error) {
 	data, closer, err := trace.MapBytes(path)
 	if err != nil {
 		return nil, nil, err
@@ -273,7 +273,7 @@ func planTrace(path string, shards int) (*planned, func(), error) {
 			return nil, nil, err
 		}
 	}
-	idx, err := trace.IndexBETR(data, path, shards)
+	idx, err := trace.IndexBETR(data, path, parts)
 	if err != nil {
 		closer.Close()
 		if tmp != "" {
@@ -281,14 +281,19 @@ func planTrace(path string, shards int) (*planned, func(), error) {
 		}
 		return nil, nil, err
 	}
-	RecordPlan(idx.Total, shards)
+	RecordPlan(idx.Total, len(jobs))
 	cleanup := func() {
 		closer.Close()
 		if tmp != "" {
 			os.Remove(tmp)
 		}
 	}
-	return &planned{path: path, idx: idx, data: data}, cleanup, nil
+	return &planned{path: path, idx: idx, data: data, jobs: jobs}, cleanup, nil
+}
+
+// span returns the entry range [from, to) of job k.
+func (p *planned) span(k int) (from, to int64) {
+	return p.idx.Cuts[p.jobs[k].lo].Entry, p.idx.Cuts[p.jobs[k].hi].Entry
 }
 
 // decodeText reads a whole non-BETR trace through the streaming
@@ -304,25 +309,35 @@ func decodeText(path string, viewCloser interface{ Close() error }) (*trace.Stre
 	return trace.ReadAll(r)
 }
 
-// planDigest content-addresses a sweep plan: the shard geometry plus
-// everything that changes what workers compute. A checkpoint written
-// under a different digest is for a different sweep and must not be
-// resumed into this one.
-func planDigest(idx *trace.BETRIndex, specs []CodecSpec, verify int, perLine bool, kernel int) string {
+// planDigest content-addresses a sweep plan: the cut geometry, the job
+// layout (each job's codec names and entry range) and everything else
+// that changes what workers compute. A checkpoint written under a
+// different digest is for a different sweep and must not be resumed
+// into this one.
+func planDigest(plan *planned, specs []CodecSpec, verify int, perLine bool, kernel int) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
-	enc.Encode(idx)
+	enc.Encode(plan.idx)
 	enc.Encode(specs)
 	enc.Encode([]int{verify, kernel})
 	enc.Encode(perLine)
+	for k, jb := range plan.jobs {
+		names := make([]string, len(jb.codecs))
+		for i, c := range jb.codecs {
+			names[i] = specs[c].Name
+		}
+		from, to := plan.span(k)
+		enc.Encode(names)
+		enc.Encode([]int64{from, to})
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // openCheckpoint loads any prior journal state and opens the journal
 // for appending, writing the plan header if the file is fresh.
-func openCheckpoint(path, digest string, plan *planned, shards int, specs []CodecSpec) (*journalState, *journal, error) {
+func openCheckpoint(path, digest string, plan *planned, specs []CodecSpec) (*journalState, *journal, error) {
 	if path == "" {
-		return &journalState{boundary: map[int]map[string][]byte{}, done: map[int]map[string]bus.Stats{}}, nil, nil
+		return &journalState{done: map[int]map[string]bus.Stats{}}, nil, nil
 	}
 	prior, err := loadJournal(path)
 	if err != nil {
@@ -331,6 +346,11 @@ func openCheckpoint(path, digest string, plan *planned, shards int, specs []Code
 	if prior.header.Type != "" && prior.header.PlanDigest != digest {
 		return nil, nil, fmt.Errorf("dist: checkpoint %s was written for a different plan (digest %.12s, want %.12s); remove it or rerun the original sweep",
 			path, prior.header.PlanDigest, digest)
+	}
+	for k := range prior.done {
+		if k < 0 || k >= len(plan.jobs) {
+			return nil, nil, fmt.Errorf("dist: checkpoint %s: result for job %d of a %d-job plan", path, k, len(plan.jobs))
+		}
 	}
 	jr, err := openJournal(path)
 	if err != nil {
@@ -343,7 +363,7 @@ func openCheckpoint(path, digest string, plan *planned, shards int, specs []Code
 		}
 		if err := jr.append(journalRec{
 			Type: recPlan, PlanDigest: digest, Trace: plan.path,
-			Total: plan.idx.Total, Shards: shards, Codecs: names,
+			Total: plan.idx.Total, Jobs: len(plan.jobs), Codecs: names,
 		}); err != nil {
 			jr.Close()
 			return nil, nil, err
@@ -353,130 +373,32 @@ func openCheckpoint(path, digest string, plan *planned, shards int, specs []Code
 	return prior, jr, nil
 }
 
-// boundaryStates returns, for each shard, the marshaled boundary state
-// per prefix-dependent codec — from the journal when a previous
-// coordinator already swept, otherwise by running codec.BoundaryStates
-// over the decoded stream and journaling the product.
-func boundaryStates(plan *planned, specs []CodecSpec, shards int, prior *journalState, jr *journal) ([]map[string][]byte, error) {
-	out := make([]map[string][]byte, shards)
-	// Which codecs even need a sweep? Seeder codecs seed from the
-	// descriptor's boundary entries alone.
-	var sweepSpecs []CodecSpec
-	for _, cs := range specs {
-		c, err := cs.New()
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := c.NewEncoder().(codec.Seeder); !ok {
-			sweepSpecs = append(sweepSpecs, cs)
-		}
+// buildJob assembles the wire job for job k of the plan.
+func buildJob(plan *planned, opts Opts, k int) *Job {
+	jb := plan.jobs[k]
+	specs := make([]CodecSpec, len(jb.codecs))
+	for i, c := range jb.codecs {
+		specs[i] = opts.Codecs[c]
 	}
-	if len(sweepSpecs) == 0 {
-		return out, nil
-	}
-	if len(prior.boundary) == shards {
-		complete := true
-		for k := 0; k < shards && complete; k++ {
-			states := prior.boundary[k]
-			for _, cs := range sweepSpecs {
-				if _, ok := states[cs.Name]; !ok && needsState(plan, k) {
-					complete = false
-					break
-				}
-			}
-			out[k] = states
-		}
-		if complete {
-			return out, nil
-		}
-	}
-	// Decode the stream once, sweep every prefix-dependent codec.
-	r, err := trace.NewMemRangeReader(plan.data, plan.idx.Name, plan.idx.Width, plan.idx.Cuts[0], plan.idx.Total, plan.path, nil)
-	if err != nil {
-		return nil, err
-	}
-	s, err := trace.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	cuts := make([]int, shards+1)
-	for k := range cuts {
-		cuts[k] = int(plan.idx.Cuts[k].Entry)
-	}
-	perCodec := make(map[string][][]byte, len(sweepSpecs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make([]error, len(sweepSpecs))
-	for i, cs := range sweepSpecs {
-		wg.Add(1)
-		go func(i int, cs CodecSpec) {
-			defer wg.Done()
-			c, err := cs.New()
-			if err == nil {
-				var states [][]byte
-				states, err = codec.BoundaryStates(c, s.Entries, cuts)
-				if err == nil {
-					mu.Lock()
-					perCodec[cs.Name] = states
-					mu.Unlock()
-				}
-			}
-			errs[i] = err
-		}(i, cs)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	RecordSeedSweep(int64(len(s.Entries)) * int64(len(sweepSpecs)))
-	for k := 0; k < shards; k++ {
-		states := map[string][]byte{}
-		for name, sts := range perCodec {
-			if st := sts[k]; st != nil {
-				states[name] = st
-			}
-		}
-		out[k] = states
-		if jr != nil {
-			if err := jr.append(journalRec{Type: recBoundary, Shard: k, States: states}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-// needsState reports whether shard k of the plan starts mid-stream —
-// only such shards require an explicit boundary state.
-func needsState(plan *planned, k int) bool {
-	return plan.idx.Cuts[k].Entry > 0 && plan.idx.Cuts[k].Entry < plan.idx.Cuts[k+1].Entry
-}
-
-// buildJob assembles the wire job for one shard.
-func buildJob(plan *planned, opts Opts, shard int, states map[string][]byte) *Job {
-	cjs := make([]CodecJob, len(opts.Codecs))
-	for i, cs := range opts.Codecs {
-		cjs[i] = CodecJob{Spec: cs, State: states[cs.Name]}
-	}
-	cut := plan.idx.Cuts[shard]
+	from, to := plan.span(k)
 	return &Job{
 		TracePath: plan.path,
 		Stream:    plan.idx.Name,
 		Width:     plan.idx.Width,
-		Shard:     shard,
-		Cut:       cut,
-		N:         plan.idx.Cuts[shard+1].Entry - cut.Entry,
-		Codecs:    cjs,
+		Shard:     k,
+		Cut:       plan.idx.Cuts[jb.lo],
+		N:         to - from,
+		Codecs:    specs,
 		Verify:    int(opts.Verify),
 		PerLine:   opts.PerLine,
 		Kernel:    int(opts.Kernel),
 	}
 }
 
-// mergeStats rebuilds per-shard buses from the returned stats and
-// merges them ascending, per codec, into final Results.
+// mergeStats rebuilds each job's buses from the returned stats and
+// merges every codec over the jobs that priced it. Those jobs come in
+// entry order: a codec is either in one whole-trace group or in every
+// entry shard, and planJobs lays the shards out ascending.
 func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) ([]codec.Result, error) {
 	results := make([]codec.Result, len(specs))
 	for i, cs := range specs {
@@ -484,17 +406,20 @@ func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) 
 		if err != nil {
 			return nil, err
 		}
-		slots := make([]*bus.Bus, len(stats))
-		for k, st := range stats {
-			s, ok := st[cs.Name]
+		var slots []*bus.Bus
+		for k, jb := range plan.jobs {
+			if !slices.Contains(jb.codecs, i) {
+				continue
+			}
+			s, ok := stats[k][cs.Name]
 			if !ok {
-				return nil, fmt.Errorf("dist: shard %d returned no stats for codec %s", k, cs.Name)
+				return nil, fmt.Errorf("dist: job %d returned no stats for codec %s", k, cs.Name)
 			}
 			b, err := bus.FromStats(c.BusWidth(), s)
 			if err != nil {
-				return nil, fmt.Errorf("dist: shard %d codec %s: %w", k, cs.Name, err)
+				return nil, fmt.Errorf("dist: job %d codec %s: %w", k, cs.Name, err)
 			}
-			slots[k] = b
+			slots = append(slots, b)
 		}
 		merged, err := bus.MergeSlots(slots, nil)
 		if err != nil {

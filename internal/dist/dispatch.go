@@ -12,46 +12,47 @@ import (
 )
 
 // Pipelined dispatch. Every slot — a local worker process or a TCP
-// busencd peer — keeps up to Window shards in flight at once: jobs are
-// written ahead of results, so transport latency overlaps with pricing
-// instead of serializing it. Shards live on one shared work queue;
-// when a worker dies (EOF, protocol error, or heartbeat timeout) its
-// in-flight shards go back on the queue and any slot — typically a
-// different one — re-prices them, bounded by the per-shard retry
-// budget. Determinism is untouched: results land in fixed per-shard
-// slots and merge in ascending shard order, so the schedule (and the
-// window size) cannot change the totals.
+// busencd peer — keeps up to Window jobs in flight at once, and never
+// more: jobs are written ahead of results, so transport latency
+// overlaps with pricing instead of serializing it, while a slot with a
+// full window leaves the rest of the queue to the others. Jobs live on
+// one shared work queue, in plan order; when a worker dies (EOF,
+// protocol error, or heartbeat timeout) its in-flight jobs go back on
+// the queue and any slot — typically a different one — re-prices them,
+// bounded by the per-job retry budget. Determinism is untouched:
+// results land in fixed per-job slots and merge in entry order, so the
+// schedule (and the window size) cannot change the totals.
 
 const (
 	// DefaultWindow is the per-slot in-flight bound when Opts.Window is
-	// unset. Four shards hides one round trip of latency at typical
-	// shard runtimes without letting a slow peer hoard the queue.
+	// unset. Four jobs hide one round trip of latency at typical job
+	// runtimes without letting a slow peer hoard the queue.
 	DefaultWindow = 4
 	// DefaultHeartbeatInterval is how often an in-flight slot pings its
 	// worker when Opts.HeartbeatInterval is unset.
 	DefaultHeartbeatInterval = 500 * time.Millisecond
 	// DefaultHeartbeatTimeout is how long a slot tolerates total
 	// silence (no result, no pong) before declaring the worker dead and
-	// re-dispatching its shards.
+	// re-dispatching its jobs.
 	DefaultHeartbeatTimeout = 10 * time.Second
 )
 
 // Delivery kinds: every slot-to-coordinator event is one of these.
 const (
-	dResult   = iota // a shard priced (stats or a shard-level error)
-	dRequeue         // a shard orphaned by a worker death or spawn failure
+	dResult   = iota // a job priced (stats or a job-level error)
+	dRequeue         // a job orphaned by a worker death or spawn failure
 	dSlotDead        // a slot retired after exhausting its spawn budget
 )
 
 // delivery is one event funneled back to the coordinator goroutine,
-// which owns all shard bookkeeping (attempts, journal, completion).
+// which owns all job bookkeeping (attempts, journal, completion).
 type delivery struct {
 	kind      int
-	shard     int
+	job       int
 	slot      int
 	stats     map[string]bus.Stats
 	err       error
-	spawnFail bool // dRequeue: the spawn failed, no worker ever held the shard
+	spawnFail bool // dRequeue: the spawn failed, no worker ever held the job
 }
 
 // slotConfig describes one pool position. Local workers carry just the
@@ -64,10 +65,9 @@ type slotConfig struct {
 
 // dispatcher owns the shared state of one dispatch run.
 type dispatcher struct {
-	root   obs.SpanHandle
-	plan   *planned
-	opts   Opts
-	states []map[string][]byte
+	root obs.SpanHandle
+	plan *planned
+	opts Opts
 
 	window     int
 	hbEvery    time.Duration
@@ -76,7 +76,7 @@ type dispatcher struct {
 	net        *NetStats
 	harvest    *SpanHarvest
 
-	// work is the shard queue. Buffered to the shard count and never
+	// work is the job queue. Buffered to the job count and never
 	// closed: slots learn the sweep is over from stop, not from the
 	// queue draining (a requeue can refill it at any time).
 	work chan int
@@ -147,8 +147,8 @@ func (sl *slot) recordClock(offsetNs, rttNs int64) {
 }
 
 // run drives the slot until the sweep halts or its spawn budget is
-// exhausted. A slot never spawns a worker before it has a shard for
-// it, so an idle pool position costs nothing.
+// exhausted. A slot never spawns a worker before it has a job for it,
+// so an idle pool position costs nothing.
 func (sl *slot) run() {
 	defer sl.d.wg.Done()
 	for {
@@ -164,8 +164,8 @@ func (sl *slot) run() {
 	}
 }
 
-// serveFrom prices shards on one worker life after another, beginning
-// with the given shard. After a worker death the slot respawns eagerly
+// serveFrom prices jobs on one worker life after another, beginning
+// with the given job. After a worker death the slot respawns eagerly
 // (gen+1) so the pool recovers its parallelism before more work
 // arrives. Returns false when the slot must retire: the sweep halted,
 // or consecutive spawn failures exhausted the budget.
@@ -175,7 +175,7 @@ func (sl *slot) serveFrom(first int) bool {
 		select {
 		case <-sl.d.stop:
 			if pending >= 0 {
-				sl.d.deliver(delivery{kind: dRequeue, shard: pending, slot: sl.id, err: ErrStopped})
+				sl.d.deliver(delivery{kind: dRequeue, job: pending, slot: sl.id, err: ErrStopped})
 			}
 			return false
 		default:
@@ -185,7 +185,7 @@ func (sl *slot) serveFrom(first int) bool {
 			sl.gen++
 			sl.spawnFails++
 			if pending >= 0 {
-				sl.d.deliver(delivery{kind: dRequeue, shard: pending, slot: sl.id, err: err, spawnFail: true})
+				sl.d.deliver(delivery{kind: dRequeue, job: pending, slot: sl.id, err: err, spawnFail: true})
 			}
 			if sl.spawnFails > sl.d.retryLimit {
 				sl.d.deliver(delivery{kind: dSlotDead, slot: sl.id, err: err})
@@ -258,11 +258,11 @@ func pingPong(t Transport) (offsetNs, rttNs int64, sampled bool, err error) {
 	return offsetNs, rttNs, true, nil
 }
 
-// serve drives one worker life: keep the in-flight window full, match
-// results to dispatched shards, ping on the heartbeat ticker and
-// declare death on timeout. pending >= 0 is a shard to dispatch
-// immediately. Returns true when the worker died (the caller respawns)
-// and false when the sweep is halting.
+// serve drives one worker life: keep the in-flight window full but
+// never past Window, match results to dispatched jobs, ping on the
+// heartbeat ticker and declare death on timeout. pending >= 0 is a job
+// to dispatch immediately. Returns true when the worker died (the
+// caller respawns) and false when the sweep is halting.
 func (sl *slot) serve(pending int) (died bool) {
 	sl.inflight = make(map[int]obs.SpanHandle, sl.d.window)
 	sl.frames = make(chan recvFrame, 2*sl.d.window+8)
@@ -316,11 +316,17 @@ func (sl *slot) serve(pending int) (died bool) {
 			}
 			continue
 		}
+		// Take more work only while the window has room: a nil channel
+		// never receives, so a full slot leaves the queue to the others.
+		var work chan int
+		if len(sl.inflight) < sl.d.window {
+			work = sl.d.work
+		}
 		select {
 		case <-sl.d.stop:
 			sl.shutdown()
 			return false
-		case sh := <-sl.d.work:
+		case sh := <-work:
 			if err := sl.dispatch(sh); err != nil {
 				sl.die(err)
 				return true
@@ -330,7 +336,7 @@ func (sl *slot) serve(pending int) (died bool) {
 				sl.readerDead = true
 				err := f.err
 				if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-					err = fmt.Errorf("dist: worker %d exited with %d shard(s) in flight", sl.id, len(sl.inflight))
+					err = fmt.Errorf("dist: worker %d exited with %d job(s) in flight", sl.id, len(sl.inflight))
 				}
 				sl.die(err)
 				return true
@@ -345,7 +351,7 @@ func (sl *slot) serve(pending int) (died bool) {
 				if sl.d.net != nil {
 					sl.d.net.HeartbeatTimeouts.Add(1)
 				}
-				sl.die(fmt.Errorf("dist: worker %d: heartbeat timeout (silent for %v with %d shard(s) in flight)",
+				sl.die(fmt.Errorf("dist: worker %d: heartbeat timeout (silent for %v with %d job(s) in flight)",
 					sl.id, sl.d.hbTimeout, len(sl.inflight)))
 				return true
 			}
@@ -389,8 +395,8 @@ func (sl *slot) onFrame(m msg) error {
 	}
 }
 
-// finish matches one result to its in-flight shard and delivers it. A
-// result for a shard this life never dispatched (possible only after a
+// finish matches one result to its in-flight job and delivers it. A
+// result for a job this life never dispatched (possible only after a
 // desync) is dropped — the coordinator's duplicate guard would discard
 // it anyway.
 func (sl *slot) finish(res ShardResult) {
@@ -399,20 +405,20 @@ func (sl *slot) finish(res ShardResult) {
 		return
 	}
 	delete(sl.inflight, res.Shard)
-	var shardErr error
+	var jobErr error
 	if res.Err != "" {
-		shardErr = errors.New(res.Err)
+		jobErr = errors.New(res.Err)
 	}
-	sp.EndErr(shardErr)
-	sl.d.deliver(delivery{kind: dResult, shard: res.Shard, slot: sl.id, stats: res.Stats, err: shardErr})
+	sp.EndErr(jobErr)
+	sl.d.deliver(delivery{kind: dResult, job: res.Shard, slot: sl.id, stats: res.Stats, err: jobErr})
 }
 
-// dispatch sends one shard to the live worker. The shard joins
-// inflight before the send so a failed write still requeues it via
-// die. Peer slots rewrite TracePath to the shipped digest ref.
-func (sl *slot) dispatch(shard int) error {
-	sp := sl.d.root.Child("dist.shard", obs.StageEncode).WithShard(shard)
-	j := buildJob(sl.d.plan, sl.d.opts, shard, sl.d.states[shard])
+// dispatch sends job k to the live worker. The job joins inflight
+// before the send so a failed write still requeues it via die. Peer
+// slots rewrite TracePath to the shipped digest ref.
+func (sl *slot) dispatch(k int) error {
+	sp := sl.d.root.Child("dist.shard", obs.StageEncode).WithShard(k)
+	j := buildJob(sl.d.plan, sl.d.opts, k)
 	if sl.cfg.ref != "" {
 		j.TracePath = sl.cfg.ref
 	}
@@ -420,27 +426,27 @@ func (sl *slot) dispatch(shard int) error {
 		j.Trace = h.TraceID()
 		j.Span = sp.Context().Parent // 0 when tracing is off; workers then root their spans
 	}
-	sl.inflight[shard] = sp
+	sl.inflight[k] = sp
 	sl.lastRecv = time.Now()
 	return sl.t.Send(msg{Type: msgJob, Job: j})
 }
 
-// die declares the current worker dead: every in-flight shard goes
-// back on the queue for any slot to re-price, the transport is reaped,
-// and the generation advances for the respawn.
+// die declares the current worker dead: every in-flight job goes back
+// on the queue for any slot to re-price, the transport is reaped, and
+// the generation advances for the respawn.
 func (sl *slot) die(err error) {
 	RecordWorkerDeath()
-	for shard, sp := range sl.inflight {
+	for k, sp := range sl.inflight {
 		sp.EndErr(err)
-		delete(sl.inflight, shard)
-		sl.d.deliver(delivery{kind: dRequeue, shard: shard, slot: sl.id, err: err})
+		delete(sl.inflight, k)
+		sl.d.deliver(delivery{kind: dRequeue, job: k, slot: sl.id, err: err})
 	}
 	sl.reap()
 	sl.gen++
 }
 
 // shutdown is the polite halt path: forward any results the worker
-// already framed (a shard priced concurrently with the stop is still
+// already framed (a job priced concurrently with the stop is still
 // priced), harvest the worker's spans when the sweep is collecting
 // them, send shutdown, reap.
 func (sl *slot) shutdown() {
@@ -459,9 +465,9 @@ drain:
 			break drain
 		}
 	}
-	for shard, sp := range sl.inflight {
+	for k, sp := range sl.inflight {
 		sp.End()
-		delete(sl.inflight, shard)
+		delete(sl.inflight, k)
 	}
 	if h := sl.d.harvest; h != nil && !sl.readerDead {
 		// The spans must cross the still-open connection before the
@@ -527,20 +533,21 @@ func (sl *slot) reap() {
 	sl.frames = nil
 }
 
-// dispatch runs the slot pool over every shard the journal does not
-// already hold and returns the per-shard stats slots (journal-recovered
+// dispatch runs the slot pool over every job the journal does not
+// already hold and returns the per-job stats slots (journal-recovered
 // slots included).
-func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, shards int, states []map[string][]byte, prior *journalState, jr *journal) ([]map[string]bus.Stats, error) {
+func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, prior *journalState, jr *journal) ([]map[string]bus.Stats, error) {
 	dsp := root.Child("dist.dispatch", obs.StageEval)
-	stats := make([]map[string]bus.Stats, shards)
-	shardErrs := make([]error, shards)
-	var pendingShards []int
-	for k := 0; k < shards; k++ {
+	jobs := len(plan.jobs)
+	stats := make([]map[string]bus.Stats, jobs)
+	jobErrs := make([]error, jobs)
+	var pending []int
+	for k := 0; k < jobs; k++ {
 		if st, ok := prior.done[k]; ok {
 			stats[k] = st
 			continue
 		}
-		pendingShards = append(pendingShards, k)
+		pending = append(pending, k)
 	}
 	retryLimit := opts.RetryLimit
 	if retryLimit <= 0 {
@@ -560,14 +567,14 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 	}
 
 	d := &dispatcher{
-		root: root, plan: plan, opts: opts, states: states,
+		root: root, plan: plan, opts: opts,
 		window: window, hbEvery: hbEvery, hbTimeout: hbTimeout,
 		retryLimit: retryLimit, net: opts.Net, harvest: opts.Harvest,
-		work:       make(chan int, shards),
-		deliveries: make(chan delivery, 2*shards+len(cfgs)*(window+retryLimit+3)+16),
+		work:       make(chan int, jobs),
+		deliveries: make(chan delivery, 2*jobs+len(cfgs)*(window+retryLimit+3)+16),
 		stop:       make(chan struct{}),
 	}
-	for _, k := range pendingShards {
+	for _, k := range pending {
 		d.work <- k
 	}
 	live := len(cfgs)
@@ -579,14 +586,14 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 	slotsDone := make(chan struct{})
 	go func() { d.wg.Wait(); close(slotsDone) }()
 
-	// attempts counts dispatch tries per shard (worker deaths only;
-	// spawn failures never held the shard). doneShard guards against a
-	// shard priced twice — possible when a timed-out worker was merely
-	// slow and both its late result and the re-dispatch land.
-	attempts := make(map[int]int, len(pendingShards))
-	doneShard := make([]bool, shards)
+	// attempts counts dispatch tries per job (worker deaths only;
+	// spawn failures never held the job). doneJob guards against a job
+	// priced twice — possible when a timed-out worker was merely slow
+	// and both its late result and the re-dispatch land.
+	attempts := make(map[int]int, len(pending))
+	doneJob := make([]bool, jobs)
 	for k := range prior.done {
-		doneShard[k] = true
+		doneJob[k] = true
 	}
 	completed := 0
 	stopped := false
@@ -595,16 +602,16 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 	handle := func(dl delivery) {
 		switch dl.kind {
 		case dResult:
-			if doneShard[dl.shard] {
+			if doneJob[dl.job] {
 				return
 			}
-			doneShard[dl.shard] = true
-			shardErrs[dl.shard] = dl.err
-			stats[dl.shard] = dl.stats
+			doneJob[dl.job] = true
+			jobErrs[dl.job] = dl.err
+			stats[dl.job] = dl.stats
 			completed++
 			RecordShardDone()
 			if jr != nil && dl.err == nil {
-				if err := jr.append(journalRec{Type: recDone, Shard: dl.shard, Stats: dl.stats, Digest: statsDigest(dl.stats)}); err != nil {
+				if err := jr.append(journalRec{Type: recDone, Job: dl.job, Stats: dl.stats, Digest: statsDigest(dl.stats)}); err != nil {
 					if fatal == nil {
 						fatal = err
 					}
@@ -612,19 +619,19 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 					return
 				}
 			}
-			if opts.StopAfter > 0 && completed >= opts.StopAfter && completed < len(pendingShards) {
+			if opts.StopAfter > 0 && completed >= opts.StopAfter && completed < len(pending) {
 				stopped = true
 				d.halt()
 			}
 		case dRequeue:
-			if doneShard[dl.shard] || errors.Is(dl.err, ErrStopped) {
+			if doneJob[dl.job] || errors.Is(dl.err, ErrStopped) {
 				return
 			}
 			if !dl.spawnFail {
-				attempts[dl.shard]++
-				if attempts[dl.shard] > retryLimit {
+				attempts[dl.job]++
+				if attempts[dl.job] > retryLimit {
 					if fatal == nil {
-						fatal = fmt.Errorf("dist: shard %d: worker %d died %d times (last: %v)", dl.shard, dl.slot, attempts[dl.shard], dl.err)
+						fatal = fmt.Errorf("dist: job %d: worker %d died %d times (last: %v)", dl.job, dl.slot, attempts[dl.job], dl.err)
 					}
 					d.halt()
 					return
@@ -635,18 +642,18 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 					d.net.Redispatches.Add(1)
 				}
 			}
-			d.work <- dl.shard
+			d.work <- dl.job
 		case dSlotDead:
 			live--
 			lastDead = dl.err
-			if live == 0 && completed < len(pendingShards) && fatal == nil {
+			if live == 0 && completed < len(pending) && fatal == nil {
 				fatal = fmt.Errorf("dist: every worker slot died before the sweep finished (last: %v)", lastDead)
 				d.halt()
 			}
 		}
 	}
 collect:
-	for completed < len(pendingShards) && fatal == nil && !stopped {
+	for completed < len(pending) && fatal == nil && !stopped {
 		select {
 		case dl := <-d.deliveries:
 			handle(dl)
@@ -671,21 +678,21 @@ collect:
 				dsp.EndErr(fatal)
 				return nil, fatal
 			}
-			if stopped || (opts.StopAfter > 0 && completed < len(pendingShards)) {
+			if stopped || (opts.StopAfter > 0 && completed < len(pending)) {
 				dsp.EndErr(ErrStopped)
-				return nil, fmt.Errorf("%w (%d/%d shards journaled)", ErrStopped, completed+len(prior.done), shards)
+				return nil, fmt.Errorf("%w (%d/%d jobs journaled)", ErrStopped, completed+len(prior.done), jobs)
 			}
-			// Shard-level pricing errors: lowest shard wins, matching
-			// bus.MergeSlots.
-			for k := 0; k < shards; k++ {
-				if shardErrs[k] != nil {
-					dsp.EndErr(shardErrs[k])
-					return nil, shardErrs[k]
+			// Job-level pricing errors: the lowest job wins, so the
+			// reported error does not depend on the schedule.
+			for k := 0; k < jobs; k++ {
+				if jobErrs[k] != nil {
+					dsp.EndErr(jobErrs[k])
+					return nil, jobErrs[k]
 				}
 			}
-			for k := 0; k < shards; k++ {
+			for k := 0; k < jobs; k++ {
 				if stats[k] == nil {
-					err := fmt.Errorf("dist: shard %d never completed", k)
+					err := fmt.Errorf("dist: job %d never completed", k)
 					dsp.EndErr(err)
 					return nil, err
 				}

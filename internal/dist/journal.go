@@ -13,20 +13,20 @@ import (
 )
 
 // Checkpoint journal: JSON lines, append-only, fsync'd per record. The
-// first line is the plan header; every later line is either one
-// shard's boundary states (written as the seed sweep produces them) or
-// one shard's completed result with a digest of its statistics. A
-// coordinator killed at any byte boundary leaves at worst one torn
-// trailing line, which resume discards — every fully written record is
-// durable, so resume re-prices only shards whose result record never
-// made it to disk, and the merged totals are bit-identical to an
-// uninterrupted sweep.
+// first line is the plan header; every later line is one job's
+// completed result, keyed by job index, with a digest of its
+// statistics. A coordinator killed at any byte boundary leaves at worst
+// one torn trailing line, which resume discards — every fully written
+// record is durable, so resume re-prices only jobs whose result record
+// never made it to disk, and the merged totals are bit-identical to an
+// uninterrupted sweep. Any other record type is refused, so a journal
+// of the state-shipping format, with its boundary records, never
+// resumes.
 
 // Journal record types.
 const (
-	recPlan     = "plan"
-	recBoundary = "boundary"
-	recDone     = "done"
+	recPlan = "plan"
+	recDone = "done"
 )
 
 // journalRec is one line of the checkpoint file.
@@ -36,12 +36,10 @@ type journalRec struct {
 	PlanDigest string   `json:"plan_digest,omitempty"`
 	Trace      string   `json:"trace,omitempty"`
 	Total      int64    `json:"total,omitempty"`
-	Shards     int      `json:"shards,omitempty"`
+	Jobs       int      `json:"jobs,omitempty"`
 	Codecs     []string `json:"codecs,omitempty"`
-	// recBoundary: marshaled boundary state per codec for one shard.
-	Shard  int               `json:"shard,omitempty"`
-	States map[string][]byte `json:"states,omitempty"`
-	// recDone: one shard's accumulators plus their digest.
+	// recDone: one job's accumulators plus their digest.
+	Job    int                  `json:"job,omitempty"`
 	Stats  map[string]bus.Stats `json:"stats,omitempty"`
 	Digest string               `json:"digest,omitempty"`
 }
@@ -51,7 +49,7 @@ type journal struct {
 	f *os.File
 }
 
-// statsDigest is the content address of one shard's statistics:
+// statsDigest is the content address of one job's statistics:
 // SHA-256 over the canonical JSON encoding. Resume verifies it before
 // trusting a record, so a corrupted journal fails loudly instead of
 // merging garbage.
@@ -92,9 +90,8 @@ func (j *journal) Close() error { return j.f.Close() }
 
 // journalState is what resume recovers from an existing checkpoint.
 type journalState struct {
-	header   journalRec
-	boundary map[int]map[string][]byte // shard -> codec -> state
-	done     map[int]map[string]bus.Stats
+	header journalRec
+	done   map[int]map[string]bus.Stats // job index -> codec -> stats
 }
 
 // loadJournal reads an existing checkpoint. A missing file yields an
@@ -103,10 +100,7 @@ type journalState struct {
 // mismatched line anywhere else is an error, because records before a
 // valid record cannot have been torn by a crash.
 func loadJournal(path string) (*journalState, error) {
-	st := &journalState{
-		boundary: map[int]map[string][]byte{},
-		done:     map[int]map[string]bus.Stats{},
-	}
+	st := &journalState{done: map[int]map[string]bus.Stats{}}
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return st, nil
@@ -134,13 +128,11 @@ func loadJournal(path string) (*journalState, error) {
 				return fmt.Errorf("dist: checkpoint %s line %d: duplicate plan header", path, lineno)
 			}
 			st.header = rec
-		case recBoundary:
-			st.boundary[rec.Shard] = rec.States
 		case recDone:
 			if got := statsDigest(rec.Stats); got != rec.Digest {
-				return fmt.Errorf("dist: checkpoint %s line %d: shard %d digest mismatch", path, lineno, rec.Shard)
+				return fmt.Errorf("dist: checkpoint %s line %d: job %d digest mismatch", path, lineno, rec.Job)
 			}
-			st.done[rec.Shard] = rec.Stats
+			st.done[rec.Job] = rec.Stats
 		default:
 			return fmt.Errorf("dist: checkpoint %s line %d: unknown record %q", path, lineno, rec.Type)
 		}
@@ -164,7 +156,7 @@ func loadJournal(path string) (*journalState, error) {
 			return nil, err
 		}
 	}
-	if st.header.Type == "" && (len(st.boundary) > 0 || len(st.done) > 0) {
+	if st.header.Type == "" && len(st.done) > 0 {
 		return nil, fmt.Errorf("dist: checkpoint %s: records without a plan header", path)
 	}
 	return st, nil

@@ -8,32 +8,24 @@ import "busenc/internal/obs"
 // the flight recorder care about — spawns, deaths, retries, journal
 // activity — not per-entry work (the workers count that themselves).
 
-// RecordPlan publishes one completed planning scan.
-func RecordPlan(entries int64, shards int) {
+// RecordPlan publishes one completed plan: its entry count and its job
+// count (dist.plan.shards).
+func RecordPlan(entries int64, jobs int) {
 	if !obs.Enabled() {
 		return
 	}
 	obs.GetCounter("dist.plans").Inc()
-	obs.GetGauge("dist.plan.shards").Set(int64(shards))
+	obs.GetGauge("dist.plan.shards").Set(int64(jobs))
 	obs.GetGauge("dist.plan.entries").Set(entries)
 }
 
-// RecordSeedSweep publishes the entries re-encoded by the coordinator's
-// state-only boundary sweep (summed across prefix-dependent codecs).
-func RecordSeedSweep(entries int64) {
-	if !obs.Enabled() {
-		return
-	}
-	obs.GetCounter("dist.seed_sweep.entries").Add(entries)
-}
-
-// RecordResume publishes how many shards a resumed sweep recovered from
+// RecordResume publishes how many jobs a resumed sweep recovered from
 // the checkpoint instead of re-pricing.
-func RecordResume(shards int) {
-	if !obs.Enabled() || shards == 0 {
+func RecordResume(jobs int) {
+	if !obs.Enabled() || jobs == 0 {
 		return
 	}
-	obs.GetCounter("dist.resume.shards_recovered").Add(int64(shards))
+	obs.GetCounter("dist.resume.shards_recovered").Add(int64(jobs))
 }
 
 // RecordWorkerSpawn counts one worker (re)spawn.
@@ -53,8 +45,7 @@ func RecordWorkerDeath() {
 	obs.GetCounter("dist.worker.deaths").Inc()
 }
 
-// RecordShardRetry counts one shard re-dispatched after its worker
-// died.
+// RecordShardRetry counts one job re-dispatched after its worker died.
 func RecordShardRetry() {
 	if !obs.Enabled() {
 		return
@@ -62,7 +53,7 @@ func RecordShardRetry() {
 	obs.GetCounter("dist.shard.retries").Inc()
 }
 
-// RecordShardDone counts one shard result accepted by the coordinator.
+// RecordShardDone counts one job result accepted by the coordinator.
 func RecordShardDone() {
 	if !obs.Enabled() {
 		return
@@ -100,7 +91,7 @@ func recordNetRecv(bytes int) {
 	obs.GetCounter("dist.net.bytes_recv").Add(int64(bytes))
 }
 
-// recordRedispatch counts one shard re-queued after its worker died or
+// recordRedispatch counts one job re-queued after its worker died or
 // timed out (a subset of dist.shard.retries scoped to the dispatcher).
 func recordRedispatch() {
 	if !obs.Enabled() {

@@ -17,7 +17,7 @@ import (
 	"busenc/internal/obs"
 )
 
-// Network transport: the coordinator prices shards on remote busencd
+// Network transport: the coordinator prices jobs on remote busencd
 // peers. The peer side is internal/serve's /dist endpoint — a hijacked
 // HTTP upgrade that then speaks the exact stdin/stdout frame protocol
 // (same framing, same 64MB cap, same hello/ping/job/result/shutdown
@@ -33,7 +33,7 @@ import (
 const UpgradeProtocol = "busenc-dist"
 
 // dialTimeout bounds the TCP connect plus the 101 upgrade exchange;
-// shard pricing itself is governed by heartbeats, not deadlines.
+// job pricing itself is governed by heartbeats, not deadlines.
 const dialTimeout = 10 * time.Second
 
 // NetStats accumulates network-transport counters for one sweep. The
@@ -49,7 +49,7 @@ type NetStats struct {
 	BytesRecv         atomic.Int64
 	TraceShipBytes    atomic.Int64 // trace bytes uploaded to peers
 	TraceDedupHits    atomic.Int64 // peers that already held the digest
-	Redispatches      atomic.Int64 // shards requeued after a worker death
+	Redispatches      atomic.Int64 // jobs requeued after a worker death
 	HeartbeatTimeouts atomic.Int64
 
 	mu     sync.Mutex

@@ -1,16 +1,19 @@
-// Package dist prices huge traces across worker processes. The
-// coordinator plans a BETR (or text, converted once) trace into
-// contiguous byte-range shards over one shared mmap view — no shard
-// files are written — runs the cheap state-only boundary sweep that
-// makes mid-stream shards exact (see codec.Boundary), fans the shards
-// out to a pool of workers over a stdin/stdout framed protocol, and
-// merges the returned bus accumulators deterministically in ascending
-// shard order, so the distributed result is bit-identical to
-// codec.RunFast. A journal-based checkpoint makes a killed sweep
-// resumable: per-shard boundary states and result digests are fsync'd
-// as they are produced, and a restarted coordinator re-plans, verifies
-// the plan digest, and prices only the shards the journal does not
-// already hold.
+// Package dist prices huge traces across worker processes and TCP
+// peers. The coordinator plans jobs over a BETR (or text, converted
+// once) trace: every prefix-dependent codec is priced whole-trace, in
+// up to one codec group per slot, and the Seeder codecs are cut into
+// contiguous byte-range entry shards over one shared mmap view, within
+// a job budget (plan.go). No shard files are written and no encoder
+// state crosses the wire: a shard past entry 0 seeds from the two
+// entries before its cut (see codec.Boundary). Jobs fan out to a pool
+// of workers over a stdin/stdout framed protocol; each worker prices a
+// job in one streaming pass through codec.NewPricers, and the
+// coordinator merges every codec's bus accumulators in entry order, so
+// the distributed result is bit-identical to codec.RunFast. A
+// journal-based checkpoint makes a killed sweep resumable: job result
+// digests are fsync'd as they arrive, and a restarted coordinator
+// re-plans, verifies the plan digest, and prices only the jobs the
+// journal does not already hold.
 package dist
 
 import (
@@ -32,10 +35,10 @@ import (
 // -worker flag), so the message schema needs no versioning beyond the
 // hello exchange.
 
-// maxFrame bounds a single message. Jobs carry only descriptors and
-// marshaled encoder states; results carry per-codec bus statistics
-// (per-line slices at most), so frames are small — the cap catches a
-// desynced stream, not a real payload.
+// maxFrame bounds a single message. Jobs carry only descriptors;
+// results carry per-codec bus statistics (per-line slices at most), so
+// frames are small — the cap catches a desynced stream, not a real
+// payload.
 const maxFrame = 64 << 20
 
 // Message types.
@@ -58,8 +61,10 @@ const (
 // tracing: hellos carry the worker's hostname, pongs carry the
 // worker's wall clock (the coordinator's clock-offset sample), jobs
 // carry trace/parent-span context, and a spans request/reply pair
-// harvests the worker's tagged spans before shutdown.
-const ProtoVersion = 3
+// harvests the worker's tagged spans before shutdown. Version 4 dropped
+// boundary states: a job lists plain codec specs, Job.Shard is the job
+// index, and a job past entry 0 prices only Seeder codecs.
+const ProtoVersion = 4
 
 // msg is the single envelope every frame carries.
 type msg struct {
@@ -117,25 +122,19 @@ func SpecFor(name string, width int, opts codec.Options) (CodecSpec, error) {
 	}, nil
 }
 
-// CodecJob pairs a codec spec with the shard's marshaled boundary
-// state for it (nil for Seeder codecs and for shard 0).
-type CodecJob struct {
-	Spec  CodecSpec `json:"spec"`
-	State []byte    `json:"state,omitempty"`
-}
-
-// Job prices one shard of the trace for every requested codec. The
-// shard is a byte range of the (shared, mmap'd) trace file — the worker
-// re-opens the same file and decodes only its range, so nothing is
-// copied through the pipe.
+// Job prices a set of codecs over one entry range of the trace: the
+// whole trace for a group of prefix-dependent codecs, or one entry
+// shard for the Seeder codecs. The range is a byte range of the
+// (shared, mmap'd) trace file — the worker re-opens the same file and
+// decodes only its range, so nothing is copied through the pipe.
 type Job struct {
 	TracePath string         `json:"trace_path"`
 	Stream    string         `json:"stream"`
 	Width     int            `json:"width"`
-	Shard     int            `json:"shard"`
+	Shard     int            `json:"shard"` // the job index in the plan
 	Cut       trace.RangeCut `json:"cut"`
-	N         int64          `json:"n"` // entries in the shard
-	Codecs    []CodecJob     `json:"codecs"`
+	N         int64          `json:"n"` // entries in the range
+	Codecs    []CodecSpec    `json:"codecs"`
 	Verify    int            `json:"verify"`
 	PerLine   bool           `json:"per_line"`
 	Kernel    int            `json:"kernel"`
@@ -147,10 +146,10 @@ type Job struct {
 	Span  uint64 `json:"span,omitempty"`
 }
 
-// ShardResult carries one shard's accumulators back: a bus.Stats
-// snapshot per codec (keyed by codec name), or the first error the
-// shard hit. Err positions are global entry indices, identical to a
-// sequential run's.
+// ShardResult carries one job's accumulators back: a bus.Stats
+// snapshot per codec (keyed by codec name), or the first error the job
+// hit. Shard is the job index. Err positions are global entry indices,
+// identical to a sequential run's.
 type ShardResult struct {
 	Shard int                  `json:"shard"`
 	Stats map[string]bus.Stats `json:"stats,omitempty"`

@@ -16,7 +16,7 @@ import (
 
 // Distributed span harvest. A sweep with Opts.Harvest set mints one
 // trace ID, threads it through every job frame, and collects the
-// tagged spans back from every process that priced a shard: pipe
+// tagged spans back from every process that priced a job: pipe
 // workers answer a spans frame right before shutdown, TCP busencd
 // peers answer GET /spans?trace=<id> after dispatch (their spans
 // outlive the /dist connection). Each remote recorder timestamps spans

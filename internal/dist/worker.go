@@ -17,10 +17,10 @@ import (
 // WorkerOpts tunes ServeWorker.
 type WorkerOpts struct {
 	// FailAfter, when positive, makes the worker exit without replying
-	// once it has priced that many jobs — the fault injection knob
-	// behind the kill-a-worker-mid-sweep tests and the CLI's
-	// -failafter flag. The coordinator sees a dead pipe with a job in
-	// flight, exactly like a real crash.
+	// once it has priced that many jobs and received one more — the
+	// fault injection knob behind the kill-a-worker-mid-sweep tests and
+	// the CLI's -failafter flag. The coordinator sees a dead pipe with
+	// a job in flight, exactly like a real crash.
 	FailAfter int
 	// StallAfter, when positive, makes the worker go silent once it
 	// has priced that many jobs: it keeps reading frames (so the
@@ -40,17 +40,16 @@ type WorkerOpts struct {
 // process wrapper turns it into a silent nonzero exit.
 var errFailInjected = fmt.Errorf("dist: injected worker failure")
 
-// ServeWorker runs the worker side of the shard protocol over the
-// given byte streams (stdin/stdout for a real worker process, a
-// hijacked TCP connection on a busencd peer, an in-memory pipe in
-// tests): announce with a hello, then price every job the coordinator
-// sends until shutdown or EOF. The coordinator pipelines: jobs arrive
-// ahead of the results for earlier ones, and pings arrive while a
-// shard is pricing — so a reader goroutine keeps draining frames
-// (answering pings immediately) while the pricer works through the
-// job queue in order. Trace views are mmap'd once per path and shared
-// read-only through the page cache — a worker never copies shard
-// bytes.
+// ServeWorker runs the worker side of the job protocol over the given
+// byte streams (stdin/stdout for a real worker process, a hijacked TCP
+// connection on a busencd peer, an in-memory pipe in tests): announce
+// with a hello, then price every job the coordinator sends until
+// shutdown or EOF. The coordinator pipelines: jobs arrive ahead of the
+// results for earlier ones, and pings arrive while a job is pricing —
+// so a reader goroutine keeps draining frames (answering pings
+// immediately) while the pricer works through the job queue in order.
+// Trace views are mmap'd once per path and shared read-only through the
+// page cache — a worker never copies trace bytes.
 func ServeWorker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 	c := newConn(r, w)
 	var wmu sync.Mutex // hello/pong/result writes interleave across goroutines
@@ -168,7 +167,7 @@ func ServeWorker(r io.Reader, w io.Writer, opts WorkerOpts) error {
 // dist.worker_conn span: begun on the first job that carries trace
 // context, ended right before the spans dump (or on connection close).
 // The span exists so every worker's pid lane in the merged timeline is
-// covered end to end, not just during shard pricing — tracecheck's
+// covered end to end, not just during job pricing — tracecheck's
 // per-lane -mincover leans on it. begin also turns tracing on in
 // worker processes that were started without it: the coordinator's
 // choice to harvest is the worker's signal to record.
@@ -208,84 +207,127 @@ type mappedView struct {
 	closer io.Closer
 }
 
-// priceJob prices one shard for every codec in the job. Any error —
-// resolving or opening the trace, decoding the range, a verification
-// mismatch — is reported in the result rather than killing the worker,
-// so a bad shard fails the sweep through the ordered merge (lowest
-// shard wins) instead of looking like a worker crash. sp is the
-// shard-level span (inert when the sweep is not harvesting); each
-// codec prices under its own child so the merged timeline attributes
-// time per codec per peer.
+// priceJob prices one job. Any error — resolving or opening the trace,
+// decoding the range, seeding, a verification mismatch — is reported in
+// the result rather than killing the worker, so a bad job fails the
+// sweep through the ordered merge (lowest job wins) instead of looking
+// like a worker crash. sp is the job-level span (inert when the sweep
+// is not harvesting spans).
 func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string, error), sp obs.SpanHandle) *ShardResult {
 	res := &ShardResult{Shard: j.Shard}
-	v, ok := views[j.TracePath]
-	if !ok {
-		path := j.TracePath
-		if resolve != nil {
-			p, err := resolve(j.TracePath)
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			path = p
-		}
-		data, closer, err := trace.MapBytes(path)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		v = mappedView{data: data, closer: closer}
-		views[j.TracePath] = v
-	}
-	r, err := trace.NewMemRangeReader(v.data, j.Stream, j.Width, j.Cut, j.N, j.TracePath, nil)
+	stats, err := priceRange(j, views, resolve, sp)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	s, err := trace.ReadAll(r)
+	res.Stats = stats
+	return res
+}
+
+// priceRange is the one pricing loop of a worker: build the Pricers
+// for the job's codecs (codec.NewPricers), seed them at the job's cut
+// (a no-op at entry 0; past it every codec is a Seeder and joins from
+// the cut's two previous entries), then stream the range's chunks
+// through every Pricer in one decode pass. Each Pricer records a
+// dist.codec_price child span of sp, labeled with its codec names
+// joined by "+"; the spans overlap, since the Pricers share the pass.
+func priceRange(j *Job, views map[string]mappedView, resolve func(string) (string, error), sp obs.SpanHandle) (map[string]bus.Stats, error) {
+	data, err := mapView(j.TracePath, views, resolve)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return nil, err
 	}
-	opts := codec.RunOpts{
+	codecs := make([]codec.Codec, len(j.Codecs))
+	for i, cs := range j.Codecs {
+		if codecs[i], err = cs.New(); err != nil {
+			return nil, err
+		}
+	}
+	ps, err := codec.NewPricers(codecs, codec.RunOpts{
 		Verify:  codec.VerifyMode(j.Verify),
 		PerLine: j.PerLine,
 		Kernel:  codec.Kernel(j.Kernel),
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Stats = make(map[string]bus.Stats, len(j.Codecs))
-	for _, cj := range j.Codecs {
-		csp := sp.Child("dist.codec_price", obs.StageEncode).WithCodec(cj.Spec.Name)
-		c, err := cj.Spec.New()
-		if err != nil {
-			csp.EndErr(err)
-			res.Err = err.Error()
-			return res
+	bd := codec.Boundary{First: j.Cut.Entry == 0, Base: int(j.Cut.Entry)}
+	if !bd.First {
+		bd.Prev = trace.Entry{Addr: j.Cut.PrevAddr, Kind: j.Cut.PrevKind}
+		if j.Cut.Entry >= 2 {
+			bd.SeedSym = codec.SymbolOf(trace.Entry{Addr: j.Cut.Prev2Addr, Kind: j.Cut.Prev2Kind})
+			bd.HaveSeedSym = true
 		}
-		bd := codec.Boundary{First: j.Cut.Entry == 0}
-		if !bd.First {
-			bd.Prev = trace.Entry{Addr: j.Cut.PrevAddr, Kind: j.Cut.PrevKind}
-			if j.Cut.Entry >= 2 {
-				bd.SeedSym = codec.SymbolOf(trace.Entry{Addr: j.Cut.Prev2Addr, Kind: j.Cut.Prev2Kind})
-				bd.HaveSeedSym = true
-			}
-			if len(cj.State) > 0 {
-				st, err := codec.UnmarshalState(cj.State)
-				if err != nil {
-					csp.EndErr(err)
-					res.Err = err.Error()
-					return res
-				}
-				bd.State = st
-			}
-		}
-		b, err := codec.PriceShard(c, s.Entries, bd, int(j.Cut.Entry), opts)
-		if err != nil {
-			csp.EndErr(err)
-			res.Err = err.Error()
-			return res
-		}
-		csp.End()
-		res.Stats[cj.Spec.Name] = b.Stats()
 	}
-	return res
+	for _, p := range ps {
+		if err := p.Seed(bd); err != nil {
+			return nil, err
+		}
+	}
+	r, err := trace.NewMemRangeReader(data, j.Stream, j.Width, j.Cut, j.N, j.TracePath, nil)
+	if err != nil {
+		return nil, err
+	}
+	spans := make([]obs.SpanHandle, len(ps))
+	errs := make([]error, len(ps))
+	for k, p := range ps {
+		spans[k] = sp.Child("dist.codec_price", obs.StageEncode).WithCodec(p.Name())
+	}
+	var readErr error
+	for {
+		ch, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			readErr = err
+			break
+		}
+		for k, p := range ps {
+			if errs[k] == nil {
+				errs[k] = p.Consume(ch.Addrs, ch.Kinds)
+			}
+		}
+		ch.Release()
+	}
+	for k := range spans {
+		if errs[k] == nil {
+			errs[k] = readErr
+		}
+		spans[k].EndErr(errs[k])
+	}
+	if readErr != nil {
+		return nil, readErr
+	}
+	buses, err := codec.CollectBuses(ps)
+	if err != nil {
+		return nil, err
+	}
+	stats := make(map[string]bus.Stats, len(buses))
+	for i, b := range buses {
+		stats[j.Codecs[i].Name] = b.Stats()
+	}
+	return stats, nil
+}
+
+// mapView returns the byte view of a job's trace, mapping it on first
+// use: ref goes through resolve when one is set (a peer's
+// content-addressed store), and the view stays open for later jobs.
+func mapView(ref string, views map[string]mappedView, resolve func(string) (string, error)) ([]byte, error) {
+	if v, ok := views[ref]; ok {
+		return v.data, nil
+	}
+	path := ref
+	if resolve != nil {
+		p, err := resolve(ref)
+		if err != nil {
+			return nil, err
+		}
+		path = p
+	}
+	data, closer, err := trace.MapBytes(path)
+	if err != nil {
+		return nil, err
+	}
+	views[ref] = mappedView{data: data, closer: closer}
+	return data, nil
 }

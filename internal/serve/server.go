@@ -55,7 +55,7 @@ type Config struct {
 	Options codec.Options
 	// DistFailAfter injects a worker fault into the first /dist
 	// connection of the process: its dist worker dies after pricing
-	// that many shards. Test/smoke-only knob; 0 disables.
+	// that many jobs. Test/smoke-only knob; 0 disables.
 	DistFailAfter int
 }
 
