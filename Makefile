@@ -63,10 +63,11 @@ test-stream:
 
 # Short coverage-guided fuzz smoke — enough to catch a freshly
 # introduced panic on malformed input (trace parsers, marshalled
-# boundary states), a broken snapshot/restore contract (codec state
-# splitting) or a pricing path drifting from codec.Run (the
-# differential FuzzPricingPaths) without stalling CI. Go allows one
-# -fuzz target per invocation, hence separate runs.
+# boundary states, checkpoint journals replayed into the distributed
+# merge), a broken snapshot/restore contract (codec state splitting) or
+# a pricing path drifting from codec.Run (the differential
+# FuzzPricingPaths) without stalling CI. Go allows one -fuzz target per
+# invocation, hence separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadText -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=5s ./internal/trace
@@ -74,16 +75,18 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzBoundaryState -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzPricingPaths -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzTransposeRoundTrip -fuzztime=5s ./internal/bus
+	$(GO) test -run=NONE -fuzz=FuzzCheckpointReplay -fuzztime=5s ./internal/dist
 
-# Span-tracing smoke: generate a small synthetic trace, evaluate it
-# shard-parallel with the flight recorder exporting a Chrome trace-event
-# file, then validate the file's structure and require the recorded
-# spans to cover at least 95% of the traced wall-clock window — a hole
-# bigger than that means a pipeline stage lost its instrumentation.
+# Span-tracing smoke: generate a small synthetic trace, price it
+# through the streaming fan-out with the flight recorder exporting a
+# Chrome trace-event file, then validate the file's structure and
+# require the recorded spans to cover at least 95% of the traced
+# wall-clock window — a hole bigger than that means a pipeline stage
+# lost its instrumentation.
 trace-smoke:
 	mkdir -p .trace-smoke
 	$(GO) run ./cmd/tracegen -bench gzip -synthetic -o .trace-smoke/smoke.trace
-	$(GO) run ./cmd/paper -trace .trace-smoke/smoke.trace -parallel 4 -spantrace .trace-smoke/spans.json > /dev/null
+	$(GO) run ./cmd/paper -trace .trace-smoke/smoke.trace -stream -spantrace .trace-smoke/spans.json > /dev/null
 	$(GO) run ./cmd/tracecheck -mincover 0.95 .trace-smoke/spans.json
 
 # Distributed-sweep smoke: the exact CI scenarios live in
@@ -159,10 +162,9 @@ bench:
 # (internal/bench): machine identity, a metrics map and the checks its
 # producer declares. `paper -benchjson DIR` writes BENCH_engine.json
 # (seed reference path vs. the batched engine on Table 4),
-# BENCH_stream.json (materialized path vs. the streaming fan-out),
-# BENCH_parallel.json (warm sequential engine vs. shard-parallel
-# pricing) and BENCH_bitslice.json (scalar vs. bit-sliced plane kernel
-# on the seedable codec subset); `-benchdist` writes BENCH_dist.json
+# BENCH_stream.json (materialized path vs. the streaming fan-out) and
+# BENCH_bitslice.json (scalar vs. bit-sliced plane kernel on the
+# seedable codec subset); `-benchdist` writes BENCH_dist.json
 # (serial decode+price vs. the coordinator/worker distributed sweep,
 # plus the tcp.* networked metrics). BENCH_serve.json captures one
 # 32-tenant load-harness run against a spawned daemon (see
@@ -175,7 +177,8 @@ benchjson:
 	$(GO) run ./cmd/busencload -spawn .serve-smoke/busencd -tenants 32 -duration 5s -benchjson BENCH_serve.json
 
 # Benchmark-regression gate: generate fresh records into a scratch
-# directory and hold each against the committed one under the checks
+# directory (BENCH_{engine,stream,bitslice,dist,serve}.json, the five
+# in bench.Names) and hold each against the committed one under the checks
 # the committed record declares: same-machine ratio bands (a >25%
 # speedup drop, or the streaming alloc ratio halving, fails), absolute
 # floors (bit-sliced kernel >= 5x on any box; distributed sweep >=

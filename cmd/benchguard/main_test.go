@@ -45,7 +45,7 @@ func TestCLIPassesOnIdenticalRecords(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d on identical records; stderr:\n%s", code, errOut)
 	}
-	if !strings.Contains(out, "benchguard: ok ("+dir+" vs "+dir+", 6 records, 3 checks skipped)") {
+	if !strings.Contains(out, "benchguard: ok ("+dir+" vs "+dir+", 5 records, 2 checks skipped)") {
 		t.Errorf("pass summary missing:\n%s", out)
 	}
 }
@@ -141,7 +141,6 @@ func TestCLISkipNotesOnOneCPUBox(t *testing.T) {
 		t.Fatalf("committed records fail against themselves (exit %d):\n%s", code, errOut)
 	}
 	for _, want := range []string{
-		"benchguard: note: parallel: speedup_parallel ratio skipped: num_cpu=1",
 		"benchguard: note: dist: speedup_dist floor skipped: num_cpu=1",
 		"benchguard: note: dist: tcp.speedup_pipelined floor skipped: num_cpu=1",
 		"benchguard: ok",
@@ -168,7 +167,7 @@ func TestCLIMissingFreshFiles(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit %d with empty fresh dir, want 1", code)
 	}
-	if !strings.Contains(errOut, "6 violation") {
+	if !strings.Contains(errOut, "5 violation") {
 		t.Errorf("want one violation per missing record:\n%s", errOut)
 	}
 }

@@ -95,29 +95,13 @@ func TestServerEndpoints(t *testing.T) {
 		}
 	}
 
-	// The same trace through the shard-parallel path: identical totals,
-	// and the parallel gauges show up in the metrics dump.
+	// No shard-parallel route: a parallel parameter is refused with a
+	// 400 envelope naming it, never silently moved to the default route.
 	code, body = get(t, srv, "/eval?trace="+path+"&codes=t0,gray&parallel=2")
-	if code != 200 {
-		t.Fatalf("/eval?parallel=2: %d %s", code, body)
+	if code != 400 || !strings.Contains(body, "parallel") {
+		t.Errorf("/eval?parallel=2: %d %s, want a 400 naming the parameter", code, body)
 	}
-	var presp serve.EvalResponse
-	if err := json.Unmarshal([]byte(body), &presp); err != nil {
-		t.Fatalf("/eval?parallel=2 returned invalid JSON: %v\n%s", err, body)
-	}
-	if presp.Entries != resp.Entries || len(presp.Results) != len(resp.Results) {
-		t.Fatalf("parallel eval shape differs: %+v vs %+v", presp, resp)
-	}
-	for i := range resp.Results {
-		if presp.Results[i].Codec != resp.Results[i].Codec ||
-			presp.Results[i].Transitions != resp.Results[i].Transitions {
-			t.Errorf("parallel results[%d] = %+v, want %+v", i, presp.Results[i], resp.Results[i])
-		}
-	}
-	if code, body := get(t, srv, "/metrics"); code != 200 ||
-		!strings.Contains(body, "codec.parallel.shards") {
-		t.Errorf("/metrics after parallel eval missing shard gauge: %d\n%s", code, body)
-	}
+	decodeErrEnvelope(t, "parallel=2", body, 400)
 
 	// The evaluation's traffic must now show up in the metrics dump.
 	if code, body := get(t, srv, "/metrics"); code != 200 ||
@@ -168,7 +152,7 @@ func TestServerEvalErrors(t *testing.T) {
 		{"unknown codec", "/eval?trace=" + path + "&codes=bogus", 422},
 		{"bad parallel", "/eval?trace=" + path + "&parallel=-1", 400},
 		{"non-numeric parallel", "/eval?trace=" + path + "&parallel=two", 400},
-		{"unknown codec on parallel path", "/eval?trace=" + path + "&parallel=2&codes=bogus", 422},
+		{"unknown codec before parallel", "/eval?trace=" + path + "&parallel=2&codes=bogus", 422},
 	}
 	for _, tc := range cases {
 		code, body := get(t, srv, tc.url)

@@ -444,15 +444,21 @@ func drive(baseURL string, cfg config, child *daemon, stderr io.Writer) (*summar
 	return &out, nil
 }
 
-// reference computes the in-process expected transitions for a stream.
+// reference computes the expected transitions for a stream in process,
+// through the paper-faithful codec.Run, which shares no pricing code
+// with the daemon under test.
 func (st *loadState) reference(key string, s *trace.Stream, codes []string) error {
-	res, err := core.EvaluateParallel(s, s.Width, codes, core.DefaultOptions, core.ParallelConfig{Shards: 1})
-	if err != nil {
-		return err
-	}
-	exp := make([]int64, len(res))
-	for i, r := range res {
-		exp[i] = r.Transitions
+	exp := make([]int64, len(codes))
+	for i, code := range codes {
+		c, err := codec.New(code, s.Width, core.DefaultOptions)
+		if err != nil {
+			return err
+		}
+		res, err := codec.Run(c, s)
+		if err != nil {
+			return err
+		}
+		exp[i] = res.Transitions
 	}
 	st.expected[key] = exp
 	return nil

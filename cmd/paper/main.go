@@ -9,10 +9,8 @@
 //	paper -sweep          # with -table 9: print the crossover summary
 //	paper -trace prog.bin -stream        # price the codecs over a trace file
 //	                                     # in one bounded-memory pass
-//	paper -trace prog.bin -parallel 4    # shard-parallel pricing with
-//	                                     # reseeded encoder state
-//	paper -benchjson .                   # write BENCH_{engine,stream,parallel,
-//	                                     # bitslice}.json into a directory
+//	paper -benchjson .                   # write BENCH_{engine,stream,bitslice}.json
+//	                                     # into a directory
 package main
 
 import (
@@ -38,11 +36,10 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit JSON instead of aligned text")
 	tracePath := flag.String("trace", "", "evaluate the codecs over this trace file (text or binary, auto-detected) instead of the benchmark suites")
 	stream := flag.Bool("stream", false, "with -trace: use the single-pass bounded-memory streaming fan-out instead of materializing the trace")
-	parallel := flag.Int("parallel", 0, "with -trace: price each codec over N shards with reseeded encoder state (0 = off; incompatible with -stream)")
 	codes := flag.String("codes", "paper", "with -trace: comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
 	kernel := flag.String("kernel", "auto", "with -trace: pricing kernel — \"auto\" (plane-capable codecs use the bit-sliced path), \"scalar\" or \"plane\"")
 	chunkLen := flag.Int("chunklen", 0, "with -trace: chunk size in entries (0 = default)")
-	benchJSON := flag.String("benchjson", "", "benchmark the batched evaluation engine, the streaming pipeline, shard-parallel pricing and the bit-sliced kernels against their same-machine baselines, write BENCH_{engine,stream,parallel,bitslice}.json into this directory, then exit")
+	benchJSON := flag.String("benchjson", "", "benchmark the batched evaluation engine, the streaming pipeline and the bit-sliced kernels against their same-machine baselines, write BENCH_{engine,stream,bitslice}.json into this directory, then exit")
 	benchDistJSON := flag.String("benchdist", "", "benchmark the distributed coordinator/worker sweep against a serial decode+price pass and write the record to this path (e.g. BENCH_dist.json), then exit")
 	distWorker := flag.Bool("distworker", false, "internal: run as a distributed-sweep protocol worker on stdin/stdout (spawned by -benchdist)")
 	metrics := flag.String("metrics", "", "enable run-time observability and dump all metric registries on exit: \"table\", \"json\" or \"spans\" (to stderr, so table/trace output stays clean; \"spans\" prints per-stage span latency attribution)")
@@ -87,9 +84,6 @@ func main() {
 			err = benchStream(record("stream"), benchEntries)
 		}
 		if err == nil {
-			err = benchParallel(record("parallel"), src, 0, 5)
-		}
-		if err == nil {
 			err = benchBitslice(record("bitslice"), benchEntries, 5)
 		}
 		if err != nil {
@@ -99,7 +93,7 @@ func main() {
 		return
 	}
 	if *tracePath != "" {
-		if err := evalTrace(*tracePath, *codes, *stream, *chunkLen, *parallel, *kernel); err != nil {
+		if err := evalTrace(*tracePath, *codes, *stream, *chunkLen, *kernel); err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)
 		}

@@ -104,7 +104,7 @@ func TestEvalTraceBothPaths(t *testing.T) {
 	path := writeTestTrace(t, 3000)
 	var outs []string
 	for _, streaming := range []bool{false, true} {
-		out := captureStdout(t, func() error { return evalTrace(path, "paper", streaming, 256, 0, "auto") })
+		out := captureStdout(t, func() error { return evalTrace(path, "paper", streaming, 256, "auto") })
 		for _, code := range []string{"binary", "t0", "dualt0bi"} {
 			if !strings.Contains(out, code) {
 				t.Errorf("streaming=%v: code %s missing from output:\n%s", streaming, code, out)
@@ -126,29 +126,9 @@ func TestEvalTraceBothPaths(t *testing.T) {
 	}
 }
 
-func TestEvalTraceParallel(t *testing.T) {
-	path := writeTestTrace(t, 3000)
-	seq := captureStdout(t, func() error { return evalTrace(path, "paper", false, 0, 0, "auto") })
-	par := captureStdout(t, func() error { return evalTrace(path, "paper", false, 0, 3, "auto") })
-	if !strings.Contains(par, "parallel (3 shards)") {
-		t.Errorf("-parallel output does not announce parallel mode:\n%s", par)
-	}
-	// Identical transition table: shard-parallel pricing is exact.
-	strip := func(s string) string {
-		_, rest, _ := strings.Cut(s, "\n")
-		return rest
-	}
-	if strip(seq) != strip(par) {
-		t.Errorf("materialized and parallel tables differ:\n%s\nvs\n%s", seq, par)
-	}
-	if err := evalTrace(path, "paper", true, 0, 2, "auto"); err == nil {
-		t.Error("-stream combined with -parallel accepted")
-	}
-}
-
 func TestEvalTraceCustomCodes(t *testing.T) {
 	path := writeTestTrace(t, 1000)
-	out := captureStdout(t, func() error { return evalTrace(path, "t0,gray", true, 0, 0, "auto") })
+	out := captureStdout(t, func() error { return evalTrace(path, "t0,gray", true, 0, "auto") })
 	// binary is always prepended as the savings reference.
 	for _, code := range []string{"binary", "t0", "gray"} {
 		if !strings.Contains(out, code) {
@@ -164,7 +144,7 @@ func TestSpanTraceExport(t *testing.T) {
 	obs.EnableTracing(obs.TracerConfig{})
 	defer obs.DisableTracing()
 	path := writeTestTrace(t, 3000)
-	captureStdout(t, func() error { return evalTrace(path, "paper", false, 0, 4, "auto") })
+	captureStdout(t, func() error { return evalTrace(path, "paper", true, 0, "auto") })
 	out := filepath.Join(t.TempDir(), "spans.json")
 	writeSpanTrace(out)
 
@@ -188,9 +168,10 @@ func TestSpanTraceExport(t *testing.T) {
 			names[ev.Name] = true
 		}
 	}
-	// The parallel evaluation must leave its whole span taxonomy in the
-	// file: read, per-codec roots, shard kernels and the merge.
-	for _, want := range []string{"trace.read_all", "core.evaluate_parallel", "codec.run_parallel", "codec.shard", "codec.merge"} {
+	// The streaming evaluation must leave its whole span taxonomy in the
+	// file: the root, the broadcast of each chunk, the per-Pricer
+	// workers and the reduction.
+	for _, want := range []string{"core.evaluate_streaming", "core.broadcast", "core.worker", "core.reduce"} {
 		if !names[want] {
 			t.Errorf("span trace missing %q events (got %v)", want, names)
 		}
@@ -201,7 +182,7 @@ func TestDumpMetricsSpans(t *testing.T) {
 	obs.EnableTracing(obs.TracerConfig{})
 	defer obs.DisableTracing()
 	path := writeTestTrace(t, 2000)
-	captureStdout(t, func() error { return evalTrace(path, "t0,gray", true, 0, 0, "auto") })
+	captureStdout(t, func() error { return evalTrace(path, "t0,gray", true, 0, "auto") })
 
 	old := os.Stderr
 	r, w, err := os.Pipe()
@@ -278,22 +259,6 @@ func TestBenchStreamJSON(t *testing.T) {
 	positive(t, rec, "materialized_ns", "streaming_ns", "materialized_alloc_bytes", "streaming_alloc_bytes")
 	if rec.Metrics["entries"] != 20000 {
 		t.Errorf("entries = %v, want 20000", rec.Metrics["entries"])
-	}
-}
-
-func TestBenchParallelJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_parallel.json")
-	out := captureStdout(t, func() error { return benchParallel(path, core.Synthetic, 0, 1) })
-	if !strings.Contains(out, "parity=true") {
-		t.Errorf("summary missing parity:\n%s", out)
-	}
-	rec := readRecord(t, path, "parallel")
-	positive(t, rec, "reference_ns", "serial_warm_ns", "parallel_warm_ns")
-	if rec.Info["source"] != "synthetic" {
-		t.Errorf("source = %v, want synthetic", rec.Info["source"])
-	}
-	if rec.Metrics["gomaxprocs"] < 4 {
-		t.Errorf("parallel sweep at gomaxprocs %v, want >= 4", rec.Metrics["gomaxprocs"])
 	}
 }
 

@@ -41,13 +41,9 @@ func parseCodes(codes string) []string {
 }
 
 // evalTrace evaluates the named codecs over the trace file and prints a
-// comparison table. parallel > 0 routes the materialized path through
-// core.EvaluateParallel with that many shards per codec. kernel picks
-// the pricing kernel ("auto", "scalar" or "plane").
-func evalTrace(path, codes string, streaming bool, chunkLen, parallel int, kernel string) error {
-	if streaming && parallel > 0 {
-		return fmt.Errorf("-stream and -parallel are mutually exclusive: the streaming fan-out never materializes the trace, shard-parallel pricing needs it in memory")
-	}
+// comparison table. kernel picks the pricing kernel ("auto", "scalar"
+// or "plane").
+func evalTrace(path, codes string, streaming bool, chunkLen int, kernel string) error {
 	kern, err := codec.ParseKernel(kernel)
 	if err != nil {
 		return err
@@ -92,33 +88,22 @@ func evalTrace(path, codes string, streaming bool, chunkLen, parallel int, kerne
 		}
 		streamName = s.Name
 		entries = int64(s.Len())
-		if parallel > 0 {
-			results, err = core.EvaluateParallel(s, s.Width, names, core.DefaultOptions,
-				core.ParallelConfig{Shards: parallel, Verify: codec.VerifySampled, Kernel: kern})
+		for _, name := range names {
+			c, err := codec.New(name, s.Width, core.DefaultOptions)
 			if err != nil {
 				return err
 			}
-		} else {
-			for _, name := range names {
-				c, err := codec.New(name, s.Width, core.DefaultOptions)
-				if err != nil {
-					return err
-				}
-				res, err := codec.RunFast(c, s, codec.RunOpts{Verify: codec.VerifySampled, Kernel: kern})
-				if err != nil {
-					return err
-				}
-				results = append(results, res)
+			res, err := codec.RunFast(c, s, codec.RunOpts{Verify: codec.VerifySampled, Kernel: kern})
+			if err != nil {
+				return err
 			}
+			results = append(results, res)
 		}
 	}
 
 	mode := "materialized"
-	switch {
-	case streaming:
+	if streaming {
 		mode = "streaming"
-	case parallel > 0:
-		mode = fmt.Sprintf("parallel (%d shards)", parallel)
 	}
 	fmt.Printf("trace %q (%s): %d references, width %d, %s evaluation\n",
 		streamName, path, entries, r.Width(), mode)

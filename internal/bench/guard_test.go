@@ -33,9 +33,6 @@ func fixtures() map[string]Record {
 		"stream": rec("StreamPipeline",
 			map[string]float64{"streaming_ns": 46e6, "speedup_streaming": 1.6, "alloc_ratio": 24, "parity": 1},
 			ratio("speedup_streaming", Band, 0), ratio("alloc_ratio", 0.5, 0), inv("parity", 1)),
-		"parallel": rec("Table4Parallel",
-			map[string]float64{"speedup_parallel": 2.5, "speedup_vs_reference": 60, "parity": 1},
-			ratio("speedup_parallel", Band, 2), ratio("speedup_vs_reference", Band, 0), inv("parity", 1)),
 		"bitslice": rec("Bitslice",
 			map[string]float64{"plane_ns": 10e6, "speedup_bitslice": 6, "parity": 1},
 			floor("speedup_bitslice", 5, 0), ratio("speedup_bitslice", Band, 0), inv("parity", 1)),
@@ -86,9 +83,6 @@ func TestGuardFailsOnInjected2xSlowdown(t *testing.T) {
 		{"stream", "speedup_streaming", 0.8, 1},
 		{"stream", "alloc_ratio", 6, 1}, // quartered: half sits on the 2x band's edge
 		{"stream", "parity", 0, 1},
-		{"parallel", "speedup_parallel", 1.25, 1},
-		{"parallel", "speedup_vs_reference", 30, 1},
-		{"parallel", "parity", 0, 1},
 		{"bitslice", "speedup_bitslice", 3, 2}, // absolute 5x floor and relative band
 		{"bitslice", "parity", 0, 1},
 		{"dist", "speedup_dist", 1, 2},
@@ -208,8 +202,8 @@ func TestGuardBitsliceFloor(t *testing.T) {
 }
 
 // TestGuardDistFloor: a check with min_cpu set — the dist and tcp
-// floors, the parallel scaling band — skips with a note on a box below
-// its gate and binds at the gate.
+// floors — skips with a note on a box below its gate and binds at the
+// gate.
 func TestGuardDistFloor(t *testing.T) {
 	gated := 0
 	for name, r := range fixtures() {
@@ -239,8 +233,8 @@ func TestGuardDistFloor(t *testing.T) {
 			}
 		}
 	}
-	if gated != 3 {
-		t.Errorf("%d gated checks, want 3 (parallel band, dist and tcp floors)", gated)
+	if gated != 2 {
+		t.Errorf("%d gated checks, want 2 (dist and tcp floors)", gated)
 	}
 }
 
@@ -290,22 +284,33 @@ func TestGuardServe(t *testing.T) {
 	}
 }
 
-// TestGuardParallelSkipNote: on a 1-CPU box the shard-scaling band is
-// skipped with a note, while the vs-reference band and parity of the
-// same record keep binding.
-func TestGuardParallelSkipNote(t *testing.T) {
-	old := fixtures()["parallel"]
+// TestGuardGatedSkipNote: on a 1-CPU box the dist record's CPU-gated
+// floors are skipped with a note each, while the same record's other
+// checks keep binding — the bands on the very metrics those floors
+// gate included.
+func TestGuardGatedSkipNote(t *testing.T) {
+	old := fixtures()["dist"]
 	old.NumCPU = 1
-	fresh := with(old, "speedup_parallel", 0.4)
-	vs, notes := Compare("parallel", old, fresh)
-	if len(vs) != 0 || len(notes) != 1 || !strings.Contains(notes[0], "speedup_parallel ratio skipped: num_cpu=1") {
-		t.Errorf("1-CPU scaling collapse: violations %v, notes %v", vs, notes)
-	}
-	fresh = with(fresh, "speedup_vs_reference", 30)
+	fresh := with(old, "speedup_dist", 1)
+	fresh.Metrics["tcp.speedup_pipelined"] = 0.8
 	fresh.Metrics["parity"] = 0
-	vs, _ = Compare("parallel", old, fresh)
-	if len(vs) != 2 || vs[0].Metric != "speedup_vs_reference" || vs[1].Metric != "parity" {
-		t.Errorf("1-CPU vs-reference slowdown + parity=0: violations %v", vs)
+	vs, notes := Compare("dist", old, fresh)
+	want := []string{
+		"dist: speedup_dist floor skipped: num_cpu=1 (needs >= 4 CPUs)",
+		"dist: tcp.speedup_pipelined floor skipped: num_cpu=1 (needs >= 2 CPUs)",
+	}
+	if !slices.Equal(notes, want) {
+		t.Errorf("1-CPU notes %v, want %v", notes, want)
+	}
+	var got []string
+	for _, v := range vs {
+		if v.Metric != "parity" && !strings.Contains(v.Msg, "below the committed record") {
+			t.Errorf("violation %v, want the band, not the skipped floor", v)
+		}
+		got = append(got, v.Metric)
+	}
+	if !slices.Equal(got, []string{"speedup_dist", "tcp.speedup_pipelined", "parity"}) {
+		t.Errorf("1-CPU speedup collapse + parity=0: violations %v, want both bands and parity", vs)
 	}
 }
 
@@ -383,7 +388,7 @@ func TestGuardMissingField(t *testing.T) {
 
 // TestGuardOnCommittedRecords: the records committed at the repository
 // root declare exactly the fixtures' checks, pass the guard against
-// themselves with only the three 1-CPU skip notes, and fail once a
+// themselves with only the two 1-CPU skip notes, and fail once a
 // slowdown past any binding band is injected.
 func TestGuardOnCommittedRecords(t *testing.T) {
 	fx := fixtures()
@@ -412,7 +417,6 @@ func TestGuardOnCommittedRecords(t *testing.T) {
 		}
 	}
 	want := []string{
-		"parallel: speedup_parallel ratio skipped: num_cpu=1 (needs >= 2 CPUs)",
 		"dist: speedup_dist floor skipped: num_cpu=1 (needs >= 4 CPUs)",
 		"dist: tcp.speedup_pipelined floor skipped: num_cpu=1 (needs >= 2 CPUs)",
 	}
@@ -426,7 +430,7 @@ func TestGuardOnCommittedRecords(t *testing.T) {
 // and still compares every record it can read.
 func TestGuardDirs(t *testing.T) {
 	base := filepath.Join("..", "..")
-	if vs, notes := Guard(base, base); len(vs) != 0 || len(notes) != 3 {
+	if vs, notes := Guard(base, base); len(vs) != 0 || len(notes) != 2 {
 		t.Errorf("committed records against themselves: violations %v, notes %v", vs, notes)
 	}
 

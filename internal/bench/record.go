@@ -23,7 +23,7 @@ import (
 
 // Names lists the committed records in guard order; the record named n
 // lives in BENCH_n.json.
-var Names = []string{"engine", "stream", "parallel", "bitslice", "dist", "serve"}
+var Names = []string{"engine", "stream", "bitslice", "dist", "serve"}
 
 // Kind says how the guard treats a checked metric.
 type Kind string

@@ -154,8 +154,8 @@ func (b *Bus) AvgPerLine() float64 {
 
 // Prime sets the line state to word without counting a cycle or any
 // transitions: the bus behaves exactly as if word had been the last word
-// driven by someone else. Shard-parallel pricing uses it to seed a
-// shard's accumulator with the word driven just before the shard
+// driven by someone else. Shard pricing (codec.Pricer.Seed) uses it to
+// seed a shard's accumulator with the word driven just before the shard
 // boundary, so the boundary transition is counted exactly once — by the
 // shard that drives the following word.
 func (b *Bus) Prime(word uint64) {

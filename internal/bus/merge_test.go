@@ -3,6 +3,7 @@ package bus
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -247,5 +248,50 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if _, err := FromStats(8, Stats{PerLine: make([]int64, 9)}); err == nil {
 		t.Error("per-line width mismatch did not fail")
+	}
+}
+
+// TestFromStatsRejects: a snapshot no bus of the width could have taken
+// — the statistics a faulty peer or a doctored journal would hand the
+// distributed merge — is refused with an error naming what is wrong,
+// while the honest snapshots around it pass.
+func TestFromStatsRejects(t *testing.T) {
+	const width = 4
+	honest := Stats{Transitions: 6, Cycles: 5, MaxPerCycle: 3, PerLine: []int64{1, 2, 0, 3}}
+	edit := func(f func(*Stats)) Stats {
+		st := honest
+		st.PerLine = append([]int64(nil), honest.PerLine...)
+		f(&st)
+		return st
+	}
+	for _, tc := range []struct {
+		name string
+		st   Stats
+		want string // "" for a snapshot that must pass
+	}{
+		{"honest", honest, ""},
+		{"aggregate", edit(func(s *Stats) { s.PerLine = nil }), ""},
+		{"max on every line", edit(func(s *Stats) { s.MaxPerCycle = width }), ""},
+		{"empty", Stats{}, ""},
+		{"empty per-line", Stats{PerLine: make([]int64, width)}, ""},
+		{"negative transitions", edit(func(s *Stats) { s.Transitions, s.PerLine = -1, nil }), "negative count"},
+		{"negative cycles", edit(func(s *Stats) { s.Cycles = -1 }), "negative count"},
+		{"negative max", edit(func(s *Stats) { s.MaxPerCycle = -1 }), "negative count"},
+		{"negative line", edit(func(s *Stats) { s.PerLine[1], s.PerLine[3] = -1, 6 }), "negative count -1 on line 1"},
+		{"max above width", edit(func(s *Stats) { s.MaxPerCycle = width + 1 }), "5 transitions in one cycle on 4 lines"},
+		{"per-line short", edit(func(s *Stats) { s.Transitions = 7 }), "do not sum to the 7 transitions"},
+		{"per-line over", edit(func(s *Stats) { s.PerLine[0] = 2 }), "do not sum to the 6 transitions"},
+		{"per-line wraps", edit(func(s *Stats) {
+			s.Transitions = 0
+			s.PerLine = []int64{1<<63 - 1, 1<<63 - 1, 2, 0}
+		}), "do not sum to the 0 transitions"},
+	} {
+		_, err := FromStats(width, tc.st)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: honest snapshot refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

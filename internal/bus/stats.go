@@ -2,14 +2,16 @@ package bus
 
 import "fmt"
 
-// Cross-process accumulator transfer. Shard-parallel pricing inside one
-// process merges *Bus values directly (Merge); the distributed sweep in
+// Cross-process accumulator transfer. Shard pricing inside one process
+// merges *Bus values directly (Merge); the distributed sweep in
 // internal/dist prices shards in worker processes and ships their
 // accumulators back as plain data. Stats is that wire form: it captures
 // everything Merge consumes — totals, cycles, max-per-cycle, optional
 // per-line counts, and the line state the next shard continues from —
 // so FromStats(w, b.Stats()) reconstructs a bus that merges exactly
-// like the original.
+// like the original. Stats arrive from other processes, peers and
+// journals, so FromStats refuses a snapshot that is impossible on its
+// face.
 
 // Stats is the serializable snapshot of a bus accumulator.
 type Stats struct {
@@ -40,10 +42,35 @@ func (b *Bus) Stats() Stats {
 // FromStats reconstructs a bus of the given width from a snapshot. The
 // result is per-line capable exactly when the snapshot carries per-line
 // counts; it merges (and continues counting) identically to the bus the
-// snapshot was taken from.
+// snapshot was taken from. A snapshot no bus of that width can produce
+// is an error: a negative count, more lines toggling in one cycle than
+// the bus has, or per-line counts that do not sum to the total.
 func FromStats(width int, st Stats) (*Bus, error) {
 	if st.PerLine != nil && len(st.PerLine) != width {
 		return nil, fmt.Errorf("bus: stats carry %d per-line counts for width %d", len(st.PerLine), width)
+	}
+	if st.Transitions < 0 || st.Cycles < 0 || st.MaxPerCycle < 0 {
+		return nil, fmt.Errorf("bus: stats carry a negative count (transitions %d, cycles %d, max per cycle %d)",
+			st.Transitions, st.Cycles, st.MaxPerCycle)
+	}
+	if st.MaxPerCycle > width {
+		return nil, fmt.Errorf("bus: stats carry %d transitions in one cycle on %d lines", st.MaxPerCycle, width)
+	}
+	if st.PerLine != nil {
+		// Count down from the total, which cannot overflow the way a sum
+		// of hostile counts can.
+		left := st.Transitions
+		for i, n := range st.PerLine {
+			if n < 0 {
+				return nil, fmt.Errorf("bus: stats carry a negative count %d on line %d", n, i)
+			}
+			if left -= n; left < 0 {
+				break
+			}
+		}
+		if left != 0 {
+			return nil, fmt.Errorf("bus: stats carry per-line counts that do not sum to the %d transitions", st.Transitions)
+		}
 	}
 	var b *Bus
 	if st.PerLine != nil {

@@ -21,28 +21,3 @@ func RecordRun(name string, entries, transitions int64) {
 	obs.GetCounter("codec.entries_encoded." + name).Add(entries)
 	obs.GetCounter("codec.transitions." + name).Add(transitions)
 }
-
-// RecordParallel publishes one completed RunParallel invocation: the
-// shard count it actually used (after clamping) and, for sweep codecs,
-// the entries re-encoded by the sequential state-only seeding sweep.
-// A no-op while metrics are disabled.
-func RecordParallel(name string, shards int, sweepEntries int64) {
-	if !obs.Enabled() {
-		return
-	}
-	obs.GetCounter("codec.parallel.runs." + name).Inc()
-	obs.GetGauge("codec.parallel.shards").Set(int64(shards))
-	if sweepEntries > 0 {
-		obs.GetCounter("codec.parallel.sweep_entries").Add(sweepEntries)
-	}
-}
-
-// RecordShard publishes one shard worker's wall time into the per-shard
-// wait histogram; the reduction waits for the slowest bucket.
-func RecordShard(ns int64) {
-	obs.GetHistogram("codec.parallel.shard_ns").Observe(ns)
-}
-
-// parallelTimed reports whether shard workers should pay for per-shard
-// timing — only while metrics are enabled.
-func parallelTimed() bool { return obs.Enabled() }

@@ -116,6 +116,6 @@ func (d *offsetDecoder) Snapshot() State { return offsetState{d.prev} }
 // Restore implements StateCodec.
 func (d *offsetDecoder) Restore(st State) { d.prev = st.(offsetState).prev }
 
-// SeedFrom implements Seeder, so shard-parallel verification can seed a
+// SeedFrom implements Seeder, so shard verification can seed a
 // mid-stream decoder from the last prefix address.
 func (d *offsetDecoder) SeedFrom(prev Symbol) { d.prev = prev.Addr & d.o.mask }

@@ -116,7 +116,7 @@ func (e *noPlaneKernelError) Error() string {
 	return "codec " + e.name + ": no plane-domain kernel"
 }
 
-// Prime seeds the set mid-stream, for shard-parallel pricing: prevRaw
+// Prime seeds the set mid-stream, for shard pricing (Pricer.Seed): prevRaw
 // is the raw address of the entry just before the next Consume call,
 // and words[i] the encoded word codec i's bus carries at that point
 // (the word the sequential run drove last). len(words) must equal the

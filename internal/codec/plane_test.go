@@ -107,8 +107,8 @@ func TestPlaneSetParity(t *testing.T) {
 	}
 }
 
-// TestPlaneSetPrimed: mid-stream seeding (the shard-parallel entry
-// point) must reproduce the suffix statistics of a sequential run.
+// TestPlaneSetPrimed: mid-stream seeding (the entry point of a seeded
+// plane group) must reproduce the suffix statistics of a sequential run.
 func TestPlaneSetPrimed(t *testing.T) {
 	const n, cut = 700, 333
 	s := planeTestStream(n, 42)

@@ -12,10 +12,9 @@ import (
 // The pricing core. The paper's whole evaluation is one loop: encode the
 // address stream, count bus transitions, check that the decode
 // round-trips. Pricer is that loop, and the only copy of it besides the
-// reference Run: RunFast, RunStream, RunPlaneSet, PriceShard (and
-// through it RunParallel), core.EvaluateStreaming and the distributed
-// workers (internal/dist) are thin drivers that feed it entries and read
-// its buses.
+// reference Run: RunFast, RunStream, RunPlaneSet, core.EvaluateStreaming
+// and the distributed workers (internal/dist) are thin drivers that feed
+// it entries and read its buses.
 //
 // A Pricer picks its kernel once (PlaneEligible): the scalar path
 // prices one codec, gathering symbols into a pooled buffer, running the
@@ -329,10 +328,6 @@ func (p *Pricer) Name() string {
 	}
 	return strings.Join(names, "+")
 }
-
-// Bus returns the counting bus of a one-codec Pricer, for the ordered
-// shard reduction (bus.MergeSlots).
-func (p *Pricer) Bus() *bus.Bus { return p.lanes[0].b }
 
 // Result converts a one-codec Pricer's counts into a Result labeled
 // with the stream name and publishes the run (RecordRun).

@@ -38,11 +38,32 @@ func marshalled(t testing.TB, st State) State {
 	return back
 }
 
-// TestPriceShardRejectsMismatchedState: a boundary state of the wrong
-// type, or with registers of the wrong size, must come back as an
-// error naming the problem, never as a panic or a half-restored
-// encoder.
-func TestPriceShardRejectsMismatchedState(t *testing.T) {
+// priceFrom prices entries on a fresh Pricer for c seeded at bd, the
+// way a worker prices a shard, and returns its counting bus for the
+// ordered reduction (bus.MergeSlots).
+func priceFrom(c Codec, bd Boundary, entries []trace.Entry, opts RunOpts) (*bus.Bus, error) {
+	p, err := NewPricer(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Seed(bd); err != nil {
+		return nil, err
+	}
+	if err := p.ConsumeEntries(entries); err != nil {
+		return nil, err
+	}
+	buses, err := CollectBuses([]*Pricer{p})
+	if err != nil {
+		return nil, err
+	}
+	return buses[0], nil
+}
+
+// TestPricerSeedRejectsMismatchedState: a boundary state of the wrong
+// type, or with registers of the wrong size, must come back from
+// Pricer.Seed as an error naming the problem, never as a panic or a
+// half-restored encoder.
+func TestPricerSeedRejectsMismatchedState(t *testing.T) {
 	s := randomMixStream(32, 600, 5)
 	for _, tc := range []struct {
 		code string
@@ -55,10 +76,12 @@ func TestPriceShardRejectsMismatchedState(t *testing.T) {
 		{"workzone", wzState{regs: []uint64{1}, age: []int{0}}, "codec workzone: boundary state registers do not fit"},
 		{"adaptive", adaptiveState{list: make([]uint64, 17)}, "codec adaptive: boundary state registers do not fit"},
 	} {
-		c := MustNew(tc.code, 32, Options{Stride: 4})
-		bd := Boundary{Prev: s.Entries[99], SeedSym: SymbolOf(s.Entries[98]), HaveSeedSym: true, State: marshalled(t, tc.st)}
-		_, err := PriceShard(c, s.Entries[100:], bd, 100, RunOpts{})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
+		p, err := NewPricer(MustNew(tc.code, 32, Options{Stride: 4}), RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd := Boundary{Prev: s.Entries[99], SeedSym: SymbolOf(s.Entries[98]), HaveSeedSym: true, State: marshalled(t, tc.st), Base: 100}
+		if err := p.Seed(bd); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.code, err, tc.want)
 		}
 	}
@@ -173,15 +196,12 @@ func FuzzBoundaryState(f *testing.F) {
 			bd.SeedSym, bd.HaveSeedSym = SymbolOf(s.Entries[cut-2]), true
 		}
 		for _, c := range codecs {
-			p, err := NewPricer(c, RunOpts{Verify: VerifyMode(mode % 3), PerLine: true})
+			b, err := priceFrom(c, bd, s.Entries[cut:], RunOpts{Verify: VerifyMode(mode % 3), PerLine: true})
 			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Seed(bd) != nil || p.ConsumeEntries(s.Entries[cut:]) != nil {
 				continue
 			}
 			want := runSeeded(c, bd, s.Entries[cut:])
-			sameResult(t, c.Name(), newResult(c, "", p.Bus()), want)
+			sameResult(t, c.Name(), newResult(c, "", b), want)
 		}
 	})
 }
@@ -219,14 +239,16 @@ func fuzzStream(data []byte) *trace.Stream {
 
 // FuzzPricingPaths is the differential target over every pricing path:
 // for the fuzzer's codec, stream, chunk length, shard cut, kernel and
-// verify mode, RunFast, RunStream, runParallelCuts and a PriceShard +
-// bus.MergeSlots chain fed marshalled boundary states must all equal
-// the reference Run. So must, for the fuzzer's codec set (a bit mask
-// over the registered codecs, 0 for all of them), the NewPricers
-// grouping fed chunk by chunk through Consume, RunPlaneSet over the
-// set's plane codecs, and the distributed worker's composition over the
-// set's Seeder codecs: NewPricers + Seed + Consume on each side of the
-// cut, merged with bus.MergeSlots.
+// verify mode, RunFast, RunStream and a cut priced from marshalled
+// boundary states must all equal the reference Run. The cut chain is
+// BoundaryStates, UnmarshalState, then NewPricer + Seed +
+// ConsumeEntries on each side (priceFrom), merged with bus.MergeSlots;
+// it reaches every codec, prefix-dependent ones included. So must, for
+// the fuzzer's codec set (a bit mask over the registered codecs, 0 for
+// all of them), the NewPricers grouping fed chunk by chunk through
+// Consume, RunPlaneSet over the set's plane codecs, and the distributed
+// worker's composition over the set's Seeder codecs: NewPricers + Seed
+// + Consume on each side of the cut, merged with bus.MergeSlots.
 func FuzzPricingPaths(f *testing.F) {
 	codecs := allCodecs(f, 32)
 	var planeOnly uint16
@@ -275,12 +297,6 @@ func FuzzPricingPaths(f *testing.F) {
 			return
 		}
 		cuts := []int{0, 1 + int(rawCut)%(n-1), n}
-		popts := ParallelOpts{Verify: opts.Verify, PerLine: true, Kernel: opts.Kernel}
-		if got, err = runParallelCuts(c, s, cuts, popts); err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, label+"/runParallelCuts", got, want)
-
 		states, err := BoundaryStates(c, s.Entries, cuts)
 		if err != nil {
 			t.Fatal(err)
@@ -288,7 +304,7 @@ func FuzzPricingPaths(f *testing.F) {
 		buses := make([]*bus.Bus, len(cuts)-1)
 		errs := make([]error, len(buses))
 		for k := range buses {
-			bd := Boundary{First: k == 0}
+			bd := Boundary{First: k == 0, Base: cuts[k]}
 			if lead := cuts[k] - 1; k > 0 {
 				bd.Prev = s.Entries[lead]
 				if lead > 0 {
@@ -300,13 +316,13 @@ func FuzzPricingPaths(f *testing.F) {
 					}
 				}
 			}
-			buses[k], errs[k] = PriceShard(c, s.Entries[cuts[k]:cuts[k+1]], bd, cuts[k], opts)
+			buses[k], errs[k] = priceFrom(c, bd, s.Entries[cuts[k]:cuts[k+1]], opts)
 		}
 		merged, err := bus.MergeSlots(buses, errs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, label+"/PriceShard", newResult(c, s.Name, merged), want)
+		sameResult(t, label+"/seeded", newResult(c, s.Name, merged), want)
 	})
 }
 

@@ -3,18 +3,17 @@ package codec
 import (
 	"fmt"
 
-	"busenc/internal/bus"
 	"busenc/internal/trace"
 )
 
-// Shard pricing with an explicit boundary hand-off. RunParallel
-// (parallel.go) prices a contiguous run of entries whose encoder state
-// at the left edge was produced elsewhere through PriceShard: a Pricer
-// seeded with a Boundary value carrying everything that crossed the
-// cut, then fed the shard's own entries. The distributed workers
-// (internal/dist) seed the Pricers NewPricers builds from the same
-// Boundary, but only ever cut Seeder codecs, so their boundaries carry
-// no state.
+// Pricing from a cut. A Pricer joins the stream mid-way through
+// Pricer.Seed, given a Boundary value carrying everything that crossed
+// the cut. The distributed workers (internal/dist) seed the Pricers
+// NewPricers builds this way, but only ever cut Seeder codecs, so their
+// boundaries carry no state: SeedSym, the symbol before the cut's
+// boundary entry, fixes a Seeder's encoder in O(1). A prefix-dependent
+// codec needs Boundary.State, the encoder state entering the boundary
+// entry; BoundaryStates computes it with one sequential sweep.
 
 // Boundary describes how a shard joins the stream at its left edge.
 type Boundary struct {
@@ -39,27 +38,6 @@ type Boundary struct {
 	// Base is the global index of the shard's first entry, used only to
 	// position mismatch reports identically to a sequential run.
 	Base int
-}
-
-// PriceShard prices a shard of the stream on a private bus and returns
-// the accumulator for the ordered reduction (bus.MergeSlots). base is
-// the global index of shard[0] and overrides b.Base. The caller owes
-// exactly one boundary: b.State for prefix-dependent codecs, b.SeedSym
-// for Seeder codecs, neither for shard 0. opts.Verify applies as
-// Pricer.Seed describes.
-func PriceShard(c Codec, shard []trace.Entry, b Boundary, base int, opts RunOpts) (*bus.Bus, error) {
-	p, err := NewPricer(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	b.Base = base
-	if err := p.Seed(b); err != nil {
-		return nil, err
-	}
-	if err := p.ConsumeEntries(shard); err != nil {
-		return nil, err
-	}
-	return p.Bus(), nil
 }
 
 // BoundaryStates runs the state-only seeding sweep and marshals its

@@ -9,7 +9,7 @@ import (
 // StateCodec, making its mutable state an explicit, transferable value:
 // Snapshot returns an opaque deep copy and Restore installs one into any
 // encoder instance built by the same Codec. That contract is what lets
-// shard-parallel pricing (parallel.go) hand shard k an encoder carrying
+// a Pricer seeded through Boundary.State (shard.go) price a shard with
 // exactly the state the sequential run would have had at the shard
 // boundary — the state_test.go property test and FuzzSnapshotSplit pin
 // it for every registered code at arbitrary split points.
@@ -22,7 +22,7 @@ import (
 // (previous *encoded* word), the T0 family (reference registers and
 // frozen bus lines), working-zone (zone registers and LRU ages) and
 // adaptive (the move-to-front list) — cannot be seeded from one symbol
-// and are handled by a sequential state-only sweep instead.
+// and need a sequential state-only sweep instead (BoundaryStates).
 
 // State is an opaque encoder-state value produced by Snapshot. It owns
 // its memory: mutating the originating encoder after Snapshot must not

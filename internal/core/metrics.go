@@ -36,21 +36,3 @@ var fanoutBinding = obs.NewBinding(func() *fanoutMetrics {
 		workers:      obs.GetGauge("core.fanout.workers"),
 	}
 })
-
-// parallelMetrics are the gauges of the most recent EvaluateParallel
-// call: the configured shard count (0 = GOMAXPROCS) and the number of
-// codecs evaluated. The per-shard wall-time histogram and the effective
-// (clamped) shard count live at the codec layer —
-// codec.parallel.shard_ns and codec.parallel.shards — where the shard
-// workers run.
-type parallelMetrics struct {
-	shards *obs.Gauge // core.parallel.shards
-	codecs *obs.Gauge // core.parallel.codecs
-}
-
-var parallelBinding = obs.NewBinding(func() *parallelMetrics {
-	return &parallelMetrics{
-		shards: obs.GetGauge("core.parallel.shards"),
-		codecs: obs.GetGauge("core.parallel.codecs"),
-	}
-})

@@ -30,18 +30,14 @@ var streamCache sync.Map // Source -> *streamCacheEntry
 // events are once-per-process rare, so gating would only hide them):
 // they make the memoization contract measurable ("each MIPS program is
 // assembled and simulated exactly once per process") and show up in
-// every metrics dump alongside the gated hot-path registry.
-// The parallel-evaluation counters are written concurrently by the
-// scheduler's workers (and, beneath them, shard goroutines), so every
-// counter here must stay an obs atomic — StreamEngineStats may be
-// called while an evaluation is in flight and must stay race-clean
-// (core's race test hammers exactly that).
+// every metrics dump alongside the gated hot-path registry. The MIPS
+// counters are written concurrently by the generation pool's workers,
+// so they stay obs atomics: StreamEngineStats may be called while a
+// suite is being generated.
 var (
-	engineReg       = obs.NewRegistry("engine")
-	mipsRuns        = engineReg.Counter("engine.mips_runs")
-	mipsCycles      = engineReg.Counter("engine.mips_cycles")
-	parallelEvals   = engineReg.Counter("engine.parallel_evals")
-	parallelEntries = engineReg.Counter("engine.parallel_entries")
+	engineReg  = obs.NewRegistry("engine")
+	mipsRuns   = engineReg.Counter("engine.mips_runs")
+	mipsCycles = engineReg.Counter("engine.mips_cycles")
 )
 
 // EngineStats reports cumulative work done by the stream layer since
@@ -52,21 +48,14 @@ type EngineStats struct {
 	// MIPSCycles is the total number of simulated CPU cycles across those
 	// runs (from mips.RunStats).
 	MIPSCycles int64
-	// ParallelEvals is the number of codec evaluations completed through
-	// EvaluateParallel.
-	ParallelEvals int64
-	// ParallelEntries is the total entries priced by those evaluations.
-	ParallelEntries int64
 }
 
 // StreamEngineStats returns the current engine counters. It is safe to
 // call concurrently with running evaluations.
 func StreamEngineStats() EngineStats {
 	return EngineStats{
-		MIPSRuns:        mipsRuns.Value(),
-		MIPSCycles:      mipsCycles.Value(),
-		ParallelEvals:   parallelEvals.Value(),
-		ParallelEntries: parallelEntries.Value(),
+		MIPSRuns:   mipsRuns.Value(),
+		MIPSCycles: mipsCycles.Value(),
 	}
 }
 

@@ -398,7 +398,11 @@ func buildJob(plan *planned, opts Opts, k int) *Job {
 // mergeStats rebuilds each job's buses from the returned stats and
 // merges every codec over the jobs that priced it. Those jobs come in
 // entry order: a codec is either in one whole-trace group or in every
-// entry shard, and planJobs lays the shards out ascending.
+// entry shard, and planJobs lays the shards out ascending. Workers,
+// peers and journals are all untrusted here: stats that are impossible
+// on their face (bus.FromStats), or a cycle count other than the job's
+// entry count, fail the sweep with an error naming the job and the
+// codec.
 func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) ([]codec.Result, error) {
 	results := make([]codec.Result, len(specs))
 	for i, cs := range specs {
@@ -414,6 +418,9 @@ func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) 
 			s, ok := stats[k][cs.Name]
 			if !ok {
 				return nil, fmt.Errorf("dist: job %d returned no stats for codec %s", k, cs.Name)
+			}
+			if from, to := plan.span(k); s.Cycles != to-from {
+				return nil, fmt.Errorf("dist: job %d codec %s: stats carry %d cycles for %d entries", k, cs.Name, s.Cycles, to-from)
 			}
 			b, err := bus.FromStats(c.BusWidth(), s)
 			if err != nil {

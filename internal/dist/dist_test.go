@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"busenc/internal/bus"
 	"busenc/internal/codec"
 	"busenc/internal/trace"
 )
@@ -42,7 +43,7 @@ func mixStream(width, n int, seed int64) *trace.Stream {
 }
 
 // writeBETR materializes s as a BETR file in a temp dir.
-func writeBETR(t *testing.T, s *trace.Stream) string {
+func writeBETR(t testing.TB, s *trace.Stream) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.betr")
 	f, err := os.Create(path)
@@ -462,5 +463,56 @@ func TestHeartbeatTimeoutRedispatch(t *testing.T) {
 	}
 	if n := ns.Redispatches.Load(); n < 1 {
 		t.Errorf("redispatches = %d, want >= 1", n)
+	}
+}
+
+// doctoringSpawner wraps a Spawner so every transport rewrites the
+// stats of job on their way back (see editFirstCodec): a faulty worker
+// or peer.
+func doctoringSpawner(inner Spawner, job int, edit func(map[string]bus.Stats)) Spawner {
+	return SpawnerFunc(func(id, gen int) (Transport, error) {
+		t, err := inner.Spawn(id, gen)
+		if err != nil {
+			return nil, err
+		}
+		return &doctoringTransport{Transport: t, job: job, edit: edit}, nil
+	})
+}
+
+type doctoringTransport struct {
+	Transport
+	job  int
+	edit func(map[string]bus.Stats)
+}
+
+func (dt *doctoringTransport) Recv() (msg, error) {
+	m, err := dt.Transport.Recv()
+	if err == nil && m.Type == msgResult && m.Result != nil && m.Result.Shard == dt.job {
+		dt.edit(m.Result.Stats)
+	}
+	return m, err
+}
+
+// TestSweepRejectsDoctoredCycles: a worker that reports one cycle too
+// many for one codec of one job fails the sweep with an error naming
+// that job, instead of merging a wrong table.
+func TestSweepRejectsDoctoredCycles(t *testing.T) {
+	const width = 32
+	s := mixStream(width, 6000, 56)
+	path := writeBETR(t, s)
+	specs := AllSpecs(width)
+	jobs, _, err := planJobs(specs, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, len(jobs) - 1} {
+		res, err := Sweep(path, Opts{
+			Workers: 2, Shards: 8, Codecs: specs, Verify: codec.VerifyNone,
+			Spawn: doctoringSpawner(InProcSpawner(nil), k, editFirstCodec(func(st *bus.Stats) { st.Cycles++ })),
+		})
+		want := fmt.Sprintf("dist: job %d codec ", k)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "cycles") {
+			t.Errorf("job %d doctored: err = %v, results %+v; want an error naming %q", k, err, res, want)
+		}
 	}
 }

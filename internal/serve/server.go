@@ -15,7 +15,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -271,10 +270,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 // evalRequest is a parsed /eval query.
 type evalRequest struct {
-	source   string
-	spec     JobSpec
-	parallel int
-	mode     string // "", "sync", "async"
+	source string
+	spec   JobSpec
+	mode   string // "", "sync", "async"
 }
 
 // parseEval validates the query and writes the 4xx envelope itself on
@@ -313,8 +311,11 @@ func (s *Server) parseEval(w http.ResponseWriter, r *http.Request) (evalRequest,
 	if req.spec.Depth, ok = posIntParam(w, q.Get("depth"), "depth", MaxDepth); !ok {
 		return req, false
 	}
-	// The shard-parallel path clamps its shard count to the trace length.
-	if req.parallel, ok = posIntParam(w, q.Get("parallel"), "parallel", math.MaxInt); !ok {
+	// /eval has no shard-parallel route. The parameter is refused, not
+	// ignored: an old client moved silently onto the default route could
+	// get a 202 it never polls.
+	if q.Has("parallel") {
+		Error(w, http.StatusBadRequest, "parallel is no longer supported: drop it to price through the default /eval route (streaming fan-out, sync or async by trace size)")
 		return req, false
 	}
 	if v := q.Get("stride"); v != "" {
@@ -353,10 +354,9 @@ type enqueueResponse struct {
 }
 
 // HandleEval serves /eval: admission, source resolution, then either
-// the legacy synchronous path (small traces, explicit ?mode=sync, or
-// the materializing ?parallel=N path) or enqueue-and-poll (202 with a
-// /jobs/{id} location). Unknown digests and missing files are 404;
-// backpressure is 503 + Retry-After.
+// the legacy synchronous path (small traces or explicit ?mode=sync) or
+// enqueue-and-poll (202 with a /jobs/{id} location). Unknown digests and
+// missing files are 404; backpressure is 503 + Retry-After.
 func (s *Server) HandleEval(w http.ResponseWriter, r *http.Request) {
 	tenant, ok := s.admit(w, r)
 	if !ok {
@@ -378,13 +378,6 @@ func (s *Server) HandleEval(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		entries = meta.Entries
-	}
-
-	if req.parallel > 0 {
-		// The shard-parallel path materializes the trace; it stays
-		// synchronous exactly like the pre-service daemon.
-		s.evalParallel(w, req)
-		return
 	}
 
 	mode := req.mode
@@ -452,49 +445,6 @@ func (s *Server) evalSync(w http.ResponseWriter, req evalRequest) {
 	writeJSON(w, http.StatusOK, EvalResponse{
 		Trace: req.source, Stream: results[0].Stream, Width: width,
 		Entries: entries, Cached: cached, Results: results,
-	})
-}
-
-// evalParallel is the pre-service materializing shard path, preserved
-// verbatim for local profiling.
-func (s *Server) evalParallel(w http.ResponseWriter, req evalRequest) {
-	var pool *trace.ChunkPool
-	if req.spec.ChunkLen > 0 {
-		pool = trace.NewChunkPool(req.spec.ChunkLen)
-	}
-	var (
-		r      trace.ChunkReader
-		closer interface{ Close() error }
-		err    error
-	)
-	if IsDigest(req.source) {
-		r, closer, err = s.store.Open(req.source, pool)
-	} else {
-		r, closer, err = trace.OpenFile(req.source, pool)
-	}
-	if err != nil {
-		Error(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer closer.Close()
-	st, err := trace.ReadAll(r)
-	if err != nil {
-		Error(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	opts := s.cfg.Options
-	if req.spec.Stride > 0 {
-		opts.Stride = req.spec.Stride
-	}
-	results, err := core.EvaluateParallel(st, st.Width, req.spec.Codes, opts,
-		core.ParallelConfig{Shards: req.parallel, Verify: codec.VerifySampled, Kernel: req.spec.Kernel})
-	if err != nil {
-		Error(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, EvalResponse{
-		Trace: req.source, Stream: results[0].Stream, Width: st.Width,
-		Entries: results[0].Cycles, Results: results,
 	})
 }
 

@@ -109,8 +109,8 @@ func TestServerUploadAndSyncEval(t *testing.T) {
 		t.Errorf("GET /traces = %d %s", resp.StatusCode, b)
 	}
 
-	// Small stored trace routes synchronously; results must match an
-	// in-process evaluation of the same stream (parity).
+	// Small stored trace routes synchronously; results must match the
+	// paper-faithful codec.Run over the same stream (parity).
 	resp, b = doReq(t, http.MethodGet, hs.URL+"/eval?trace="+meta.Digest+"&codes=t0,gray", nil, "alice")
 	if resp.StatusCode != 200 {
 		t.Fatalf("sync eval = %d %s", resp.StatusCode, b)
@@ -120,10 +120,13 @@ func TestServerUploadAndSyncEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := core.ReferenceMuxedStream(entries)
-	want, err := core.EvaluateParallel(st, st.Width, []string{"binary", "t0", "gray"},
-		core.DefaultOptions, core.ParallelConfig{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
+	var want []codec.Result
+	for _, code := range []string{"binary", "t0", "gray"} {
+		r, err := codec.Run(codec.MustNew(code, st.Width, core.DefaultOptions), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
 	}
 	if len(got.Results) != len(want) {
 		t.Fatalf("result count = %d, want %d", len(got.Results), len(want))

@@ -52,8 +52,8 @@ type BETRIndex struct {
 
 // IndexBETR scans a BETR byte view (an mmap'd file or an in-memory
 // buffer) and plans parts contiguous shards with sizes as equal as
-// possible (the same k*n/p cut policy as codec.RunParallel). Errors are
-// positioned like the streaming reader's; file may be empty.
+// possible (cut k at entry k*n/parts). Errors are positioned like the
+// streaming reader's; file may be empty.
 func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("trace: plan of %d parts", parts)
