@@ -53,9 +53,10 @@ test:
 # The streaming pipeline's packages get a dedicated vet + race pass:
 # the fan-out is the only concurrent producer/consumer machinery in the
 # tree, and the pooled-chunk refcounts are easy to get subtly wrong. The
-# plane group's worker reads the same broadcast chunks as the scalar
-# workers, so the fan-out tests run ten times over under the race
-# detector.
+# scalar batch kernels read each broadcast chunk's columns in place, next
+# to the plane group's worker, so the fan-out tests run ten times over
+# under the race detector; TestEvaluateStreamingParity prices every
+# registered codec there, against codec.Run.
 test-stream:
 	$(GO) vet ./internal/trace ./internal/core
 	$(GO) test -race ./internal/trace ./internal/core

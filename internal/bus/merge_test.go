@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,9 +88,9 @@ func TestMergeWidthMismatchPanics(t *testing.T) {
 }
 
 // TestMergeSlots pins the ordered reduction's edge cases: empty and
-// single-entry shards merge like any other, the lowest-indexed error
-// suppresses everything after it, and slot counts beyond the in-process
-// shard fan-out (>16) still reduce to the sequential statistics.
+// single-entry shards merge like any other, and slot counts beyond the
+// in-process shard fan-out (>16) still reduce to the sequential
+// statistics.
 func TestMergeSlots(t *testing.T) {
 	const width = 23
 	words := randomWords(500, 11)
@@ -125,49 +124,22 @@ func TestMergeSlots(t *testing.T) {
 		return cuts
 	}
 
-	errMid := fmt.Errorf("shard 2 exploded")
-	errHigh := fmt.Errorf("shard 4 exploded")
 	cases := []struct {
-		name    string
-		cuts    []int
-		errs    func(n int) []error
-		wantErr error
+		name string
+		cuts []int
 	}{
 		{name: "two shards", cuts: []int{250}},
 		{name: "empty middle shard", cuts: []int{200, 200}},
 		{name: "empty first shard", cuts: []int{0, 300}},
 		{name: "single-entry shard", cuts: []int{100, 101}},
 		{name: "25 slots", cuts: manyCuts(24)},
-		{name: "nil errs slice", cuts: []int{250}, errs: func(int) []error { return nil }},
-		{
-			name: "error in middle shard",
-			cuts: manyCuts(5),
-			errs: func(n int) []error {
-				errs := make([]error, n)
-				errs[2] = errMid
-				errs[4] = errHigh
-				return errs
-			},
-			wantErr: errMid,
-		},
 	}
 
 	ref := New(width)
 	ref.Accumulate(words)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			slots := slotsFor(tc.cuts)
-			var errs []error
-			if tc.errs != nil {
-				errs = tc.errs(len(slots))
-			}
-			got, err := MergeSlots(slots, errs)
-			if tc.wantErr != nil {
-				if err != tc.wantErr {
-					t.Fatalf("error = %v, want lowest-shard error %v", err, tc.wantErr)
-				}
-				return
-			}
+			got, err := MergeSlots(slotsFor(tc.cuts))
 			if err != nil {
 				t.Fatalf("MergeSlots: %v", err)
 			}
@@ -184,20 +156,15 @@ func TestMergeSlots(t *testing.T) {
 	}
 
 	t.Run("empty input", func(t *testing.T) {
-		if b, err := MergeSlots(nil, nil); b != nil || err != nil {
+		if b, err := MergeSlots(nil); b != nil || err != nil {
 			t.Errorf("MergeSlots(nil) = %v, %v; want nil, nil", b, err)
 		}
 	})
 	t.Run("lost shard", func(t *testing.T) {
 		slots := slotsFor([]int{250})
 		slots[1] = nil
-		if _, err := MergeSlots(slots, make([]error, 2)); err == nil {
-			t.Error("nil bus in an error-free slot did not fail")
-		}
-	})
-	t.Run("mismatched errs length", func(t *testing.T) {
-		if _, err := MergeSlots(slotsFor([]int{250}), make([]error, 1)); err == nil {
-			t.Error("errs shorter than slots did not fail")
+		if _, err := MergeSlots(slots); err == nil {
+			t.Error("nil bus did not fail")
 		}
 	})
 }

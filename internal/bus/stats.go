@@ -88,21 +88,12 @@ func FromStats(width int, st Stats) (*Bus, error) {
 }
 
 // MergeSlots reduces per-shard accumulators deterministically: slots[k]
-// holds shard k's bus, errs[k] its error (errs may be nil, or must be
-// the same length as slots). The lowest-indexed error wins — a failure
-// in shard k suppresses everything after it, matching what a sequential
-// run would have reported — and on success the slots merge in ascending
-// order into slots[0], which is returned. Empty input returns (nil,
-// nil); a nil bus in an error-free slot is rejected loudly rather than
-// silently skipped, since it means a worker lost a shard.
-func MergeSlots(slots []*Bus, errs []error) (*Bus, error) {
-	if errs != nil && len(errs) != len(slots) {
-		return nil, fmt.Errorf("bus: merge of %d slots with %d errors", len(slots), len(errs))
-	}
+// holds shard k's bus, and the slots merge in ascending order into
+// slots[0], which is returned. Empty input returns (nil, nil); a nil
+// bus is rejected loudly rather than silently skipped, since it means a
+// worker lost a shard.
+func MergeSlots(slots []*Bus) (*Bus, error) {
 	for k := range slots {
-		if errs != nil && errs[k] != nil {
-			return nil, errs[k]
-		}
 		if slots[k] == nil {
 			return nil, fmt.Errorf("bus: merge slot %d is empty", k)
 		}

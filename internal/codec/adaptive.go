@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -121,18 +122,93 @@ func (e *adaptiveEnd) Encode(s Symbol) uint64 {
 	return addr
 }
 
+// Decode implements Decoder. A HIT word whose low lines name no listed
+// entry cannot come off a fault-free bus; it decodes through the miss
+// path, to a wrong but deterministic address.
 func (e *adaptiveEnd) Decode(word uint64, _ bool) uint64 {
 	payload := word & e.a.mask
 	if word&(1<<e.a.hitBit) != 0 {
-		i := bits.TrailingZeros64(payload & e.a.lowMask)
-		addr := e.list[i]
-		e.touch(i)
-		e.prev = payload
-		return addr
+		if i := bits.TrailingZeros64(payload & e.a.lowMask); i < len(e.list) {
+			addr := e.list[i]
+			e.touch(i)
+			e.prev = payload
+			return addr
+		}
 	}
 	e.insert(payload)
 	e.prev = payload
 	return payload
+}
+
+// The batch kernel keeps the move-to-front list in a ring: list entry
+// j lives in slot (head+j) mod adaptiveRing, so a miss moves the head
+// back one slot instead of shifting the list. The list holds at most
+// entries <= width <= 63 addresses, so the slot a miss takes is always
+// free. A counting filter over a hash of the listed addresses proves
+// most misses without scanning the list; its counts never exceed the
+// list length, so uint8 cannot overflow.
+const (
+	adaptiveRing       = 64
+	adaptiveFilterBits = 10
+)
+
+// adaptiveSlot hashes an address to its counting-filter slot.
+func adaptiveSlot(addr uint64) uint64 {
+	return addr * 0x9e3779b97f4a7c15 >> (64 - adaptiveFilterBits)
+}
+
+// EncodeBatch implements BatchEncoder: the list is loaded into the ring
+// at the start of the batch and written back at its end.
+func (e *adaptiveEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
+	const ringMask = adaptiveRing - 1
+	a := e.a
+	mask, lowMask, hitMask := a.mask, a.lowMask, uint64(1)<<a.hitBit
+	var ring [adaptiveRing]uint64
+	var filter [1 << adaptiveFilterBits]uint8
+	n := copy(ring[:], e.list)
+	for _, v := range ring[:n] {
+		filter[adaptiveSlot(v)]++
+	}
+	head, prev := 0, e.prev
+	out = out[:len(addrs)]
+	for i, addr := range addrs {
+		addr &= mask
+		slot := adaptiveSlot(addr)
+		if filter[slot] != 0 {
+			j := 0
+			for j < n && ring[(head+j)&ringMask] != addr {
+				j++
+			}
+			if j < n {
+				payload := prev&^lowMask | 1<<uint(j)
+				for k := j; k > 0; k-- {
+					ring[(head+k)&ringMask] = ring[(head+k-1)&ringMask]
+				}
+				ring[head] = addr
+				prev = payload
+				out[i] = payload | hitMask
+				continue
+			}
+		}
+		head = (head - 1) & ringMask
+		ring[head] = addr
+		filter[slot]++
+		if n < a.entries {
+			n++
+		} else {
+			filter[adaptiveSlot(ring[(head+n)&ringMask])]--
+		}
+		prev = addr
+		out[i] = addr
+	}
+	if cap(e.list) < a.entries {
+		e.list = make([]uint64, 0, a.entries)
+	}
+	e.list = e.list[:0]
+	for j := 0; j < n; j++ {
+		e.list = append(e.list, ring[(head+j)&ringMask])
+	}
+	e.prev = prev
 }
 
 func (e *adaptiveEnd) Reset() {

@@ -65,6 +65,16 @@ func TestAdaptiveMTFEviction(t *testing.T) {
 	}
 }
 
+func TestAdaptiveDecodeCorruptHit(t *testing.T) {
+	// A HIT word whose low lines are all zero names no list entry; on a
+	// fresh decoder the list is empty besides. Only a faulty bus sends
+	// one, and it must decode through the miss path, not panic.
+	dec := MustNew("adaptive", 32, Options{}).NewDecoder()
+	if got := dec.Decode(1<<32|0x12340000, false); got != 0x12340000 {
+		t.Errorf("corrupt HIT word decoded as %#x, want its payload 0x12340000", got)
+	}
+}
+
 func TestAdaptiveValidation(t *testing.T) {
 	if _, err := NewAdaptive(16, 0); err == nil {
 		t.Error("zero entries accepted")

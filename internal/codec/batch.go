@@ -11,20 +11,26 @@ import (
 // Batched evaluation engine. The paper's whole evaluation reduces to
 // "encode a stream, count transitions": this file provides the fast path
 // for that loop. Hot codecs implement BatchEncoder with hand-written
-// chunk loops that keep their state in registers; the bus side counts
-// aggregates with XOR+popcount over the chunk (bus.Accumulate); and
-// decode-verification is sampled rather than exhaustive unless the caller
-// asks otherwise. RunFast produces bit-identical Transitions, Cycles and
-// MaxPerCycle to the reference Run for every codec — the parity test in
-// batch_test.go enforces this for all registered codes.
+// chunk loops that keep their state in registers and read the chunk's
+// structure-of-arrays columns (trace.Chunk's Addrs and Kinds) in place;
+// the bus side counts aggregates with XOR+popcount over the chunk
+// (bus.Accumulate); and decode-verification is sampled rather than
+// exhaustive unless the caller asks otherwise. RunFast produces
+// bit-identical Transitions, Cycles and MaxPerCycle to the reference Run
+// for every codec — the parity test in batch_test.go enforces this for
+// all registered codes.
 
 // BatchEncoder is an optional fast-path interface an Encoder may
-// implement: EncodeBatch encodes syms into out (len(out) must be at least
-// len(syms)), advancing the encoder state exactly as the equivalent
-// sequence of Encode calls would. Implementations are free to hoist their
-// state into locals for the duration of the chunk.
+// implement: EncodeBatch encodes the entries whose addresses and kinds
+// are addrs[i] and kinds[i] (SEL is kinds[i] == trace.Instr) into out,
+// advancing the encoder state exactly as the equivalent sequence of
+// Encode calls would. len(kinds) and len(out) must be at least
+// len(addrs). Implementations hoist their state into locals for the
+// duration of the batch and write it back at the end. They never write
+// to addrs or kinds — in the streaming fan-out those are the broadcast
+// chunk every worker reads — and never allocate.
 type BatchEncoder interface {
-	EncodeBatch(syms []Symbol, out []uint64)
+	EncodeBatch(addrs []uint64, kinds []trace.Kind, out []uint64)
 }
 
 // AsBatch returns enc's batch fast path if it implements BatchEncoder, or
@@ -37,11 +43,14 @@ func AsBatch(enc Encoder) BatchEncoder {
 	return genericBatch{enc}
 }
 
+// genericBatch builds one Symbol per entry for encoders without a
+// kernel of their own: offset and incxor off the plane path, and test
+// codecs.
 type genericBatch struct{ enc Encoder }
 
-func (g genericBatch) EncodeBatch(syms []Symbol, out []uint64) {
-	for i, s := range syms {
-		out[i] = g.enc.Encode(s)
+func (g genericBatch) EncodeBatch(addrs []uint64, kinds []trace.Kind, out []uint64) {
+	for i, a := range addrs {
+		out[i] = g.enc.Encode(Symbol{Addr: a, Sel: kinds[i] == trace.Instr})
 	}
 }
 
@@ -124,22 +133,39 @@ type RunOpts struct {
 }
 
 // runChunk is the batch granularity: large enough to amortize the chunk
-// setup, small enough that the symbol+word buffers stay cache-resident
-// (4096 × 24 B ≈ 96 KiB).
+// setup, small enough that the column and word buffers stay
+// cache-resident (4096 × 17 B ≈ 68 KiB).
 const runChunk = 4096
 
 // RunChunkLen is the engine batch granularity, exported for the
 // chunk_len identity field of benchmark records (bench.Record).
 const RunChunkLen = runChunk
 
+// runBuf is a pooled batch buffer: the address and kind columns a
+// []trace.Entry is split into, and the encoded words.
 type runBuf struct {
-	syms  []Symbol
+	addrs []uint64
+	kinds []trace.Kind
 	words []uint64
 }
 
 var runBufPool = sync.Pool{New: func() any {
-	return &runBuf{syms: make([]Symbol, runChunk), words: make([]uint64, runChunk)}
+	return &runBuf{
+		addrs: make([]uint64, runChunk),
+		kinds: make([]trace.Kind, runChunk),
+		words: make([]uint64, runChunk),
+	}
 }}
+
+// columns splits at most runChunk entries into the buffer's address and
+// kind columns.
+func (buf *runBuf) columns(entries []trace.Entry) ([]uint64, []trace.Kind) {
+	addrs, kinds := buf.addrs[:len(entries)], buf.kinds[:len(entries)]
+	for i, e := range entries {
+		addrs[i], kinds[i] = e.Addr, e.Kind
+	}
+	return addrs, kinds
+}
 
 // RunFast is the batched counterpart of Run: it drives the stream through
 // the codec in chunks, using the codec's BatchEncoder kernel when it has

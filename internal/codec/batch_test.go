@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -105,40 +106,152 @@ func TestBatchParity(t *testing.T) {
 	}
 }
 
-// TestBatchEncoderMatchesScalar drives the same symbols through Encode
-// and EncodeBatch on separate encoder instances and requires identical
-// words, for every codec that implements the batch interface natively.
-func TestBatchEncoderMatchesScalar(t *testing.T) {
-	s := fixtureStreams(8192)[2]
-	syms := make([]Symbol, s.Len())
-	for i, e := range s.Entries {
-		syms[i] = SymbolOf(e)
+// hotSetStream is the batch kernels' churn fixture: repeats and
+// near-zone jumps over a small hot set, alternated with runs of more
+// than runChunk distinct addresses, so the adaptive ring and filter and
+// the working-zone registers churn through whole batches.
+func hotSetStream(n int) *trace.Stream {
+	rng := rand.New(rand.NewSource(7))
+	s := trace.New("fixture.hotset", 32)
+	hot := make([]uint64, 24)
+	for i := range hot {
+		hot[i] = 0x10000000 + uint64(rng.Intn(1<<20))*4
 	}
+	fresh := uint64(0x20000000)
+	for s.Len() < n {
+		for k := 0; k < 3000 && s.Len() < n; k++ {
+			h := hot[rng.Intn(len(hot))]
+			switch rng.Intn(4) {
+			case 0:
+				s.Append(h, trace.Instr)
+			case 1:
+				s.Append(h, trace.DataRead)
+			case 2:
+				s.Append(h+uint64(rng.Intn(64))*4, trace.DataWrite)
+			default:
+				s.Append(h+uint64(rng.Intn(8192)), trace.Instr)
+			}
+		}
+		for k := 0; k < runChunk+500 && s.Len() < n; k++ {
+			fresh += 4 + uint64(rng.Intn(1<<12))*4
+			s.Append(fresh, trace.Kind(rng.Intn(3)))
+		}
+	}
+	return s
+}
+
+// batchCase is one encoder configuration TestBatchEncoderMatchesScalar
+// drives; restore, when set, is the state both encoders start from.
+type batchCase struct {
+	label   string
+	c       Codec
+	restore State
+}
+
+// batchCases is every registered codec at its defaults (beach trained
+// on train), plus the working-zone and adaptive shapes the defaults do
+// not reach, and a restored working-zone state with tied ages and a
+// register above the payload mask, which no address may match.
+func batchCases(t *testing.T, train *trace.Stream) []batchCase {
+	var out []batchCase
 	for _, name := range Names() {
-		c := MustNew(name, 32, Options{Stride: 4, Train: s.Slice(0, 1000)})
-		scalarEnc := c.NewEncoder()
-		want := make([]uint64, len(syms))
-		for i, sym := range syms {
-			want[i] = scalarEnc.Encode(sym)
+		out = append(out, batchCase{label: name, c: MustNew(name, 32, Options{Stride: 4, Train: train})})
+	}
+	if b := MustNew("beach", 32, Options{Train: train}).(*Beach); len(b.Pairs()) == 0 {
+		t.Fatal("beach: training selected no pairs; the trained kernel is not exercised")
+	}
+	for _, zones := range []int{2, 8, 128} {
+		for _, zb := range []int{4, 12} {
+			out = append(out, batchCase{
+				label: fmt.Sprintf("workzone/zones=%d/bits=%d", zones, zb),
+				c:     MustNew("workzone", 32, Options{Zones: zones, ZoneBits: zb}),
+			})
 		}
-		got := make([]uint64, len(syms))
-		// Split into uneven chunks to exercise state carry-over.
-		be := AsBatch(c.NewEncoder())
-		for lo := 0; lo < len(syms); {
-			hi := lo + 1000 + lo%777
-			if hi > len(syms) {
-				hi = len(syms)
+	}
+	for _, w := range []struct{ width, entries int }{{32, 1}, {32, 4}, {32, 16}, {8, 1}, {8, 4}, {8, 8}} {
+		out = append(out, batchCase{
+			label: fmt.Sprintf("adaptive/width=%d/entries=%d", w.width, w.entries),
+			c:     MustNew("adaptive", w.width, Options{Entries: w.entries}),
+		})
+	}
+	out = append(out, batchCase{
+		label: "workzone/tied-ages",
+		c:     MustNew("workzone", 32, Options{}),
+		restore: wzState{
+			regs: []uint64{0x10000000, ^uint64(0), 0x20000000, 0x10000000},
+			age:  []int{5, 2, 5, 5},
+			prev: 0x10000040,
+		},
+	})
+	return out
+}
+
+// TestBatchEncoderMatchesScalar drives the same entries through Encode
+// and EncodeBatch on separate encoder instances, in uneven chunks from
+// 0 to more than runChunk entries, and requires identical words, equal
+// Snapshots after every chunk (BoundaryStates takes its states from
+// batch encoders), and the chunk's addrs and kinds unchanged. A second
+// pass requires EncodeBatch to allocate nothing once warmed up.
+func TestBatchEncoderMatchesScalar(t *testing.T) {
+	muxed := fixtureStreams(8192)[2]
+	low := trace.New("fixture.low", 32)
+	for i := 0; i < 3000; i++ {
+		low.Append(uint64(i*i%1021), trace.Kind(i%3))
+	}
+	streams := []*trace.Stream{muxed, hotSetStream(3 * (runChunk + 3500)), low}
+	chunkLens := []int{1000, 0, 1, 7, runChunk, 777, 64, runChunk + 1, 1777}
+	for _, tc := range batchCases(t, muxed.Slice(0, 1000)) {
+		for _, s := range streams {
+			addrs := make([]uint64, s.Len())
+			kinds := make([]trace.Kind, s.Len())
+			for i, e := range s.Entries {
+				addrs[i], kinds[i] = e.Addr, e.Kind
 			}
-			be.EncodeBatch(syms[lo:hi], got[lo:hi])
-			lo = hi
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: word %d: batch %#x != scalar %#x", name, i, got[i], want[i])
-				break
+			scalarEnc, batchEnc := tc.c.NewEncoder(), tc.c.NewEncoder()
+			if tc.restore != nil {
+				scalarEnc.(StateCodec).Restore(tc.restore)
+				batchEnc.(StateCodec).Restore(tc.restore)
+			}
+			be := AsBatch(batchEnc)
+			label := tc.label + "/" + s.Name
+			got := make([]uint64, runChunk+1)
+			for lo, k := 0, 0; lo < len(addrs); k++ {
+				hi := min(lo+chunkLens[k%len(chunkLens)], len(addrs))
+				ca, ck := addrs[lo:hi], kinds[lo:hi]
+				be.EncodeBatch(ca, ck, got)
+				for i := range ca {
+					want := scalarEnc.Encode(SymbolOf(s.Entries[lo+i]))
+					if got[i] != want {
+						t.Fatalf("%s: word %d: batch %#x != scalar %#x", label, lo+i, got[i], want)
+					}
+					if ca[i] != s.Entries[lo+i].Addr || ck[i] != s.Entries[lo+i].Kind {
+						t.Fatalf("%s: entry %d: the kernel wrote to its input", label, lo+i)
+					}
+				}
+				if sc, ok := scalarEnc.(StateCodec); ok {
+					if bs, ws := batchEnc.(StateCodec).Snapshot(), sc.Snapshot(); !reflect.DeepEqual(bs, ws) {
+						t.Fatalf("%s: after entry %d: batch state %+v != scalar state %+v", label, hi, bs, ws)
+					}
+				}
+				lo = hi
 			}
 		}
 	}
+	t.Run("allocs", func(t *testing.T) {
+		addrs := make([]uint64, runChunk)
+		kinds := make([]trace.Kind, runChunk)
+		for i, e := range hotSetStream(runChunk).Entries {
+			addrs[i], kinds[i] = e.Addr, e.Kind
+		}
+		out := make([]uint64, runChunk)
+		for _, name := range Names() {
+			be := AsBatch(MustNew(name, 32, Options{Stride: 4, Train: muxed.Slice(0, 1000)}).NewEncoder())
+			be.EncodeBatch(addrs, kinds, out)
+			if n := testing.AllocsPerRun(20, func() { be.EncodeBatch(addrs, kinds, out) }); n != 0 {
+				t.Errorf("%s: EncodeBatch allocates %.1f times per batch after warm-up", name, n)
+			}
+		}
+	})
 }
 
 // TestRunFastEmptyAndTiny covers the degenerate stream lengths where the

@@ -156,6 +156,20 @@ func (e beachEnd) Encode(s Symbol) uint64            { return e.transform(s.Addr
 func (e beachEnd) Decode(word uint64, _ bool) uint64 { return e.transform(word) }
 func (e beachEnd) Reset()                            {}
 
+// EncodeBatch implements BatchEncoder: transform with the mask and the
+// pairs hoisted into locals. Untrained, the loop is the identity.
+func (e beachEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
+	mask, pairs := e.b.mask, e.b.pairs
+	out = out[:len(addrs)]
+	for i, a := range addrs {
+		w := a & mask
+		for _, p := range pairs {
+			w ^= (a >> uint(p.Src) & 1) << uint(p.Dst)
+		}
+		out[i] = w
+	}
+}
+
 // Snapshot implements StateCodec; the XOR network is stateless.
 func (e beachEnd) Snapshot() State { return nil }
 

@@ -1,6 +1,9 @@
 package codec
 
-import "busenc/internal/bus"
+import (
+	"busenc/internal/bus"
+	"busenc/internal/trace"
+)
 
 func init() {
 	Register("binary", func(width int, _ Options) (Codec, error) {
@@ -55,10 +58,11 @@ func (e binaryEnd) Restore(State) {}
 func (e binaryEnd) SeedFrom(Symbol) {}
 
 // EncodeBatch implements BatchEncoder.
-func (e binaryEnd) EncodeBatch(syms []Symbol, out []uint64) {
+func (e binaryEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	mask := e.mask
-	for i := range syms {
-		out[i] = syms[i].Addr & mask
+	out = out[:len(addrs)]
+	for i, a := range addrs {
+		out[i] = a & mask
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -124,14 +125,15 @@ func (e *biEncoder) Restore(st State) { e.prev = st.(biState).prev }
 // classic code, used by every paper table) gets a dedicated loop without
 // the per-group iteration; partitioned variants fall back to the general
 // group loop with the state held in a local.
-func (e *biEncoder) EncodeBatch(syms []Symbol, out []uint64) {
+func (e *biEncoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	prev := e.prev
+	out = out[:len(addrs)]
 	if len(e.bi.groups) == 1 {
 		g := e.bi.groups[0]
 		invMask := uint64(1) << g.invBit
 		sel := g.mask | invMask
-		for i := range syms {
-			payload := syms[i].Addr & g.mask
+		for i, a := range addrs {
+			payload := a & g.mask
 			h := bits.OnesCount64((prev & sel) ^ payload)
 			if 2*h > g.width {
 				prev = (^payload & g.mask) | invMask
@@ -143,10 +145,10 @@ func (e *biEncoder) EncodeBatch(syms []Symbol, out []uint64) {
 		e.prev = prev
 		return
 	}
-	for i := range syms {
+	for i, a := range addrs {
 		word := uint64(0)
 		for _, g := range e.bi.groups {
-			payload := syms[i].Addr & g.mask
+			payload := a & g.mask
 			prevGroup := prev & (g.mask | 1<<g.invBit)
 			h := bits.OnesCount64(prevGroup ^ payload)
 			if 2*h > g.width {

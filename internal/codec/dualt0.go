@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -102,21 +103,23 @@ func (e *dualT0Encoder) Restore(st State) {
 }
 
 // EncodeBatch implements BatchEncoder with the encoder state in locals.
-func (e *dualT0Encoder) EncodeBatch(syms []Symbol, out []uint64) {
+// SEL is kinds[i] == trace.Instr.
+func (e *dualT0Encoder) EncodeBatch(addrs []uint64, kinds []trace.Kind, out []uint64) {
 	t := e.t
 	mask, stride := t.mask, t.stride
 	incMask := uint64(1) << t.incBit
 	ref, refValid, prevBus := e.ref, e.refValid, e.prevBus
-	for i := range syms {
-		s := syms[i]
-		addr := s.Addr & mask
-		if s.Sel && refValid && addr == (ref+stride)&mask {
+	kinds, out = kinds[:len(addrs)], out[:len(addrs)]
+	for i, a := range addrs {
+		addr := a & mask
+		sel := kinds[i] == trace.Instr
+		if sel && refValid && addr == (ref+stride)&mask {
 			out[i] = prevBus | incMask
 		} else {
 			out[i] = addr
 			prevBus = addr
 		}
-		if s.Sel {
+		if sel {
 			ref = addr
 			refValid = true
 		}

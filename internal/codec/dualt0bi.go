@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -108,24 +109,26 @@ func (e *dualT0BIEncoder) Restore(st State) {
 }
 
 // EncodeBatch implements BatchEncoder with the encoder state in locals.
-func (e *dualT0BIEncoder) EncodeBatch(syms []Symbol, out []uint64) {
+// SEL is kinds[i] == trace.Instr.
+func (e *dualT0BIEncoder) EncodeBatch(addrs []uint64, kinds []trace.Kind, out []uint64) {
 	t := e.t
 	mask, stride, width := t.mask, t.stride, t.width
 	incvMask := uint64(1) << t.incvBit
 	ref, refValid, prevWord := e.ref, e.refValid, e.prevWord
-	for i := range syms {
-		s := syms[i]
-		addr := s.Addr & mask
+	kinds, out = kinds[:len(addrs)], out[:len(addrs)]
+	for i, a := range addrs {
+		addr := a & mask
+		sel := kinds[i] == trace.Instr
 		var w uint64
 		switch {
-		case s.Sel && refValid && addr == (ref+stride)&mask:
+		case sel && refValid && addr == (ref+stride)&mask:
 			w = (prevWord & mask) | incvMask
-		case !s.Sel && 2*bits.OnesCount64(prevWord^addr) > width:
+		case !sel && 2*bits.OnesCount64(prevWord^addr) > width:
 			w = (^addr & mask) | incvMask
 		default:
 			w = addr
 		}
-		if s.Sel {
+		if sel {
 			ref = addr
 			refValid = true
 		}

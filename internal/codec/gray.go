@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -95,10 +96,11 @@ func (e grayEnd) Restore(State) {}
 func (e grayEnd) SeedFrom(Symbol) {}
 
 // EncodeBatch implements BatchEncoder.
-func (e grayEnd) EncodeBatch(syms []Symbol, out []uint64) {
+func (e grayEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	mask, shift, lowMask := e.g.mask, e.g.shift, e.g.lowMask
-	for i := range syms {
-		a := syms[i].Addr & mask
+	out = out[:len(addrs)]
+	for i, a := range addrs {
+		a &= mask
 		hi := a >> shift
 		out[i] = (ToGray(hi) << shift) | (a & lowMask)
 	}

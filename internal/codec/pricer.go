@@ -17,16 +17,17 @@ import (
 // it entries and read its buses.
 //
 // A Pricer picks its kernel once (PlaneEligible): the scalar path
-// prices one codec, gathering symbols into a pooled buffer, running the
-// codec's BatchEncoder and counting with bus.Accumulate; the plane path
-// hands addresses to a PlaneSet over one or more codecs and never
-// materializes encoded words. NewPricers puts every plane-routed codec
-// of a list into one Pricer, so each 64-address block is transposed
-// once for all of them. Every codec keeps its own bus and its own
-// verify lane: decode verification follows a budget fixed at
-// construction — every entry under VerifyFull, the first
-// VerifySampleLen under VerifySampled — and the plane path replays its
-// budget through a scalar encoder per codec.
+// prices one codec, handing the chunk's address and kind columns
+// straight to the codec's BatchEncoder and counting its words with
+// bus.Accumulate; the plane path hands addresses to a PlaneSet over one
+// or more codecs and never materializes encoded words. NewPricers puts
+// every plane-routed codec of a list into one Pricer, so each
+// 64-address block is transposed once for all of them. Every codec
+// keeps its own bus and its own verify lane: decode verification
+// follows a budget fixed at construction — every entry under
+// VerifyFull, the first VerifySampleLen under VerifySampled. Only
+// entries under the budget become Symbols; the plane path replays them
+// through a scalar encoder per codec.
 
 // Pricer prices one codec, or a group of plane-routed codecs, over one
 // contiguous run of a stream, fed in order by any mix of ConsumeEntries
@@ -215,18 +216,21 @@ func (p *Pricer) Seed(bd Boundary) error {
 	return nil
 }
 
-// ConsumeEntries prices the next entries of the stream. The plane path
-// gathers addresses block by block itself (PlaneSet.ConsumeEntries).
+// ConsumeEntries prices the next entries of the stream, split into
+// pooled address and kind columns once per batch. The plane path splits
+// only the entries still under the verify budget and lets
+// PlaneSet.ConsumeEntries gather addresses block by block itself.
 func (p *Pricer) ConsumeEntries(entries []trace.Entry) error {
 	buf := runBufPool.Get().(*runBuf)
 	defer runBufPool.Put(buf)
 	for base := 0; base < len(entries); base += runChunk {
 		chunk := entries[base:min(base+runChunk, len(entries))]
-		syms := buf.syms[:p.gather(len(chunk))]
-		for i := range syms {
-			syms[i] = SymbolOf(chunk[i])
+		split := chunk
+		if p.ps != nil {
+			split = chunk[:min(len(chunk), p.verifyLeft)]
 		}
-		if err := p.price(syms, buf.words[:len(syms)]); err != nil {
+		addrs, kinds := buf.columns(split)
+		if err := p.price(addrs, kinds, buf.words); err != nil {
 			return err
 		}
 		if p.ps != nil {
@@ -238,17 +242,18 @@ func (p *Pricer) ConsumeEntries(entries []trace.Entry) error {
 }
 
 // Consume prices the next entries of the stream given in
-// structure-of-arrays form, as trace.Chunk holds them.
+// structure-of-arrays form, as trace.Chunk holds them. The columns go
+// to the kernel as they are, unchanged and uncopied.
 func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
-	buf := runBufPool.Get().(*runBuf)
-	defer runBufPool.Put(buf)
+	var words []uint64
+	if p.ps == nil {
+		buf := runBufPool.Get().(*runBuf)
+		defer runBufPool.Put(buf)
+		words = buf.words
+	}
 	for base := 0; base < len(addrs); base += runChunk {
 		end := min(base+runChunk, len(addrs))
-		syms := buf.syms[:p.gather(end-base)]
-		for i := range syms {
-			syms[i] = Symbol{Addr: addrs[base+i], Sel: kinds[base+i] == trace.Instr}
-		}
-		if err := p.price(syms, buf.words[:len(syms)]); err != nil {
+		if err := p.price(addrs[base:end], kinds[base:end], words); err != nil {
 			return err
 		}
 		if p.ps != nil {
@@ -259,27 +264,19 @@ func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
 	return nil
 }
 
-// gather returns how many leading symbols of an n-entry batch price
-// needs: all of them for the scalar encoder, only the ones still under
-// the verify budget for the plane kernel, which reads addresses.
-func (p *Pricer) gather(n int) int {
-	if p.ps != nil {
-		return min(n, p.verifyLeft)
-	}
-	return n
-}
-
-// price runs one batch of at most runChunk symbols: on the scalar path
+// price runs one batch of at most runChunk entries: on the scalar path
 // it encodes into words and counts; on both paths every lane spends the
-// verify budget on the leading symbols. A lane that mismatches stops
-// verifying while the others go on, so that once verification is over
-// the first failing codec in lane order is reported.
-func (p *Pricer) price(syms []Symbol, words []uint64) error {
+// verify budget on the leading entries, building their symbols inline
+// (the plane path passes only those entries). A lane that mismatches
+// stops verifying while the others go on, so that once verification is
+// over the first failing codec in lane order is reported.
+func (p *Pricer) price(addrs []uint64, kinds []trace.Kind, words []uint64) error {
 	if p.ps == nil {
-		p.be.EncodeBatch(syms, words)
+		words = words[:len(addrs)]
+		p.be.EncodeBatch(addrs, kinds, words)
 		p.lanes[0].b.Accumulate(words)
 	}
-	n := min(len(syms), p.verifyLeft)
+	n := min(len(addrs), p.verifyLeft)
 	if n == 0 {
 		return nil
 	}
@@ -287,11 +284,14 @@ func (p *Pricer) price(syms []Symbol, words []uint64) error {
 	for k := range p.lanes {
 		ln := &p.lanes[k]
 		for i := 0; i < n && ln.dec != nil; i++ {
-			word := words[i]
+			sym := Symbol{Addr: addrs[i], Sel: kinds[i] == trace.Instr}
+			var word uint64
 			if ln.vEnc != nil {
-				word = ln.vEnc.Encode(syms[i])
+				word = ln.vEnc.Encode(sym)
+			} else {
+				word = words[i]
 			}
-			if err := p.check(ln, i, word, syms[i]); err != nil {
+			if err := p.check(ln, i, word, sym); err != nil {
 				ln.err, ln.dec = err, nil
 			}
 		}

@@ -302,7 +302,6 @@ func FuzzPricingPaths(f *testing.F) {
 			t.Fatal(err)
 		}
 		buses := make([]*bus.Bus, len(cuts)-1)
-		errs := make([]error, len(buses))
 		for k := range buses {
 			bd := Boundary{First: k == 0, Base: cuts[k]}
 			if lead := cuts[k] - 1; k > 0 {
@@ -316,9 +315,11 @@ func FuzzPricingPaths(f *testing.F) {
 					}
 				}
 			}
-			buses[k], errs[k] = priceFrom(c, bd, s.Entries[cuts[k]:cuts[k+1]], opts)
+			if buses[k], err = priceFrom(c, bd, s.Entries[cuts[k]:cuts[k+1]], opts); err != nil {
+				t.Fatal(err)
+			}
 		}
-		merged, err := bus.MergeSlots(buses, errs)
+		merged, err := bus.MergeSlots(buses)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +399,7 @@ func fuzzSeededHalves(t *testing.T, seeders []Codec, want []Result, s *trace.Str
 		}
 	}
 	for i, c := range seeders {
-		merged, err := bus.MergeSlots(sides[i], nil)
+		merged, err := bus.MergeSlots(sides[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,6 +69,21 @@ func TestResilienceOffsetUnbounded(t *testing.T) {
 	}
 }
 
+func TestResilienceAdaptiveRepeatingStream(t *testing.T) {
+	// A loop over five addresses keeps the adaptive list full of hits,
+	// so faults land on HIT words: a flipped low line can name no listed
+	// entry, or one past the list. The campaign must complete and count
+	// the wrong decodes instead of indexing past the decoder's list.
+	s := trace.New("loop5", 16)
+	for i := 0; i < 400; i++ {
+		s.Append(uint64(0x1000+0x40*(i%5)), trace.DataRead)
+	}
+	rep := Resilience(MustNew("adaptive", 16, Options{Stride: 4}), s, 50, 1)
+	if rep.Injections != 50 || rep.CorruptedWords == 0 || rep.MaxBurst == 0 {
+		t.Errorf("adaptive on a repeating stream: %+v, want corrupted words counted", rep)
+	}
+}
+
 func TestResilienceEmptyStream(t *testing.T) {
 	s := trace.New("empty", 16)
 	rep := Resilience(MustNew("binary", 16, Options{}), s, 10, 5)

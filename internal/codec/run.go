@@ -80,15 +80,18 @@ func MustRun(c Codec, s *trace.Stream) Result {
 
 // EncodeAll returns the encoded word sequence for a stream; useful for
 // feeding gate-level simulations and for tests. It uses the codec's batch
-// kernel when one exists.
+// kernel when one exists, splitting the entries into pooled address and
+// kind columns one batch at a time.
 func EncodeAll(c Codec, s *trace.Stream) []uint64 {
 	enc := AsBatch(c.NewEncoder())
-	syms := make([]Symbol, s.Len())
-	for i, e := range s.Entries {
-		syms[i] = SymbolOf(e)
-	}
+	buf := runBufPool.Get().(*runBuf)
+	defer runBufPool.Put(buf)
 	out := make([]uint64, s.Len())
-	enc.EncodeBatch(syms, out)
+	for base := 0; base < len(out); base += runChunk {
+		end := min(base+runChunk, len(out))
+		addrs, kinds := buf.columns(s.Entries[base:end])
+		enc.EncodeBatch(addrs, kinds, out[base:end])
+	}
 	return out
 }
 

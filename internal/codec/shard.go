@@ -93,11 +93,8 @@ func sweepStates(c Codec, entries []trace.Entry, cuts []int) ([]State, error) {
 		// entry the shard re-encodes to prime its bus).
 		for lead := cuts[k] - 1; j < lead; {
 			m := min(lead-j, runChunk)
-			syms := buf.syms[:m]
-			for i := range syms {
-				syms[i] = SymbolOf(entries[j+i])
-			}
-			be.EncodeBatch(syms, buf.words[:m])
+			addrs, kinds := buf.columns(entries[j : j+m])
+			be.EncodeBatch(addrs, kinds, buf.words)
 			j += m
 		}
 		states[k] = sc.Snapshot()

@@ -14,9 +14,10 @@ import (
 // INC lines) across chunk boundaries simply by feeding every chunk to
 // the same Pricer — EncodeBatch is specified to advance state
 // exactly as the equivalent Encode calls would, so chunking is
-// invisible to the codec. Memory use is bounded by the reader's chunk
-// pool plus one pooled symbol/word buffer; trace length only affects
-// wall time. The parity test in stream_test.go pins RunStream
+// invisible to the codec. The kernel reads each chunk's Addrs and
+// Kinds columns in place. Memory use is bounded by the reader's chunk
+// pool plus one pooled word buffer; trace length only affects wall
+// time. The parity test in stream_test.go pins RunStream
 // bit-for-bit to the reference Run for every registered codec at chunk
 // sizes 1, 7, 4096 and len(stream).
 

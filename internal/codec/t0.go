@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -96,12 +97,13 @@ func (e *t0Encoder) Restore(st State) {
 
 // EncodeBatch implements BatchEncoder: the chunk loop keeps the encoder
 // state in locals, paying the pointer writes once per chunk.
-func (e *t0Encoder) EncodeBatch(syms []Symbol, out []uint64) {
+func (e *t0Encoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	mask, stride := e.t.mask, e.t.stride
 	incMask := uint64(1) << e.t.incBit
 	prevAddr, prevBus, valid := e.prevAddr, e.prevBus, e.valid
-	for i := range syms {
-		addr := syms[i].Addr & mask
+	out = out[:len(addrs)]
+	for i, a := range addrs {
+		addr := a & mask
 		if valid && addr == (prevAddr+stride)&mask {
 			out[i] = prevBus | incMask
 		} else {

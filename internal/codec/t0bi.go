@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -113,14 +114,15 @@ func (e *t0biEncoder) Restore(st State) {
 }
 
 // EncodeBatch implements BatchEncoder with the encoder state in locals.
-func (e *t0biEncoder) EncodeBatch(syms []Symbol, out []uint64) {
+func (e *t0biEncoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	t := e.t
 	mask, stride, width := t.mask, t.stride, t.width
 	incMask := uint64(1) << t.incBit
 	invMask := uint64(1) << t.invBit
 	prevAddr, prevWord, valid := e.prevAddr, e.prevWord, e.valid
-	for i := range syms {
-		addr := syms[i].Addr & mask
+	out = out[:len(addrs)]
+	for i, a := range addrs {
+		addr := a & mask
 		var w uint64
 		if valid && addr == (prevAddr+stride)&mask {
 			w = (prevWord & mask) | incMask

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"busenc/internal/bus"
+	"busenc/internal/trace"
 )
 
 func init() {
@@ -186,6 +187,91 @@ func (e *wzEnd) Encode(s Symbol) uint64 {
 	}
 	e.prev = out & w.mask
 	return out
+}
+
+// EncodeBatch implements BatchEncoder with the codec's fields and the
+// register and age slices hoisted into locals. The first zone an
+// address falls into is found without branches: each zone's wzIn
+// borrow sets a bit of a 64-zone mask word, and the lowest set bit
+// wins. The first word is tested inline, later words (zones beyond 64)
+// only when it is empty. Inside the batch the age slice holds touch
+// stamps, age = now - stamp in wrapping arithmetic, so a touch writes
+// one stamp instead of incrementing every age. The LRU victim is picked
+// from the recomputed ages by the scalar rule on every entry, so hit
+// and miss select their word and zone without a branch. Both scans take
+// the zones two at a time (zones is a power of two, at least 2). The
+// ages are written back at the end of the batch.
+func (e *wzEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
+	w := e.w
+	mask, span, zoneMask := w.mask, uint64(1)<<uint(w.zoneBits), bus.Mask(w.zoneBits)
+	hitMask, idxShift := uint64(1)<<w.hitBit, w.idxShift&63
+	regs, prev := e.regs, e.prev
+	zones := len(regs)
+	stamps := e.age[:zones]
+	for i, a := range stamps {
+		stamps[i] = -a
+	}
+	first := regs[:min(zones, 64)]
+	now := 0
+	out = out[:len(addrs)]
+	for i, addr := range addrs {
+		addr &= mask
+		var hits uint64
+		for j := 0; j+1 < len(first); j += 2 {
+			hits |= (wzIn(addr, first[j], mask, span) | wzIn(addr, first[j+1], mask, span)<<1) << (j & 63)
+		}
+		idx := bits.TrailingZeros64(hits)
+		if zones > 64 && hits == 0 {
+			idx = wzMatch(regs, addr, mask, span)
+		}
+		worst, victim := -1, 0
+		for j := 0; j+1 < len(stamps); j += 2 {
+			a0, a1 := now-stamps[j], now-stamps[j+1]
+			if a0 > worst {
+				worst, victim = a0, j
+			}
+			if a1 > worst {
+				worst, victim = a1, j+1
+			}
+		}
+		word := prev&^zoneMask | ToGray(addr-regs[idx&(zones-1)]) | hitMask
+		if idx >= zones {
+			idx, word = victim, addr
+		}
+		word |= uint64(idx) << idxShift
+		now++
+		regs[idx], stamps[idx] = addr, now
+		prev = word & mask
+		out[i] = word
+	}
+	for i, s := range stamps {
+		stamps[i] = now - s
+	}
+	e.prev = prev
+}
+
+// wzIn is 1 if addr falls into the zone based at register r, else 0:
+// the borrow of (addr-r) | (r &^ mask) < span, which is exactly the
+// scalar test addr >= r && addr-r < span for any register a restored
+// state holds.
+func wzIn(addr, r, mask, span uint64) uint64 {
+	_, in := bits.Sub64(addr-r|r&^mask, span, 0)
+	return in
+}
+
+// wzMatch is EncodeBatch's match over the mask words after the first:
+// the first zone from 64 on that addr falls into, or len(regs).
+func wzMatch(regs []uint64, addr, mask, span uint64) int {
+	for base := 64; base < len(regs); base += 64 {
+		var hits uint64
+		for j, r := range regs[base:min(base+64, len(regs))] {
+			hits |= wzIn(addr, r, mask, span) << (j & 63)
+		}
+		if hits != 0 {
+			return base + bits.TrailingZeros64(hits)
+		}
+	}
+	return len(regs)
 }
 
 func (e *wzEnd) Decode(word uint64, _ bool) uint64 {

@@ -428,7 +428,7 @@ func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) 
 			}
 			slots = append(slots, b)
 		}
-		merged, err := bus.MergeSlots(slots, nil)
+		merged, err := bus.MergeSlots(slots)
 		if err != nil {
 			return nil, err
 		}

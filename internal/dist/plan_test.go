@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"busenc/internal/bus"
 	"busenc/internal/codec"
@@ -213,11 +214,25 @@ func TestPlanJobsBalance(t *testing.T) {
 }
 
 // inflightProbe counts, per worker life, the jobs sent minus the
-// results received, and keeps the largest count any life reached.
+// results received, and keeps the largest count any life reached. It
+// holds every result back until some life has window jobs in flight, or
+// until five seconds have passed, so whether a window fills does not
+// race how fast a worker prices its first job.
 type inflightProbe struct {
-	mu  sync.Mutex
-	max int
+	window int
+	filled chan struct{} // closed once, by fill
+	once   sync.Once
+	mu     sync.Mutex
+	max    int
 }
+
+func newInflightProbe(window int) *inflightProbe {
+	p := &inflightProbe{window: window, filled: make(chan struct{})}
+	time.AfterFunc(5*time.Second, p.fill)
+	return p
+}
+
+func (p *inflightProbe) fill() { p.once.Do(func() { close(p.filled) }) }
 
 func (p *inflightProbe) wrap(inner Spawner) Spawner {
 	return SpawnerFunc(func(id, gen int) (Transport, error) {
@@ -240,7 +255,11 @@ func (pt *probedTransport) Send(m msg) error {
 		pt.p.mu.Lock()
 		pt.n++
 		pt.p.max = max(pt.p.max, pt.n)
+		full := pt.n >= pt.p.window
 		pt.p.mu.Unlock()
+		if full {
+			pt.p.fill()
+		}
 	}
 	return pt.Transport.Send(m)
 }
@@ -248,6 +267,7 @@ func (pt *probedTransport) Send(m msg) error {
 func (pt *probedTransport) Recv() (msg, error) {
 	m, err := pt.Transport.Recv()
 	if err == nil && m.Type == msgResult {
+		<-pt.p.filled
 		pt.p.mu.Lock()
 		pt.n--
 		pt.p.mu.Unlock()
@@ -265,7 +285,7 @@ func TestWindowBoundsInflight(t *testing.T) {
 	specs := AllSpecs(width)
 	want := wantResults(t, s, specs, codec.VerifyNone, false)
 	for _, window := range []int{1, 2, 4} {
-		probe := &inflightProbe{}
+		probe := newInflightProbe(window)
 		res, err := Sweep(path, Opts{
 			Workers: 2, Shards: 16, Codecs: specs, Verify: codec.VerifyNone,
 			Window: window, Spawn: probe.wrap(InProcSpawner(nil)),
