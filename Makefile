@@ -67,7 +67,9 @@ test-stream:
 # boundary states, checkpoint journals replayed into the distributed
 # merge), a broken snapshot/restore contract (codec state splitting) or
 # a pricing path drifting from codec.Run (the differential
-# FuzzPricingPaths) without stalling CI. Go allows one -fuzz target per
+# FuzzPricingPaths, and FuzzSweepPlans for in-process dist sweeps under
+# every plan shape: whole-trace groups only, groups and entry shards,
+# entry shards only) without stalling CI. Go allows one -fuzz target per
 # invocation, hence separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadText -fuzztime=5s ./internal/trace
@@ -77,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPricingPaths -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzTransposeRoundTrip -fuzztime=5s ./internal/bus
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointReplay -fuzztime=5s ./internal/dist
+	$(GO) test -run=NONE -fuzz=FuzzSweepPlans -fuzztime=5s ./internal/dist
 
 # Span-tracing smoke: generate a small synthetic trace, price it
 # through the streaming fan-out with the flight recorder exporting a
@@ -91,21 +94,27 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck -mincover 0.95 .trace-smoke/spans.json
 
 # Distributed-sweep smoke: the exact CI scenarios live in
-# TestDistSmoke — a 3-worker sweep over a 2^18-entry trace with one
-# worker killed mid-sweep and the coordinator stopped at a checkpoint,
-# then resumed to results bit-identical to codec.RunFast for every
-# registered codec — and TestNetSmoke, the same kill + checkpoint +
-# resume over two loopback TCP busencd peers. The coordinator/worker
-# machinery is the most concurrent code in the tree, so the whole dist
-# package (and the CLI that drives it) runs under the race detector
-# here. The dispatcher tests then race five times over: the per-slot
-# window decides which slot's goroutine takes each job.
+# TestDistSmoke — a 3-worker sweep over a 2^18-entry trace of t0,
+# working-zone and the five Seeder codecs (two whole-trace groups leave
+# a worker idle, so ten entry shards fill it), with one worker killed
+# mid-sweep and the coordinator stopped at a checkpoint after 7 of 12
+# jobs, then resumed to results bit-identical to codec.RunFast, and a
+# last sweep of every registered codec, one group per worker — and
+# TestNetSmoke, the same kill + checkpoint + resume over two loopback
+# TCP busencd peers for t0 and the Seeder codecs, then all codecs. The
+# coordinator/worker machinery is the most concurrent code in the tree,
+# so the whole dist package (and the CLI that drives it) runs under the
+# race detector here. The dispatcher tests then race five times over:
+# the per-slot window decides which slot's goroutine takes each job.
+# TestSweepCorruptTrace joins them: under a plan of whole-trace groups
+# only the workers decode the trace, so a corrupt body surfaces from
+# whichever job reaches it first.
 dist-smoke:
 	$(GO) vet ./internal/dist ./cmd/busencsweep
 	$(GO) test -race -run TestDistSmoke -v ./internal/dist
 	$(GO) test -race -run TestNetSmoke -v ./internal/serve
 	$(GO) test -race ./internal/dist ./cmd/busencsweep
-	$(GO) test -race -count=5 -run 'Window|Plans|Checkpoint|WorkerDeath|Heartbeat' ./internal/dist
+	$(GO) test -race -count=5 -run 'Window|Plans|Checkpoint|WorkerDeath|Heartbeat|CorruptTrace' ./internal/dist
 
 # Multi-tenant service smoke — the exact CI scenario: build the daemon
 # and the load harness as real binaries (SIGTERM must reach a real
@@ -126,10 +135,14 @@ serve-smoke:
 # Networked-pricing smoke — the CI scenario: two real busencd daemons
 # on loopback ports (one carrying -dist-failafter 1 so its first /dist
 # connection dies mid-sweep and is redialed), a busencsweep coordinator
-# pricing over both via -peers, a second sweep against the now-warm
-# stores (the trace ships by digest, so the re-sweep uploads nothing),
-# then a fresh BENCH_dist.json with the tcp.* metrics for the CI
-# artifact upload.
+# pricing t0 and the Seeder codecs over both via -peers (t0's one
+# whole-trace group leaves a peer idle, so the budget of 16 plans 15
+# entry shards besides, and the doomed connection holds several jobs),
+# a second, traced sweep against the now-warm stores (the trace ships
+# by digest, so the re-sweep uploads nothing), a sweep of every codec
+# over both peers (one group each) held against the same request on two
+# local workers, then a fresh BENCH_dist.json with the tcp.* metrics
+# for the CI artifact upload.
 net-smoke:
 	mkdir -p .net-smoke/store1 .net-smoke/store2
 	$(GO) build -o .net-smoke/busencd ./cmd/busencd
@@ -148,10 +161,14 @@ net-smoke:
 	if [ -z "$$A1" ] || [ -z "$$A2" ]; then \
 		echo "net-smoke: peers failed to start"; cat .net-smoke/peer1.log .net-smoke/peer2.log; exit 1; fi; \
 	echo "net-smoke: peers $$A1 $$A2"; \
-	.net-smoke/busencsweep -trace .net-smoke/smoke.trace -workers 0 -peers $$A1,$$A2 -shards 16 > .net-smoke/sweep1.txt; \
-	.net-smoke/busencsweep -trace .net-smoke/smoke.trace -workers 0 -peers $$A1,$$A2 -shards 16 -spantrace .net-smoke/merged-trace.json > .net-smoke/sweep2.txt; \
+	.net-smoke/busencsweep -trace .net-smoke/smoke.trace -codes t0,binary,gray,offset,incxor,beach -workers 0 -peers $$A1,$$A2 -shards 16 > .net-smoke/sweep1.txt; \
+	.net-smoke/busencsweep -trace .net-smoke/smoke.trace -codes t0,binary,gray,offset,incxor,beach -workers 0 -peers $$A1,$$A2 -shards 16 -spantrace .net-smoke/merged-trace.json > .net-smoke/sweep2.txt; \
 	cmp .net-smoke/sweep1.txt .net-smoke/sweep2.txt; \
-	echo "net-smoke: networked sweeps reproduce bit-identically (tracing on/off)"; cat .net-smoke/sweep2.txt
+	echo "net-smoke: networked sweeps reproduce bit-identically (tracing on/off)"; cat .net-smoke/sweep2.txt; \
+	.net-smoke/busencsweep -trace .net-smoke/smoke.trace -workers 0 -peers $$A1,$$A2 -shards 16 > .net-smoke/sweep-all.txt; \
+	.net-smoke/busencsweep -trace .net-smoke/smoke.trace -workers 2 -shards 16 > .net-smoke/local-all.txt; \
+	cmp .net-smoke/sweep-all.txt .net-smoke/local-all.txt; \
+	echo "net-smoke: every codec over the peers matches two local workers"
 	$(GO) run ./cmd/tracecheck -mincover 0.95 -minprocs 3 .net-smoke/merged-trace.json
 	$(GO) run ./cmd/paper -benchdist .net-smoke/BENCH_dist.json
 

@@ -21,8 +21,10 @@
 // the T0 family, working-zone, adaptive) are priced whole-trace, in up
 // to one codec group per worker or peer; the codecs that seed from the
 // previous entries (binary, gray, offset, incxor, beach) are cut into
-// byte-range shards with the rest of the budget, over one mmap view
-// (text traces are converted to a temporary BETR file once). Local
+// byte-range shards with the rest of the budget only when the groups
+// leave a worker or peer idle, over one mmap view (text traces are
+// converted to a temporary BETR file once). Otherwise they join the
+// groups, and the plan is read from the trace header alone. Local
 // workers share the file through the page cache, so nothing is copied.
 // Remote peers receive the trace once, content-addressed by SHA-256
 // digest — a re-sweep against a peer that already holds the trace ships
@@ -52,7 +54,7 @@ func main() {
 	workers := flag.Int("workers", 1, "worker processes to spawn (with -peers, 0 means peers only)")
 	peers := flag.String("peers", "", "comma-separated busencd peer addresses (host:port) to price on over TCP")
 	window := flag.Int("window", 0, "max jobs in flight per worker/peer (0 = default, 1 = lock-step)")
-	shards := flag.Int("shards", 0, "job budget: the most jobs to plan (0 = 4 per worker/peer)")
+	shards := flag.Int("shards", 0, "job budget: the most jobs to plan (0 = 4 per worker/peer); entry shards only fill workers/peers the whole-trace codec groups leave idle")
 	checkpoint := flag.String("checkpoint", "", "journal path for checkpoint/resume; rerunning the same sweep against an existing journal resumes it")
 	codes := flag.String("codes", "all", "comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
 	stride := flag.Uint64("stride", 4, "in-sequence stride S for the stride-aware codes (t0*, dualt0*, gray, incxor); 4 matches the paper's word-addressed MIPS and the other CLIs")

@@ -94,11 +94,14 @@ func TestRunTable(t *testing.T) {
 
 // TestRunKillAndResume: the CLI fault knobs compose — kill one
 // worker's first life, stop the coordinator at the checkpoint, rerun
-// the same sweep, and end with results bit-identical to RunFast.
+// the same sweep, and end with results bit-identical to RunFast. The
+// faulted request's two whole-trace groups leave a worker idle, so it
+// plans seven entry shards of the Seeder codecs besides; a last sweep
+// of all codecs, one group per worker, is bit-identical too.
 func TestRunKillAndResume(t *testing.T) {
 	path, s := testTrace(t, 12000)
 	ckpt := filepath.Join(t.TempDir(), "sweep.json")
-	base := sweepConfig{trace: path, workers: 3, shards: 9, checkpoint: ckpt, codes: "all", verify: "none", kernel: "auto", stride: 4, asJSON: true}
+	base := sweepConfig{trace: path, workers: 3, shards: 9, checkpoint: ckpt, codes: "t0,workzone,binary,gray,offset,incxor,beach", verify: "none", kernel: "auto", stride: 4, asJSON: true}
 	first := base
 	first.killWorker = "0:1"
 	first.stopAfter = 4
@@ -106,12 +109,26 @@ func TestRunKillAndResume(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stopped") {
 		t.Fatalf("first run: err = %v, want checkpoint stop", err)
 	}
-	got := runToFile(t, func(out *os.File) error {
+	checkRunFast(t, s, runToFile(t, func(out *os.File) error {
 		return run(base, out)
-	})
+	}), 7)
+	all := base
+	all.codes, all.checkpoint = "all", ""
+	checkRunFast(t, s, runToFile(t, func(out *os.File) error {
+		return run(all, out)
+	}), len(codec.Names()))
+}
+
+// checkRunFast decodes the CLI's JSON results and holds each against
+// RunFast over s, with the CLI's default stride.
+func checkRunFast(t *testing.T, s *trace.Stream, got string, n int) {
+	t.Helper()
 	var results []codec.Result
 	if err := json.Unmarshal([]byte(got), &results); err != nil {
 		t.Fatalf("bad JSON output: %v\n%s", err, got)
+	}
+	if len(results) != n {
+		t.Fatalf("%d results, want %d", len(results), n)
 	}
 	for _, r := range results {
 		c, err := codec.New(r.Codec, s.Width, codec.Options{Stride: 4})

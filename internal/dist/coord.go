@@ -61,8 +61,10 @@ type Opts struct {
 	// Shards is the job budget: the most jobs the sweep plans; <= 0
 	// means 4 per slot (workers + peers), the smallest count that keeps
 	// the pool busy while job runtimes vary. Prefix-dependent codecs
-	// take up to one whole-trace job per slot and the Seeder codecs are
-	// cut into the rest (see plan.go).
+	// take up to one whole-trace job per slot. Entry shards only fill
+	// slots those groups leave idle: the Seeder codecs are cut into the
+	// rest of the budget then, and join the groups otherwise (see
+	// plan.go).
 	Shards int
 	// Codecs are the codes to price.
 	Codecs []CodecSpec
@@ -116,10 +118,19 @@ type Opts struct {
 // returns one Result per requested codec, in opts.Codecs order, each
 // bit-identical to codec.RunFast over the same stream. Text traces are
 // converted to a temporary BETR file once; BETR traces are shared with
-// the workers by path, so no trace data crosses the pipes.
+// the workers by path, so no trace data crosses the pipes. A request
+// may name each codec once: job results carry statistics keyed by
+// codec name.
 func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	if len(opts.Codecs) == 0 {
 		return nil, fmt.Errorf("dist: no codecs requested")
+	}
+	for i, cs := range opts.Codecs {
+		for _, prev := range opts.Codecs[:i] {
+			if prev.Name == cs.Name {
+				return nil, fmt.Errorf("dist: codec %s requested twice; a sweep prices each codec once", cs.Name)
+			}
+		}
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -145,8 +156,9 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	}
 	root := obs.StartSpanCtx("dist.sweep", obs.StageEval, rootCtx).WithStream(path)
 
-	// Plan: lay out the jobs, then one scan of the byte view yields the
-	// entry cuts they price between.
+	// Plan: lay out the jobs, then take the entry cuts they price
+	// between from the byte view: its header alone for a plan of one
+	// part, one scan of its entries otherwise.
 	psp := root.Child("dist.plan", obs.StageRead)
 	jobs, parts, err := planJobs(opts.Codecs, slots, budget)
 	if err != nil {
@@ -239,6 +251,9 @@ type planned struct {
 // jobs. A text trace (anything without the BETR magic) is decoded once
 // and materialized as a temporary BETR file so workers can byte-range
 // it; the returned cleanup removes the temp file and unmaps the view.
+// A plan of one part takes its two cuts from the header
+// (trace.HeaderBETR) and decodes no entry: every job of it starts at
+// entry 0 and decodes, and so validates, every entry it prices.
 func planTrace(path string, jobs []job, parts int) (*planned, func(), error) {
 	data, closer, err := trace.MapBytes(path)
 	if err != nil {
@@ -273,7 +288,12 @@ func planTrace(path string, jobs []job, parts int) (*planned, func(), error) {
 			return nil, nil, err
 		}
 	}
-	idx, err := trace.IndexBETR(data, path, parts)
+	var idx *trace.BETRIndex
+	if parts == 1 {
+		idx, err = trace.HeaderBETR(data, path)
+	} else {
+		idx, err = trace.IndexBETR(data, path, parts)
+	}
 	if err != nil {
 		closer.Close()
 		if tmp != "" {
@@ -313,7 +333,9 @@ func decodeText(path string, viewCloser interface{ Close() error }) (*trace.Stre
 // layout (each job's codec names and entry range) and everything else
 // that changes what workers compute. A checkpoint written under a
 // different digest is for a different sweep and must not be resumed
-// into this one.
+// into this one. The cut index binds the trace: a scanned index through
+// its cuts' offsets and boundary entries, a header-only one through the
+// header fields and the view's byte length its end cut carries.
 func planDigest(plan *planned, specs []CodecSpec, verify int, perLine bool, kernel int) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -187,20 +188,24 @@ func TestSweepTextTrace(t *testing.T) {
 	checkParity(t, res, wantResults(t, s, specs, codec.VerifyFull, false))
 }
 
-// TestSweepMorePartsThanWorkers: shards default to 4x workers and
-// empty shards (over-split tiny stream) are priced correctly.
+// TestSweepTinyStreamOverSplit: a 37-entry stream under a budget of
+// 16 is priced correctly, by all codecs in one group per worker and by
+// the Seeder codecs in sixteen entry shards, most of them empty.
 func TestSweepTinyStreamOverSplit(t *testing.T) {
 	const width = 16
 	s := mixStream(width, 37, 44)
 	path := writeBETR(t, s)
-	specs := AllSpecs(width)
-	res, err := Sweep(path, Opts{
-		Workers: 2, Shards: 16, Codecs: specs, Spawn: InProcSpawner(nil),
-	})
-	if err != nil {
-		t.Fatal(err)
+	all := AllSpecs(width)
+	_, seeders := splitSpecs(t, all)
+	for _, specs := range [][]CodecSpec{all, seeders} {
+		res, err := Sweep(path, Opts{
+			Workers: 2, Shards: 16, Codecs: specs, Spawn: InProcSpawner(nil),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkParity(t, res, wantResults(t, s, specs, codec.VerifyFull, false))
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyFull, false))
 }
 
 // TestWorkerDeathRetry: a worker that dies mid-sweep costs nothing but
@@ -209,18 +214,29 @@ func TestWorkerDeathRetry(t *testing.T) {
 	const width = 32
 	s := mixStream(width, 12000, 45)
 	path := writeBETR(t, s)
-	specs := AllSpecs(width)
+	all := AllSpecs(width)
+	_, specs := splitSpecs(t, all)
 	// Worker 0's first life dies after pricing 1 job; every other life
 	// is healthy. One slot makes the death deterministic: the pipelined
 	// window guarantees the first life receives a second job frame (9
-	// shards, one slot), which is what trips FailAfter.
-	sp := &countingSpawner{inner: InProcSpawner(func(id, gen int) WorkerOpts {
+	// shards of the Seeder codecs, one slot), which is what trips
+	// FailAfter. All twelve codecs plan one job on one slot, so the
+	// fault cannot fire there; they still price to RunFast's results.
+	failFirst := func(id, gen int) WorkerOpts {
 		if id == 0 && gen == 0 {
 			return WorkerOpts{FailAfter: 1}
 		}
 		return WorkerOpts{}
-	})}
+	}
 	res, err := Sweep(path, Opts{
+		Workers: 1, Shards: 9, Codecs: all, Verify: codec.VerifyNone, Spawn: InProcSpawner(failFirst),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkParity(t, res, wantResults(t, s, all, codec.VerifyNone, false))
+	sp := &countingSpawner{inner: InProcSpawner(failFirst)}
+	res, err = Sweep(path, Opts{
 		Workers: 1, Shards: 9, Codecs: specs, Verify: codec.VerifyNone, Spawn: sp,
 	})
 	if err != nil {
@@ -252,8 +268,9 @@ func TestWorkerDeathExhaustsRetries(t *testing.T) {
 	dead := SpawnerFunc(func(id, gen int) (Transport, error) {
 		return nil, errors.New("spawn refused")
 	})
+	_, seeders := splitSpecs(t, AllSpecs(width))
 	_, err := Sweep(path, Opts{
-		Workers: 1, Shards: 2, Codecs: AllSpecs(width), Verify: codec.VerifyNone, Spawn: dead,
+		Workers: 1, Shards: 2, Codecs: seeders, Verify: codec.VerifyNone, Spawn: dead,
 	})
 	if err == nil || !strings.Contains(err.Error(), "died") || !strings.Contains(err.Error(), "spawn refused") {
 		t.Fatalf("err = %v, want worker-death failure naming the spawn error", err)
@@ -261,33 +278,45 @@ func TestWorkerDeathExhaustsRetries(t *testing.T) {
 }
 
 // TestCheckpointResume: stop a sweep partway, then resume it from the
-// journal — the second run prices only the missing shards and total
-// results are bit-identical to an uninterrupted run.
+// journal — the second run prices only the missing jobs and total
+// results are bit-identical to an uninterrupted run. The Seeder codecs
+// plan eight entry shards and stop after three; all twelve codecs plan
+// one group per worker and stop after one.
 func TestCheckpointResume(t *testing.T) {
 	const width = 32
 	s := mixStream(width, 16000, 47)
 	path := writeBETR(t, s)
-	specs := AllSpecs(width)
-	ckpt := filepath.Join(t.TempDir(), "sweep.json")
-	opts := Opts{
-		Workers: 2, Shards: 8, Codecs: specs, Verify: codec.VerifyNone,
-		Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: 3,
-	}
-	_, err := Sweep(path, opts)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("first run: err = %v, want ErrStopped", err)
-	}
-	// Resume: drop the stop knob, count the jobs actually priced.
-	opts.StopAfter = 0
-	jobs := &jobCounter{}
-	opts.Spawn = jobs.wrap(InProcSpawner(nil))
-	res, err := Sweep(path, opts)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
-	if n := jobs.count(); n >= 8 {
-		t.Errorf("resume priced %d shards; journal recovery saved nothing", n)
+	all := AllSpecs(width)
+	_, seeders := splitSpecs(t, all)
+	for _, tc := range []struct {
+		name            string
+		specs           []CodecSpec
+		stopAfter, jobs int
+	}{
+		{"seeders", seeders, 3, 8},
+		{"all", all, 1, 2},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "sweep.json")
+		opts := Opts{
+			Workers: 2, Shards: 8, Codecs: tc.specs, Verify: codec.VerifyNone,
+			Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: tc.stopAfter,
+		}
+		_, err := Sweep(path, opts)
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("%s: first run: err = %v, want ErrStopped", tc.name, err)
+		}
+		// Resume: drop the stop knob, count the jobs actually priced.
+		opts.StopAfter = 0
+		jobs := &jobCounter{}
+		opts.Spawn = jobs.wrap(InProcSpawner(nil))
+		res, err := Sweep(path, opts)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", tc.name, err)
+		}
+		checkParity(t, res, wantResults(t, s, tc.specs, codec.VerifyNone, false))
+		if n := jobs.count(); n >= tc.jobs {
+			t.Errorf("%s: resume priced %d of %d jobs; journal recovery saved nothing", tc.name, n, tc.jobs)
+		}
 	}
 }
 
@@ -328,46 +357,60 @@ func (ct *countingTransport) Send(m msg) error {
 }
 
 // TestCheckpointTornTail: a torn trailing line (the crash case) is
-// dropped; the shard it described is simply re-priced.
+// dropped; the job it described is simply re-priced. The Seeder codecs
+// plan four entry shards on one worker and stop after two; all twelve
+// codecs plan one group per worker on two and stop after one.
 func TestCheckpointTornTail(t *testing.T) {
 	const width = 16
 	s := mixStream(width, 8000, 48)
 	path := writeBETR(t, s)
-	specs := AllSpecs(width)
-	ckpt := filepath.Join(t.TempDir(), "sweep.json")
-	opts := Opts{
-		Workers: 1, Shards: 4, Codecs: specs, Verify: codec.VerifyNone,
-		Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: 2,
+	all := AllSpecs(width)
+	_, seeders := splitSpecs(t, all)
+	for _, tc := range []struct {
+		name               string
+		specs              []CodecSpec
+		workers, stopAfter int
+	}{
+		{"seeders", seeders, 1, 2},
+		{"all", all, 2, 1},
+	} {
+		ckpt := filepath.Join(t.TempDir(), "sweep.json")
+		opts := Opts{
+			Workers: tc.workers, Shards: 4, Codecs: tc.specs, Verify: codec.VerifyNone,
+			Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: tc.stopAfter,
+		}
+		if _, err := Sweep(path, opts); !errors.Is(err, ErrStopped) {
+			t.Fatalf("%s: expected stop", tc.name)
+		}
+		// Tear the tail: append half a record with no newline.
+		f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"type":"done","shard":3,"stats":{"bro`); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		opts.StopAfter = 0
+		res, err := Sweep(path, opts)
+		if err != nil {
+			t.Fatalf("%s: resume over torn tail: %v", tc.name, err)
+		}
+		checkParity(t, res, wantResults(t, s, tc.specs, codec.VerifyNone, false))
 	}
-	if _, err := Sweep(path, opts); !errors.Is(err, ErrStopped) {
-		t.Fatal("expected stop")
-	}
-	// Tear the tail: append half a record with no newline.
-	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"type":"done","shard":3,"stats":{"bro`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	opts.StopAfter = 0
-	res, err := Sweep(path, opts)
-	if err != nil {
-		t.Fatalf("resume over torn tail: %v", err)
-	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
 }
 
 // TestCheckpointStalePlan: resuming with different sweep parameters is
-// refused — the checkpoint carries the plan digest.
+// refused — the checkpoint carries the plan digest. On one slot only
+// Seeder codecs plan more than one job, so only they can stop partway.
 func TestCheckpointStalePlan(t *testing.T) {
 	const width = 16
 	s := mixStream(width, 6000, 49)
 	path := writeBETR(t, s)
+	_, seeders := splitSpecs(t, AllSpecs(width))
 	ckpt := filepath.Join(t.TempDir(), "sweep.json")
 	opts := Opts{
-		Workers: 1, Shards: 4, Codecs: AllSpecs(width), Verify: codec.VerifyNone,
+		Workers: 1, Shards: 4, Codecs: seeders, Verify: codec.VerifyNone,
 		Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: 1,
 	}
 	if _, err := Sweep(path, opts); !errors.Is(err, ErrStopped) {
@@ -390,20 +433,112 @@ func TestSweepRejectsTrainedCodec(t *testing.T) {
 	}
 }
 
-// TestSweepErrorPositioning: a shard-level pricing failure surfaces
-// with the lowest shard winning, like the in-process merge. A codec
-// spec that cannot be constructed (bad width) fails every shard; the
-// reported error must be deterministic.
+// TestSweepBadSpec: a request the sweep cannot price fails with an
+// error naming the codec, before any worker spawns. A codec that cannot
+// be constructed fails the plan. A codec named twice is refused: job
+// results key statistics by codec name, so in one job the second
+// spec's statistics would overwrite the first's.
 func TestSweepBadSpec(t *testing.T) {
 	s := mixStream(16, 4000, 51)
 	path := writeBETR(t, s)
-	_, err := Sweep(path, Opts{
-		Workers: 2, Shards: 4,
-		Codecs: []CodecSpec{{Name: "no-such-codec", Width: 16}},
-		Spawn:  InProcSpawner(nil),
-	})
-	if err == nil || !strings.Contains(err.Error(), "no-such-codec") {
-		t.Fatalf("err = %v, want unknown-codec failure", err)
+	for _, tc := range []struct {
+		name  string
+		specs []CodecSpec
+		want  string
+	}{
+		{"unknown codec", []CodecSpec{{Name: "no-such-codec", Width: 16}}, "no-such-codec"},
+		{"codec twice", []CodecSpec{{Name: "gray", Width: 16, Stride: 4}, {Name: "gray", Width: 16, Stride: 8}}, "codec gray requested twice"},
+	} {
+		sp := &countingSpawner{inner: InProcSpawner(nil)}
+		res, err := Sweep(path, Opts{Workers: 2, Shards: 4, Codecs: tc.specs, Spawn: sp})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, results %+v; want %q", tc.name, err, res, tc.want)
+		}
+		if len(sp.spawns) != 0 {
+			t.Errorf("%s: refused after spawning %v", tc.name, sp.spawns)
+		}
+	}
+}
+
+// TestSweepCorruptTrace: a corrupt BETR body fails the sweep with the
+// positioned error a scan of the file gives, whether the coordinator
+// scans it (a plan with entry shards) or only the jobs decode it (a plan
+// of whole-trace groups, read from the header alone), through
+// in-process and exec workers alike. A header declaring more entries
+// than the body can hold is refused before any worker spawns. No case
+// returns a table.
+func TestSweepCorruptTrace(t *testing.T) {
+	const width, n, k = 32, 6000, 3000
+	s := mixStream(width, n, 59)
+	good, err := os.ReadFile(writeBETR(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := trace.IndexBETR(good, "", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, off := int(idx.Cuts[0].Off), int(idx.Cuts[k].Off)
+	if off+1-hdr < 2*n {
+		t.Fatalf("entry %d starts %d bytes into the body; too early to truncate there", k, off-hdr)
+	}
+	badKind := slices.Clone(good)
+	badKind[off] = 9
+	all := AllSpecs(width)
+	_, seeders := splitSpecs(t, all)
+	spawners := map[string]func() Spawner{"inproc": func() Spawner { return InProcSpawner(nil) }}
+	if !testing.Short() {
+		spawners["exec"] = func() Spawner { return execSelfSpawner(t, nil) }
+	}
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		early   bool   // refused at plan time under either plan
+		wantHdr string // the header-only plan's refusal
+	}{
+		{"bad kind", badKind, false, ""},
+		{"truncated entry", good[:off+1], false, ""},
+		{"short body", good[:int(idx.Cuts[10].Off)], true, fmt.Sprintf("header declares %d entries", n)},
+	} {
+		path := filepath.Join(t.TempDir(), "corrupt.betr")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, scanErr := trace.IndexBETR(tc.data, path, 4)
+		if scanErr == nil {
+			t.Fatalf("%s: the scan accepts the corrupt file", tc.name)
+		}
+		for sname, spawner := range spawners {
+			for _, plan := range []struct {
+				name   string
+				specs  []CodecSpec
+				shards bool
+			}{
+				{"groups", all, false},
+				{"shards", seeders, true},
+			} {
+				name := fmt.Sprintf("%s/%s/%s", tc.name, plan.name, sname)
+				sp := &countingSpawner{inner: spawner()}
+				res, err := Sweep(path, Opts{Workers: 2, Shards: 8, Codecs: plan.specs, Verify: codec.VerifyNone, Spawn: sp})
+				switch {
+				case err == nil || res != nil:
+					t.Errorf("%s: err = %v, results %+v; want a failed sweep", name, err, res)
+				case tc.early && !plan.shards:
+					if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.wantHdr) {
+						t.Errorf("%s: err = %v, want %q naming %s", name, err, tc.wantHdr, path)
+					}
+				case err.Error() != scanErr.Error():
+					t.Errorf("%s: err = %v, want the scan's %v", name, err, scanErr)
+				}
+				spawned := len(sp.spawns) > 0
+				if (tc.early || plan.shards) && spawned {
+					t.Errorf("%s: refused only after spawning %v", name, sp.spawns)
+				}
+				if !tc.early && !plan.shards && !spawned {
+					t.Errorf("%s: failed before any job ran; a groups-only plan decodes no entry in the coordinator", name)
+				}
+			}
+		}
 	}
 }
 
@@ -435,25 +570,36 @@ func TestHeartbeatTimeoutRedispatch(t *testing.T) {
 	const width = 32
 	s := mixStream(width, 8000, 55)
 	path := writeBETR(t, s)
-	specs := AllSpecs(width)
+	all := AllSpecs(width)
+	_, specs := splitSpecs(t, all)
 	var ns NetStats
 	// Worker 0's first life stalls after one job: it reads every frame
 	// (so pipelined sends never block) but stops replying, even to
 	// pings — the wedged-peer failure mode EOF detection cannot see.
 	// It is the only worker slot, so no other worker can drain the
-	// queue first: its second job always lands on the stalled life.
-	sp := InProcSpawner(func(id, gen int) WorkerOpts {
+	// queue first: its second job (of 8 shards of the Seeder codecs)
+	// always lands on the stalled life. All twelve codecs plan one job
+	// on one slot, which the fault never reaches; they still price to
+	// RunFast's results.
+	stallFirst := func(id, gen int) WorkerOpts {
 		if id == 0 && gen == 0 {
 			return WorkerOpts{StallAfter: 1}
 		}
 		return WorkerOpts{}
-	})
-	res, err := Sweep(path, Opts{
-		Workers: 1, Shards: 8, Codecs: specs, Verify: codec.VerifyNone,
-		Spawn: sp, Net: &ns,
+	}
+	opts := Opts{
+		Workers: 1, Shards: 8, Codecs: all, Verify: codec.VerifyNone,
+		Spawn:             InProcSpawner(stallFirst),
 		HeartbeatInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  150 * time.Millisecond,
-	})
+	}
+	res, err := Sweep(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkParity(t, res, wantResults(t, s, all, codec.VerifyNone, false))
+	opts.Codecs, opts.Spawn, opts.Net = specs, InProcSpawner(stallFirst), &ns
+	res, err = Sweep(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

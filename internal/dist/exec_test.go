@@ -75,7 +75,11 @@ func TestSweepExecWorkers(t *testing.T) {
 // sweep over a 2^18-entry trace, one worker killed mid-sweep (exec
 // fault injection), the coordinator stopped at a checkpoint, then a
 // resumed sweep — whose merged results must be bit-identical to
-// codec.RunFast for every registered codec.
+// codec.RunFast. The faulted request is two prefix-dependent codecs and
+// the five Seeder codecs: its two whole-trace groups leave a worker
+// idle, so it plans ten entry shards besides. A last sweep of all
+// twelve codecs, one group per worker, must match codec.RunFast for
+// every registered codec.
 func TestDistSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke in -short mode")
@@ -83,11 +87,17 @@ func TestDistSmoke(t *testing.T) {
 	const width = 32
 	s := mixStream(width, 1<<18, 53)
 	path := writeBETR(t, s)
-	specs := AllSpecs(width)
+	all := AllSpecs(width)
+	var specs []CodecSpec
+	for _, cs := range all {
+		if cs.Name == "t0" || cs.Name == "workzone" || isSeeder(t, cs) {
+			specs = append(specs, cs)
+		}
+	}
 	ckpt := filepath.Join(t.TempDir(), "sweep.json")
 
 	// Phase 1: worker 1's first life dies after 2 jobs (retry-once
-	// path), and the coordinator itself stops after 7 of 12 shards.
+	// path), and the coordinator itself stops after 7 of 12 jobs.
 	opts := Opts{
 		Workers: 3, Shards: 12, Codecs: specs, Verify: codec.VerifyNone,
 		Checkpoint: ckpt, StopAfter: 7,
@@ -111,4 +121,12 @@ func TestDistSmoke(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
+
+	// Phase 3: every registered codec, no checkpoint.
+	opts.Codecs, opts.Checkpoint = all, ""
+	res, err = Sweep(path, opts)
+	if err != nil {
+		t.Fatalf("all codecs: %v", err)
+	}
+	checkParity(t, res, wantResults(t, s, all, codec.VerifyNone, false))
 }

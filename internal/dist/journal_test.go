@@ -64,11 +64,13 @@ func editFirstCodec(f func(*bus.Stats)) func(map[string]bus.Stats) {
 // TestCheckpointRejectsDoctoredRecord: a done record whose statistics
 // were rewritten and re-signed with a fresh digest, so the digest check
 // passes, fails the resumed sweep with an error naming the job instead
-// of merging a wrong table.
+// of merging a wrong table. The Seeder codecs plan four entry shards on
+// one worker, so the first run can stop partway.
 func TestCheckpointRejectsDoctoredRecord(t *testing.T) {
 	const width = 16
 	s := mixStream(width, 8000, 57)
 	path := writeBETR(t, s)
+	_, seeders := splitSpecs(t, AllSpecs(width))
 	for _, tc := range []struct {
 		name string
 		edit func(*bus.Stats)
@@ -81,7 +83,7 @@ func TestCheckpointRejectsDoctoredRecord(t *testing.T) {
 	} {
 		ckpt := filepath.Join(t.TempDir(), "sweep.json")
 		opts := Opts{
-			Workers: 1, Shards: 4, Codecs: AllSpecs(width), Verify: codec.VerifyNone, PerLine: true,
+			Workers: 1, Shards: 4, Codecs: seeders, Verify: codec.VerifyNone, PerLine: true,
 			Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: 2,
 		}
 		if _, err := Sweep(path, opts); !errors.Is(err, ErrStopped) {

@@ -21,27 +21,34 @@ import (
 // With J the job budget (Opts.Shards) and W the slots (local workers
 // plus TCP peers), the prefix-dependent codecs P go into
 // G = min(|P|, W, J) whole-trace groups, balanced longest-job-first by
-// encodeCost, and the Seeder codecs are cut into J-G entry shards, or
-// join the groups when that leaves no shard. The queue holds the groups
-// first, costliest first, then the shards in entry order.
+// encodeCost. Entry shards only fill slots the groups leave idle: when
+// G == W the Seeder codecs join the groups, and otherwise they are cut
+// into J-G entry shards, or join the groups when that leaves no shard.
+// The queue holds the groups first, costliest first, then the shards in
+// entry order. A plan without shards is one part, which the coordinator
+// reads from the trace header alone (coord.go).
 
 // encodeCost is the relative per-entry cost of pricing each codec, the
-// planner's balancing weight: the muxed-stream
-// codec.encode_ns_per_entry medians, in ns, of
-// cmd/busencbench/baseline/seed-a.json (2 vCPU, go1.24.0).
+// planner's balancing weight: the medians, in ns, of
+// codec.encode_ns_per_entry.<codec> over five traced muxed-stream runs
+// of cmd/busencbench (run.sh --workload muxed-stream --seed 1 --trace 1)
+// at commit 4c16205, on 2 vCPUs with go1.24.0. Each codec is timed
+// alone there, so a plane codec's cost includes a transpose of its own;
+// plane codecs in one job share a single transpose (codec.NewPricers),
+// so the table slightly overstates them.
 var encodeCost = map[string]float64{
-	"workzone":  22.4,
-	"adaptive":  20.6,
-	"dualt0bi":  7.5,
-	"t0bi":      7.4,
-	"dualt0":    6.8,
-	"t0":        6.4,
-	"beach":     6.0,
-	"incxor":    5.8,
-	"binary":    5.5,
-	"offset":    5.5,
-	"gray":      5.4,
-	"businvert": 5.0,
+	"workzone":  24.9,
+	"adaptive":  9.7,
+	"dualt0bi":  8.5,
+	"t0bi":      7.8,
+	"dualt0":    7.7,
+	"gray":      7.6,
+	"incxor":    7.2,
+	"offset":    7.0,
+	"binary":    6.8,
+	"t0":        6.7,
+	"businvert": 6.1,
+	"beach":     5.8,
 }
 
 // medianCost is what a codec missing from encodeCost weighs.
@@ -91,11 +98,11 @@ func planJobs(specs []CodecSpec, slots, budget int) ([]job, int, error) {
 	}
 	groups := min(len(prefix), slots, budget)
 	shards := budget - groups
+	if len(free) == 0 || groups == slots {
+		shards = 0 // nothing to cut, or no slot left idle for a shard
+	}
 	grouped := prefix
-	switch {
-	case len(free) == 0:
-		shards = 0
-	case shards == 0:
+	if shards == 0 {
 		grouped = append(slices.Clone(prefix), free...)
 	}
 	jobs := balance(specs, grouped, groups)

@@ -22,7 +22,7 @@ import (
 
 // isSeeder reports whether the spec's encoder joins a stream from the
 // entries before a cut alone.
-func isSeeder(t *testing.T, cs CodecSpec) bool {
+func isSeeder(t testing.TB, cs CodecSpec) bool {
 	t.Helper()
 	c, err := cs.New()
 	if err != nil {
@@ -48,7 +48,9 @@ func splitSpecs(t *testing.T, all []CodecSpec) (prefix, seeders []CodecSpec) {
 // plan stays within the job budget, never starts a prefix-dependent
 // codec past entry 0, covers every codec's [0, N) exactly once in entry
 // order, and prices to RunFast's results with per-line counting off and
-// on — without any seed sweep.
+// on — without any seed sweep. Entry shards appear only where the
+// groups leave a slot idle; a plan without them is read from the trace
+// header alone.
 func TestSweepPlans(t *testing.T) {
 	const width = 32
 	all := AllSpecs(width)
@@ -74,17 +76,21 @@ func TestSweepPlans(t *testing.T) {
 		entries          int
 		wantJobs, groups int
 	}{
-		{"all/2x8", 2, 8, all, 6000, 8, 2},
-		{"all/1x9", 1, 9, all, 6000, 9, 1},
-		{"all/3x7", 3, 7, all, 6000, 7, 3},
+		{"all/2x8", 2, 8, all, 6000, 2, 2},
+		{"all/1x9", 1, 9, all, 6000, 1, 1},
+		{"all/3x7", 3, 7, all, 6000, 3, 3},
 		{"all/2x1", 2, 1, all, 6000, 1, 1},
-		{"all/4x16", 4, 16, all, 6000, 16, 4},
+		{"all/4x16", 4, 16, all, 6000, 4, 4},
 		{"prefix/2x8", 2, 8, prefix, 6000, 2, 2},
 		{"seeders/2x8", 2, 8, seeders, 6000, 8, 0},
 		{"workzone/4", 4, 0, byName("workzone"), 6000, 1, 1},
 		{"binary/2x8", 2, 8, byName("binary"), 6000, 8, 0},
-		{"all/oversplit", 2, 16, all, 37, 16, 2},
-		{"all/empty", 2, 8, all, 0, 8, 2},
+		{"t0+seeders/2x8", 2, 8, append(byName("t0"), seeders...), 6000, 8, 1},
+		{"workzone+t0+seeders/3x6", 3, 6, append(byName("t0", "workzone"), seeders...), 6000, 6, 2},
+		{"all/oversplit", 2, 16, all, 37, 2, 2},
+		{"seeders/oversplit", 2, 16, seeders, 37, 16, 0},
+		{"all/empty", 2, 8, all, 0, 2, 2},
+		{"seeders/empty", 2, 8, seeders, 0, 8, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := mixStream(width, tc.entries, 71)
@@ -175,16 +181,137 @@ func TestSweepPlans(t *testing.T) {
 	}
 }
 
+// sweepStream decodes fuzz bytes into a trace of at most 300 entries on
+// a 32-bit bus, one entry per byte: in-sequence runs, repeats, jumps
+// and data accesses, so every registered code exercises real state.
+func sweepStream(data []byte) *trace.Stream {
+	s := trace.New("fuzz", 32)
+	addr := uint64(0x0040_0000)
+	for i, b := range data[:min(len(data), 300)] {
+		switch b & 7 {
+		case 0, 1, 2:
+			addr += 4
+			s.Append(addr, trace.Instr)
+		case 3:
+			s.Append(addr, trace.Instr)
+		case 4:
+			addr = uint64(b)<<10 ^ uint64(i)<<3
+			s.Append(addr, trace.Instr)
+		case 5:
+			addr ^= uint64(b) << 24
+			s.Append(addr, trace.Instr)
+		case 6:
+			s.Append(0x1000_0000+uint64(b)*0x104, trace.DataRead)
+		default:
+			s.Append(0x1000_0000+uint64(b)*0x104, trace.DataWrite)
+		}
+	}
+	return s
+}
+
+// FuzzSweepPlans is the differential target over the dist plan rule:
+// for the fuzzer's trace, codec subset (a bit per codec of AllSpecs),
+// slot count (1–4 in-process workers), job budget (0–16, 0 for the
+// default) and per-line counting, the plan stays within the budget,
+// never starts a prefix-dependent codec past entry 0, and the sweep
+// returns codec.Run's Transitions, Cycles, MaxPerCycle and PerLine for
+// every codec — whether the plan is whole-trace groups only, groups and
+// entry shards, or entry shards only.
+func FuzzSweepPlans(f *testing.F) {
+	const width = 32
+	all := AllSpecs(width)
+	var seeders, t0 uint16
+	for i, cs := range all {
+		if isSeeder(f, cs) {
+			seeders |= 1 << i
+		}
+		if cs.Name == "t0" {
+			t0 = 1 << i
+		}
+	}
+	stream := make([]byte, 200)
+	for j := range stream {
+		stream[j] = byte(j*37 + 5)
+	}
+	f.Add(stream, uint16(0xfff), uint8(1), uint8(8), false)   // groups only: one per slot
+	f.Add(stream, t0|seeders, uint8(1), uint8(8), true)       // a group and seven shards
+	f.Add(stream, seeders, uint8(2), uint8(16), false)        // shards only
+	f.Add(stream, uint16(0xfff), uint8(3), uint8(0), true)    // the default budget
+	f.Add([]byte{}, uint16(0xfff), uint8(1), uint8(8), true)  // an empty trace
+	f.Add(stream[:5], t0|seeders, uint8(3), uint8(16), false) // shorter than the budget
+	f.Add(stream[:9], seeders, uint8(0), uint8(1), true)      // one shard on one slot
+	f.Fuzz(func(t *testing.T, data []byte, set uint16, rawSlots, rawBudget uint8, perLine bool) {
+		var specs []CodecSpec
+		for i, cs := range all {
+			if set>>i&1 == 1 {
+				specs = append(specs, cs)
+			}
+		}
+		if len(specs) == 0 {
+			return
+		}
+		s := sweepStream(data)
+		path := writeBETR(t, s)
+		slots, budget := 1+int(rawSlots)%4, int(rawBudget)%17
+		planned := budget
+		if planned == 0 {
+			planned = 4 * slots
+		}
+		jobs, parts, err := planJobs(specs, slots, planned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, cleanup, err := planTrace(path, jobs, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cleanup()
+		if len(jobs) > planned {
+			t.Fatalf("%d jobs over a budget of %d", len(jobs), planned)
+		}
+		for k, jb := range jobs {
+			if from, _ := plan.span(k); from > 0 {
+				for _, i := range jb.codecs {
+					if !isSeeder(t, specs[i]) {
+						t.Fatalf("job %d starts prefix-dependent codec %s at entry %d", k, specs[i].Name, from)
+					}
+				}
+			}
+		}
+		res, err := Sweep(path, Opts{
+			Workers: slots, Shards: budget, Codecs: specs,
+			Verify: codec.VerifySampled, PerLine: perLine, Spawn: InProcSpawner(nil),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cs := range specs {
+			c, err := cs.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := codec.Run(c, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !perLine {
+				want.PerLine = nil
+			}
+			if !sameResult(res[i], want) {
+				t.Fatalf("codec %s on %d slots, budget %d: sweep %+v != codec.Run %+v", cs.Name, slots, budget, res[i], want)
+			}
+		}
+	})
+}
+
 // TestPlanJobsBalance pins the benchmark's plan: twelve codecs, two
-// slots, a budget of eight. The prefix-dependent codecs split
-// longest-job-first into two whole-trace groups, costliest first, and
-// the five Seeder codecs are cut into the six remaining jobs.
+// slots, a budget of eight. The prefix-dependent codecs fill both slots,
+// so no entry shard is cut: all twelve codecs split longest-job-first
+// into two whole-trace groups, costliest first, over one part. A
+// prefix-dependent codec fewer than slots leaves a slot idle, and the
+// Seeder codecs are cut into the rest of the budget as before.
 func TestPlanJobsBalance(t *testing.T) {
 	specs := AllSpecs(32)
-	jobs, parts, err := planJobs(specs, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := func(jb job) string {
 		var out []string
 		for _, i := range jb.codecs {
@@ -192,24 +319,36 @@ func TestPlanJobsBalance(t *testing.T) {
 		}
 		return strings.Join(out, "+")
 	}
-	var got []string
-	for _, jb := range jobs {
-		got = append(got, fmt.Sprintf("%s[%d,%d)", names(jb), jb.lo, jb.hi))
+	layout := func(slots, budget int) (int, []string) {
+		t.Helper()
+		jobs, parts, err := planJobs(specs, slots, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, jb := range jobs {
+			got = append(got, fmt.Sprintf("%s[%d,%d)", names(jb), jb.lo, jb.hi))
+		}
+		return parts, got
 	}
-	seeders := "beach+binary+gray+incxor+offset"
+	parts, got := layout(2, 8)
 	want := []string{
-		"adaptive+businvert+dualt0+dualt0bi[0,6)",
-		"t0+t0bi+workzone[0,6)",
+		"adaptive+beach+dualt0bi+gray+offset+t0+t0bi[0,1)",
+		"binary+businvert+dualt0+incxor+workzone[0,1)",
 	}
-	for k := 0; k < 6; k++ {
-		want = append(want, fmt.Sprintf("%s[%d,%d)", seeders, k, k+1))
-	}
-	if parts != 6 || !reflect.DeepEqual(got, want) {
+	if parts != 1 || !reflect.DeepEqual(got, want) {
 		t.Errorf("plan over %d parts:\n got %v\nwant %v", parts, got, want)
 	}
+	// Seven prefix-dependent codecs on eight slots: seven groups of one
+	// and a shard of the Seeder codecs.
+	parts, got = layout(8, 8)
+	seeders := "beach+binary+gray+incxor+offset[0,1)"
+	if parts != 1 || len(got) != 8 || got[7] != seeders {
+		t.Errorf("8 slots: plan over %d parts: %v, want 7 groups and %s", parts, got, seeders)
+	}
 	// A codec the cost table does not know weighs the table's median.
-	if m := costOf("no-such-codec"); m != 6.2 {
-		t.Errorf("median cost = %v, want 6.2", m)
+	if m := costOf("no-such-codec"); m != 7.4 {
+		t.Errorf("median cost = %v, want 7.4", m)
 	}
 }
 
@@ -276,27 +415,39 @@ func (pt *probedTransport) Recv() (msg, error) {
 }
 
 // TestWindowBoundsInflight: no worker ever holds more jobs than the
-// window, and with sixteen jobs on two slots each window fills. Parity
-// with RunFast holds at every window.
+// window, and with sixteen jobs on two slots each window fills. The
+// Seeder codecs plan those sixteen entry shards; all twelve codecs plan
+// one group per slot. Parity with RunFast holds at every window, for
+// both requests.
 func TestWindowBoundsInflight(t *testing.T) {
 	const width = 32
 	s := mixStream(width, 40000, 72)
 	path := writeBETR(t, s)
-	specs := AllSpecs(width)
-	want := wantResults(t, s, specs, codec.VerifyNone, false)
+	all := AllSpecs(width)
+	_, seeders := splitSpecs(t, all)
+	wantSeeders := wantResults(t, s, seeders, codec.VerifyNone, false)
+	wantAll := wantResults(t, s, all, codec.VerifyNone, false)
 	for _, window := range []int{1, 2, 4} {
 		probe := newInflightProbe(window)
 		res, err := Sweep(path, Opts{
-			Workers: 2, Shards: 16, Codecs: specs, Verify: codec.VerifyNone,
+			Workers: 2, Shards: 16, Codecs: seeders, Verify: codec.VerifyNone,
 			Window: window, Spawn: probe.wrap(InProcSpawner(nil)),
 		})
 		if err != nil {
 			t.Fatalf("window=%d: %v", window, err)
 		}
-		checkParity(t, res, want)
+		checkParity(t, res, wantSeeders)
 		if probe.max != window {
 			t.Errorf("window=%d: a worker held up to %d jobs in flight", window, probe.max)
 		}
+		res, err = Sweep(path, Opts{
+			Workers: 2, Shards: 16, Codecs: all, Verify: codec.VerifyNone,
+			Window: window, Spawn: InProcSpawner(nil),
+		})
+		if err != nil {
+			t.Fatalf("window=%d, all codecs: %v", window, err)
+		}
+		checkParity(t, res, wantAll)
 	}
 }
 
@@ -358,16 +509,50 @@ func TestCheckpointRefusesParentJournal(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesOtherTrace: a plan of whole-trace groups reads
+// only the trace header, so its digest binds the view's byte length
+// instead of a scanned end cut. A journal written for one trace is
+// refused for another with the same header (name, width, entry count)
+// and a different length.
+func TestCheckpointRefusesOtherTrace(t *testing.T) {
+	const width, n = 16, 4000
+	path := writeBETR(t, mixStream(width, n, 75))
+	other, err := os.ReadFile(writeBETR(t, mixStream(width, n, 76)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() == int64(len(other)) {
+		t.Fatalf("traces of %d and %d bytes (%v), want different lengths", st.Size(), len(other), err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "sweep.json")
+	opts := Opts{
+		Workers: 2, Shards: 8, Codecs: AllSpecs(width), Verify: codec.VerifyNone,
+		Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: 1,
+	}
+	if _, err := Sweep(path, opts); !errors.Is(err, ErrStopped) {
+		t.Fatalf("first run: err = %v, want ErrStopped", err)
+	}
+	if err := os.WriteFile(path, other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.StopAfter = 0
+	if _, err := Sweep(path, opts); err == nil || !strings.Contains(err.Error(), "different plan") {
+		t.Fatalf("resume over another trace: err = %v, want plan-digest refusal", err)
+	}
+}
+
 // TestCheckpointRefusesUnplannedJob: a digest-valid result for a job
 // the plan does not have fails the resume with an error naming it,
-// instead of indexing past the plan.
+// instead of indexing past the plan. On one slot only Seeder codecs
+// plan more than one job.
 func TestCheckpointRefusesUnplannedJob(t *testing.T) {
 	const width = 16
 	s := mixStream(width, 4000, 74)
 	path := writeBETR(t, s)
+	_, seeders := splitSpecs(t, AllSpecs(width))
 	ckpt := filepath.Join(t.TempDir(), "sweep.json")
 	opts := Opts{
-		Workers: 1, Shards: 4, Codecs: AllSpecs(width), Verify: codec.VerifyNone,
+		Workers: 1, Shards: 4, Codecs: seeders, Verify: codec.VerifyNone,
 		Checkpoint: ckpt, Spawn: InProcSpawner(nil), StopAfter: 1,
 	}
 	if _, err := Sweep(path, opts); !errors.Is(err, ErrStopped) {

@@ -1,11 +1,13 @@
 // Package dist prices huge traces across worker processes and TCP
 // peers. The coordinator plans jobs over a BETR (or text, converted
 // once) trace: every prefix-dependent codec is priced whole-trace, in
-// up to one codec group per slot, and the Seeder codecs are cut into
-// contiguous byte-range entry shards over one shared mmap view, within
-// a job budget (plan.go). No shard files are written and no encoder
-// state crosses the wire: a shard past entry 0 seeds from the two
-// entries before its cut (see codec.Boundary). Jobs fan out to a pool
+// up to one codec group per slot. The Seeder codecs fill the slots the
+// groups leave idle with contiguous byte-range entry shards over one
+// shared mmap view, within a job budget, and join the groups when no
+// slot is idle (plan.go); a plan without shards is read from the trace
+// header alone. No shard files are written and no encoder state crosses
+// the wire: a shard past entry 0 seeds from the two entries before its
+// cut (see codec.Boundary). Jobs fan out to a pool
 // of workers over a stdin/stdout framed protocol; each worker prices a
 // job in one streaming pass through codec.NewPricers, and the
 // coordinator merges every codec's bus accumulators in entry order, so

@@ -247,18 +247,38 @@ func TestNetSweepParity(t *testing.T) {
 	checkNetParity(t, res, s, specs)
 }
 
+// seederSpecs returns the specs of all whose encoder is a codec.Seeder:
+// the codecs a sweep cuts into entry shards.
+func seederSpecs(t *testing.T, all []dist.CodecSpec) []dist.CodecSpec {
+	t.Helper()
+	var out []dist.CodecSpec
+	for _, cs := range all {
+		c, err := cs.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.NewEncoder().(codec.Seeder); ok {
+			out = append(out, cs)
+		}
+	}
+	return out
+}
+
 // TestNetPeerKill: the peer's first connection dies mid-sweep; the
 // coordinator redials it and re-dispatches the orphaned shards, and
 // the result stays bit-identical. A single peer makes the death
-// deterministic — with 8 shards and one slot, the doomed first
-// connection must receive a second job frame (with two peers the
-// healthy one can drain the queue before the fault fires). The
+// deterministic — with 8 shards of the Seeder codecs and one slot, the
+// doomed first connection must receive a second job frame (with two
+// peers the healthy one can drain the queue before the fault fires).
+// All twelve codecs on one slot plan a single job; the peer, now past
+// its first connection, prices them to RunFast's results too. The
 // two-peer kill scenario lives in TestNetSmoke.
 func TestNetPeerKill(t *testing.T) {
 	const width = 32
 	s := netStream(width, 16000, 47)
 	path := netBETR(t, s)
-	specs := dist.AllSpecs(width)
+	all := dist.AllSpecs(width)
+	specs := seederSpecs(t, all)
 	addr1, _ := startPeer(t, Config{DistFailAfter: 1})
 
 	var ns dist.NetStats
@@ -276,17 +296,36 @@ func TestNetPeerKill(t *testing.T) {
 	if ns.Redispatches.Load() < 1 {
 		t.Errorf("redispatches = %d, want >= 1 after a peer death", ns.Redispatches.Load())
 	}
+	res, err = dist.Sweep(path, dist.Opts{
+		Peers:  []string{addr1},
+		Shards: 8,
+		Codecs: all,
+		Verify: codec.VerifyNone,
+	})
+	if err != nil {
+		t.Fatalf("all codecs: %v", err)
+	}
+	checkNetParity(t, res, s, all)
 }
 
 // TestNetSmoke is the two-peer kill + checkpoint/resume scenario `make
 // dist-smoke` runs under -race: peer 0 dies after one shard, the
 // coordinator stops at the checkpoint, and the rerun resumes the
-// journal to a bit-identical result.
+// journal to a bit-identical result. The request is t0 and the Seeder
+// codecs: t0's one whole-trace group leaves a peer idle, so the plan
+// cuts seven entry shards besides. A last sweep of all twelve codecs,
+// one group per peer, matches RunFast for every registered codec.
 func TestNetSmoke(t *testing.T) {
 	const width = 32
 	s := netStream(width, 16000, 53)
 	path := netBETR(t, s)
-	specs := dist.AllSpecs(width)
+	all := dist.AllSpecs(width)
+	specs := seederSpecs(t, all)
+	for _, cs := range all {
+		if cs.Name == "t0" {
+			specs = append(specs, cs)
+		}
+	}
 	addr1, _ := startPeer(t, Config{DistFailAfter: 1})
 	addr2, _ := startPeer(t, Config{})
 	ckpt := filepath.Join(t.TempDir(), "net-sweep.json")
@@ -309,4 +348,10 @@ func TestNetSmoke(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	checkNetParity(t, res, s, specs)
+	opts.Codecs, opts.Checkpoint = all, ""
+	res, err = dist.Sweep(path, opts)
+	if err != nil {
+		t.Fatalf("all codecs: %v", err)
+	}
+	checkNetParity(t, res, s, all)
 }

@@ -17,16 +17,19 @@ import (
 // no entries are materialized, no shard files are written — and
 // NewMemRangeReader turns a cut back into a streaming reader over the
 // same mapping. The distributed sweep (internal/dist) plans with
-// IndexBETR in the coordinator and decodes with NewMemRangeReader in
-// the workers; both sides share the kernel page cache, so a shard is
-// never copied.
+// IndexBETR in the coordinator — or, for a plan of one part, with
+// HeaderBETR, which decodes no entry — and decodes with
+// NewMemRangeReader in the workers; both sides share the kernel page
+// cache, so a shard is never copied.
 
 // RangeCut locates one shard boundary inside a BETR payload.
 type RangeCut struct {
 	// Entry is the global index of the first entry at or after the cut.
 	Entry int64 `json:"entry"`
 	// Off is the byte offset of that entry's record (its kind byte) in
-	// the file. For the end-of-stream sentinel it is the payload end.
+	// the file. For the end-of-stream sentinel it is the payload end, or
+	// the view's length in an index read from the header alone
+	// (HeaderBETR).
 	Off int64 `json:"off"`
 	// PrevAddr and PrevKind describe entry Entry-1 (valid when
 	// Entry >= 1): the delta base for decoding and the boundary entry a
@@ -100,6 +103,27 @@ func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 		return nil, fmt.Errorf("trace: planned %d cuts for %d parts", got, parts)
 	}
 	return idx, nil
+}
+
+// HeaderBETR plans a BETR byte view as one part from its header alone:
+// Cuts[0] is entry 0 at the byte after the header and Cuts[1] the
+// end-of-stream sentinel at entry Total, with Off the view's length and
+// no previous entries, since no entry is decoded. A corrupt body is
+// left for whoever decodes the range; a declared count the body cannot
+// hold is refused here, because every entry takes at least two bytes.
+func HeaderBETR(data []byte, file string) (*BETRIndex, error) {
+	m, err := newMemReader(data, file, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	body := len(data) - m.pos
+	if most := uint64(body / 2); m.total > most {
+		return nil, m.ctx("header declares %d entries; its %d-byte body holds at most %d", m.total, body, most)
+	}
+	return &BETRIndex{Name: m.name, Width: m.width, Total: int64(m.total), Cuts: []RangeCut{
+		{Off: int64(m.pos)},
+		{Entry: int64(m.total), Off: int64(len(data))},
+	}}, nil
 }
 
 // NewMemRangeReader returns a streaming reader over n entries of a BETR

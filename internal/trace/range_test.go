@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -121,6 +123,68 @@ func TestIndexBETRErrors(t *testing.T) {
 	}
 	if _, err := IndexBETR(oneByteBadKind(t), "f", 2); err == nil || err.Error() != "trace: f: entry 1: bad kind 7" {
 		t.Errorf("bad kind before a one-byte delta: got %v", err)
+	}
+}
+
+// TestHeaderBETR: the header-only index of a well-formed view agrees
+// with a one-part scan on everything but the end cut's boundary
+// entries, which it never decodes, and its range reader decodes the
+// whole stream. A declared count the body cannot hold is refused with
+// both counts; a bad header fails as the scan fails.
+func TestHeaderBETR(t *testing.T) {
+	for _, s := range []*Stream{randomStream(4000, 23), randomStream(0, 23)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		got, err := HeaderBETR(data, "h.betr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := IndexBETR(data, "h.betr", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := want.Cuts[1]
+		want.Cuts[1] = RangeCut{Entry: end.Entry, Off: end.Off}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d entries: header-only index %+v, want %+v", s.Len(), got, want)
+		}
+		r, err := NewMemRangeReader(data, got.Name, got.Width, got.Cuts[0], got.Total, "h.betr", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadAll(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Len() != s.Len() || (s.Len() > 0 && !reflect.DeepEqual(back.Entries, s.Entries)) {
+			t.Errorf("%d entries: range reader over the header-only cut diverges", s.Len())
+		}
+	}
+	s := randomStream(100, 9)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	idx, err := IndexBETR(data, "", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := data[:idx.Cuts[10].Off]
+	body := len(short) - int(idx.Cuts[0].Off)
+	want := fmt.Sprintf("trace: s.betr: header declares 100 entries; its %d-byte body holds at most %d", body, body/2)
+	if _, err := HeaderBETR(short, "s.betr"); err == nil || err.Error() != want {
+		t.Errorf("short body: err = %v, want %q", err, want)
+	}
+	for _, bad := range [][]byte{nil, []byte("BETX\x01\x20"), data[:5]} {
+		_, herr := HeaderBETR(bad, "b.betr")
+		_, ierr := IndexBETR(bad, "b.betr", 1)
+		if herr == nil || ierr == nil || herr.Error() != ierr.Error() {
+			t.Errorf("header %q: HeaderBETR err = %v, IndexBETR err = %v", bad, herr, ierr)
+		}
 	}
 }
 
