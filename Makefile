@@ -54,9 +54,10 @@ test:
 # the fan-out is the only concurrent producer/consumer machinery in the
 # tree, and the pooled-chunk refcounts are easy to get subtly wrong. The
 # scalar batch kernels read each broadcast chunk's columns in place, next
-# to the plane group's worker, so the fan-out tests run ten times over
-# under the race detector; TestEvaluateStreamingParity prices every
-# registered codec there, against codec.Run.
+# to the plane group's and the T0-family group's workers, so the fan-out
+# tests run ten times over under the race detector;
+# TestEvaluateStreamingParity prices every registered codec there, per
+# line and in aggregate, against codec.Run.
 test-stream:
 	$(GO) vet ./internal/trace ./internal/core
 	$(GO) test -race ./internal/trace ./internal/core
@@ -69,8 +70,9 @@ test-stream:
 # a pricing path drifting from codec.Run (the differential
 # FuzzPricingPaths, and FuzzSweepPlans for in-process dist sweeps under
 # every plan shape: whole-trace groups only, groups and entry shards,
-# entry shards only) without stalling CI. Go allows one -fuzz target per
-# invocation, hence separate runs.
+# entry shards only), or a dist worker mishandling the frames a
+# coordinator or TCP peer sends it (FuzzWorkerFrames) without stalling
+# CI. Go allows one -fuzz target per invocation, hence separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadText -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=5s ./internal/trace
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTransposeRoundTrip -fuzztime=5s ./internal/bus
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointReplay -fuzztime=5s ./internal/dist
 	$(GO) test -run=NONE -fuzz=FuzzSweepPlans -fuzztime=5s ./internal/dist
+	$(GO) test -run=NONE -fuzz=FuzzWorkerFrames -fuzztime=5s ./internal/dist
 
 # Span-tracing smoke: generate a small synthetic trace, price it
 # through the streaming fan-out with the flight recorder exporting a

@@ -163,6 +163,31 @@ func (b *Bus) Prime(word uint64) {
 	b.driven = true
 }
 
+// AddRun folds in a run of cycles words that were counted outside the
+// bus, as if each had been driven in turn: transitions in total, at most
+// maxPerCycle lines toggling in any one cycle, ending on word last.
+// perLine adds per-line counts (index 0 the least significant line)
+// when the bus keeps them; it may be nil for an aggregate bus. On an
+// undriven bus the run's first word is the bus's first, and the caller
+// counts no transitions for it, as Drive does. The codec package's
+// in-sequence group prices its runs from bit masks and never builds the
+// words, so it hands its counts over here.
+func (b *Bus) AddRun(cycles, transitions int64, maxPerCycle int, last uint64, perLine []int64) {
+	if cycles == 0 {
+		return
+	}
+	b.cycles += cycles
+	b.total += transitions
+	b.maxInWord = max(b.maxInWord, maxPerCycle)
+	if b.perLine != nil && perLine != nil {
+		for i, v := range perLine[:b.width] {
+			b.perLine[i] += v
+		}
+	}
+	b.current = last & b.mask
+	b.driven = true
+}
+
 // Merge folds the statistics of o — a bus of the same width that
 // continued counting where b left off — into b: totals, cycles and
 // per-line counts add, the max-per-cycle is the pair's max, and b's line

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -209,5 +210,55 @@ func TestPerLineSumsToTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAddRunMatchesDrive: a run counted outside the bus and handed over
+// with AddRun, split anywhere, leaves the same statistics and line state
+// as driving its words, the undriven bus's first word costing nothing.
+func TestAddRunMatchesDrive(t *testing.T) {
+	words := []uint64{0x1f, 0x3, 0x3, 0xffff, 0x10, 0x8000_0001, 0x7}
+	for _, perLine := range []bool{false, true} {
+		mk := func() *Bus {
+			if perLine {
+				return New(17)
+			}
+			return NewAggregate(17)
+		}
+		want := mk()
+		for _, w := range words {
+			want.Drive(w)
+		}
+		for cut := 0; cut <= len(words); cut++ {
+			got := mk()
+			prev, driven := uint64(0), false
+			for _, run := range [][]uint64{words[:cut], words[cut:]} {
+				var total int64
+				most := 0
+				lines := make([]int64, 17)
+				for _, w := range run {
+					w &= Mask(17)
+					if driven {
+						d := prev ^ w
+						total += int64(bits.OnesCount64(d))
+						most = max(most, bits.OnesCount64(d))
+						for ; d != 0; d &= d - 1 {
+							lines[bits.TrailingZeros64(d)]++
+						}
+					}
+					prev, driven = w, true
+				}
+				got.AddRun(int64(len(run)), total, most, prev, lines)
+			}
+			if got.Cycles() != want.Cycles() || got.Transitions() != want.Transitions() ||
+				got.MaxPerCycle() != want.MaxPerCycle() || got.Current() != want.Current() {
+				t.Fatalf("perline=%v cut %d: AddRun %d/%d/%d/%#x, Drive %d/%d/%d/%#x", perLine, cut,
+					got.Cycles(), got.Transitions(), got.MaxPerCycle(), got.Current(),
+					want.Cycles(), want.Transitions(), want.MaxPerCycle(), want.Current())
+			}
+			if gl, wl := got.PerLine(), want.PerLine(); !slices.Equal(gl, wl) {
+				t.Fatalf("perline=%v cut %d: per-line %v, Drive %v", perLine, cut, gl, wl)
+			}
+		}
 	}
 }

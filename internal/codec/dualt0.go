@@ -127,6 +127,16 @@ func (e *dualT0Encoder) EncodeBatch(addrs []uint64, kinds []trace.Kind, out []ui
 	e.ref, e.refValid, e.prevBus = ref, refValid, prevBus
 }
 
+// seqMasks implements seqCodec: dual T0 prices from the dual mask.
+func (t *DualT0) seqMasks() (uint64, seqNeed) { return t.stride, needDual }
+
+// priceSeq implements seqEncoder: the payload lines freeze on the dual
+// lanes (priceFrozen).
+func (e *dualT0Encoder) priceSeq(b *seqBlock, r *seqRun) {
+	priceFrozen(b, &b.dual, e.t.incBit, r)
+	e.ref, e.refValid, e.prevBus = b.ref, b.refValid, b.dual.lastOut
+}
+
 type dualT0Decoder struct {
 	t   *DualT0
 	ref uint64

@@ -138,6 +138,74 @@ func (e *dualT0BIEncoder) EncodeBatch(addrs []uint64, kinds []trace.Kind, out []
 	e.ref, e.refValid, e.prevWord = ref, refValid, prevWord
 }
 
+// seqMasks implements seqCodec: dual T0_BI prices from the dual and
+// sel masks.
+func (t *DualT0BI) seqMasks() (uint64, seqNeed) { return t.stride, needDual }
+
+// priceSeq implements seqEncoder. The payload lines freeze under INCV
+// on the dual lanes, and data lanes may invert over the N lines, INCV
+// doubling as INV. The payload holds the last lane outside the mask,
+// inverted when pol is 1. While it is plain and no data lane's distance
+// d could invert (2(d+1) <= N; data lanes are never dual, so they all
+// have one), INCV is raised on the dual lanes alone and dual T0_BI prices
+// as dual T0 does (priceFrozen).
+func (e *dualT0BIEncoder) priceSeq(b *seqBlock, r *seqRun) {
+	t := e.t
+	v := &b.dual
+	pol := b2u(e.prevWord&t.mask != v.last)
+	most := 0
+	for w := b.valid &^ b.sel; w != 0; w &= w - 1 {
+		most = max(most, int(v.dist[bits.TrailingZeros64(w)&63]))
+	}
+	if pol == 0 && 2*(most+1) <= t.width {
+		priceFrozen(b, v, t.incvBit, r)
+		e.prevWord = r.last
+	} else {
+		e.prevWord = e.walk(b, v, pol, r)
+	}
+	e.ref, e.refValid = b.ref, b.refValid
+}
+
+// walk prices a block that may invert. A lane's plain toggles come from
+// the mask's distances before the invert decision needs them; incv is
+// the INCV line. The decisions are branch-free selects. Only the lanes
+// invertWalk returns are walked: every other lane repeats the word
+// before it. It returns the word on the bus after the block.
+func (e *dualT0BIEncoder) walk(b *seqBlock, v *runMask, pol uint64, r *seqRun) uint64 {
+	t := e.t
+	m, data, width := v.m, ^b.sel, t.width
+	incv := e.prevWord >> (t.incvBit & 63)
+	total, mx := r.transitions, r.max
+	for w := invertWalk(b, v); w != 0; w &= w - 1 {
+		low := w & -w
+		frozen := b2u(m&low != 0)
+		plain := int(v.dist[bits.TrailingZeros64(w)&63]) // payload toggles if the lane goes out plain
+		if pol != 0 {
+			plain = width - plain
+		}
+		flip := b2u(2*(plain+int(incv)) > width) & b2u(data&low != 0) &^ frozen
+		payload := plain
+		if flip != 0 {
+			payload = width - plain
+		}
+		if frozen != 0 {
+			payload = 0
+		}
+		next := frozen | flip
+		c := payload + int(incv^next)
+		total += int64(c)
+		mx = max(mx, c)
+		pol = pol&frozen | flip
+		incv = next
+	}
+	if r.perLine != nil {
+		perLineInverting(b, v, ^b.sel, e.prevWord, t.mask, 1<<t.incvBit, 1<<t.incvBit, width, r.perLine)
+	}
+	r.transitions, r.max = total, mx
+	r.last = v.lastOut ^ t.mask&-pol | incv<<(t.incvBit&63)
+	return r.last
+}
+
 type dualT0BIDecoder struct {
 	t   *DualT0BI
 	ref uint64

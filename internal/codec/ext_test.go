@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"strings"
 	"testing"
 
 	"busenc/internal/bus"
@@ -92,6 +93,18 @@ func TestWorkZoneValidation(t *testing.T) {
 	}
 	if _, err := NewWorkZone(32, 4, 32); err == nil {
 		t.Error("zoneBits == width accepted")
+	}
+	// The zone registers are capped: the bus check alone would let a
+	// job spec ask for 2^31 zones at width 32.
+	for _, zones := range []int{1 << 31, 2048} {
+		if _, err := NewWorkZone(32, zones, 8); err == nil || !strings.Contains(err.Error(), "at most 1024") {
+			t.Errorf("%d zones: err = %v, want the 1024 cap named", zones, err)
+		}
+	}
+	for _, zones := range []int{128, maxZones} {
+		if _, err := NewWorkZone(32, zones, 8); err != nil {
+			t.Errorf("%d zones: %v", zones, err)
+		}
 	}
 }
 

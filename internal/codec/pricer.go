@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"busenc/internal/bus"
@@ -16,28 +17,34 @@ import (
 // and the distributed workers (internal/dist) are thin drivers that feed
 // it entries and read its buses.
 //
-// A Pricer picks its kernel once (PlaneEligible): the scalar path
-// prices one codec, handing the chunk's address and kind columns
-// straight to the codec's BatchEncoder and counting its words with
-// bus.Accumulate; the plane path hands addresses to a PlaneSet over one
-// or more codecs and never materializes encoded words. NewPricers puts
-// every plane-routed codec of a list into one Pricer, so each
-// 64-address block is transposed once for all of them. Every codec
-// keeps its own bus and its own verify lane: decode verification
-// follows a budget fixed at construction — every entry under
-// VerifyFull, the first VerifySampleLen under VerifySampled. Only
-// entries under the budget become Symbols; the plane path replays them
-// through a scalar encoder per codec.
+// A Pricer picks its kernel once. Priced alone, a codec takes the plane
+// path when PlaneEligible says so, handing addresses to a one-codec
+// PlaneSet that never materializes encoded words; otherwise its own
+// BatchEncoder reads the chunk's address and kind columns as they are,
+// and bus.Accumulate counts the words. NewPricers also groups a list:
+// every plane-routed codec goes into one Pricer, so each 64-address
+// block is transposed once for all of them, and two or more T0-family
+// codecs (t0, t0bi, dualt0, dualt0bi) of one width and stride go into
+// one SeqSet Pricer, so each block's in-sequence masks are built once
+// for all of them and no word is encoded. A lone T0-family codec,
+// KernelScalar (the A/B control) and VerifyFull (which decodes every
+// word) keep the batch kernels. Every codec keeps its own bus and its
+// own verify lane: decode verification follows a budget fixed at
+// construction — every entry under VerifyFull, the first
+// VerifySampleLen under VerifySampled. Only entries under the budget
+// become Symbols; a group replays them through a scalar encoder per
+// codec.
 
-// Pricer prices one codec, or a group of plane-routed codecs, over one
-// contiguous run of a stream, fed in order by any mix of ConsumeEntries
-// and Consume calls. Not safe for concurrent use; build one per
-// goroutine.
+// Pricer prices one codec, or a group of plane-routed or T0-family
+// codecs, over one contiguous run of a stream, fed in order by any mix
+// of ConsumeEntries and Consume calls. Not safe for concurrent use;
+// build one per goroutine.
 type Pricer struct {
-	enc   Encoder      // the scalar kernel's encoder; nil on the plane path
+	enc   Encoder      // the batch kernel's encoder; nil on a group
 	be    BatchEncoder // enc's batch view
-	ps    *PlaneSet    // the plane kernel; nil on the scalar path
-	lanes []lane       // one per codec; the scalar path has exactly one
+	ps    *PlaneSet    // the plane group's kernel
+	ss    *SeqSet      // the T0-family group's kernel
+	lanes []lane       // one per codec; the batch kernel has exactly one
 
 	// verifyLeft is the verify budget every lane still checks; Consume
 	// reports a mismatch once it is spent or no lane verifies any more.
@@ -50,8 +57,8 @@ type Pricer struct {
 
 // lane is one codec of a Pricer. dec checks the decode round trip while
 // the budget lasts and is dropped once the codec fails; vEnc re-encodes
-// the verified entries on the plane path, which has no encoded words to
-// decode. err is the codec's first mismatch.
+// the verified entries on a group, which has no encoded words to decode.
+// err is the codec's first mismatch.
 type lane struct {
 	c    Codec
 	at   int // position in the codec list NewPricers grouped
@@ -70,55 +77,101 @@ func NewPricer(c Codec, opts RunOpts) (*Pricer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPricer([]Codec{c}, []int{0}, usePlane, opts)
+	k := kernelBatch
+	if usePlane {
+		k = kernelPlane
+	}
+	return newPricer([]Codec{c}, []int{0}, k, opts)
 }
 
 // NewPricers builds the Pricers that price codecs over one shared
-// stream, routing each codec as NewPricer does: one Pricer for every
-// plane-routed codec together, first when there is any, then one per
-// scalar codec in list order. Collect returns their results in list
-// order.
+// stream, routing each codec as NewPricer does except that the T0
+// family groups: first one Pricer for every plane-routed codec
+// together, when there is any; then one SeqSet Pricer for each set of
+// two or more T0-family codecs that share payload width and stride,
+// under KernelAuto and short of VerifyFull (which needs every encoded
+// word); then one per remaining codec on its batch kernel, in list
+// order. Collect returns their results in list order.
 func NewPricers(codecs []Codec, opts RunOpts) ([]*Pricer, error) {
-	var out []*Pricer
-	var planes []Codec
-	var at []int
+	var planes, batch []int
+	var seqs [][]int
 	for i, c := range codecs {
 		usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify)
 		if err != nil {
 			return nil, err
 		}
-		if usePlane {
-			planes, at = append(planes, c), append(at, i)
-			continue
+		switch {
+		case usePlane:
+			planes = append(planes, i)
+		case opts.Kernel == KernelAuto && opts.Verify != VerifyFull && hasSeqKernel(c):
+			g := slices.IndexFunc(seqs, func(g []int) bool { return sameSeqGroup(codecs[g[0]], c) })
+			if g < 0 {
+				g, seqs = len(seqs), append(seqs, nil)
+			}
+			seqs[g] = append(seqs[g], i)
+		default:
+			batch = append(batch, i)
 		}
-		p, err := newPricer([]Codec{c}, []int{i}, false, opts)
-		if err != nil {
+	}
+	var out []*Pricer
+	add := func(at []int, k kernel) error {
+		p, err := newPricer(codecs, at, k, opts)
+		if err == nil {
+			out = append(out, p)
+		}
+		return err
+	}
+	if len(planes) > 0 {
+		if err := add(planes, kernelPlane); err != nil {
 			return nil, err
 		}
-		out = append(out, p)
 	}
-	if len(planes) == 0 {
-		return out, nil
+	for _, g := range seqs {
+		if len(g) == 1 {
+			batch = append(batch, g[0])
+		} else if err := add(g, kernelSeq); err != nil {
+			return nil, err
+		}
 	}
-	p, err := newPricer(planes, at, true, opts)
-	if err != nil {
-		return nil, err
+	slices.Sort(batch)
+	for _, i := range batch {
+		if err := add([]int{i}, kernelBatch); err != nil {
+			return nil, err
+		}
 	}
-	return append([]*Pricer{p}, out...), nil
+	return out, nil
 }
 
-// newPricer builds a Pricer over codecs, whose positions in the
-// caller's codec list are at. The scalar path takes exactly one codec.
-func newPricer(codecs []Codec, at []int, usePlane bool, opts RunOpts) (*Pricer, error) {
+// kernel is what a Pricer prices with: one codec's batch kernel, or a
+// group's PlaneSet or SeqSet.
+type kernel int
+
+const (
+	kernelBatch kernel = iota
+	kernelPlane
+	kernelSeq
+)
+
+// newPricer builds a Pricer over the codecs at positions at of the
+// caller's codec list. The batch kernel takes exactly one codec.
+func newPricer(list []Codec, at []int, k kernel, opts RunOpts) (*Pricer, error) {
+	codecs := make([]Codec, len(at))
+	for i, j := range at {
+		codecs[i] = list[j]
+	}
 	p := &Pricer{lanes: make([]lane, len(codecs)), verify: opts.Verify}
-	if usePlane {
-		var err error
-		if p.ps, err = NewPlaneSet(codecs, opts.PerLine); err != nil {
-			return nil, err
-		}
-	} else {
+	var err error
+	switch k {
+	case kernelPlane:
+		p.ps, err = NewPlaneSet(codecs, opts.PerLine)
+	case kernelSeq:
+		p.ss, err = NewSeqSet(codecs, opts.PerLine)
+	default:
 		p.enc = codecs[0].NewEncoder()
 		p.be = AsBatch(p.enc)
+	}
+	if err != nil {
+		return nil, err
 	}
 	switch opts.Verify {
 	case VerifyFull:
@@ -130,8 +183,10 @@ func newPricer(codecs []Codec, at []int, usePlane bool, opts RunOpts) (*Pricer, 
 		ln := &p.lanes[i]
 		*ln = lane{c: c, at: at[i], mask: bus.Mask(c.PayloadWidth())}
 		switch {
-		case usePlane:
+		case p.ps != nil:
 			ln.b = p.ps.Bus(i)
+		case p.ss != nil:
+			ln.b = p.ss.Bus(i)
 		case opts.PerLine:
 			ln.b = bus.New(c.BusWidth())
 		default:
@@ -139,7 +194,7 @@ func newPricer(codecs []Codec, at []int, usePlane bool, opts RunOpts) (*Pricer, 
 		}
 		if p.verifyLeft > 0 {
 			ln.dec = c.NewDecoder()
-			if usePlane {
+			if p.enc == nil {
 				ln.vEnc = c.NewEncoder()
 			}
 		}
@@ -153,14 +208,18 @@ func newPricer(codecs []Codec, at []int, usePlane bool, opts RunOpts) (*Pricer, 
 // recover the word the sequential run left on the bus and primes the
 // bus with it. A state belongs to one codec, so only a one-codec Pricer
 // takes one; a plane group seeds from bd.SeedSym, which every plane
-// codec can (they are all Seeders). Past a cut a lane keeps verifying
-// only under VerifyFull with a seedable decoder, which rules out the
-// plane path; any other decoder would need the whole prefix. bd.Base
-// positions mismatch reports; for bd.First it is all Seed sets.
+// codec can (they are all Seeders), and a T0-family group, none of whose
+// codecs is a Seeder, takes only bd.First. Past a cut a lane keeps
+// verifying only under VerifyFull with a seedable decoder, which rules
+// out the plane path; any other decoder would need the whole prefix.
+// bd.Base positions mismatch reports; for bd.First it is all Seed sets.
 func (p *Pricer) Seed(bd Boundary) error {
 	p.base = bd.Base
 	if bd.First {
 		return nil
+	}
+	if p.ss != nil {
+		return fmt.Errorf("codec %s: an in-sequence group prices from entry 0 only: a boundary state belongs to one codec", p.Name())
 	}
 	if bd.State != nil && len(p.lanes) != 1 {
 		return fmt.Errorf("codec %s: a boundary state seeds a one-codec Pricer", p.Name())
@@ -219,7 +278,8 @@ func (p *Pricer) Seed(bd Boundary) error {
 // ConsumeEntries prices the next entries of the stream, split into
 // pooled address and kind columns once per batch. The plane path splits
 // only the entries still under the verify budget and lets
-// PlaneSet.ConsumeEntries gather addresses block by block itself.
+// PlaneSet.ConsumeEntries gather addresses block by block itself; the
+// other kernels read both columns.
 func (p *Pricer) ConsumeEntries(entries []trace.Entry) error {
 	buf := runBufPool.Get().(*runBuf)
 	defer runBufPool.Put(buf)
@@ -246,7 +306,7 @@ func (p *Pricer) ConsumeEntries(entries []trace.Entry) error {
 // to the kernel as they are, unchanged and uncopied.
 func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
 	var words []uint64
-	if p.ps == nil {
+	if p.be != nil {
 		buf := runBufPool.Get().(*runBuf)
 		defer runBufPool.Put(buf)
 		words = buf.words
@@ -264,17 +324,22 @@ func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
 	return nil
 }
 
-// price runs one batch of at most runChunk entries: on the scalar path
-// it encodes into words and counts; on both paths every lane spends the
-// verify budget on the leading entries, building their symbols inline
-// (the plane path passes only those entries). A lane that mismatches
-// stops verifying while the others go on, so that once verification is
-// over the first failing codec in lane order is reported.
+// price runs one batch of at most runChunk entries: the batch kernel
+// encodes into words and counts them, a SeqSet prices the batch from
+// its masks (the plane path prices in the caller); then every lane
+// spends the verify budget on the leading entries, building their
+// symbols inline (the plane path passes only those entries). A lane
+// that mismatches stops verifying while the others go on, so that once
+// verification is over the first failing codec in lane order is
+// reported.
 func (p *Pricer) price(addrs []uint64, kinds []trace.Kind, words []uint64) error {
-	if p.ps == nil {
+	switch {
+	case p.be != nil:
 		words = words[:len(addrs)]
 		p.be.EncodeBatch(addrs, kinds, words)
 		p.lanes[0].b.Accumulate(words)
+	case p.ss != nil:
+		p.ss.Consume(addrs, kinds)
 	}
 	n := min(len(addrs), p.verifyLeft)
 	if n == 0 {

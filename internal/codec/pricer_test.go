@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"io"
 	"reflect"
 	"strings"
@@ -10,13 +11,21 @@ import (
 	"busenc/internal/trace"
 )
 
-// sameResult compares every statistic the pricing paths must agree on.
-func sameResult(t *testing.T, label string, got, want Result) {
+// sameResult compares every statistic the pricing paths must agree on:
+// the per-line counts when perLine requested them, and otherwise that
+// there are none.
+func sameResult(t *testing.T, label string, got, want Result, perLine bool) {
 	t.Helper()
 	if got.Transitions != want.Transitions || got.Cycles != want.Cycles || got.MaxPerCycle != want.MaxPerCycle {
 		t.Fatalf("%s: got %d/%d/%d, want %d/%d/%d", label,
 			got.Transitions, got.Cycles, got.MaxPerCycle,
 			want.Transitions, want.Cycles, want.MaxPerCycle)
+	}
+	if !perLine {
+		if got.PerLine != nil {
+			t.Fatalf("%s: per-line counts %v, none requested", label, got.PerLine)
+		}
+		return
 	}
 	if !reflect.DeepEqual(got.PerLine, want.PerLine) {
 		t.Fatalf("%s: per-line counts diverge\n got: %v\nwant: %v", label, got.PerLine, want.PerLine)
@@ -201,7 +210,7 @@ func FuzzBoundaryState(f *testing.F) {
 				continue
 			}
 			want := runSeeded(c, bd, s.Entries[cut:])
-			sameResult(t, c.Name(), newResult(c, "", b), want)
+			sameResult(t, c.Name(), newResult(c, "", b), want, true)
 		}
 	})
 }
@@ -248,33 +257,45 @@ func fuzzStream(data []byte) *trace.Stream {
 // all of them), the NewPricers grouping fed chunk by chunk through
 // Consume, RunPlaneSet over the set's plane codecs, and the distributed
 // worker's composition over the set's Seeder codecs: NewPricers + Seed
-// + Consume on each side of the cut, merged with bus.MergeSlots.
+// + Consume on each side of the cut, merged with bus.MergeSlots. Every
+// path counts per line or in aggregate as the fuzzer's perLine says.
 func FuzzPricingPaths(f *testing.F) {
 	codecs := allCodecs(f, 32)
-	var planeOnly uint16
+	var planeOnly, t0Family uint16
 	for i, c := range codecs {
 		stream := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0x80, 0xf4, 0x33, 0x41}
 		for j := 0; j < 40*i; j++ {
 			stream = append(stream, byte(j*29+i))
 		}
-		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3), uint16(0))
+		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3), uint16(0), true)
 		if HasPlaneKernel(c) {
 			planeOnly |= 1 << i
+		}
+		if hasSeqKernel(c) {
+			t0Family |= 1 << i
 		}
 	}
 	stream := make([]byte, 300)
 	for j := range stream {
 		stream[j] = byte(j*37 + 5)
 	}
-	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelPlane), uint8(VerifySampled), planeOnly)
+	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelPlane), uint8(VerifySampled), planeOnly, true)
 	// The seeded plane group under the auto kernel, cut mid-block.
-	f.Add(uint8(1), stream, uint16(50), uint16(130), uint8(KernelAuto), uint8(VerifySampled), planeOnly)
-	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8, rawSet uint16) {
+	f.Add(uint8(1), stream, uint16(50), uint16(130), uint8(KernelAuto), uint8(VerifySampled), planeOnly, true)
+	// The T0 family's group, counting in aggregate and per line, in
+	// 40-entry chunks that split the 64-entry blocks.
+	f.Add(uint8(2), stream, uint16(39), uint16(70), uint8(KernelAuto), uint8(VerifySampled), t0Family, false)
+	f.Add(uint8(3), stream, uint16(39), uint16(70), uint8(KernelAuto), uint8(VerifyNone), t0Family, true)
+	// A stream that opens with data entries, so the dual codes start
+	// with no reference address.
+	dataFirst := append(bytes.Repeat([]byte{6, 7, 0x0e, 0x17}, 20), stream...)
+	f.Add(uint8(4), dataFirst, uint16(100), uint16(33), uint8(KernelAuto), uint8(VerifySampled), t0Family, false)
+	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8, rawSet uint16, perLine bool) {
 		c := codecs[int(ci)%len(codecs)]
 		s := fuzzStream(data)
 		n := s.Len()
 		chunkLen := 1 + int(rawChunk)%(n+1)
-		opts := RunOpts{Verify: VerifyMode(verify % 3), PerLine: true, Kernel: Kernel(kernel % 3)}
+		opts := RunOpts{Verify: VerifyMode(verify % 3), PerLine: perLine, Kernel: Kernel(kernel % 3)}
 		fuzzGroups(t, codecs, rawSet, s, chunkLen, rawCut, opts)
 		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
 			opts.Kernel = KernelAuto
@@ -288,11 +309,11 @@ func FuzzPricingPaths(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, label+"/RunFast", got, want)
+		sameResult(t, label+"/RunFast", got, want, opts.PerLine)
 		if got, err = RunStream(c, s.Chunks(chunkLen), opts); err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, label+"/RunStream", got, want)
+		sameResult(t, label+"/RunStream", got, want, opts.PerLine)
 		if n < 2 {
 			return
 		}
@@ -323,7 +344,7 @@ func FuzzPricingPaths(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, label+"/seeded", newResult(c, s.Name, merged), want)
+		sameResult(t, label+"/seeded", newResult(c, s.Name, merged), want, opts.PerLine)
 	})
 }
 
@@ -359,7 +380,7 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := RunOpts{Verify: opts.Verify, PerLine: true}
+	popts := RunOpts{Verify: opts.Verify, PerLine: opts.PerLine}
 	if popts.Verify == VerifyFull {
 		popts.Verify = VerifySampled
 	}
@@ -371,10 +392,10 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 		if got[i].Codec != c.Name() {
 			t.Fatalf("%s: result %d is %s, want %s", label, i, got[i].Codec, c.Name())
 		}
-		sameResult(t, label+"/"+c.Name(), got[i], want[i])
+		sameResult(t, label+"/"+c.Name(), got[i], want[i], opts.PerLine)
 	}
 	for i, c := range planes {
-		sameResult(t, "RunPlaneSet/"+c.Name(), planeGot[i], planeWant[i])
+		sameResult(t, "RunPlaneSet/"+c.Name(), planeGot[i], planeWant[i], opts.PerLine)
 	}
 	if n := s.Len(); n >= 2 && len(seeders) > 0 {
 		fuzzSeededHalves(t, seeders, seederWant, s, 1+int(rawCut)%(n-1), chunkLen, opts)
@@ -403,7 +424,7 @@ func fuzzSeededHalves(t *testing.T, seeders []Codec, want []Result, s *trace.Str
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, "seeded/"+opts.Kernel.String()+"/"+c.Name(), newResult(c, s.Name, merged), want[i])
+		sameResult(t, "seeded/"+opts.Kernel.String()+"/"+c.Name(), newResult(c, s.Name, merged), want[i], opts.PerLine)
 	}
 }
 

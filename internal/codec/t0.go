@@ -116,6 +116,16 @@ func (e *t0Encoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	e.prevAddr, e.prevBus, e.valid = prevAddr, prevBus, valid
 }
 
+// seqMasks implements seqCodec: T0 prices from the seq mask.
+func (t *T0) seqMasks() (uint64, seqNeed) { return t.stride, needSeq }
+
+// priceSeq implements seqEncoder: the payload lines freeze on the seq
+// lanes (priceFrozen).
+func (e *t0Encoder) priceSeq(b *seqBlock, r *seqRun) {
+	priceFrozen(b, &b.seq, e.t.incBit, r)
+	e.prevAddr, e.prevBus, e.valid = b.prev, b.seq.lastOut, true
+}
+
 type t0Decoder struct {
 	t        *T0
 	prevAddr uint64

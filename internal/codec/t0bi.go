@@ -139,6 +139,69 @@ func (e *t0biEncoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) 
 	e.prevAddr, e.prevWord, e.valid = prevAddr, prevWord, valid
 }
 
+// seqMasks implements seqCodec: T0_BI prices from the seq mask.
+func (t *T0BI) seqMasks() (uint64, seqNeed) { return t.stride, needSeq }
+
+// priceSeq implements seqEncoder. The payload lines freeze under INC on
+// the seq lanes, and every other lane may invert over the N+2 lines. The
+// payload holds the last lane outside the mask, inverted when pol is 1.
+// While it is plain and no lane's distance d could invert (2(d+1) <=
+// N+2), INV stays low all block and T0_BI prices as T0 does
+// (priceFrozen).
+func (e *t0biEncoder) priceSeq(b *seqBlock, r *seqRun) {
+	t := e.t
+	v := &b.seq
+	pol := b2u(e.prevWord&t.mask != v.last)
+	if pol == 0 && 2*(v.most+1) <= t.width+2 {
+		priceFrozen(b, v, t.incBit, r)
+		e.prevWord = r.last
+	} else {
+		e.prevWord = e.walk(b, v, pol, r)
+	}
+	e.prevAddr, e.valid = b.prev, true
+}
+
+// walk prices a block that may invert. A lane's plain toggles come from
+// the mask's distances before the invert decision needs them; red holds
+// INC (bit 0) and INV (bit 1). The decisions are branch-free selects.
+// Only the lanes invertWalk returns are walked: every other lane repeats
+// the word before it. It returns the word on the bus after the block.
+func (e *t0biEncoder) walk(b *seqBlock, v *runMask, pol uint64, r *seqRun) uint64 {
+	t := e.t
+	m, width := v.m, t.width
+	red := e.prevWord >> (t.incBit & 63)
+	total, mx := r.transitions, r.max
+	for w := invertWalk(b, v); w != 0; w &= w - 1 {
+		low := w & -w
+		frozen := b2u(m&low != 0)
+		plain := int(v.dist[bits.TrailingZeros64(w)&63]) // payload toggles if the lane goes out plain
+		if pol != 0 {
+			plain = width - plain
+		}
+		flip := b2u(2*(plain+int(b2u(red != 0))) > width+2) &^ frozen
+		payload := plain
+		if flip != 0 {
+			payload = width - plain
+		}
+		if frozen != 0 {
+			payload = 0
+		}
+		next := frozen | flip<<1
+		x := red ^ next
+		c := payload + int(x-x>>1)
+		total += int64(c)
+		mx = max(mx, c)
+		pol = pol&frozen | flip
+		red = next
+	}
+	if r.perLine != nil {
+		perLineInverting(b, v, ^uint64(0), e.prevWord, t.mask, 1<<t.incBit, 1<<t.invBit, width+2, r.perLine)
+	}
+	r.transitions, r.max = total, mx
+	r.last = v.lastOut ^ t.mask&-pol | red<<(t.incBit&63)
+	return r.last
+}
+
 type t0biDecoder struct {
 	t        *T0BI
 	prevAddr uint64

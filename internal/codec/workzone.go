@@ -43,11 +43,20 @@ type WorkZone struct {
 	idxShift uint
 }
 
+// maxZones caps the zone registers. Every encoder holds a register and
+// a stamp per zone and scans them all on every entry, and a job spec
+// arriving over the network names the count: the 64-line bus alone
+// would let it ask for 2^31 zones, 32 GiB per encoder.
+const maxZones = 1024
+
 // NewWorkZone returns a working-zone code with the given number of zone
-// registers (a power of two) and zone offset width.
+// registers (a power of two, at most maxZones) and zone offset width.
 func NewWorkZone(width, zones, zoneBits int) (*WorkZone, error) {
 	if zones < 2 || zones&(zones-1) != 0 {
 		return nil, fmt.Errorf("codec workzone: zones must be a power of two >= 2, got %d", zones)
+	}
+	if zones > maxZones {
+		return nil, fmt.Errorf("codec workzone: zones must be at most %d, got %d", maxZones, zones)
 	}
 	if zoneBits <= 0 || zoneBits >= width {
 		return nil, fmt.Errorf("codec workzone: zoneBits %d out of range for width %d", zoneBits, width)

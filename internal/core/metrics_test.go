@@ -11,8 +11,8 @@ import (
 
 // TestEvaluateStreamingMetrics: with observability enabled, one fan-out
 // evaluation must account for every chunk broadcast, every entry
-// encoded per codec — grouped plane codecs included — and the
-// configured depth/worker gauges, one worker per Pricer — measured as a
+// encoded per codec — grouped plane and T0-family codecs included — and
+// the configured depth/worker gauges, one worker per Pricer — measured as a
 // snapshot diff so the test is immune to other tests' traffic.
 func TestEvaluateStreamingMetrics(t *testing.T) {
 	obs.Enable()
@@ -25,7 +25,7 @@ func TestEvaluateStreamingMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	codes := []string{"binary", "t0", "gray", "dualt0bi"}
-	const workers = 3 // t0, dualt0bi and the plane group binary+gray
+	const workers = 2 // the plane group binary+gray and the T0-family group t0+dualt0bi
 
 	before := obs.Default().Snapshot()
 	r, err := trace.OpenBinary(bytes.NewReader(buf.Bytes()), "metrics.bin", nil)

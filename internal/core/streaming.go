@@ -15,7 +15,9 @@ import (
 // exactly once and prices every codec on concurrent workers:
 // codec.NewPricers groups the codecs into Pricers — every plane-routed
 // codec into one, whose PlaneSet transposes each block once for all of
-// them, and one per scalar codec — and a single producer parses chunks
+// them; the T0-family codecs of one width and stride into one, whose
+// SeqSet builds each block's in-sequence masks once for all of them;
+// and one per remaining codec — and a single producer parses chunks
 // and broadcasts each pooled, reference-counted trace.Chunk (Retain
 // once per extra worker) to one bounded channel per Pricer's worker,
 // which feeds it to its Pricer and releases it. Backpressure is
@@ -49,9 +51,10 @@ type FanoutConfig struct {
 	// PerLine requests per-line transition counts in every Result.
 	PerLine bool
 	// Kernel selects the pricing kernel per worker (codec.KernelAuto by
-	// default): plane-capable codecs price on the bit-sliced path, the
-	// rest on their scalar batch kernels, under the same routing rules
-	// as codec.RunOpts.Kernel.
+	// default): plane-capable codecs price on the bit-sliced path, two
+	// or more T0-family codecs on the in-sequence group kernel, the rest
+	// on their scalar batch kernels, under the routing rules of
+	// codec.NewPricers.
 	Kernel codec.Kernel
 }
 
@@ -97,8 +100,10 @@ func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.Span
 }
 
 // EvaluateStreaming reads the trace once and evaluates every named
-// codec, one worker goroutine per codec.Pricer, returning results in
-// the order of codes. width is
+// codec, one worker goroutine per codec.Pricer (the benchmark's
+// twelve-codec request runs six: the plane group, the T0-family group
+// and four batch kernels), returning results in the order of codes.
+// width is
 // the payload width for codec construction (0 means core.Width; pass
 // r.Width() to honor the trace header). The reader is consumed to
 // io.EOF; on any error (reader or codec verification) the already-read

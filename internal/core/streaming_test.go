@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"busenc/internal/codec"
@@ -14,9 +15,10 @@ var streamingCodes = []string{"binary", "gray", "t0", "businvert", "t0bi", "dual
 
 // TestEvaluateStreamingParity: one pass over a serialized trace must
 // price every registered codec — the benchmark's muxed-stream request —
-// exactly as the reference codec.Run does. CI's race job and make
-// test-stream run it ten times under -race: every batch kernel reads
-// the broadcast chunks here, next to the plane group.
+// exactly as the reference codec.Run does, per line too when asked. CI's
+// race job and make test-stream run it ten times under -race: every
+// batch kernel reads the broadcast chunks here, next to the plane group
+// and the T0-family group.
 func TestEvaluateStreamingParity(t *testing.T) {
 	sets, err := Streams(Synthetic)
 	if err != nil {
@@ -27,33 +29,43 @@ func TestEvaluateStreamingParity(t *testing.T) {
 	if err := trace.WriteBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	r, err := trace.OpenBinary(bytes.NewReader(buf.Bytes()), "", trace.NewChunkPool(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
 	codes := allCodes()
-	got, err := EvaluateStreaming(r, Width, codes, DefaultOptions, FanoutConfig{Verify: codec.VerifySampled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(codes) {
-		t.Fatalf("got %d results for %d codes", len(got), len(codes))
-	}
+	want := make([]codec.Result, len(codes))
 	for i, code := range codes {
-		want, err := codec.Run(codec.MustNew(code, Width, DefaultOptions), s)
+		if want[i], err = codec.Run(codec.MustNew(code, Width, DefaultOptions), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, perLine := range []bool{false, true} {
+		r, err := trace.OpenBinary(bytes.NewReader(buf.Bytes()), "", trace.NewChunkPool(1024))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Codec != code {
-			t.Errorf("result %d is %q, want %q (order must follow codes)", i, got[i].Codec, code)
+		got, err := EvaluateStreaming(r, Width, codes, DefaultOptions, FanoutConfig{Verify: codec.VerifySampled, PerLine: perLine})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got[i].Transitions != want.Transitions || got[i].Cycles != want.Cycles || got[i].MaxPerCycle != want.MaxPerCycle {
-			t.Errorf("%s: streaming %d/%d/%d != codec.Run %d/%d/%d", code,
-				got[i].Transitions, got[i].Cycles, got[i].MaxPerCycle,
-				want.Transitions, want.Cycles, want.MaxPerCycle)
+		if len(got) != len(codes) {
+			t.Fatalf("got %d results for %d codes", len(got), len(codes))
 		}
-		if got[i].Stream != s.Name {
-			t.Errorf("%s: stream name %q, want %q", code, got[i].Stream, s.Name)
+		for i, code := range codes {
+			if got[i].Codec != code {
+				t.Errorf("result %d is %q, want %q (order must follow codes)", i, got[i].Codec, code)
+			}
+			if got[i].Transitions != want[i].Transitions || got[i].Cycles != want[i].Cycles || got[i].MaxPerCycle != want[i].MaxPerCycle {
+				t.Errorf("%s: streaming %d/%d/%d != codec.Run %d/%d/%d", code,
+					got[i].Transitions, got[i].Cycles, got[i].MaxPerCycle,
+					want[i].Transitions, want[i].Cycles, want[i].MaxPerCycle)
+			}
+			if perLine && !slices.Equal(got[i].PerLine, want[i].PerLine) {
+				t.Errorf("%s: streaming per-line %v != codec.Run %v", code, got[i].PerLine, want[i].PerLine)
+			}
+			if !perLine && got[i].PerLine != nil {
+				t.Errorf("%s: per-line counts %v, none requested", code, got[i].PerLine)
+			}
+			if got[i].Stream != s.Name {
+				t.Errorf("%s: stream name %q, want %q", code, got[i].Stream, s.Name)
+			}
 		}
 	}
 }

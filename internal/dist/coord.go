@@ -125,12 +125,8 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	if len(opts.Codecs) == 0 {
 		return nil, fmt.Errorf("dist: no codecs requested")
 	}
-	for i, cs := range opts.Codecs {
-		for _, prev := range opts.Codecs[:i] {
-			if prev.Name == cs.Name {
-				return nil, fmt.Errorf("dist: codec %s requested twice; a sweep prices each codec once", cs.Name)
-			}
-		}
+	if err := uniqueCodecs(opts.Codecs); err != nil {
+		return nil, err
 	}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -465,6 +461,20 @@ func mergeStats(plan *planned, specs []CodecSpec, stats []map[string]bus.Stats) 
 		}
 	}
 	return results, nil
+}
+
+// uniqueCodecs refuses a codec list that names a codec twice: job
+// results carry statistics keyed by codec name, so a sweep and a job
+// price each codec once.
+func uniqueCodecs(specs []CodecSpec) error {
+	for i, cs := range specs {
+		for _, prev := range specs[:i] {
+			if prev.Name == cs.Name {
+				return fmt.Errorf("dist: codec %s requested twice; results are keyed by codec name", cs.Name)
+			}
+		}
+	}
+	return nil
 }
 
 // AllSpecs returns specs for every registered codec at the given width

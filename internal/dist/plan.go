@@ -35,7 +35,10 @@ import (
 // at commit 4c16205, on 2 vCPUs with go1.24.0. Each codec is timed
 // alone there, so a plane codec's cost includes a transpose of its own;
 // plane codecs in one job share a single transpose (codec.NewPricers),
-// so the table slightly overstates them.
+// so the table slightly overstates them. Likewise two or more T0-family
+// codecs (t0, t0bi, dualt0, dualt0bi) in one job share one in-sequence
+// group's masks, so such a job costs less than the table's sum; the
+// table has no weight for that yet.
 var encodeCost = map[string]float64{
 	"workzone":  24.9,
 	"adaptive":  9.7,

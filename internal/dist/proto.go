@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"busenc/internal/bus"
 	"busenc/internal/codec"
@@ -194,6 +195,28 @@ func (c *conn) send(m msg) error {
 	return nil
 }
 
+// readBody reads an n-byte frame body into c.buf. The buffer grows only
+// as the body's bytes arrive, at most doubling, so a header alone
+// cannot make the reader allocate a maxFrame buffer. A body cut short
+// is io.ErrUnexpectedEOF.
+func (c *conn) readBody(n int) ([]byte, error) {
+	body := c.buf[:0]
+	for len(body) < n {
+		step := min(n-len(body), max(len(body), 64<<10))
+		body = slices.Grow(body, step)
+		k, err := io.ReadFull(c.r, body[len(body):len(body)+step])
+		body = body[:len(body)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	c.buf = body
+	return body, nil
+}
+
 // recv reads one framed message. io.EOF (possibly wrapped as
 // io.ErrUnexpectedEOF mid-frame) means the peer exited.
 func (c *conn) recv() (msg, error) {
@@ -205,11 +228,8 @@ func (c *conn) recv() (msg, error) {
 	if n > maxFrame {
 		return msg{}, fmt.Errorf("dist: %d-byte frame exceeds limit", n)
 	}
-	if cap(c.buf) < int(n) {
-		c.buf = make([]byte, n)
-	}
-	body := c.buf[:n]
-	if _, err := io.ReadFull(c.r, body); err != nil {
+	body, err := c.readBody(int(n))
+	if err != nil {
 		return msg{}, err
 	}
 	var m msg

@@ -224,14 +224,18 @@ func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string,
 	return res
 }
 
-// priceRange is the one pricing loop of a worker: build the Pricers
-// for the job's codecs (codec.NewPricers), seed them at the job's cut
+// priceRange is the one pricing loop of a worker: refuse a job naming a
+// codec twice, build the Pricers for the job's codecs
+// (codec.NewPricers), seed them at the job's cut
 // (a no-op at entry 0; past it every codec is a Seeder and joins from
 // the cut's two previous entries), then stream the range's chunks
 // through every Pricer in one decode pass. Each Pricer records a
 // dist.codec_price child span of sp, labeled with its codec names
 // joined by "+"; the spans overlap, since the Pricers share the pass.
 func priceRange(j *Job, views map[string]mappedView, resolve func(string) (string, error), sp obs.SpanHandle) (map[string]bus.Stats, error) {
+	if err := uniqueCodecs(j.Codecs); err != nil {
+		return nil, err
+	}
 	data, err := mapView(j.TracePath, views, resolve)
 	if err != nil {
 		return nil, err
