@@ -64,25 +64,27 @@ test-stream:
 	$(GO) test -race -count=10 -run EvaluateStreaming ./internal/core
 
 # Short coverage-guided fuzz smoke — enough to catch a freshly
-# introduced panic on malformed input (trace parsers, marshalled
-# boundary states, checkpoint journals replayed into the distributed
-# merge), a broken snapshot/restore contract (codec state splitting) or
-# a pricing path drifting from codec.Run (the differential
-# FuzzPricingPaths, and FuzzSweepPlans for in-process dist sweeps under
-# every plan shape: whole-trace groups only, groups and entry shards,
-# entry shards only), or a dist worker mishandling the frames a
-# coordinator or TCP peer sends it (FuzzWorkerFrames) without stalling
-# CI. Go allows one -fuzz target per invocation, hence separate runs.
+# introduced panic on malformed input (trace parsers, whose two BETR
+# decoders must also agree, checkpoint journals replayed into the
+# distributed merge), a broken snapshot/restore contract (codec state
+# splitting) or a pricing path drifting from codec.Run (the
+# differential FuzzPricingPaths, and FuzzSweepPlans for in-process dist
+# sweeps under every plan shape: whole-trace groups only, groups and
+# entry shards, entry shards only), a dist worker mishandling the
+# frames a coordinator or TCP peer sends it (FuzzWorkerFrames), or an
+# upload the trace store accepts but cannot price as it reported
+# (FuzzIngest) without stalling CI. Go allows one -fuzz target per
+# invocation, hence separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadText -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzReadBinary -fuzztime=5s ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotSplit -fuzztime=5s ./internal/codec
-	$(GO) test -run=NONE -fuzz=FuzzBoundaryState -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzPricingPaths -fuzztime=5s ./internal/codec
 	$(GO) test -run=NONE -fuzz=FuzzTransposeRoundTrip -fuzztime=5s ./internal/bus
 	$(GO) test -run=NONE -fuzz=FuzzCheckpointReplay -fuzztime=5s ./internal/dist
 	$(GO) test -run=NONE -fuzz=FuzzSweepPlans -fuzztime=5s ./internal/dist
 	$(GO) test -run=NONE -fuzz=FuzzWorkerFrames -fuzztime=5s ./internal/dist
+	$(GO) test -run=NONE -fuzz=FuzzIngest -fuzztime=5s ./internal/serve
 
 # Span-tracing smoke: generate a small synthetic trace, price it
 # through the streaming fan-out with the flight recorder exporting a
@@ -93,7 +95,7 @@ fuzz-smoke:
 trace-smoke:
 	mkdir -p .trace-smoke
 	$(GO) run ./cmd/tracegen -bench gzip -synthetic -o .trace-smoke/smoke.trace
-	$(GO) run ./cmd/paper -trace .trace-smoke/smoke.trace -stream -spantrace .trace-smoke/spans.json > /dev/null
+	$(GO) run ./cmd/paper -trace .trace-smoke/smoke.trace -spantrace .trace-smoke/spans.json > /dev/null
 	$(GO) run ./cmd/tracecheck -mincover 0.95 .trace-smoke/spans.json
 
 # Distributed-sweep smoke: the exact CI scenarios live in

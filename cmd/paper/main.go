@@ -7,7 +7,7 @@
 //	paper -table 7        # print one table
 //	paper -source mips    # drive Tables 2-7 from the MIPS simulator
 //	paper -sweep          # with -table 9: print the crossover summary
-//	paper -trace prog.bin -stream        # price the codecs over a trace file
+//	paper -trace prog.bin                # price the codecs over a trace file
 //	                                     # in one bounded-memory pass
 //	paper -benchjson .                   # write BENCH_{engine,stream,bitslice}.json
 //	                                     # into a directory
@@ -35,7 +35,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "print the off-chip crossover summary with Table 9")
 	asJSON := flag.Bool("json", false, "emit JSON instead of aligned text")
 	tracePath := flag.String("trace", "", "evaluate the codecs over this trace file (text or binary, auto-detected) instead of the benchmark suites")
-	stream := flag.Bool("stream", false, "with -trace: use the single-pass bounded-memory streaming fan-out instead of materializing the trace")
+	flag.Bool("stream", true, "with -trace: accepted for compatibility; -trace always prices in one bounded-memory streaming pass")
 	codes := flag.String("codes", "paper", "with -trace: comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
 	kernel := flag.String("kernel", "auto", "with -trace: pricing kernel — \"auto\" (plane-capable codecs use the bit-sliced path), \"scalar\" or \"plane\"")
 	chunkLen := flag.Int("chunklen", 0, "with -trace: chunk size in entries (0 = default)")
@@ -93,7 +93,7 @@ func main() {
 		return
 	}
 	if *tracePath != "" {
-		if err := evalTrace(*tracePath, *codes, *stream, *chunkLen, *kernel); err != nil {
+		if err := evalTrace(*tracePath, *codes, *chunkLen, *kernel); err != nil {
 			fmt.Fprintln(os.Stderr, "paper:", err)
 			os.Exit(1)
 		}

@@ -5,26 +5,37 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
+	"busenc/internal/arch"
 	"busenc/internal/bench"
+	"busenc/internal/codec"
 	"busenc/internal/core"
 	"busenc/internal/dist"
 	"busenc/internal/obs"
 	"busenc/internal/trace"
+	"busenc/internal/workload"
 )
 
 // benchDist spawns os.Executable() with -distworker — under `go test`
 // that is this test binary, so TestMain recognizes the worker argv
-// shape and becomes a protocol worker instead of running tests.
+// shape and becomes a protocol worker instead of running tests. With
+// -paper first, the binary runs the paper command on the rest of its
+// arguments.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "-distworker" {
 		if err := dist.ServeWorker(os.Stdin, os.Stdout, dist.WorkerOpts{}); err != nil {
 			os.Exit(1)
 		}
+		os.Exit(0)
+	}
+	if len(os.Args) > 1 && os.Args[1] == "-paper" {
+		os.Args = os.Args[1:]
+		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
@@ -100,35 +111,69 @@ func writeTestTrace(t *testing.T, n int) string {
 	return path
 }
 
-func TestEvalTraceBothPaths(t *testing.T) {
-	path := writeTestTrace(t, 3000)
-	var outs []string
-	for _, streaming := range []bool{false, true} {
-		out := captureStdout(t, func() error { return evalTrace(path, "paper", streaming, 256, "auto") })
-		for _, code := range []string{"binary", "t0", "dualt0bi"} {
-			if !strings.Contains(out, code) {
-				t.Errorf("streaming=%v: code %s missing from output:\n%s", streaming, code, out)
+// TestEvalTraceMatchesRun: paper -trace prints, for every codec, the
+// table rendered from the reference codec.Run over the same trace,
+// whether the trace is BETR or text and under the auto and the scalar
+// kernel; -stream, kept for old command lines, changes no byte. The
+// command runs as a real process (this test binary, see TestMain).
+func TestEvalTraceMatchesRun(t *testing.T) {
+	var mux workload.MuxSpec
+	for _, p := range arch.Profiles() {
+		if p.Name == "mips" {
+			mux = workload.MuxSpec{Instr: p.InstrSpec(), Data: p.DataSpec(), DataFrac: p.DataFrac}
+		}
+	}
+	s := mux.Stream("muxed", core.Width, 3000, 7)
+	names := []string{"binary"}
+	for _, n := range codec.Names() {
+		if n != "binary" {
+			names = append(names, n)
+		}
+	}
+	var want []codec.Result
+	for _, n := range names {
+		res, err := codec.Run(codec.MustNew(n, s.Width, core.DefaultOptions), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for format, write := range map[string]func(io.Writer, *trace.Stream) error{"bin": trace.WriteBinary, "txt": trace.WriteText} {
+		var buf bytes.Buffer
+		if err := write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "muxed."+format)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var table bytes.Buffer
+		if err := writeTraceTable(&table, path, s.Width, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, kernel := range []string{"auto", "scalar"} {
+			for _, extra := range [][]string{nil, {"-stream"}} {
+				args := append([]string{"-paper", "-trace", path, "-codes", "all", "-kernel", kernel}, extra...)
+				out, err := exec.Command(exe, args...).Output()
+				if err != nil {
+					t.Fatalf("paper %v: %v", args[1:], err)
+				}
+				if string(out) != table.String() {
+					t.Errorf("paper %v printed\n%s\nwant codec.Run's table\n%s", args[1:], out, table.String())
+				}
 			}
 		}
-		outs = append(outs, out)
-	}
-	// Both paths print the same transition table (only the mode line
-	// differs), pinning materialized/streaming parity end to end.
-	strip := func(s string) string {
-		_, rest, _ := strings.Cut(s, "\n")
-		return rest
-	}
-	if strip(outs[0]) != strip(outs[1]) {
-		t.Errorf("materialized and streaming tables differ:\n%s\nvs\n%s", outs[0], outs[1])
-	}
-	if !strings.Contains(outs[1], "streaming evaluation") {
-		t.Errorf("-stream output does not announce streaming mode:\n%s", outs[1])
 	}
 }
 
 func TestEvalTraceCustomCodes(t *testing.T) {
 	path := writeTestTrace(t, 1000)
-	out := captureStdout(t, func() error { return evalTrace(path, "t0,gray", true, 0, "auto") })
+	out := captureStdout(t, func() error { return evalTrace(path, "t0,gray", 0, "auto") })
 	// binary is always prepended as the savings reference.
 	for _, code := range []string{"binary", "t0", "gray"} {
 		if !strings.Contains(out, code) {
@@ -144,7 +189,7 @@ func TestSpanTraceExport(t *testing.T) {
 	obs.EnableTracing(obs.TracerConfig{})
 	defer obs.DisableTracing()
 	path := writeTestTrace(t, 3000)
-	captureStdout(t, func() error { return evalTrace(path, "paper", true, 0, "auto") })
+	captureStdout(t, func() error { return evalTrace(path, "paper", 0, "auto") })
 	out := filepath.Join(t.TempDir(), "spans.json")
 	writeSpanTrace(out)
 
@@ -182,7 +227,7 @@ func TestDumpMetricsSpans(t *testing.T) {
 	obs.EnableTracing(obs.TracerConfig{})
 	defer obs.DisableTracing()
 	path := writeTestTrace(t, 2000)
-	captureStdout(t, func() error { return evalTrace(path, "t0,gray", true, 0, "auto") })
+	captureStdout(t, func() error { return evalTrace(path, "t0,gray", 0, "auto") })
 
 	old := os.Stderr
 	r, w, err := os.Pipe()

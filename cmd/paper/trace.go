@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -12,12 +13,9 @@ import (
 )
 
 // Trace evaluation mode (-trace): price codecs over an on-disk trace
-// file instead of the generated benchmark suites. With -stream the
-// trace is never materialized — the streaming fan-out reads it once in
-// pooled chunks and evaluates all codecs concurrently under a fixed
-// memory budget; without it the trace is loaded into memory and run
-// through the batched engine codec-by-codec (useful for comparing the
-// two paths on the same file).
+// file instead of the generated benchmark suites. The trace is never
+// materialized: the streaming fan-out reads it once in pooled chunks
+// and evaluates all codecs concurrently under a fixed memory budget.
 
 // paperCodes are the seven codes of the paper's tables, binary first so
 // savings are always relative to it.
@@ -43,7 +41,7 @@ func parseCodes(codes string) []string {
 // evalTrace evaluates the named codecs over the trace file and prints a
 // comparison table. kernel picks the pricing kernel ("auto", "scalar"
 // or "plane").
-func evalTrace(path, codes string, streaming bool, chunkLen int, kernel string) error {
+func evalTrace(path, codes string, chunkLen int, kernel string) error {
 	kern, err := codec.ParseKernel(kernel)
 	if err != nil {
 		return err
@@ -70,45 +68,21 @@ func evalTrace(path, codes string, streaming bool, chunkLen int, kernel string) 
 	}
 	defer closer.Close()
 
-	var results []codec.Result
-	var streamName string
-	var entries int64
-	if streaming {
-		results, err = core.EvaluateStreaming(r, r.Width(), names, core.DefaultOptions,
-			core.FanoutConfig{Verify: codec.VerifySampled, Kernel: kern})
-		if err != nil {
-			return err
-		}
-		streamName = results[0].Stream
-		entries = results[0].Cycles
-	} else {
-		s, err := trace.ReadAll(r)
-		if err != nil {
-			return err
-		}
-		streamName = s.Name
-		entries = int64(s.Len())
-		for _, name := range names {
-			c, err := codec.New(name, s.Width, core.DefaultOptions)
-			if err != nil {
-				return err
-			}
-			res, err := codec.RunFast(c, s, codec.RunOpts{Verify: codec.VerifySampled, Kernel: kern})
-			if err != nil {
-				return err
-			}
-			results = append(results, res)
-		}
+	results, err := core.EvaluateStreaming(r, r.Width(), names, core.DefaultOptions,
+		core.FanoutConfig{Verify: codec.VerifySampled, Kernel: kern})
+	if err != nil {
+		return err
 	}
+	return writeTraceTable(os.Stdout, path, r.Width(), results)
+}
 
-	mode := "materialized"
-	if streaming {
-		mode = "streaming"
-	}
-	fmt.Printf("trace %q (%s): %d references, width %d, %s evaluation\n",
-		streamName, path, entries, r.Width(), mode)
+// writeTraceTable prints the -trace report: a header line naming the
+// trace, then one row per result with its savings against results[0].
+func writeTraceTable(w io.Writer, path string, width int, results []codec.Result) error {
+	fmt.Fprintf(w, "trace %q (%s): %d references, width %d, streaming evaluation\n",
+		results[0].Stream, path, results[0].Cycles, width)
 	bin := results[0]
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "code\tbus lines\ttransitions\tper cycle\tsavings")
 	for _, res := range results {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.3f\t%.2f%%\n",

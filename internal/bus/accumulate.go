@@ -66,28 +66,3 @@ func (b *Bus) Accumulate(words []uint64) {
 	b.total = total
 	b.maxInWord = maxN
 }
-
-// CountTransitionsInto counts the total line transitions of driving seq
-// onto a width-wide bus, like CountTransitions, and additionally adds the
-// per-line transition counts into perLine when it is non-nil (index 0 is
-// the least significant line). perLine must have at least width entries.
-func CountTransitionsInto(seq []uint64, width int, perLine []int64) int64 {
-	m := Mask(width)
-	var total int64
-	if perLine == nil {
-		for i := 1; i < len(seq); i++ {
-			total += int64(bits.OnesCount64((seq[i-1] ^ seq[i]) & m))
-		}
-		return total
-	}
-	for i := 1; i < len(seq); i++ {
-		diff := (seq[i-1] ^ seq[i]) & m
-		total += int64(bits.OnesCount64(diff))
-		for diff != 0 {
-			j := bits.TrailingZeros64(diff)
-			perLine[j]++
-			diff &= diff - 1
-		}
-	}
-	return total
-}

@@ -89,32 +89,3 @@ func TestAccumulateEmptyAndFirst(t *testing.T) {
 		t.Errorf("transitions = %d, want 8", b.Transitions())
 	}
 }
-
-// TestCountTransitionsInto checks the free-function kernel against
-// CountTransitions and a per-line reference.
-func TestCountTransitionsInto(t *testing.T) {
-	words := randomWords(2000, 3)
-	const width = 21
-	if got, want := CountTransitionsInto(words, width, nil), CountTransitions(words, width); got != want {
-		t.Errorf("aggregate: %d != %d", got, want)
-	}
-	perLine := make([]int64, width)
-	total := CountTransitionsInto(words, width, perLine)
-	ref := New(width)
-	for _, w := range words {
-		ref.Drive(w)
-	}
-	if total != ref.Transitions() {
-		t.Errorf("total %d != %d", total, ref.Transitions())
-	}
-	if !reflect.DeepEqual(perLine, ref.PerLine()) {
-		t.Error("per-line counts diverge")
-	}
-	var sum int64
-	for _, c := range perLine {
-		sum += c
-	}
-	if sum != total {
-		t.Errorf("per-line sum %d != total %d", sum, total)
-	}
-}

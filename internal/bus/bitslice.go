@@ -560,23 +560,3 @@ func (b *Bus) AccumulatePlanes(planes *[64]uint64, n int) {
 	}
 	b.AccumulateEncoded(planes, n, last)
 }
-
-// AccumulateBitsliced is Accumulate routed through the bit-plane
-// kernel: the words are transposed 64 at a time and counted with
-// AccumulatePlanes. Results are bit-identical to Accumulate; it wins
-// when per-line counts are tracked (the plane kernel replaces the
-// per-set-bit scan with one popcount per line) and loses the transpose
-// cost when they are not, which is why Accumulate remains the
-// aggregate-only default.
-func (b *Bus) AccumulateBitsliced(words []uint64) {
-	var planes [64]uint64
-	for base := 0; base < len(words); base += BlockLen {
-		end := base + BlockLen
-		if end > len(words) {
-			end = len(words)
-		}
-		PackPlanes(words[base:end], &planes)
-		b.AccumulatePlanes(&planes, end-base)
-	}
-	recordBitslice(int64(len(words)))
-}

@@ -12,8 +12,8 @@ import "busenc/internal/obs"
 // Instrumented sites:
 //
 //   - bus.bitslice.calls / bus.bitslice.entries — bit-sliced
-//     accumulation passes and the entries they priced (AccumulateBitsliced
-//     and the codec plane runners via RecordBitsliced).
+//     accumulation passes and the entries they priced (the codec plane
+//     runners via RecordBitsliced).
 type busMetrics struct {
 	bitsliceCalls   *obs.Counter // bus.bitslice.calls
 	bitsliceEntries *obs.Counter // bus.bitslice.entries
@@ -29,9 +29,7 @@ var metricsBinding = obs.NewBinding(func() *busMetrics {
 // RecordBitsliced counts one bit-sliced pricing pass over n entries.
 // Exported so the codec plane runners (which call AccumulatePlanes
 // block-by-block) can account a whole pass with a single bump.
-func RecordBitsliced(n int64) { recordBitslice(n) }
-
-func recordBitslice(n int64) {
+func RecordBitsliced(n int64) {
 	m := metricsBinding.Get()
 	m.bitsliceCalls.Inc()
 	m.bitsliceEntries.Add(n)

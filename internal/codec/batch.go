@@ -200,12 +200,3 @@ func chunked(root obs.SpanHandle, entries []trace.Entry, consume func([]trace.En
 	}
 	return nil
 }
-
-// MustRunFast is RunFast panicking on round-trip failure.
-func MustRunFast(c Codec, s *trace.Stream, opts RunOpts) Result {
-	r, err := RunFast(c, s, opts)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

@@ -189,7 +189,7 @@ func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 // TestBatchEncoderMatchesScalar drives the same entries through Encode
 // and EncodeBatch on separate encoder instances, in uneven chunks from
 // 0 to more than runChunk entries, and requires identical words, equal
-// Snapshots after every chunk (BoundaryStates takes its states from
+// Snapshots after every chunk (sweepStates takes its states from
 // batch encoders), and the chunk's addrs and kinds unchanged. A second
 // pass requires EncodeBatch to allocate nothing once warmed up.
 func TestBatchEncoderMatchesScalar(t *testing.T) {
@@ -264,7 +264,10 @@ func TestRunFastEmptyAndTiny(t *testing.T) {
 		}
 		c := MustNew("t0", 32, Options{Stride: 4})
 		slow := MustRun(c, s)
-		fast := MustRunFast(MustNew("t0", 32, Options{Stride: 4}), s, RunOpts{PerLine: true})
+		fast, err := RunFast(MustNew("t0", 32, Options{Stride: 4}), s, RunOpts{PerLine: true})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 		if fast.Transitions != slow.Transitions || fast.Cycles != slow.Cycles {
 			t.Errorf("n=%d: fast %+v != slow %+v", n, fast, slow)
 		}

@@ -3,8 +3,8 @@ package codec
 import "busenc/internal/obs"
 
 // Observability hooks for the evaluation engines (see internal/obs).
-// Counting happens per evaluation, not per entry: RunFast and RunStream
-// accumulate in locals through the batch kernels and publish totals
+// Counting happens per evaluation, not per entry: every Pricer driver
+// accumulates in locals through the batch kernels and publishes totals
 // once per stream, so the enabled cost is a few registry lookups per
 // evaluation and the disabled cost is one branch.
 

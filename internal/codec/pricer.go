@@ -13,9 +13,9 @@ import (
 // The pricing core. The paper's whole evaluation is one loop: encode the
 // address stream, count bus transitions, check that the decode
 // round-trips. Pricer is that loop, and the only copy of it besides the
-// reference Run: RunFast, RunStream, RunPlaneSet, core.EvaluateStreaming
-// and the distributed workers (internal/dist) are thin drivers that feed
-// it entries and read its buses.
+// reference Run: RunFast, RunPlaneSet, core.EvaluateStreaming and the
+// distributed workers (internal/dist) are thin drivers that feed it
+// entries and read its buses.
 //
 // A Pricer picks its kernel once. Priced alone, a codec takes the plane
 // path when PlaneEligible says so, handing addresses to a one-codec

@@ -32,21 +32,6 @@ func sameResult(t *testing.T, label string, got, want Result, perLine bool) {
 	}
 }
 
-// marshalled round-trips st through the wire format, as a boundary
-// state shipped to a worker process arrives.
-func marshalled(t testing.TB, st State) State {
-	t.Helper()
-	data, err := MarshalState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return back
-}
-
 // priceFrom prices entries on a fresh Pricer for c seeded at bd, the
 // way a worker prices a shard, and returns its counting bus for the
 // ordered reduction (bus.MergeSlots).
@@ -89,7 +74,7 @@ func TestPricerSeedRejectsMismatchedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd := Boundary{Prev: s.Entries[99], SeedSym: SymbolOf(s.Entries[98]), HaveSeedSym: true, State: marshalled(t, tc.st), Base: 100}
+		bd := Boundary{Prev: s.Entries[99], SeedSym: SymbolOf(s.Entries[98]), HaveSeedSym: true, State: tc.st, Base: 100}
 		if err := p.Seed(bd); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.code, err, tc.want)
 		}
@@ -154,67 +139,6 @@ func TestCollectReportsFirstFailureInListOrder(t *testing.T) {
 	}
 }
 
-// runSeeded is the reference for a seeded Pricer: Run's per-entry loop
-// over entries, with the encoder restored to bd.State (or seeded from
-// bd.SeedSym when it has none) and the bus primed by re-encoding
-// bd.Prev.
-func runSeeded(c Codec, bd Boundary, entries []trace.Entry) Result {
-	enc := c.NewEncoder()
-	if bd.State != nil {
-		enc.(StateCodec).Restore(bd.State)
-	} else if bd.HaveSeedSym {
-		enc.(Seeder).SeedFrom(bd.SeedSym)
-	}
-	b := bus.New(c.BusWidth())
-	b.Prime(enc.Encode(SymbolOf(bd.Prev)))
-	for _, e := range entries {
-		b.Drive(enc.Encode(SymbolOf(e)))
-	}
-	return newResult(c, "", b)
-}
-
-// FuzzBoundaryState feeds arbitrary bytes through UnmarshalState and
-// into Pricer.Seed for every registered codec. A state that decodes
-// must either be refused with an error or price the suffix exactly as
-// the reference loop seeded with the same state does — never panic.
-func FuzzBoundaryState(f *testing.F) {
-	s := randomMixStream(32, 300, 7)
-	codecs := allCodecs(f, 32)
-	for i, c := range codecs {
-		cut := 1 + 37*i%(s.Len()-1)
-		enc := c.NewEncoder()
-		for _, e := range s.Entries[:cut-1] {
-			enc.Encode(SymbolOf(e))
-		}
-		data, err := MarshalState(enc.(StateCodec).Snapshot())
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data, uint16(cut), uint8(i))
-	}
-	f.Add([]byte{wireWorkZone, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint16(5), uint8(0))
-	f.Add([]byte{wireAdaptive, 40}, uint16(9), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, rawCut uint16, mode uint8) {
-		st, err := UnmarshalState(data)
-		if err != nil {
-			return
-		}
-		cut := 1 + int(rawCut)%(s.Len()-1)
-		bd := Boundary{Prev: s.Entries[cut-1], State: st}
-		if cut >= 2 {
-			bd.SeedSym, bd.HaveSeedSym = SymbolOf(s.Entries[cut-2]), true
-		}
-		for _, c := range codecs {
-			b, err := priceFrom(c, bd, s.Entries[cut:], RunOpts{Verify: VerifyMode(mode % 3), PerLine: true})
-			if err != nil {
-				continue
-			}
-			want := runSeeded(c, bd, s.Entries[cut:])
-			sameResult(t, c.Name(), newResult(c, "", b), want, true)
-		}
-	})
-}
-
 // fuzzStream decodes fuzzer bytes into a stream with the regimes the
 // codecs react to: in-sequence runs, repeats, jumps, data accesses and
 // garbage above the payload width.
@@ -248,17 +172,18 @@ func fuzzStream(data []byte) *trace.Stream {
 
 // FuzzPricingPaths is the differential target over every pricing path:
 // for the fuzzer's codec, stream, chunk length, shard cut, kernel and
-// verify mode, RunFast, RunStream and a cut priced from marshalled
-// boundary states must all equal the reference Run. The cut chain is
-// BoundaryStates, UnmarshalState, then NewPricer + Seed +
-// ConsumeEntries on each side (priceFrom), merged with bus.MergeSlots;
-// it reaches every codec, prefix-dependent ones included. So must, for
-// the fuzzer's codec set (a bit mask over the registered codecs, 0 for
-// all of them), the NewPricers grouping fed chunk by chunk through
-// Consume, RunPlaneSet over the set's plane codecs, and the distributed
-// worker's composition over the set's Seeder codecs: NewPricers + Seed
-// + Consume on each side of the cut, merged with bus.MergeSlots. Every
-// path counts per line or in aggregate as the fuzzer's perLine says.
+// verify mode, RunFast, a one-codec Pricer fed chunk by chunk through
+// Consume (runStream) and a cut priced from swept boundary states must
+// all equal the reference Run. The cut chain is sweepStates, then
+// NewPricer + Seed with Boundary.State + ConsumeEntries on each side
+// (priceFrom), merged with bus.MergeSlots; it reaches every codec,
+// prefix-dependent ones included. So must, for the fuzzer's codec set
+// (a bit mask over the registered codecs, 0 for all of them), the
+// NewPricers grouping fed chunk by chunk through Consume, RunPlaneSet
+// over the set's plane codecs, and the distributed worker's
+// composition over the set's Seeder codecs: NewPricers + Seed + Consume
+// on each side of the cut, merged with bus.MergeSlots. Every path
+// counts per line or in aggregate as the fuzzer's perLine says.
 func FuzzPricingPaths(f *testing.F) {
 	codecs := allCodecs(f, 32)
 	var planeOnly, t0Family uint16
@@ -310,15 +235,15 @@ func FuzzPricingPaths(f *testing.F) {
 			t.Fatal(err)
 		}
 		sameResult(t, label+"/RunFast", got, want, opts.PerLine)
-		if got, err = RunStream(c, s.Chunks(chunkLen), opts); err != nil {
+		if got, err = runStream(c, s.Chunks(chunkLen), opts); err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, label+"/RunStream", got, want, opts.PerLine)
+		sameResult(t, label+"/stream", got, want, opts.PerLine)
 		if n < 2 {
 			return
 		}
 		cuts := []int{0, 1 + int(rawCut)%(n-1), n}
-		states, err := BoundaryStates(c, s.Entries, cuts)
+		states, err := sweepStates(c, s.Entries, cuts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,10 +255,8 @@ func FuzzPricingPaths(f *testing.F) {
 				if lead > 0 {
 					bd.SeedSym, bd.HaveSeedSym = SymbolOf(s.Entries[lead-1]), true
 				}
-				if states[k] != nil {
-					if bd.State, err = UnmarshalState(states[k]); err != nil {
-						t.Fatal(err)
-					}
+				if states != nil {
+					bd.State = states[k]
 				}
 			}
 			if buses[k], err = priceFrom(c, bd, s.Entries[cuts[k]:cuts[k+1]], opts); err != nil {

@@ -13,7 +13,7 @@ import (
 // boundaries carry no state: SeedSym, the symbol before the cut's
 // boundary entry, fixes a Seeder's encoder in O(1). A prefix-dependent
 // codec needs Boundary.State, the encoder state entering the boundary
-// entry; BoundaryStates computes it with one sequential sweep.
+// entry; sweepStates computes it with one sequential sweep.
 
 // Boundary describes how a shard joins the stream at its left edge.
 type Boundary struct {
@@ -31,36 +31,21 @@ type Boundary struct {
 	SeedSym     Symbol
 	HaveSeedSym bool
 	// State, when non-nil, is the encoder state entering Prev (a
-	// Snapshot, possibly round-tripped through MarshalState). It takes
-	// precedence over SeedSym and is required for prefix-dependent
-	// codecs.
+	// Snapshot). It takes precedence over SeedSym and is required for
+	// prefix-dependent codecs.
 	State State
 	// Base is the global index of the shard's first entry, used only to
 	// position mismatch reports identically to a sequential run.
 	Base int
 }
 
-// BoundaryStates runs the state-only seeding sweep and marshals its
-// states (sweepStates): the bytes that carry Boundary.State across a
-// process boundary. internal/dist never needs them, since it never cuts
-// a prefix-dependent codec; cmd/busencbench times this sweep as the
-// cost such a cut would pay. The returned slice is parallel to cuts; it
-// is all nil for Seeder codecs.
+// BoundaryStates runs the state-only seeding sweep (sweepStates) and
+// returns no bytes: no encoder state crosses a process, since
+// internal/dist never cuts a prefix-dependent codec. cmd/busencbench
+// times it as the cost such a cut would pay. The error is sweepStates'.
 func BoundaryStates(c Codec, entries []trace.Entry, cuts []int) ([][]byte, error) {
-	states, err := sweepStates(c, entries, cuts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(cuts))
-	for k, st := range states {
-		if st == nil {
-			continue
-		}
-		if out[k], err = MarshalState(st); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	_, err := sweepStates(c, entries, cuts)
+	return nil, err
 }
 
 // sweepStates runs the state-only seeding sweep: one sequential pass of

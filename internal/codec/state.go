@@ -22,7 +22,7 @@ import (
 // (previous *encoded* word), the T0 family (reference registers and
 // frozen bus lines), working-zone (zone registers and LRU ages) and
 // adaptive (the move-to-front list) — cannot be seeded from one symbol
-// and need a sequential state-only sweep instead (BoundaryStates).
+// and need a sequential state-only sweep instead (sweepStates).
 
 // State is an opaque encoder-state value produced by Snapshot. It owns
 // its memory: mutating the originating encoder after Snapshot must not
@@ -56,8 +56,9 @@ type sizedState interface {
 
 // checkState reports why st cannot be restored into enc, a fresh
 // encoder of c: a state of another concrete type (Restore's type
-// assertion would panic) or one whose registers do not fit. States that
-// cross a process boundary (UnmarshalState) come from untrusted bytes.
+// assertion would panic) or one whose registers do not fit. A Boundary
+// is built by Seed's caller, so Seed checks its state instead of
+// trusting it.
 func checkState(c Codec, enc StateCodec, st State) error {
 	if got, want := reflect.TypeOf(st), reflect.TypeOf(enc.Snapshot()); got != want {
 		return fmt.Errorf("codec %s: boundary state is %s, want %s", c.Name(), stateName(got), stateName(want))

@@ -3,11 +3,33 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 
 	"busenc/internal/trace"
 )
+
+// runStream prices c over a chunked trace the way every streaming
+// driver does: one Pricer fed each chunk's columns through Consume,
+// carrying the sequential encoder/decoder state across chunk
+// boundaries, with the reader consumed to io.EOF and each chunk
+// released. Any reader error is returned as-is.
+func runStream(c Codec, r trace.ChunkReader, opts RunOpts) (Result, error) {
+	p, err := NewPricer(c, opts)
+	for err == nil {
+		var ch *trace.Chunk
+		if ch, err = r.Next(); err != nil {
+			break
+		}
+		err = p.Consume(ch.Addrs, ch.Kinds)
+		ch.Release()
+	}
+	if err != io.EOF {
+		return Result{}, err
+	}
+	return p.Result(r.Name()), nil
+}
 
 // TestRunStreamParity is the streaming pipeline's correctness contract
 // and the chunk-boundary state-carry test: the same stream evaluated at
@@ -28,9 +50,9 @@ func TestRunStreamParity(t *testing.T) {
 				t.Fatalf("%s/%s: reference Run: %v", name, s.Name, err)
 			}
 			for _, size := range chunkSizes(s) {
-				got, err := RunStream(MustNew(name, 32, opts), s.Chunks(size), RunOpts{Verify: VerifyFull, PerLine: true})
+				got, err := runStream(MustNew(name, 32, opts), s.Chunks(size), RunOpts{Verify: VerifyFull, PerLine: true})
 				if err != nil {
-					t.Fatalf("%s/%s chunk %d: RunStream: %v", name, s.Name, size, err)
+					t.Fatalf("%s/%s chunk %d: runStream: %v", name, s.Name, size, err)
 				}
 				if got.Transitions != slow.Transitions {
 					t.Errorf("%s/%s chunk %d: transitions %d != %d", name, s.Name, size, got.Transitions, slow.Transitions)
@@ -72,7 +94,7 @@ func TestRunStreamFromSerializedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStream(c, br, RunOpts{Verify: VerifySampled})
+	got, err := runStream(c, br, RunOpts{Verify: VerifySampled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +105,7 @@ func TestRunStreamFromSerializedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = RunStream(MustNew("dualt0bi", 32, Options{Stride: 4}), tr, RunOpts{Verify: VerifySampled})
+	got, err = runStream(MustNew("dualt0bi", 32, Options{Stride: 4}), tr, RunOpts{Verify: VerifySampled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +115,17 @@ func TestRunStreamFromSerializedTrace(t *testing.T) {
 }
 
 // TestRunStreamDetectsMismatch mirrors the RunFast verification test on
-// the streaming path.
+// the chunked Pricer.
 func TestRunStreamDetectsMismatch(t *testing.T) {
 	s := fixtureStreams(2000)[0]
 	c := brokenCodec{}
-	if _, err := RunStream(c, s.Chunks(256), RunOpts{Verify: VerifyFull}); err == nil {
+	if _, err := runStream(c, s.Chunks(256), RunOpts{Verify: VerifyFull}); err == nil {
 		t.Error("VerifyFull missed a decoder bug")
 	}
-	if _, err := RunStream(c, s.Chunks(256), RunOpts{Verify: VerifySampled}); err == nil {
+	if _, err := runStream(c, s.Chunks(256), RunOpts{Verify: VerifySampled}); err == nil {
 		t.Error("VerifySampled missed a decoder bug in its prefix")
 	}
-	if _, err := RunStream(c, s.Chunks(256), RunOpts{Verify: VerifyNone}); err != nil {
+	if _, err := runStream(c, s.Chunks(256), RunOpts{Verify: VerifyNone}); err != nil {
 		t.Errorf("VerifyNone should not decode at all: %v", err)
 	}
 }
@@ -129,7 +151,7 @@ func TestRunStreamPropagatesReaderError(t *testing.T) {
 	s := fixtureStreams(4000)[0]
 	sentinel := errors.New("disk on fire")
 	r := &failingReader{inner: s.Chunks(512), after: 3, err: sentinel}
-	_, err := RunStream(MustNew("t0", 32, Options{Stride: 4}), r, RunOpts{Verify: VerifyNone})
+	_, err := runStream(MustNew("t0", 32, Options{Stride: 4}), r, RunOpts{Verify: VerifyNone})
 	if !errors.Is(err, sentinel) {
 		t.Errorf("reader error not propagated: %v", err)
 	}
@@ -142,7 +164,10 @@ func TestRunStreamEmptyAndTiny(t *testing.T) {
 			s.Append(uint64(0x1000+4*i), trace.Instr)
 		}
 		slow := MustRun(MustNew("t0", 32, Options{Stride: 4}), s)
-		got := MustRunStream(MustNew("t0", 32, Options{Stride: 4}), s.Chunks(2), RunOpts{PerLine: true})
+		got, err := runStream(MustNew("t0", 32, Options{Stride: 4}), s.Chunks(2), RunOpts{PerLine: true})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 		if got.Transitions != slow.Transitions || got.Cycles != slow.Cycles {
 			t.Errorf("n=%d: stream %+v != slow %+v", n, got, slow)
 		}

@@ -103,18 +103,15 @@ func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.Span
 // codec, one worker goroutine per codec.Pricer (the benchmark's
 // twelve-codec request runs six: the plane group, the T0-family group
 // and four batch kernels), returning results in the order of codes.
-// width is
-// the payload width for codec construction (0 means core.Width; pass
-// r.Width() to honor the trace header). The reader is consumed to
+// width is the payload width for codec construction: pass r.Width() to
+// honor the trace header; a width no codec takes, 0 included, is the
+// codec's error. The reader is consumed to
 // io.EOF; on any error (reader or codec verification) the already-read
 // prefix is discarded and the first error in deterministic order
 // (reader first, then codes order) is returned.
 func EvaluateStreaming(r trace.ChunkReader, width int, codes []string, opts codec.Options, cfg FanoutConfig) ([]codec.Result, error) {
 	if len(codes) == 0 {
 		return nil, fmt.Errorf("core: no codecs to evaluate")
-	}
-	if width <= 0 {
-		width = Width
 	}
 	depth := cfg.Depth
 	if depth <= 0 {

@@ -92,7 +92,10 @@ func TestEvaluateStreamingPerLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := codec.MustRunFast(codec.MustNew("t0", Width, DefaultOptions), s, codec.RunOpts{PerLine: true, Verify: codec.VerifyNone})
+	want, err := codec.RunFast(codec.MustNew("t0", Width, DefaultOptions), s, codec.RunOpts{PerLine: true, Verify: codec.VerifyNone})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got[0].PerLine) != len(want.PerLine) {
 		t.Fatalf("per-line width %d != %d", len(got[0].PerLine), len(want.PerLine))
 	}
@@ -111,6 +114,17 @@ func TestEvaluateStreamingUnknownCodec(t *testing.T) {
 	}
 	if _, err := EvaluateStreaming(s.Chunks(0), Width, nil, DefaultOptions, FanoutConfig{}); err == nil {
 		t.Error("empty codec list accepted")
+	}
+}
+
+// TestEvaluateStreamingZeroWidth: a zero width is the codecs' error,
+// never a silent default to core.Width, so a trace declaring width 0
+// cannot be priced on 32 lines.
+func TestEvaluateStreamingZeroWidth(t *testing.T) {
+	s := trace.New("x", 32)
+	s.Append(0, trace.Instr)
+	if res, err := EvaluateStreaming(s.Chunks(0), 0, []string{"binary", "t0"}, DefaultOptions, FanoutConfig{}); err == nil {
+		t.Errorf("width 0 priced on %d lines", res[0].BusWidth)
 	}
 }
 

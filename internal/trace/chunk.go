@@ -228,8 +228,8 @@ func ReadAll(r ChunkReader) (_ *Stream, err error) {
 		}
 		ch.Release()
 	}
-	// Text metadata comments may legally appear after entries; pick up
-	// the final values.
+	// A text name comment may appear after entries; pick up the final
+	// name.
 	s.Name = r.Name()
 	s.Width = r.Width()
 	return s, nil

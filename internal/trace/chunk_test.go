@@ -222,7 +222,7 @@ func TestTextLongLineGrowsBuffer(t *testing.T) {
 	sb.WriteString("# ")
 	sb.WriteString(strings.Repeat("x", 3*fillBufSize))
 	sb.WriteString("\nI 400000\n")
-	s, err := ReadText(strings.NewReader(sb.String()))
+	s, err := readText(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

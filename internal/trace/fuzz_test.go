@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -20,7 +21,8 @@ func FuzzReadText(f *testing.F) {
 		"# width: 64\nI ffffffffffffffff\n",
 		"# width: 65\n", // invalid width
 		"# name: spaces in name\nI 0\n",
-		"I 0\n# width: 8\nR ff\n", // metadata after entries
+		"I 0\n# width: 8\nR ff\n",  // width changed after an entry
+		"I 0\n# width: 32\nR ff\n", // width repeated after an entry
 		"X 400000\n",
 		"I zzz\n",
 		"I 1 2 3\n",
@@ -33,18 +35,16 @@ func FuzzReadText(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadText(bytes.NewReader(data))
+		s, err := readText(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Width metadata applies from where it appears, so a comment
-		// after the entries can legally narrow the declared width below
-		// earlier addresses; such streams do not reparse and are out of
-		// scope for the round-trip invariant.
+		// The width is fixed before the first entry, so every accepted
+		// address fits the width the trace reports.
 		mask := widthMask(s.Width)
-		for _, e := range s.Entries {
+		for i, e := range s.Entries {
 			if e.Addr&^mask != 0 {
-				return
+				t.Fatalf("entry %d: address %#x above width %d accepted", i, e.Addr, s.Width)
 			}
 		}
 		// A successfully parsed trace must survive a write/reparse
@@ -53,7 +53,7 @@ func FuzzReadText(f *testing.F) {
 		if err := WriteText(&buf, s); err != nil {
 			t.Fatalf("WriteText of parsed stream: %v", err)
 		}
-		got, err := ReadText(bytes.NewReader(buf.Bytes()))
+		got, err := readText(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reparse of written stream: %v", err)
 		}
@@ -66,6 +66,25 @@ func FuzzReadText(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readChunks is ReadAll without its preallocation, which a fuzzed header's
+// entry count would otherwise size at up to 64 MiB per input.
+func readChunks(r ChunkReader) (*Stream, error) {
+	s := New(r.Name(), r.Width())
+	for {
+		ch, err := r.Next()
+		if err == io.EOF {
+			return s, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i, a := range ch.Addrs {
+			s.Append(a, ch.Kinds[i])
+		}
+		ch.Release()
+	}
 }
 
 func FuzzReadBinary(f *testing.F) {
@@ -89,20 +108,49 @@ func FuzzReadBinary(f *testing.F) {
 	// A 35-byte file whose header declares ~750M entries: ReadAll once
 	// preallocated all of them and died out of memory.
 	f.Add([]byte("BETR\x01\r\x00\xe6\x92\xfc\xe4\x02\x01\x91\xa0\xb8\xc0\v\x01\xb8\x9f\xa80\x02\xfc\xa0\x9d\x95\t\x00\xf3\xe1\xef\xdf\xc8"))
+	f.Add([]byte{'B', 'E', 'T', 'R', 1, 0, 0, 1, 0, 2})  // width 0
+	f.Add([]byte{'B', 'E', 'T', 'R', 1, 65, 0, 1, 0, 2}) // width 65
+	f.Add([]byte{'B', 'E', 'T', 'R', 1, 4, 0, 1, 0, 64}) // address 32 at width 4
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
+		// The streaming decoder (pipes) and the in-memory decoder (mmap
+		// views) must read the same trace or both refuse it.
+		var piped, mapped *Stream
+		p, perr := OpenBinary(bytes.NewReader(data), "", nil)
+		if perr == nil {
+			piped, perr = readChunks(p)
+		}
+		m, merr := newMemReader(data, "", nil, false)
+		if merr == nil {
+			mapped, merr = readChunks(m)
+		}
+		if (perr == nil) != (merr == nil) {
+			t.Fatalf("OpenBinary error %v, in-memory decoder error %v", perr, merr)
+		}
+		if perr != nil {
 			return
 		}
+		if !streamsEqual(piped, mapped) {
+			t.Fatalf("decoders disagree: OpenBinary %q/%d/%d entries, in-memory %q/%d/%d entries",
+				piped.Name, piped.Width, piped.Len(), mapped.Name, mapped.Width, mapped.Len())
+		}
+		if piped.Width < 1 || piped.Width > 64 {
+			t.Fatalf("width %d accepted", piped.Width)
+		}
+		mask := widthMask(piped.Width)
+		for i, e := range piped.Entries {
+			if e.Addr&^mask != 0 {
+				t.Fatalf("entry %d: address %#x above width %d accepted", i, e.Addr, piped.Width)
+			}
+		}
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, s); err != nil {
+		if err := WriteBinary(&buf, piped); err != nil {
 			t.Fatalf("WriteBinary of parsed stream: %v", err)
 		}
-		got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		got, err := readBinary(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reparse of written stream: %v", err)
 		}
-		if !streamsEqual(s, got) {
+		if !streamsEqual(piped, got) {
 			t.Fatal("binary round trip changed the stream")
 		}
 	})

@@ -17,15 +17,17 @@ import (
 //	W 10008fa4
 //
 // Lines starting with '#' are comments; each entry line is "<kind> <hex>".
-// The "name:" and "width:" metadata comments apply from the point they
-// appear; WriteText always emits them before the first entry. Width
+// The "name:" metadata comment applies from the point it appears. The
+// "width:" comment must come before the first entry (a later one may
+// only repeat it), because every codec is built at the width a trace
+// opens with; WriteText emits both before the first entry. Width
 // defaults to 32, and an entry whose address does not fit in the
 // declared width is a parse error (it would otherwise be silently
 // truncated by every codec's payload mask).
 //
-// Parsing is served by the streaming reader in streamio.go: ReadText is
-// a convenience that materializes the whole trace; use OpenText (or
-// OpenFile) to iterate pooled chunks in bounded memory.
+// Parsing is served by the streaming reader in streamio.go:
+// ReadTextNamed is a convenience that materializes the whole trace; use
+// OpenText (or OpenFile) to iterate pooled chunks in bounded memory.
 
 // WriteText writes the stream in the text trace format.
 func WriteText(w io.Writer, s *Stream) error {
@@ -37,11 +39,8 @@ func WriteText(w io.Writer, s *Stream) error {
 	return bw.Flush()
 }
 
-// ReadText parses a text trace, materializing it fully. Errors carry
-// the 1-based line number; use ReadTextNamed to include the filename.
-func ReadText(r io.Reader) (*Stream, error) { return ReadTextNamed(r, "") }
-
-// ReadTextNamed is ReadText with a filename for error positions
+// ReadTextNamed parses a text trace, materializing it fully. Errors
+// carry file (when not empty) and the 1-based line number
 // ("trace: file.txt:17: ...").
 func ReadTextNamed(r io.Reader, file string) (*Stream, error) {
 	cr, err := OpenText(r, file, nil)
@@ -67,7 +66,9 @@ func ReadTextNamed(r io.Reader, file string) (*Stream, error) {
 // signed zig-zag varint delta of the address relative to the previous
 // entry's address (the implicit address before the first entry is 0).
 // Delta coding makes sequential traces extremely small: an in-sequence
-// run costs two bytes per reference.
+// run costs two bytes per reference. Readers refuse a width outside
+// 1..64 and an address with bits above the width, as the text reader
+// does.
 //
 // The count field lets readers preallocate and detect truncation; it
 // also means WriteBinary needs the whole stream up front. Streaming
@@ -100,11 +101,9 @@ func WriteBinary(w io.Writer, s *Stream) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a binary trace, materializing it fully. Use
-// OpenBinary (or OpenFile) to iterate pooled chunks in bounded memory.
-func ReadBinary(r io.Reader) (*Stream, error) { return ReadBinaryNamed(r, "") }
-
-// ReadBinaryNamed is ReadBinary with a filename for error positions.
+// ReadBinaryNamed parses a binary trace, materializing it fully; file
+// positions errors and may be empty. Use OpenBinary (or OpenFile) to
+// iterate pooled chunks in bounded memory.
 func ReadBinaryNamed(r io.Reader, file string) (*Stream, error) {
 	cr, err := OpenBinary(r, file, nil)
 	if err != nil {

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -15,6 +19,10 @@ func randomStream(n int, seed int64) *Stream {
 	}
 	return s
 }
+
+// readText and readBinary materialize a trace read with no file name.
+func readText(r io.Reader) (*Stream, error)   { return ReadTextNamed(r, "") }
+func readBinary(r io.Reader) (*Stream, error) { return ReadBinaryNamed(r, "") }
 
 func streamsEqual(a, b *Stream) bool {
 	if a.Name != b.Name || a.Width != b.Width || len(a.Entries) != len(b.Entries) {
@@ -34,7 +42,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := WriteText(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(&buf)
+	got, err := readText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +57,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +72,7 @@ func TestBinaryRoundTripEmpty(t *testing.T) {
 	if err := WriteBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestBinaryCompactOnSequential(t *testing.T) {
 
 func TestReadTextParsesMetadata(t *testing.T) {
 	in := "# busenc trace v1\n# name: hello\n# width: 24\nI 400000\nR ff\n\nW 10\n"
-	s, err := ReadText(strings.NewReader(in))
+	s, err := readText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +128,8 @@ func TestReadTextErrors(t *testing.T) {
 		"# width: 64\nI 1ffffffffffffffff\n", // overflows even at full width
 	}
 	for _, in := range cases {
-		if _, err := ReadText(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadText(%q) succeeded, want error", in)
+		if _, err := readText(strings.NewReader(in)); err == nil {
+			t.Errorf("readText(%q) succeeded, want error", in)
 		}
 	}
 }
@@ -137,7 +145,7 @@ func TestReadTextErrorPositions(t *testing.T) {
 	if !strings.Contains(err.Error(), "prog.trace:3:") {
 		t.Errorf("error %q does not carry file:line position", err)
 	}
-	_, err = ReadText(strings.NewReader(in))
+	_, err = readText(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("anonymous reader error %q does not carry line number", err)
 	}
@@ -150,14 +158,14 @@ func TestReadTextErrorPositions(t *testing.T) {
 }
 
 func TestReadBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("NOPE"))); err == nil {
+	if _, err := readBinary(bytes.NewReader([]byte("NOPE"))); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader([]byte("BET"))); err == nil {
+	if _, err := readBinary(bytes.NewReader([]byte("BET"))); err == nil {
 		t.Error("truncated magic accepted")
 	}
 	// Version 2 is unknown.
-	if _, err := ReadBinary(bytes.NewReader([]byte{'B', 'E', 'T', 'R', 2, 32, 0, 0})); err == nil {
+	if _, err := readBinary(bytes.NewReader([]byte{'B', 'E', 'T', 'R', 2, 32, 0, 0})); err == nil {
 		t.Error("unknown version accepted")
 	}
 	// Truncated entry section.
@@ -167,7 +175,7 @@ func TestReadBinaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
+	if _, err := readBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
 	}
 }
@@ -175,7 +183,95 @@ func TestReadBinaryErrors(t *testing.T) {
 func TestBinaryRejectsBadKind(t *testing.T) {
 	// Handcraft: magic, v1, width 8, name "", count 1, kind 7, delta 0.
 	raw := []byte{'B', 'E', 'T', 'R', 1, 8, 0, 1, 7, 0}
-	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+	if _, err := readBinary(bytes.NewReader(raw)); err == nil {
 		t.Error("bad kind accepted")
+	}
+}
+
+// TestReadersAgreeOnWidths writes the same stream as text and as BETR
+// and reads it through every reader: OpenFile (the mmap decoder for
+// BETR, the buffered parser for text), OpenBinary over a plain reader,
+// OpenText, and IndexBETR plus NewMemRangeReader (the dist planner and
+// its workers). All of them accept it with the same entries, or all
+// refuse it: a width outside 1..64, or an address above the declared
+// width, which every codec's payload mask would otherwise truncate. An
+// address refusal is positioned at its entry (BETR) or line (text).
+func TestReadersAgreeOnWidths(t *testing.T) {
+	for _, tc := range []struct {
+		width int
+		addrs []uint64
+		want  string // substring of every refusal; "" accepts
+		entry int    // the refused entry, when an address is refused
+	}{
+		{0, []uint64{0, 0}, "bad width", 0},
+		{1, []uint64{0, 1, 1, 0}, "", 0},
+		{8, []uint64{0x10, 0xff, 0x40000000, 0x20}, "address 0x40000000 exceeds declared width 8", 2},
+		{8, []uint64{0x10, 0xff, 0x00, 0x20}, "", 0},
+		{64, []uint64{0, ^uint64(0), 1 << 63, 4}, "", 0},
+		{65, []uint64{0, 4}, "bad width", 0},
+		{200, []uint64{0, 4}, "bad width", 0},
+	} {
+		s := New("w", tc.width)
+		for i, a := range tc.addrs {
+			s.Append(a, Kind(i%3))
+		}
+		var bin, txt bytes.Buffer
+		if err := WriteBinary(&bin, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteText(&txt, s); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		open := map[string]func() (ChunkReader, error){
+			"OpenBinary": func() (ChunkReader, error) { return OpenBinary(bytes.NewReader(bin.Bytes()), "", nil) },
+			"OpenText":   func() (ChunkReader, error) { return OpenText(bytes.NewReader(txt.Bytes()), "", nil) },
+			"NewMemRangeReader": func() (ChunkReader, error) {
+				idx, err := IndexBETR(bin.Bytes(), "", 1)
+				if err != nil {
+					return nil, err
+				}
+				return NewMemRangeReader(bin.Bytes(), idx.Name, idx.Width, idx.Cuts[0], idx.Total, "", nil)
+			},
+		}
+		for name, data := range map[string][]byte{"bin": bin.Bytes(), "txt": txt.Bytes()} {
+			path := filepath.Join(dir, "w."+name)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			open["OpenFile/"+name] = func() (ChunkReader, error) {
+				r, closer, err := OpenFile(path, nil)
+				if err == nil {
+					t.Cleanup(func() { closer.Close() })
+				}
+				return r, err
+			}
+		}
+		for name, fn := range open {
+			label := fmt.Sprintf("width %d/%s", tc.width, name)
+			r, err := fn()
+			var got *Stream
+			if err == nil {
+				got, err = ReadAll(r)
+			}
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s: refused: %v", label, err)
+			case tc.want == "" && !streamsEqual(s, got):
+				t.Errorf("%s: read %+v, want %+v", label, got, s)
+			case tc.want != "" && err == nil:
+				t.Errorf("%s: accepted %d entries at width %d", label, got.Len(), got.Width)
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Errorf("%s: error %q, want %q", label, err, tc.want)
+			}
+			// WriteText puts three metadata lines before the entries.
+			pos := fmt.Sprintf("entry %d: ", tc.entry)
+			if strings.HasSuffix(name, "Text") || strings.HasSuffix(name, "txt") {
+				pos = fmt.Sprintf("%d: ", tc.entry+4)
+			}
+			if tc.entry > 0 && err != nil && !strings.Contains(err.Error(), pos) {
+				t.Errorf("%s: error %q not positioned at %q", label, err, pos)
+			}
+		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 //     memChunkReader.Next — chunks and entries parsed, parse errors
 //     (first occurrence only; sticky repeats are not recounted), and
 //     per-Next latency;
-//   - OpenMmap / OpenFile zero-copy routing — views opened, opens that
+//   - MapBytes / OpenFile zero-copy routing — views opened, opens that
 //     fell back to a heap read, and bytes currently mapped (raised on
 //     map, lowered on close).
 type traceMetrics struct {

@@ -20,7 +20,8 @@ import (
 // fallback; pipes and FIFOs keep the streaming fillBuf path.
 
 // errMmapUnsupported is returned by mapFile on platforms without an
-// mmap implementation; OpenMmap then falls back to reading the file.
+// mmap implementation; MapBytes then falls back to reading the file and
+// OpenFile to the buffered parser.
 var errMmapUnsupported = errors.New("trace: mmap not supported on this platform")
 
 // memChunkReader streams the binary trace format out of an in-memory
@@ -43,16 +44,13 @@ type memChunkReader struct {
 	err       error
 }
 
-// NewMemReader returns a streaming reader decoding a binary-format
+// newMemReader returns a streaming reader decoding a binary-format
 // trace directly from data, which must start with the "BETR" magic.
 // The header is parsed eagerly (Name, Width, EntryCount valid on
 // return). data is aliased, not copied: it must stay valid and
 // unmodified until the reader is done. file positions errors and may
-// be empty; a nil pool selects the shared default pool.
-func NewMemReader(data []byte, file string, pool *ChunkPool) (ChunkReader, error) {
-	return newMemReader(data, file, pool, false)
-}
-
+// be empty; a nil pool selects the shared default pool. mapped marks
+// an mmap'd view.
 func newMemReader(data []byte, file string, pool *ChunkPool, mapped bool) (*memChunkReader, error) {
 	m := &memChunkReader{data: data, file: file, pool: orDefaultPool(pool), mapped: mapped}
 	if err := m.readHeader(); err != nil {
@@ -134,7 +132,9 @@ func (m *memChunkReader) readHeader() error {
 	if ver != 1 {
 		return m.ctx("unsupported version %d", ver)
 	}
-	m.width = int(m.data[m.pos+1])
+	if m.width = int(m.data[m.pos+1]); m.width == 0 || m.width > 64 {
+		return m.ctx("bad width %d", m.width)
+	}
 	m.pos += 2
 	nameLen, err := m.uvarint()
 	if err != nil {
@@ -202,16 +202,21 @@ func (m *memChunkReader) next() (*Chunk, error) {
 		prev += delta
 		ch.append(prev, kind)
 	}
+	if i := firstOverWidth(ch.Addrs, m.width); i >= 0 {
+		m.err = m.ctx("entry %d: address %#x exceeds declared width %d", entry+uint64(i), ch.Addrs[i], m.width)
+		ch.Release()
+		return nil, m.err
+	}
 	m.pos = pos
 	m.prev = prev
 	m.remaining -= n
 	return ch, nil
 }
 
-// mappedCloser tears down an OpenMmap view: unmap (when mapped) then
-// close the file. Closing while chunks from the reader are still being
-// consumed is a use-after-unmap on the mapped variant — callers keep
-// the OpenFile contract of closing only when done reading.
+// mappedCloser tears down a MapBytes or OpenFile view: unmap (when
+// mapped) then close the file. Closing while chunks from the reader are
+// still being consumed is a use-after-unmap on the mapped variant —
+// callers keep the OpenFile contract of closing only when done reading.
 type mappedCloser struct {
 	data  []byte
 	unmap bool
@@ -232,51 +237,4 @@ func (c *mappedCloser) Close() error {
 		c.f = nil
 	}
 	return err
-}
-
-// OpenMmap opens a binary-format trace file through the zero-copy
-// in-memory decoder: the file is memory-mapped where the platform
-// supports it and read fully into memory otherwise (the portable
-// fallback — same decoder, heap-backed view). The file must be a
-// regular file holding a BETR trace; use OpenFile for pipes, FIFOs or
-// format sniffing. The returned Closer unmaps and closes the file and
-// must be called only after the last chunk has been consumed.
-func OpenMmap(path string, pool *ChunkPool) (ChunkReader, io.Closer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if !st.Mode().IsRegular() {
-		f.Close()
-		return nil, nil, fmt.Errorf("trace: %s: not a regular file; use OpenFile for streaming input", path)
-	}
-	if data, err := mapFile(f, st.Size()); err == nil {
-		mr, err := newMemReader(data, path, pool, true)
-		if err != nil {
-			unmapFile(data)
-			f.Close()
-			return nil, nil, err
-		}
-		recordMmapOpen(int64(len(data)), false)
-		return mr, &mappedCloser{data: data, unmap: true, f: f}, nil
-	}
-	// mmap failed (unsupported platform, empty file, exotic fs): read
-	// the whole file and decode from the heap buffer. The file can be
-	// closed right away — the buffer owns the bytes now.
-	data, err := io.ReadAll(f)
-	f.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	mr, err := newMemReader(data, path, pool, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	recordMmapOpen(int64(len(data)), true)
-	return mr, &mappedCloser{}, nil
 }

@@ -4,7 +4,7 @@ package trace
 
 import "os"
 
-// No mmap on this platform: OpenMmap's read-into-memory fallback and
+// No mmap on this platform: MapBytes' read-into-memory fallback and
 // OpenFile's streaming path carry the load instead.
 func mapFile(f *os.File, size int64) ([]byte, error) { return nil, errMmapUnsupported }
 

@@ -52,14 +52,14 @@ func TestNewMemReaderParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Small pool: many chunk boundaries inside the decode loop.
-		r, err := NewMemReader(buf.Bytes(), "mem", NewChunkPool(17))
+		r, err := newMemReader(buf.Bytes(), "mem", NewChunkPool(17), false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Name() != s.Name || r.Width() != s.Width {
 			t.Fatalf("header mismatch: %q/%d vs %q/%d", r.Name(), r.Width(), s.Name, s.Width)
 		}
-		if n, ok := r.(entryCounter).EntryCount(); !ok || n != uint64(len(s.Entries)) {
+		if n, ok := r.EntryCount(); !ok || n != uint64(len(s.Entries)) {
 			t.Fatalf("EntryCount = %d,%v; want %d,true", n, ok, len(s.Entries))
 		}
 		got, err := ReadAll(r)
@@ -72,14 +72,19 @@ func TestNewMemReaderParity(t *testing.T) {
 	}
 }
 
+// TestOpenMmapParity: OpenFile maps a regular BETR file and decodes it
+// from the view, and its Closer unmaps once however often it is called.
 func TestOpenMmapParity(t *testing.T) {
 	s := randomStream(3000, 12)
 	path := writeBinaryFile(t, s)
-	r, closer, err := OpenMmap(path, nil)
+	r, closer, err := OpenFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closer.Close()
+	if m, ok := r.(*memChunkReader); !ok || !m.mapped {
+		t.Fatalf("OpenFile on a regular binary file returned %T, want a mapped *memChunkReader", r)
+	}
 	got, err := ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +148,11 @@ func TestOpenFileTextStaysBuffered(t *testing.T) {
 }
 
 func TestOpenMmapRejectsNonRegular(t *testing.T) {
-	if _, _, err := OpenMmap(t.TempDir(), nil); err == nil {
-		t.Fatal("OpenMmap on a directory succeeded")
+	if _, _, err := MapBytes(t.TempDir()); err == nil {
+		t.Fatal("MapBytes on a directory succeeded")
+	}
+	if _, _, err := OpenFile(t.TempDir(), nil); err == nil {
+		t.Fatal("OpenFile on a directory succeeded")
 	}
 }
 
@@ -156,15 +164,15 @@ func TestNewMemReaderErrors(t *testing.T) {
 	}
 	whole := buf.Bytes()
 
-	if _, err := NewMemReader([]byte("nope"), "f", nil); err == nil || !strings.Contains(err.Error(), "bad magic") {
+	if _, err := newMemReader([]byte("nope"), "f", nil, false); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Errorf("bad magic: got %v", err)
 	}
-	if _, err := NewMemReader(whole[:2], "f", nil); err == nil {
+	if _, err := newMemReader(whole[:2], "f", nil, false); err == nil {
 		t.Error("truncated magic accepted")
 	}
 	// Truncate inside the entry payload: the header parses, decoding
 	// fails at some entry with a positioned error.
-	r, err := NewMemReader(whole[:len(whole)-3], "f", nil)
+	r, err := newMemReader(whole[:len(whole)-3], "f", nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestNewMemReaderErrors(t *testing.T) {
 	bad := append([]byte(nil), whole...)
 	hdrEnd := len(whole) - binaryPayloadLen(s)
 	bad[hdrEnd] = 0x7F
-	r, err = NewMemReader(bad, "f", nil)
+	r, err = newMemReader(bad, "f", nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +194,7 @@ func TestNewMemReaderErrors(t *testing.T) {
 	// Bad kind byte in front of a one-byte delta, which the in-line path
 	// would otherwise decode.
 	bad = oneByteBadKind(t)
-	r, err = NewMemReader(bad, "f", nil)
+	r, err = newMemReader(bad, "f", nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +258,7 @@ func BenchmarkMemReaderNext(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewMemReader(data, "", nil)
+		r, err := newMemReader(data, "", nil, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,14 +268,25 @@ func BenchmarkMemReaderNext(b *testing.B) {
 	}
 }
 
+// TestOpenMmapZeroLengthFile: a zero-length file cannot be mapped, so
+// MapBytes falls back to an empty heap view, and planning over that
+// view refuses it with an error naming the file.
 func TestOpenMmapZeroLengthFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.betr")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := OpenMmap(path, nil)
+	data, closer, err := MapBytes(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if len(data) != 0 {
+		t.Fatalf("view of %d bytes, want 0", len(data))
+	}
+	_, err = HeaderBETR(data, path)
 	if err == nil {
-		t.Fatal("OpenMmap on a zero-length file succeeded")
+		t.Fatal("HeaderBETR over a zero-length file succeeded")
 	}
 	if !strings.Contains(err.Error(), path) {
 		t.Errorf("error %q does not name the file", err)
@@ -278,9 +297,10 @@ func TestOpenMmapZeroLengthFile(t *testing.T) {
 // with a positioned error — at open time when the header itself is cut,
 // at decode time when an entry's delta varint is — never panic. The
 // stream uses large address jumps so every delta varint is multi-byte
-// and a one-byte truncation lands inside one.
+// and a one-byte truncation lands inside one; the width holds the
+// largest address, about 2^50.
 func TestOpenMmapTruncatedMidVarint(t *testing.T) {
-	s := New("wide", 48)
+	s := New("wide", 52)
 	for i := 0; i < 64; i++ {
 		s.Append(uint64(i)*0x1234_5678_9ABC, Instr)
 	}
@@ -302,7 +322,7 @@ func TestOpenMmapTruncatedMidVarint(t *testing.T) {
 		if err := os.WriteFile(path, whole[:tc.keep], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, closer, err := OpenMmap(path, nil)
+		r, closer, err := OpenFile(path, nil)
 		if err == nil {
 			// Header parsed; the truncation must surface while decoding.
 			_, err = ReadAll(r)

@@ -129,8 +129,12 @@ func HeaderBETR(data []byte, file string) (*BETRIndex, error) {
 // NewMemRangeReader returns a streaming reader over n entries of a BETR
 // byte view starting at cut (as planned by IndexBETR over the same
 // view). name and width come from the BETRIndex; data is aliased, not
-// copied, and must stay valid until the reader is done.
+// copied, and must stay valid until the reader is done. Like the
+// header readers, it refuses addresses above width.
 func NewMemRangeReader(data []byte, name string, width int, cut RangeCut, n int64, file string, pool *ChunkPool) (ChunkReader, error) {
+	if width <= 0 || width > 64 {
+		return nil, fmt.Errorf("trace: range reader: bad width %d", width)
+	}
 	if cut.Off < 0 || cut.Off > int64(len(data)) {
 		return nil, fmt.Errorf("trace: range cut at byte %d of a %d-byte view", cut.Off, len(data))
 	}
@@ -154,8 +158,8 @@ func NewMemRangeReader(data []byte, name string, width int, cut RangeCut, n int6
 // where the platform supports it, read fully into memory otherwise.
 // The Closer unmaps and closes the file and must be called only after
 // the view is no longer referenced. It is the raw-bytes sibling of
-// OpenMmap for callers — like the shard planner — that need the view
-// itself, not a decoder over it.
+// OpenFile's mmap path for callers — like the shard planner — that need
+// the view itself, not a decoder over it.
 func MapBytes(path string) ([]byte, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 // bounded by the chunk pool no matter how large the trace is, and the
 // per-entry path performs no allocations (no bufio.Scanner, no string
 // conversion, no fmt). OpenFile sniffs the format from the first bytes.
-// The materializing ReadText/ReadBinary in io.go are thin wrappers that
-// drain these readers.
+// The materializing ReadTextNamed/ReadBinaryNamed in io.go are thin
+// wrappers that drain these readers.
 
 // textChunkReader streams the text trace format (see io.go).
 type textChunkReader struct {
@@ -23,6 +23,7 @@ type textChunkReader struct {
 	width  int
 	mask   uint64
 	pool   *ChunkPool
+	begun  bool  // an entry has been parsed: the width is fixed
 	chunks int   // chunks returned so far, for span attribution
 	err    error // sticky terminal state (io.EOF or a parse error)
 }
@@ -50,6 +51,30 @@ func widthMask(w int) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(1)<<uint(w) - 1
+}
+
+// firstOverWidth returns the index of the first address in addrs with a
+// bit at or above width, or -1 when all of them fit. The BETR decoders
+// check each decoded chunk with it: one OR over the chunk keeps the
+// check out of their per-entry varint loops.
+func firstOverWidth(addrs []uint64, width int) int {
+	if width >= 64 {
+		return -1
+	}
+	mask := widthMask(width)
+	var or uint64
+	for _, a := range addrs {
+		or |= a
+	}
+	if or&^mask == 0 {
+		return -1
+	}
+	for i, a := range addrs {
+		if a&^mask != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // readHeader consumes the leading run of blank and comment lines —
@@ -97,6 +122,9 @@ func (t *textChunkReader) meta(line []byte) error {
 		if !ok || w == 0 || w > 64 {
 			return t.posErr("bad width %q", trimSpace(rest[len("width:"):]))
 		}
+		if t.begun && int(w) != t.width {
+			return t.posErr("width changes from %d to %d after the first entry", t.width, w)
+		}
 		t.width = int(w)
 		t.mask = widthMask(t.width)
 	}
@@ -142,6 +170,7 @@ func (t *textChunkReader) entry(line []byte, ch *Chunk) error {
 	if addr&^t.mask != 0 {
 		return t.posErr("address %#x exceeds declared width %d", addr, t.width)
 	}
+	t.begun = true
 	ch.append(addr, k)
 	return nil
 }
@@ -252,6 +281,9 @@ func (b *binaryChunkReader) readHeader() error {
 	if err != nil {
 		return b.ctx("reading width: %v", err)
 	}
+	if widthB == 0 || widthB > 64 {
+		return b.ctx("bad width %d", widthB)
+	}
 	nameLen, err := b.f.readUvarint()
 	if err != nil {
 		return b.ctx("reading name length: %v", err)
@@ -324,6 +356,11 @@ func (b *binaryChunkReader) next() (*Chunk, error) {
 		}
 		prev += uint64(delta)
 		ch.append(prev, Kind(kb))
+	}
+	if i := firstOverWidth(ch.Addrs, b.width); i >= 0 {
+		b.err = b.ctx("entry %d: address %#x exceeds declared width %d", entry+uint64(i), ch.Addrs[i], b.width)
+		ch.Release()
+		return nil, b.err
 	}
 	b.prev = prev
 	b.remaining -= n
