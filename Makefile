@@ -3,7 +3,8 @@
 # short fuzz smoke of the trace parsers, a span-tracing smoke of the
 # observability exporter, the distributed-sweep smoke, the multi-tenant
 # service smoke (a real daemon under 32-tenant load with a SIGTERM
-# drain), and one timed pass of the headline evaluation benchmark.
+# drain), and one timed pass of the headline evaluation benchmark and of
+# the codec kernel benchmarks.
 # `make benchguard` is the separate regression gate: it regenerates the
 # benchmark records and fails if they fall outside the committed
 # records' tolerance bands. The CI workflow fans these out as separate
@@ -54,7 +55,7 @@ test:
 # the fan-out is the only concurrent producer/consumer machinery in the
 # tree, and the pooled-chunk refcounts are easy to get subtly wrong. The
 # scalar batch kernels read each broadcast chunk's columns in place, next
-# to the plane group's and the T0-family group's workers, so the fan-out
+# to the delta group's and the T0-family group's workers, so the fan-out
 # tests run ten times over under the race detector;
 # TestEvaluateStreamingParity prices every registered codec there, per
 # line and in aggregate, against codec.Run.
@@ -177,8 +178,13 @@ net-smoke:
 	$(GO) run ./cmd/tracecheck -mincover 0.95 -minprocs 3 .net-smoke/merged-trace.json
 	$(GO) run ./cmd/paper -benchdist .net-smoke/BENCH_dist.json
 
+# One timed pass of the headline evaluation benchmark, then one pass of
+# each kernel group against the kernels it replaces (the T0-family and
+# delta groups) and of working-zone's batch kernel alone, on 2^20-entry
+# muxed streams: a kernel that stops building or panics fails here.
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkTable4 -benchtime=1x .
+	$(GO) test -run=NONE -bench='SeqSet|DeltaSet|WorkZone' -benchtime=1x ./internal/codec
 
 # Regenerate the committed machine-readable benchmark records (see
 # README "Performance"). Every BENCH_<name>.json has one schema

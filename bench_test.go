@@ -384,10 +384,10 @@ func BenchmarkEncodeBatch(b *testing.B) {
 // BenchmarkStreamPipeline measures the single-pass streaming fan-out:
 // each iteration re-parses a serialized binary trace and prices a codec
 // set under the bounded-memory pipeline. "paper" is the seven paper
-// codecs (binary and gray share the plane group, the rest are scalar
-// workers); "plane" is the instr-plane set, all four plane codecs in
-// one group, so -cpu 1,2 shows what one transpose per block buys at
-// each core count. The serialization happens once, outside the timer;
+// codecs (binary, gray and businvert share the delta group, the T0
+// family its in-sequence group); "plane" is the instr-plane set, all
+// four plane codecs in the delta group, so -cpu 1,2 shows what one
+// group per stream buys at each core count. The serialization happens once, outside the timer;
 // with -benchmem, allocs/op should stay flat as the trace grows (pooled
 // chunks, bounded channels), unlike the materialize-then-run path.
 func BenchmarkStreamPipeline(b *testing.B) {

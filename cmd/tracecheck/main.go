@@ -13,6 +13,11 @@
 // Both gates are how the CI smoke tests assert the instrumentation
 // brackets the pipeline on every peer instead of leaving holes.
 //
+// Each lane also lists the summed span time of every codec label
+// (args.codec) in it and that label's share of the lane's labelled
+// time: in a -spantrace of the streaming fan-out, where the time of each
+// Pricer, a kernel group or a lone codec, went.
+//
 //	tracecheck spans.json                        # validate, report coverage
 //	tracecheck -mincover 0.95 spans.json         # fail if any lane is below 95%
 //	tracecheck -mincover 0.95 -minprocs 3 m.json # also require >= 3 pid lanes
@@ -35,6 +40,9 @@ type traceEvent struct {
 	Dur  float64 `json:"dur"`
 	Pid  int     `json:"pid"`
 	Tid  int     `json:"tid"`
+	Args struct {
+		Codec string `json:"codec"`
+	} `json:"args"`
 }
 
 type traceFile struct {
@@ -44,9 +52,18 @@ type traceFile struct {
 // laneReport summarizes one process lane (pid) of the trace.
 type laneReport struct {
 	Pid      int
-	Complete int     // ph "X" events in this lane
-	WallUs   float64 // lane window in microseconds
-	Coverage float64 // union of the lane's X events / lane window
+	Complete int         // ph "X" events in this lane
+	WallUs   float64     // lane window in microseconds
+	Coverage float64     // union of the lane's X events / lane window
+	Codecs   []codecTime // per codec label, most time first
+}
+
+// codecTime is one codec label's summed span time in a lane and its
+// share of the lane's labelled span time.
+type codecTime struct {
+	Codec string
+	Us    float64
+	Share float64
 }
 
 // report summarizes a validated file.
@@ -102,6 +119,7 @@ func check(raw []byte) (report, error) {
 	}
 	var all []ival
 	byPid := map[int][]ival{}
+	codecUs := map[int]map[string]float64{}
 	rep := report{Events: len(tf.TraceEvents)}
 	for i, ev := range tf.TraceEvents {
 		switch ev.Ph {
@@ -123,6 +141,12 @@ func check(raw []byte) (report, error) {
 		rep.Complete++
 		all = append(all, ival{ev.Ts, ev.Ts + ev.Dur})
 		byPid[ev.Pid] = append(byPid[ev.Pid], ival{ev.Ts, ev.Ts + ev.Dur})
+		if c := ev.Args.Codec; c != "" {
+			if codecUs[ev.Pid] == nil {
+				codecUs[ev.Pid] = map[string]float64{}
+			}
+			codecUs[ev.Pid][c] += ev.Dur
+		}
 	}
 	if rep.Complete == 0 {
 		return report{}, fmt.Errorf("no complete (\"X\") events")
@@ -136,9 +160,33 @@ func check(raw []byte) (report, error) {
 	for _, pid := range pids {
 		lane := laneReport{Pid: pid, Complete: len(byPid[pid])}
 		lane.WallUs, lane.Coverage = union(byPid[pid])
+		lane.Codecs = codecShares(codecUs[pid])
 		rep.Lanes = append(rep.Lanes, lane)
 	}
 	return rep, nil
+}
+
+// codecShares orders a lane's summed span time per codec label, most
+// time first (ties by label), with each label's share of their sum.
+func codecShares(us map[string]float64) []codecTime {
+	var out []codecTime
+	var total float64
+	for c, t := range us {
+		out = append(out, codecTime{Codec: c, Us: t})
+		total += t
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Us != out[j].Us {
+			return out[i].Us > out[j].Us
+		}
+		return out[i].Codec < out[j].Codec
+	})
+	for i := range out {
+		if total > 0 {
+			out[i].Share = out[i].Us / total
+		}
+	}
+	return out
 }
 
 func main() {
@@ -165,6 +213,10 @@ func main() {
 	for _, lane := range rep.Lanes {
 		fmt.Printf("tracecheck:   pid %d: %d spans, %.1f ms wall, %.1f%% covered\n",
 			lane.Pid, lane.Complete, lane.WallUs/1e3, lane.Coverage*100)
+		for _, c := range lane.Codecs {
+			fmt.Printf("tracecheck:     codec %s: %.1f ms, %.1f%% of the lane's codec span time\n",
+				c.Codec, c.Us/1e3, c.Share*100)
+		}
 	}
 	fail := false
 	if *minProcs > 0 && len(rep.Lanes) < *minProcs {

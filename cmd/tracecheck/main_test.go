@@ -196,3 +196,40 @@ func TestCheckRejections(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckCodecShares: each lane sums its spans' time per codec label,
+// most first, with each label's share of the lane's labelled time;
+// unlabelled spans count for coverage only, and labels stay in their
+// own lane.
+func TestCheckCodecShares(t *testing.T) {
+	raw := []byte(`{"traceEvents": [
+		{"name": "eval", "ph": "X", "ts": 0, "dur": 100, "pid": 1, "tid": 1},
+		{"name": "core.worker", "ph": "X", "ts": 0, "dur": 30, "pid": 1, "tid": 2, "args": {"codec": "binary+gray"}},
+		{"name": "core.worker", "ph": "X", "ts": 40, "dur": 30, "pid": 1, "tid": 2, "args": {"codec": "binary+gray"}},
+		{"name": "core.worker", "ph": "X", "ts": 10, "dur": 20, "pid": 1, "tid": 3, "args": {"codec": "workzone"}},
+		{"name": "core.worker", "ph": "X", "ts": 50, "dur": 20, "pid": 1, "tid": 4, "args": {"codec": "adaptive"}},
+		{"name": "dist.codec_price", "ph": "X", "ts": 5, "dur": 8, "pid": 2, "tid": 1, "args": {"codec": "workzone"}}
+	]}`)
+	rep, err := check(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]codecTime{
+		{{"binary+gray", 60, 0.6}, {"adaptive", 20, 0.2}, {"workzone", 20, 0.2}},
+		{{"workzone", 8, 1}},
+	}
+	if len(rep.Lanes) != len(want) {
+		t.Fatalf("%d lanes, want %d", len(rep.Lanes), len(want))
+	}
+	for i, lane := range rep.Lanes {
+		if len(lane.Codecs) != len(want[i]) {
+			t.Fatalf("pid %d: codecs %+v, want %+v", lane.Pid, lane.Codecs, want[i])
+		}
+		for j, c := range lane.Codecs {
+			w := want[i][j]
+			if c.Codec != w.Codec || c.Us != w.Us || math.Abs(c.Share-w.Share) > 1e-9 {
+				t.Errorf("pid %d codec %d: %+v, want %+v", lane.Pid, j, c, w)
+			}
+		}
+	}
+}

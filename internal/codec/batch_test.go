@@ -148,10 +148,38 @@ type batchCase struct {
 	restore State
 }
 
+// zoneRunStream is the working-zone walk's fixture: runs of one address
+// step from near the bases of overlapping zones and from just under the
+// payload width's top, so a run wraps there. The steps are 0, the
+// stride, odd steps below and at least 2^12 above every zone span the
+// cases use (which never hit), and descending; some runs climb into the
+// base of a zone another run left above them. Garbage rides above the
+// payload width.
+func zoneRunStream(n int) *trace.Stream {
+	rng := rand.New(rand.NewSource(23))
+	s := trace.New("fixture.zoneruns", 32)
+	bases := []uint64{0x1000_0000, 0x1000_0040, 0x1000_0100, 0x1000_0180, 0x2000_0000, 0xffff_ff80}
+	steps := []uint64{0, 4, 4, 4, 1, 3, 12, 40, 1 << 12, 1 << 13, ^uint64(3)}
+	for s.Len() < n {
+		a := bases[rng.Intn(len(bases))] + uint64(rng.Intn(96))
+		d := steps[rng.Intn(len(steps))]
+		kind := trace.Kind(rng.Intn(3))
+		for k := 1 + rng.Intn(90); k > 0 && s.Len() < n; k-- {
+			s.Append(a|uint64(rng.Intn(4))<<40, kind)
+			a += d
+		}
+	}
+	return s
+}
+
 // batchCases is every registered codec at its defaults (beach trained
 // on train), plus the working-zone and adaptive shapes the defaults do
-// not reach, and a restored working-zone state with tied ages and a
-// register above the payload mask, which no address may match.
+// not reach (working-zone's 2, 4 and 128 zones, the last past the
+// 64-zone mask word), and restored working-zone states: tied ages with
+// overlapping zones and a register above the payload mask, which no
+// address may match; and zones whose bases lie above the registers
+// after them, so a run that climbs from a later zone reaches an
+// earlier one.
 func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 	var out []batchCase
 	for _, name := range Names() {
@@ -160,8 +188,8 @@ func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 	if b := MustNew("beach", 32, Options{Train: train}).(*Beach); len(b.Pairs()) == 0 {
 		t.Fatal("beach: training selected no pairs; the trained kernel is not exercised")
 	}
-	for _, zones := range []int{2, 8, 128} {
-		for _, zb := range []int{4, 12} {
+	for _, zones := range []int{2, 4, 8, 128} {
+		for _, zb := range []int{4, 8, 12} {
 			out = append(out, batchCase{
 				label: fmt.Sprintf("workzone/zones=%d/bits=%d", zones, zb),
 				c:     MustNew("workzone", 32, Options{Zones: zones, ZoneBits: zb}),
@@ -183,6 +211,15 @@ func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 			prev: 0x10000040,
 		},
 	})
+	out = append(out, batchCase{
+		label: "workzone/earlier-zone",
+		c:     MustNew("workzone", 32, Options{}),
+		restore: wzState{
+			regs: []uint64{0x10000100, 0x10000000, 0x1_1000_0080, 0x10000180},
+			age:  []int{3, 0, 1, 2},
+			prev: 0x10000008,
+		},
+	})
 	return out
 }
 
@@ -198,7 +235,15 @@ func TestBatchEncoderMatchesScalar(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		low.Append(uint64(i*i%1021), trace.Kind(i%3))
 	}
-	streams := []*trace.Stream{muxed, hotSetStream(3 * (runChunk + 3500)), low}
+	// A run that hits zone 1 of the earlier-zone state and climbs into
+	// zone 0's base, then one that reaches zone 3's, then the walk's
+	// fixture.
+	climb := trace.New("fixture.climb", 32)
+	for a := uint64(0x10000010); a < 0x10000300; a += 8 {
+		climb.Append(a, trace.Instr)
+	}
+	climb.Entries = append(climb.Entries, zoneRunStream(20000).Entries...)
+	streams := []*trace.Stream{muxed, hotSetStream(3 * (runChunk + 3500)), low, climb}
 	chunkLens := []int{1000, 0, 1, 7, runChunk, 777, 64, runChunk + 1, 1777}
 	for _, tc := range batchCases(t, muxed.Slice(0, 1000)) {
 		for _, s := range streams {
@@ -289,4 +334,26 @@ func TestRunFastDetectsMismatch(t *testing.T) {
 	if _, err := RunFast(c, s, RunOpts{Verify: VerifyNone}); err != nil {
 		t.Errorf("VerifyNone should not decode at all: %v", err)
 	}
+}
+
+// BenchmarkWorkZone times working-zone's EncodeBatch alone, its batch
+// kernel without bus.Accumulate, on a 2^20-entry muxed stream in
+// 4096-entry chunks: the kernel the streaming fan-out, RunFast and the
+// dist workers run for the codec.
+func BenchmarkWorkZone(b *testing.B) {
+	s := seqMuxed(1 << 20)
+	addrs := make([]uint64, s.Len())
+	kinds := make([]trace.Kind, s.Len())
+	for i, e := range s.Entries {
+		addrs[i], kinds[i] = e.Addr, e.Kind
+	}
+	words := make([]uint64, runChunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		be := AsBatch(MustNew("workzone", 32, Options{}).NewEncoder())
+		for base := 0; base < len(addrs); base += runChunk {
+			be.EncodeBatch(addrs[base:base+runChunk], kinds[base:base+runChunk], words)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(addrs)), "ns/entry")
 }

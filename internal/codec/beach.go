@@ -170,6 +170,41 @@ func (e beachEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	}
 }
 
+// deltaStride implements deltaCodec: the XOR network predicts nothing.
+func (b *Beach) deltaStride() uint64 { return 0 }
+
+// deltaSlot implements deltaCodec: untrained, the network is the
+// identity and prices as binary; trained, priceDelta prices it.
+func (b *Beach) deltaSlot() int {
+	if len(b.pairs) == 0 {
+		return slotBin
+	}
+	return slotOwn
+}
+
+// priceDelta implements deltaPricer for a trained network; the delta
+// group prices the untrained one, the identity, as binary. The network
+// is linear, so the words of a and prev differ in the network applied
+// to a ^ prev.
+func (b *Beach) priceDelta(addrs []uint64, prev uint64, r *deltaRun) {
+	mask, pairs := b.mask, b.pairs
+	total, mx := 0, r.max
+	for _, a := range addrs {
+		a &= mask
+		x := a ^ prev
+		d := x
+		for _, p := range pairs {
+			d ^= (x >> uint(p.Src) & 1) << uint(p.Dst)
+		}
+		c := bits.OnesCount64(d)
+		total += c
+		mx = max(mx, c)
+		prev = a
+	}
+	r.transitions += int64(total)
+	r.max, r.last = mx, beachEnd{b}.transform(prev)
+}
+
 // Snapshot implements StateCodec; the XOR network is stateless.
 func (e beachEnd) Snapshot() State { return nil }
 

@@ -72,3 +72,9 @@ func (e binaryEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 func (b *Binary) EncodePlanes(blk *PlaneBlock, _ *[64]uint64) (*[64]uint64, uint64) {
 	return blk.A, blk.Last & b.mask
 }
+
+// deltaStride implements deltaCodec: the identity code predicts nothing.
+func (b *Binary) deltaStride() uint64 { return 0 }
+
+// deltaSlot implements deltaCodec: a cycle costs popcount(a ^ prev).
+func (b *Binary) deltaSlot() int { return slotBin }

@@ -163,6 +163,55 @@ func (e *biEncoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	e.prev = prev
 }
 
+// deltaStride implements deltaCodec: bus-invert predicts nothing.
+func (bi *BusInvert) deltaStride() uint64 { return 0 }
+
+// deltaSlot implements deltaCodec: the delta group's XOR pass prices the
+// classic code, priceDelta the partitioned one.
+func (bi *BusInvert) deltaSlot() int {
+	if len(bi.groups) == 1 {
+		return slotInv
+	}
+	return slotOwn
+}
+
+// priceDelta implements deltaPricer for the partitioned code; the
+// delta group's XOR pass prices the classic one. Each partition prices
+// as the classic code does (DeltaSet.xorPass): with b of its N lines
+// toggling, min(b, N+1-b), whichever polarity its INV line held.
+func (bi *BusInvert) priceDelta(addrs []uint64, prev uint64, r *deltaRun) {
+	mask := bus.Mask(bi.width)
+	inv := r.last &^ mask // the INV lines
+	total, mx := 0, r.max
+	for _, a := range addrs {
+		a &= mask
+		x, c := a^prev, 0
+		for _, g := range bi.groups {
+			b, h := bits.OnesCount64(x&g.mask), g.width+1
+			c += min(b, h-b)
+			bit := uint64(1) << g.invBit
+			inv = inv ^ bit&-b2u(2*b > h) | bit&-b2u(2*b == h)
+		}
+		total += c
+		mx = max(mx, c)
+		prev = a
+	}
+	r.transitions += int64(total)
+	r.max, r.last = mx, bi.word(prev, inv)
+}
+
+// word is the bus word that sends payload a with the INV lines inv
+// raised: the lines of each raised partition inverted.
+func (bi *BusInvert) word(a, inv uint64) uint64 {
+	w := a | inv
+	for _, g := range bi.groups {
+		if inv>>g.invBit&1 != 0 {
+			w ^= g.mask
+		}
+	}
+	return w
+}
+
 type biDecoder struct{ bi *BusInvert }
 
 func (d biDecoder) Decode(word uint64, _ bool) uint64 {

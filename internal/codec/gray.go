@@ -129,6 +129,13 @@ func (g *Gray) EncodePlanes(blk *PlaneBlock, scratch *[64]uint64) (*[64]uint64, 
 	return scratch, (ToGray(la>>g.shift) << g.shift) | (la & g.lowMask)
 }
 
+// deltaStride implements deltaCodec.
+func (g *Gray) deltaStride() uint64 { return g.stride }
+
+// deltaSlot implements deltaCodec. The code is linear over XOR, so the
+// words of a and prev differ in the code of their XOR.
+func (g *Gray) deltaSlot() int { return slotGray }
+
 // ToGray converts a binary value to its reflected Gray code.
 func ToGray(b uint64) uint64 { return b ^ (b >> 1) }
 

@@ -143,6 +143,12 @@ func (x *IncXor) EncodePlanes(blk *PlaneBlock, scratch *[64]uint64) (*[64]uint64
 	return scratch, addr ^ pred
 }
 
+// deltaStride implements deltaCodec.
+func (x *IncXor) deltaStride() uint64 { return x.stride }
+
+// deltaSlot implements deltaCodec: each word is a ^ (prev + S).
+func (x *IncXor) deltaSlot() int { return slotIncXor }
+
 // incXorState is the Snapshot payload of the shared INC-XOR end.
 type incXorState struct {
 	prev  uint64

@@ -97,6 +97,12 @@ func (o *Offset) EncodePlanes(blk *PlaneBlock, scratch *[64]uint64) (*[64]uint64
 	return scratch, (blk.Last - blk.Prev2) & o.mask
 }
 
+// deltaStride implements deltaCodec: the difference needs no stride.
+func (o *Offset) deltaStride() uint64 { return 0 }
+
+// deltaSlot implements deltaCodec: each word is a - prev.
+func (o *Offset) deltaSlot() int { return slotOff }
+
 type offsetDecoder struct {
 	o    *Offset
 	prev uint64

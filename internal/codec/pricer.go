@@ -22,28 +22,32 @@ import (
 // PlaneSet that never materializes encoded words; otherwise its own
 // BatchEncoder reads the chunk's address and kind columns as they are,
 // and bus.Accumulate counts the words. NewPricers also groups a list:
-// every plane-routed codec goes into one Pricer, so each 64-address
-// block is transposed once for all of them, and two or more T0-family
-// codecs (t0, t0bi, dualt0, dualt0bi) of one width and stride go into
-// one SeqSet Pricer, so each block's in-sequence masks are built once
-// for all of them and no word is encoded. A lone T0-family codec,
-// KernelScalar (the A/B control) and VerifyFull (which decodes every
-// word) keep the batch kernels. Every codec keeps its own bus and its
-// own verify lane: decode verification follows a budget fixed at
-// construction — every entry under VerifyFull, the first
-// VerifySampleLen under VerifySampled. Only entries under the budget
+// two or more delta codecs (binary, gray, offset, incxor, businvert,
+// beach) of one width and stride go into one DeltaSet Pricer, priced
+// from address deltas with no word encoded, unless per-line counts are
+// asked for; every plane-routed codec left goes into one Pricer, so
+// each 64-address block is transposed once for all of them; and two or
+// more T0-family codecs (t0, t0bi, dualt0, dualt0bi) of one width and
+// stride go into one SeqSet Pricer, so each block's in-sequence masks
+// are built once for all of them and no word is encoded. A lone group
+// codec, KernelScalar (the A/B control) and VerifyFull (which decodes
+// every word) keep the batch or plane kernels. Every codec keeps its
+// own bus and its own verify lane: decode verification follows a
+// budget fixed at construction — every entry under VerifyFull, the
+// first VerifySampleLen under VerifySampled. Only entries under the budget
 // become Symbols; a group replays them through a scalar encoder per
 // codec.
 
-// Pricer prices one codec, or a group of plane-routed or T0-family
-// codecs, over one contiguous run of a stream, fed in order by any mix
-// of ConsumeEntries and Consume calls. Not safe for concurrent use;
-// build one per goroutine.
+// Pricer prices one codec, or a group of delta, plane-routed or
+// T0-family codecs, over one contiguous run of a stream, fed in order
+// by any mix of ConsumeEntries and Consume calls. Not safe for
+// concurrent use; build one per goroutine.
 type Pricer struct {
 	enc   Encoder      // the batch kernel's encoder; nil on a group
 	be    BatchEncoder // enc's batch view
 	ps    *PlaneSet    // the plane group's kernel
 	ss    *SeqSet      // the T0-family group's kernel
+	ds    *DeltaSet    // the delta group's kernel
 	lanes []lane       // one per codec; the batch kernel has exactly one
 
 	// verifyLeft is the verify budget every lane still checks; Consume
@@ -85,30 +89,33 @@ func NewPricer(c Codec, opts RunOpts) (*Pricer, error) {
 }
 
 // NewPricers builds the Pricers that price codecs over one shared
-// stream, routing each codec as NewPricer does except that the T0
-// family groups: first one Pricer for every plane-routed codec
-// together, when there is any; then one SeqSet Pricer for each set of
-// two or more T0-family codecs that share payload width and stride,
-// under KernelAuto and short of VerifyFull (which needs every encoded
-// word); then one per remaining codec on its batch kernel, in list
-// order. Collect returns their results in list order.
+// stream, routing each codec as NewPricer does except that two kernel
+// families group. Under KernelAuto and short of VerifyFull (which needs
+// every encoded word): with PerLine off (per-line counts need the
+// words), two or more delta codecs (binary, gray, offset, incxor,
+// businvert, beach) of one payload width and stride go into one
+// DeltaSet Pricer each; and two or more T0-family codecs that share
+// payload width and stride go into one SeqSet Pricer each. Every
+// plane-routed codec left over goes into one Pricer together. The
+// Pricers come delta groups first, then the plane group, then the
+// in-sequence groups, then one per remaining codec on its batch kernel,
+// in list order. Collect returns their results in list order.
 func NewPricers(codecs []Codec, opts RunOpts) ([]*Pricer, error) {
 	var planes, batch []int
-	var seqs [][]int
+	var deltas, seqs [][]int
+	grouped := opts.Kernel == KernelAuto && opts.Verify != VerifyFull
 	for i, c := range codecs {
 		usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify)
 		if err != nil {
 			return nil, err
 		}
 		switch {
+		case grouped && !opts.PerLine && hasDeltaKernel(c):
+			deltas = join(deltas, codecs, i, sameDeltaGroup)
 		case usePlane:
 			planes = append(planes, i)
-		case opts.Kernel == KernelAuto && opts.Verify != VerifyFull && hasSeqKernel(c):
-			g := slices.IndexFunc(seqs, func(g []int) bool { return sameSeqGroup(codecs[g[0]], c) })
-			if g < 0 {
-				g, seqs = len(seqs), append(seqs, nil)
-			}
-			seqs[g] = append(seqs[g], i)
+		case grouped && hasSeqKernel(c):
+			seqs = join(seqs, codecs, i, sameSeqGroup)
 		default:
 			batch = append(batch, i)
 		}
@@ -121,7 +128,21 @@ func NewPricers(codecs []Codec, opts RunOpts) ([]*Pricer, error) {
 		}
 		return err
 	}
+	for _, g := range deltas {
+		if len(g) == 1 {
+			// A lone delta codec keeps the kernel it had without the
+			// group: the plane path for the plane codecs.
+			if HasPlaneKernel(codecs[g[0]]) {
+				planes = append(planes, g[0])
+			} else {
+				batch = append(batch, g[0])
+			}
+		} else if err := add(g, kernelDelta); err != nil {
+			return nil, err
+		}
+	}
 	if len(planes) > 0 {
+		slices.Sort(planes)
 		if err := add(planes, kernelPlane); err != nil {
 			return nil, err
 		}
@@ -142,14 +163,28 @@ func NewPricers(codecs []Codec, opts RunOpts) ([]*Pricer, error) {
 	return out, nil
 }
 
+// join adds codec i of list to the first group of gs, each a list of
+// positions in list, whose every codec it may share a kernel with
+// (same), or to a new group.
+func join(gs [][]int, list []Codec, i int, same func(a, b Codec) bool) [][]int {
+	for k, g := range gs {
+		if !slices.ContainsFunc(g, func(j int) bool { return !same(list[j], list[i]) }) {
+			gs[k] = append(g, i)
+			return gs
+		}
+	}
+	return append(gs, []int{i})
+}
+
 // kernel is what a Pricer prices with: one codec's batch kernel, or a
-// group's PlaneSet or SeqSet.
+// group's PlaneSet, SeqSet or DeltaSet.
 type kernel int
 
 const (
 	kernelBatch kernel = iota
 	kernelPlane
 	kernelSeq
+	kernelDelta
 )
 
 // newPricer builds a Pricer over the codecs at positions at of the
@@ -166,6 +201,8 @@ func newPricer(list []Codec, at []int, k kernel, opts RunOpts) (*Pricer, error) 
 		p.ps, err = NewPlaneSet(codecs, opts.PerLine)
 	case kernelSeq:
 		p.ss, err = NewSeqSet(codecs, opts.PerLine)
+	case kernelDelta:
+		p.ds, err = NewDeltaSet(codecs)
 	default:
 		p.enc = codecs[0].NewEncoder()
 		p.be = AsBatch(p.enc)
@@ -187,6 +224,8 @@ func newPricer(list []Codec, at []int, k kernel, opts RunOpts) (*Pricer, error) 
 			ln.b = p.ps.Bus(i)
 		case p.ss != nil:
 			ln.b = p.ss.Bus(i)
+		case p.ds != nil:
+			ln.b = p.ds.Bus(i)
 		case opts.PerLine:
 			ln.b = bus.New(c.BusWidth())
 		default:
@@ -208,8 +247,9 @@ func newPricer(list []Codec, at []int, k kernel, opts RunOpts) (*Pricer, error) 
 // recover the word the sequential run left on the bus and primes the
 // bus with it. A state belongs to one codec, so only a one-codec Pricer
 // takes one; a plane group seeds from bd.SeedSym, which every plane
-// codec can (they are all Seeders), and a T0-family group, none of whose
-// codecs is a Seeder, takes only bd.First. Past a cut a lane keeps
+// codec can (they are all Seeders), and so does a delta group of Seeder
+// codecs; a T0-family group, none of whose codecs is a Seeder, and a
+// delta group holding bus-invert take only bd.First. Past a cut a lane keeps
 // verifying only under VerifyFull with a seedable decoder, which rules
 // out the plane path; any other decoder would need the whole prefix.
 // bd.Base positions mismatch reports; for bd.First it is all Seed sets.
@@ -220,6 +260,9 @@ func (p *Pricer) Seed(bd Boundary) error {
 	}
 	if p.ss != nil {
 		return fmt.Errorf("codec %s: an in-sequence group prices from entry 0 only: a boundary state belongs to one codec", p.Name())
+	}
+	if p.ds != nil && !p.ds.seedable {
+		return fmt.Errorf("codec %s: a delta group with a prefix-dependent codec prices from entry 0 only: a boundary state belongs to one codec", p.Name())
 	}
 	if bd.State != nil && len(p.lanes) != 1 {
 		return fmt.Errorf("codec %s: a boundary state seeds a one-codec Pricer", p.Name())
@@ -267,9 +310,12 @@ func (p *Pricer) Seed(bd Boundary) error {
 	if !verifying {
 		p.verifyLeft = 0
 	}
-	if p.ps != nil {
+	switch {
+	case p.ps != nil:
 		p.ps.Prime(bd.Prev.Addr, words)
-	} else {
+	case p.ds != nil:
+		p.ds.Prime(bd.Prev.Addr, words)
+	default:
 		p.lanes[0].b.Prime(words[0])
 	}
 	return nil
@@ -326,7 +372,8 @@ func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
 
 // price runs one batch of at most runChunk entries: the batch kernel
 // encodes into words and counts them, a SeqSet prices the batch from
-// its masks (the plane path prices in the caller); then every lane
+// its masks and a DeltaSet from its address deltas (the plane path
+// prices in the caller); then every lane
 // spends the verify budget on the leading entries, building their
 // symbols inline (the plane path passes only those entries). A lane
 // that mismatches stops verifying while the others go on, so that once
@@ -340,6 +387,8 @@ func (p *Pricer) price(addrs []uint64, kinds []trace.Kind, words []uint64) error
 		p.lanes[0].b.Accumulate(words)
 	case p.ss != nil:
 		p.ss.Consume(addrs, kinds)
+	case p.ds != nil:
+		p.ds.Consume(addrs, kinds)
 	}
 	n := min(len(addrs), p.verifyLeft)
 	if n == 0 {

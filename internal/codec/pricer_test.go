@@ -81,8 +81,9 @@ func TestPricerSeedRejectsMismatchedState(t *testing.T) {
 	}
 }
 
-// failAfter is a plane-routed binary code whose decoder goes wrong at
-// entry at, so tests can place a mismatch anywhere in the stream.
+// failAfter is a binary code whose decoder goes wrong at entry at, so
+// tests can place a mismatch anywhere in the stream. It keeps binary's
+// group kernels: the delta group, and the plane group per line.
 type failAfter struct {
 	*Binary
 	name string
@@ -107,10 +108,11 @@ func (d *failingDecoder) Decode(word uint64, sel bool) uint64 {
 	return d.Decoder.Decode(word, sel)
 }
 
-// TestCollectReportsFirstFailureInListOrder: a plane group keeps
-// verifying its other codecs after one fails, so the reported failure
-// is the first failing codec in list order, as separate Pricers would
-// report it, not the first mismatch in stream order.
+// TestCollectReportsFirstFailureInListOrder: a delta group, and a
+// plane group per line, keeps verifying its other codecs after one
+// fails, so the reported failure is the first failing codec in list
+// order, as separate Pricers would report it, not the first mismatch in
+// stream order.
 func TestCollectReportsFirstFailureInListOrder(t *testing.T) {
 	s := planeTestStream(3000, 11)
 	bin, err := NewBinary(32)
@@ -118,24 +120,26 @@ func TestCollectReportsFirstFailureInListOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	codecs := []Codec{MustNew("t0", 32, Options{Stride: 4}), failAfter{bin, "late", 700}, failAfter{bin, "early", 30}}
-	ps, err := NewPricers(codecs, RunOpts{Verify: VerifySampled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 {
-		t.Fatalf("%d Pricers, want the plane group and t0", len(ps))
-	}
-	failed := make([]bool, len(ps))
-	for base := 0; base < s.Len(); base += 64 {
-		for k, p := range ps {
-			if !failed[k] {
-				failed[k] = p.ConsumeEntries(s.Entries[base:min(base+64, s.Len())]) != nil
+	for _, perLine := range []bool{false, true} {
+		ps, err := NewPricers(codecs, RunOpts{Verify: VerifySampled, PerLine: perLine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) != 2 {
+			t.Fatalf("perline=%v: %d Pricers, want the group and t0", perLine, len(ps))
+		}
+		failed := make([]bool, len(ps))
+		for base := 0; base < s.Len(); base += 64 {
+			for k, p := range ps {
+				if !failed[k] {
+					failed[k] = p.ConsumeEntries(s.Entries[base:min(base+64, s.Len())]) != nil
+				}
 			}
 		}
-	}
-	_, err = Collect(ps, s.Name)
-	if want := "codec late: round-trip mismatch at entry 700"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Collect error = %v, want %q", err, want)
+		_, err = Collect(ps, s.Name)
+		if want := "codec late: round-trip mismatch at entry 700"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("perline=%v: Collect error = %v, want %q", perLine, err, want)
+		}
 	}
 }
 
@@ -182,40 +186,71 @@ func fuzzStream(data []byte) *trace.Stream {
 // NewPricers grouping fed chunk by chunk through Consume, RunPlaneSet
 // over the set's plane codecs, and the distributed worker's
 // composition over the set's Seeder codecs: NewPricers + Seed + Consume
-// on each side of the cut, merged with bus.MergeSlots. Every path
-// counts per line or in aggregate as the fuzzer's perLine says.
+// on each side of the cut, merged with bus.MergeSlots; a group holding
+// a prefix-dependent codec must refuse that cut. Every path counts per
+// line or in aggregate as the fuzzer's perLine says. The fuzzer's shape
+// picks the codecs' width, stride and bus-invert partitions
+// (fuzzShapes).
 func FuzzPricingPaths(f *testing.F) {
-	codecs := allCodecs(f, 32)
-	var planeOnly, t0Family uint16
+	shapes := fuzzShapes()
+	codecs := shapes[0]
+	var planeOnly, t0Family, deltas, seeders uint16
 	for i, c := range codecs {
+		if b, ok := c.(*Beach); ok && len(b.Pairs()) == 0 {
+			f.Fatal("beach: training selected no pairs; the trained delta kernel is not fuzzed")
+		}
 		stream := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 0x80, 0xf4, 0x33, 0x41}
 		for j := 0; j < 40*i; j++ {
 			stream = append(stream, byte(j*29+i))
 		}
-		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3), uint16(0), true)
+		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3), uint16(0), true, uint8(0))
 		if HasPlaneKernel(c) {
 			planeOnly |= 1 << i
 		}
 		if hasSeqKernel(c) {
 			t0Family |= 1 << i
 		}
+		if hasDeltaKernel(c) {
+			deltas |= 1 << i
+		}
+		if _, ok := c.NewEncoder().(Seeder); ok {
+			seeders |= 1 << i
+		}
 	}
 	stream := make([]byte, 300)
 	for j := range stream {
 		stream[j] = byte(j*37 + 5)
 	}
-	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelPlane), uint8(VerifySampled), planeOnly, true)
+	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelPlane), uint8(VerifySampled), planeOnly, true, uint8(0))
 	// The seeded plane group under the auto kernel, cut mid-block.
-	f.Add(uint8(1), stream, uint16(50), uint16(130), uint8(KernelAuto), uint8(VerifySampled), planeOnly, true)
+	f.Add(uint8(1), stream, uint16(50), uint16(130), uint8(KernelAuto), uint8(VerifySampled), planeOnly, true, uint8(0))
 	// The T0 family's group, counting in aggregate and per line, in
 	// 40-entry chunks that split the 64-entry blocks.
-	f.Add(uint8(2), stream, uint16(39), uint16(70), uint8(KernelAuto), uint8(VerifySampled), t0Family, false)
-	f.Add(uint8(3), stream, uint16(39), uint16(70), uint8(KernelAuto), uint8(VerifyNone), t0Family, true)
+	f.Add(uint8(2), stream, uint16(39), uint16(70), uint8(KernelAuto), uint8(VerifySampled), t0Family, false, uint8(0))
+	f.Add(uint8(3), stream, uint16(39), uint16(70), uint8(KernelAuto), uint8(VerifyNone), t0Family, true, uint8(0))
 	// A stream that opens with data entries, so the dual codes start
 	// with no reference address.
 	dataFirst := append(bytes.Repeat([]byte{6, 7, 0x0e, 0x17}, 20), stream...)
-	f.Add(uint8(4), dataFirst, uint16(100), uint16(33), uint8(KernelAuto), uint8(VerifySampled), t0Family, false)
-	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8, rawSet uint16, perLine bool) {
+	f.Add(uint8(4), dataFirst, uint16(100), uint16(33), uint8(KernelAuto), uint8(VerifySampled), t0Family, false, uint8(0))
+	// The delta group in every shape: trained beach; odd widths, where
+	// bus-invert's tie 2b = N+1 falls; width 64; a stride that leaves
+	// Gray one line; bus-invert in 3 and 4 partitions. Then its Seeder
+	// codecs seeded at a cut mid-block, and bus-invert with binary, a
+	// group that must refuse the cut.
+	for shape := range shapes {
+		f.Add(uint8(5), stream, uint16(45), uint16(77), uint8(KernelAuto), uint8(VerifySampled), uint16(0), false, uint8(shape))
+	}
+	binaryInvert := uint16(0)
+	for i, c := range codecs {
+		if c.Name() == "binary" || c.Name() == "businvert" {
+			binaryInvert |= 1 << i
+		}
+	}
+	f.Add(uint8(6), stream, uint16(64), uint16(90), uint8(KernelAuto), uint8(VerifySampled), deltas, false, uint8(0))
+	f.Add(uint8(7), stream, uint16(30), uint16(101), uint8(KernelAuto), uint8(VerifyNone), deltas&seeders, false, uint8(0))
+	f.Add(uint8(8), stream, uint16(30), uint16(101), uint8(KernelAuto), uint8(VerifySampled), binaryInvert, false, uint8(0))
+	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8, rawSet uint16, perLine bool, shape uint8) {
+		codecs := shapes[int(shape)%len(shapes)]
 		c := codecs[int(ci)%len(codecs)]
 		s := fuzzStream(data)
 		n := s.Len()
@@ -320,9 +355,47 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 	for i, c := range planes {
 		sameResult(t, "RunPlaneSet/"+c.Name(), planeGot[i], planeWant[i], opts.PerLine)
 	}
-	if n := s.Len(); n >= 2 && len(seeders) > 0 {
-		fuzzSeededHalves(t, seeders, seederWant, s, 1+int(rawCut)%(n-1), chunkLen, opts)
+	if n := s.Len(); n >= 2 {
+		cut := 1 + int(rawCut)%(n-1)
+		if len(seeders) > 0 {
+			fuzzSeededHalves(t, seeders, seederWant, s, cut, chunkLen, opts)
+		}
+		ps, err := NewPricers(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			if p.ss != nil || p.ds != nil && !p.ds.seedable {
+				if err := p.Seed(Boundary{Prev: s.Entries[cut-1], Base: cut}); err == nil {
+					t.Fatalf("group %s: Seed at entry %d accepted; it holds a prefix-dependent codec", p.Name(), cut)
+				}
+			}
+		}
 	}
+}
+
+// fuzzShapes is FuzzPricingPaths' codec configurations: each is every
+// registered codec that builds at its payload width, stride and
+// bus-invert partition count, with beach trained on a muxed fixture.
+// 32 lines at stride 4 come first, then odd widths, width 64, a stride
+// whose shift is the width - 1, and partitioned bus-invert.
+func fuzzShapes() [][]Codec {
+	train := fixtureStreams(2000)[2]
+	var out [][]Codec
+	for _, sh := range []struct {
+		width  int
+		stride uint64
+		parts  int
+	}{{32, 4, 1}, {31, 4, 1}, {64, 4, 1}, {33, 1 << 32, 1}, {32, 4, 3}, {31, 1, 4}} {
+		var cs []Codec
+		for _, name := range Names() {
+			if c, err := New(name, sh.width, Options{Stride: sh.stride, Partitions: sh.parts, Train: train}); err == nil {
+				cs = append(cs, c)
+			}
+		}
+		out = append(out, cs)
+	}
+	return out
 }
 
 // fuzzSeededHalves prices the Seeder codecs over [0, cut) and [cut, n)

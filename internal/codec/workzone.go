@@ -210,6 +210,19 @@ func (e *wzEnd) Encode(s Symbol) uint64 {
 // and miss select their word and zone without a branch. Both scans take
 // the zones two at a time (zones is a power of two, at least 2). The
 // ages are written back at the end of the batch.
+//
+// A lane that hits zone z at offset d moves z's register to its
+// address, so a following lane at that address + d hits z at offset d
+// again and sends the same word, as long as z stays its first matching
+// zone. Such runs are walked, not priced lane by lane: a first pass
+// over each runChunk lanes marks the lanes whose address step repeats
+// the step before them (wzSteady), and after a hit whose next lane
+// repeats it, the marked lanes that follow repeat it too, short of the
+// lowest earlier zone base above the hit (wzLimit). The run writes the
+// word again and touches z once, at its last lane. A step equal to an
+// offset never wraps: the payload is at most 62 lines wide (HIT and the
+// index take the rest), so a wrapped step is at least 2^64 - 2^62, and
+// an offset is below 2^61.
 func (e *wzEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	w := e.w
 	mask, span, zoneMask := w.mask, uint64(1)<<uint(w.zoneBits), bus.Mask(w.zoneBits)
@@ -223,40 +236,115 @@ func (e *wzEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	first := regs[:min(zones, 64)]
 	now := 0
 	out = out[:len(addrs)]
-	for i, addr := range addrs {
-		addr &= mask
-		var hits uint64
-		for j := 0; j+1 < len(first); j += 2 {
-			hits |= (wzIn(addr, first[j], mask, span) | wzIn(addr, first[j+1], mask, span)<<1) << (j & 63)
-		}
-		idx := bits.TrailingZeros64(hits)
-		if zones > 64 && hits == 0 {
-			idx = wzMatch(regs, addr, mask, span)
-		}
-		worst, victim := -1, 0
-		for j := 0; j+1 < len(stamps); j += 2 {
-			a0, a1 := now-stamps[j], now-stamps[j+1]
-			if a0 > worst {
-				worst, victim = a0, j
+	var steady [runChunk / 64]uint64
+	for base := 0; base < len(addrs); base += runChunk {
+		seg := addrs[base:min(base+runChunk, len(addrs))]
+		dst := out[base : base+len(seg)]
+		wzSteady(seg, mask, &steady)
+		for i := 0; i < len(seg); i++ {
+			addr := seg[i] & mask
+			var hits uint64
+			for j := 0; j+1 < len(first); j += 2 {
+				hits |= (wzIn(addr, first[j], mask, span) | wzIn(addr, first[j+1], mask, span)<<1) << (j & 63)
 			}
-			if a1 > worst {
-				worst, victim = a1, j+1
+			idx := bits.TrailingZeros64(hits)
+			if zones > 64 && hits == 0 {
+				idx = wzMatch(regs, addr, mask, span)
+			}
+			worst, victim := -1, 0
+			for j := 0; j+1 < len(stamps); j += 2 {
+				a0, a1 := now-stamps[j], now-stamps[j+1]
+				if a0 > worst {
+					worst, victim = a0, j
+				}
+				if a1 > worst {
+					worst, victim = a1, j+1
+				}
+			}
+			off := addr - regs[idx&(zones-1)]
+			word := prev&^zoneMask | ToGray(off) | hitMask
+			hit := idx < zones
+			if !hit {
+				idx, word = victim, addr
+			}
+			word |= uint64(idx) << idxShift
+			now++
+			regs[idx], stamps[idx] = addr, now
+			prev = word & mask
+			dst[i] = word
+			// One branch, taken at a run's start: a hit whose next lane
+			// steps by the hit's offset.
+			next := seg[min(i+1, len(seg)-1)] & mask
+			if b2u(hit)&b2u(next-addr == off)&b2u(i+1 < len(seg)) == 0 {
+				continue
+			}
+			end := wzRunEnd(&steady, i+2, len(seg))
+			if lim := wzLimit(regs[:idx], addr); seg[end-1]&mask >= lim {
+				end = i + 1 + int((lim-1-addr)/off)
+			}
+			if k := i + 1; end-k <= 8 && k+8 <= len(dst) {
+				// Most runs are short: eight stores with no loop to leave,
+				// the ones past the run rewritten by the lanes they belong to.
+				d := dst[k : k+8 : k+8]
+				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = word, word, word, word, word, word, word, word
+			} else {
+				for ; k < end; k++ {
+					dst[k] = word
+				}
+			}
+			if end > i+1 {
+				now += end - i - 1
+				regs[idx], stamps[idx] = seg[end-1]&mask, now
+				i = end - 1
 			}
 		}
-		word := prev&^zoneMask | ToGray(addr-regs[idx&(zones-1)]) | hitMask
-		if idx >= zones {
-			idx, word = victim, addr
-		}
-		word |= uint64(idx) << idxShift
-		now++
-		regs[idx], stamps[idx] = addr, now
-		prev = word & mask
-		out[i] = word
 	}
 	for i, s := range stamps {
 		stamps[i] = now - s
 	}
 	e.prev = prev
+}
+
+// wzSteady marks the lanes of addrs, masked, whose step from the lane
+// before repeats that lane's step in steady, bit i%64 of word i/64:
+// a_i - a_{i-1} == a_{i-1} - a_{i-2}. Lanes 0 and 1 step from a zero
+// address before the batch; a run starts after a lane, so the walk
+// never reads their marks. At most runChunk lanes.
+func wzSteady(addrs []uint64, mask uint64, steady *[runChunk / 64]uint64) {
+	var a1, d1 uint64
+	for base := 0; base < len(addrs); base += 64 {
+		var m uint64
+		for i, a := range addrs[base:min(base+64, len(addrs))] {
+			a &= mask
+			d := a - a1
+			m |= b2u(d == d1) << (uint(i) & 63)
+			a1, d1 = a, d
+		}
+		steady[base/64&(len(steady)-1)] = m
+	}
+}
+
+// wzRunEnd is the first lane from lane at on that steady leaves
+// unmarked, or n, the lane count.
+func wzRunEnd(steady *[runChunk / 64]uint64, at, n int) int {
+	for at < n {
+		if free := ^steady[at/64&(len(steady)-1)] >> (uint(at) & 63); free != 0 {
+			return min(at+bits.TrailingZeros64(free), n)
+		}
+		at += 64 - at%64
+	}
+	return n
+}
+
+// wzLimit is the lowest register of regs above addr, or the largest
+// address when none is: an address that climbs from addr enters the
+// first of those zones at its base.
+func wzLimit(regs []uint64, addr uint64) uint64 {
+	lim := ^uint64(0)
+	for _, r := range regs {
+		lim = min(lim, r|-b2u(r <= addr))
+	}
+	return lim
 }
 
 // wzIn is 1 if addr falls into the zone based at register r, else 0:

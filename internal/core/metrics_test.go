@@ -11,7 +11,7 @@ import (
 
 // TestEvaluateStreamingMetrics: with observability enabled, one fan-out
 // evaluation must account for every chunk broadcast, every entry
-// encoded per codec — grouped plane and T0-family codecs included — and
+// encoded per codec — grouped delta and T0-family codecs included — and
 // the configured depth/worker gauges, one worker per Pricer — measured as a
 // snapshot diff so the test is immune to other tests' traffic.
 func TestEvaluateStreamingMetrics(t *testing.T) {
@@ -25,7 +25,7 @@ func TestEvaluateStreamingMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	codes := []string{"binary", "t0", "gray", "dualt0bi"}
-	const workers = 2 // the plane group binary+gray and the T0-family group t0+dualt0bi
+	const workers = 2 // the delta group binary+gray and the T0-family group t0+dualt0bi
 
 	before := obs.Default().Snapshot()
 	r, err := trace.OpenBinary(bytes.NewReader(buf.Bytes()), "metrics.bin", nil)
@@ -73,6 +73,20 @@ func TestEvaluateStreamingMetrics(t *testing.T) {
 	// The trace pool must balance: everything handed out was released.
 	if got := d.Gauges["trace.pool.in_use"]; got != 0 {
 		t.Errorf("trace.pool.in_use = %d after evaluation, want 0", got)
+	}
+	// The benchmark's request, the twelve registered codecs, runs four
+	// workers: the delta group, the T0-family group, workzone and
+	// adaptive.
+	if r, err = trace.OpenBinary(bytes.NewReader(buf.Bytes()), "metrics.bin", nil); err != nil {
+		t.Fatal(err)
+	}
+	all := []string{"adaptive", "beach", "binary", "businvert", "dualt0", "dualt0bi", "gray", "incxor", "offset", "t0", "t0bi", "workzone"}
+	if _, err := EvaluateStreaming(r, r.Width(), all, DefaultOptions,
+		FanoutConfig{Verify: codec.VerifySampled}); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Default().Snapshot().Gauges["core.fanout.workers"]; got != 4 {
+		t.Errorf("fanout.workers gauge = %d for every codec, want 4", got)
 	}
 }
 

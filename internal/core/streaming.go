@@ -13,11 +13,13 @@ import (
 
 // Streaming multi-codec fan-out. EvaluateStreaming reads a trace
 // exactly once and prices every codec on concurrent workers:
-// codec.NewPricers groups the codecs into Pricers — every plane-routed
-// codec into one, whose PlaneSet transposes each block once for all of
-// them; the T0-family codecs of one width and stride into one, whose
-// SeqSet builds each block's in-sequence masks once for all of them;
-// and one per remaining codec — and a single producer parses chunks
+// codec.NewPricers groups the codecs into Pricers — the delta codecs of
+// one width and stride into one, whose DeltaSet prices them from
+// address deltas (per line, the plane codecs into one, whose PlaneSet
+// transposes each block once for all of them); the T0-family codecs of
+// one width and stride into one, whose SeqSet builds each block's
+// in-sequence masks once for all of them; and one per remaining codec —
+// and a single producer parses chunks
 // and broadcasts each pooled, reference-counted trace.Chunk (Retain
 // once per extra worker) to one bounded channel per Pricer's worker,
 // which feeds it to its Pricer and releases it. Backpressure is
@@ -31,10 +33,9 @@ import (
 // scenario); for in-memory streams the batched RunFast remains the
 // lower-overhead choice.
 //
-// The plane group runs all its codecs' encode and count work on one
-// goroutine. That transposes each block once instead of once per codec,
-// but on a machine with more idle cores than plane codecs one worker
-// per plane codec would overlap that work; see DESIGN §6.1.
+// A group runs all its codecs' work on one goroutine. That shares each
+// block's work among them, but on a machine with more idle cores than
+// codecs one worker per codec would overlap it; see DESIGN §6.1.
 
 // DefaultFanoutDepth is the per-worker bounded channel depth: how many
 // chunks a fast worker may run ahead of the slowest one.
@@ -51,9 +52,10 @@ type FanoutConfig struct {
 	// PerLine requests per-line transition counts in every Result.
 	PerLine bool
 	// Kernel selects the pricing kernel per worker (codec.KernelAuto by
-	// default): plane-capable codecs price on the bit-sliced path, two
-	// or more T0-family codecs on the in-sequence group kernel, the rest
-	// on their scalar batch kernels, under the routing rules of
+	// default): two or more delta codecs price on the delta group kernel
+	// (per line, plane-capable codecs on the bit-sliced path), two or
+	// more T0-family codecs on the in-sequence group kernel, the rest on
+	// their scalar batch kernels, under the routing rules of
 	// codec.NewPricers.
 	Kernel codec.Kernel
 }
@@ -101,8 +103,9 @@ func (w *streamWorker) run(wg *sync.WaitGroup, m *fanoutMetrics, parent obs.Span
 
 // EvaluateStreaming reads the trace once and evaluates every named
 // codec, one worker goroutine per codec.Pricer (the benchmark's
-// twelve-codec request runs six: the plane group, the T0-family group
-// and four batch kernels), returning results in the order of codes.
+// twelve-codec request runs four: the delta group, the T0-family group,
+// and working-zone's and adaptive's batch kernels), returning results
+// in the order of codes.
 // width is the payload width for codec construction: pass r.Width() to
 // honor the trace header; a width no codec takes, 0 included, is the
 // codec's error. The reader is consumed to

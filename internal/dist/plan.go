@@ -33,12 +33,13 @@ import (
 // codec.encode_ns_per_entry.<codec> over five traced muxed-stream runs
 // of cmd/busencbench (run.sh --workload muxed-stream --seed 1 --trace 1)
 // at commit 4c16205, on 2 vCPUs with go1.24.0. Each codec is timed
-// alone there, so a plane codec's cost includes a transpose of its own;
-// plane codecs in one job share a single transpose (codec.NewPricers),
-// so the table slightly overstates them. Likewise two or more T0-family
-// codecs (t0, t0bi, dualt0, dualt0bi) in one job share one in-sequence
-// group's masks, so such a job costs less than the table's sum; the
-// table has no weight for that yet.
+// alone there, on the kernel RunFast picks: the plane path for the plane
+// codecs, the batch kernels for the rest. In one job, two or more delta
+// codecs (binary, gray, offset, incxor, businvert, beach) share one delta
+// group, priced from address deltas with no word encoded, and two or more
+// T0-family codecs (t0, t0bi, dualt0, dualt0bi) share one in-sequence
+// group's masks (codec.NewPricers), so such a job costs less than the
+// table's sum; the table has no weight for either yet.
 var encodeCost = map[string]float64{
 	"workzone":  24.9,
 	"adaptive":  9.7,

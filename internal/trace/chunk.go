@@ -190,17 +190,8 @@ func (r *streamChunks) Next() (*Chunk, error) {
 func (r *streamChunks) Name() string { return r.s.Name }
 func (r *streamChunks) Width() int   { return r.s.Width }
 
-// entryCounter is implemented by readers that know the total entry
-// count up front (the binary format declares it in the header); ReadAll
-// uses it to preallocate.
-type entryCounter interface {
-	EntryCount() (uint64, bool)
-}
-
-// maxPrealloc caps ReadAll's preallocation. The declared count comes
-// from an untrusted header: a few bytes claiming 2^30 entries must not
-// reserve gigabytes before a single entry has been read. Longer traces
-// still load; the slice grows past the cap as entries arrive.
+// maxPrealloc caps ReadAll's preallocation. Longer traces still load;
+// the slice grows past the cap as entries arrive.
 const maxPrealloc = 1 << 22
 
 // ReadAll drains a ChunkReader into a materialized Stream. It is the
@@ -210,10 +201,13 @@ func ReadAll(r ChunkReader) (_ *Stream, err error) {
 	sp := obs.StartSpan("trace.read_all", obs.StageRead).WithStream(r.Name())
 	defer func() { sp.EndErr(err) }()
 	s := New(r.Name(), r.Width())
-	if ec, ok := r.(entryCounter); ok {
-		if n, known := ec.EntryCount(); known {
-			s.Entries = make([]Entry, 0, min(n, maxPrealloc))
-		}
+	// A header's count is untrusted: a few bytes may claim 2^40 entries.
+	// The in-memory reader bounds it by the bytes it holds, so its count
+	// is reserved up front; a stream reader's count is only a claim, so
+	// its slice grows as entries arrive.
+	if m, ok := r.(*memChunkReader); ok {
+		n, _ := m.EntryCount()
+		s.Entries = make([]Entry, 0, min(n, maxPrealloc))
 	}
 	for {
 		ch, err := r.Next()

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -228,5 +230,38 @@ func TestTextLongLineGrowsBuffer(t *testing.T) {
 	}
 	if s.Len() != 1 || s.Entries[0].Addr != 0x400000 {
 		t.Errorf("entries after long comment: %+v", s.Entries)
+	}
+}
+
+// TestReadAllBoundsPreallocation: a BETR header may declare any entry
+// count. Over a 4-byte body that declares 2^40 entries, ReadAll on the
+// in-memory and the stream reader allocates under 64 KiB before the
+// body runs out, not the entries the header claims.
+func TestReadAllBoundsPreallocation(t *testing.T) {
+	data := binary.AppendUvarint([]byte{'B', 'E', 'T', 'R', 1, 32, 0}, 1<<40)
+	data = append(data, 0, 2, 0, 2) // two entries of delta +1
+	pool := NewChunkPool(0)
+	pool.Get().Release() // the first chunk's buffers are not ReadAll's
+	for _, open := range []struct {
+		name string
+		r    func() (ChunkReader, error)
+	}{
+		{"stream", func() (ChunkReader, error) { return OpenBinary(bytes.NewReader(data), "", pool) }},
+		{"in-memory", func() (ChunkReader, error) { return newMemReader(data, "", pool, false) }},
+	} {
+		r, err := open.r()
+		if err != nil {
+			t.Fatalf("%s: %v", open.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = ReadAll(r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: ReadAll of 2 of 2^40 declared entries succeeded", open.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: ReadAll allocated %d bytes for a 4-byte body", open.name, got)
+		}
 	}
 }

@@ -133,6 +133,19 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("decoders disagree: OpenBinary %q/%d/%d entries, in-memory %q/%d/%d entries",
 				piped.Name, piped.Width, piped.Len(), mapped.Name, mapped.Width, mapped.Len())
 		}
+		// ReadAll drains either decoder to the same entries, whatever
+		// count the header declared.
+		p, _ = OpenBinary(bytes.NewReader(data), "", nil)
+		m, _ = newMemReader(data, "", nil, false)
+		for _, r := range []ChunkReader{p, m} {
+			all, err := ReadAll(r)
+			if err != nil {
+				t.Fatalf("ReadAll of an accepted trace: %v", err)
+			}
+			if !streamsEqual(all, piped) {
+				t.Fatalf("ReadAll read %d entries, the chunks %d", all.Len(), piped.Len())
+			}
+		}
 		if piped.Width < 1 || piped.Width > 64 {
 			t.Fatalf("width %d accepted", piped.Width)
 		}

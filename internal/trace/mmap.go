@@ -36,6 +36,7 @@ type memChunkReader struct {
 	name      string
 	width     int
 	total     uint64
+	fits      uint64 // the most entries the bytes after the header hold
 	remaining uint64
 	prev      uint64
 	pool      *ChunkPool
@@ -154,14 +155,17 @@ func (m *memChunkReader) readHeader() error {
 	}
 	m.total = count
 	m.remaining = count
+	m.fits = uint64(len(m.data)-m.pos) / 2
 	return nil
 }
 
 func (m *memChunkReader) Name() string { return m.name }
 func (m *memChunkReader) Width() int   { return m.width }
 
-// EntryCount reports the header-declared entry count (entryCounter).
-func (m *memChunkReader) EntryCount() (uint64, bool) { return m.total, true }
+// EntryCount reports the header-declared entry count, bounded by the
+// bytes after the header: a BETR entry takes at least two, a kind byte
+// and one varint byte. A larger count fails decoding.
+func (m *memChunkReader) EntryCount() (uint64, bool) { return min(m.total, m.fits), true }
 
 func (m *memChunkReader) Next() (*Chunk, error) {
 	ch, err := observeNext(m.err != nil, m.name, m.chunks, m.next)

@@ -310,7 +310,8 @@ func (b *binaryChunkReader) readHeader() error {
 func (b *binaryChunkReader) Name() string { return b.name }
 func (b *binaryChunkReader) Width() int   { return b.width }
 
-// EntryCount reports the header-declared entry count (entryCounter).
+// EntryCount reports the header-declared entry count, which nothing
+// checks against the bytes that follow.
 func (b *binaryChunkReader) EntryCount() (uint64, bool) { return b.total, true }
 
 func (b *binaryChunkReader) Next() (*Chunk, error) {
