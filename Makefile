@@ -114,13 +114,14 @@ trace-smoke:
 # the per-slot window decides which slot's goroutine takes each job.
 # TestSweepCorruptTrace joins them: under a plan of whole-trace groups
 # only the workers decode the trace, so a corrupt body surfaces from
-# whichever job reaches it first.
+# whichever job reaches it first. So does TestInProcCloseWaitsForWorker:
+# closing an in-process worker waits for it to return.
 dist-smoke:
 	$(GO) vet ./internal/dist ./cmd/busencsweep
 	$(GO) test -race -run TestDistSmoke -v ./internal/dist
 	$(GO) test -race -run TestNetSmoke -v ./internal/serve
 	$(GO) test -race ./internal/dist ./cmd/busencsweep
-	$(GO) test -race -count=5 -run 'Window|Plans|Checkpoint|WorkerDeath|Heartbeat|CorruptTrace' ./internal/dist
+	$(GO) test -race -count=5 -run 'Window|Plans|Checkpoint|WorkerDeath|Heartbeat|CorruptTrace|InProcClose' ./internal/dist
 
 # Multi-tenant service smoke — the exact CI scenario: build the daemon
 # and the load harness as real binaries (SIGTERM must reach a real
@@ -178,12 +179,14 @@ net-smoke:
 	$(GO) run ./cmd/tracecheck -mincover 0.95 -minprocs 3 .net-smoke/merged-trace.json
 	$(GO) run ./cmd/paper -benchdist .net-smoke/BENCH_dist.json
 
-# One timed pass of the headline evaluation benchmark, then one pass of
-# each kernel group against the kernels it replaces (the T0-family and
-# delta groups) and of working-zone's batch kernel alone, on 2^20-entry
-# muxed streams: a kernel that stops building or panics fails here.
+# One timed pass of the headline evaluation benchmark and of every
+# Pricer the dist planner weighs (BenchmarkPricers, the source of its
+# weight table), then one pass of each kernel group against the kernels
+# it replaces (the T0-family and delta groups) and of working-zone's
+# batch kernel alone, on 2^20-entry muxed streams: a kernel that stops
+# building or panics fails here.
 bench:
-	$(GO) test -run=NONE -bench=BenchmarkTable4 -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkTable4|BenchmarkPricers' -benchtime=1x .
 	$(GO) test -run=NONE -bench='SeqSet|DeltaSet|WorkZone' -benchtime=1x ./internal/codec
 
 # Regenerate the committed machine-readable benchmark records (see

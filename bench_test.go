@@ -8,6 +8,7 @@ package busenc
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"busenc/internal/analytic"
@@ -379,6 +380,115 @@ func BenchmarkEncodeBatch(b *testing.B) {
 			b.ReportMetric(float64(len(addrs))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msym/s")
 		})
 	}
+}
+
+// BenchmarkPricers times, one at a time on one goroutine, each Pricer
+// that codec.NewPricers builds for the twelve-codec request over the
+// 2^20-entry MIPS muxed stream busencbench prices (seed 1), as a dist
+// worker prices a whole-trace job: Consume over the stream's columns,
+// sampled verification. It covers every sweep shape the dist planner
+// weighs: "auto" (the delta and T0-family groups, working-zone and
+// adaptive), "perline" (the plane group in place of the delta group),
+// "scalar" and "full" (every codec on its batch kernel, under
+// KernelScalar and under VerifyFull) and "alone" (each group codec priced
+// on its own), each Pricer named by its codecs joined by "+". "decode"
+// is the in-memory BETR reader over the same stream from a heap view,
+// which every job pays once. Each reports ns/entry; the dist planner's
+// weight table (internal/dist/plan.go) quotes its medians.
+func BenchmarkPricers(b *testing.B) {
+	var mux workload.MuxSpec
+	for _, p := range arch.Profiles() {
+		if p.Name == "mips" {
+			mux = workload.MuxSpec{Instr: p.InstrSpec(), Data: p.DataSpec(), DataFrac: p.DataFrac}
+		}
+	}
+	s := mux.Stream("muxed", workload.Width, 1<<20, 1<<16)
+	addrs := make([]uint64, s.Len())
+	kinds := make([]trace.Kind, s.Len())
+	for i, e := range s.Entries {
+		addrs[i], kinds[i] = e.Addr, e.Kind
+	}
+	perEntry := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Len()), "ns/entry")
+	}
+	codecs := make([]codec.Codec, len(codec.Names()))
+	for i, name := range codec.Names() {
+		codecs[i] = codec.MustNew(name, s.Width, core.DefaultOptions)
+	}
+	price := func(name string, set []codec.Codec, opts codec.RunOpts) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ps, err := codec.NewPricers(set, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(ps) != 1 {
+					b.Fatalf("%d Pricers for one group", len(ps))
+				}
+				if err := ps[0].Consume(addrs, kinds); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perEntry(b)
+		})
+	}
+	sampled := codec.RunOpts{Verify: codec.VerifySampled}
+	for _, shape := range []struct {
+		name string
+		opts codec.RunOpts
+	}{
+		{"auto", sampled},
+		{"perline", codec.RunOpts{Verify: codec.VerifySampled, PerLine: true}},
+		{"scalar", codec.RunOpts{Verify: codec.VerifySampled, Kernel: codec.KernelScalar}},
+		{"full", codec.RunOpts{Verify: codec.VerifyFull}},
+	} {
+		groups, err := codec.Groups(codecs, shape.opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, g := range groups {
+			set := make([]codec.Codec, len(g.At))
+			names := make([]string, len(g.At))
+			for i, at := range g.At {
+				set[i], names[i] = codecs[at], codecs[at].Name()
+			}
+			price(shape.name+"/"+strings.Join(names, "+"), set, shape.opts)
+		}
+	}
+	groups, err := codec.Groups(codecs, sampled)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range groups {
+		if len(g.At) > 1 {
+			for _, at := range g.At {
+				price("alone/"+codecs[at].Name(), codecs[at:at+1], sampled)
+			}
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, s); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			idx, err := trace.HeaderBETR(data, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := trace.NewMemRangeReader(data, idx.Name, idx.Width, idx.Cuts[0], idx.Total, "", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := trace.Copy(r, func(*trace.Chunk) error { return nil })
+			if err != nil || n != int64(s.Len()) {
+				b.Fatalf("decoded %d of %d entries: %v", n, s.Len(), err)
+			}
+		}
+		perEntry(b)
+	})
 }
 
 // BenchmarkStreamPipeline measures the single-pass streaming fan-out:

@@ -81,26 +81,68 @@ func NewPricer(c Codec, opts RunOpts) (*Pricer, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := kernelBatch
+	k := GroupBatch
 	if usePlane {
-		k = kernelPlane
+		k = GroupPlane
 	}
 	return newPricer([]Codec{c}, []int{0}, k, opts)
 }
 
 // NewPricers builds the Pricers that price codecs over one shared
-// stream, routing each codec as NewPricer does except that two kernel
-// families group. Under KernelAuto and short of VerifyFull (which needs
-// every encoded word): with PerLine off (per-line counts need the
-// words), two or more delta codecs (binary, gray, offset, incxor,
-// businvert, beach) of one payload width and stride go into one
-// DeltaSet Pricer each; and two or more T0-family codecs that share
-// payload width and stride go into one SeqSet Pricer each. Every
-// plane-routed codec left over goes into one Pricer together. The
-// Pricers come delta groups first, then the plane group, then the
-// in-sequence groups, then one per remaining codec on its batch kernel,
-// in list order. Collect returns their results in list order.
+// stream, one per Group that Groups routes them into, in its order.
+// Collect returns their results in list order.
 func NewPricers(codecs []Codec, opts RunOpts) ([]*Pricer, error) {
+	groups, err := Groups(codecs, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Pricer, len(groups))
+	for i, g := range groups {
+		if out[i], err = newPricer(codecs, g.At, g.Kind, opts); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Group is one Pricer that NewPricers builds: the positions of its
+// codecs in the caller's list, ascending, and the kernel it prices
+// them with.
+type Group struct {
+	At   []int
+	Kind GroupKind
+}
+
+// GroupKind is the kernel of a Group: one codec's batch kernel, or a
+// PlaneSet, SeqSet or DeltaSet.
+type GroupKind int
+
+const (
+	// GroupBatch is one codec on its own BatchEncoder.
+	GroupBatch GroupKind = iota
+	// GroupPlane is the plane group: every plane-routed codec, each
+	// 64-address block transposed once for all of them (PlaneSet). A
+	// plane codec priced alone is a plane group of one.
+	GroupPlane
+	// GroupSeq is a T0-family group (SeqSet).
+	GroupSeq
+	// GroupDelta is a delta group (DeltaSet).
+	GroupDelta
+)
+
+// Groups routes codecs into the Pricers NewPricers builds for them,
+// each codec as NewPricer would except that kernel families group.
+// Under KernelAuto and short of VerifyFull (which needs every encoded
+// word): with PerLine off (per-line counts need the words), two or more
+// delta codecs (binary, gray, offset, incxor, businvert, beach) of one
+// payload width and stride form one delta group each; and two or more
+// T0-family codecs that share payload width and stride form one
+// T0-family group each. Every plane-routed codec left over forms the
+// plane group. The groups come delta groups first, then the plane
+// group, then the T0-family groups, then one per remaining codec on its
+// batch kernel, in list order. It is the one routing table: the dist
+// planner weighs the groups the workers price.
+func Groups(codecs []Codec, opts RunOpts) ([]Group, error) {
 	var planes, batch []int
 	var deltas, seqs [][]int
 	grouped := opts.Kernel == KernelAuto && opts.Verify != VerifyFull
@@ -120,45 +162,33 @@ func NewPricers(codecs []Codec, opts RunOpts) ([]*Pricer, error) {
 			batch = append(batch, i)
 		}
 	}
-	var out []*Pricer
-	add := func(at []int, k kernel) error {
-		p, err := newPricer(codecs, at, k, opts)
-		if err == nil {
-			out = append(out, p)
-		}
-		return err
-	}
+	var out []Group
 	for _, g := range deltas {
-		if len(g) == 1 {
+		switch {
+		case len(g) > 1:
+			out = append(out, Group{At: g, Kind: GroupDelta})
+		case HasPlaneKernel(codecs[g[0]]):
 			// A lone delta codec keeps the kernel it had without the
 			// group: the plane path for the plane codecs.
-			if HasPlaneKernel(codecs[g[0]]) {
-				planes = append(planes, g[0])
-			} else {
-				batch = append(batch, g[0])
-			}
-		} else if err := add(g, kernelDelta); err != nil {
-			return nil, err
+			planes = append(planes, g[0])
+		default:
+			batch = append(batch, g[0])
 		}
 	}
 	if len(planes) > 0 {
 		slices.Sort(planes)
-		if err := add(planes, kernelPlane); err != nil {
-			return nil, err
-		}
+		out = append(out, Group{At: planes, Kind: GroupPlane})
 	}
 	for _, g := range seqs {
-		if len(g) == 1 {
+		if len(g) > 1 {
+			out = append(out, Group{At: g, Kind: GroupSeq})
+		} else {
 			batch = append(batch, g[0])
-		} else if err := add(g, kernelSeq); err != nil {
-			return nil, err
 		}
 	}
 	slices.Sort(batch)
 	for _, i := range batch {
-		if err := add([]int{i}, kernelBatch); err != nil {
-			return nil, err
-		}
+		out = append(out, Group{At: []int{i}, Kind: GroupBatch})
 	}
 	return out, nil
 }
@@ -176,20 +206,9 @@ func join(gs [][]int, list []Codec, i int, same func(a, b Codec) bool) [][]int {
 	return append(gs, []int{i})
 }
 
-// kernel is what a Pricer prices with: one codec's batch kernel, or a
-// group's PlaneSet, SeqSet or DeltaSet.
-type kernel int
-
-const (
-	kernelBatch kernel = iota
-	kernelPlane
-	kernelSeq
-	kernelDelta
-)
-
 // newPricer builds a Pricer over the codecs at positions at of the
 // caller's codec list. The batch kernel takes exactly one codec.
-func newPricer(list []Codec, at []int, k kernel, opts RunOpts) (*Pricer, error) {
+func newPricer(list []Codec, at []int, k GroupKind, opts RunOpts) (*Pricer, error) {
 	codecs := make([]Codec, len(at))
 	for i, j := range at {
 		codecs[i] = list[j]
@@ -197,11 +216,11 @@ func newPricer(list []Codec, at []int, k kernel, opts RunOpts) (*Pricer, error) 
 	p := &Pricer{lanes: make([]lane, len(codecs)), verify: opts.Verify}
 	var err error
 	switch k {
-	case kernelPlane:
+	case GroupPlane:
 		p.ps, err = NewPlaneSet(codecs, opts.PerLine)
-	case kernelSeq:
+	case GroupSeq:
 		p.ss, err = NewSeqSet(codecs, opts.PerLine)
-	case kernelDelta:
+	case GroupDelta:
 		p.ds, err = NewDeltaSet(codecs)
 	default:
 		p.enc = codecs[0].NewEncoder()

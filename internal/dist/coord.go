@@ -60,17 +60,17 @@ type Opts struct {
 	Workers int
 	// Shards is the job budget: the most jobs the sweep plans; <= 0
 	// means 4 per slot (workers + peers), the smallest count that keeps
-	// the pool busy while job runtimes vary. Prefix-dependent codecs
-	// take up to one whole-trace job per slot. Entry shards only fill
-	// slots those groups leave idle: the Seeder codecs are cut into the
-	// rest of the budget then, and join the groups otherwise (see
-	// plan.go).
+	// the pool busy while job runtimes vary. The Pricers of the
+	// prefix-dependent codecs take up to one whole-trace job per slot.
+	// Entry shards only fill slots those jobs leave idle: the Seeder
+	// codecs are cut into the rest of the budget then, and join the
+	// whole-trace jobs otherwise (see plan.go).
 	Shards int
 	// Codecs are the codes to price.
 	Codecs []CodecSpec
 	// Verify, PerLine and Kernel are the codec.RunOpts every job is
 	// priced with (codec.Pricer: a job past entry 0 verifies only as
-	// Pricer.Seed allows).
+	// Pricer.Seed allows), and so the Pricers the planner weighs.
 	Verify  codec.VerifyMode
 	PerLine bool
 	Kernel  codec.Kernel
@@ -156,7 +156,7 @@ func Sweep(path string, opts Opts) ([]codec.Result, error) {
 	// between from the byte view: its header alone for a plan of one
 	// part, one scan of its entries otherwise.
 	psp := root.Child("dist.plan", obs.StageRead)
-	jobs, parts, err := planJobs(opts.Codecs, slots, budget)
+	jobs, parts, err := planJobs(opts.Codecs, slots, budget, codec.RunOpts{Verify: opts.Verify, PerLine: opts.PerLine, Kernel: opts.Kernel})
 	if err != nil {
 		psp.EndErr(err)
 		root.EndErr(err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -647,7 +648,7 @@ func TestSweepRejectsDoctoredCycles(t *testing.T) {
 	s := mixStream(width, 6000, 56)
 	path := writeBETR(t, s)
 	specs := AllSpecs(width)
-	jobs, _, err := planJobs(specs, 2, 8)
+	jobs, _, err := planJobs(specs, 2, 8, codec.RunOpts{Verify: codec.VerifyNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,5 +661,112 @@ func TestSweepRejectsDoctoredCycles(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "cycles") {
 			t.Errorf("job %d doctored: err = %v, results %+v; want an error naming %q", k, err, res, want)
 		}
+	}
+}
+
+// closingTransport signals closing before it closes the transport it
+// wraps.
+type closingTransport struct {
+	Transport
+	closing chan struct{}
+	once    *sync.Once
+}
+
+func (ct *closingTransport) Close() error {
+	ct.once.Do(func() { close(ct.closing) })
+	return ct.Transport.Close()
+}
+
+// goroutineID returns the calling goroutine's ID from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
+
+// inServeWorker reports which of the goroutines ids still run
+// ServeWorker.
+func inServeWorker(ids []string) []string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var alive []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		if slices.Contains(ids, id) && strings.Contains(g, "dist.ServeWorker(") {
+			alive = append(alive, id)
+		}
+	}
+	return alive
+}
+
+// TestInProcCloseWaitsForWorker: Sweep returns only after every
+// in-process worker has exited, so none still reads (or holds mapped)
+// the trace a caller may rewrite next. The sweep stops at a checkpoint
+// after one job while worker 1 is still inside its own job: its Resolve
+// hook holds it there until its transport is being closed, and then for
+// a while longer. Close must wait that out; returning at once would
+// leave worker 1 running ServeWorker when Sweep returns.
+func TestInProcCloseWaitsForWorker(t *testing.T) {
+	const width = 16
+	path := writeBETR(t, mixStream(width, 4000, 77))
+	_, seeders := splitSpecs(t, AllSpecs(width))
+	var mu sync.Mutex
+	var ids []string
+	record := func() {
+		mu.Lock()
+		ids = append(ids, goroutineID())
+		mu.Unlock()
+	}
+	holding := make(chan struct{})  // worker 1 holds a job
+	closing := make(chan struct{})  // the coordinator closes worker 1
+	released := make(chan struct{}) // the test is done looking
+	defer close(released)
+	var once sync.Once
+	spawn := SpawnerFunc(func(id, gen int) (Transport, error) {
+		resolve := func(ref string) (string, error) {
+			record()
+			<-holding // price only once worker 1 holds its job
+			return ref, nil
+		}
+		if id == 1 {
+			resolve = func(ref string) (string, error) {
+				record()
+				close(holding)
+				<-closing
+				select {
+				case <-released:
+				case <-time.After(200 * time.Millisecond):
+				}
+				return ref, nil
+			}
+		}
+		tr, err := InProcSpawner(func(int, int) WorkerOpts { return WorkerOpts{Resolve: resolve} }).Spawn(id, gen)
+		if err != nil || id != 1 {
+			return tr, err
+		}
+		return &closingTransport{Transport: tr, closing: closing, once: &once}, nil
+	})
+	_, err := Sweep(path, Opts{
+		Workers: 2, Shards: 4, Codecs: seeders, Verify: codec.VerifyNone, Window: 1,
+		Checkpoint: filepath.Join(t.TempDir(), "sweep.json"), StopAfter: 1, Spawn: spawn,
+	})
+	if !errors.Is(err, ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ids) != 2 {
+		t.Fatalf("%d workers took a job, want 2", len(ids))
+	}
+	if alive := inServeWorker(ids); len(alive) > 0 {
+		t.Errorf("Sweep returned while worker goroutines %v still run ServeWorker", alive)
 	}
 }

@@ -149,7 +149,7 @@ func FuzzCheckpointReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	jobs, parts, err := planJobs(specs, opts.Workers, opts.Shards)
+	jobs, parts, err := planJobs(specs, opts.Workers, opts.Shards, codec.RunOpts{Verify: opts.Verify, PerLine: opts.PerLine, Kernel: opts.Kernel})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,13 +46,17 @@ func splitSpecs(t *testing.T, all []CodecSpec) (prefix, seeders []CodecSpec) {
 	return prefix, seeders
 }
 
-// TestSweepPlans runs the plan rule over a table of requests: every
-// plan stays within the job budget, never starts a prefix-dependent
-// codec past entry 0, covers every codec's [0, N) exactly once in entry
-// order, and prices to RunFast's results with per-line counting off and
-// on — without any seed sweep. Entry shards appear only where the
-// groups leave a slot idle; a plan without them is read from the trace
-// header alone.
+// TestSweepPlans runs the plan rule over a table of requests, each
+// planned and swept with per-line counting off and on: every plan stays
+// within the job budget, never starts a prefix-dependent codec past
+// entry 0, covers every codec's [0, N) exactly once in entry order, and
+// prices to RunFast's results without any seed sweep. Each whole-trace
+// job's codecs build exactly the Pricers the planner weighed it by, and
+// no kernel group is split across jobs (checkGroups). Entry shards
+// appear only where the whole-trace jobs leave a slot idle; a plan
+// without them is read from the trace header alone. The "full" and
+// "scalar" rows sweep under VerifyFull and KernelScalar, which build no
+// kernel group, so every prefix-dependent codec is a unit of its own.
 func TestSweepPlans(t *testing.T) {
 	const width = 32
 	all := AllSpecs(width)
@@ -73,24 +79,31 @@ func TestSweepPlans(t *testing.T) {
 		name             string
 		workers, shards  int
 		specs            []CodecSpec
+		verify           codec.VerifyMode
+		kernel           codec.Kernel
 		entries          int
 		wantJobs, groups int
 	}{
-		{"all/2x8", 2, 8, all, 6000, 2, 2},
-		{"all/1x9", 1, 9, all, 6000, 1, 1},
-		{"all/3x7", 3, 7, all, 6000, 3, 3},
-		{"all/2x1", 2, 1, all, 6000, 1, 1},
-		{"all/4x16", 4, 16, all, 6000, 4, 4},
-		{"prefix/2x8", 2, 8, prefix, 6000, 2, 2},
-		{"seeders/2x8", 2, 8, seeders, 6000, 8, 0},
-		{"workzone/4", 4, 0, byName("workzone"), 6000, 1, 1},
-		{"binary/2x8", 2, 8, byName("binary"), 6000, 8, 0},
-		{"t0+seeders/2x8", 2, 8, append(byName("t0"), seeders...), 6000, 8, 1},
-		{"workzone+t0+seeders/3x6", 3, 6, append(byName("t0", "workzone"), seeders...), 6000, 6, 2},
-		{"all/oversplit", 2, 16, all, 37, 2, 2},
-		{"seeders/oversplit", 2, 16, seeders, 37, 16, 0},
-		{"all/empty", 2, 8, all, 0, 2, 2},
-		{"seeders/empty", 2, 8, seeders, 0, 8, 0},
+		{"all/2x8", 2, 8, all, codec.VerifySampled, codec.KernelAuto, 6000, 2, 2},
+		{"all/1x9", 1, 9, all, codec.VerifySampled, codec.KernelAuto, 6000, 1, 1},
+		{"all/3x7", 3, 7, all, codec.VerifySampled, codec.KernelAuto, 6000, 3, 3},
+		{"all/2x1", 2, 1, all, codec.VerifySampled, codec.KernelAuto, 6000, 1, 1},
+		{"all/4x16", 4, 16, all, codec.VerifySampled, codec.KernelAuto, 6000, 4, 4},
+		{"all/8x8", 8, 8, all, codec.VerifySampled, codec.KernelAuto, 6000, 8, 4},
+		{"all/2x8/full", 2, 8, all, codec.VerifyFull, codec.KernelAuto, 6000, 2, 2},
+		{"all/8x8/full", 8, 8, all, codec.VerifyFull, codec.KernelAuto, 6000, 8, 7},
+		{"all/2x8/scalar", 2, 8, all, codec.VerifySampled, codec.KernelScalar, 6000, 2, 2},
+		{"all/8x8/scalar", 8, 8, all, codec.VerifySampled, codec.KernelScalar, 6000, 8, 7},
+		{"prefix/2x8", 2, 8, prefix, codec.VerifySampled, codec.KernelAuto, 6000, 2, 2},
+		{"seeders/2x8", 2, 8, seeders, codec.VerifySampled, codec.KernelAuto, 6000, 8, 0},
+		{"workzone/4", 4, 0, byName("workzone"), codec.VerifySampled, codec.KernelAuto, 6000, 1, 1},
+		{"binary/2x8", 2, 8, byName("binary"), codec.VerifySampled, codec.KernelAuto, 6000, 8, 0},
+		{"t0+seeders/2x8", 2, 8, append(byName("t0"), seeders...), codec.VerifySampled, codec.KernelAuto, 6000, 8, 1},
+		{"workzone+t0+seeders/3x6", 3, 6, append(byName("t0", "workzone"), seeders...), codec.VerifySampled, codec.KernelAuto, 6000, 6, 2},
+		{"all/oversplit", 2, 16, all, codec.VerifySampled, codec.KernelAuto, 37, 2, 2},
+		{"seeders/oversplit", 2, 16, seeders, codec.VerifySampled, codec.KernelAuto, 37, 16, 0},
+		{"all/empty", 2, 8, all, codec.VerifySampled, codec.KernelAuto, 0, 2, 2},
+		{"seeders/empty", 2, 8, seeders, codec.VerifySampled, codec.KernelAuto, 0, 8, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := mixStream(width, tc.entries, 71)
@@ -99,78 +112,49 @@ func TestSweepPlans(t *testing.T) {
 			if budget <= 0 {
 				budget = 4 * tc.workers
 			}
-			jobs, parts, err := planJobs(tc.specs, tc.workers, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, cleanup, err := planTrace(path, jobs, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cleanup()
-			if len(jobs) != tc.wantJobs || len(jobs) > budget {
-				t.Errorf("%d jobs, want %d within a budget of %d", len(jobs), tc.wantJobs, budget)
-			}
-			groups := 0 // jobs that price a prefix-dependent codec
-			covered := make([]int64, len(tc.specs))
-			for k, jb := range jobs {
-				from, to := plan.span(k)
-				grouped := false
-				for _, i := range jb.codecs {
-					if isSeeder(t, tc.specs[i]) {
-						continue
-					}
-					grouped = true
-					if jb.lo != 0 || jb.hi != parts {
-						t.Errorf("job %d prices prefix-dependent codec %s over cuts [%d, %d) of %d", k, tc.specs[i].Name, jb.lo, jb.hi, parts)
-					}
-				}
-				if grouped {
-					groups++
-				}
-				for _, i := range jb.codecs {
-					if from > 0 && !isSeeder(t, tc.specs[i]) {
-						t.Errorf("job %d starts at entry %d with prefix-dependent codec %s", k, from, tc.specs[i].Name)
-					}
-					if covered[i] != from {
-						t.Errorf("codec %s: job %d covers [%d, %d), want it to start at %d", tc.specs[i].Name, k, from, to, covered[i])
-					}
-					covered[i] = to
-				}
-			}
-			for i, cs := range tc.specs {
-				if covered[i] != int64(tc.entries) {
-					t.Errorf("codec %s covered up to entry %d of %d", cs.Name, covered[i], tc.entries)
-				}
-			}
-			if groups != tc.groups {
-				t.Errorf("%d whole-trace groups, want %d", groups, tc.groups)
-			}
-
 			obs.Enable()
 			defer obs.Disable()
 			tr := obs.EnableTracing(obs.TracerConfig{})
 			defer obs.DisableTracing()
-			before := obs.Default().Snapshot()
 			for _, perLine := range []bool{false, true} {
+				ro := codec.RunOpts{Verify: tc.verify, PerLine: perLine, Kernel: tc.kernel}
+				jobs, parts, err := planJobs(tc.specs, tc.workers, budget, ro)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPlan(t, path, tc.specs, jobs, parts, tc.entries, budget)
+				checkGroups(t, tc.specs, jobs, ro)
+				if len(jobs) != tc.wantJobs {
+					t.Errorf("perLine=%v: %d jobs, want %d", perLine, len(jobs), tc.wantJobs)
+				}
+				groups := 0 // whole-trace jobs, each weighed by its Pricers
+				for _, jb := range jobs {
+					if len(jb.units) > 0 {
+						groups++
+					}
+				}
+				if groups != tc.groups {
+					t.Errorf("perLine=%v: %d whole-trace jobs, want %d", perLine, groups, tc.groups)
+				}
+				before := obs.Default().Snapshot()
 				res, err := Sweep(path, Opts{
 					Workers: tc.workers, Shards: tc.shards, Codecs: tc.specs,
-					Verify: codec.VerifySampled, PerLine: perLine, Spawn: InProcSpawner(nil),
+					Verify: tc.verify, PerLine: perLine, Kernel: tc.kernel, Spawn: InProcSpawner(nil),
 				})
 				if err != nil {
 					t.Fatalf("perLine=%v: %v", perLine, err)
 				}
-				checkParity(t, res, wantResults(t, s, tc.specs, codec.VerifySampled, perLine))
-			}
-			snap := obs.Default().Snapshot()
-			if _, ok := snap.Counters["dist.seed_sweep.entries"]; ok {
-				t.Error("dist.seed_sweep.entries counter recorded")
-			}
-			if got := snap.Diff(before).Counters["dist.plans"]; got != 2 {
-				t.Errorf("dist.plans = %d, want 2", got)
-			}
-			if got := snap.Gauges["dist.plan.shards"]; got != int64(tc.wantJobs) {
-				t.Errorf("dist.plan.shards = %d, want the job count %d", got, tc.wantJobs)
+				checkParity(t, res, wantResults(t, s, tc.specs, tc.verify, perLine))
+				snap := obs.Default().Snapshot()
+				if got := snap.Gauges["dist.plan.shards"]; got != int64(tc.wantJobs) {
+					t.Errorf("perLine=%v: dist.plan.shards = %d, want the job count %d", perLine, got, tc.wantJobs)
+				}
+				if got := snap.Diff(before).Counters["dist.plans"]; got != 1 {
+					t.Errorf("perLine=%v: dist.plans = %d, want 1", perLine, got)
+				}
+				if _, ok := snap.Counters["dist.seed_sweep.entries"]; ok {
+					t.Error("dist.seed_sweep.entries counter recorded")
+				}
 			}
 			for _, sp := range tr.Spans() {
 				if sp.Name == "dist.seed_sweep" {
@@ -178,6 +162,109 @@ func TestSweepPlans(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkPlan cuts the trace at path for jobs and holds the plan to the
+// rule's invariants: within the budget, no prefix-dependent codec past
+// entry 0 or over less than the whole trace, and every codec's
+// [0, entries) covered exactly once in entry order.
+func checkPlan(t *testing.T, path string, specs []CodecSpec, jobs []job, parts, entries, budget int) {
+	t.Helper()
+	plan, cleanup, err := planTrace(path, jobs, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	if len(jobs) > budget {
+		t.Errorf("%d jobs over a budget of %d", len(jobs), budget)
+	}
+	covered := make([]int64, len(specs))
+	for k, jb := range jobs {
+		from, to := plan.span(k)
+		for _, i := range jb.codecs {
+			if !isSeeder(t, specs[i]) && (jb.lo != 0 || jb.hi != parts) {
+				t.Errorf("job %d prices prefix-dependent codec %s over cuts [%d, %d) of %d", k, specs[i].Name, jb.lo, jb.hi, parts)
+			}
+			if covered[i] != from {
+				t.Errorf("codec %s: job %d covers [%d, %d), want it to start at %d", specs[i].Name, k, from, to, covered[i])
+			}
+			covered[i] = to
+		}
+	}
+	for i, cs := range specs {
+		if covered[i] != int64(entries) {
+			t.Errorf("codec %s covered up to entry %d of %d", cs.Name, covered[i], entries)
+		}
+	}
+}
+
+// checkGroups holds the planner's weights to the Pricers the workers
+// build: every whole-trace job (one the planner weighed) builds, under
+// ro, exactly the Pricers it was weighed by, and no kernel group of the
+// codecs those jobs price together is split across jobs. An entry
+// shard is weighed by nothing.
+func checkGroups(t *testing.T, specs []CodecSpec, jobs []job, ro codec.RunOpts) {
+	t.Helper()
+	codecs := make([]codec.Codec, len(specs))
+	for i, cs := range specs {
+		c, err := cs.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		codecs[i] = c
+	}
+	// route maps codec.Groups over the codecs at members to lists of
+	// indices into specs.
+	route := func(members []int) [][]int {
+		set := make([]codec.Codec, len(members))
+		for i, m := range members {
+			set[i] = codecs[m]
+		}
+		groups, err := codec.Groups(set, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]int, len(groups))
+		for k, g := range groups {
+			for _, at := range g.At {
+				out[k] = append(out[k], members[at])
+			}
+		}
+		return out
+	}
+	var whole []int // the codecs of every weighed job
+	owner := map[int]int{}
+	for k, jb := range jobs {
+		if len(jb.units) == 0 {
+			if jb.hi-jb.lo != 1 {
+				t.Errorf("job %d over cuts [%d, %d) was weighed by no Pricer", k, jb.lo, jb.hi)
+			}
+			continue
+		}
+		var weighed [][]int
+		for _, u := range jb.units {
+			weighed = append(weighed, u.codecs)
+		}
+		built := route(jb.codecs)
+		sortLists := func(l [][]int) { slices.SortFunc(l, func(a, b []int) int { return a[0] - b[0] }) }
+		sortLists(weighed)
+		sortLists(built)
+		if !reflect.DeepEqual(built, weighed) {
+			t.Errorf("job %d builds Pricers %v, weighed by %v", k, built, weighed)
+		}
+		for _, i := range jb.codecs {
+			owner[i] = k
+		}
+		whole = append(whole, jb.codecs...)
+	}
+	slices.Sort(whole)
+	for _, g := range route(whole) {
+		for _, i := range g[1:] {
+			if owner[i] != owner[g[0]] {
+				t.Errorf("kernel group %v split: codec %d in job %d, codec %d in job %d", g, g[0], owner[g[0]], i, owner[i])
+			}
+		}
 	}
 }
 
@@ -212,11 +299,11 @@ func sweepStream(data []byte) *trace.Stream {
 // FuzzSweepPlans is the differential target over the dist plan rule:
 // for the fuzzer's trace, codec subset (a bit per codec of AllSpecs),
 // slot count (1–4 in-process workers), job budget (0–16, 0 for the
-// default) and per-line counting, the plan stays within the budget,
-// never starts a prefix-dependent codec past entry 0, and the sweep
-// returns codec.Run's Transitions, Cycles, MaxPerCycle and PerLine for
-// every codec — whether the plan is whole-trace groups only, groups and
-// entry shards, or entry shards only.
+// default) and per-line counting, the plan keeps the invariants
+// checkPlan and checkGroups hold it to, and the sweep returns
+// codec.Run's Transitions, Cycles, MaxPerCycle and PerLine for every
+// codec — whether the plan is whole-trace jobs only, whole-trace jobs
+// and entry shards, or entry shards only.
 func FuzzSweepPlans(f *testing.F) {
 	const width = 32
 	all := AllSpecs(width)
@@ -257,26 +344,15 @@ func FuzzSweepPlans(f *testing.F) {
 		if planned == 0 {
 			planned = 4 * slots
 		}
-		jobs, parts, err := planJobs(specs, slots, planned)
+		ro := codec.RunOpts{Verify: codec.VerifySampled, PerLine: perLine}
+		jobs, parts, err := planJobs(specs, slots, planned, ro)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, cleanup, err := planTrace(path, jobs, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cleanup()
-		if len(jobs) > planned {
-			t.Fatalf("%d jobs over a budget of %d", len(jobs), planned)
-		}
-		for k, jb := range jobs {
-			if from, _ := plan.span(k); from > 0 {
-				for _, i := range jb.codecs {
-					if !isSeeder(t, specs[i]) {
-						t.Fatalf("job %d starts prefix-dependent codec %s at entry %d", k, specs[i].Name, from)
-					}
-				}
-			}
+		checkPlan(t, path, specs, jobs, parts, s.Len(), planned)
+		checkGroups(t, specs, jobs, ro)
+		if t.Failed() {
+			t.FailNow()
 		}
 		res, err := Sweep(path, Opts{
 			Workers: slots, Shards: budget, Codecs: specs,
@@ -304,12 +380,16 @@ func FuzzSweepPlans(f *testing.F) {
 	})
 }
 
-// TestPlanJobsBalance pins the benchmark's plan: twelve codecs, two
-// slots, a budget of eight. The prefix-dependent codecs fill both slots,
-// so no entry shard is cut: all twelve codecs split longest-job-first
-// into two whole-trace groups, costliest first, over one part. A
-// prefix-dependent codec fewer than slots leaves a slot idle, and the
-// Seeder codecs are cut into the rest of the budget as before.
+// TestPlanJobsBalance pins the plans of the benchmark's request, all
+// twelve codecs, under the default options. Its prefix-dependent codecs
+// make four Pricers: bus-invert alone, the T0-family group, working-zone
+// and adaptive. On two slots with a budget of eight they fill both
+// slots, so the Seeder codecs join and the four units of all twelve
+// (the delta group with bus-invert, the T0-family group, working-zone,
+// adaptive) split longest-job-first into two whole-trace jobs over one
+// part. On eight slots the four units leave four slots idle, which four
+// Seeder shards fill. On three slots with a budget of seven the four
+// units share the three slots.
 func TestPlanJobsBalance(t *testing.T) {
 	specs := AllSpecs(32)
 	names := func(jb job) string {
@@ -321,7 +401,7 @@ func TestPlanJobsBalance(t *testing.T) {
 	}
 	layout := func(slots, budget int) (int, []string) {
 		t.Helper()
-		jobs, parts, err := planJobs(specs, slots, budget)
+		jobs, parts, err := planJobs(specs, slots, budget, codec.RunOpts{Verify: codec.VerifySampled})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,24 +411,48 @@ func TestPlanJobsBalance(t *testing.T) {
 		}
 		return parts, got
 	}
-	parts, got := layout(2, 8)
-	want := []string{
-		"adaptive+beach+dualt0bi+gray+offset+t0+t0bi[0,1)",
-		"binary+businvert+dualt0+incxor+workzone[0,1)",
+	for _, tc := range []struct {
+		slots, budget, parts int
+		want                 []string
+	}{
+		{2, 8, 1, []string{
+			"adaptive+workzone[0,1)",
+			"beach+binary+businvert+dualt0+dualt0bi+gray+incxor+offset+t0+t0bi[0,1)",
+		}},
+		{8, 8, 4, []string{
+			"workzone[0,4)",
+			"dualt0+dualt0bi+t0+t0bi[0,4)",
+			"adaptive[0,4)",
+			"businvert[0,4)",
+			"beach+binary+gray+incxor+offset[0,1)",
+			"beach+binary+gray+incxor+offset[1,2)",
+			"beach+binary+gray+incxor+offset[2,3)",
+			"beach+binary+gray+incxor+offset[3,4)",
+		}},
+		{3, 7, 1, []string{
+			"workzone[0,1)",
+			"adaptive+beach+binary+businvert+gray+incxor+offset[0,1)",
+			"dualt0+dualt0bi+t0+t0bi[0,1)",
+		}},
+	} {
+		parts, got := layout(tc.slots, tc.budget)
+		if parts != tc.parts || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%d slots, budget %d: plan over %d parts:\n got %v\nwant %v over %d", tc.slots, tc.budget, parts, got, tc.want, tc.parts)
+		}
 	}
-	if parts != 1 || !reflect.DeepEqual(got, want) {
-		t.Errorf("plan over %d parts:\n got %v\nwant %v", parts, got, want)
-	}
-	// Seven prefix-dependent codecs on eight slots: seven groups of one
-	// and a shard of the Seeder codecs.
-	parts, got = layout(8, 8)
-	seeders := "beach+binary+gray+incxor+offset[0,1)"
-	if parts != 1 || len(got) != 8 || got[7] != seeders {
-		t.Errorf("8 slots: plan over %d parts: %v, want 7 groups and %s", parts, got, seeders)
-	}
-	// A codec the cost table does not know weighs the table's median.
-	if m := costOf("no-such-codec"); m != 7.4 {
-		t.Errorf("median cost = %v, want 7.4", m)
+	// A Pricer a cost table does not list weighs the table's median.
+	one := codec.Group{At: []int{0}, Kind: codec.GroupBatch}
+	for _, tc := range []struct {
+		ro   codec.RunOpts
+		want float64
+	}{
+		{codec.RunOpts{Verify: codec.VerifySampled}, 6.25},
+		{codec.RunOpts{Verify: codec.VerifySampled, PerLine: true}, 22.55},
+		{codec.RunOpts{Verify: codec.VerifyFull, PerLine: true}, 17.25},
+	} {
+		if got := costsFor(tc.ro).cost(one, "no-such-codec"); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%+v: an unknown codec weighs %v, want the median %v", tc.ro, got, tc.want)
+		}
 	}
 }
 

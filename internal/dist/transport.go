@@ -64,6 +64,7 @@ type pipeTransport struct {
 	conn    *conn
 	toWork  *io.PipeWriter
 	fromWrk *io.PipeReader
+	exited  chan struct{} // closed once ServeWorker has returned
 }
 
 // InProcSpawner returns a Spawner whose workers are goroutines in this
@@ -78,7 +79,9 @@ func InProcSpawner(optsFor func(id, gen int) WorkerOpts) Spawner {
 		}
 		jobR, jobW := io.Pipe() // coordinator -> worker
 		resR, resW := io.Pipe() // worker -> coordinator
+		exited := make(chan struct{})
 		go func() {
+			defer close(exited)
 			err := ServeWorker(jobR, resW, wo)
 			// Closing the result pipe is the goroutine's "process
 			// exit": a clean return reads as EOF after the last
@@ -86,15 +89,21 @@ func InProcSpawner(optsFor func(id, gen int) WorkerOpts) Spawner {
 			resW.CloseWithError(err)
 			jobR.CloseWithError(err)
 		}()
-		return &pipeTransport{conn: newConn(resR, jobW), toWork: jobW, fromWrk: resR}, nil
+		return &pipeTransport{conn: newConn(resR, jobW), toWork: jobW, fromWrk: resR, exited: exited}, nil
 	})
 }
 
 func (p *pipeTransport) Send(m msg) error   { return p.conn.send(m) }
 func (p *pipeTransport) Recv() (msg, error) { return p.conn.recv() }
 
+// Close reaps the worker as procTransport.Close reaps a process: it
+// closes both pipes, which ends a healthy worker on EOF and fails a
+// send it is blocked on, then waits for ServeWorker to return, so no
+// worker still reads the trace (or has it mapped) once the sweep is
+// over.
 func (p *pipeTransport) Close() error {
 	p.toWork.Close()
 	p.fromWrk.Close()
+	<-p.exited
 	return nil
 }

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
+	"regexp"
+	"slices"
 	"testing"
 )
 
@@ -111,6 +115,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{'B', 'E', 'T', 'R', 1, 0, 0, 1, 0, 2})  // width 0
 	f.Add([]byte{'B', 'E', 'T', 'R', 1, 65, 0, 1, 0, 2}) // width 65
 	f.Add([]byte{'B', 'E', 'T', 'R', 1, 4, 0, 1, 0, 64}) // address 32 at width 4
+	for _, seed := range varintSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The streaming decoder (pipes) and the in-memory decoder (mmap
 		// views) must read the same trace or both refuse it.
@@ -123,7 +130,7 @@ func FuzzReadBinary(f *testing.F) {
 		if merr == nil {
 			mapped, merr = readChunks(m)
 		}
-		if (perr == nil) != (merr == nil) {
+		if (perr == nil) != (merr == nil) || errEntry(perr) != errEntry(merr) {
 			t.Fatalf("OpenBinary error %v, in-memory decoder error %v", perr, merr)
 		}
 		if perr != nil {
@@ -167,4 +174,72 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("binary round trip changed the stream")
 		}
 	})
+}
+
+// errEntry returns the "entry N" an error names, or "" for none.
+func errEntry(err error) string {
+	if err == nil {
+		return ""
+	}
+	return entryRE.FindString(err.Error())
+}
+
+var entryRE = regexp.MustCompile(`entry \d+:`)
+
+// rawBETR is a BETR file of the given width, no name, and a header that
+// declares count entries, followed by body as it is.
+func rawBETR(width byte, count int, body []byte) []byte {
+	b := binary.AppendUvarint([]byte{'B', 'E', 'T', 'R', 1, width, 0}, uint64(count))
+	return append(b, body...)
+}
+
+// varintSeeds reaches every path of the in-memory decoder's loop: each
+// varint length from 1 to 10 bytes both with at least 9 bytes left in
+// the view (the inline path, or decodeBETREntry past 8 bytes) and as the
+// view's last entry (1 to 10 bytes left); a 10th byte that overflows,
+// an 11th byte, and a varint cut short, at the end of the view and in
+// the middle of the header's count; a bad kind with bytes to spare; and
+// an address above the width in mid-chunk.
+func varintSeeds() [][]byte {
+	entry := func(kind byte, delta int64) []byte { return binary.AppendVarint([]byte{kind}, delta) }
+	pad := bytes.Repeat(entry(0, 2), 8) // eight 2-byte entries
+	var seeds [][]byte
+	for k := 1; k <= 10; k++ {
+		// The smallest delta whose zig-zag varint takes k bytes.
+		var delta int64
+		switch k {
+		case 1:
+			delta = 1
+		case 10:
+			delta = -1 << 63
+		default:
+			delta = 1 << (7*(k-1) - 1)
+		}
+		e := entry(byte(k%3), delta)
+		if len(e) != k+1 {
+			panic(fmt.Sprintf("%d-byte varint seed encodes to %d bytes", k, len(e)-1))
+		}
+		mid := append(append(slices.Clone(pad), e...), pad...)
+		seeds = append(seeds, rawBETR(64, 17, mid), rawBETR(64, 9, append(slices.Clone(pad), e...)))
+	}
+	overflow := append([]byte{0}, bytes.Repeat([]byte{0xff}, 9)...)
+	long := append([]byte{0}, bytes.Repeat([]byte{0x80}, 10)...)
+	seeds = append(seeds,
+		rawBETR(64, 18, append(append(slices.Clone(pad), append(overflow, 0x02)...), pad...)), // 10th byte overflows
+		rawBETR(64, 18, append(append(slices.Clone(pad), append(long, 0x00)...), pad...)),     // 11th byte
+		rawBETR(64, 9, append(slices.Clone(pad), 0)),                                          // a kind byte, no varint
+		rawBETR(64, 9, append(slices.Clone(pad), 1, 0x80, 0x80)),                              // varint cut short
+		rawBETR(64, 9, append(slices.Clone(pad), overflow...)),                                // nine continuation bytes, then the end
+		rawBETR(64, 17, append(append(slices.Clone(pad), 3, 0x02), pad...)),                   // bad kind
+		rawBETR(64, 17, append(append(slices.Clone(pad), 0xff, 0x80, 0x01), pad...)),          // bad kind before a 2-byte varint
+	)
+	var wide []byte
+	for i := 0; i < 200; i++ {
+		d := int64(4)
+		if i == 120 {
+			d = 1 << 20 // past width 16, mid-chunk
+		}
+		wide = append(wide, entry(byte(i%3), d)...)
+	}
+	return append(seeds, rawBETR(16, 200, wide))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 )
 
@@ -80,19 +81,56 @@ func (m *memChunkReader) uvarint() (uint64, error) {
 	return x, nil
 }
 
-// betrEntry is the inlined fast path of decodeBETREntry, shared by the
-// per-entry loops of memChunkReader.next and IndexBETR: an entry whose
-// zig-zag delta fits one varint byte — most entries of an in-sequence
-// stream — decodes here without a call. It returns next == pos for
-// every other entry, which the caller hands to decodeBETREntry. (The
-// inliner's budget leaves no room for that call in here: a call alone
-// costs most of it.)
-func betrEntry(data []byte, pos int) (kind Kind, delta uint64, next int) {
-	if pos+1 < len(data) && data[pos] <= byte(DataWrite) && data[pos+1] < 0x80 {
-		b := data[pos+1]
-		return Kind(data[pos]), uint64(b>>1) ^ -uint64(b&1), pos + 2
+// decodeBETR decodes BETR entries from data[pos:] into addrs and kinds,
+// one entry per index, continuing the delta chain from prev, and
+// returns the position after the last entry it decoded. It is the one
+// entry decoder of the in-memory reader and of IndexBETR. On a
+// malformed entry it stops and returns that entry's index in addrs and
+// the cause (decodeBETREntry's), with next at the entry; otherwise bad
+// is len(addrs). Addresses are not checked against a width.
+//
+// An entry is a kind byte and the zig-zag varint of its address delta.
+// While at least 9 bytes remain, a varint of up to 8 bytes decodes
+// inline from one little-endian 8-byte load after the kind byte: a
+// one-byte varint, most entries of an in-sequence stream, on a branch
+// of its own; a longer one ends at the lowest clear continuation bit,
+// and three mask-and-shift steps pack its 7-bit groups. Longer varints,
+// bad kinds and the last bytes of the view go through decodeBETREntry,
+// so every error is its.
+func decodeBETR(data []byte, pos int, prev uint64, addrs []uint64, kinds []Kind) (next, bad int, err error) {
+	kinds = kinds[:len(addrs)]
+	last := len(data) - 9 // the last entry start that leaves 9 bytes to load
+	for i := range addrs {
+		if pos <= last && data[pos] <= byte(DataWrite) {
+			w := binary.LittleEndian.Uint64(data[pos+1:])
+			if w&0x80 == 0 {
+				b := w & 0x7f
+				prev += b>>1 ^ -(b & 1)
+				addrs[i], kinds[i] = prev, Kind(data[pos])
+				pos += 2
+				continue
+			}
+			if stop := ^w & 0x8080808080808080; stop != 0 {
+				n := bits.TrailingZeros64(stop) // 8k+7 for a varint of k+1 bytes
+				ux := w & (uint64(2)<<n - 1)
+				ux = ux&0x007f007f007f007f | ux>>1&0x3f803f803f803f80
+				ux = ux&0x00003fff00003fff | ux>>2&0x0fffc0000fffc000
+				ux = ux&0x000000000fffffff | ux>>4&0x00fffffff0000000
+				prev += ux>>1 ^ -(ux & 1)
+				addrs[i], kinds[i] = prev, Kind(data[pos])
+				pos += n>>3 + 2
+				continue
+			}
+		}
+		kind, delta, at, err := decodeBETREntry(data, pos)
+		if err != nil {
+			return pos, i, err
+		}
+		prev += delta
+		addrs[i], kinds[i] = prev, kind
+		pos = at
 	}
-	return 0, 0, pos
+	return pos, len(addrs), nil
 }
 
 // decodeBETREntry decodes the BETR entry at data[pos:] — a kind byte,
@@ -184,27 +222,14 @@ func (m *memChunkReader) next() (*Chunk, error) {
 		return nil, io.EOF
 	}
 	ch := m.pool.Get()
-	n := uint64(m.pool.Cap())
-	if n > m.remaining {
-		n = m.remaining
-	}
+	n := min(uint64(m.pool.Cap()), m.remaining)
 	entry := m.total - m.remaining
-	data := m.data
-	pos := m.pos
-	prev := m.prev
-	for i := uint64(0); i < n; i++ {
-		kind, delta, next := betrEntry(data, pos)
-		if next == pos {
-			var err error
-			if kind, delta, next, err = decodeBETREntry(data, pos); err != nil {
-				ch.Release()
-				m.err = m.ctx("entry %d: %v", entry+i, err)
-				return nil, m.err
-			}
-		}
-		pos = next
-		prev += delta
-		ch.append(prev, kind)
+	ch.Addrs, ch.Kinds = ch.Addrs[:n], ch.Kinds[:n]
+	pos, bad, err := decodeBETR(m.data, m.pos, m.prev, ch.Addrs, ch.Kinds)
+	if err != nil {
+		ch.Release()
+		m.err = m.ctx("entry %d: %v", entry+uint64(bad), err)
+		return nil, m.err
 	}
 	if i := firstOverWidth(ch.Addrs, m.width); i >= 0 {
 		m.err = m.ctx("entry %d: address %#x exceeds declared width %d", entry+uint64(i), ch.Addrs[i], m.width)
@@ -212,7 +237,7 @@ func (m *memChunkReader) next() (*Chunk, error) {
 		return nil, m.err
 	}
 	m.pos = pos
-	m.prev = prev
+	m.prev = ch.Addrs[n-1]
 	m.remaining -= n
 	return ch, nil
 }

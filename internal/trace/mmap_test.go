@@ -247,6 +247,36 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
+// TestMemReaderNextAllocs: on the mmap path a decoded chunk costs no
+// allocation. The reader decodes into the pooled chunk's own columns,
+// and every varint, inline or not, decodes in place. (The race detector
+// makes sync.Pool drop chunks on purpose, so the pin holds only
+// without it.)
+func TestMemReaderNextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled chunks under the race detector")
+	}
+	const chunkLen = 256
+	path := writeBinaryFile(t, smallDeltaStream(chunkLen*64, 21))
+	r, closer, err := OpenFile(path, NewChunkPool(chunkLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if m, ok := r.(*memChunkReader); !ok || !m.mapped {
+		t.Skip("no mmap on this platform")
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		ch, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.Release()
+	}); n != 0 {
+		t.Errorf("%.1f allocations per decoded chunk, want 0", n)
+	}
+}
+
 func BenchmarkMemReaderNext(b *testing.B) {
 	s := randomStream(1<<16, 16)
 	var buf bytes.Buffer

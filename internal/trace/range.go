@@ -65,42 +65,52 @@ func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Decode runs of up to a chunk's length that end at each target, and
+	// take a cut's boundary entries from the end of the run before it.
+	addrs := make([]uint64, max(min(m.fits, DefaultChunkLen), 1))
+	kinds := make([]Kind, len(addrs))
+	var prevAddr, prev2Addr uint64
+	var prevKind, prev2Kind Kind
+	pos := m.pos
+	e := int64(0)
+	scan := func(to int64) error {
+		for e < to {
+			n := min(int64(len(addrs)), to-e)
+			next, bad, err := decodeBETR(data, pos, prevAddr, addrs[:n], kinds[:n])
+			if err != nil {
+				return m.ctx("entry %d: %v", e+int64(bad), err)
+			}
+			if n >= 2 {
+				prev2Addr, prev2Kind = addrs[n-2], kinds[n-2]
+			} else {
+				prev2Addr, prev2Kind = prevAddr, prevKind
+			}
+			prevAddr, prevKind = addrs[n-1], kinds[n-1]
+			pos = next
+			e += n
+		}
+		return nil
+	}
+	if m.total > m.fits {
+		// Every entry takes at least two bytes, so the body holds at
+		// most fits of them: the scan fails before entry fits+1, and
+		// reports where.
+		if err := scan(int64(m.fits) + 1); err != nil {
+			return nil, err
+		}
+		return nil, m.ctx("header declares %d entries; the body holds at most %d", m.total, m.fits)
+	}
 	total := int64(m.total)
 	idx := &BETRIndex{Name: m.name, Width: m.width, Total: total, Cuts: make([]RangeCut, 0, parts+1)}
 	// The k*n/p cut policy; repeated targets yield empty shards when
 	// parts exceeds the entry count.
-	targets := make([]int64, parts+1)
-	for k := range targets {
-		targets[k] = int64(k) * total / int64(parts)
-	}
-	var prevAddr, prev2Addr uint64
-	var prevKind, prev2Kind Kind
-	pos := m.pos
-	addr := uint64(0)
-	k := 0
-	for e := int64(0); e <= total; e++ {
-		for k <= parts && targets[k] == e {
-			idx.Cuts = append(idx.Cuts, RangeCut{Entry: e, Off: int64(pos),
-				PrevAddr: prevAddr, PrevKind: prevKind,
-				Prev2Addr: prev2Addr, Prev2Kind: prev2Kind})
-			k++
+	for k := int64(0); k <= int64(parts); k++ {
+		if err := scan(k * total / int64(parts)); err != nil {
+			return nil, err
 		}
-		if e == total {
-			break
-		}
-		kind, delta, next := betrEntry(data, pos)
-		if next == pos {
-			if kind, delta, next, err = decodeBETREntry(data, pos); err != nil {
-				return nil, m.ctx("entry %d: %v", e, err)
-			}
-		}
-		addr += delta
-		pos = next
-		prev2Addr, prev2Kind = prevAddr, prevKind
-		prevAddr, prevKind = addr, kind
-	}
-	if got := len(idx.Cuts); got != parts+1 {
-		return nil, fmt.Errorf("trace: planned %d cuts for %d parts", got, parts)
+		idx.Cuts = append(idx.Cuts, RangeCut{Entry: e, Off: int64(pos),
+			PrevAddr: prevAddr, PrevKind: prevKind,
+			Prev2Addr: prev2Addr, Prev2Kind: prev2Kind})
 	}
 	return idx, nil
 }

@@ -124,6 +124,16 @@ func TestIndexBETRErrors(t *testing.T) {
 	if _, err := IndexBETR(oneByteBadKind(t), "f", 2); err == nil || err.Error() != "trace: f: entry 1: bad kind 7" {
 		t.Errorf("bad kind before a one-byte delta: got %v", err)
 	}
+	// A declared count past what the body holds, up to 2^64-1, fails
+	// at the first entry the body lacks.
+	for _, count := range []int{3, 1 << 40, -1} {
+		for _, body := range [][]byte{nil, {0, 2, 1, 4}} {
+			want := fmt.Sprintf("trace: c: entry %d: unexpected EOF", len(body)/2)
+			if _, err := IndexBETR(rawBETR(32, count, body), "c", 4); err == nil || err.Error() != want {
+				t.Errorf("count %d over %d body bytes: err = %v, want %q", uint64(count), len(body), err, want)
+			}
+		}
+	}
 }
 
 // TestHeaderBETR: the header-only index of a well-formed view agrees
