@@ -179,12 +179,14 @@ net-smoke:
 	$(GO) run ./cmd/tracecheck -mincover 0.95 -minprocs 3 .net-smoke/merged-trace.json
 	$(GO) run ./cmd/paper -benchdist .net-smoke/BENCH_dist.json
 
-# One timed pass of the headline evaluation benchmark and of every
-# Pricer the dist planner weighs (BenchmarkPricers, the source of its
-# weight table), then one pass of each kernel group against the kernels
-# it replaces (the T0-family and delta groups) and of working-zone's
-# batch kernel alone, on 2^20-entry muxed streams: a kernel that stops
-# building or panics fails here.
+# One timed pass of the headline evaluation benchmark and of
+# BenchmarkPricers: every Pricer the dist planner weighs (the source of
+# its weight table) on a 2^20-entry muxed stream, and the plane codecs'
+# delta group and BETR decode on a 2^20-entry instruction stream. Then
+# one pass of each kernel group against the kernels it replaces (the
+# T0-family and delta groups) and of working-zone's batch kernel alone,
+# on 2^20-entry muxed streams: a kernel that stops building or panics
+# fails here.
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkTable4|BenchmarkPricers' -benchtime=1x .
 	$(GO) test -run=NONE -bench='SeqSet|DeltaSet|WorkZone' -benchtime=1x ./internal/codec

@@ -393,8 +393,13 @@ func BenchmarkEncodeBatch(b *testing.B) {
 // KernelScalar and under VerifyFull) and "alone" (each group codec priced
 // on its own), each Pricer named by its codecs joined by "+". "decode"
 // is the in-memory BETR reader over the same stream from a heap view,
-// which every job pays once. Each reports ns/entry; the dist planner's
-// weight table (internal/dist/plan.go) quotes its medians.
+// which every job pays once. "instr" prices the four plane codecs over
+// a 2^20-entry instruction stream built as busencbench builds the
+// instr-plane input (in-sequence 0.90, stride 4, seed 1), and decodes
+// it: the delta group's in-sequence runs show here, not on the muxed
+// stream. Each reports ns/entry; the dist planner's weight table
+// (internal/dist/plan.go) quotes the muxed stream's medians and reads
+// nothing from "instr".
 func BenchmarkPricers(b *testing.B) {
 	var mux workload.MuxSpec
 	for _, p := range arch.Profiles() {
@@ -403,6 +408,51 @@ func BenchmarkPricers(b *testing.B) {
 		}
 	}
 	s := mux.Stream("muxed", workload.Width, 1<<20, 1<<16)
+	codecs := make([]codec.Codec, len(codec.Names()))
+	for i, name := range codec.Names() {
+		codecs[i] = codec.MustNew(name, s.Width, core.DefaultOptions)
+	}
+	sampled := codec.RunOpts{Verify: codec.VerifySampled}
+	price, decode := pricerBenches(b, s)
+	for _, shape := range []struct {
+		name string
+		opts codec.RunOpts
+	}{
+		{"auto", sampled},
+		{"perline", codec.RunOpts{Verify: codec.VerifySampled, PerLine: true}},
+		{"scalar", codec.RunOpts{Verify: codec.VerifySampled, Kernel: codec.KernelScalar}},
+		{"full", codec.RunOpts{Verify: codec.VerifyFull}},
+	} {
+		priceGroups(b, shape.name, codecs, shape.opts, price)
+	}
+	groups, err := codec.Groups(codecs, sampled)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range groups {
+		if len(g.At) > 1 {
+			for _, at := range g.At {
+				price("alone/"+codecs[at].Name(), codecs[at:at+1], sampled)
+			}
+		}
+	}
+	decode("decode")
+
+	instr := workload.InstrSpec{Target: 0.90, Stride: workload.Stride, Far: mux.Instr.Far}.Stream("instr", workload.Width, 1<<20, 1<<16)
+	planes := make([]codec.Codec, 0, 4)
+	for _, name := range []string{"binary", "gray", "offset", "incxor"} {
+		planes = append(planes, codec.MustNew(name, instr.Width, core.DefaultOptions))
+	}
+	price, decode = pricerBenches(b, instr)
+	priceGroups(b, "instr", planes, sampled, price)
+	decode("instr/decode")
+}
+
+// pricerBenches returns BenchmarkPricers' two timers over stream s:
+// price runs the one Pricer NewPricers builds for set over s's columns,
+// decode the in-memory BETR reader over s from a heap view. Both report
+// ns/entry.
+func pricerBenches(b *testing.B, s *trace.Stream) (price func(name string, set []codec.Codec, opts codec.RunOpts), decode func(name string)) {
 	addrs := make([]uint64, s.Len())
 	kinds := make([]trace.Kind, s.Len())
 	for i, e := range s.Entries {
@@ -411,11 +461,7 @@ func BenchmarkPricers(b *testing.B) {
 	perEntry := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Len()), "ns/entry")
 	}
-	codecs := make([]codec.Codec, len(codec.Names()))
-	for i, name := range codec.Names() {
-		codecs[i] = codec.MustNew(name, s.Width, core.DefaultOptions)
-	}
-	price := func(name string, set []codec.Codec, opts codec.RunOpts) {
+	price = func(name string, set []codec.Codec, opts codec.RunOpts) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ps, err := codec.NewPricers(set, opts)
@@ -432,63 +478,48 @@ func BenchmarkPricers(b *testing.B) {
 			perEntry(b)
 		})
 	}
-	sampled := codec.RunOpts{Verify: codec.VerifySampled}
-	for _, shape := range []struct {
-		name string
-		opts codec.RunOpts
-	}{
-		{"auto", sampled},
-		{"perline", codec.RunOpts{Verify: codec.VerifySampled, PerLine: true}},
-		{"scalar", codec.RunOpts{Verify: codec.VerifySampled, Kernel: codec.KernelScalar}},
-		{"full", codec.RunOpts{Verify: codec.VerifyFull}},
-	} {
-		groups, err := codec.Groups(codecs, shape.opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, g := range groups {
-			set := make([]codec.Codec, len(g.At))
-			names := make([]string, len(g.At))
-			for i, at := range g.At {
-				set[i], names[i] = codecs[at], codecs[at].Name()
-			}
-			price(shape.name+"/"+strings.Join(names, "+"), set, shape.opts)
-		}
-	}
-	groups, err := codec.Groups(codecs, sampled)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, g := range groups {
-		if len(g.At) > 1 {
-			for _, at := range g.At {
-				price("alone/"+codecs[at].Name(), codecs[at:at+1], sampled)
-			}
-		}
-	}
-
 	var buf bytes.Buffer
 	if err := trace.WriteBinary(&buf, s); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	b.Run("decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx, err := trace.HeaderBETR(data, "")
-			if err != nil {
-				b.Fatal(err)
+	decode = func(name string) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				idx, err := trace.HeaderBETR(data, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := trace.NewMemRangeReader(data, idx.Name, idx.Width, idx.Cuts[0], idx.Total, "", nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, err := trace.Copy(r, func(*trace.Chunk) error { return nil })
+				if err != nil || n != int64(s.Len()) {
+					b.Fatalf("decoded %d of %d entries: %v", n, s.Len(), err)
+				}
 			}
-			r, err := trace.NewMemRangeReader(data, idx.Name, idx.Width, idx.Cuts[0], idx.Total, "", nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n, err := trace.Copy(r, func(*trace.Chunk) error { return nil })
-			if err != nil || n != int64(s.Len()) {
-				b.Fatalf("decoded %d of %d entries: %v", n, s.Len(), err)
-			}
+			perEntry(b)
+		})
+	}
+	return price, decode
+}
+
+// priceGroups runs price over every Pricer codec.Groups makes of codecs
+// under opts, each named shape/ and its codecs joined by "+".
+func priceGroups(b *testing.B, shape string, codecs []codec.Codec, opts codec.RunOpts, price func(string, []codec.Codec, codec.RunOpts)) {
+	groups, err := codec.Groups(codecs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range groups {
+		set := make([]codec.Codec, len(g.At))
+		names := make([]string, len(g.At))
+		for i, at := range g.At {
+			set[i], names[i] = codecs[at], codecs[at].Name()
 		}
-		perEntry(b)
-	})
+		price(shape+"/"+strings.Join(names, "+"), set, opts)
+	}
 }
 
 // BenchmarkStreamPipeline measures the single-pass streaming fan-out:

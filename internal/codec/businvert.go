@@ -166,7 +166,7 @@ func (e *biEncoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 // deltaStride implements deltaCodec: bus-invert predicts nothing.
 func (bi *BusInvert) deltaStride() uint64 { return 0 }
 
-// deltaSlot implements deltaCodec: the delta group's XOR pass prices the
+// deltaSlot implements deltaCodec: the delta group's walk prices the
 // classic code, priceDelta the partitioned one.
 func (bi *BusInvert) deltaSlot() int {
 	if len(bi.groups) == 1 {
@@ -176,9 +176,9 @@ func (bi *BusInvert) deltaSlot() int {
 }
 
 // priceDelta implements deltaPricer for the partitioned code; the
-// delta group's XOR pass prices the classic one. Each partition prices
-// as the classic code does (DeltaSet.xorPass): with b of its N lines
-// toggling, min(b, N+1-b), whichever polarity its INV line held.
+// delta group's walk prices the classic one. Each partition prices as
+// the classic code does (countInv): with b of its N lines toggling,
+// min(b, N+1-b), whichever polarity its INV line held.
 func (bi *BusInvert) priceDelta(addrs []uint64, prev uint64, r *deltaRun) {
 	mask := bus.Mask(bi.width)
 	inv := r.last &^ mask // the INV lines

@@ -50,11 +50,12 @@ func deltaCodecs(names []string, width int, stride uint64, train *trace.Stream) 
 // and 64 (every pairing Gray takes), every member set of two to six
 // codecs, chunk lengths around the 64-entry block and the 4096-entry
 // batch, streams from the muxed reference to all, none and alternately
-// in sequence, data first and wrapping at the width's top, and the
-// sampled and absent verify budgets; beach is trained on the stream's
-// head. Consume and ConsumeEntries alternate. The grid prices one
-// goroutine's stream, where the race detector has nothing to find, so
-// under it the grid keeps width 32 and stride 4 alone.
+// in sequence, data first, wrapping at the width's top and carrying
+// through every line (carryStream), and the sampled and absent verify
+// budgets; beach is trained on the stream's head. Consume and
+// ConsumeEntries alternate. The grid prices one goroutine's stream,
+// where the race detector has nothing to find, so under it the grid
+// keeps width 32 and stride 4 alone.
 func TestDeltaSetParity(t *testing.T) {
 	widths, strides := []int{1, 2, 31, 32, 63, 64}, []uint64{1, 4, 64}
 	if raceEnabled {
@@ -63,7 +64,8 @@ func TestDeltaSetParity(t *testing.T) {
 	sets := deltaMemberSets()
 	for _, width := range widths {
 		for _, stride := range strides {
-			for _, full := range seqStreams(width, stride) {
+			streams := append(seqStreams(width, stride), carryStream(width, stride, 4200))
+			for _, full := range streams {
 				train := full.Slice(0, 1000)
 				for _, s := range []*trace.Stream{full.Slice(0, seqShortLen), full} {
 					chunkLens := []int{1, 63, 64, 65}
@@ -75,6 +77,28 @@ func TestDeltaSetParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// carryStream is n entries of instruction runs in sequence at stride,
+// each starting three strides below 2^k * stride, for k = 1 up to the
+// payload width and over again: run k carries into line k past the
+// stride, so the runs reach past half of a bus-invert partition, onto
+// its tie at odd widths, and at the last k wrap the payload's top
+// mid-run. Runs of 40 to 149 lanes cross 64-lane blocks and the
+// parity grid's chunks.
+func carryStream(width int, stride uint64, n int) *trace.Stream {
+	s := trace.New("carries", width)
+	for len(s.Entries) < n {
+		for k := 1; k <= width; k++ {
+			a := (uint64(1)<<uint(k) - 3) * stride
+			for j := 0; j < 40+k*53%110; j++ {
+				s.Append(a, trace.Instr)
+				a += stride
+			}
+		}
+	}
+	s.Entries = s.Entries[:n]
+	return s
 }
 
 // deltaParity runs TestDeltaSetParity's grid over one stream.
@@ -251,9 +275,9 @@ func TestDeltaSetConsumeAllocs(t *testing.T) {
 }
 
 // TestDeltaSetSeed: a group of Seeder codecs joins the stream at any
-// entry, as a dist entry shard seeds it, and its two halves merge to
-// Run's result; a group holding bus-invert joins only at entry 0 and
-// past it Seed names the group and refuses.
+// entry, as a dist entry shard seeds it, inside an in-sequence run too,
+// and its two halves merge to Run's result; a group holding bus-invert
+// joins only at entry 0 and past it Seed names the group and refuses.
 func TestDeltaSetSeed(t *testing.T) {
 	s := randomMixStream(32, 3000, 3)
 	seeders, _ := deltaCodecs([]string{"binary", "gray", "offset", "incxor", "beach"}, 32, 4, s.Slice(0, 500))
@@ -274,6 +298,40 @@ func TestDeltaSetSeed(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameResult(t, fmt.Sprintf("cut %d/%s", cut, c.Name()), newResult(c, s.Name, merged), MustRun(c, s), false)
+		}
+	}
+	// Cuts inside runs: the entry before the cut is in sequence, so the
+	// group must not carry that over its Prime (offset's and INC-XOR's
+	// word there is the seeded one, not S and 0), and the runs' carries
+	// reach every line.
+	runs := carryStream(32, 4, 3000)
+	var inside []int
+	for i := 2; i < runs.Len(); i++ {
+		a := runs.Entries
+		if a[i].Addr == a[i-1].Addr+4 && a[i-1].Addr == a[i-2].Addr+4 && (i%700 == 0 || i%64 == 0 && i%5 == 0) {
+			inside = append(inside, i)
+		}
+	}
+	if len(inside) < 4 {
+		t.Fatalf("%d cuts inside runs, want at least 4", len(inside))
+	}
+	for _, cut := range inside {
+		sides := make([][]*bus.Bus, len(seeders))
+		for _, rg := range [][2]int{{0, cut}, {cut, runs.Len()}} {
+			buses, err := CollectBuses(priceRange(t, seeders, runs, rg[0], rg[1], 100, RunOpts{Verify: VerifySampled}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range buses {
+				sides[i] = append(sides[i], b)
+			}
+		}
+		for i, c := range seeders {
+			merged, err := bus.MergeSlots(sides[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("run cut %d/%s", cut, c.Name()), newResult(c, runs.Name, merged), MustRun(c, runs), false)
 		}
 	}
 	codecs, _ := deltaCodecs([]string{"binary", "businvert"}, 32, 4, nil)

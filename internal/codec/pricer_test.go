@@ -145,7 +145,9 @@ func TestCollectReportsFirstFailureInListOrder(t *testing.T) {
 
 // fuzzStream decodes fuzzer bytes into a stream with the regimes the
 // codecs react to: in-sequence runs, repeats, jumps, data accesses and
-// garbage above the payload width.
+// garbage above the payload width. A jump byte with bits 3 and 4 set
+// lands a few strides below 2^31 or 2^32 (bit 5), so a run after it
+// carries through a 31- or 32-bit payload and wraps it.
 func fuzzStream(data []byte) *trace.Stream {
 	s := trace.New("fuzz", 32)
 	addr := uint64(0x0040_0000)
@@ -158,6 +160,9 @@ func fuzzStream(data []byte) *trace.Stream {
 			// repeat
 		case 4:
 			addr = uint64(b)<<10 ^ uint64(i)<<3
+			if b&0x18 == 0x18 {
+				addr = uint64(1)<<(31+b>>5&1) - 4*uint64(1+b>>6)
+			}
 		case 5:
 			addr ^= uint64(b) << 40
 		case 6:
@@ -245,6 +250,13 @@ func FuzzPricingPaths(f *testing.F) {
 		if c.Name() == "binary" || c.Name() == "businvert" {
 			binaryInvert |= 1 << i
 		}
+	}
+	// Runs through the tops of 31- and 32-bit payloads, for the delta
+	// group in every shape: a jump below 2^31, 40 in-sequence entries, a
+	// jump below 2^32, 40 more.
+	carries := append(append(append([]byte{0x1c}, bytes.Repeat([]byte{0}, 40)...), 0x7c), bytes.Repeat([]byte{1}, 40)...)
+	for shape := range shapes {
+		f.Add(uint8(5), carries, uint16(30), uint16(41), uint8(KernelAuto), uint8(VerifySampled), deltas, false, uint8(shape))
 	}
 	f.Add(uint8(6), stream, uint16(64), uint16(90), uint8(KernelAuto), uint8(VerifySampled), deltas, false, uint8(0))
 	f.Add(uint8(7), stream, uint16(30), uint16(101), uint8(KernelAuto), uint8(VerifyNone), deltas&seeders, false, uint8(0))

@@ -263,6 +263,19 @@ func seqLanes(a *[bus.BlockLen]uint64, addrs []uint64, prev, mask, stride uint64
 	return seq >> ((bus.BlockLen - len(addrs)) & 63)
 }
 
+// seqMask returns the seq mask of a block of 1..64 addresses as
+// seqLanes does, reading them in place: prev is the address before
+// lane 0.
+func seqMask(addrs []uint64, prev, mask, stride uint64) uint64 {
+	var seq uint64
+	for _, x := range addrs {
+		x &= mask
+		seq = seq>>1 | b2u(x == (prev+stride)&mask)<<63
+		prev = x
+	}
+	return seq >> ((bus.BlockLen - len(addrs)) & 63)
+}
+
 // selLanes returns the SEL lanes of kinds (trace.Instr is 0), eight at
 // a time: a byte is zero exactly when its low seven bits plus 0x7f, ORed
 // with the byte, leave its top bit clear, and the multiply gathers the

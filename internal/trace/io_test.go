@@ -195,8 +195,18 @@ func TestBinaryRejectsBadKind(t *testing.T) {
 // its workers). All of them accept it with the same entries, or all
 // refuse it: a width outside 1..64, or an address above the declared
 // width, which every codec's payload mask would otherwise truncate. An
-// address refusal is positioned at its entry (BETR) or line (text).
+// address refusal is positioned at its entry (BETR) or line (text),
+// also where it is the last or the first entry of a 4096-entry chunk.
 func TestReadersAgreeOnWidths(t *testing.T) {
+	// overAt is n in-width addresses with a 9-bit one at entry at.
+	overAt := func(n, at int) []uint64 {
+		addrs := make([]uint64, n)
+		for i := range addrs {
+			addrs[i] = uint64(i) * 4 & 0xff
+		}
+		addrs[at] = 0x100
+		return addrs
+	}
 	for _, tc := range []struct {
 		width int
 		addrs []uint64
@@ -207,6 +217,8 @@ func TestReadersAgreeOnWidths(t *testing.T) {
 		{1, []uint64{0, 1, 1, 0}, "", 0},
 		{8, []uint64{0x10, 0xff, 0x40000000, 0x20}, "address 0x40000000 exceeds declared width 8", 2},
 		{8, []uint64{0x10, 0xff, 0x00, 0x20}, "", 0},
+		{8, overAt(DefaultChunkLen+10, DefaultChunkLen-1), "address 0x100 exceeds declared width 8", DefaultChunkLen - 1},
+		{8, overAt(DefaultChunkLen+10, DefaultChunkLen), "address 0x100 exceeds declared width 8", DefaultChunkLen},
 		{64, []uint64{0, ^uint64(0), 1 << 63, 4}, "", 0},
 		{65, []uint64{0, 4}, "bad width", 0},
 		{200, []uint64{0, 4}, "bad width", 0},

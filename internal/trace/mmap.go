@@ -87,50 +87,70 @@ func (m *memChunkReader) uvarint() (uint64, error) {
 // entry decoder of the in-memory reader and of IndexBETR. On a
 // malformed entry it stops and returns that entry's index in addrs and
 // the cause (decodeBETREntry's), with next at the entry; otherwise bad
-// is len(addrs). Addresses are not checked against a width.
+// is len(addrs). Addresses are not checked against a width: or is the
+// OR of every address it wrote, so a caller tells from one word whether
+// any of them exceeds one.
 //
 // An entry is a kind byte and the zig-zag varint of its address delta.
 // While at least 9 bytes remain, a varint of up to 8 bytes decodes
-// inline from one little-endian 8-byte load after the kind byte: a
-// one-byte varint, most entries of an in-sequence stream, on a branch
-// of its own; a longer one ends at the lowest clear continuation bit,
-// and three mask-and-shift steps pack its 7-bit groups. Longer varints,
-// bad kinds and the last bytes of the view go through decodeBETREntry,
-// so every error is its.
-func decodeBETR(data []byte, pos int, prev uint64, addrs []uint64, kinds []Kind) (next, bad int, err error) {
+// inline (decodeInline). Longer varints, bad kinds and the last bytes of
+// the view go through decodeBETREntry, so every error is its.
+func decodeBETR(data []byte, pos int, prev uint64, addrs []uint64, kinds []Kind) (next, bad int, or uint64, err error) {
 	kinds = kinds[:len(addrs)]
-	last := len(data) - 9 // the last entry start that leaves 9 bytes to load
-	for i := range addrs {
-		if pos <= last && data[pos] <= byte(DataWrite) {
-			w := binary.LittleEndian.Uint64(data[pos+1:])
-			if w&0x80 == 0 {
-				b := w & 0x7f
-				prev += b>>1 ^ -(b & 1)
-				addrs[i], kinds[i] = prev, Kind(data[pos])
-				pos += 2
-				continue
-			}
-			if stop := ^w & 0x8080808080808080; stop != 0 {
-				n := bits.TrailingZeros64(stop) // 8k+7 for a varint of k+1 bytes
-				ux := w & (uint64(2)<<n - 1)
-				ux = ux&0x007f007f007f007f | ux>>1&0x3f803f803f803f80
-				ux = ux&0x00003fff00003fff | ux>>2&0x0fffc0000fffc000
-				ux = ux&0x000000000fffffff | ux>>4&0x00fffffff0000000
-				prev += ux>>1 ^ -(ux & 1)
-				addrs[i], kinds[i] = prev, Kind(data[pos])
-				pos += n>>3 + 2
-				continue
-			}
+	for i := 0; ; i++ {
+		i, pos, prev, or = decodeInline(data, pos, prev, or, addrs, kinds, i)
+		if i == len(addrs) {
+			return pos, i, or, nil
 		}
 		kind, delta, at, err := decodeBETREntry(data, pos)
 		if err != nil {
-			return pos, i, err
+			return pos, i, or, err
 		}
 		prev += delta
 		addrs[i], kinds[i] = prev, kind
+		or |= prev
 		pos = at
 	}
-	return pos, len(addrs), nil
+}
+
+// decodeInline decodes entries from data[pos:] into addrs[i:] and
+// kinds[i:] while they decode inline, and returns the index and the
+// position of the first entry it left, with the address and the OR of
+// the addresses so far. An entry decodes inline while at least 9 bytes
+// remain: its kind is good and its varint of up to 8 bytes comes from
+// one little-endian 8-byte load after the kind byte, a one-byte varint,
+// most entries of an in-sequence stream, on a branch of its own, and a
+// longer one ending at the lowest clear continuation bit, its 7-bit
+// groups packed by three mask-and-shift steps. It calls nothing, so the
+// loop keeps what it carries in registers.
+func decodeInline(data []byte, pos int, prev, or uint64, addrs []uint64, kinds []Kind, i int) (int, int, uint64, uint64) {
+	kinds = kinds[:len(addrs)]
+	last := len(data) - 9 // the last entry start that leaves 9 bytes to load
+	for ; i < len(addrs) && pos <= last && data[pos] <= byte(DataWrite); i++ {
+		w := binary.LittleEndian.Uint64(data[pos+1:])
+		if w&0x80 == 0 {
+			b := w & 0x7f
+			prev += b>>1 ^ -(b & 1)
+			addrs[i], kinds[i] = prev, Kind(data[pos])
+			or |= prev
+			pos += 2
+			continue
+		}
+		stop := ^w & 0x8080808080808080
+		if stop == 0 {
+			break
+		}
+		n := bits.TrailingZeros64(stop) // 8k+7 for a varint of k+1 bytes
+		ux := w & (uint64(2)<<n - 1)
+		ux = ux&0x007f007f007f007f | ux>>1&0x3f803f803f803f80
+		ux = ux&0x00003fff00003fff | ux>>2&0x0fffc0000fffc000
+		ux = ux&0x000000000fffffff | ux>>4&0x00fffffff0000000
+		prev += ux>>1 ^ -(ux & 1)
+		addrs[i], kinds[i] = prev, Kind(data[pos])
+		or |= prev
+		pos += n>>3 + 2
+	}
+	return i, pos, prev, or
 }
 
 // decodeBETREntry decodes the BETR entry at data[pos:] — a kind byte,
@@ -225,13 +245,14 @@ func (m *memChunkReader) next() (*Chunk, error) {
 	n := min(uint64(m.pool.Cap()), m.remaining)
 	entry := m.total - m.remaining
 	ch.Addrs, ch.Kinds = ch.Addrs[:n], ch.Kinds[:n]
-	pos, bad, err := decodeBETR(m.data, m.pos, m.prev, ch.Addrs, ch.Kinds)
+	pos, bad, or, err := decodeBETR(m.data, m.pos, m.prev, ch.Addrs, ch.Kinds)
 	if err != nil {
 		ch.Release()
 		m.err = m.ctx("entry %d: %v", entry+uint64(bad), err)
 		return nil, m.err
 	}
-	if i := firstOverWidth(ch.Addrs, m.width); i >= 0 {
+	if or&^widthMask(m.width) != 0 {
+		i := firstOverWidth(ch.Addrs, m.width)
 		m.err = m.ctx("entry %d: address %#x exceeds declared width %d", entry+uint64(i), ch.Addrs[i], m.width)
 		ch.Release()
 		return nil, m.err

@@ -76,7 +76,7 @@ func IndexBETR(data []byte, file string, parts int) (*BETRIndex, error) {
 	scan := func(to int64) error {
 		for e < to {
 			n := min(int64(len(addrs)), to-e)
-			next, bad, err := decodeBETR(data, pos, prevAddr, addrs[:n], kinds[:n])
+			next, bad, _, err := decodeBETR(data, pos, prevAddr, addrs[:n], kinds[:n])
 			if err != nil {
 				return m.ctx("entry %d: %v", e+int64(bad), err)
 			}

@@ -54,9 +54,10 @@ func widthMask(w int) uint64 {
 }
 
 // firstOverWidth returns the index of the first address in addrs with a
-// bit at or above width, or -1 when all of them fit. The BETR decoders
-// check each decoded chunk with it: one OR over the chunk keeps the
-// check out of their per-entry varint loops.
+// bit at or above width, or -1 when all of them fit. The streaming BETR
+// decoder checks each decoded chunk with it: one OR over the chunk keeps
+// the check out of its per-entry varint loop. The in-memory decoder ORs
+// as it decodes and calls it only to name an entry it knows is there.
 func firstOverWidth(addrs []uint64, width int) int {
 	if width >= 64 {
 		return -1
