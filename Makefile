@@ -111,7 +111,9 @@ trace-smoke:
 # coordinator/worker machinery is the most concurrent code in the tree,
 # so the whole dist package (and the CLI that drives it) runs under the
 # race detector here. The dispatcher tests then race five times over:
-# the per-slot window decides which slot's goroutine takes each job.
+# each slot's goroutine races the others for the shared queue whenever
+# its worker holds no job, and TestOneJobInFlight holds every slot to
+# one job at a time.
 # TestSweepCorruptTrace joins them: under a plan of whole-trace groups
 # only the workers decode the trace, so a corrupt body surfaces from
 # whichever job reaches it first. So does TestInProcCloseWaitsForWorker:
@@ -121,7 +123,7 @@ dist-smoke:
 	$(GO) test -race -run TestDistSmoke -v ./internal/dist
 	$(GO) test -race -run TestNetSmoke -v ./internal/serve
 	$(GO) test -race ./internal/dist ./cmd/busencsweep
-	$(GO) test -race -count=5 -run 'Window|Plans|Checkpoint|WorkerDeath|Heartbeat|CorruptTrace|InProcClose' ./internal/dist
+	$(GO) test -race -count=5 -run 'OneJobInFlight|Plans|Checkpoint|WorkerDeath|Heartbeat|CorruptTrace|InProcClose' ./internal/dist
 
 # Multi-tenant service smoke — the exact CI scenario: build the daemon
 # and the load harness as real binaries (SIGTERM must reach a real
@@ -144,8 +146,9 @@ serve-smoke:
 # connection dies mid-sweep and is redialed), a busencsweep coordinator
 # pricing t0 and the Seeder codecs over both via -peers (t0's one
 # whole-trace group leaves a peer idle, so the budget of 16 plans 15
-# entry shards besides, and the doomed connection holds several jobs),
-# a second, traced sweep against the now-warm stores (the trace ships
+# entry shards besides, and the doomed connection is sent a second job
+# after its first result and dies holding it), a second, traced sweep
+# against the now-warm stores (the trace ships
 # by digest, so the re-sweep uploads nothing), a sweep of every codec
 # over both peers (one group each) held against the same request on two
 # local workers, then a fresh BENCH_dist.json with the tcp.* metrics
@@ -200,9 +203,9 @@ bench:
 # BENCH_bitslice.json (scalar vs. bit-sliced plane kernel on the
 # seedable codec subset); `-benchdist` writes BENCH_dist.json
 # (serial decode+price vs. the coordinator/worker distributed sweep,
-# plus the tcp.* networked metrics). BENCH_serve.json captures one
-# 32-tenant load-harness run against a spawned daemon (see
-# serve-smoke).
+# plus the tcp.* networked parity and digest-dedup metrics).
+# BENCH_serve.json captures one 32-tenant load-harness run against a
+# spawned daemon (see serve-smoke).
 benchjson:
 	$(GO) run ./cmd/paper -benchjson .
 	$(GO) run ./cmd/paper -benchdist BENCH_dist.json
@@ -216,12 +219,11 @@ benchjson:
 # the committed record declares: same-machine ratio bands (a >25%
 # speedup drop, or the streaming alloc ratio halving, fails), absolute
 # floors (bit-sliced kernel >= 5x on any box; distributed sweep >=
-# 1.3x with >= 4 CPUs; pipelined tcp dispatch >= 1.2x with >= 2 CPUs)
-# and invariants that bind on every machine (parity, zero lost jobs,
-# zero trace bytes re-shipped to warm peers). A check that cannot bind
-# on this box — too few CPUs, or a baseline committed on another
-# machine — is skipped with a "skipped: num_cpu=N" or "cross-machine
-# baseline" note on stdout, loudly, never silently.
+# 1.3x with >= 4 CPUs) and invariants that bind on every machine
+# (parity, zero lost jobs, zero trace bytes re-shipped to warm peers).
+# A check that cannot bind on this box — too few CPUs, or a baseline
+# committed on another machine — is skipped with a "skipped: num_cpu=N"
+# or "cross-machine baseline" note on stdout, loudly, never silently.
 benchguard:
 	mkdir -p .bench-fresh .serve-smoke
 	$(GO) run ./cmd/paper -benchjson .bench-fresh

@@ -45,7 +45,7 @@ func TestCLIPassesOnIdenticalRecords(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d on identical records; stderr:\n%s", code, errOut)
 	}
-	if !strings.Contains(out, "benchguard: ok ("+dir+" vs "+dir+", 5 records, 2 checks skipped)") {
+	if !strings.Contains(out, "benchguard: ok ("+dir+" vs "+dir+", 5 records, 1 checks skipped)") {
 		t.Errorf("pass summary missing:\n%s", out)
 	}
 }
@@ -142,7 +142,6 @@ func TestCLISkipNotesOnOneCPUBox(t *testing.T) {
 	}
 	for _, want := range []string{
 		"benchguard: note: dist: speedup_dist floor skipped: num_cpu=1",
-		"benchguard: note: dist: tcp.speedup_pipelined floor skipped: num_cpu=1",
 		"benchguard: ok",
 	} {
 		if !strings.Contains(out, want) {

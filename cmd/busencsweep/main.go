@@ -53,7 +53,6 @@ func main() {
 	tracePath := flag.String("trace", "", "trace file to price (text or BETR, auto-detected)")
 	workers := flag.Int("workers", 1, "worker processes to spawn (with -peers, 0 means peers only)")
 	peers := flag.String("peers", "", "comma-separated busencd peer addresses (host:port) to price on over TCP")
-	window := flag.Int("window", 0, "max jobs in flight per worker/peer (0 = default, 1 = lock-step)")
 	shards := flag.Int("shards", 0, "job budget: the most jobs to plan (0 = 4 per worker/peer); entry shards only fill workers/peers the whole-trace codec groups leave idle")
 	checkpoint := flag.String("checkpoint", "", "journal path for checkpoint/resume; rerunning the same sweep against an existing journal resumes it")
 	codes := flag.String("codes", "all", "comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
@@ -83,7 +82,6 @@ func main() {
 		trace:      *tracePath,
 		workers:    *workers,
 		peers:      splitPeers(*peers),
-		window:     *window,
 		shards:     *shards,
 		checkpoint: *checkpoint,
 		codes:      *codes,
@@ -124,7 +122,6 @@ type sweepConfig struct {
 	trace      string
 	workers    int
 	peers      []string
-	window     int
 	shards     int
 	checkpoint string
 	codes      string
@@ -179,7 +176,6 @@ func run(cfg sweepConfig, out *os.File) error {
 	results, err := dist.Sweep(cfg.trace, dist.Opts{
 		Workers:    cfg.workers,
 		Peers:      cfg.peers,
-		Window:     cfg.window,
 		Shards:     cfg.shards,
 		Codecs:     specs,
 		Verify:     vm,
@@ -305,24 +301,13 @@ func selfSpawner(killWorker string) (dist.Spawner, error) {
 }
 
 // printTable renders the results like cmd/paper's trace mode: absolute
-// transition counts plus savings relative to the first codec.
+// transition counts, transitions per cycle (Result.AvgPerCycle) and
+// savings relative to the first codec.
 func printTable(out *os.File, results []codec.Result) error {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "codec\ttransitions\tavg/cycle\tsaved%")
-	var base float64
-	for i, r := range results {
-		avg := 0.0
-		if r.Cycles > 0 {
-			avg = float64(r.Transitions) / float64(r.Cycles)
-		}
-		if i == 0 {
-			base = float64(r.Transitions)
-		}
-		saved := 0.0
-		if base > 0 {
-			saved = 100 * (1 - float64(r.Transitions)/base)
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.3f\t%.1f\n", r.Codec, r.Transitions, avg, saved)
+	for _, r := range results {
+		fmt.Fprintf(w, "%s\t%d\t%.3f\t%.1f\n", r.Codec, r.Transitions, r.AvgPerCycle(), 100*r.SavingsVs(results[0]))
 	}
 	return w.Flush()
 }

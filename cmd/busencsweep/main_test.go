@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,7 +81,11 @@ func runToFile(t *testing.T, fn func(out *os.File) error) string {
 }
 
 // TestRunTable: the coordinator path end to end with real subprocess
-// workers, table output.
+// workers, table output. On a trace of a few dozen entries, where
+// dividing by the cycle count or by one fewer (the first word costs
+// nothing) prints differently, every row's per-cycle and saved%
+// columns read as codec.Run's AvgPerCycle and SavingsVs against
+// binary, the numbers every other front door prints.
 func TestRunTable(t *testing.T) {
 	path, _ := testTrace(t, 8000)
 	got := runToFile(t, func(out *os.File) error {
@@ -89,6 +95,39 @@ func TestRunTable(t *testing.T) {
 		if !strings.Contains(got, name) {
 			t.Errorf("table output missing %q:\n%s", name, got)
 		}
+	}
+
+	path, s := testTrace(t, 40)
+	got = runToFile(t, func(out *os.File) error {
+		return run(sweepConfig{trace: path, workers: 2, shards: 4, codes: "paper", verify: "sampled", kernel: "auto", stride: 4}, out)
+	})
+	rows := strings.Split(strings.TrimSpace(got), "\n")[1:]
+	if len(rows) != len(paperCodes) {
+		t.Fatalf("%d rows, want %d:\n%s", len(rows), len(paperCodes), got)
+	}
+	var bin codec.Result
+	apart := false
+	for i, row := range rows {
+		c, err := codec.New(paperCodes[i], s.Width, codec.Options{Stride: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := codec.Run(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			bin = want
+		}
+		wantRow := []string{want.Codec, strconv.FormatInt(want.Transitions, 10),
+			fmt.Sprintf("%.3f", want.AvgPerCycle()), fmt.Sprintf("%.1f", 100*want.SavingsVs(bin))}
+		if f := strings.Fields(row); !slices.Equal(f, wantRow) {
+			t.Errorf("row %q, want codec.Run's %q", row, wantRow)
+		}
+		apart = apart || fmt.Sprintf("%.3f", want.AvgPerCycle()) != fmt.Sprintf("%.3f", float64(want.Transitions)/float64(want.Cycles))
+	}
+	if !apart {
+		t.Errorf("the %d-entry trace prints the same per-cycle figure under both denominators; it checks nothing", s.Len())
 	}
 }
 

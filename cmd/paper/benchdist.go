@@ -36,13 +36,12 @@ import (
 // skip is explicit.
 //
 // The tcp.* metrics repeat the sweep over two loopback busencd peers
-// speaking the /dist upgrade protocol. They compare the pipelined
-// in-flight window against lock-step window=1 dispatch on the Seeder
-// codecs, the only ones the planner cuts into many small jobs (the
-// pipelining floor binds on >= 2 CPUs), and prove digest dedup: the
+// speaking the /dist upgrade protocol and prove digest dedup: the
 // re-sweep's trace upload must be zero bytes because both peers
 // already hold the trace content-addressed by SHA-256. The cold ship
-// sweep and the re-sweep price all codecs.
+// sweep and the re-sweep price all codecs; tcp.parity also covers one
+// sweep of the Seeder codecs, the only ones the planner cuts into many
+// entry shards.
 
 // benchDist runs the comparison and writes BENCH_dist.json.
 func benchDist(path string, entries, warmIters int) (err error) {
@@ -147,7 +146,7 @@ func benchDist(path string, entries, warmIters int) (err error) {
 		"speedup_dist":   float64(serNs) / float64(distNs),
 		"parity":         bench.Bool(parity), // dist results == RunFast results, all codecs
 	}
-	if err := benchDistTCP(&rec, tmpPath, specs, entries, warmIters, serResults); err != nil {
+	if err := benchDistTCP(&rec, tmpPath, specs, entries, serResults); err != nil {
 		return err
 	}
 	rec.Checks = []bench.Check{
@@ -155,16 +154,11 @@ func benchDist(path string, entries, warmIters int) (err error) {
 		// own cores and the ratio measures scheduling, not scaling.
 		{Metric: "speedup_dist", Kind: bench.Floor, Bound: 1.3, MinCPU: 4},
 		{Metric: "speedup_dist", Kind: bench.Ratio, Bound: bench.Band},
-		// On one CPU the loopback peers timeslice the coordinator's
-		// core, so keeping the wire full cannot beat lock-step.
-		{Metric: "tcp.speedup_pipelined", Kind: bench.Floor, Bound: 1.2, MinCPU: 2},
-		{Metric: "tcp.speedup_pipelined", Kind: bench.Ratio, Bound: bench.Band},
 		{Metric: "parity", Kind: bench.Invariant, Bound: 1},
 		{Metric: "tcp.parity", Kind: bench.Invariant, Bound: 1},
 		// Dedup is correctness, not speed: a re-sweep against warm
 		// peers ships zero trace bytes on any machine.
 		{Metric: "tcp.dedup_reship_bytes", Kind: bench.Invariant, Bound: 0},
-		{Metric: "tcp.window", Kind: bench.Floor, Bound: 2}, // pipelined, not lock-step
 		{Metric: "tcp.trace_ship_bytes", Kind: bench.Floor, Bound: 1},
 	}
 	if err := bench.Write(path, rec); err != nil {
@@ -173,9 +167,8 @@ func benchDist(path string, entries, warmIters int) (err error) {
 	m := rec.Metrics
 	fmt.Printf("dist bench (%d entries, %d cpu): serial warm %.1f ms, distributed warm (%d workers, %d shards) %.1f ms (%.2fx), parity=%v -> %s\n",
 		entries, rec.NumCPU, float64(serNs)/1e6, workers, shards, float64(distNs)/1e6, m["speedup_dist"], parity, path)
-	fmt.Printf("dist bench tcp (%.0f peers, %.0f shards): pipelined (window %.0f) %.1f ms vs lock-step %.1f ms (%.2fx), shipped %.0f B once, re-ship %.0f B (%.0f dedup hits), parity=%v\n",
-		m["tcp.peers"], m["tcp.shards"], m["tcp.window"], m["tcp.pipelined_ns"]/1e6, m["tcp.inflight1_ns"]/1e6,
-		m["tcp.speedup_pipelined"], m["tcp.trace_ship_bytes"], m["tcp.dedup_reship_bytes"], m["tcp.dedup_hits"], m["tcp.parity"] == 1)
+	fmt.Printf("dist bench tcp (%.0f peers, %.0f shards): shipped %.0f B once, re-ship %.0f B (%.0f dedup hits), parity=%v\n",
+		m["tcp.peers"], m["tcp.shards"], m["tcp.trace_ship_bytes"], m["tcp.dedup_reship_bytes"], m["tcp.dedup_hits"], m["tcp.parity"] == 1)
 	if !parity {
 		return fmt.Errorf("distributed sweep and sequential RunFast results diverge")
 	}
@@ -188,25 +181,22 @@ func benchDist(path string, entries, warmIters int) (err error) {
 	return nil
 }
 
-// benchDistTCP measures the networked variant into the tcp.* metrics
-// of rec: the same sweep over two loopback busencd peers, pipelined
-// window vs lock-step on the Seeder codecs (listed in the record's
-// tcp_window_codecs info), plus the digest-dedup re-ship evidence on
-// all codecs.
-func benchDistTCP(rec *bench.Record, tmpPath string, specs []dist.CodecSpec, entries, warmIters int, serResults []codec.Result) error {
+// benchDistTCP records the networked variant into the tcp.* metrics of
+// rec: the same sweep over two loopback busencd peers, the digest-dedup
+// re-ship evidence, and parity of every networked sweep with the serial
+// results.
+func benchDistTCP(rec *bench.Record, tmpPath string, specs []dist.CodecSpec, entries int, serResults []codec.Result) error {
 	const (
-		tcpPeers  = 2
-		tcpWindow = 8
-		// Dispatch-bound on purpose: many small jobs put the per-job
-		// round trip on the critical path, which is exactly what the
-		// in-flight window is meant to hide.
+		tcpPeers = 2
+		// Many small jobs: the Seeder sweep below cuts this many entry
+		// shards, so parity covers a plan that hands each peer dozens of
+		// jobs, not just one group each.
 		tcpShards = 128
 	)
 	// The planner prices every prefix-dependent codec whole-trace, so
-	// only the Seeder codecs fill the 128 jobs the window pipelines.
+	// only the Seeder codecs fill the 128 jobs.
 	var seedSpecs []dist.CodecSpec
 	var seedResults []codec.Result
-	var seedNames []string
 	for i, spec := range specs {
 		c, err := spec.New()
 		if err != nil {
@@ -215,10 +205,8 @@ func benchDistTCP(rec *bench.Record, tmpPath string, specs []dist.CodecSpec, ent
 		if _, ok := c.NewEncoder().(codec.Seeder); ok {
 			seedSpecs = append(seedSpecs, spec)
 			seedResults = append(seedResults, serResults[i])
-			seedNames = append(seedNames, spec.Name)
 		}
 	}
-	rec.Info["tcp_window_codecs"] = seedNames
 	m := rec.Metrics
 	peers := make([]string, 0, tcpPeers)
 	for i := 0; i < tcpPeers; i++ {
@@ -243,10 +231,9 @@ func benchDistTCP(rec *bench.Record, tmpPath string, specs []dist.CodecSpec, ent
 		peers = append(peers, ln.Addr().String())
 	}
 
-	tcpSweep := func(specs []dist.CodecSpec, window int, ns *dist.NetStats) ([]codec.Result, error) {
+	tcpSweep := func(specs []dist.CodecSpec, ns *dist.NetStats) ([]codec.Result, error) {
 		return dist.Sweep(tmpPath, dist.Opts{
 			Peers:  peers,
-			Window: window,
 			Shards: tcpShards,
 			Codecs: specs,
 			Verify: codec.VerifyNone,
@@ -254,42 +241,29 @@ func benchDistTCP(rec *bench.Record, tmpPath string, specs []dist.CodecSpec, ent
 		})
 	}
 
-	// Cold sweep: ships the trace into both peers' stores exactly once
-	// and warms their mmap caches; every timed iteration after it pays
-	// only dispatch and pricing.
+	// Cold sweep: ships the trace into both peers' stores exactly once.
 	var ship dist.NetStats
-	coldResults, err := tcpSweep(specs, tcpWindow, &ship)
+	coldResults, err := tcpSweep(specs, &ship)
 	if err != nil {
-		return fmt.Errorf("networked warm-up sweep: %w", err)
+		return fmt.Errorf("networked cold sweep: %w", err)
 	}
-	pipeResults, pipeNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(seedSpecs, tcpWindow, nil) })
+	seedSwept, err := tcpSweep(seedSpecs, nil)
 	if err != nil {
-		return fmt.Errorf("pipelined networked sweep: %w", err)
-	}
-	lockResults, lockNs, err := bestOf(warmIters, func() ([]codec.Result, error) { return tcpSweep(seedSpecs, 1, nil) })
-	if err != nil {
-		return fmt.Errorf("lock-step networked sweep: %w", err)
+		return fmt.Errorf("networked Seeder sweep: %w", err)
 	}
 	// Re-sweep with fresh counters: the digest probe must find both
 	// peers warm, so zero trace bytes move.
 	var reship dist.NetStats
-	reResults, err := tcpSweep(specs, tcpWindow, &reship)
+	reResults, err := tcpSweep(specs, &reship)
 	if err != nil {
 		return fmt.Errorf("dedup re-sweep: %w", err)
 	}
 
 	m["tcp.peers"] = tcpPeers
-	m["tcp.window"] = tcpWindow // pipelined in-flight window per peer
 	m["tcp.shards"] = tcpShards
 	m["tcp.entries"] = float64(entries)
-	// pipelined_ns is the best warm networked sweep of the Seeder
-	// codecs with the in-flight window open; inflight1_ns is the same
-	// sweep lock-step, one RTT of dead wire per job.
-	m["tcp.pipelined_ns"] = float64(pipeNs)
-	m["tcp.inflight1_ns"] = float64(lockNs)
-	m["tcp.speedup_pipelined"] = float64(lockNs) / float64(pipeNs)
 	m["tcp.parity"] = bench.Bool(sameResults(coldResults, serResults) && sameResults(reResults, serResults) &&
-		sameResults(pipeResults, seedResults) && sameResults(lockResults, seedResults))
+		sameResults(seedSwept, seedResults))
 	// trace_ship_bytes is what the first sweep uploaded to the peers'
 	// stores; dedup_reship_bytes is what the re-sweep shipped, and
 	// dedup_hits counts its digest-probe hits.

@@ -37,7 +37,7 @@ func main() {
 	tracePath := flag.String("trace", "", "evaluate the codecs over this trace file (text or binary, auto-detected) instead of the benchmark suites")
 	flag.Bool("stream", true, "with -trace: accepted for compatibility; -trace always prices in one bounded-memory streaming pass")
 	codes := flag.String("codes", "paper", "with -trace: comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
-	kernel := flag.String("kernel", "auto", "with -trace: pricing kernel — \"auto\" (plane-capable codecs use the bit-sliced path), \"scalar\" or \"plane\"")
+	kernel := flag.String("kernel", "auto", "with -trace: pricing kernel — \"auto\" (two or more delta codecs of one width and stride — binary, gray, offset, incxor, businvert, beach — price in one delta group, two or more T0-family codecs in one in-sequence group, and a plane-capable codec left alone on the bit-sliced path), \"scalar\" or \"plane\"")
 	chunkLen := flag.Int("chunklen", 0, "with -trace: chunk size in entries (0 = default)")
 	benchJSON := flag.String("benchjson", "", "benchmark the batched evaluation engine, the streaming pipeline and the bit-sliced kernels against their same-machine baselines, write BENCH_{engine,stream,bitslice}.json into this directory, then exit")
 	benchDistJSON := flag.String("benchdist", "", "benchmark the distributed coordinator/worker sweep against a serial decode+price pass and write the record to this path (e.g. BENCH_dist.json), then exit")

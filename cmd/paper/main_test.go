@@ -330,7 +330,7 @@ func TestBenchDistJSON(t *testing.T) {
 		t.Errorf("summary missing parity:\n%s", out)
 	}
 	rec := readRecord(t, path, "dist")
-	positive(t, rec, "serial_warm_ns", "dist_warm_ns", "speedup_dist", "tcp.pipelined_ns", "tcp.trace_ship_bytes")
+	positive(t, rec, "serial_warm_ns", "dist_warm_ns", "speedup_dist", "tcp.trace_ship_bytes")
 	m := rec.Metrics
 	if m["entries"] != 30000 || m["workers"] < 2 || m["shards"] < m["workers"] {
 		t.Errorf("sweep shape not recorded: %v", m)

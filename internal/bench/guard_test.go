@@ -37,12 +37,11 @@ func fixtures() map[string]Record {
 			map[string]float64{"plane_ns": 10e6, "speedup_bitslice": 6, "parity": 1},
 			floor("speedup_bitslice", 5, 0), ratio("speedup_bitslice", Band, 0), inv("parity", 1)),
 		"dist": rec("DistSweep",
-			map[string]float64{"speedup_dist": 2, "parity": 1, "tcp.peers": 2, "tcp.window": 4,
-				"tcp.speedup_pipelined": 1.6, "tcp.parity": 1, "tcp.trace_ship_bytes": 2.2e6, "tcp.dedup_reship_bytes": 0},
+			map[string]float64{"speedup_dist": 2, "parity": 1, "tcp.peers": 2,
+				"tcp.parity": 1, "tcp.trace_ship_bytes": 2.2e6, "tcp.dedup_reship_bytes": 0},
 			floor("speedup_dist", 1.3, 4), ratio("speedup_dist", Band, 0),
-			floor("tcp.speedup_pipelined", 1.2, 2), ratio("tcp.speedup_pipelined", Band, 0),
 			inv("parity", 1), inv("tcp.parity", 1), inv("tcp.dedup_reship_bytes", 0),
-			floor("tcp.window", 2, 0), floor("tcp.trace_ship_bytes", 1, 0)),
+			floor("tcp.trace_ship_bytes", 1, 0)),
 		"serve": rec("ServeLoad",
 			map[string]float64{"throughput_jps": 104, "parity": 1, "lost_jobs": 0, "jobs_done": 400,
 				"p50_ns": 4e6, "p95_ns": 20e6, "p99_ns": 45e6},
@@ -86,11 +85,9 @@ func TestGuardFailsOnInjected2xSlowdown(t *testing.T) {
 		{"bitslice", "speedup_bitslice", 3, 2}, // absolute 5x floor and relative band
 		{"bitslice", "parity", 0, 1},
 		{"dist", "speedup_dist", 1, 2},
-		{"dist", "tcp.speedup_pipelined", 0.8, 2},
 		{"dist", "parity", 0, 1},
 		{"dist", "tcp.parity", 0, 1},
 		{"dist", "tcp.dedup_reship_bytes", 4096, 1},
-		{"dist", "tcp.window", 1, 1},
 		{"dist", "tcp.trace_ship_bytes", 0, 1},
 		{"serve", "throughput_jps", 52, 1},
 		{"serve", "parity", 0, 1},
@@ -201,9 +198,8 @@ func TestGuardBitsliceFloor(t *testing.T) {
 	}
 }
 
-// TestGuardDistFloor: a check with min_cpu set — the dist and tcp
-// floors — skips with a note on a box below its gate and binds at the
-// gate.
+// TestGuardDistFloor: a check with min_cpu set — the dist floor —
+// skips with a note on a box below its gate and binds at the gate.
 func TestGuardDistFloor(t *testing.T) {
 	gated := 0
 	for name, r := range fixtures() {
@@ -233,8 +229,8 @@ func TestGuardDistFloor(t *testing.T) {
 			}
 		}
 	}
-	if gated != 2 {
-		t.Errorf("%d gated checks, want 2 (dist and tcp floors)", gated)
+	if gated != 1 {
+		t.Errorf("%d gated checks, want 1 (the dist floor)", gated)
 	}
 }
 
@@ -285,19 +281,17 @@ func TestGuardServe(t *testing.T) {
 }
 
 // TestGuardGatedSkipNote: on a 1-CPU box the dist record's CPU-gated
-// floors are skipped with a note each, while the same record's other
-// checks keep binding — the bands on the very metrics those floors
-// gate included.
+// floor is skipped with a note, while the same record's other checks
+// keep binding — the band on the very metric that floor gates
+// included.
 func TestGuardGatedSkipNote(t *testing.T) {
 	old := fixtures()["dist"]
 	old.NumCPU = 1
 	fresh := with(old, "speedup_dist", 1)
-	fresh.Metrics["tcp.speedup_pipelined"] = 0.8
 	fresh.Metrics["parity"] = 0
 	vs, notes := Compare("dist", old, fresh)
 	want := []string{
 		"dist: speedup_dist floor skipped: num_cpu=1 (needs >= 4 CPUs)",
-		"dist: tcp.speedup_pipelined floor skipped: num_cpu=1 (needs >= 2 CPUs)",
 	}
 	if !slices.Equal(notes, want) {
 		t.Errorf("1-CPU notes %v, want %v", notes, want)
@@ -309,8 +303,8 @@ func TestGuardGatedSkipNote(t *testing.T) {
 		}
 		got = append(got, v.Metric)
 	}
-	if !slices.Equal(got, []string{"speedup_dist", "tcp.speedup_pipelined", "parity"}) {
-		t.Errorf("1-CPU speedup collapse + parity=0: violations %v, want both bands and parity", vs)
+	if !slices.Equal(got, []string{"speedup_dist", "parity"}) {
+		t.Errorf("1-CPU speedup collapse + parity=0: violations %v, want the band and parity", vs)
 	}
 }
 
@@ -418,7 +412,6 @@ func TestGuardOnCommittedRecords(t *testing.T) {
 	}
 	want := []string{
 		"dist: speedup_dist floor skipped: num_cpu=1 (needs >= 4 CPUs)",
-		"dist: tcp.speedup_pipelined floor skipped: num_cpu=1 (needs >= 2 CPUs)",
 	}
 	if !slices.Equal(notes, want) {
 		t.Errorf("notes on the committed records:\n%s\nwant:\n%s", strings.Join(notes, "\n"), strings.Join(want, "\n"))
@@ -430,7 +423,7 @@ func TestGuardOnCommittedRecords(t *testing.T) {
 // and still compares every record it can read.
 func TestGuardDirs(t *testing.T) {
 	base := filepath.Join("..", "..")
-	if vs, notes := Guard(base, base); len(vs) != 0 || len(notes) != 2 {
+	if vs, notes := Guard(base, base); len(vs) != 0 || len(notes) != 1 {
 		t.Errorf("committed records against themselves: violations %v, notes %v", vs, notes)
 	}
 

@@ -78,12 +78,17 @@ const VerifySampleLen = 1024
 type Kernel int
 
 const (
-	// KernelAuto picks the plane-domain bit-sliced path whenever the
-	// codec implements PlaneEncoder and the verify mode permits it
+	// KernelAuto picks the fastest kernel the verify mode permits
 	// (VerifyFull needs every encoded word and so forces the scalar
-	// path). This is the zero value: eligible codecs get the fast
-	// kernel without callers opting in, and parity tests pin the two
-	// paths bit-identical.
+	// path). Short of VerifyFull, NewPricers prices two or more delta
+	// codecs (binary, gray, offset, incxor, businvert, beach) of one
+	// payload width and stride in one delta group when per-line counts
+	// are off, and two or more T0-family codecs of one width and stride
+	// in one T0-family group; a codec that implements PlaneEncoder and
+	// joins no delta group takes the plane-domain bit-sliced path. This
+	// is the zero value: eligible codecs get the fast kernels without
+	// callers opting in, and parity tests pin every path bit-identical
+	// to the scalar one.
 	KernelAuto Kernel = iota
 	// KernelScalar forces the word-at-a-time scalar path.
 	KernelScalar

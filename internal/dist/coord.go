@@ -19,8 +19,8 @@ import (
 
 // Coordinator: plan -> dispatch -> merge. Concurrency is deliberately
 // boring — one goroutine per slot (local worker process or TCP peer)
-// pulling job indices off a shared queue with a bounded in-flight
-// window (see dispatch.go), results funneled to the coordinator
+// taking a job index off a shared queue whenever its worker holds none
+// (lock-step, see dispatch.go), results funneled to the coordinator
 // goroutine over a channel, no shared mutable state beyond the
 // counters. Determinism comes from the plan and the merge, not the
 // schedule: results land in fixed per-job slots and each codec's buses
@@ -86,12 +86,9 @@ type Opts struct {
 	// into its content-addressed store before dispatch; a peer that
 	// already holds the digest receives zero trace bytes.
 	Peers []string
-	// Window bounds in-flight jobs per slot; <= 0 means
-	// DefaultWindow. Window 1 is lock-step dispatch.
-	Window int
 	// HeartbeatInterval and HeartbeatTimeout tune liveness probing of
 	// busy slots; <= 0 means the defaults. A slot silent past the
-	// timeout is declared dead and its jobs re-dispatch.
+	// timeout is declared dead and its job re-dispatches.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	// Net, when non-nil, accumulates network-transport counters

@@ -11,29 +11,25 @@ import (
 	"busenc/internal/obs"
 )
 
-// Pipelined dispatch. Every slot — a local worker process or a TCP
-// busencd peer — keeps up to Window jobs in flight at once, and never
-// more: jobs are written ahead of results, so transport latency
-// overlaps with pricing instead of serializing it, while a slot with a
-// full window leaves the rest of the queue to the others. Jobs live on
-// one shared work queue, in plan order; when a worker dies (EOF,
-// protocol error, or heartbeat timeout) its in-flight jobs go back on
-// the queue and any slot — typically a different one — re-prices them,
-// bounded by the per-job retry budget. Determinism is untouched:
-// results land in fixed per-job slots and merge in entry order, so the
-// schedule (and the window size) cannot change the totals.
+// Lock-step dispatch. Every slot — a local worker process or a TCP
+// busencd peer — holds at most one job: it takes a job off the shared
+// queue only when its worker holds none, sends it, and waits for that
+// job's result while the heartbeat ticker runs. So a job goes only to
+// an idle slot, and a slot pricing a long job leaves the rest of the
+// queue to the others. Jobs live on one shared work queue, in plan
+// order; when a worker dies (EOF, protocol error, or heartbeat timeout)
+// the job it held goes back on the queue and any slot — typically a
+// different one — re-prices it, bounded by the per-job retry budget.
+// Determinism is untouched: results land in fixed per-job slots and
+// merge in entry order, so the schedule cannot change the totals.
 
 const (
-	// DefaultWindow is the per-slot in-flight bound when Opts.Window is
-	// unset. Four jobs hide one round trip of latency at typical job
-	// runtimes without letting a slow peer hoard the queue.
-	DefaultWindow = 4
-	// DefaultHeartbeatInterval is how often an in-flight slot pings its
+	// DefaultHeartbeatInterval is how often a busy slot pings its
 	// worker when Opts.HeartbeatInterval is unset.
 	DefaultHeartbeatInterval = 500 * time.Millisecond
 	// DefaultHeartbeatTimeout is how long a slot tolerates total
 	// silence (no result, no pong) before declaring the worker dead and
-	// re-dispatching its jobs.
+	// re-dispatching its job.
 	DefaultHeartbeatTimeout = 10 * time.Second
 )
 
@@ -69,7 +65,6 @@ type dispatcher struct {
 	plan *planned
 	opts Opts
 
-	window     int
 	hbEvery    time.Duration
 	hbTimeout  time.Duration
 	retryLimit int
@@ -123,8 +118,9 @@ type slot struct {
 	spawnFails int
 	t          Transport
 	frames     chan recvFrame
-	readerDead bool // the reader goroutine's terminal error frame was consumed
-	inflight   map[int]obs.SpanHandle
+	readerDead bool           // the reader goroutine's terminal error frame was consumed
+	job        int            // the job the worker holds, -1 when it holds none
+	jobSpan    obs.SpanHandle // that job's dist.shard span
 	lastRecv   time.Time
 	worker     string // "host/pid" of the current worker, from its hello
 	pingSent   int64  // unix ns of the unanswered heartbeat ping, 0 when none
@@ -234,9 +230,10 @@ func (sl *slot) ensure() error {
 }
 
 // pingPong is one synchronous heartbeat round trip, used only during
-// the handshake (steady-state heartbeats are pipelined in serve). The
-// pong's wall clock yields the slot's first clock-offset sample;
-// sampled is false against a worker whose pong carried no clock.
+// the handshake (steady-state heartbeats run in serve while a job
+// prices). The pong's wall clock yields the slot's first clock-offset
+// sample; sampled is false against a worker whose pong carried no
+// clock.
 func pingPong(t Transport) (offsetNs, rttNs int64, sampled bool, err error) {
 	t0 := time.Now().UnixNano()
 	if err := t.Send(msg{Type: msgPing}); err != nil {
@@ -258,14 +255,17 @@ func pingPong(t Transport) (offsetNs, rttNs int64, sampled bool, err error) {
 	return offsetNs, rttNs, true, nil
 }
 
-// serve drives one worker life: keep the in-flight window full but
-// never past Window, match results to dispatched jobs, ping on the
-// heartbeat ticker and declare death on timeout. pending >= 0 is a job
-// to dispatch immediately. Returns true when the worker died (the
-// caller respawns) and false when the sweep is halting.
+// serve drives one worker life in lock-step: take a job off the queue
+// only when the worker holds none, send it, and wait for its result
+// while pinging on the heartbeat ticker, declaring death on timeout.
+// pending >= 0 is a job to dispatch immediately. Returns true when the
+// worker died (the caller respawns) and false when the sweep is
+// halting.
 func (sl *slot) serve(pending int) (died bool) {
-	sl.inflight = make(map[int]obs.SpanHandle, sl.d.window)
-	sl.frames = make(chan recvFrame, 2*sl.d.window+8)
+	sl.job = -1
+	// One job's result, the pongs of its heartbeats and the reader's
+	// terminal error fit without blocking the reader.
+	sl.frames = make(chan recvFrame, 8)
 	sl.readerDead = false
 	sl.pingSent = 0
 	go func(t Transport, frames chan<- recvFrame) {
@@ -287,56 +287,31 @@ func (sl *slot) serve(pending int) (died bool) {
 	ticker := time.NewTicker(sl.d.hbEvery)
 	defer ticker.Stop()
 	for {
-		// Top up the window with whatever work is queued, without
-		// blocking: latency hiding comes from writing jobs ahead.
-		for len(sl.inflight) < sl.d.window {
-			select {
-			case sh := <-sl.d.work:
-				if err := sl.dispatch(sh); err != nil {
-					sl.die(err)
-					return true
-				}
-				continue
-			default:
-			}
-			break
-		}
-		if len(sl.inflight) == 0 {
+		if sl.job < 0 {
 			// Idle: block for work. No pings while idle — dispatch
 			// resets the liveness epoch when work resumes.
 			select {
 			case <-sl.d.stop:
 				sl.shutdown()
 				return false
-			case sh := <-sl.d.work:
-				if err := sl.dispatch(sh); err != nil {
+			case k := <-sl.d.work:
+				if err := sl.dispatch(k); err != nil {
 					sl.die(err)
 					return true
 				}
 			}
 			continue
 		}
-		// Take more work only while the window has room: a nil channel
-		// never receives, so a full slot leaves the queue to the others.
-		var work chan int
-		if len(sl.inflight) < sl.d.window {
-			work = sl.d.work
-		}
 		select {
 		case <-sl.d.stop:
 			sl.shutdown()
 			return false
-		case sh := <-work:
-			if err := sl.dispatch(sh); err != nil {
-				sl.die(err)
-				return true
-			}
 		case f := <-sl.frames:
 			if f.err != nil {
 				sl.readerDead = true
 				err := f.err
 				if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-					err = fmt.Errorf("dist: worker %d exited with %d job(s) in flight", sl.id, len(sl.inflight))
+					err = fmt.Errorf("dist: worker %d exited holding job %d", sl.id, sl.job)
 				}
 				sl.die(err)
 				return true
@@ -351,8 +326,8 @@ func (sl *slot) serve(pending int) (died bool) {
 				if sl.d.net != nil {
 					sl.d.net.HeartbeatTimeouts.Add(1)
 				}
-				sl.die(fmt.Errorf("dist: worker %d: heartbeat timeout (silent for %v with %d job(s) in flight)",
-					sl.id, sl.d.hbTimeout, len(sl.inflight)))
+				sl.die(fmt.Errorf("dist: worker %d: heartbeat timeout (silent for %v holding job %d)",
+					sl.id, sl.d.hbTimeout, sl.job))
 				return true
 			}
 			// Remember the send instant of at most one outstanding ping
@@ -395,27 +370,25 @@ func (sl *slot) onFrame(m msg) error {
 	}
 }
 
-// finish matches one result to its in-flight job and delivers it. A
-// result for a job this life never dispatched (possible only after a
-// desync) is dropped — the coordinator's duplicate guard would discard
-// it anyway.
+// finish matches one result to the job the worker holds and delivers
+// it. A result for any other job (possible only after a desync) is
+// dropped — the coordinator's duplicate guard would discard it anyway.
 func (sl *slot) finish(res ShardResult) {
-	sp, ok := sl.inflight[res.Shard]
-	if !ok {
+	if sl.job < 0 || res.Shard != sl.job {
 		return
 	}
-	delete(sl.inflight, res.Shard)
+	sl.job = -1
 	var jobErr error
 	if res.Err != "" {
 		jobErr = errors.New(res.Err)
 	}
-	sp.EndErr(jobErr)
+	sl.jobSpan.EndErr(jobErr)
 	sl.d.deliver(delivery{kind: dResult, job: res.Shard, slot: sl.id, stats: res.Stats, err: jobErr})
 }
 
-// dispatch sends job k to the live worker. The job joins inflight
-// before the send so a failed write still requeues it via die. Peer
-// slots rewrite TracePath to the shipped digest ref.
+// dispatch sends job k to the live worker. The worker holds the job
+// from before the send, so a failed write still requeues it via die.
+// Peer slots rewrite TracePath to the shipped digest ref.
 func (sl *slot) dispatch(k int) error {
 	sp := sl.d.root.Child("dist.shard", obs.StageEncode).WithShard(k)
 	j := buildJob(sl.d.plan, sl.d.opts, k)
@@ -426,20 +399,20 @@ func (sl *slot) dispatch(k int) error {
 		j.Trace = h.TraceID()
 		j.Span = sp.Context().Parent // 0 when tracing is off; workers then root their spans
 	}
-	sl.inflight[k] = sp
+	sl.job, sl.jobSpan = k, sp
 	sl.lastRecv = time.Now()
 	return sl.t.Send(msg{Type: msgJob, Job: j})
 }
 
-// die declares the current worker dead: every in-flight job goes back
-// on the queue for any slot to re-price, the transport is reaped, and
-// the generation advances for the respawn.
+// die declares the current worker dead: the job it held goes back on
+// the queue for any slot to re-price, the transport is reaped, and the
+// generation advances for the respawn.
 func (sl *slot) die(err error) {
 	RecordWorkerDeath()
-	for k, sp := range sl.inflight {
-		sp.EndErr(err)
-		delete(sl.inflight, k)
-		sl.d.deliver(delivery{kind: dRequeue, job: k, slot: sl.id, err: err})
+	if sl.job >= 0 {
+		sl.jobSpan.EndErr(err)
+		sl.d.deliver(delivery{kind: dRequeue, job: sl.job, slot: sl.id, err: err})
+		sl.job = -1
 	}
 	sl.reap()
 	sl.gen++
@@ -465,9 +438,9 @@ drain:
 			break drain
 		}
 	}
-	for k, sp := range sl.inflight {
-		sp.End()
-		delete(sl.inflight, k)
+	if sl.job >= 0 {
+		sl.jobSpan.End()
+		sl.job = -1
 	}
 	if h := sl.d.harvest; h != nil && !sl.readerDead {
 		// The spans must cross the still-open connection before the
@@ -553,10 +526,6 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 	if retryLimit <= 0 {
 		retryLimit = 1
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	hbEvery := opts.HeartbeatInterval
 	if hbEvery <= 0 {
 		hbEvery = DefaultHeartbeatInterval
@@ -568,10 +537,10 @@ func dispatch(root obs.SpanHandle, plan *planned, opts Opts, cfgs []slotConfig, 
 
 	d := &dispatcher{
 		root: root, plan: plan, opts: opts,
-		window: window, hbEvery: hbEvery, hbTimeout: hbTimeout,
+		hbEvery: hbEvery, hbTimeout: hbTimeout,
 		retryLimit: retryLimit, net: opts.Net, harvest: opts.Harvest,
 		work:       make(chan int, jobs),
-		deliveries: make(chan delivery, 2*jobs+len(cfgs)*(window+retryLimit+3)+16),
+		deliveries: make(chan delivery, 2*jobs+len(cfgs)*(retryLimit+4)+16),
 		stop:       make(chan struct{}),
 	}
 	for _, k := range pending {

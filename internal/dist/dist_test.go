@@ -218,11 +218,11 @@ func TestWorkerDeathRetry(t *testing.T) {
 	all := AllSpecs(width)
 	_, specs := splitSpecs(t, all)
 	// Worker 0's first life dies after pricing 1 job; every other life
-	// is healthy. One slot makes the death deterministic: the pipelined
-	// window guarantees the first life receives a second job frame (9
-	// shards of the Seeder codecs, one slot), which is what trips
-	// FailAfter. All twelve codecs plan one job on one slot, so the
-	// fault cannot fire there; they still price to RunFast's results.
+	// is healthy. One slot makes the death deterministic: the first life
+	// is sent the second of 9 shards of the Seeder codecs once it
+	// returns the first, and receiving it trips FailAfter. All twelve
+	// codecs plan one job on one slot, so the fault cannot fire there;
+	// they still price to RunFast's results.
 	failFirst := func(id, gen int) WorkerOpts {
 		if id == 0 && gen == 0 {
 			return WorkerOpts{FailAfter: 1}
@@ -543,27 +543,6 @@ func TestSweepCorruptTrace(t *testing.T) {
 	}
 }
 
-// TestPipelinedWindowParity: the in-flight window is a latency knob,
-// never a correctness knob — any window size produces bit-identical
-// results, including window 1 (the old lock-step dispatch).
-func TestPipelinedWindowParity(t *testing.T) {
-	const width = 32
-	s := mixStream(width, 10000, 54)
-	path := writeBETR(t, s)
-	specs := AllSpecs(width)
-	want := wantResults(t, s, specs, codec.VerifyNone, false)
-	for _, window := range []int{1, 2, 8} {
-		res, err := Sweep(path, Opts{
-			Workers: 2, Shards: 8, Codecs: specs, Verify: codec.VerifyNone,
-			Window: window, Spawn: InProcSpawner(nil),
-		})
-		if err != nil {
-			t.Fatalf("window=%d: %v", window, err)
-		}
-		checkParity(t, res, want)
-	}
-}
-
 // TestHeartbeatTimeoutRedispatch: a worker that wedges (keeps the
 // connection open but answers nothing) is detected by the heartbeat
 // timeout; its in-flight shards re-dispatch and parity holds.
@@ -575,7 +554,7 @@ func TestHeartbeatTimeoutRedispatch(t *testing.T) {
 	_, specs := splitSpecs(t, all)
 	var ns NetStats
 	// Worker 0's first life stalls after one job: it reads every frame
-	// (so pipelined sends never block) but stops replying, even to
+	// (so job and ping sends never block) but stops replying, even to
 	// pings — the wedged-peer failure mode EOF detection cannot see.
 	// It is the only worker slot, so no other worker can drain the
 	// queue first: its second job (of 8 shards of the Seeder codecs)
@@ -755,7 +734,7 @@ func TestInProcCloseWaitsForWorker(t *testing.T) {
 		return &closingTransport{Transport: tr, closing: closing, once: &once}, nil
 	})
 	_, err := Sweep(path, Opts{
-		Workers: 2, Shards: 4, Codecs: seeders, Verify: codec.VerifyNone, Window: 1,
+		Workers: 2, Shards: 4, Codecs: seeders, Verify: codec.VerifyNone,
 		Checkpoint: filepath.Join(t.TempDir(), "sweep.json"), StopAfter: 1, Spawn: spawn,
 	})
 	if !errors.Is(err, ErrStopped) {

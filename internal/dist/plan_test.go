@@ -457,21 +457,22 @@ func TestPlanJobsBalance(t *testing.T) {
 }
 
 // inflightProbe counts, per worker life, the jobs sent minus the
-// results received, and keeps the largest count any life reached. It
-// holds every result back until some life has window jobs in flight, or
-// until five seconds have passed, so whether a window fills does not
-// race how fast a worker prices its first job.
+// results received, and keeps the largest count any life reached and
+// the jobs sent in all. It holds every result back until some life has
+// two jobs in flight, or until a second has passed, so whether a life
+// is sent a second job before its first result does not race how fast
+// a worker prices the first.
 type inflightProbe struct {
-	window int
 	filled chan struct{} // closed once, by fill
 	once   sync.Once
 	mu     sync.Mutex
 	max    int
+	sent   int
 }
 
-func newInflightProbe(window int) *inflightProbe {
-	p := &inflightProbe{window: window, filled: make(chan struct{})}
-	time.AfterFunc(5*time.Second, p.fill)
+func newInflightProbe() *inflightProbe {
+	p := &inflightProbe{filled: make(chan struct{})}
+	time.AfterFunc(time.Second, p.fill)
 	return p
 }
 
@@ -497,8 +498,9 @@ func (pt *probedTransport) Send(m msg) error {
 	if m.Type == msgJob {
 		pt.p.mu.Lock()
 		pt.n++
+		pt.p.sent++
 		pt.p.max = max(pt.p.max, pt.n)
-		full := pt.n >= pt.p.window
+		full := pt.n >= 2
 		pt.p.mu.Unlock()
 		if full {
 			pt.p.fill()
@@ -518,40 +520,36 @@ func (pt *probedTransport) Recv() (msg, error) {
 	return m, err
 }
 
-// TestWindowBoundsInflight: no worker ever holds more jobs than the
-// window, and with sixteen jobs on two slots each window fills. The
-// Seeder codecs plan those sixteen entry shards; all twelve codecs plan
-// one group per slot. Parity with RunFast holds at every window, for
-// both requests.
-func TestWindowBoundsInflight(t *testing.T) {
+// TestOneJobInFlight: dispatch is lock-step, so no worker life ever
+// holds more than one job, even while the queue holds more jobs than
+// there are slots. Two plans on two slots: sixteen entry shards of the
+// Seeder codecs, and working-zone plus the Seeder codecs, one
+// whole-trace job and seven shards under the default budget, where the
+// slot pricing the whole trace must leave the shards to the other.
+// Both price to RunFast's results.
+func TestOneJobInFlight(t *testing.T) {
 	const width = 32
 	s := mixStream(width, 40000, 72)
 	path := writeBETR(t, s)
-	all := AllSpecs(width)
-	_, seeders := splitSpecs(t, all)
-	wantSeeders := wantResults(t, s, seeders, codec.VerifyNone, false)
-	wantAll := wantResults(t, s, all, codec.VerifyNone, false)
-	for _, window := range []int{1, 2, 4} {
-		probe := newInflightProbe(window)
-		res, err := Sweep(path, Opts{
-			Workers: 2, Shards: 16, Codecs: seeders, Verify: codec.VerifyNone,
-			Window: window, Spawn: probe.wrap(InProcSpawner(nil)),
-		})
+	_, seeders := splitSpecs(t, AllSpecs(width))
+	for _, tc := range []struct {
+		name   string
+		shards int
+		specs  []CodecSpec
+		jobs   int
+	}{
+		{"seeders/16", 16, seeders, 16},
+		{"workzone+seeders", 0, append([]CodecSpec{{Name: "workzone", Width: width}}, seeders...), 8},
+	} {
+		probe := newInflightProbe()
+		res, err := Sweep(path, Opts{Workers: 2, Shards: tc.shards, Codecs: tc.specs, Spawn: probe.wrap(InProcSpawner(nil))})
 		if err != nil {
-			t.Fatalf("window=%d: %v", window, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		checkParity(t, res, wantSeeders)
-		if probe.max != window {
-			t.Errorf("window=%d: a worker held up to %d jobs in flight", window, probe.max)
+		checkParity(t, res, wantResults(t, s, tc.specs, codec.VerifyFull, false))
+		if probe.max != 1 || probe.sent != tc.jobs {
+			t.Errorf("%s: %d jobs sent, a worker holding up to %d at once; want %d jobs, one at a time", tc.name, probe.sent, probe.max, tc.jobs)
 		}
-		res, err = Sweep(path, Opts{
-			Workers: 2, Shards: 16, Codecs: all, Verify: codec.VerifyNone,
-			Window: window, Spawn: InProcSpawner(nil),
-		})
-		if err != nil {
-			t.Fatalf("window=%d, all codecs: %v", window, err)
-		}
-		checkParity(t, res, wantAll)
 	}
 }
 

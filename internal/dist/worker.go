@@ -24,7 +24,7 @@ type WorkerOpts struct {
 	FailAfter int
 	// StallAfter, when positive, makes the worker go silent once it
 	// has priced that many jobs: it keeps reading frames (so the
-	// coordinator's pipelined sends never block) but answers nothing,
+	// coordinator's job and ping sends never block) but answers nothing,
 	// not even pings — the fault injection knob behind the
 	// heartbeat-timeout tests. A crash looks like EOF; a stall looks
 	// like a wedged peer.
@@ -44,10 +44,11 @@ var errFailInjected = fmt.Errorf("dist: injected worker failure")
 // byte streams (stdin/stdout for a real worker process, a hijacked TCP
 // connection on a busencd peer, an in-memory pipe in tests): announce
 // with a hello, then price every job the coordinator sends until
-// shutdown or EOF. The coordinator pipelines: jobs arrive ahead of the
-// results for earlier ones, and pings arrive while a job is pricing —
-// so a reader goroutine keeps draining frames (answering pings
-// immediately) while the pricer works through the job queue in order.
+// shutdown or EOF. Pings arrive while a job is pricing, so a reader
+// goroutine keeps draining frames (answering pings immediately) while
+// the pricer works through the jobs in arrival order. The coordinator
+// sends a slot's next job only after the previous one's result; the
+// worker does not depend on that and prices whatever it is sent.
 // Trace views are mmap'd once per path and shared read-only through the
 // page cache — a worker never copies trace bytes.
 func ServeWorker(r io.Reader, w io.Writer, opts WorkerOpts) error {

@@ -17,7 +17,7 @@ import (
 // The networked-pricing tests: a dist coordinator pointed at real
 // busencd-shaped peers over loopback TCP must be bit-identical to a
 // sequential RunFast for every codec — through trace shipping, digest
-// dedup, pipelined dispatch, a peer dying mid-sweep, and a checkpoint
+// dedup, lock-step dispatch, a peer dying mid-sweep, and a checkpoint
 // stop/resume.
 
 // startPeer mounts a Server on a loopback listener and returns its
