@@ -93,17 +93,49 @@ func bestOf[T any](iters int, f func() (T, error)) (T, int64, error) {
 	var last T
 	best := int64(0)
 	for i := 0; i < max(iters, 1); i++ {
-		t := time.Now()
-		got, err := f()
+		got, ns, err := timed(f)
 		if err != nil {
 			return last, 0, err
 		}
-		if ns := time.Since(t).Nanoseconds(); best == 0 || ns < best {
+		if best == 0 || ns < best {
 			best = ns
 		}
 		last = got
 	}
 	return last, best, nil
+}
+
+// bestOfEach is bestOf over two functions that take turns, a then b,
+// iters times each (at least once): it returns each side's last result
+// and fastest wall time. Taking turns exposes both sides of a ratio to
+// the same drift of the machine, where timing all of a before all of b
+// would put the drift between the two into the ratio.
+func bestOfEach[T any](iters int, a, b func() (T, error)) (ra, rb T, na, nb int64, err error) {
+	for i := 0; i < max(iters, 1); i++ {
+		ga, ta, err := timed(a)
+		if err != nil {
+			return ra, rb, 0, 0, err
+		}
+		gb, tb, err := timed(b)
+		if err != nil {
+			return ra, rb, 0, 0, err
+		}
+		if na == 0 || ta < na {
+			na = ta
+		}
+		if nb == 0 || tb < nb {
+			nb = tb
+		}
+		ra, rb = ga, gb
+	}
+	return ra, rb, na, nb, nil
+}
+
+// timed runs f once and returns its result and wall time in ns.
+func timed[T any](f func() (T, error)) (T, int64, error) {
+	t := time.Now()
+	got, err := f()
+	return got, time.Since(t).Nanoseconds(), err
 }
 
 // sameResults reports whether two result lists agree on every Result

@@ -24,9 +24,12 @@ import (
 //
 // Both sides request identical statistics (per-line counts, so parity
 // covers Transitions, Cycles, PerLine and MaxPerCycle) with VerifyNone,
-// isolating encode+count. speedup_bitslice = scalar_ns / plane_ns is a
-// same-machine ratio, so the record declares an absolute 5x floor on it
-// that binds on every regeneration, next to the usual relative band.
+// isolating encode+count. Each side reports its best of warmIters
+// passes, and the two sides' passes alternate (bestOfEach), so a
+// machine that drifts while the record is taken slows both.
+// speedup_bitslice = scalar_ns / plane_ns is a same-machine ratio, so
+// the record declares an absolute 5x floor on it that binds on every
+// regeneration, next to the usual relative band.
 
 // bitsliceCodes is the seedable subset with plane-domain kernels.
 var bitsliceCodes = []string{"binary", "gray", "offset", "incxor"}
@@ -46,7 +49,7 @@ func benchBitslice(path string, entries, warmIters int) (err error) {
 	// proc to keep records insensitive to background scheduling.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	scalarResults, scalarNs, err := bestOf(warmIters, func() ([]codec.Result, error) {
+	scalar := func() ([]codec.Result, error) {
 		out := make([]codec.Result, len(cs))
 		sopts := opts
 		sopts.Kernel = codec.KernelScalar
@@ -58,13 +61,9 @@ func benchBitslice(path string, entries, warmIters int) (err error) {
 			out[i] = res
 		}
 		return out, nil
-	})
-	if err != nil {
-		return err
 	}
-	planeResults, planeNs, err := bestOf(warmIters, func() ([]codec.Result, error) {
-		return codec.RunPlaneSet(cs, s, opts)
-	})
+	plane := func() ([]codec.Result, error) { return codec.RunPlaneSet(cs, s, opts) }
+	scalarResults, planeResults, scalarNs, planeNs, err := bestOfEach(warmIters, scalar, plane)
 	if err != nil {
 		return err
 	}

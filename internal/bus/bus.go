@@ -115,6 +115,10 @@ func (b *Bus) Drive(word uint64) int {
 // at least one Drive.
 func (b *Bus) Current() uint64 { return b.current }
 
+// Driven reports whether the lines hold a word: one was driven, or the
+// bus was primed or took a run.
+func (b *Bus) Driven() bool { return b.driven }
+
 // Transitions returns the total number of line transitions accumulated.
 func (b *Bus) Transitions() int64 { return b.total }
 

@@ -85,12 +85,14 @@ const (
 	// payload width and stride in one delta group when per-line counts
 	// are off, and two or more T0-family codecs of one width and stride
 	// in one T0-family group; a codec that implements PlaneEncoder and
-	// joins no delta group takes the plane-domain bit-sliced path. This
-	// is the zero value: eligible codecs get the fast kernels without
-	// callers opting in, and parity tests pin every path bit-identical
-	// to the scalar one.
+	// joins no delta group takes the plane-domain bit-sliced path; and
+	// working-zone prices without writing words when per-line counts are
+	// off. This is the zero value: eligible codecs get the fast kernels
+	// without callers opting in, and parity tests pin every path
+	// bit-identical to the scalar one.
 	KernelAuto Kernel = iota
-	// KernelScalar forces the word-at-a-time scalar path.
+	// KernelScalar forces the word-at-a-time scalar path: every word is
+	// written and counted by bus.Accumulate.
 	KernelScalar
 	// KernelPlane requires the plane-domain path: evaluation fails if
 	// the codec has no plane kernel or the verify mode demands the

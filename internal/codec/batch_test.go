@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -175,11 +176,13 @@ func zoneRunStream(n int) *trace.Stream {
 // batchCases is every registered codec at its defaults (beach trained
 // on train), plus the working-zone and adaptive shapes the defaults do
 // not reach (working-zone's 2, 4 and 128 zones, the last past the
-// 64-zone mask word), and restored working-zone states: tied ages with
-// overlapping zones and a register above the payload mask, which no
-// address may match; and zones whose bases lie above the registers
-// after them, so a run that climbs from a later zone reaches an
-// earlier one.
+// 64-zone mask word and the 16 zones a packed recency order ranks), and
+// restored working-zone states: tied ages with overlapping zones and a
+// register above the payload mask, which no address may match; ages no
+// recency order ranks as the scalar lru does, one negative and one
+// that wraps within four touches; and zones whose bases lie above the
+// registers after them, so a run that climbs from a later zone reaches
+// an earlier one.
 func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 	var out []batchCase
 	for _, name := range Names() {
@@ -209,6 +212,15 @@ func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 			regs: []uint64{0x10000000, ^uint64(0), 0x20000000, 0x10000000},
 			age:  []int{5, 2, 5, 5},
 			prev: 0x10000040,
+		},
+	})
+	out = append(out, batchCase{
+		label: "workzone/unranked-ages",
+		c:     MustNew("workzone", 32, Options{}),
+		restore: wzState{
+			regs: []uint64{0x10000000, 0x20000000, 0x10000100, 0x30000000},
+			age:  []int{-2, 7, math.MaxInt - 3, 7},
+			prev: 0x10000004,
 		},
 	})
 	out = append(out, batchCase{
@@ -336,10 +348,13 @@ func TestRunFastDetectsMismatch(t *testing.T) {
 	}
 }
 
-// BenchmarkWorkZone times working-zone's EncodeBatch alone, its batch
-// kernel without bus.Accumulate, on a 2^20-entry muxed stream in
-// 4096-entry chunks: the kernel the streaming fan-out, RunFast and the
-// dist workers run for the codec.
+// BenchmarkWorkZone times working-zone's batch kernel alone on a
+// 2^20-entry muxed stream in 4096-entry chunks, in both modes of its one
+// loop: "count" prices without writing a word (countBatch), as the
+// Pricer runs it for aggregate KernelAuto requests short of VerifyFull
+// (the streaming fan-out, RunFast and the dist workers); "words" writes
+// every word (EncodeBatch), as KernelScalar, VerifyFull, per-line
+// requests and the state sweeps run it, without bus.Accumulate.
 func BenchmarkWorkZone(b *testing.B) {
 	s := seqMuxed(1 << 20)
 	addrs := make([]uint64, s.Len())
@@ -348,12 +363,24 @@ func BenchmarkWorkZone(b *testing.B) {
 		addrs[i], kinds[i] = e.Addr, e.Kind
 	}
 	words := make([]uint64, runChunk)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		be := AsBatch(MustNew("workzone", 32, Options{}).NewEncoder())
-		for base := 0; base < len(addrs); base += runChunk {
-			be.EncodeBatch(addrs[base:base+runChunk], kinds[base:base+runChunk], words)
+	for _, count := range []bool{true, false} {
+		name := "words"
+		if count {
+			name = "count"
 		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e := MustNew("workzone", 32, Options{}).NewEncoder().(*wzEnd)
+				var r deltaRun
+				for base := 0; base < len(addrs); base += runChunk {
+					if count {
+						r = e.countBatch(addrs[base:base+runChunk], r)
+					} else {
+						e.EncodeBatch(addrs[base:base+runChunk], kinds[base:base+runChunk], words)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(addrs)), "ns/entry")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(addrs)), "ns/entry")
 }

@@ -79,7 +79,8 @@ type deltaPricer interface {
 	priceDelta(addrs []uint64, prev uint64, r *deltaRun)
 }
 
-// deltaRun is what a member counted since its bus last took the counts.
+// deltaRun is what a member, or working-zone's counting kernel, counted
+// since its bus last took the counts.
 type deltaRun struct {
 	transitions int64
 	max         int

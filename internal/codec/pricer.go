@@ -20,23 +20,27 @@ import (
 // A Pricer picks its kernel once. Priced alone, a codec takes the plane
 // path when PlaneEligible says so, handing addresses to a one-codec
 // PlaneSet that never materializes encoded words; otherwise its own
-// BatchEncoder reads the chunk's address and kind columns as they are,
-// and bus.Accumulate counts the words. NewPricers also groups a list:
-// two or more delta codecs (binary, gray, offset, incxor, businvert,
-// beach) of one width and stride go into one DeltaSet Pricer, priced
-// from address deltas with no word encoded, unless per-line counts are
-// asked for; every plane-routed codec left goes into one Pricer, so
-// each 64-address block is transposed once for all of them; and two or
-// more T0-family codecs (t0, t0bi, dualt0, dualt0bi) of one width and
-// stride go into one SeqSet Pricer, so each block's in-sequence masks
-// are built once for all of them and no word is encoded. A lone group
-// codec, KernelScalar (the A/B control) and VerifyFull (which decodes
-// every word) keep the batch or plane kernels. Every codec keeps its
-// own bus and its own verify lane: decode verification follows a
-// budget fixed at construction — every entry under VerifyFull, the
-// first VerifySampleLen under VerifySampled. Only entries under the budget
-// become Symbols; a group replays them through a scalar encoder per
-// codec.
+// batch kernel reads the chunk's address and kind columns as they are.
+// Working-zone's kernel prices without writing a word under KernelAuto,
+// short of VerifyFull and per-line counts, and hands its counts to the
+// bus (bus.AddRun); any other encodes into a pooled word buffer
+// (EncodeBatch) that bus.Accumulate counts. NewPricers also groups a
+// list: two or more delta codecs (binary, gray, offset, incxor,
+// businvert, beach) of one width and stride go into one DeltaSet
+// Pricer, priced from address deltas with no word encoded, unless
+// per-line counts are asked for; every plane-routed codec left goes
+// into one Pricer, so each 64-address block is transposed once for all
+// of them; and two or more T0-family codecs (t0, t0bi, dualt0,
+// dualt0bi) of one width and stride go into one SeqSet Pricer, so each
+// block's in-sequence masks are built once for all of them and no word
+// is encoded. A lone group codec, KernelScalar (the A/B control, which
+// writes every word) and VerifyFull (which decodes every word) keep the
+// batch or plane kernels. Every codec keeps its own bus and its own
+// verify lane: decode verification follows a budget fixed at
+// construction — every entry under VerifyFull, the first
+// VerifySampleLen under VerifySampled. Only entries under the budget
+// become Symbols; a group, and a batch kernel that counts, replays them
+// through a scalar encoder per codec.
 
 // Pricer prices one codec, or a group of delta, plane-routed or
 // T0-family codecs, over one contiguous run of a stream, fed in order
@@ -44,7 +48,8 @@ import (
 // concurrent use; build one per goroutine.
 type Pricer struct {
 	enc   Encoder      // the batch kernel's encoder; nil on a group
-	be    BatchEncoder // enc's batch view
+	be    BatchEncoder // enc's batch view, writing words; nil when wz counts
+	wz    *wzEnd       // enc, when working-zone prices without words
 	ps    *PlaneSet    // the plane group's kernel
 	ss    *SeqSet      // the T0-family group's kernel
 	ds    *DeltaSet    // the delta group's kernel
@@ -224,7 +229,12 @@ func newPricer(list []Codec, at []int, k GroupKind, opts RunOpts) (*Pricer, erro
 		p.ds, err = NewDeltaSet(codecs)
 	default:
 		p.enc = codecs[0].NewEncoder()
-		p.be = AsBatch(p.enc)
+		wz, ok := p.enc.(*wzEnd)
+		if ok && opts.Kernel == KernelAuto && opts.Verify != VerifyFull && !opts.PerLine {
+			p.wz = wz
+		} else {
+			p.be = AsBatch(p.enc)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -252,7 +262,7 @@ func newPricer(list []Codec, at []int, k GroupKind, opts RunOpts) (*Pricer, erro
 		}
 		if p.verifyLeft > 0 {
 			ln.dec = c.NewDecoder()
-			if p.enc == nil {
+			if p.be == nil {
 				ln.vEnc = c.NewEncoder()
 			}
 		}
@@ -390,9 +400,9 @@ func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
 }
 
 // price runs one batch of at most runChunk entries: the batch kernel
-// encodes into words and counts them, a SeqSet prices the batch from
-// its masks and a DeltaSet from its address deltas (the plane path
-// prices in the caller); then every lane
+// encodes into words and counts them, or counts without words (count),
+// a SeqSet prices the batch from its masks and a DeltaSet from its
+// address deltas (the plane path prices in the caller); then every lane
 // spends the verify budget on the leading entries, building their
 // symbols inline (the plane path passes only those entries). A lane
 // that mismatches stops verifying while the others go on, so that once
@@ -404,6 +414,8 @@ func (p *Pricer) price(addrs []uint64, kinds []trace.Kind, words []uint64) error
 		words = words[:len(addrs)]
 		p.be.EncodeBatch(addrs, kinds, words)
 		p.lanes[0].b.Accumulate(words)
+	case p.wz != nil:
+		p.count(addrs, kinds)
 	case p.ss != nil:
 		p.ss.Consume(addrs, kinds)
 	case p.ds != nil:
@@ -440,6 +452,20 @@ func (p *Pricer) price(addrs []uint64, kinds []trace.Kind, words []uint64) error
 		}
 	}
 	return nil
+}
+
+// count prices a batch on working-zone's kernel without writing a word,
+// from the word on the bus, and hands the counts to the bus. The
+// stream's first entry goes through the encoder's Encode and onto the
+// bus, which counts no transition for it.
+func (p *Pricer) count(addrs []uint64, kinds []trace.Kind) {
+	b := p.lanes[0].b
+	if !b.Driven() && len(addrs) > 0 {
+		b.Drive(p.enc.Encode(Symbol{Addr: addrs[0], Sel: kinds[0] == trace.Instr}))
+		addrs = addrs[1:]
+	}
+	r := p.wz.countBatch(addrs, deltaRun{last: b.Current()})
+	b.AddRun(int64(len(addrs)), r.transitions, r.max, r.last, nil)
 }
 
 // check decodes word on ln and compares it with sym, the entry at

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -77,6 +78,116 @@ func TestPricerSeedRejectsMismatchedState(t *testing.T) {
 		bd := Boundary{Prev: s.Entries[99], SeedSym: SymbolOf(s.Entries[98]), HaveSeedSym: true, State: tc.st, Base: 100}
 		if err := p.Seed(bd); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.code, err, tc.want)
+		}
+	}
+}
+
+// TestPricerBatchShapes drives every working-zone and adaptive shape of
+// batchCases through NewPricer under KernelAuto, with sampled and with
+// no verification, fed through Consume in chunks of 1, 7, 777, 4096
+// and 4097 entries: working-zone counts without writing a word there,
+// adaptive encodes and counts its words. A restored state is seeded
+// through Pricer.Seed with the stream's first entry as the one before
+// the cut. The Result must equal the scalar encoder's driven onto a
+// bus (codec.Run's, for a fresh encoder), and the Pricer's encoder must
+// end in the scalar encoder's Snapshot.
+func TestPricerBatchShapes(t *testing.T) {
+	muxed := fixtureStreams(8192)[2]
+	streams := []*trace.Stream{muxed, hotSetStream(2 * (runChunk + 3500)), zoneRunStream(12000)}
+	chunkLens := []int{1, 7, 777, runChunk, runChunk + 1}
+	for _, tc := range batchCases(t, muxed.Slice(0, 1000)) {
+		if name := tc.c.Name(); name != "workzone" && name != "adaptive" {
+			continue
+		}
+		for _, s := range streams {
+			bd, entries := Boundary{First: true}, s.Entries
+			if tc.restore != nil {
+				bd, entries = Boundary{Prev: s.Entries[0], State: tc.restore, Base: 1}, s.Entries[1:]
+			}
+			want, wantState := scalarFrom(t, tc.c, bd, s.Name, entries)
+			if tc.restore == nil {
+				sameResult(t, tc.label+"/"+s.Name+"/scalar", want, MustRun(tc.c, s), false)
+			}
+			addrs := make([]uint64, len(entries))
+			kinds := make([]trace.Kind, len(entries))
+			for i, e := range entries {
+				addrs[i], kinds[i] = e.Addr, e.Kind
+			}
+			for _, verify := range []VerifyMode{VerifySampled, VerifyNone} {
+				for _, n := range chunkLens {
+					label := fmt.Sprintf("%s/%s/verify=%d/chunk=%d", tc.label, s.Name, verify, n)
+					p, err := NewPricer(tc.c, RunOpts{Verify: verify})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Seed(bd); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for lo := 0; lo < len(addrs); lo += n {
+						hi := min(lo+n, len(addrs))
+						if err := p.Consume(addrs[lo:hi], kinds[lo:hi]); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+					}
+					sameResult(t, label, p.Result(s.Name), want, false)
+					if got := p.enc.(StateCodec).Snapshot(); !reflect.DeepEqual(got, wantState) {
+						t.Fatalf("%s: final state %+v, scalar %+v", label, got, wantState)
+					}
+				}
+			}
+		}
+	}
+}
+
+// scalarFrom prices entries through c's scalar Encode onto an
+// aggregate bus, starting where a Pricer seeded at bd starts: fresh, or
+// from bd.State with the bus primed by bd.Prev's word. It returns the
+// Result and the encoder's final Snapshot.
+func scalarFrom(t *testing.T, c Codec, bd Boundary, stream string, entries []trace.Entry) (Result, State) {
+	t.Helper()
+	enc := c.NewEncoder()
+	sc, ok := enc.(StateCodec)
+	if !ok {
+		t.Fatalf("codec %s: no StateCodec", c.Name())
+	}
+	b := bus.NewAggregate(c.BusWidth())
+	if !bd.First {
+		sc.Restore(bd.State)
+		b.Prime(enc.Encode(SymbolOf(bd.Prev)))
+	}
+	for _, e := range entries {
+		b.Drive(enc.Encode(SymbolOf(e)))
+	}
+	return newResult(c, stream, b), sc.Snapshot()
+}
+
+// TestPricerCountsWithoutAllocating: a working-zone Pricer under
+// KernelAuto counts without words, so it holds no word-writing kernel
+// and takes no word buffer, and once warm a Consume allocates nothing.
+func TestPricerCountsWithoutAllocating(t *testing.T) {
+	s := hotSetStream(2 * runChunk)
+	addrs := make([]uint64, s.Len())
+	kinds := make([]trace.Kind, s.Len())
+	for i, e := range s.Entries {
+		addrs[i], kinds[i] = e.Addr, e.Kind
+	}
+	for _, verify := range []VerifyMode{VerifySampled, VerifyNone} {
+		p, err := NewPricer(MustNew("workzone", 32, Options{}), RunOpts{Verify: verify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.wz == nil || p.be != nil {
+			t.Fatalf("verify=%d: the Pricer writes words", verify)
+		}
+		if err := p.Consume(addrs[:runChunk], kinds[:runChunk]); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if err := p.Consume(addrs[runChunk:], kinds[runChunk:]); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("verify=%d: %.1f allocations per Consume, want 0", verify, n)
 		}
 	}
 }
@@ -261,6 +372,18 @@ func FuzzPricingPaths(f *testing.F) {
 	f.Add(uint8(6), stream, uint16(64), uint16(90), uint8(KernelAuto), uint8(VerifySampled), deltas, false, uint8(0))
 	f.Add(uint8(7), stream, uint16(30), uint16(101), uint8(KernelAuto), uint8(VerifyNone), deltas&seeders, false, uint8(0))
 	f.Add(uint8(8), stream, uint16(30), uint16(101), uint8(KernelAuto), uint8(VerifySampled), binaryInvert, false, uint8(0))
+	// Working-zone and adaptive in the shapes the defaults miss, priced
+	// without words and with them, alone and with every codec.
+	for shape := len(shapes) - nonDefaultShapes; shape < len(shapes); shape++ {
+		for i, c := range shapes[shape] {
+			if c.Name() != "workzone" && c.Name() != "adaptive" {
+				continue
+			}
+			f.Add(uint8(i), stream, uint16(45), uint16(77), uint8(KernelAuto), uint8(VerifySampled), uint16(1)<<i, false, uint8(shape))
+			f.Add(uint8(i), dataFirst, uint16(4097), uint16(200), uint8(KernelAuto), uint8(VerifyNone), uint16(0), false, uint8(shape))
+			f.Add(uint8(i), stream, uint16(7), uint16(150), uint8(KernelScalar), uint8(VerifyFull), uint16(1)<<i, true, uint8(shape))
+		}
+	}
 	f.Fuzz(func(t *testing.T, ci uint8, data []byte, rawChunk, rawCut uint16, kernel, verify uint8, rawSet uint16, perLine bool, shape uint8) {
 		codecs := shapes[int(shape)%len(shapes)]
 		c := codecs[int(ci)%len(codecs)]
@@ -387,21 +510,30 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 }
 
 // fuzzShapes is FuzzPricingPaths' codec configurations: each is every
-// registered codec that builds at its payload width, stride and
-// bus-invert partition count, with beach trained on a muxed fixture.
-// 32 lines at stride 4 come first, then odd widths, width 64, a stride
-// whose shift is the width - 1, and partitioned bus-invert.
+// registered codec that builds at its payload width, stride, bus-invert
+// partition count, working-zone zones and offset width and adaptive
+// list size, with beach trained on a muxed fixture. 32 lines at stride
+// 4 come first, then odd widths, width 64, a stride whose shift is the
+// width - 1, and partitioned bus-invert. The last two shapes
+// (nonDefaultShapes) take 2 zones of 12 offset bits and a 1-entry list,
+// and 128 zones of 4 bits, past the 64-zone mask word and the 16 zones
+// a recency order ranks, and a 3-entry list.
 func fuzzShapes() [][]Codec {
 	train := fixtureStreams(2000)[2]
 	var out [][]Codec
 	for _, sh := range []struct {
-		width  int
-		stride uint64
-		parts  int
-	}{{32, 4, 1}, {31, 4, 1}, {64, 4, 1}, {33, 1 << 32, 1}, {32, 4, 3}, {31, 1, 4}} {
+		width                    int
+		stride                   uint64
+		parts                    int
+		zones, zoneBits, entries int
+	}{
+		{32, 4, 1, 0, 0, 0}, {31, 4, 1, 0, 0, 0}, {64, 4, 1, 0, 0, 0}, {33, 1 << 32, 1, 0, 0, 0},
+		{32, 4, 3, 0, 0, 0}, {31, 1, 4, 0, 0, 0}, {32, 4, 1, 2, 12, 1}, {32, 4, 1, 128, 4, 3},
+	} {
+		opts := Options{Stride: sh.stride, Partitions: sh.parts, Train: train, Zones: sh.zones, ZoneBits: sh.zoneBits, Entries: sh.entries}
 		var cs []Codec
 		for _, name := range Names() {
-			if c, err := New(name, sh.width, Options{Stride: sh.stride, Partitions: sh.parts, Train: train}); err == nil {
+			if c, err := New(name, sh.width, opts); err == nil {
 				cs = append(cs, c)
 			}
 		}
@@ -409,6 +541,10 @@ func fuzzShapes() [][]Codec {
 	}
 	return out
 }
+
+// nonDefaultShapes is how many of fuzzShapes' shapes, at its end, set
+// working-zone's and adaptive's options.
+const nonDefaultShapes = 2
 
 // fuzzSeededHalves prices the Seeder codecs over [0, cut) and [cut, n)
 // the way a distributed worker prices its jobs, one NewPricers + Seed +

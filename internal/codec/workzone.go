@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"busenc/internal/bus"
@@ -198,142 +199,198 @@ func (e *wzEnd) Encode(s Symbol) uint64 {
 	return out
 }
 
-// EncodeBatch implements BatchEncoder with the codec's fields and the
-// register and age slices hoisted into locals. The first zone an
-// address falls into is found without branches: each zone's wzIn
-// borrow sets a bit of a 64-zone mask word, and the lowest set bit
-// wins. The first word is tested inline, later words (zones beyond 64)
-// only when it is empty. Inside the batch the age slice holds touch
-// stamps, age = now - stamp in wrapping arithmetic, so a touch writes
-// one stamp instead of incrementing every age. The LRU victim is picked
-// from the recomputed ages by the scalar rule on every entry, so hit
-// and miss select their word and zone without a branch. Both scans take
-// the zones two at a time (zones is a power of two, at least 2). The
-// ages are written back at the end of the batch.
+// The batch kernel prices as well as encodes. It is one loop, with the
+// codec's fields, the register and age slices and the previous bus word
+// hoisted into locals, that writes each word when its caller passes a
+// buffer (EncodeBatch: KernelScalar, VerifyFull, per-line counts, the
+// state sweeps and EncodeAll) and otherwise writes none: it adds
+// popcount(word ^ previous word) and the per-cycle max on the lanes it
+// computes (countBatch, the Pricer's aggregate KernelAuto path), the way
+// a hardware transition counter counts each line's toggles as they
+// happen. The previous bus word carries the HIT and index lines as well
+// as the payload lines a hit holds, so counting needs no other state.
+//
+// The first zone an address falls into is found without branches: each
+// zone's wzIn borrow sets a bit of a 64-zone mask word, and the lowest
+// set bit wins. The first four zones are tested inline, which keeps the
+// mask word in a register (in a loop the compiler spilled it and its
+// index on every lane), the rest of the first word two at a time (zones
+// is a power of two, at least 2), and later words (zones beyond 64)
+// only when it is empty. Inside the batch
+// the age slice holds touch stamps, age = now - stamp in wrapping
+// arithmetic, so a touch writes one stamp instead of incrementing every
+// age, and the ages written back at the end are exact. Up to 16 zones
+// the LRU victim is the low nibble of a recency order packed four bits
+// a zone (wzOrder), which a touch updates in O(1) (wzTouch), so hit and
+// miss select their word and zone without a branch. More zones, or
+// restored ages the order cannot rank, take the victim from the stamps
+// by the scalar rule (wzOldest), on misses only.
 //
 // A lane that hits zone z at offset d moves z's register to its
 // address, so a following lane at that address + d hits z at offset d
 // again and sends the same word, as long as z stays its first matching
-// zone. Such runs are walked, not priced lane by lane: a first pass
-// over each runChunk lanes marks the lanes whose address step repeats
-// the step before them (wzSteady), and after a hit whose next lane
-// repeats it, the marked lanes that follow repeat it too, short of the
-// lowest earlier zone base above the hit (wzLimit). The run writes the
-// word again and touches z once, at its last lane. A step equal to an
-// offset never wraps: the payload is at most 62 lines wide (HIT and the
-// index take the rest), so a wrapped step is at least 2^64 - 2^62, and
-// an offset is below 2^61.
+// zone. Such runs are walked, not priced lane by lane: after a hit
+// whose next lane steps by the hit's offset, the lanes that follow by
+// the same step repeat the word (wzRunLen), short of the lowest earlier
+// zone base above the hit (wzLimit, O(zones) per run). A run toggles no
+// line, so counting it adds cycles only; writing, it stores the word
+// again. It touches z once, at its last lane. A step equal to an offset
+// never wraps: the payload is at most 62 lines wide (HIT and the index
+// take the rest), so a wrapped step is at least 2^64 - 2^62, and an
+// offset is below 2^61.
 func (e *wzEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
+	e.kernel(addrs, out[:len(addrs)], deltaRun{})
+}
+
+// countBatch advances the encoder over addrs exactly as EncodeBatch
+// would, writing no word, and adds the words' transitions to r, counted
+// from r.last, the word on the bus before addrs; it returns the counts
+// with the last word in last. The Pricer prices working-zone with it.
+func (e *wzEnd) countBatch(addrs []uint64, r deltaRun) deltaRun {
+	return e.kernel(addrs, nil, r)
+}
+
+// kernel advances the encoder over addrs, writing each word into out
+// or, when out is nil, adding the words' transitions to r from r.last,
+// the word on the bus before addrs, and leaving the last word in
+// r.last. It reads only r.last's HIT and index lines: its payload lines
+// are the encoder's previous payload.
+func (e *wzEnd) kernel(addrs, out []uint64, r deltaRun) deltaRun {
 	w := e.w
-	mask, span, zoneMask := w.mask, uint64(1)<<uint(w.zoneBits), bus.Mask(w.zoneBits)
-	hitMask, idxShift := uint64(1)<<w.hitBit, w.idxShift&63
-	regs, prev := e.regs, e.prev
+	mask, span := w.mask, uint64(1)<<uint(w.zoneBits)
+	keep := mask &^ bus.Mask(w.zoneBits)
+	hitMask := uint64(1) << w.hitBit
+	regs := e.regs
 	zones := len(regs)
 	stamps := e.age[:zones]
+	order, top := wzOrder(stamps, len(addrs))
 	for i, a := range stamps {
 		stamps[i] = -a
 	}
-	first := regs[:min(zones, 64)]
-	now := 0
-	out = out[:len(addrs)]
-	var steady [runChunk / 64]uint64
-	for base := 0; base < len(addrs); base += runChunk {
-		seg := addrs[base:min(base+runChunk, len(addrs))]
-		dst := out[base : base+len(seg)]
-		wzSteady(seg, mask, &steady)
-		for i := 0; i < len(seg); i++ {
-			addr := seg[i] & mask
-			var hits uint64
-			for j := 0; j+1 < len(first); j += 2 {
-				hits |= (wzIn(addr, first[j], mask, span) | wzIn(addr, first[j+1], mask, span)<<1) << (j & 63)
-			}
-			idx := bits.TrailingZeros64(hits)
-			if zones > 64 && hits == 0 {
-				idx = wzMatch(regs, addr, mask, span)
-			}
-			worst, victim := -1, 0
-			for j := 0; j+1 < len(stamps); j += 2 {
-				a0, a1 := now-stamps[j], now-stamps[j+1]
-				if a0 > worst {
-					worst, victim = a0, j
-				}
-				if a1 > worst {
-					worst, victim = a1, j+1
-				}
-			}
-			off := addr - regs[idx&(zones-1)]
-			word := prev&^zoneMask | ToGray(off) | hitMask
-			hit := idx < zones
-			if !hit {
-				idx, word = victim, addr
-			}
-			word |= uint64(idx) << idxShift
-			now++
-			regs[idx], stamps[idx] = addr, now
-			prev = word & mask
-			dst[i] = word
-			// One branch, taken at a run's start: a hit whose next lane
-			// steps by the hit's offset.
-			next := seg[min(i+1, len(seg)-1)] & mask
-			if b2u(hit)&b2u(next-addr == off)&b2u(i+1 < len(seg)) == 0 {
-				continue
-			}
-			end := wzRunEnd(&steady, i+2, len(seg))
-			if lim := wzLimit(regs[:idx], addr); seg[end-1]&mask >= lim {
-				end = i + 1 + int((lim-1-addr)/off)
-			}
-			if k := i + 1; end-k <= 8 && k+8 <= len(dst) {
-				// Most runs are short: eight stores with no loop to leave,
-				// the ones past the run rewritten by the lanes they belong to.
-				d := dst[k : k+8 : k+8]
-				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = word, word, word, word, word, word, word, word
-			} else {
-				for ; k < end; k++ {
-					dst[k] = word
-				}
-			}
-			if end > i+1 {
-				now += end - i - 1
-				regs[idx], stamps[idx] = seg[end-1]&mask, now
-				i = end - 1
+	nz := min(zones, 64)
+	last := r.last&^mask | e.prev
+	total, maxN := r.transitions, r.max
+	for i := 0; i < len(addrs); i++ {
+		addr := addrs[i] & mask
+		hits := wzIn(addr, regs[0], mask, span) | wzIn(addr, regs[1], mask, span)<<1
+		if zones >= 4 {
+			hits |= wzIn(addr, regs[2], mask, span)<<2 | wzIn(addr, regs[3], mask, span)<<3
+			for j := 4; j+1 < nz; j += 2 {
+				hits |= (wzIn(addr, regs[j], mask, span) | wzIn(addr, regs[j+1], mask, span)<<1) << (j & 63)
 			}
 		}
+		idx := bits.TrailingZeros64(hits)
+		if zones > 64 && hits == 0 {
+			idx = wzMatch(regs, addr, mask, span)
+		}
+		hit := idx < zones
+		victim := int(order & 15)
+		if top == 0 && !hit {
+			victim = wzOldest(stamps, i)
+		}
+		off := addr - regs[idx&(zones-1)]
+		word := last&keep | ToGray(off)
+		if !hit {
+			idx, word = victim, addr
+		}
+		// The index lines sit just above the HIT line.
+		word |= uint64(2*idx+int(b2u(hit))) * hitMask
+		regs[idx], stamps[idx] = addr, i+1
+		order = wzTouch(order, idx, top)
+		if out == nil {
+			c := bits.OnesCount64(word ^ last)
+			total += int64(c)
+			maxN = max(maxN, c)
+		} else {
+			out[i] = word
+		}
+		last = word
+		// One branch, taken at a run's start: a hit whose next lane
+		// steps by the hit's offset.
+		next := addrs[min(i+1, len(addrs)-1)] & mask
+		if b2u(hit)&b2u(next-addr == off)&b2u(i+1 < len(addrs)) == 0 {
+			continue
+		}
+		k := wzRunLen(addrs[i+1:], addr, off, mask, wzLimit(regs[:idx], addr))
+		if k == 0 {
+			continue
+		}
+		if out != nil {
+			run := out[i+1 : i+1+k]
+			for j := range run {
+				run[j] = word
+			}
+		}
+		i += k
+		regs[idx], stamps[idx] = addrs[i]&mask, i+1
 	}
 	for i, s := range stamps {
-		stamps[i] = now - s
+		stamps[i] = len(addrs) - s
 	}
-	e.prev = prev
+	e.prev = last & mask
+	return deltaRun{transitions: total, max: maxN, last: last}
 }
 
-// wzSteady marks the lanes of addrs, masked, whose step from the lane
-// before repeats that lane's step in steady, bit i%64 of word i/64:
-// a_i - a_{i-1} == a_{i-1} - a_{i-2}. Lanes 0 and 1 step from a zero
-// address before the batch; a run starts after a lane, so the walk
-// never reads their marks. At most runChunk lanes.
-func wzSteady(addrs []uint64, mask uint64, steady *[runChunk / 64]uint64) {
-	var a1, d1 uint64
-	for base := 0; base < len(addrs); base += 64 {
-		var m uint64
-		for i, a := range addrs[base:min(base+64, len(addrs))] {
-			a &= mask
-			d := a - a1
-			m |= b2u(d == d1) << (uint(i) & 63)
-			a1, d1 = a, d
-		}
-		steady[base/64&(len(steady)-1)] = m
+// wzOrder is the recency order of the zones whose ages are age, packed
+// four bits a zone from the least recently touched up, so the LRU
+// victim is the low nibble, and top, the unit of the most recent zone's
+// nibble. The nibbles above the zones are zero. Equal ages, which only
+// a restored state holds, rank the lower zone older, as lru picks the
+// first oldest. top is 0 when the order could rank the zones otherwise
+// than lru does over the next n touches: more than 16 zones, a negative
+// age, or one that n more touches could overflow.
+func wzOrder(age []int, n int) (order, top uint64) {
+	if len(age) > 16 {
+		return 0, 0
 	}
+	for i, a := range age {
+		if a < 0 || a > math.MaxInt-n {
+			return 0, 0
+		}
+		at := 0
+		for j, b := range age {
+			at += int(b2u(b > a || b == a && j < i))
+		}
+		order |= uint64(i) << (4 * at & 63)
+	}
+	return order, 1 << (4 * (len(age) - 1) & 63)
 }
 
-// wzRunEnd is the first lane from lane at on that steady leaves
-// unmarked, or n, the lane count.
-func wzRunEnd(steady *[runChunk / 64]uint64, at, n int) int {
-	for at < n {
-		if free := ^steady[at/64&(len(steady)-1)] >> (uint(at) & 63); free != 0 {
-			return min(at+bits.TrailingZeros64(free), n)
+// wzTouch moves zone z to the top of a wzOrder order, whose top nibble
+// has unit top, shifting the zones above it down one place. z's place
+// is the lowest zero nibble of the order XOR z in every nibble: the
+// subtraction borrows through no nibble below it.
+func wzTouch(order uint64, z int, top uint64) uint64 {
+	const ones = 0x1111_1111_1111_1111
+	x := order ^ uint64(z)*ones
+	t := (x - ones) &^ x & (ones << 3)
+	below := (t&-t)>>3 - 1
+	return order&below | order>>4&^below | uint64(z)*top
+}
+
+// wzOldest is the scalar lru over touch stamps at time now: the first
+// zone of the largest age now - stamp.
+func wzOldest(stamps []int, now int) int {
+	worst, at := -1, 0
+	for j, s := range stamps {
+		if a := now - s; a > worst {
+			worst, at = a, j
 		}
-		at += 64 - at%64
 	}
-	return n
+	return at
+}
+
+// wzRunLen is how many leading lanes of addrs, masked, each step by
+// off from the lane before, the first from addr, and stay below lim.
+func wzRunLen(addrs []uint64, addr, off, mask, lim uint64) int {
+	for k, a := range addrs {
+		a &= mask
+		if a-addr != off || a >= lim {
+			return k
+		}
+		addr = a
+	}
+	return len(addrs)
 }
 
 // wzLimit is the lowest register of regs above addr, or the largest
@@ -356,7 +413,7 @@ func wzIn(addr, r, mask, span uint64) uint64 {
 	return in
 }
 
-// wzMatch is EncodeBatch's match over the mask words after the first:
+// wzMatch is the kernel's match over the mask words after the first:
 // the first zone from 64 on that addr falls into, or len(regs).
 func wzMatch(regs []uint64, addr, mask, span uint64) int {
 	for base := 64; base < len(regs); base += 64 {
