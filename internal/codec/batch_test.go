@@ -175,14 +175,14 @@ func zoneRunStream(n int) *trace.Stream {
 
 // batchCases is every registered codec at its defaults (beach trained
 // on train), plus the working-zone and adaptive shapes the defaults do
-// not reach (working-zone's 2, 4 and 128 zones, the last past the
-// 64-zone mask word and the 16 zones a packed recency order ranks), and
-// restored working-zone states: tied ages with overlapping zones and a
-// register above the payload mask, which no address may match; ages no
-// recency order ranks as the scalar lru does, one negative and one
-// that wraps within four touches; and zones whose bases lie above the
-// registers after them, so a run that climbs from a later zone reaches
-// an earlier one.
+// not reach (working-zone's 2, 4, 8, 16 and 128 zones: 16 fill every
+// nibble of the packed recency order, and 128 pass it and the 64-zone
+// mask word), and restored working-zone states: tied ages with
+// overlapping zones and a register above the payload mask, which no
+// address may match; ages no recency order ranks as the scalar lru
+// does, one negative and one that wraps within four touches; and zones
+// whose bases lie above the registers after them, so a run that climbs
+// from a later zone reaches an earlier one.
 func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 	var out []batchCase
 	for _, name := range Names() {
@@ -191,7 +191,7 @@ func batchCases(t *testing.T, train *trace.Stream) []batchCase {
 	if b := MustNew("beach", 32, Options{Train: train}).(*Beach); len(b.Pairs()) == 0 {
 		t.Fatal("beach: training selected no pairs; the trained kernel is not exercised")
 	}
-	for _, zones := range []int{2, 4, 8, 128} {
+	for _, zones := range []int{2, 4, 8, 16, 128} {
 		for _, zb := range []int{4, 8, 12} {
 			out = append(out, batchCase{
 				label: fmt.Sprintf("workzone/zones=%d/bits=%d", zones, zb),
@@ -268,6 +268,9 @@ func TestBatchEncoderMatchesScalar(t *testing.T) {
 			if tc.restore != nil {
 				scalarEnc.(StateCodec).Restore(tc.restore)
 				batchEnc.(StateCodec).Restore(tc.restore)
+				if got := batchEnc.(StateCodec).Snapshot(); !reflect.DeepEqual(got, tc.restore) {
+					t.Fatalf("%s: state %+v after Restore of %+v", tc.label, got, tc.restore)
+				}
 			}
 			be := AsBatch(batchEnc)
 			label := tc.label + "/" + s.Name

@@ -100,6 +100,12 @@ type wzEnd struct {
 	regs []uint64 // zone base registers
 	age  []int    // LRU ages; larger = older
 	prev uint64   // previous payload lines (held on hits beyond offset bits)
+	// above is the registers of the last restored state when one of them
+	// lies above the payload mask, else nil. regs holds such a register
+	// as mask+1, which no address matches either, so that every register
+	// is at most mask+1 and the batch kernel's zone test needs no guard;
+	// Snapshot returns the restored register while the zone holds it.
+	above []uint64
 }
 
 func newWZEnd(w *WorkZone) *wzEnd {
@@ -114,6 +120,7 @@ func (e *wzEnd) Reset() {
 		e.age[i] = i
 	}
 	e.prev = 0
+	e.above = nil
 }
 
 // wzState is the Snapshot payload: deep copies of the zone registers
@@ -128,11 +135,13 @@ type wzState struct {
 
 // Snapshot implements StateCodec.
 func (e *wzEnd) Snapshot() State {
-	return wzState{
-		regs: append([]uint64(nil), e.regs...),
-		age:  append([]int(nil), e.age...),
-		prev: e.prev,
+	regs := append([]uint64(nil), e.regs...)
+	for i, r := range regs {
+		if r > e.w.mask {
+			regs[i] = e.above[i]
+		}
 	}
+	return wzState{regs: regs, age: append([]int(nil), e.age...), prev: e.prev}
 }
 
 // Restore implements StateCodec.
@@ -141,6 +150,15 @@ func (e *wzEnd) Restore(st State) {
 	copy(e.regs, s.regs)
 	copy(e.age, s.age)
 	e.prev = s.prev
+	e.above = nil
+	for i, r := range e.regs {
+		if r > e.w.mask {
+			if e.above == nil {
+				e.above = append([]uint64(nil), e.regs...)
+			}
+			e.regs[i] = e.w.mask + 1
+		}
+	}
 }
 
 // fits implements sizedState: one register and one age per zone.
@@ -216,15 +234,15 @@ func (e *wzEnd) Encode(s Symbol) uint64 {
 // mask word in a register (in a loop the compiler spilled it and its
 // index on every lane), the rest of the first word two at a time (zones
 // is a power of two, at least 2), and later words (zones beyond 64)
-// only when it is empty. Inside the batch
-// the age slice holds touch stamps, age = now - stamp in wrapping
-// arithmetic, so a touch writes one stamp instead of incrementing every
-// age, and the ages written back at the end are exact. Up to 16 zones
-// the LRU victim is the low nibble of a recency order packed four bits
-// a zone (wzOrder), which a touch updates in O(1) (wzTouch), so hit and
-// miss select their word and zone without a branch. More zones, or
-// restored ages the order cannot rank, take the victim from the stamps
-// by the scalar rule (wzOldest), on misses only.
+// only when it is empty. Inside the batch the age slice holds touch
+// stamps, age = now - stamp in wrapping arithmetic, so a touch writes
+// one stamp instead of incrementing every age, and the ages written
+// back at the end are exact. Up to 16 zones the LRU victim is the low
+// nibble of a recency order packed four bits a zone (wzOrder), which a
+// touch updates in O(1) (wzTouch), so hit and miss select their word
+// and zone without a branch. More zones, or restored ages the order
+// cannot rank, take the victim from the stamps by the scalar rule
+// (wzOldest), on misses only.
 //
 // A lane that hits zone z at offset d moves z's register to its
 // address, so a following lane at that address + d hits z at offset d
@@ -269,19 +287,23 @@ func (e *wzEnd) kernel(addrs, out []uint64, r deltaRun) deltaRun {
 	}
 	nz := min(zones, 64)
 	last := r.last&^mask | e.prev
-	total, maxN := r.transitions, r.max
+	// The counts stay in r's memory: the loop holds more values than
+	// the machine has registers, and an add to memory costs less than
+	// the spill and reload of two more loop-carried values on every
+	// lane.
+	acc := &r
 	for i := 0; i < len(addrs); i++ {
 		addr := addrs[i] & mask
-		hits := wzIn(addr, regs[0], mask, span) | wzIn(addr, regs[1], mask, span)<<1
+		hits := wzIn(addr, regs[0], span)&1 | wzIn(addr, regs[1], span)&2
 		if zones >= 4 {
-			hits |= wzIn(addr, regs[2], mask, span)<<2 | wzIn(addr, regs[3], mask, span)<<3
+			hits |= wzIn(addr, regs[2], span)&4 | wzIn(addr, regs[3], span)&8
 			for j := 4; j+1 < nz; j += 2 {
-				hits |= (wzIn(addr, regs[j], mask, span) | wzIn(addr, regs[j+1], mask, span)<<1) << (j & 63)
+				hits |= (wzIn(addr, regs[j], span)&1 | wzIn(addr, regs[j+1], span)&2) << (j & 63)
 			}
 		}
 		idx := bits.TrailingZeros64(hits)
 		if zones > 64 && hits == 0 {
-			idx = wzMatch(regs, addr, mask, span)
+			idx = wzMatch(regs, addr, span)
 		}
 		hit := idx < zones
 		victim := int(order & 15)
@@ -299,8 +321,10 @@ func (e *wzEnd) kernel(addrs, out []uint64, r deltaRun) deltaRun {
 		order = wzTouch(order, idx, top)
 		if out == nil {
 			c := bits.OnesCount64(word ^ last)
-			total += int64(c)
-			maxN = max(maxN, c)
+			acc.transitions += int64(c)
+			if c > acc.max {
+				acc.max = c
+			}
 		} else {
 			out[i] = word
 		}
@@ -328,7 +352,8 @@ func (e *wzEnd) kernel(addrs, out []uint64, r deltaRun) deltaRun {
 		stamps[i] = len(addrs) - s
 	}
 	e.prev = last & mask
-	return deltaRun{transitions: total, max: maxN, last: last}
+	r.last = last
+	return r
 }
 
 // wzOrder is the recency order of the zones whose ages are age, packed
@@ -359,13 +384,15 @@ func wzOrder(age []int, n int) (order, top uint64) {
 // wzTouch moves zone z to the top of a wzOrder order, whose top nibble
 // has unit top, shifting the zones above it down one place. z's place
 // is the lowest zero nibble of the order XOR z in every nibble: the
-// subtraction borrows through no nibble below it.
+// subtraction borrows through no nibble below it, so the lowest bit of
+// t is that nibble's top bit, and below masks the nibbles under it.
 func wzTouch(order uint64, z int, top uint64) uint64 {
 	const ones = 0x1111_1111_1111_1111
 	x := order ^ uint64(z)*ones
 	t := (x - ones) &^ x & (ones << 3)
-	below := (t&-t)>>3 - 1
-	return order&below | order>>4&^below | uint64(z)*top
+	below := (t ^ (t - 1)) >> 4
+	down := order >> 4
+	return down ^ (order^down)&below | uint64(z)*top
 }
 
 // wzOldest is the scalar lru over touch stamps at time now: the first
@@ -404,22 +431,25 @@ func wzLimit(regs []uint64, addr uint64) uint64 {
 	return lim
 }
 
-// wzIn is 1 if addr falls into the zone based at register r, else 0:
-// the borrow of (addr-r) | (r &^ mask) < span, which is exactly the
-// scalar test addr >= r && addr-r < span for any register a restored
-// state holds.
-func wzIn(addr, r, mask, span uint64) uint64 {
-	_, in := bits.Sub64(addr-r|r&^mask, span, 0)
-	return in
+// wzIn is all ones if addr falls into the zone based at register r,
+// else 0: the borrow of addr-r < span as a mask, which a caller ANDs
+// with the zone's bit. That is exactly the scalar test addr >= r &&
+// addr-r < span for an address and a register of at most mask+1, as
+// every register is (Restore holds one above the payload mask as
+// mask+1): the payload is at most 62 lines wide, so for addr < r,
+// addr-r wraps to at least 2^64 - 2^62, above any span.
+func wzIn(addr, r, span uint64) uint64 {
+	_, in := bits.Sub64(addr-r, span, 0)
+	return -in
 }
 
 // wzMatch is the kernel's match over the mask words after the first:
 // the first zone from 64 on that addr falls into, or len(regs).
-func wzMatch(regs []uint64, addr, mask, span uint64) int {
+func wzMatch(regs []uint64, addr, span uint64) int {
 	for base := 64; base < len(regs); base += 64 {
 		var hits uint64
 		for j, r := range regs[base:min(base+64, len(regs))] {
-			hits |= wzIn(addr, r, mask, span) << (j & 63)
+			hits |= (wzIn(addr, r, span) & 1) << (j & 63)
 		}
 		if hits != 0 {
 			return base + bits.TrailingZeros64(hits)
