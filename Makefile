@@ -72,7 +72,9 @@ test-stream:
 # differential FuzzPricingPaths, and FuzzSweepPlans for in-process dist
 # sweeps under every plan shape: whole-trace groups only, groups and
 # entry shards, entry shards only), a dist worker mishandling the
-# frames a coordinator or TCP peer sends it (FuzzWorkerFrames), or an
+# frames a coordinator or TCP peer sends it (FuzzWorkerFrames), the
+# 64x64 bit transpose busencbench times drifting from a naive transpose
+# (FuzzTransposeRoundTrip), or an
 # upload the trace store accepts but cannot price as it reported
 # (FuzzIngest) without stalling CI. Go allows one -fuzz target per
 # invocation, hence separate runs.
@@ -184,8 +186,9 @@ net-smoke:
 
 # One timed pass of the headline evaluation benchmark and of
 # BenchmarkPricers: every Pricer the dist planner weighs (the source of
-# its weight table) on a 2^20-entry muxed stream, and the plane codecs'
-# delta group and BETR decode on a 2^20-entry instruction stream. Then
+# its weight table) on a 2^20-entry muxed stream, and binary, gray,
+# offset and incxor's delta group and BETR decode on a 2^20-entry
+# instruction stream. Then
 # one pass of each kernel group against the kernels it replaces (the
 # T0-family and delta groups) and of working-zone's batch kernel alone,
 # on 2^20-entry muxed streams: a kernel that stops building or panics
@@ -200,8 +203,10 @@ bench:
 # producer declares. `paper -benchjson DIR` writes BENCH_engine.json
 # (seed reference path vs. the batched engine on Table 4),
 # BENCH_stream.json (materialized path vs. the streaming fan-out) and
-# BENCH_bitslice.json (scalar vs. bit-sliced plane kernel on the
-# seedable codec subset); `-benchdist` writes BENCH_dist.json
+# BENCH_bitslice.json (scalar kernels vs. the per-line delta group,
+# which RunPlaneSet now drives, on binary, gray, offset and incxor; the
+# record keeps the name of the bit-sliced plane group it timed before);
+# `-benchdist` writes BENCH_dist.json
 # (serial decode+price vs. the coordinator/worker distributed sweep,
 # plus the tcp.* networked parity and digest-dedup metrics).
 # BENCH_serve.json captures one 32-tenant load-harness run against a

@@ -360,7 +360,7 @@ func BenchmarkRunSlowReference(b *testing.B) {
 // BenchmarkEncodeBatch measures the raw batch encode kernels of every
 // registered codec: address and kind columns in, words out, no counting
 // or verification. Codecs without a kernel of their own (offset and
-// incxor, which price on the plane kernel) time the generic per-entry
+// incxor, which price in the delta group) time the generic per-entry
 // wrapper.
 func BenchmarkEncodeBatch(b *testing.B) {
 	s := workload.Suite()[0].Muxed()
@@ -388,10 +388,11 @@ func BenchmarkEncodeBatch(b *testing.B) {
 // worker prices a whole-trace job: Consume over the stream's columns,
 // sampled verification. It covers every sweep shape the dist planner
 // weighs: "auto" (the delta and T0-family groups, working-zone and
-// adaptive), "perline" (the plane group in place of the delta group),
-// "scalar" and "full" (every codec on its batch kernel, under
-// KernelScalar and under VerifyFull) and "alone" (each group codec priced
-// on its own), each Pricer named by its codecs joined by "+". "decode"
+// adaptive), "perline" (the same groups counting per line), "scalar"
+// and "full" (every codec on its batch kernel, under KernelScalar and
+// under VerifyFull), and "alone" and "alone-perline" (each group codec
+// priced on its own, in aggregate and per line: a batch kernel or a
+// delta group of one), each Pricer named by its codecs joined by "+". "decode"
 // is the in-memory BETR reader over the same stream from a heap view,
 // which every job pays once. "instr" prices the four plane codecs over
 // a 2^20-entry instruction stream built as busencbench builds the
@@ -433,6 +434,7 @@ func BenchmarkPricers(b *testing.B) {
 		if len(g.At) > 1 {
 			for _, at := range g.At {
 				price("alone/"+codecs[at].Name(), codecs[at:at+1], sampled)
+				price("alone-perline/"+codecs[at].Name(), codecs[at:at+1], codec.RunOpts{Verify: codec.VerifySampled, PerLine: true})
 			}
 		}
 	}

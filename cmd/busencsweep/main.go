@@ -59,7 +59,7 @@ func main() {
 	stride := flag.Uint64("stride", 4, "in-sequence stride S for the stride-aware codes (t0*, dualt0*, gray, incxor); 4 matches the paper's word-addressed MIPS and the other CLIs")
 	verify := flag.String("verify", "sampled", "decode verification: \"full\", \"sampled\" or \"none\"")
 	perLine := flag.Bool("perline", false, "collect per-line transition counts")
-	kernel := flag.String("kernel", "auto", "pricing kernel: \"auto\", \"scalar\" or \"plane\"")
+	kernel := flag.String("kernel", "auto", "pricing kernel: \"auto\" (the delta codecs of one width and stride in one delta group, two or more T0-family codecs in one in-sequence group) or \"scalar\" (every codec on its batch kernel, writing every word)")
 	killWorker := flag.String("killworker", "", "fault injection: \"id:jobs\" kills worker id's first life after that many jobs (it respawns; the orphaned jobs are retried)")
 	stopAfter := flag.Int("stopafter", 0, "fault injection: stop the coordinator after this many job results are journaled (requires -checkpoint to be resumable)")
 	asJSON := flag.Bool("json", false, "emit JSON instead of an aligned table")

@@ -133,7 +133,7 @@ func TestRunTable(t *testing.T) {
 
 // TestRunKillAndResume: the CLI fault knobs compose — kill one
 // worker's first life, stop the coordinator at the checkpoint, rerun
-// the same sweep, and end with results bit-identical to RunFast. The
+// the same sweep, and end with results bit-identical to Run. The
 // faulted request's two whole-trace groups leave a worker idle, so it
 // plans seven entry shards of the Seeder codecs besides; a last sweep
 // of all codecs, one group per worker, is bit-identical too.
@@ -148,19 +148,20 @@ func TestRunKillAndResume(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "stopped") {
 		t.Fatalf("first run: err = %v, want checkpoint stop", err)
 	}
-	checkRunFast(t, s, runToFile(t, func(out *os.File) error {
+	checkRun(t, s, runToFile(t, func(out *os.File) error {
 		return run(base, out)
 	}), 7)
 	all := base
 	all.codes, all.checkpoint = "all", ""
-	checkRunFast(t, s, runToFile(t, func(out *os.File) error {
+	checkRun(t, s, runToFile(t, func(out *os.File) error {
 		return run(all, out)
 	}), len(codec.Names()))
 }
 
-// checkRunFast decodes the CLI's JSON results and holds each against
-// RunFast over s, with the CLI's default stride.
-func checkRunFast(t *testing.T, s *trace.Stream, got string, n int) {
+// checkRun decodes the CLI's JSON results and holds each against the
+// reference codec.Run over s, with the CLI's default stride: its
+// per-line counts too when the CLI reports them.
+func checkRun(t *testing.T, s *trace.Stream, got string, n int) {
 	t.Helper()
 	var results []codec.Result
 	if err := json.Unmarshal([]byte(got), &results); err != nil {
@@ -174,12 +175,13 @@ func checkRunFast(t *testing.T, s *trace.Stream, got string, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := codec.RunFast(c, s, codec.RunOpts{Verify: codec.VerifyNone})
+		want, err := codec.Run(c, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Transitions != want.Transitions || r.Cycles != want.Cycles || r.MaxPerCycle != want.MaxPerCycle {
-			t.Errorf("codec %s: CLI %+v != RunFast %+v", r.Codec, r, want)
+		if r.Transitions != want.Transitions || r.Cycles != want.Cycles || r.MaxPerCycle != want.MaxPerCycle ||
+			r.PerLine != nil && !slices.Equal(r.PerLine, want.PerLine) {
+			t.Errorf("codec %s: CLI %+v != Run %+v", r.Codec, r, want)
 		}
 	}
 }

@@ -10,17 +10,22 @@ import (
 	"busenc/internal/obs"
 )
 
-// Bit-sliced kernel benchmark (-benchjson writes BENCH_bitslice.json
-// alongside the other records): prices the seedable plane-codec subset
-// (binary, gray, offset, incxor) over the same materialized trace two
+// Per-line kernel benchmark (-benchjson writes BENCH_bitslice.json
+// alongside the other records): prices the seedable codecs binary,
+// gray, offset and incxor per line over the same materialized trace two
 // ways on the same machine —
 //
 //   - scalar: codec.RunFast per codec with Kernel forced to
 //     KernelScalar, so the batch encode kernels materialize every word
-//     and bus.Accumulate prices one entry at a time;
-//   - plane: one codec.RunPlaneSet sweep, transposing each 64-address
-//     block once and pricing all four codecs on the bit-sliced
-//     XOR+popcount kernels, never materializing the word stream.
+//     and bus.Accumulate finds each word's toggling lines with a
+//     TrailingZeros64 walk;
+//   - plane: one codec.RunPlaneSet sweep, which prices all four codecs
+//     in one per-line delta group: in-sequence runs in closed form line
+//     by line, every other lane's toggle word summed per line in
+//     bit-sliced carry-save adders (bus.LineCounter), never
+//     materializing the word stream. The record keeps the name and the
+//     metric keys of the bit-sliced plane group this side timed until
+//     the delta group replaced it.
 //
 // Both sides request identical statistics (per-line counts, so parity
 // covers Transitions, Cycles, PerLine and MaxPerCycle) with VerifyNone,
@@ -31,7 +36,7 @@ import (
 // the record declares an absolute 5x floor on it that binds on every
 // regeneration, next to the usual relative band.
 
-// bitsliceCodes is the seedable subset with plane-domain kernels.
+// bitsliceCodes are the four codecs the record has always priced.
 var bitsliceCodes = []string{"binary", "gray", "offset", "incxor"}
 
 // benchBitslice runs the comparison and writes BENCH_bitslice.json.
@@ -76,7 +81,7 @@ func benchBitslice(path string, entries, warmIters int) (err error) {
 		"gomaxprocs":       1,
 		"warm_iters":       float64(warmIters),
 		"scalar_ns":        float64(scalarNs), // best warm scalar-kernel sweep
-		"plane_ns":         float64(planeNs),  // best warm RunPlaneSet sweep
+		"plane_ns":         float64(planeNs),  // best warm RunPlaneSet sweep (the per-line delta group)
 		"speedup_bitslice": float64(scalarNs) / float64(planeNs),
 		"parity":           bench.Bool(parity), // all Result fields identical
 	}
@@ -91,7 +96,7 @@ func benchBitslice(path string, entries, warmIters int) (err error) {
 	fmt.Printf("bitslice bench: %d entries x %d codecs, scalar %.1f ms, plane %.1f ms (%.2fx), parity=%v -> %s\n",
 		entries, len(cs), float64(scalarNs)/1e6, float64(planeNs)/1e6, rec.Metrics["speedup_bitslice"], parity, path)
 	if !parity {
-		return fmt.Errorf("plane-kernel and scalar-kernel results diverge")
+		return fmt.Errorf("delta-group and scalar-kernel results diverge")
 	}
 	return nil
 }

@@ -37,9 +37,9 @@ func main() {
 	tracePath := flag.String("trace", "", "evaluate the codecs over this trace file (text or binary, auto-detected) instead of the benchmark suites")
 	flag.Bool("stream", true, "with -trace: accepted for compatibility; -trace always prices in one bounded-memory streaming pass")
 	codes := flag.String("codes", "paper", "with -trace: comma-separated codec list, \"paper\" (the seven paper codes) or \"all\"")
-	kernel := flag.String("kernel", "auto", "with -trace: pricing kernel — \"auto\" (two or more delta codecs of one width and stride — binary, gray, offset, incxor, businvert, beach — price in one delta group, two or more T0-family codecs in one in-sequence group, a plane-capable codec left alone on the bit-sliced path, and working-zone counted without writing words), \"scalar\" or \"plane\"")
+	kernel := flag.String("kernel", "auto", "with -trace: pricing kernel — \"auto\" (the delta codecs of one width and stride — binary, gray, offset, incxor, businvert, beach — price in one delta group, though a lone binary, gray, businvert or beach keeps its batch kernel; two or more T0-family codecs in one in-sequence group; and working-zone counted without writing words) or \"scalar\" (every codec on its batch kernel, writing every word)")
 	chunkLen := flag.Int("chunklen", 0, "with -trace: chunk size in entries (0 = default)")
-	benchJSON := flag.String("benchjson", "", "benchmark the batched evaluation engine, the streaming pipeline and the bit-sliced kernels against their same-machine baselines, write BENCH_{engine,stream,bitslice}.json into this directory, then exit")
+	benchJSON := flag.String("benchjson", "", "benchmark the batched evaluation engine, the streaming pipeline and the per-line delta group against their same-machine baselines, write BENCH_{engine,stream,bitslice}.json into this directory, then exit")
 	benchDistJSON := flag.String("benchdist", "", "benchmark the distributed coordinator/worker sweep against a serial decode+price pass and write the record to this path (e.g. BENCH_dist.json), then exit")
 	distWorker := flag.Bool("distworker", false, "internal: run as a distributed-sweep protocol worker on stdin/stdout (spawned by -benchdist)")
 	metrics := flag.String("metrics", "", "enable run-time observability and dump all metric registries on exit: \"table\", \"json\" or \"spans\" (to stderr, so table/trace output stays clean; \"spans\" prints per-stage span latency attribution)")

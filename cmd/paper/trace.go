@@ -39,8 +39,8 @@ func parseCodes(codes string) []string {
 }
 
 // evalTrace evaluates the named codecs over the trace file and prints a
-// comparison table. kernel picks the pricing kernel ("auto", "scalar"
-// or "plane").
+// comparison table. kernel picks the pricing kernel ("auto" or
+// "scalar").
 func evalTrace(path, codes string, chunkLen int, kernel string) error {
 	kern, err := codec.ParseKernel(kernel)
 	if err != nil {

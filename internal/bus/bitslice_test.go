@@ -1,71 +1,86 @@
 package bus
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// TestTransposeRoundTrip: Transpose64 is an involution, so PackPlanes
-// followed by UnpackPlanes must reproduce the input words exactly.
-func TestTransposeRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 31, 63, 64} {
-		words := randomWords(n, int64(100+n))
-		var planes [64]uint64
-		PackPlanes(words, &planes)
-		got := make([]uint64, n)
-		UnpackPlanes(&planes, got)
-		if n > 0 && !reflect.DeepEqual(got, words) {
-			t.Errorf("n=%d: round trip diverged", n)
-		}
-	}
-}
-
-// TestPackPlanesLayout: bit i of planes[b] must be bit b of words[i].
-func TestPackPlanesLayout(t *testing.T) {
-	words := randomWords(64, 4)
-	var planes [64]uint64
-	PackPlanes(words, &planes)
+// naiveTranspose is Transpose64's reference: one bit at a time.
+func naiveTranspose(a [64]uint64) [64]uint64 {
+	var out [64]uint64
 	for b := 0; b < 64; b++ {
 		for i := 0; i < 64; i++ {
-			if (planes[b]>>uint(i))&1 != (words[i]>>uint(b))&1 {
-				t.Fatalf("plane %d lane %d: bit mismatch", b, i)
-			}
+			out[b] |= (a[i] >> uint(b) & 1) << uint(i)
 		}
+	}
+	return out
+}
+
+// checkTranspose requires Transpose64 to match naiveTranspose on a and
+// to give a back when applied twice.
+func checkTranspose(t *testing.T, label string, a [64]uint64) {
+	t.Helper()
+	got := a
+	Transpose64(&got)
+	if got != naiveTranspose(a) {
+		t.Fatalf("%s: Transpose64 differs from the naive transpose", label)
+	}
+	Transpose64(&got)
+	if got != a {
+		t.Fatalf("%s: Transpose64 twice is not the identity", label)
 	}
 }
 
-// TestPackPlanesShortBlock: lanes beyond len(words) must be zero in
-// every plane, so a partial block never leaks stale data.
-func TestPackPlanesShortBlock(t *testing.T) {
-	var planes [64]uint64
-	for i := range planes {
-		planes[i] = ^uint64(0) // poison
-	}
-	words := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
-	PackPlanes(words, &planes)
-	for b := 0; b < 64; b++ {
-		if planes[b] != 0b111 {
-			t.Fatalf("plane %d = %#x, want 0b111", b, planes[b])
+// TestTransposeRoundTrip: Transpose64 is an involution and matches a
+// naive transpose, on full matrices, on rows of at most 32 bits and on
+// matrices with only their first rows set.
+func TestTransposeRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 63, 64} {
+		var a, narrow [64]uint64
+		copy(a[:], randomWords(n, int64(100+n)))
+		for i := range a {
+			narrow[i] = a[i] & Mask(32)
 		}
+		checkTranspose(t, fmt.Sprintf("n=%d", n), a)
+		checkTranspose(t, fmt.Sprintf("n=%d/narrow", n), narrow)
 	}
 }
 
-// accumulateBitsliced drives words onto b through the bit-plane kernel
-// the codec plane runners use: PackPlanes transposes 64 words at a
-// time and AccumulatePlanes counts each block.
+// accumulateBitsliced drives words onto b the way the per-line delta
+// group counts, 64 words at a time: each word's toggle word against
+// the one before it, popcounted for the total and the max per cycle and
+// summed per line by a LineCounter, handed over with AddRun.
 func accumulateBitsliced(b *Bus, words []uint64) {
-	var planes [64]uint64
+	var tw [BlockLen]uint64
 	for base := 0; base < len(words); base += BlockLen {
-		end := min(base+BlockLen, len(words))
-		PackPlanes(words[base:end], &planes)
-		b.AccumulatePlanes(&planes, end-base)
+		blk := words[base:min(base+BlockLen, len(words))]
+		prev := b.current
+		if !b.driven {
+			prev = blk[0] & b.mask
+		}
+		total, most := int64(0), 0
+		for i, w := range blk {
+			w &= b.mask
+			tw[i] = prev ^ w
+			c := bits.OnesCount64(tw[i])
+			total += int64(c)
+			most = max(most, c)
+			prev = w
+		}
+		var lc LineCounter
+		lc.Add(tw[:len(blk)])
+		lines := make([]int64, b.width)
+		lc.AddTo(lines)
+		b.AddRun(int64(len(blk)), total, most, prev, lines)
 	}
 }
 
 // checkParity drives words through a scalar reference bus and a
-// bit-sliced bus (chopped into chunks of chunkLen) and requires every
-// observable statistic to match bit-for-bit.
+// bit-sliced one (accumulateBitsliced, chopped into chunks of chunkLen)
+// and requires every observable statistic to match bit-for-bit.
 func checkParity(t *testing.T, width int, words []uint64, chunkLen int, aggOnly bool) {
 	t.Helper()
 	mk := New
@@ -94,9 +109,9 @@ func checkParity(t *testing.T, width int, words []uint64, chunkLen int, aggOnly 
 	}
 }
 
-// TestAccumulateBitslicedParity sweeps widths and the chunk lengths the
-// issue pins (1, 63, 64, 65, 4096) plus uneven re-chunkings, in both
-// per-line and aggregate modes.
+// TestAccumulateBitslicedParity sweeps widths, stream lengths around
+// LineCounter's 16-word step and the 64-word block, and chunk lengths
+// 1, 63, 64, 65 and 4096, in both per-line and aggregate modes.
 func TestAccumulateBitslicedParity(t *testing.T) {
 	for _, width := range []int{1, 2, 7, 16, 17, 21, 32, 33, 63, 64} {
 		for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 4096} {
@@ -113,7 +128,8 @@ func TestAccumulateBitslicedParity(t *testing.T) {
 }
 
 // TestAccumulateBitslicedRepeats: runs of identical and near-identical
-// words (the DMA/burst shape) exercise the diff==0 paths on both sides.
+// words (the DMA/burst shape) give zero toggle words, which the scalar
+// walk skips and the adders must add as nothing.
 func TestAccumulateBitslicedRepeats(t *testing.T) {
 	words := make([]uint64, 300)
 	for i := range words {
@@ -127,8 +143,8 @@ func TestAccumulateBitslicedRepeats(t *testing.T) {
 }
 
 // TestAccumulateBitslicedPrimed: parity must also hold when the bus was
-// already driven (lane 0 diffs against the carried-in line state rather
-// than being consumed as the initializer).
+// already driven (the first word toggles against the carried-in line
+// state rather than being consumed as the initializer).
 func TestAccumulateBitslicedPrimed(t *testing.T) {
 	words := randomWords(200, 7)
 	ref := New(29)
@@ -147,35 +163,9 @@ func TestAccumulateBitslicedPrimed(t *testing.T) {
 	}
 }
 
-// TestAccumulatePlanesIgnoresDirtyHighLanes: words may carry garbage
-// above the bus width and lanes >= n may be nonzero; AccumulatePlanes
-// documents that both are ignored.
-func TestAccumulatePlanesIgnoresDirtyHighLanes(t *testing.T) {
-	words := randomWords(40, 8) // full 64-bit garbage, bus is narrower
-	ref := New(13)
-	ref.Accumulate(words)
-	var planes [64]uint64
-	PackPlanes(words, &planes)
-	// Poison the unused lanes of every plane the kernel may read.
-	poison := ^uint64(0)
-	poison <<= 40
-	for b := 0; b < 13; b++ {
-		planes[b] |= poison
-	}
-	bs := New(13)
-	bs.AccumulatePlanes(&planes, 40)
-	if bs.Transitions() != ref.Transitions() || bs.MaxPerCycle() != ref.MaxPerCycle() {
-		t.Errorf("dirty lanes: bitsliced %d/%d vs scalar %d/%d",
-			bs.Transitions(), bs.MaxPerCycle(), ref.Transitions(), ref.MaxPerCycle())
-	}
-	if !reflect.DeepEqual(bs.PerLine(), ref.PerLine()) {
-		t.Error("dirty lanes: per-line counts diverge")
-	}
-}
-
-// FuzzTransposeRoundTrip fuzzes the two properties the issue pins:
-// pack→unpack is the identity, and scalar vs bit-sliced statistics
-// agree for arbitrary widths and data.
+// FuzzTransposeRoundTrip: Transpose64 is an involution and matches a
+// naive transpose on any matrix: the seed's random rows, kept to their
+// low width bits, with rows at or past n cleared.
 func FuzzTransposeRoundTrip(f *testing.F) {
 	f.Add(uint8(32), int64(1), uint16(64))
 	f.Add(uint8(1), int64(2), uint16(1))
@@ -183,21 +173,12 @@ func FuzzTransposeRoundTrip(f *testing.F) {
 	f.Add(uint8(21), int64(4), uint16(4096))
 	f.Fuzz(func(t *testing.T, widthB uint8, seed int64, nB uint16) {
 		width := int(widthB)%64 + 1
-		n := int(nB)%4096 + 1
-		words := randomWords(n, seed)
-		block := words
-		if len(block) > 64 {
-			block = block[:64]
+		n := int(nB) % 65
+		var a [64]uint64
+		for i, w := range randomWords(n, seed) {
+			a[i] = w & Mask(width)
 		}
-		var planes [64]uint64
-		PackPlanes(block, &planes)
-		got := make([]uint64, len(block))
-		UnpackPlanes(&planes, got)
-		if !reflect.DeepEqual(got, block) {
-			t.Fatal("pack→unpack is not the identity")
-		}
-		checkParity(t, width, words, 64, false)
-		checkParity(t, width, words, 64, true)
+		checkTranspose(t, fmt.Sprintf("width=%d n=%d", width, n), a)
 	})
 }
 
@@ -215,8 +196,8 @@ func benchWords(n int) []uint64 {
 	return out
 }
 
-// BenchmarkAccumulatePerLine: the scalar per-line kernel (the path the
-// diff==0 early exit and the bit-sliced kernel both target).
+// BenchmarkAccumulatePerLine: the scalar per-line kernel, a
+// TrailingZeros64 walk over every toggle.
 func BenchmarkAccumulatePerLine(b *testing.B) {
 	words := benchWords(1 << 16)
 	bus := New(32)
@@ -228,8 +209,8 @@ func BenchmarkAccumulatePerLine(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulatePerLineBitsliced: the same workload through the
-// transposed bit-plane kernel.
+// BenchmarkAccumulatePerLineBitsliced: the same workload counted per
+// line by a LineCounter (accumulateBitsliced).
 func BenchmarkAccumulatePerLineBitsliced(b *testing.B) {
 	words := benchWords(1 << 16)
 	bus := New(32)

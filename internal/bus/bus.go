@@ -28,21 +28,6 @@ type Bus struct {
 	total     int64
 	perLine   []int64
 	maxInWord int // largest number of lines toggling in a single cycle
-
-	// dScratch holds the current block's transition planes for the
-	// bit-sliced path (bitslice.go). A persistent field rather than a
-	// local so AccumulateEncoded pays no per-block zeroing; only planes
-	// [0, width) of the current block are ever live.
-	dScratch [64]uint64
-
-	// maxFails counts consecutive bit-sliced blocks whose nonzero-plane
-	// screen failed to rule out a new max-per-cycle (so blockMax had to
-	// run). Once it crosses maxFuseAfter the screen is clearly not
-	// paying for itself on this stream and AccumulateEncoded switches —
-	// permanently, for this bus — to the fused loop that folds the
-	// vertical max counters into the counting pass. Heuristic state
-	// only: every path produces bit-identical statistics.
-	maxFails int
 }
 
 // New returns a bus with the given number of lines (1..MaxWidth).

@@ -44,8 +44,8 @@ func AsBatch(enc Encoder) BatchEncoder {
 }
 
 // genericBatch builds one Symbol per entry for encoders without a
-// kernel of their own: offset and incxor off the plane path, and test
-// codecs.
+// kernel of their own: offset and incxor outside a delta group, and
+// test codecs.
 type genericBatch struct{ enc Encoder }
 
 func (g genericBatch) EncodeBatch(addrs []uint64, kinds []trace.Kind, out []uint64) {
@@ -80,37 +80,31 @@ type Kernel int
 const (
 	// KernelAuto picks the fastest kernel the verify mode permits
 	// (VerifyFull needs every encoded word and so forces the scalar
-	// path). Short of VerifyFull, NewPricers prices two or more delta
-	// codecs (binary, gray, offset, incxor, businvert, beach) of one
-	// payload width and stride in one delta group when per-line counts
-	// are off, and two or more T0-family codecs of one width and stride
-	// in one T0-family group; a codec that implements PlaneEncoder and
-	// joins no delta group takes the plane-domain bit-sliced path; and
-	// working-zone prices without writing words when per-line counts are
-	// off. This is the zero value: eligible codecs get the fast kernels
-	// without callers opting in, and parity tests pin every path
-	// bit-identical to the scalar one.
+	// path). Short of VerifyFull, NewPricers prices the delta codecs
+	// (binary, gray, offset, incxor, businvert, beach) of one payload
+	// width and stride in one delta group, in aggregate or per line,
+	// except that a lone one counting in aggregate keeps its own batch
+	// kernel where it has one; two or more T0-family codecs of one width
+	// and stride in one T0-family group; and working-zone without
+	// writing words when per-line counts are off. This is the zero
+	// value: eligible codecs get the fast kernels without callers opting
+	// in, and parity tests pin every path bit-identical to the scalar
+	// one.
 	KernelAuto Kernel = iota
 	// KernelScalar forces the word-at-a-time scalar path: every word is
 	// written and counted by bus.Accumulate.
 	KernelScalar
-	// KernelPlane requires the plane-domain path: evaluation fails if
-	// the codec has no plane kernel or the verify mode demands the
-	// scalar path. For tests and benchmarks that must not silently
-	// fall back.
-	KernelPlane
 )
 
 // String names the kernel for flags and error messages.
 func (k Kernel) String() string {
 	switch k {
+	case KernelAuto:
+		return "auto"
 	case KernelScalar:
 		return "scalar"
-	case KernelPlane:
-		return "plane"
-	default:
-		return "auto"
 	}
+	return fmt.Sprintf("kernel(%d)", int(k))
 }
 
 // ParseKernel maps a flag or query-parameter value to a Kernel. The
@@ -121,10 +115,8 @@ func ParseKernel(s string) (Kernel, error) {
 		return KernelAuto, nil
 	case "scalar":
 		return KernelScalar, nil
-	case "plane":
-		return KernelPlane, nil
 	}
-	return KernelAuto, fmt.Errorf("codec: unknown kernel %q (want auto, scalar or plane)", s)
+	return KernelAuto, fmt.Errorf("codec: unknown kernel %q (want auto or scalar)", s)
 }
 
 // RunOpts tunes the RunFast evaluation path.
@@ -137,6 +129,19 @@ type RunOpts struct {
 	PerLine bool
 	// Kernel selects the pricing kernel (KernelAuto by default).
 	Kernel Kernel
+}
+
+// Check refuses options whose kernel or verify mode names none, as
+// one decoded from a number can (a dist job frame carries both as
+// integers). NewPricers checks its options with it.
+func (o RunOpts) Check() error {
+	if o.Kernel != KernelAuto && o.Kernel != KernelScalar {
+		return fmt.Errorf("codec: kernel code %d names no kernel (want %d for auto or %d for scalar)", int(o.Kernel), KernelAuto, KernelScalar)
+	}
+	if o.Verify < VerifyFull || o.Verify > VerifyNone {
+		return fmt.Errorf("codec: verify code %d names no verify mode (want %d to %d)", int(o.Verify), VerifyFull, VerifyNone)
+	}
+	return nil
 }
 
 // runChunk is the batch granularity: large enough to amortize the chunk
@@ -192,6 +197,28 @@ func RunFast(c Codec, s *trace.Stream, opts RunOpts) (Result, error) {
 		return Result{}, err
 	}
 	return p.Result(s.Name), nil
+}
+
+// RunPlaneSet prices one materialized stream through several codecs in
+// one pass of the Pricers NewPricers builds for them under opts, the
+// delta codecs in one delta group, and returns their Results in codec
+// order, bit-identical to per-codec RunFast. It keeps the name of the
+// bit-sliced plane group it once ran for binary, gray, offset and
+// incxor, because the benchmarks call it by that name
+// (cmd/busencbench's codec.planeset layer and cmd/paper's bitslice
+// record).
+func RunPlaneSet(codecs []Codec, s *trace.Stream, opts RunOpts) ([]Result, error) {
+	root := obs.StartSpan("codec.run_plane_set", obs.StageEncode).WithStream(s.Name)
+	ps, err := NewPricers(codecs, opts)
+	for i := 0; i < len(ps) && err == nil; i++ {
+		err = chunked(root, s.Entries, ps[i].ConsumeEntries)
+	}
+	var results []Result
+	if err == nil {
+		results, err = Collect(ps, s.Name)
+	}
+	root.EndErr(err)
+	return results, err
 }
 
 // chunked feeds entries to consume in runChunk batches, one codec.chunk

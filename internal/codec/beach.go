@@ -174,7 +174,7 @@ func (e beachEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 func (b *Beach) deltaStride() uint64 { return 0 }
 
 // deltaSlot implements deltaCodec: untrained, the network is the
-// identity and prices as binary; trained, priceDelta prices it.
+// identity and prices as binary; trained, toggles prices it.
 func (b *Beach) deltaSlot() int {
 	if len(b.pairs) == 0 {
 		return slotBin
@@ -182,27 +182,23 @@ func (b *Beach) deltaSlot() int {
 	return slotOwn
 }
 
-// priceDelta implements deltaPricer for a trained network; the delta
+// toggles implements deltaPricer for a trained network; the delta
 // group prices the untrained one, the identity, as binary. The network
 // is linear, so the words of a and prev differ in the network applied
 // to a ^ prev.
-func (b *Beach) priceDelta(addrs []uint64, prev uint64, r *deltaRun) {
+func (b *Beach) toggles(addrs []uint64, prev, _ uint64, tw []uint64) uint64 {
 	mask, pairs := b.mask, b.pairs
-	total, mx := 0, r.max
-	for _, a := range addrs {
+	for i, a := range addrs {
 		a &= mask
 		x := a ^ prev
 		d := x
 		for _, p := range pairs {
 			d ^= (x >> uint(p.Src) & 1) << uint(p.Dst)
 		}
-		c := bits.OnesCount64(d)
-		total += c
-		mx = max(mx, c)
+		tw[i] = d
 		prev = a
 	}
-	r.transitions += int64(total)
-	r.max, r.last = mx, beachEnd{b}.transform(prev)
+	return beachEnd{b}.transform(prev)
 }
 
 // Snapshot implements StateCodec; the XOR network is stateless.

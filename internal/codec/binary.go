@@ -66,13 +66,6 @@ func (e binaryEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	}
 }
 
-// EncodePlanes implements PlaneEncoder: the identity code's encoded
-// planes are the address planes themselves (the bus never reads planes
-// at or above the width, so no masking is needed).
-func (b *Binary) EncodePlanes(blk *PlaneBlock, _ *[64]uint64) (*[64]uint64, uint64) {
-	return blk.A, blk.Last & b.mask
-}
-
 // deltaStride implements deltaCodec: the identity code predicts nothing.
 func (b *Binary) deltaStride() uint64 { return 0 }
 

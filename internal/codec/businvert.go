@@ -167,7 +167,7 @@ func (e *biEncoder) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 func (bi *BusInvert) deltaStride() uint64 { return 0 }
 
 // deltaSlot implements deltaCodec: the delta group's walk prices the
-// classic code, priceDelta the partitioned one.
+// classic code, toggles the partitioned one.
 func (bi *BusInvert) deltaSlot() int {
 	if len(bi.groups) == 1 {
 		return slotInv
@@ -175,29 +175,28 @@ func (bi *BusInvert) deltaSlot() int {
 	return slotOwn
 }
 
-// priceDelta implements deltaPricer for the partitioned code; the
-// delta group's walk prices the classic one. Each partition prices as
-// the classic code does (countInv): with b of its N lines toggling,
-// min(b, N+1-b), whichever polarity its INV line held.
-func (bi *BusInvert) priceDelta(addrs []uint64, prev uint64, r *deltaRun) {
+// toggles implements deltaPricer for the partitioned code; the delta
+// group's walk prices the classic one. Each partition prices as the
+// classic code does (linesInv): with b of its N lines toggling, its
+// INV line flips where 2b > N+1 and rises where 2b = N+1, and where it
+// moves, the INV line and the partition's other N-b lines toggle.
+func (bi *BusInvert) toggles(addrs []uint64, prev, last uint64, tw []uint64) uint64 {
 	mask := bus.Mask(bi.width)
-	inv := r.last &^ mask // the INV lines
-	total, mx := 0, r.max
-	for _, a := range addrs {
+	inv := last &^ mask // the INV lines
+	for i, a := range addrs {
 		a &= mask
-		x, c := a^prev, 0
+		x, flip := a^prev, uint64(0)
 		for _, g := range bi.groups {
 			b, h := bits.OnesCount64(x&g.mask), g.width+1
-			c += min(b, h-b)
 			bit := uint64(1) << g.invBit
-			inv = inv ^ bit&-b2u(2*b > h) | bit&-b2u(2*b == h)
+			q := inv ^ bit&-b2u(2*b > h) | bit&-b2u(2*b == h)
+			flip |= (g.mask | bit) & -((q ^ inv) >> g.invBit & 1)
+			inv = q
 		}
-		total += c
-		mx = max(mx, c)
+		tw[i] = x ^ flip
 		prev = a
 	}
-	r.transitions += int64(total)
-	r.max, r.last = mx, bi.word(prev, inv)
+	return bi.word(prev, inv)
 }
 
 // word is the bus word that sends payload a with the INV lines inv

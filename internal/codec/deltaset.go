@@ -39,6 +39,11 @@ import (
 //	businvert:  binary's count, its INV line unmoved, while
 //	            2*Len64(u ^ (u+k)) < N+1
 //
+// and, line by line, it toggles line s+j of binary (and of bus-invert)
+// c_j = floor((u+k)/2^j) - floor(u/2^j) times, once for every multiple
+// of 2^j it counts past, and line s+j of Gray c_j - c_(j+1) times, once
+// for every odd multiple of 2^j: Table 1's per-line column.
+//
 // The walk takes the address column 16 blocks of 64 lanes at a time. It
 // builds each block's in-sequence mask (seqMask), prices in closed form
 // the lanes in sequence after a lane in sequence (runLanes), and hands
@@ -55,8 +60,19 @@ import (
 // values live than there are registers spills its accumulators around
 // it on every lane. Partitioned bus-invert and trained Beach take a loop
 // of their own (deltaPricer). Bus-invert's INV polarity decides no
-// count: it is tracked only to name the bus's last word. The stream's
-// first entry goes through every member's Encode.
+// count: it is tracked to name the bus's last word, and per line to
+// tell which lines a lane toggles. The stream's first entry goes
+// through every member's Encode.
+//
+// A per-line group keeps the aggregate walk and adds its per-line state
+// (deltaLines) behind a pointer that an aggregate group leaves nil. Its
+// runs add their closed form per line (runLines), and its count loops
+// (linesBin and the rest) count each lane as their aggregate siblings
+// do and also store its toggle word, the lines the lane toggles on the
+// code's bus, for a bus.LineCounter to sum line by line, the way a
+// hardware transition counter keeps one counter per line. A per-line
+// group of one count counts every lane that way, without the run walk
+// (lanewise).
 
 // deltaCodec is a codec a DeltaSet can price: its transitions on a cycle
 // follow from the cycle's address and the one before it.
@@ -70,13 +86,13 @@ type deltaCodec interface {
 	deltaSlot() int
 }
 
-// deltaPricer is a delta codec shape the walk leaves alone:
-// priceDelta adds the transitions of addrs, whose raw addresses follow
-// prev (masked), to r and leaves in r.last the word on the bus after the
-// last of them. r.last holds the word before addrs on entry; addrs may
-// be empty.
+// deltaPricer is a delta codec shape the walk leaves alone: toggles
+// stores in tw[i] the lines that addrs[i] toggles on the code's bus, the
+// raw addresses following prev (masked), from the bus word last, and
+// returns the word on the bus after the last of them. tw is as long as
+// addrs, which is not empty.
 type deltaPricer interface {
-	priceDelta(addrs []uint64, prev uint64, r *deltaRun)
+	toggles(addrs []uint64, prev, last uint64, tw []uint64) uint64
 }
 
 // deltaRun is what a member, or working-zone's counting kernel, counted
@@ -99,10 +115,9 @@ const (
 	slotOwn = -1 // the member's own loop (deltaPricer)
 )
 
-// DeltaSet prices one stream through two or more delta codecs of one
-// payload width and stride, from each address and the one before it.
-// It counts in aggregate only: per-line counts need the words, which
-// the plane group builds. Not safe for concurrent use; build one per
+// DeltaSet prices one stream through one or more delta codecs of one
+// payload width and stride, from each address and the one before it,
+// in aggregate or per line. Not safe for concurrent use; build one per
 // goroutine.
 type DeltaSet struct {
 	mask     uint64
@@ -114,6 +129,7 @@ type DeltaSet struct {
 	runs     [nSlots]deltaRun
 	members  []deltaMember
 	seedable bool // every member is a Seeder codec
+	lanewise bool // count every lane lane by lane, without the run walk
 	started  bool
 	prev     uint64 // the previous address, masked
 	seqIn    uint64 // 1 when the previous address was in sequence
@@ -122,17 +138,36 @@ type DeltaSet struct {
 	// before it.
 	seqs   [walkSpan / bus.BlockLen]uint64
 	as, ps [walkSpan]uint64
+	lines  *deltaLines // per-line counting; nil in aggregate
+}
+
+// deltaLines is a per-line group's state: each slot's per-line counts,
+// binary's counts of the runs on line s+j at runs[j], and the toggle
+// words of the lanes the count loops take.
+type deltaLines struct {
+	slots [nSlots]lineCounts
+	runs  [bus.MaxWidth]int64
+	tw    [walkSpan]uint64
+}
+
+// lineCounts is one count's per line since its members' buses last
+// took them: the runs' closed forms in lines, every other lane's toggle
+// word in c.
+type lineCounts struct {
+	lines [bus.MaxWidth]int64
+	c     bus.LineCounter
 }
 
 // walkSpan is how many lanes the walk takes at a time: 16 blocks.
 const walkSpan = 16 * bus.BlockLen
 
 type deltaMember struct {
-	c    Codec
-	slot int
-	enc  Encoder // prices the stream's first entry; names a stateless code's last word
-	b    *bus.Bus
-	run  deltaRun // slotOwn only
+	c     Codec
+	slot  int
+	enc   Encoder // prices the stream's first entry; names a stateless code's last word
+	b     *bus.Bus
+	run   deltaRun    // slotOwn only
+	lines *lineCounts // per line: the slot's counts, or the member's own
 }
 
 // hasDeltaKernel reports whether c can join a DeltaSet.
@@ -149,9 +184,13 @@ func sameDeltaGroup(a, b Codec) bool {
 }
 
 // NewDeltaSet builds a DeltaSet over codecs, which must all be delta
-// codecs that pairwise share a group (sameDeltaGroup).
-func NewDeltaSet(codecs []Codec) (*DeltaSet, error) {
+// codecs that pairwise share a group (sameDeltaGroup). perLine selects
+// per-line counting buses.
+func NewDeltaSet(codecs []Codec, perLine bool) (*DeltaSet, error) {
 	s := &DeltaSet{members: make([]deltaMember, len(codecs)), seedable: true, stride: 1}
+	if perLine {
+		s.lines = new(deltaLines)
+	}
 	for i, c := range codecs {
 		dc, ok := c.(deltaCodec)
 		if !ok {
@@ -182,9 +221,23 @@ func NewDeltaSet(codecs []Codec) (*DeltaSet, error) {
 			s.seedable = false
 		}
 		s.mask = bus.Mask(c.PayloadWidth())
-		s.members[i] = deltaMember{c: c, slot: slot, enc: enc, b: bus.NewAggregate(c.BusWidth())}
+		m := deltaMember{c: c, slot: slot, enc: enc, b: bus.NewAggregate(c.BusWidth())}
+		if perLine {
+			m.b, m.lines = bus.New(c.BusWidth()), new(lineCounts)
+			if slot != slotOwn {
+				m.lines = &s.lines.slots[slot]
+			}
+		}
+		s.members[i] = m
 	}
 	s.shift = uint(bits.TrailingZeros64(s.stride))
+	// Per line, the run walk costs about what counting a run's lanes one
+	// by one costs a single count; only counts that share it gain.
+	counts := 0
+	for _, used := range s.used {
+		counts += int(b2u(used))
+	}
+	s.lanewise = perLine && counts == 1
 	return s, nil
 }
 
@@ -238,12 +291,15 @@ func (s *DeltaSet) Consume(addrs []uint64, kinds []trace.Kind) {
 	if len(addrs) > 0 {
 		s.prev = addrs[len(addrs)-1] & s.mask
 	}
+	if s.lines != nil {
+		s.takeLines()
+	}
 	for k := range s.members {
 		m := &s.members[k]
 		var r deltaRun
 		switch m.slot {
 		case slotOwn:
-			m.c.(deltaPricer).priceDelta(addrs, prev, &m.run)
+			s.priceOwn(m, addrs, prev)
 			r, m.run = m.run, deltaRun{last: m.run.last}
 		case slotInv:
 			r = s.runs[slotInv]
@@ -255,27 +311,55 @@ func (s *DeltaSet) Consume(addrs []uint64, kinds []trace.Kind) {
 			r = s.runs[m.slot]
 			r.last = m.enc.Encode(Symbol{Addr: s.prev})
 		}
-		m.b.AddRun(int64(n), r.transitions, r.max, r.last, nil)
+		var lines []int64
+		if m.lines != nil {
+			m.lines.c.AddTo(m.lines.lines[:])
+			lines = m.lines.lines[:]
+		}
+		m.b.AddRun(int64(n), r.transitions, r.max, r.last, lines)
 	}
 	for i := range s.runs {
 		s.runs[i] = deltaRun{last: s.runs[i].last}
+	}
+	for k := range s.members {
+		if m := &s.members[k]; m.lines != nil {
+			m.lines.lines = [bus.MaxWidth]int64{}
+		}
+	}
+}
+
+// priceOwn prices addrs, whose raw addresses follow prev (masked), on
+// member m's own toggle loop (deltaPricer), a span at a time, into m.run
+// and, per line, m.lines. The toggle words go to s.as, which the walk is
+// done with.
+func (s *DeltaSet) priceOwn(m *deltaMember, addrs []uint64, prev uint64) {
+	dp := m.c.(deltaPricer)
+	for len(addrs) > 0 {
+		span := addrs[:min(len(addrs), walkSpan)]
+		tw := s.as[:len(span)]
+		m.run.last = dp.toggles(span, prev, m.run.last, tw)
+		tally(tw, &m.run, m.lines)
+		prev, addrs = span[len(span)-1]&s.mask, addrs[len(span):]
 	}
 }
 
 // walk adds the counts of addrs, whose raw addresses follow prev
 // (masked), to the slots the members read, one span of up to walkSpan
 // lanes at a time. Per span it builds the blocks' in-sequence masks,
-// prices the runs in closed form (runLanes), and hands every other lane,
-// with the address before it, to the members' count loops: gathered
-// into s.as and s.ps, or read in place when no lane is left to the
-// closed form.
+// prices the runs in closed form (runLanes, and runLines per line), and
+// hands every other lane, with the address before it, to the members'
+// count loops: gathered into s.as and s.ps, or read in place when no
+// lane is left to the closed form.
 func (s *DeltaSet) walk(addrs []uint64, prev uint64) {
 	if s.used == [nSlots]bool{} {
 		return
 	}
 	for len(addrs) > 0 {
 		span := addrs[:min(len(addrs), walkSpan)]
-		if s.runLanes(span, prev) {
+		if !s.lanewise && s.runLanes(span, prev) {
+			if s.lines != nil {
+				s.runLines(span, prev)
+			}
 			n := s.gather(span, prev)
 			s.count(s.as[:n], s.ps[:n])
 		} else {
@@ -360,6 +444,62 @@ func (s *DeltaSet) runLanes(span []uint64, prev uint64) bool {
 	return kept != 0
 }
 
+// runLines adds to s.lines.runs the per-line counts of the runs
+// runLanes kept in s.seqs, of span whose raw addresses follow prev: a
+// run of k lanes after u = p >> s toggles line s+j of binary c_j =
+// (u+k)>>j - u>>j times, for j below Len64(u ^ (u+k)), where c_j
+// reaches 0. Bus-invert's lines count as binary's, Gray's line s+j as
+// c_j - c_(j+1) (takeLines), and offset's and INC-XOR's do not move.
+func (s *DeltaSet) runLines(span []uint64, prev uint64) {
+	if !s.used[slotBin] && !s.used[slotInv] && !s.used[slotGray] {
+		return
+	}
+	runs := &s.lines.runs
+	for b, base := 0, 0; base < len(span); b, base = b+1, base+bus.BlockLen {
+		rest := s.seqs[b]
+		for w := rest &^ (rest << 1); w != 0; w &= w - 1 {
+			i := bits.TrailingZeros64(w)
+			k := uint64(bits.TrailingZeros64(^(rest >> uint(i))))
+			p := prev
+			if i += base; i > 0 {
+				p = span[i-1]
+			}
+			u := p & s.mask >> s.shift
+			for j, v := 0, u+k; u != v; j, u, v = j+1, u>>1, v>>1 {
+				runs[j&63] += int64(v - u)
+			}
+		}
+	}
+}
+
+// takeLines adds the runs' per-line counts (s.lines.runs, c_j on line
+// s+j) to the slots that read them and empties them: binary's and
+// bus-invert's c_j, Gray's c_j - c_(j+1).
+func (s *DeltaSet) takeLines() {
+	l := s.lines
+	runs := l.runs[:bus.MaxWidth-s.shift]
+	for j, c := range runs {
+		if c == 0 {
+			break
+		}
+		next := int64(0)
+		if j+1 < len(runs) {
+			next = runs[j+1]
+		}
+		line := s.shift + uint(j)
+		if s.used[slotBin] {
+			l.slots[slotBin].lines[line] += c
+		}
+		if s.used[slotInv] {
+			l.slots[slotInv].lines[line] += c
+		}
+		if s.used[slotGray] {
+			l.slots[slotGray].lines[line] += c - next
+		}
+	}
+	l.runs = [bus.MaxWidth]int64{}
+}
+
 // gather stores the raw address of each lane of span that runLanes left,
 // and the address before it, in s.as and s.ps, in lane order, and
 // returns how many it stored.
@@ -381,8 +521,13 @@ func (s *DeltaSet) gather(span []uint64, prev uint64) int {
 }
 
 // count has every slot a member reads count the lanes whose raw
-// addresses are as, each after the raw address ps[i], in order.
+// addresses are as, each after the raw address ps[i], in order; a
+// per-line group counts them with countLines.
 func (s *DeltaSet) count(as, ps []uint64) {
+	if s.lines != nil {
+		s.countLines(as, ps)
+		return
+	}
 	ps = ps[:len(as)]
 	if s.used[slotBin] {
 		countBin(as, ps, s.mask, &s.runs[slotBin])
@@ -473,6 +618,135 @@ func countIncXor(as, ps []uint64, mask, stride uint64, r *deltaRun) {
 		c := bits.OnesCount64(w ^ last)
 		t += c
 		m = max(m, c)
+		last = w
+	}
+	r.transitions += int64(t)
+	r.max, r.last = m, last
+}
+
+// countLines is count for a per-line group: each slot a member reads
+// counts the lanes as its count loop does, keeping each lane's toggle
+// word in s.lines.tw, and hands the words to its LineCounter.
+func (s *DeltaSet) countLines(as, ps []uint64) {
+	ps = ps[:len(as)]
+	tw := s.lines.tw[:len(as)]
+	for slot, used := range s.used {
+		if !used {
+			continue
+		}
+		r := &s.runs[slot]
+		switch slot {
+		case slotBin:
+			linesBin(as, ps, s.mask, r, tw)
+		case slotGray:
+			linesGray(as, ps, s.mask, s.low, r, tw)
+		case slotInv:
+			linesInv(as, ps, s.mask, s.invN, r, tw)
+		case slotOff:
+			linesOffset(as, ps, s.mask, r, tw)
+		case slotIncXor:
+			linesIncXor(as, ps, s.mask, s.stride, r, tw)
+		}
+		s.lines.slots[slot].c.Add(tw)
+	}
+}
+
+// tally adds the toggle words tw to r's transitions and max, one
+// popcount a word, and, unless lines is nil, line by line to lines.
+func tally(tw []uint64, r *deltaRun, lines *lineCounts) {
+	t, m := 0, r.max
+	for _, w := range tw {
+		c := bits.OnesCount64(w)
+		t += c
+		m = max(m, c)
+	}
+	r.transitions += int64(t)
+	r.max = m
+	if lines != nil {
+		lines.c.Add(tw)
+	}
+}
+
+// The count loops of a per-line group. Each counts its code's lanes as
+// the count loop of the same name does (countBin for linesBin) and
+// stores in tw[i] the lane's toggle word, the lines the lane whose raw
+// address is as[i], after ps[i], toggles on the code's bus.
+
+// linesBin counts binary: x = a ^ prev toggles.
+func linesBin(as, ps []uint64, mask uint64, r *deltaRun, tw []uint64) {
+	t, m := 0, r.max
+	for i, a := range as {
+		x := (a ^ ps[i]) & mask
+		b := bits.OnesCount64(x)
+		t += b
+		m = max(m, b)
+		tw[i] = x
+	}
+	r.transitions += int64(t)
+	r.max = m
+}
+
+// linesGray counts Gray: x ^ (x>>1 &^ low) toggles.
+func linesGray(as, ps []uint64, mask, low uint64, r *deltaRun, tw []uint64) {
+	t, m := 0, r.max
+	for i, a := range as {
+		x := (a ^ ps[i]) & mask
+		g := x ^ x>>1&^low
+		c := bits.OnesCount64(g)
+		t += c
+		m = max(m, c)
+		tw[i] = g
+	}
+	r.transitions += int64(t)
+	r.max = m
+}
+
+// linesInv counts single-partition bus-invert: x toggles while the INV
+// line keeps its polarity, and every line else where it moves.
+func linesInv(as, ps []uint64, mask uint64, n int, r *deltaRun, tw []uint64) {
+	h := n + 1
+	flip := mask | 1<<(uint(n)&63)
+	t, m, pol := 0, r.max, b2u(r.last != 0)
+	for i, a := range as {
+		x := (a ^ ps[i]) & mask
+		b := bits.OnesCount64(x)
+		c := min(b, h-b)
+		t += c
+		m = max(m, c)
+		q := pol ^ b2u(2*b > h) | b2u(2*b == h)
+		tw[i] = x ^ flip&-(pol^q)
+		pol = q
+	}
+	r.transitions += int64(t)
+	r.max, r.last = m, pol<<(uint(n)&63)
+}
+
+// linesOffset counts offset: each word, a - prev, against the word
+// before it.
+func linesOffset(as, ps []uint64, mask uint64, r *deltaRun, tw []uint64) {
+	t, m, last := 0, r.max, r.last
+	for i, a := range as {
+		w := (a - ps[i]) & mask
+		c := bits.OnesCount64(w ^ last)
+		t += c
+		m = max(m, c)
+		tw[i] = w ^ last
+		last = w
+	}
+	r.transitions += int64(t)
+	r.max, r.last = m, last
+}
+
+// linesIncXor counts INC-XOR: each word, a ^ (prev + S), against the
+// word before it.
+func linesIncXor(as, ps []uint64, mask, stride uint64, r *deltaRun, tw []uint64) {
+	t, m, last := 0, r.max, r.last
+	for i, a := range as {
+		w := (a ^ (ps[i] + stride)) & mask
+		c := bits.OnesCount64(w ^ last)
+		t += c
+		m = max(m, c)
+		tw[i] = w ^ last
 		last = w
 	}
 	r.transitions += int64(t)

@@ -53,7 +53,8 @@ func deltaCodecs(names []string, width int, stride uint64, train *trace.Stream) 
 // in sequence, data first, wrapping at the width's top and carrying
 // through every line (carryStream), and the sampled and absent verify
 // budgets; beach is trained on the stream's head. Consume and
-// ConsumeEntries alternate. The grid prices one goroutine's stream,
+// ConsumeEntries alternate, and so do aggregate and per-line counting,
+// so every chunk length counts both ways. The grid prices one goroutine's stream,
 // where the race detector has nothing to find, so under it the grid
 // keeps width 32 and stride 4 alone.
 func TestDeltaSetParity(t *testing.T) {
@@ -135,8 +136,9 @@ func deltaParity(t *testing.T, prefix string, s *trace.Stream, width int, stride
 		for _, chunkLen := range chunkLens {
 			for _, verify := range []VerifyMode{VerifySampled, VerifyNone} {
 				combo++
-				label := fmt.Sprintf("%s/%s/chunk%d/verify%d", prefix, strings.Join(set, "+"), chunkLen, verify)
-				p := deltaGroupPricer(t, label, codecs, RunOpts{Verify: verify})
+				perLine := combo/2%2 == 1
+				label := fmt.Sprintf("%s/%s/chunk%d/verify%d/perline=%v", prefix, strings.Join(set, "+"), chunkLen, verify, perLine)
+				p := deltaGroupPricer(t, label, codecs, RunOpts{Verify: verify, PerLine: perLine})
 				for base := 0; base < s.Len(); base += chunkLen {
 					end := min(base+chunkLen, s.Len())
 					var err error
@@ -159,7 +161,10 @@ func deltaParity(t *testing.T, prefix string, s *trace.Stream, width int, stride
 						t.Fatalf("%s: result %d is %s/%s/%d lines, want %s/%s/%d", label, i,
 							got[i].Codec, got[i].Stream, got[i].BusWidth, w.Codec, w.Stream, w.BusWidth)
 					}
-					sameResult(t, label+"/"+name, got[i], w, false)
+					if !perLine {
+						w.PerLine = nil
+					}
+					sameResult(t, label+"/"+name, got[i], w, perLine)
 					if cur := p.ds.Bus(i).Current(); cur != last[name] {
 						t.Fatalf("%s/%s: bus ends on %#x, Encode's last word is %#x", label, name, cur, last[name])
 					}
@@ -183,21 +188,25 @@ func deltaGroupPricer(t testing.TB, label string, codecs []Codec, opts RunOpts) 
 	return ps[0]
 }
 
-// TestNewPricersRoutesDeltaGroup: NewPricers groups two or more delta
-// codecs of one payload width and stride (a codec without a stride
-// joins any) under KernelAuto, short of VerifyFull, with PerLine off,
-// first of all Pricers; per-line requests, KernelPlane, KernelScalar,
-// VerifyFull and a lone delta codec keep today's kernels.
+// TestNewPricersRoutesDeltaGroup: NewPricers groups the delta codecs
+// of one payload width and stride (a codec without a stride joins any)
+// under KernelAuto, short of VerifyFull, in aggregate and per line,
+// first of all Pricers. A lone one per line is a delta group of one;
+// a lone one in aggregate keeps its own batch kernel where it has one
+// (binary, gray, businvert, beach) and is a delta group of one
+// otherwise (offset, incxor). KernelScalar and VerifyFull keep the
+// batch kernels.
 func TestNewPricersRoutesDeltaGroup(t *testing.T) {
 	all := allCodecs(t, 32)
 	mk := func(name string, width int, stride uint64) Codec {
 		return MustNew(name, width, Options{Stride: stride})
 	}
 	bin, gray, off, ixor := mk("binary", 32, 4), mk("gray", 32, 4), mk("offset", 32, 4), mk("incxor", 32, 4)
-	bi, t0 := mk("businvert", 32, 4), mk("t0", 32, 4)
+	bi, beach, t0 := mk("businvert", 32, 4), mk("beach", 32, 4), mk("t0", 32, 4)
+	sampled, perLine := RunOpts{Verify: VerifySampled}, RunOpts{Verify: VerifySampled, PerLine: true}
 	type pricer struct {
 		name   string
-		kernel string // "delta", "plane", "seq" or "batch"
+		kernel string // "delta", "seq" or "batch"
 	}
 	for _, tc := range []struct {
 		name   string
@@ -205,27 +214,35 @@ func TestNewPricersRoutesDeltaGroup(t *testing.T) {
 		opts   RunOpts
 		want   []pricer
 	}{
-		{"all codecs", all, RunOpts{Verify: VerifySampled}, []pricer{
+		{"all codecs", all, sampled, []pricer{
 			{"beach+binary+businvert+gray+incxor+offset", "delta"},
 			{"dualt0+dualt0bi+t0+t0bi", "seq"},
 			{"adaptive", "batch"}, {"workzone", "batch"},
 		}},
 		{"verify none", []Codec{t0, bi, gray}, RunOpts{Verify: VerifyNone}, []pricer{{"businvert+gray", "delta"}, {"t0", "batch"}}},
-		{"per line", all, RunOpts{Verify: VerifySampled, PerLine: true}, []pricer{
-			{"binary+gray+incxor+offset", "plane"},
+		{"per line", all, perLine, []pricer{
+			{"beach+binary+businvert+gray+incxor+offset", "delta"},
 			{"dualt0+dualt0bi+t0+t0bi", "seq"},
-			{"adaptive", "batch"}, {"beach", "batch"}, {"businvert", "batch"}, {"workzone", "batch"},
+			{"adaptive", "batch"}, {"workzone", "batch"},
 		}},
-		{"plane kernel", []Codec{bin, gray, off, ixor}, RunOpts{Kernel: KernelPlane, Verify: VerifySampled}, []pricer{{"binary+gray+offset+incxor", "plane"}}},
 		{"scalar kernel", []Codec{bin, bi}, RunOpts{Kernel: KernelScalar, Verify: VerifyNone}, []pricer{{"binary", "batch"}, {"businvert", "batch"}}},
 		{"verify full", []Codec{bin, gray, bi}, RunOpts{}, []pricer{{"binary", "batch"}, {"gray", "batch"}, {"businvert", "batch"}}},
-		{"lone plane codec", []Codec{t0, gray}, RunOpts{Verify: VerifySampled}, []pricer{{"gray", "plane"}, {"t0", "batch"}}},
-		{"lone businvert", []Codec{bi, t0}, RunOpts{Verify: VerifySampled}, []pricer{{"businvert", "batch"}, {"t0", "batch"}}},
+		{"verify full per line", []Codec{off, bi}, RunOpts{PerLine: true}, []pricer{{"offset", "batch"}, {"businvert", "batch"}}},
+		{"lone in aggregate", []Codec{t0, gray}, sampled, []pricer{{"t0", "batch"}, {"gray", "batch"}}},
+		{"lone businvert", []Codec{bi, t0}, sampled, []pricer{{"businvert", "batch"}, {"t0", "batch"}}},
+		{"lone beach", []Codec{beach}, sampled, []pricer{{"beach", "batch"}}},
+		{"lone offset", []Codec{t0, off}, sampled, []pricer{{"offset", "delta"}, {"t0", "batch"}}},
+		{"lone incxor", []Codec{ixor}, RunOpts{Verify: VerifyNone}, []pricer{{"incxor", "delta"}}},
+		{"lone per line", []Codec{bi, t0}, perLine, []pricer{{"businvert", "delta"}, {"t0", "batch"}}},
+		{"lone binary per line", []Codec{t0, bin}, perLine, []pricer{{"binary", "delta"}, {"t0", "batch"}}},
 		{"width and stride", []Codec{mk("gray", 32, 4), mk("incxor", 32, 8), bin, mk("offset", 16, 1), mk("gray", 32, 8), mk("beach", 16, 1)}, RunOpts{Verify: VerifyNone}, []pricer{
 			{"gray+binary", "delta"}, {"incxor+gray", "delta"}, {"offset+beach", "delta"},
 		}},
-		{"a lone member keeps the plane", []Codec{mk("gray", 32, 4), mk("incxor", 32, 8), mk("binary", 16, 1)}, RunOpts{Verify: VerifyNone}, []pricer{
-			{"gray+incxor+binary", "plane"},
+		{"lone members", []Codec{mk("gray", 32, 4), mk("incxor", 32, 8), mk("binary", 16, 1)}, RunOpts{Verify: VerifyNone}, []pricer{
+			{"incxor", "delta"}, {"gray", "batch"}, {"binary", "batch"},
+		}},
+		{"lone members per line", []Codec{mk("gray", 32, 4), mk("incxor", 32, 8), mk("binary", 16, 1)}, RunOpts{Verify: VerifyNone, PerLine: true}, []pricer{
+			{"gray", "delta"}, {"incxor", "delta"}, {"binary", "delta"},
 		}},
 	} {
 		ps, err := NewPricers(tc.codecs, tc.opts)
@@ -238,8 +255,6 @@ func TestNewPricersRoutesDeltaGroup(t *testing.T) {
 			switch {
 			case p.ds != nil:
 				k = "delta"
-			case p.ps != nil:
-				k = "plane"
 			case p.ss != nil:
 				k = "seq"
 			}
@@ -247,6 +262,20 @@ func TestNewPricersRoutesDeltaGroup(t *testing.T) {
 		}
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: Pricers %v, want %v", tc.name, got, tc.want)
+		}
+		if len(tc.codecs) == 1 {
+			p, err := NewPricer(tc.codecs[0], tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lone := p.ds != nil; lone != (tc.want[0].kernel == "delta") {
+				t.Errorf("%s: NewPricer builds a delta group %v, NewPricers %v", tc.name, lone, !lone)
+			}
+		}
+	}
+	for _, opts := range []RunOpts{{Kernel: 2, Verify: VerifySampled}, {Verify: 3}} {
+		if _, err := NewPricers([]Codec{bin}, opts); err == nil || !strings.Contains(err.Error(), "names no") {
+			t.Errorf("%+v: NewPricers error %v, want a refusal", opts, err)
 		}
 	}
 }
@@ -276,15 +305,18 @@ func TestDeltaSetConsumeAllocs(t *testing.T) {
 
 // TestDeltaSetSeed: a group of Seeder codecs joins the stream at any
 // entry, as a dist entry shard seeds it, inside an in-sequence run too,
-// and its two halves merge to Run's result; a group holding bus-invert
-// joins only at entry 0 and past it Seed names the group and refuses.
+// in aggregate and per line, and its two halves merge to Run's result;
+// a group holding bus-invert joins only at entry 0 and past it Seed
+// names the group and refuses, but bus-invert alone per line, a delta
+// group of one, joins from a swept state as its batch kernel does.
 func TestDeltaSetSeed(t *testing.T) {
 	s := randomMixStream(32, 3000, 3)
 	seeders, _ := deltaCodecs([]string{"binary", "gray", "offset", "incxor", "beach"}, 32, 4, s.Slice(0, 500))
-	for _, cut := range []int{1, 2, 64, 1000, 2999} {
+	for k, cut := range []int{1, 2, 64, 1000, 2999} {
+		opts := RunOpts{Verify: VerifySampled, PerLine: k%2 == 1}
 		sides := make([][]*bus.Bus, len(seeders))
 		for _, rg := range [][2]int{{0, cut}, {cut, s.Len()}} {
-			buses, err := CollectBuses(priceRange(t, seeders, s, rg[0], rg[1], 100, RunOpts{Verify: VerifySampled}))
+			buses, err := CollectBuses(priceRange(t, seeders, s, rg[0], rg[1], 100, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +329,11 @@ func TestDeltaSetSeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, fmt.Sprintf("cut %d/%s", cut, c.Name()), newResult(c, s.Name, merged), MustRun(c, s), false)
+			want := MustRun(c, s)
+			if !opts.PerLine {
+				want.PerLine = nil
+			}
+			sameResult(t, fmt.Sprintf("cut %d/%s", cut, c.Name()), newResult(c, s.Name, merged), want, opts.PerLine)
 		}
 	}
 	// Cuts inside runs: the entry before the cut is in sequence, so the
@@ -315,10 +351,11 @@ func TestDeltaSetSeed(t *testing.T) {
 	if len(inside) < 4 {
 		t.Fatalf("%d cuts inside runs, want at least 4", len(inside))
 	}
-	for _, cut := range inside {
+	for k, cut := range inside {
+		opts := RunOpts{Verify: VerifySampled, PerLine: k%2 == 0}
 		sides := make([][]*bus.Bus, len(seeders))
 		for _, rg := range [][2]int{{0, cut}, {cut, runs.Len()}} {
-			buses, err := CollectBuses(priceRange(t, seeders, runs, rg[0], rg[1], 100, RunOpts{Verify: VerifySampled}))
+			buses, err := CollectBuses(priceRange(t, seeders, runs, rg[0], rg[1], 100, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,8 +368,37 @@ func TestDeltaSetSeed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, fmt.Sprintf("run cut %d/%s", cut, c.Name()), newResult(c, runs.Name, merged), MustRun(c, runs), false)
+			want := MustRun(c, runs)
+			if !opts.PerLine {
+				want.PerLine = nil
+			}
+			sameResult(t, fmt.Sprintf("run cut %d/%s", cut, c.Name()), newResult(c, runs.Name, merged), want, opts.PerLine)
 		}
+	}
+	for _, parts := range []int{1, 3} {
+		bi := MustNew("businvert", 31, Options{Partitions: parts})
+		want := MustRun(bi, runs)
+		cuts := []int{0, 1, inside[0], inside[len(inside)-1], runs.Len()}
+		states, err := sweepStates(bi, runs.Entries, cuts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := RunOpts{Verify: VerifySampled, PerLine: true}
+		buses := make([]*bus.Bus, len(cuts)-1)
+		for k := range buses {
+			bd := Boundary{First: k == 0, Base: cuts[k], State: states[k]}
+			if k > 0 {
+				bd.Prev = runs.Entries[cuts[k]-1]
+			}
+			if buses[k], err = priceFrom(bi, bd, runs.Entries[cuts[k]:cuts[k+1]], opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged, err := bus.MergeSlots(buses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("businvert/%d partitions from swept states", parts), newResult(bi, runs.Name, merged), want, true)
 	}
 	codecs, _ := deltaCodecs([]string{"binary", "businvert"}, 32, 4, nil)
 	p := deltaGroupPricer(t, "seed", codecs, RunOpts{Verify: VerifySampled})
@@ -348,11 +414,11 @@ func TestDeltaSetSeed(t *testing.T) {
 }
 
 // BenchmarkDeltaSet times every member set's group against its
-// members' kernels today: the plane group for the plane codecs and the
-// batch kernels plus bus.Accumulate for bus-invert and beach, on a
-// 2^20-entry muxed stream in 4096-entry chunks, without verification.
-// busencbench's per-codec encode metric times RunFast, which never
-// builds a group, so only this benchmark attributes the group's gain.
+// members' batch kernels plus bus.Accumulate, on a 2^20-entry muxed
+// stream in 4096-entry chunks, without verification, in aggregate and
+// per line. busencbench's per-codec encode metric times RunFast, which
+// builds no group of two or more, so only this benchmark attributes the
+// group's gain.
 func BenchmarkDeltaSet(b *testing.B) {
 	s := seqMuxed(1 << 20)
 	addrs := make([]uint64, s.Len())
@@ -365,49 +431,40 @@ func BenchmarkDeltaSet(b *testing.B) {
 	}
 	for _, set := range deltaMemberSets() {
 		codecs, _ := deltaCodecs(set, 32, 4, nil)
-		var planes, scalars []Codec
-		for _, c := range codecs {
-			if HasPlaneKernel(c) {
-				planes = append(planes, c)
-			} else {
-				scalars = append(scalars, c)
+		for _, perLine := range []bool{false, true} {
+			name := strings.Join(set, "+")
+			if perLine {
+				name += "/perline"
 			}
-		}
-		name := strings.Join(set, "+")
-		b.Run(name+"/group", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ds, err := NewDeltaSet(codecs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for base := 0; base < len(addrs); base += runChunk {
-					ds.Consume(addrs[base:base+runChunk], kinds[base:base+runChunk])
-				}
-			}
-			perEntry(b)
-		})
-		b.Run(name+"/today", func(b *testing.B) {
-			words := make([]uint64, runChunk)
-			for i := 0; i < b.N; i++ {
-				if len(planes) > 0 {
-					ps, err := NewPlaneSet(planes, false)
+			b.Run(name+"/group", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ds, err := NewDeltaSet(codecs, perLine)
 					if err != nil {
 						b.Fatal(err)
 					}
 					for base := 0; base < len(addrs); base += runChunk {
-						ps.Consume(addrs[base : base+runChunk])
+						ds.Consume(addrs[base:base+runChunk], kinds[base:base+runChunk])
 					}
 				}
-				for _, c := range scalars {
-					be := AsBatch(c.NewEncoder())
-					bs := bus.NewAggregate(c.BusWidth())
-					for base := 0; base < len(addrs); base += runChunk {
-						be.EncodeBatch(addrs[base:base+runChunk], kinds[base:base+runChunk], words)
-						bs.Accumulate(words)
+				perEntry(b)
+			})
+			b.Run(name+"/batch", func(b *testing.B) {
+				words := make([]uint64, runChunk)
+				for i := 0; i < b.N; i++ {
+					for _, c := range codecs {
+						be := AsBatch(c.NewEncoder())
+						bs := bus.NewAggregate(c.BusWidth())
+						if perLine {
+							bs = bus.New(c.BusWidth())
+						}
+						for base := 0; base < len(addrs); base += runChunk {
+							be.EncodeBatch(addrs[base:base+runChunk], kinds[base:base+runChunk], words)
+							bs.Accumulate(words)
+						}
 					}
 				}
-			}
-			perEntry(b)
-		})
+				perEntry(b)
+			})
+		}
 	}
 }

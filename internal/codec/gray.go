@@ -106,29 +106,6 @@ func (e grayEnd) EncodeBatch(addrs []uint64, _ []trace.Kind, out []uint64) {
 	}
 }
 
-// EncodePlanes implements PlaneEncoder. ToGray is GF(2)-linear, so the
-// whole transform is one XOR per plane: for planes at or above the
-// stride shift, encoded plane b is a_b ^ a_{b+1} (with the plane at the
-// payload width reading as zero, which is exactly the masking the
-// scalar encoder applies); planes below the shift pass through.
-func (g *Gray) EncodePlanes(blk *PlaneBlock, scratch *[64]uint64) (*[64]uint64, uint64) {
-	a := blk.A
-	shift := int(g.shift)
-	for b := 0; b < shift; b++ {
-		scratch[b] = a[b]
-	}
-	top := g.width - 1 // constructor guarantees shift < width
-	if top > 63 {
-		top = 63 // unreachable; aids bounds-check elimination
-	}
-	for b := shift; b < top; b++ {
-		scratch[b] = a[b] ^ a[b+1]
-	}
-	scratch[top] = a[top]
-	la := blk.Last & g.mask
-	return scratch, (ToGray(la>>g.shift) << g.shift) | (la & g.lowMask)
-}
-
 // deltaStride implements deltaCodec.
 func (g *Gray) deltaStride() uint64 { return g.stride }
 

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"fmt"
-	"math/bits"
 
 	"busenc/internal/bus"
 )
@@ -89,59 +88,6 @@ func (e *incXorEnd) Decode(word uint64, _ bool) uint64 {
 }
 
 func (e *incXorEnd) Reset() { e.prev, e.valid = 0, false }
-
-// EncodePlanes implements PlaneEncoder. Lane i transmits
-// a_i ^ (a_{i-1} + S): build the lane-shifted predecessor planes (the
-// pre-block address feeds lane 0) and add the power-of-two stride
-// bit-sliced — planes below the stride's bit pass through, the stride's
-// own plane flips and seeds the carry, planes above it ripple the
-// carry. Each lane's carry chain is independent. When First, the
-// prediction for lane 0 must be zero (a fresh encoder transmits the
-// first address verbatim), so lane 0 of the summed prediction is
-// cleared before the XOR.
-func (x *IncXor) EncodePlanes(blk *PlaneBlock, scratch *[64]uint64) (*[64]uint64, uint64) {
-	a := blk.A
-	prev := blk.PrevRaw & x.mask // zero when blk.First
-	shift := bits.TrailingZeros64(x.stride)
-	keep := ^uint64(0)
-	if blk.First {
-		keep = ^uint64(1)
-	}
-	width := x.width
-	if width > 64 {
-		width = 64 // unreachable; aids bounds-check elimination
-	}
-	low := shift
-	if low > width {
-		low = width
-	}
-	b := 0
-	for ; b < low; b++ {
-		ab := a[b]
-		sp := ab<<1 | (prev>>uint(b))&1
-		scratch[b] = ab ^ sp&keep
-	}
-	var cy uint64
-	if b == shift && b < width {
-		ab := a[b]
-		sp := ab<<1 | (prev>>uint(b))&1
-		scratch[b] = ab ^ ^sp&keep
-		cy = sp
-		b++
-	}
-	for ; b < width; b++ {
-		ab := a[b]
-		sp := ab<<1 | (prev>>uint(b))&1
-		scratch[b] = ab ^ (sp^cy)&keep
-		cy &= sp
-	}
-	addr := blk.Last & x.mask
-	pred := uint64(0)
-	if !(blk.First && blk.N == 1) {
-		pred = (blk.Prev2&x.mask + x.stride) & x.mask
-	}
-	return scratch, addr ^ pred
-}
 
 // deltaStride implements deltaCodec.
 func (x *IncXor) deltaStride() uint64 { return x.stride }

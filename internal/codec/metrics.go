@@ -12,7 +12,7 @@ import "busenc/internal/obs"
 // gated default registry: entries encoded through the codec's batch
 // kernel and bus transitions counted for them. Pricer.Result and
 // Collect call it once per codec, so every driver publishes its runs,
-// a grouped plane codec included. A no-op while metrics are disabled.
+// a grouped codec included. A no-op while metrics are disabled.
 func RecordRun(name string, entries, transitions int64) {
 	if !obs.Enabled() {
 		return

@@ -72,31 +72,6 @@ func (e *offsetEncoder) Restore(st State) { e.prev = st.(offsetState).prev }
 // masked address.
 func (e *offsetEncoder) SeedFrom(prev Symbol) { e.prev = prev.Addr & e.o.mask }
 
-// EncodePlanes implements PlaneEncoder. Lane i of the output is
-// (a_i - a_{i-1}) mod 2^width: build the lane-shifted predecessor
-// planes p (a shifted up one lane, with the pre-block address feeding
-// lane 0 — zero when First, matching a fresh encoder) and run a
-// bit-sliced borrow subtract a - p. The borrow chain runs across
-// planes but stays within each lane, so 64 independent subtracts cost
-// one ripple pass.
-func (o *Offset) EncodePlanes(blk *PlaneBlock, scratch *[64]uint64) (*[64]uint64, uint64) {
-	a := blk.A
-	prev := blk.PrevRaw & o.mask // zero when blk.First
-	width := o.width
-	if width > 64 {
-		width = 64 // unreachable; aids bounds-check elimination
-	}
-	var bor uint64
-	for b := 0; b < width; b++ {
-		ab := a[b]
-		pb := ab<<1 | (prev>>uint(b))&1
-		x := ab ^ pb
-		scratch[b] = x ^ bor
-		bor = ^ab&pb | ^x&bor
-	}
-	return scratch, (blk.Last - blk.Prev2) & o.mask
-}
-
 // deltaStride implements deltaCodec: the difference needs no stride.
 func (o *Offset) deltaStride() uint64 { return 0 }
 

@@ -17,40 +17,38 @@ import (
 // distributed workers (internal/dist) are thin drivers that feed it
 // entries and read its buses.
 //
-// A Pricer picks its kernel once. Priced alone, a codec takes the plane
-// path when PlaneEligible says so, handing addresses to a one-codec
-// PlaneSet that never materializes encoded words; otherwise its own
-// batch kernel reads the chunk's address and kind columns as they are.
-// Working-zone's kernel prices without writing a word under KernelAuto,
-// short of VerifyFull and per-line counts, and hands its counts to the
-// bus (bus.AddRun); any other encodes into a pooled word buffer
-// (EncodeBatch) that bus.Accumulate counts. NewPricers also groups a
-// list: two or more delta codecs (binary, gray, offset, incxor,
-// businvert, beach) of one width and stride go into one DeltaSet
-// Pricer, priced from address deltas with no word encoded, unless
-// per-line counts are asked for; every plane-routed codec left goes
-// into one Pricer, so each 64-address block is transposed once for all
-// of them; and two or more T0-family codecs (t0, t0bi, dualt0,
-// dualt0bi) of one width and stride go into one SeqSet Pricer, so each
-// block's in-sequence masks are built once for all of them and no word
-// is encoded. A lone group codec, KernelScalar (the A/B control, which
-// writes every word) and VerifyFull (which decodes every word) keep the
-// batch or plane kernels. Every codec keeps its own bus and its own
-// verify lane: decode verification follows a budget fixed at
-// construction — every entry under VerifyFull, the first
-// VerifySampleLen under VerifySampled. Only entries under the budget
-// become Symbols; a group, and a batch kernel that counts, replays them
-// through a scalar encoder per codec.
+// A Pricer picks its kernel once, from the routing table Groups keeps.
+// Under KernelAuto, short of VerifyFull (which decodes every word): the
+// delta codecs (binary, gray, offset, incxor, businvert, beach) of one
+// width and stride go into one DeltaSet Pricer, priced from address
+// deltas with no word encoded, in aggregate or per line; and two or
+// more T0-family codecs (t0, t0bi, dualt0, dualt0bi) of one width and
+// stride go into one SeqSet Pricer, so each block's in-sequence masks
+// are built once for all of them and no word is encoded. A lone delta
+// codec counting in aggregate keeps its own batch kernel where it has
+// one (binary, gray, businvert, beach); offset and incxor, which have
+// none, are a delta group of one. Any other codec reads the chunk's
+// address and kind columns as they are on its own batch kernel:
+// working-zone's prices without writing a word under KernelAuto, short
+// of VerifyFull and per-line counts, and hands its counts to the bus
+// (bus.AddRun); any other encodes into a pooled word buffer
+// (EncodeBatch) that bus.Accumulate counts. KernelScalar (the A/B
+// control, which writes every word) and VerifyFull keep the batch
+// kernels. Every codec keeps its own bus and its own verify lane:
+// decode verification follows a budget fixed at construction — every
+// entry under VerifyFull, the first VerifySampleLen under
+// VerifySampled. Only entries under the budget become Symbols; a group,
+// and a batch kernel that counts, replays them through a scalar encoder
+// per codec.
 
-// Pricer prices one codec, or a group of delta, plane-routed or
-// T0-family codecs, over one contiguous run of a stream, fed in order
-// by any mix of ConsumeEntries and Consume calls. Not safe for
-// concurrent use; build one per goroutine.
+// Pricer prices one codec, or a group of delta or T0-family codecs,
+// over one contiguous run of a stream, fed in order by any mix of
+// ConsumeEntries and Consume calls. Not safe for concurrent use; build
+// one per goroutine.
 type Pricer struct {
 	enc   Encoder      // the batch kernel's encoder; nil on a group
 	be    BatchEncoder // enc's batch view, writing words; nil when wz counts
 	wz    *wzEnd       // enc, when working-zone prices without words
-	ps    *PlaneSet    // the plane group's kernel
 	ss    *SeqSet      // the T0-family group's kernel
 	ds    *DeltaSet    // the delta group's kernel
 	lanes []lane       // one per codec; the batch kernel has exactly one
@@ -78,19 +76,15 @@ type lane struct {
 	err  error
 }
 
-// NewPricer builds a fresh Pricer for c: kernel per opts.Kernel (an
-// error under KernelPlane when the plane path is unavailable), counting
-// per opts.PerLine, verification per opts.Verify.
+// NewPricer builds a fresh Pricer for c, on the kernel Groups routes it
+// to under opts: counting per opts.PerLine, verification per
+// opts.Verify.
 func NewPricer(c Codec, opts RunOpts) (*Pricer, error) {
-	usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify)
+	groups, err := Groups([]Codec{c}, opts)
 	if err != nil {
 		return nil, err
 	}
-	k := GroupBatch
-	if usePlane {
-		k = GroupPlane
-	}
-	return newPricer([]Codec{c}, []int{0}, k, opts)
+	return newPricer([]Codec{c}, []int{0}, groups[0].Kind, opts)
 }
 
 // NewPricers builds the Pricers that price codecs over one shared
@@ -119,48 +113,43 @@ type Group struct {
 }
 
 // GroupKind is the kernel of a Group: one codec's batch kernel, or a
-// PlaneSet, SeqSet or DeltaSet.
+// SeqSet or DeltaSet.
 type GroupKind int
 
 const (
 	// GroupBatch is one codec on its own BatchEncoder.
 	GroupBatch GroupKind = iota
-	// GroupPlane is the plane group: every plane-routed codec, each
-	// 64-address block transposed once for all of them (PlaneSet). A
-	// plane codec priced alone is a plane group of one.
-	GroupPlane
 	// GroupSeq is a T0-family group (SeqSet).
 	GroupSeq
 	// GroupDelta is a delta group (DeltaSet).
 	GroupDelta
 )
 
-// Groups routes codecs into the Pricers NewPricers builds for them,
-// each codec as NewPricer would except that kernel families group.
+// Groups routes codecs into the Pricers NewPricers builds for them. It
+// refuses options whose kernel or verify mode names none (RunOpts.Check).
 // Under KernelAuto and short of VerifyFull (which needs every encoded
-// word): with PerLine off (per-line counts need the words), two or more
-// delta codecs (binary, gray, offset, incxor, businvert, beach) of one
-// payload width and stride form one delta group each; and two or more
-// T0-family codecs that share payload width and stride form one
-// T0-family group each. Every plane-routed codec left over forms the
-// plane group. The groups come delta groups first, then the plane
-// group, then the T0-family groups, then one per remaining codec on its
-// batch kernel, in list order. It is the one routing table: the dist
-// planner weighs the groups the workers price.
+// word), the delta codecs (binary, gray, offset, incxor, businvert,
+// beach) of one payload width and stride form one delta group each,
+// counting in aggregate or per line; a lone one counting in aggregate
+// keeps its own batch kernel where it has one (binary, gray, businvert,
+// beach) and is a delta group of one otherwise (offset, incxor). Two or
+// more T0-family codecs that share payload width and stride form one
+// T0-family group each. The groups come delta groups first, then the
+// T0-family groups, then one per remaining codec on its batch kernel,
+// in list order. It is the one routing table: NewPricer takes its
+// kernel from it, and the dist planner weighs the groups the workers
+// price.
 func Groups(codecs []Codec, opts RunOpts) ([]Group, error) {
-	var planes, batch []int
+	if err := opts.Check(); err != nil {
+		return nil, err
+	}
+	var batch []int
 	var deltas, seqs [][]int
 	grouped := opts.Kernel == KernelAuto && opts.Verify != VerifyFull
 	for i, c := range codecs {
-		usePlane, err := PlaneEligible(c, opts.Kernel, opts.Verify)
-		if err != nil {
-			return nil, err
-		}
 		switch {
-		case grouped && !opts.PerLine && hasDeltaKernel(c):
+		case grouped && hasDeltaKernel(c):
 			deltas = join(deltas, codecs, i, sameDeltaGroup)
-		case usePlane:
-			planes = append(planes, i)
 		case grouped && hasSeqKernel(c):
 			seqs = join(seqs, codecs, i, sameSeqGroup)
 		default:
@@ -169,20 +158,11 @@ func Groups(codecs []Codec, opts RunOpts) ([]Group, error) {
 	}
 	var out []Group
 	for _, g := range deltas {
-		switch {
-		case len(g) > 1:
+		if len(g) > 1 || opts.PerLine || !hasBatchKernel(codecs[g[0]]) {
 			out = append(out, Group{At: g, Kind: GroupDelta})
-		case HasPlaneKernel(codecs[g[0]]):
-			// A lone delta codec keeps the kernel it had without the
-			// group: the plane path for the plane codecs.
-			planes = append(planes, g[0])
-		default:
+		} else {
 			batch = append(batch, g[0])
 		}
-	}
-	if len(planes) > 0 {
-		slices.Sort(planes)
-		out = append(out, Group{At: planes, Kind: GroupPlane})
 	}
 	for _, g := range seqs {
 		if len(g) > 1 {
@@ -196,6 +176,13 @@ func Groups(codecs []Codec, opts RunOpts) ([]Group, error) {
 		out = append(out, Group{At: []int{i}, Kind: GroupBatch})
 	}
 	return out, nil
+}
+
+// hasBatchKernel reports whether c's encoder has a batch kernel of its
+// own, not the generic per-entry loop.
+func hasBatchKernel(c Codec) bool {
+	_, ok := c.NewEncoder().(BatchEncoder)
+	return ok
 }
 
 // join adds codec i of list to the first group of gs, each a list of
@@ -221,12 +208,10 @@ func newPricer(list []Codec, at []int, k GroupKind, opts RunOpts) (*Pricer, erro
 	p := &Pricer{lanes: make([]lane, len(codecs)), verify: opts.Verify}
 	var err error
 	switch k {
-	case GroupPlane:
-		p.ps, err = NewPlaneSet(codecs, opts.PerLine)
 	case GroupSeq:
 		p.ss, err = NewSeqSet(codecs, opts.PerLine)
 	case GroupDelta:
-		p.ds, err = NewDeltaSet(codecs)
+		p.ds, err = NewDeltaSet(codecs, opts.PerLine)
 	default:
 		p.enc = codecs[0].NewEncoder()
 		wz, ok := p.enc.(*wzEnd)
@@ -249,8 +234,6 @@ func newPricer(list []Codec, at []int, k GroupKind, opts RunOpts) (*Pricer, erro
 		ln := &p.lanes[i]
 		*ln = lane{c: c, at: at[i], mask: bus.Mask(c.PayloadWidth())}
 		switch {
-		case p.ps != nil:
-			ln.b = p.ps.Bus(i)
 		case p.ss != nil:
 			ln.b = p.ss.Bus(i)
 		case p.ds != nil:
@@ -275,13 +258,13 @@ func newPricer(list []Codec, at []int, k GroupKind, opts RunOpts) (*Pricer, erro
 // state type) or seeds from bd.SeedSym, then re-encodes bd.Prev to
 // recover the word the sequential run left on the bus and primes the
 // bus with it. A state belongs to one codec, so only a one-codec Pricer
-// takes one; a plane group seeds from bd.SeedSym, which every plane
-// codec can (they are all Seeders), and so does a delta group of Seeder
-// codecs; a T0-family group, none of whose codecs is a Seeder, and a
-// delta group holding bus-invert take only bd.First. Past a cut a lane keeps
-// verifying only under VerifyFull with a seedable decoder, which rules
-// out the plane path; any other decoder would need the whole prefix.
-// bd.Base positions mismatch reports; for bd.First it is all Seed sets.
+// takes one, a delta group of one included; a delta group of Seeder
+// codecs seeds from bd.SeedSym; a T0-family group, none of whose codecs
+// is a Seeder, and a delta group holding bus-invert take only bd.First
+// otherwise. Past a cut a lane keeps verifying only under VerifyFull
+// with a seedable decoder, which rules out the groups; any other
+// decoder would need the whole prefix. bd.Base positions mismatch
+// reports; for bd.First it is all Seed sets.
 func (p *Pricer) Seed(bd Boundary) error {
 	p.base = bd.Base
 	if bd.First {
@@ -290,7 +273,7 @@ func (p *Pricer) Seed(bd Boundary) error {
 	if p.ss != nil {
 		return fmt.Errorf("codec %s: an in-sequence group prices from entry 0 only: a boundary state belongs to one codec", p.Name())
 	}
-	if p.ds != nil && !p.ds.seedable {
+	if p.ds != nil && !p.ds.seedable && bd.State == nil {
 		return fmt.Errorf("codec %s: a delta group with a prefix-dependent codec prices from entry 0 only: a boundary state belongs to one codec", p.Name())
 	}
 	if bd.State != nil && len(p.lanes) != 1 {
@@ -339,37 +322,24 @@ func (p *Pricer) Seed(bd Boundary) error {
 	if !verifying {
 		p.verifyLeft = 0
 	}
-	switch {
-	case p.ps != nil:
-		p.ps.Prime(bd.Prev.Addr, words)
-	case p.ds != nil:
+	if p.ds != nil {
 		p.ds.Prime(bd.Prev.Addr, words)
-	default:
+	} else {
 		p.lanes[0].b.Prime(words[0])
 	}
 	return nil
 }
 
 // ConsumeEntries prices the next entries of the stream, split into
-// pooled address and kind columns once per batch. The plane path splits
-// only the entries still under the verify budget and lets
-// PlaneSet.ConsumeEntries gather addresses block by block itself; the
-// other kernels read both columns.
+// pooled address and kind columns once per batch.
 func (p *Pricer) ConsumeEntries(entries []trace.Entry) error {
 	buf := runBufPool.Get().(*runBuf)
 	defer runBufPool.Put(buf)
 	for base := 0; base < len(entries); base += runChunk {
 		chunk := entries[base:min(base+runChunk, len(entries))]
-		split := chunk
-		if p.ps != nil {
-			split = chunk[:min(len(chunk), p.verifyLeft)]
-		}
-		addrs, kinds := buf.columns(split)
+		addrs, kinds := buf.columns(chunk)
 		if err := p.price(addrs, kinds, buf.words); err != nil {
 			return err
-		}
-		if p.ps != nil {
-			p.ps.ConsumeEntries(chunk)
 		}
 		p.n += len(chunk)
 	}
@@ -391,9 +361,6 @@ func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
 		if err := p.price(addrs[base:end], kinds[base:end], words); err != nil {
 			return err
 		}
-		if p.ps != nil {
-			p.ps.Consume(addrs[base:end])
-		}
 		p.n += end - base
 	}
 	return nil
@@ -402,10 +369,9 @@ func (p *Pricer) Consume(addrs []uint64, kinds []trace.Kind) error {
 // price runs one batch of at most runChunk entries: the batch kernel
 // encodes into words and counts them, or counts without words (count),
 // a SeqSet prices the batch from its masks and a DeltaSet from its
-// address deltas (the plane path prices in the caller); then every lane
-// spends the verify budget on the leading entries, building their
-// symbols inline (the plane path passes only those entries). A lane
-// that mismatches stops verifying while the others go on, so that once
+// address deltas; then every lane spends the verify budget on the
+// leading entries, building their symbols inline. A lane that
+// mismatches stops verifying while the others go on, so that once
 // verification is over the first failing codec in lane order is
 // reported.
 func (p *Pricer) price(addrs []uint64, kinds []trace.Kind, words []uint64) error {

@@ -194,7 +194,7 @@ func TestPricerCountsWithoutAllocating(t *testing.T) {
 
 // failAfter is a binary code whose decoder goes wrong at entry at, so
 // tests can place a mismatch anywhere in the stream. It keeps binary's
-// group kernels: the delta group, and the plane group per line.
+// delta group kernel.
 type failAfter struct {
 	*Binary
 	name string
@@ -219,8 +219,8 @@ func (d *failingDecoder) Decode(word uint64, sel bool) uint64 {
 	return d.Decoder.Decode(word, sel)
 }
 
-// TestCollectReportsFirstFailureInListOrder: a delta group, and a
-// plane group per line, keeps verifying its other codecs after one
+// TestCollectReportsFirstFailureInListOrder: a delta group, in
+// aggregate and per line, keeps verifying its other codecs after one
 // fails, so the reported failure is the first failing codec in list
 // order, as separate Pricers would report it, not the first mismatch in
 // stream order.
@@ -297,20 +297,21 @@ func fuzzStream(data []byte) *trace.Stream {
 // all equal the reference Run. The cut chain is sweepStates, then
 // NewPricer + Seed with Boundary.State + ConsumeEntries on each side
 // (priceFrom), merged with bus.MergeSlots; it reaches every codec,
-// prefix-dependent ones included. So must, for the fuzzer's codec set
-// (a bit mask over the registered codecs, 0 for all of them), the
-// NewPricers grouping fed chunk by chunk through Consume, RunPlaneSet
-// over the set's plane codecs, and the distributed worker's
-// composition over the set's Seeder codecs: NewPricers + Seed + Consume
-// on each side of the cut, merged with bus.MergeSlots; a group holding
-// a prefix-dependent codec must refuse that cut. Every path counts per
-// line or in aggregate as the fuzzer's perLine says. The fuzzer's shape
-// picks the codecs' width, stride and bus-invert partitions
-// (fuzzShapes).
+// prefix-dependent ones included, a lone delta codec's delta group of
+// one among them. So must, for the fuzzer's codec set (a bit mask over
+// the registered codecs, 0 for all of them), the NewPricers grouping
+// fed chunk by chunk through Consume, RunPlaneSet over the set, and the
+// distributed worker's composition over the set's Seeder codecs:
+// NewPricers + Seed + Consume on each side of the cut, merged with
+// bus.MergeSlots; a group holding a prefix-dependent codec must refuse
+// that cut. Every path counts per line or in aggregate as the fuzzer's
+// perLine says. The fuzzer's shape picks the codecs' width, stride and
+// bus-invert partitions (fuzzShapes).
 func FuzzPricingPaths(f *testing.F) {
 	shapes := fuzzShapes()
 	codecs := shapes[0]
-	var planeOnly, t0Family, deltas, seeders uint16
+	var t0Family, deltas, seeders uint16
+	invert := 0
 	for i, c := range codecs {
 		if b, ok := c.(*Beach); ok && len(b.Pairs()) == 0 {
 			f.Fatal("beach: training selected no pairs; the trained delta kernel is not fuzzed")
@@ -320,9 +321,6 @@ func FuzzPricingPaths(f *testing.F) {
 			stream = append(stream, byte(j*29+i))
 		}
 		f.Add(uint8(i), stream, uint16(i+1), uint16(3*i), uint8(i), uint8(i/3), uint16(0), true, uint8(0))
-		if HasPlaneKernel(c) {
-			planeOnly |= 1 << i
-		}
 		if hasSeqKernel(c) {
 			t0Family |= 1 << i
 		}
@@ -332,14 +330,18 @@ func FuzzPricingPaths(f *testing.F) {
 		if _, ok := c.NewEncoder().(Seeder); ok {
 			seeders |= 1 << i
 		}
+		if c.Name() == "businvert" {
+			invert = i
+		}
 	}
 	stream := make([]byte, 300)
 	for j := range stream {
 		stream[j] = byte(j*37 + 5)
 	}
-	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelPlane), uint8(VerifySampled), planeOnly, true, uint8(0))
-	// The seeded plane group under the auto kernel, cut mid-block.
-	f.Add(uint8(1), stream, uint16(50), uint16(130), uint8(KernelAuto), uint8(VerifySampled), planeOnly, true, uint8(0))
+	// The delta group per line: the whole set, then its Seeder codecs
+	// seeded at a cut mid-block.
+	f.Add(uint8(0), stream, uint16(63), uint16(100), uint8(KernelAuto), uint8(VerifySampled), deltas, true, uint8(0))
+	f.Add(uint8(1), stream, uint16(50), uint16(130), uint8(KernelAuto), uint8(VerifySampled), deltas&seeders, true, uint8(0))
 	// The T0 family's group, counting in aggregate and per line, in
 	// 40-entry chunks that split the 64-entry blocks.
 	f.Add(uint8(2), stream, uint16(39), uint16(70), uint8(KernelAuto), uint8(VerifySampled), t0Family, false, uint8(0))
@@ -348,13 +350,14 @@ func FuzzPricingPaths(f *testing.F) {
 	// with no reference address.
 	dataFirst := append(bytes.Repeat([]byte{6, 7, 0x0e, 0x17}, 20), stream...)
 	f.Add(uint8(4), dataFirst, uint16(100), uint16(33), uint8(KernelAuto), uint8(VerifySampled), t0Family, false, uint8(0))
-	// The delta group in every shape: trained beach; odd widths, where
-	// bus-invert's tie 2b = N+1 falls; width 64; a stride that leaves
-	// Gray one line; bus-invert in 3 and 4 partitions. Then its Seeder
-	// codecs seeded at a cut mid-block, and bus-invert with binary, a
-	// group that must refuse the cut.
+	// The delta group in every shape, in aggregate and per line: trained
+	// beach; odd widths, where bus-invert's tie 2b = N+1 falls; width 64;
+	// a stride that leaves Gray one line; bus-invert in 3 and 4
+	// partitions. Then its Seeder codecs seeded at a cut mid-block, and
+	// bus-invert with binary, a group that must refuse the cut.
 	for shape := range shapes {
 		f.Add(uint8(5), stream, uint16(45), uint16(77), uint8(KernelAuto), uint8(VerifySampled), uint16(0), false, uint8(shape))
+		f.Add(uint8(5), stream, uint16(45), uint16(77), uint8(KernelAuto), uint8(VerifySampled), uint16(0), true, uint8(shape))
 	}
 	binaryInvert := uint16(0)
 	for i, c := range codecs {
@@ -363,15 +366,20 @@ func FuzzPricingPaths(f *testing.F) {
 		}
 	}
 	// Runs through the tops of 31- and 32-bit payloads, for the delta
-	// group in every shape: a jump below 2^31, 40 in-sequence entries, a
-	// jump below 2^32, 40 more.
+	// group in every shape, in aggregate and per line: a jump below
+	// 2^31, 40 in-sequence entries, a jump below 2^32, 40 more.
 	carries := append(append(append([]byte{0x1c}, bytes.Repeat([]byte{0}, 40)...), 0x7c), bytes.Repeat([]byte{1}, 40)...)
 	for shape := range shapes {
 		f.Add(uint8(5), carries, uint16(30), uint16(41), uint8(KernelAuto), uint8(VerifySampled), deltas, false, uint8(shape))
+		f.Add(uint8(5), carries, uint16(30), uint16(41), uint8(KernelAuto), uint8(VerifySampled), deltas, true, uint8(shape))
 	}
 	f.Add(uint8(6), stream, uint16(64), uint16(90), uint8(KernelAuto), uint8(VerifySampled), deltas, false, uint8(0))
 	f.Add(uint8(7), stream, uint16(30), uint16(101), uint8(KernelAuto), uint8(VerifyNone), deltas&seeders, false, uint8(0))
 	f.Add(uint8(8), stream, uint16(30), uint16(101), uint8(KernelAuto), uint8(VerifySampled), binaryInvert, false, uint8(0))
+	// A lone bus-invert per line, a delta group of one, through the cut
+	// leg from swept states: classic, and in 3 partitions on the carries.
+	f.Add(uint8(invert), stream, uint16(45), uint16(77), uint8(KernelAuto), uint8(VerifySampled), uint16(1)<<invert, true, uint8(0))
+	f.Add(uint8(invert), carries, uint16(30), uint16(41), uint8(KernelAuto), uint8(VerifyNone), uint16(1)<<invert, true, uint8(4))
 	// Working-zone and adaptive in the shapes the defaults miss, priced
 	// without words and with them, alone and with every codec.
 	for shape := len(shapes) - nonDefaultShapes; shape < len(shapes); shape++ {
@@ -390,11 +398,8 @@ func FuzzPricingPaths(f *testing.F) {
 		s := fuzzStream(data)
 		n := s.Len()
 		chunkLen := 1 + int(rawChunk)%(n+1)
-		opts := RunOpts{Verify: VerifyMode(verify % 3), PerLine: perLine, Kernel: Kernel(kernel % 3)}
+		opts := RunOpts{Verify: VerifyMode(verify % 3), PerLine: perLine, Kernel: Kernel(kernel % 2)}
 		fuzzGroups(t, codecs, rawSet, s, chunkLen, rawCut, opts)
-		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
-			opts.Kernel = KernelAuto
-		}
 		want, err := Run(c, s)
 		if err != nil {
 			t.Fatal(err)
@@ -443,12 +448,12 @@ func FuzzPricingPaths(f *testing.F) {
 
 // fuzzGroups is FuzzPricingPaths' grouped half: the codecs rawSet
 // selects (every codec when it selects none) priced through NewPricers
-// and Consume at chunkLen, their plane codecs through RunPlaneSet, and
-// their Seeder codecs cut at rawCut (fuzzSeededHalves) must equal Run
-// codec for codec, in set order.
+// and Consume at chunkLen, and through RunPlaneSet, and their Seeder
+// codecs cut at rawCut (fuzzSeededHalves) must equal Run codec for
+// codec, in set order.
 func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, chunkLen int, rawCut uint16, opts RunOpts) {
-	var set, planes, seeders []Codec
-	var want, planeWant, seederWant []Result
+	var set, seeders []Codec
+	var want, seederWant []Result
 	for i, c := range codecs {
 		if rawSet&(1<<len(codecs)-1) != 0 && rawSet&(1<<i) == 0 {
 			continue
@@ -458,14 +463,8 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 			t.Fatal(err)
 		}
 		set, want = append(set, c), append(want, r)
-		if HasPlaneKernel(c) {
-			planes, planeWant = append(planes, c), append(planeWant, r)
-		}
 		if _, ok := c.NewEncoder().(Seeder); ok {
 			seeders, seederWant = append(seeders, c), append(seederWant, r)
-		}
-		if _, err := PlaneEligible(c, opts.Kernel, opts.Verify); err != nil {
-			opts.Kernel = KernelAuto
 		}
 	}
 	label := "group/" + opts.Kernel.String()
@@ -473,11 +472,7 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := RunOpts{Verify: opts.Verify, PerLine: opts.PerLine}
-	if popts.Verify == VerifyFull {
-		popts.Verify = VerifySampled
-	}
-	planeGot, err := RunPlaneSet(planes, s, popts)
+	setGot, err := RunPlaneSet(set, s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,9 +481,7 @@ func fuzzGroups(t *testing.T, codecs []Codec, rawSet uint16, s *trace.Stream, ch
 			t.Fatalf("%s: result %d is %s, want %s", label, i, got[i].Codec, c.Name())
 		}
 		sameResult(t, label+"/"+c.Name(), got[i], want[i], opts.PerLine)
-	}
-	for i, c := range planes {
-		sameResult(t, "RunPlaneSet/"+c.Name(), planeGot[i], planeWant[i], opts.PerLine)
+		sameResult(t, "RunPlaneSet/"+c.Name(), setGot[i], want[i], opts.PerLine)
 	}
 	if n := s.Len(); n >= 2 {
 		cut := 1 + int(rawCut)%(n-1)
@@ -549,8 +542,8 @@ const nonDefaultShapes = 2
 // fuzzSeededHalves prices the Seeder codecs over [0, cut) and [cut, n)
 // the way a distributed worker prices its jobs, one NewPricers + Seed +
 // Consume pass per side, merges the two sides per codec with
-// bus.MergeSlots and requires Run's statistics. Under VerifySampled the
-// plane codecs form one seeded plane group; under VerifyFull every codec
+// bus.MergeSlots and requires Run's statistics. Short of VerifyFull the
+// delta codecs form one seeded delta group; under VerifyFull every codec
 // prices scalar and keeps verifying past the cut.
 func fuzzSeededHalves(t *testing.T, seeders []Codec, want []Result, s *trace.Stream, cut, chunkLen int, opts RunOpts) {
 	sides := make([][]*bus.Bus, len(seeders))

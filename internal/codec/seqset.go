@@ -28,7 +28,7 @@ import (
 // come from a mask popcount, and only the lanes that break a run touch
 // the payload lines. No encoded word is written; a member's counts go
 // straight into its bus (bus.AddRun). The members share the masks as the
-// plane group shares its transpose.
+// delta group's members share its walk.
 
 // seqNeed says which masks a member's block kernel reads.
 type seqNeed uint8

@@ -221,7 +221,8 @@ func seqGroupPricer(t testing.TB, label string, codecs []Codec, opts RunOpts) *P
 
 // TestNewPricersRoutesSeqGroups: NewPricers groups two or more T0-family
 // codecs of one width and stride under KernelAuto short of VerifyFull,
-// and leaves every other T0-family codec on its batch kernel.
+// after the delta groups, and leaves every other T0-family codec on its
+// batch kernel.
 func TestNewPricersRoutesSeqGroups(t *testing.T) {
 	t0 := MustNew("t0", 32, Options{Stride: 4})
 	t0bi := MustNew("t0bi", 32, Options{Stride: 4})
@@ -236,8 +237,9 @@ func TestNewPricersRoutesSeqGroups(t *testing.T) {
 		opts   RunOpts
 		want   []string // each Pricer's Name, in order
 	}{
-		{"group", []Codec{t0, gray, wz, dual, t0bi}, RunOpts{Verify: VerifySampled}, []string{"gray", "t0+dualt0bi+t0bi", "workzone"}},
-		{"lone", []Codec{wz, t0, gray}, RunOpts{Verify: VerifyNone}, []string{"gray", "workzone", "t0"}},
+		{"group", []Codec{t0, gray, wz, dual, t0bi}, RunOpts{Verify: VerifySampled}, []string{"t0+dualt0bi+t0bi", "gray", "workzone"}},
+		{"lone", []Codec{wz, t0, gray}, RunOpts{Verify: VerifyNone}, []string{"workzone", "t0", "gray"}},
+		{"lone per line", []Codec{wz, t0, gray}, RunOpts{Verify: VerifyNone, PerLine: true}, []string{"gray", "workzone", "t0"}},
 		{"scalar kernel", []Codec{t0, dual}, RunOpts{Kernel: KernelScalar, Verify: VerifyNone}, []string{"t0", "dualt0bi"}},
 		{"verify full", []Codec{t0, dual}, RunOpts{}, []string{"t0", "dualt0bi"}},
 		{"stride and width", []Codec{t0s8, t0, t0w16, t0bi}, RunOpts{Verify: VerifyNone}, []string{"t0+t0bi", "t0", "t0bi"}},

@@ -15,8 +15,7 @@ import (
 // exactly once and prices every codec on concurrent workers:
 // codec.NewPricers groups the codecs into Pricers — the delta codecs of
 // one width and stride into one, whose DeltaSet prices them from
-// address deltas (per line, the plane codecs into one, whose PlaneSet
-// transposes each block once for all of them); the T0-family codecs of
+// address deltas, in aggregate or per line; the T0-family codecs of
 // one width and stride into one, whose SeqSet builds each block's
 // in-sequence masks once for all of them; and one per remaining codec —
 // and a single producer parses chunks
@@ -52,11 +51,10 @@ type FanoutConfig struct {
 	// PerLine requests per-line transition counts in every Result.
 	PerLine bool
 	// Kernel selects the pricing kernel per worker (codec.KernelAuto by
-	// default): two or more delta codecs price on the delta group kernel
-	// (per line, plane-capable codecs on the bit-sliced path), two or
+	// default): the delta codecs price on the delta group kernel, two or
 	// more T0-family codecs on the in-sequence group kernel, the rest on
 	// their scalar batch kernels, under the routing rules of
-	// codec.NewPricers.
+	// codec.Groups.
 	Kernel codec.Kernel
 }
 

@@ -17,7 +17,7 @@ var streamingCodes = []string{"binary", "gray", "t0", "businvert", "t0bi", "dual
 // price every registered codec — the benchmark's muxed-stream request —
 // exactly as the reference codec.Run does, per line too when asked. CI's
 // race job and make test-stream run it ten times under -race: every
-// batch kernel reads the broadcast chunks here, next to the plane group
+// batch kernel reads the broadcast chunks here, next to the delta group
 // and the T0-family group.
 func TestEvaluateStreamingParity(t *testing.T) {
 	sets, err := Streams(Synthetic)
@@ -161,12 +161,12 @@ func TestEvaluateStreamingReaderError(t *testing.T) {
 // brokenStreamCodec always decodes zero, so verification must fail; the
 // other workers keep draining and the producer must not deadlock even
 // with a tiny channel depth. It embeds the Codec interface, which hides
-// any plane kernel, so it prices on its own scalar worker.
+// any group kernel, so it prices on its own scalar worker.
 type brokenStreamCodec struct{ codec.Codec }
 
-// brokenPlaneCodec is the same failure inside the plane group: it
-// embeds *codec.Binary, so it keeps EncodePlanes and routes into the
-// group's Pricer alongside the other plane codecs.
+// brokenPlaneCodec is the same failure inside the delta group: it
+// embeds *codec.Binary, so it keeps binary's delta kernel and routes
+// into the group's Pricer alongside the other delta codecs.
 type brokenPlaneCodec struct{ *codec.Binary }
 
 type zeroDecoder struct{}
@@ -198,9 +198,10 @@ func init() {
 }
 
 // TestEvaluateStreamingVerificationFailure: a codec failing its round
-// trip, on its own scalar worker or inside the plane group, must fail
-// the evaluation with an error naming it, without deadlocking the
-// producer at depth 1 and without leaking a pooled chunk.
+// trip, on its own scalar worker or inside the delta group, in
+// aggregate or per line, must fail the evaluation with an error naming
+// it, without deadlocking the producer at depth 1 and without leaking a
+// pooled chunk.
 func TestEvaluateStreamingVerificationFailure(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -210,22 +211,34 @@ func TestEvaluateStreamingVerificationFailure(t *testing.T) {
 	}
 	s := sets[0].Muxed
 	for _, tc := range []struct {
-		broken string
-		plane  bool
-		codes  []string
+		broken  string
+		delta   bool
+		perLine bool
+		codes   []string
 	}{
-		{"xbroken", false, []string{"binary", "xbroken", "t0"}},
-		{"xbrokenplane", true, []string{"binary", "gray", "xbrokenplane", "t0", "incxor"}},
+		{"xbroken", false, false, []string{"binary", "xbroken", "t0"}},
+		{"xbrokenplane", true, false, []string{"binary", "gray", "xbrokenplane", "t0", "incxor"}},
+		{"xbrokenplane", true, true, []string{"binary", "gray", "xbrokenplane", "t0", "incxor"}},
 		// Both fail at entry 0: the error follows codes order across the
-		// plane group and the scalar workers.
-		{"xbrokenplane", true, []string{"binary", "gray", "xbrokenplane", "xbroken"}},
-		{"xbroken", false, []string{"binary", "xbroken", "gray", "xbrokenplane"}},
+		// delta group and the scalar workers.
+		{"xbrokenplane", true, false, []string{"binary", "gray", "xbrokenplane", "xbroken"}},
+		{"xbroken", false, true, []string{"binary", "xbroken", "gray", "xbrokenplane"}},
 	} {
-		if codec.HasPlaneKernel(codec.MustNew(tc.broken, Width, DefaultOptions)) != tc.plane {
-			t.Fatalf("%s: plane kernel %v, want %v", tc.broken, !tc.plane, tc.plane)
+		cfg := FanoutConfig{Verify: codec.VerifySampled, PerLine: tc.perLine, Depth: 1}
+		codecs := make([]codec.Codec, len(tc.codes))
+		for i, code := range tc.codes {
+			codecs[i] = codec.MustNew(code, Width, DefaultOptions)
 		}
-		_, err = EvaluateStreaming(s.Chunks(64), Width, tc.codes, DefaultOptions,
-			FanoutConfig{Verify: codec.VerifySampled, Depth: 1})
+		groups, err := codec.Groups(codecs, codec.RunOpts{Verify: cfg.Verify, PerLine: cfg.PerLine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range groups {
+			if at := slices.Index(tc.codes, tc.broken); slices.Contains(g.At, at) && (g.Kind == codec.GroupDelta) != tc.delta {
+				t.Fatalf("%s: routed to group kind %d, want the delta group %v", tc.broken, g.Kind, tc.delta)
+			}
+		}
+		_, err = EvaluateStreaming(s.Chunks(64), Width, tc.codes, DefaultOptions, cfg)
 		if err == nil {
 			t.Fatalf("%s: broken decoder not detected", tc.broken)
 		}

@@ -61,9 +61,11 @@ func writeBETR(t testing.TB, s *trace.Stream) string {
 	return path
 }
 
-// wantResults prices s sequentially with RunFast for every spec — the
-// reference every sweep must match bit-for-bit.
-func wantResults(t *testing.T, s *trace.Stream, specs []CodecSpec, verify codec.VerifyMode, perLine bool) []codec.Result {
+// wantResults prices s with the reference codec.Run for every spec —
+// the paper-faithful oracle every sweep must match bit-for-bit, which
+// shares no kernel with the Pricers a sweep runs — with the per-line
+// counts dropped unless perLine asks for them.
+func wantResults(t *testing.T, s *trace.Stream, specs []CodecSpec, perLine bool) []codec.Result {
 	t.Helper()
 	out := make([]codec.Result, len(specs))
 	for i, cs := range specs {
@@ -71,9 +73,12 @@ func wantResults(t *testing.T, s *trace.Stream, specs []CodecSpec, verify codec.
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := codec.RunFast(c, s, codec.RunOpts{Verify: verify, PerLine: perLine})
+		r, err := codec.Run(c, s)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !perLine {
+			r.PerLine = nil
 		}
 		out[i] = r
 	}
@@ -121,7 +126,7 @@ func (c *countingSpawner) Spawn(id, gen int) (Transport, error) {
 }
 
 // TestSweepParityAllCodecs: a multi-worker multi-shard sweep over
-// in-process workers matches RunFast exactly for every registered
+// in-process workers matches codec.Run exactly for every registered
 // codec, with and without per-line counting.
 func TestSweepParityAllCodecs(t *testing.T) {
 	const width = 32
@@ -140,7 +145,7 @@ func TestSweepParityAllCodecs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("perLine=%v: %v", perLine, err)
 		}
-		checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, perLine))
+		checkParity(t, res, wantResults(t, s, specs, perLine))
 	}
 }
 
@@ -159,7 +164,7 @@ func TestSweepVerifyModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("verify=%d: %v", v, err)
 		}
-		checkParity(t, res, wantResults(t, s, specs, v, false))
+		checkParity(t, res, wantResults(t, s, specs, false))
 	}
 }
 
@@ -186,7 +191,7 @@ func TestSweepTextTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyFull, false))
+	checkParity(t, res, wantResults(t, s, specs, false))
 }
 
 // TestSweepTinyStreamOverSplit: a 37-entry stream under a budget of
@@ -205,7 +210,7 @@ func TestSweepTinyStreamOverSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkParity(t, res, wantResults(t, s, specs, codec.VerifyFull, false))
+		checkParity(t, res, wantResults(t, s, specs, false))
 	}
 }
 
@@ -222,7 +227,7 @@ func TestWorkerDeathRetry(t *testing.T) {
 	// is sent the second of 9 shards of the Seeder codecs once it
 	// returns the first, and receiving it trips FailAfter. All twelve
 	// codecs plan one job on one slot, so the fault cannot fire there;
-	// they still price to RunFast's results.
+	// they still price to Run's results.
 	failFirst := func(id, gen int) WorkerOpts {
 		if id == 0 && gen == 0 {
 			return WorkerOpts{FailAfter: 1}
@@ -235,7 +240,7 @@ func TestWorkerDeathRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, all, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, all, false))
 	sp := &countingSpawner{inner: InProcSpawner(failFirst)}
 	res, err = Sweep(path, Opts{
 		Workers: 1, Shards: 9, Codecs: specs, Verify: codec.VerifyNone, Spawn: sp,
@@ -243,7 +248,7 @@ func TestWorkerDeathRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, specs, false))
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	found := false
@@ -314,7 +319,7 @@ func TestCheckpointResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resume: %v", tc.name, err)
 		}
-		checkParity(t, res, wantResults(t, s, tc.specs, codec.VerifyNone, false))
+		checkParity(t, res, wantResults(t, s, tc.specs, false))
 		if n := jobs.count(); n >= tc.jobs {
 			t.Errorf("%s: resume priced %d of %d jobs; journal recovery saved nothing", tc.name, n, tc.jobs)
 		}
@@ -397,7 +402,7 @@ func TestCheckpointTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: resume over torn tail: %v", tc.name, err)
 		}
-		checkParity(t, res, wantResults(t, s, tc.specs, codec.VerifyNone, false))
+		checkParity(t, res, wantResults(t, s, tc.specs, false))
 	}
 }
 
@@ -560,7 +565,7 @@ func TestHeartbeatTimeoutRedispatch(t *testing.T) {
 	// queue first: its second job (of 8 shards of the Seeder codecs)
 	// always lands on the stalled life. All twelve codecs plan one job
 	// on one slot, which the fault never reaches; they still price to
-	// RunFast's results.
+	// Run's results.
 	stallFirst := func(id, gen int) WorkerOpts {
 		if id == 0 && gen == 0 {
 			return WorkerOpts{StallAfter: 1}
@@ -577,13 +582,13 @@ func TestHeartbeatTimeoutRedispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, all, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, all, false))
 	opts.Codecs, opts.Spawn, opts.Net = specs, InProcSpawner(stallFirst), &ns
 	res, err = Sweep(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, specs, false))
 	if n := ns.HeartbeatTimeouts.Load(); n < 1 {
 		t.Errorf("heartbeat timeouts = %d, want >= 1", n)
 	}

@@ -68,17 +68,17 @@ func TestSweepExecWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, specs, false))
 }
 
 // TestDistSmoke is the CI smoke scenario (make dist-smoke): a 3-worker
 // sweep over a 2^18-entry trace, one worker killed mid-sweep (exec
 // fault injection), the coordinator stopped at a checkpoint, then a
 // resumed sweep — whose merged results must be bit-identical to
-// codec.RunFast. The faulted request is two prefix-dependent codecs and
+// codec.Run. The faulted request is two prefix-dependent codecs and
 // the five Seeder codecs: its two whole-trace groups leave a worker
 // idle, so it plans ten entry shards besides. A last sweep of all
-// twelve codecs, one group per worker, must match codec.RunFast for
+// twelve codecs, one group per worker, must match codec.Run for
 // every registered codec.
 func TestDistSmoke(t *testing.T) {
 	if testing.Short() {
@@ -120,7 +120,7 @@ func TestDistSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, specs, false))
 
 	// Phase 3: every registered codec, no checkpoint.
 	opts.Codecs, opts.Checkpoint = all, ""
@@ -128,5 +128,5 @@ func TestDistSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("all codecs: %v", err)
 	}
-	checkParity(t, res, wantResults(t, s, all, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, all, false))
 }

@@ -36,8 +36,8 @@ import (
 
 // costTable is one sweep shape's balancing weights: the per-entry cost,
 // in ns, of each Pricer a job can build. groups weighs a kernel group of
-// two or more codecs, whatever its members; batch one codec on its batch
-// kernel; plane one plane codec alone on the plane path. A Pricer the
+// two or more codecs, whatever its members; alone one delta codec in a
+// delta group of one; batch one codec on its batch kernel. A Pricer the
 // table does not list weighs the table's median.
 //
 // The numbers are medians of BenchmarkPricers (bench_test.go), seven
@@ -45,10 +45,13 @@ import (
 // busencbench prices, each Pricer alone on one goroutine, on the Pricers
 // of commit 940010e, on 2 vCPUs (Xeon) with go1.24.0. A batch weight
 // pools every sub-benchmark that prices that Pricer (auto, scalar,
-// alone). Decode is left out: every whole-trace job pays it once.
+// alone). Decode is left out: every whole-trace job pays it once. The
+// weights of Pricers built since (the per-line delta group, a delta
+// group of one) scale the weights of the Pricers they replaced by the
+// ratio of the two in BenchmarkPricers runs alternated on one box.
 type costTable struct {
 	groups       map[codec.GroupKind]float64
-	batch, plane map[string]float64
+	alone, batch map[string]float64
 }
 
 // sampledCosts weighs sweeps with aggregate counting under
@@ -56,19 +59,20 @@ type costTable struct {
 // "alone" sub-benchmarks) and KernelScalar's batch kernels ("scalar").
 var sampledCosts = costTable{
 	groups: map[codec.GroupKind]float64{codec.GroupSeq: 11.5, codec.GroupDelta: 10.7},
+	alone:  map[string]float64{"offset": 4.4, "incxor": 5.0},
 	batch: map[string]float64{
 		"workzone": 20.9, "dualt0bi": 8.1, "adaptive": 6.8, "t0bi": 6.7,
 		"offset": 6.1, "dualt0": 6.0, "incxor": 6.0, "t0": 5.2,
 		"gray": 3.9, "businvert": 3.5, "beach": 2.9, "binary": 2.5,
 	},
-	plane: map[string]float64{"offset": 7.8, "incxor": 7.3, "gray": 6.4, "binary": 5.0},
 }
 
-// perLineCosts weighs per-line sweeps short of VerifyFull ("perline"),
-// which build the plane group in place of the delta group.
+// perLineCosts weighs per-line sweeps short of VerifyFull ("perline"):
+// the delta group takes every delta codec, so the other Pricers are the
+// T0-family group and working-zone's and adaptive's batch kernels.
 var perLineCosts = costTable{
-	groups: map[codec.GroupKind]float64{codec.GroupSeq: 47.7, codec.GroupPlane: 20.2},
-	batch:  map[string]float64{"workzone": 35.5, "adaptive": 24.9, "beach": 18.4, "businvert": 16.9},
+	groups: map[codec.GroupKind]float64{codec.GroupSeq: 47.7, codec.GroupDelta: 20.8},
+	batch:  map[string]float64{"workzone": 35.5, "adaptive": 24.9},
 }
 
 // fullCosts weighs VerifyFull sweeps ("full"), which build no group and
@@ -99,8 +103,8 @@ func (t *costTable) cost(g codec.Group, first string) float64 {
 	switch {
 	case len(g.At) > 1:
 		c, ok = t.groups[g.Kind]
-	case g.Kind == codec.GroupPlane:
-		c, ok = t.plane[first]
+	case g.Kind == codec.GroupDelta:
+		c, ok = t.alone[first]
 	default:
 		c, ok = t.batch[first]
 	}
@@ -113,7 +117,7 @@ func (t *costTable) cost(g codec.Group, first string) float64 {
 // median is the median of every weight in the table.
 func (t *costTable) median() float64 {
 	var all []float64
-	for _, m := range []map[string]float64{t.batch, t.plane} {
+	for _, m := range []map[string]float64{t.batch, t.alone} {
 		for _, c := range m {
 			all = append(all, c)
 		}

@@ -50,7 +50,7 @@ func splitSpecs(t *testing.T, all []CodecSpec) (prefix, seeders []CodecSpec) {
 // planned and swept with per-line counting off and on: every plan stays
 // within the job budget, never starts a prefix-dependent codec past
 // entry 0, covers every codec's [0, N) exactly once in entry order, and
-// prices to RunFast's results without any seed sweep. Each whole-trace
+// prices to Run's results without any seed sweep. Each whole-trace
 // job's codecs build exactly the Pricers the planner weighed it by, and
 // no kernel group is split across jobs (checkGroups). Entry shards
 // appear only where the whole-trace jobs leave a slot idle; a plan
@@ -144,7 +144,7 @@ func TestSweepPlans(t *testing.T) {
 				if err != nil {
 					t.Fatalf("perLine=%v: %v", perLine, err)
 				}
-				checkParity(t, res, wantResults(t, s, tc.specs, tc.verify, perLine))
+				checkParity(t, res, wantResults(t, s, tc.specs, perLine))
 				snap := obs.Default().Snapshot()
 				if got := snap.Gauges["dist.plan.shards"]; got != int64(tc.wantJobs) {
 					t.Errorf("perLine=%v: dist.plan.shards = %d, want the job count %d", perLine, got, tc.wantJobs)
@@ -446,8 +446,8 @@ func TestPlanJobsBalance(t *testing.T) {
 		ro   codec.RunOpts
 		want float64
 	}{
-		{codec.RunOpts{Verify: codec.VerifySampled}, 6.25},
-		{codec.RunOpts{Verify: codec.VerifySampled, PerLine: true}, 22.55},
+		{codec.RunOpts{Verify: codec.VerifySampled}, 6.0},
+		{codec.RunOpts{Verify: codec.VerifySampled, PerLine: true}, 30.2},
 		{codec.RunOpts{Verify: codec.VerifyFull, PerLine: true}, 17.25},
 	} {
 		if got := costsFor(tc.ro).cost(one, "no-such-codec"); math.Abs(got-tc.want) > 1e-9 {
@@ -526,7 +526,7 @@ func (pt *probedTransport) Recv() (msg, error) {
 // Seeder codecs, and working-zone plus the Seeder codecs, one
 // whole-trace job and seven shards under the default budget, where the
 // slot pricing the whole trace must leave the shards to the other.
-// Both price to RunFast's results.
+// Both price to Run's results.
 func TestOneJobInFlight(t *testing.T) {
 	const width = 32
 	s := mixStream(width, 40000, 72)
@@ -546,7 +546,7 @@ func TestOneJobInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		checkParity(t, res, wantResults(t, s, tc.specs, codec.VerifyFull, false))
+		checkParity(t, res, wantResults(t, s, tc.specs, false))
 		if probe.max != 1 || probe.sent != tc.jobs {
 			t.Errorf("%s: %d jobs sent, a worker holding up to %d at once; want %d jobs, one at a time", tc.name, probe.sent, probe.max, tc.jobs)
 		}

@@ -122,7 +122,7 @@ func TestSweepHarvestInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, specs, false))
 
 	trace := h.TraceID()
 	if len(trace) != 16 {
@@ -170,7 +170,7 @@ func TestSweepHarvestExecWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkParity(t, res, wantResults(t, s, specs, codec.VerifyNone, false))
+	checkParity(t, res, wantResults(t, s, specs, false))
 
 	procs := h.Merged(tr.Spans(), tr.Epoch())
 	if len(procs) != 3 {

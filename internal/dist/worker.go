@@ -226,7 +226,9 @@ func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string,
 }
 
 // priceRange is the one pricing loop of a worker: refuse a job naming a
-// codec twice, build the Pricers for the job's codecs
+// codec twice, or a verify or kernel code that names no mode (a
+// coordinator of another version may send one), build the Pricers for
+// the job's codecs
 // (codec.NewPricers), seed them at the job's cut
 // (a no-op at entry 0; past it every codec is a Seeder and joins from
 // the cut's two previous entries), then stream the range's chunks
@@ -236,6 +238,10 @@ func priceJob(j *Job, views map[string]mappedView, resolve func(string) (string,
 func priceRange(j *Job, views map[string]mappedView, resolve func(string) (string, error), sp obs.SpanHandle) (map[string]bus.Stats, error) {
 	if err := uniqueCodecs(j.Codecs); err != nil {
 		return nil, err
+	}
+	ro := codec.RunOpts{Verify: codec.VerifyMode(j.Verify), PerLine: j.PerLine, Kernel: codec.Kernel(j.Kernel)}
+	if err := ro.Check(); err != nil {
+		return nil, fmt.Errorf("dist: job %d: %w", j.Shard, err)
 	}
 	data, err := mapView(j.TracePath, views, resolve)
 	if err != nil {
@@ -247,11 +253,7 @@ func priceRange(j *Job, views map[string]mappedView, resolve func(string) (strin
 			return nil, err
 		}
 	}
-	ps, err := codec.NewPricers(codecs, codec.RunOpts{
-		Verify:  codec.VerifyMode(j.Verify),
-		PerLine: j.PerLine,
-		Kernel:  codec.Kernel(j.Kernel),
-	})
+	ps, err := codec.NewPricers(codecs, ro)
 	if err != nil {
 		return nil, err
 	}

@@ -81,6 +81,13 @@ func FuzzWorkerFrames(f *testing.F) {
 	zones := *job
 	zones.Codecs = []CodecSpec{{Name: "workzone", Width: idx.Width, Zones: 1 << 24}}
 	f.Add(frames(f, msg{Type: msgJob, Job: &zones}))
+	// Codes that name no kernel (2 was the retired plane kernel) or no
+	// verify mode.
+	for _, codes := range [][2]int{{int(codec.VerifySampled), 2}, {int(codec.VerifySampled), 99}, {7, int(codec.KernelAuto)}, {-1, int(codec.KernelScalar)}} {
+		bad := *job
+		bad.Verify, bad.Kernel = codes[0], codes[1]
+		f.Add(frames(f, msg{Type: msgJob, Job: &bad}))
+	}
 	resolve := func(string) (string, error) { return path, nil }
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var out bytes.Buffer
@@ -149,6 +156,53 @@ func TestWorkerRefusesDuplicateCodec(t *testing.T) {
 				t.Fatalf("result %+v, want an error naming %q", m.Result, want)
 			}
 			return
+		}
+	}
+}
+
+// TestWorkerRefusesUnknownModes: a job whose verify or kernel code names
+// no mode, as a coordinator of another version may send (kernel 2 was
+// the retired plane kernel), gets an error result naming the job and
+// the code, never a silent price on some other kernel.
+func TestWorkerRefusesUnknownModes(t *testing.T) {
+	s := mixStream(32, 100, 3)
+	path := writeBETR(t, s)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := trace.HeaderBETR(data, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		verify, kernel int
+		want           string
+	}{
+		{int(codec.VerifySampled), 2, "dist: job 3: codec: kernel code 2 names no kernel"},
+		{int(codec.VerifyNone), 99, "dist: job 3: codec: kernel code 99 names no kernel"},
+		{7, int(codec.KernelAuto), "dist: job 3: codec: verify code 7 names no verify mode"},
+		{-1, int(codec.KernelScalar), "dist: job 3: codec: verify code -1 names no verify mode"},
+	} {
+		job := &Job{TracePath: path, Stream: idx.Name, Width: idx.Width, Shard: 3, Cut: idx.Cuts[0], N: idx.Total,
+			Codecs: []CodecSpec{{Name: "gray", Width: 32, Stride: 4}}, Verify: tc.verify, Kernel: tc.kernel}
+		var out bytes.Buffer
+		if err := ServeWorker(bytes.NewReader(frames(t, msg{Type: msgJob, Job: job})), &out, WorkerOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		c := newConn(&out, io.Discard)
+		for {
+			m, err := c.recv()
+			if err != nil {
+				t.Fatalf("verify %d kernel %d: no result: %v", tc.verify, tc.kernel, err)
+			}
+			if m.Type != msgResult {
+				continue
+			}
+			if m.Result == nil || m.Result.Stats != nil || !strings.Contains(m.Result.Err, tc.want) {
+				t.Fatalf("verify %d kernel %d: result %+v, want an error naming %q", tc.verify, tc.kernel, m.Result, tc.want)
+			}
+			break
 		}
 	}
 }

@@ -32,7 +32,7 @@ type CacheKey struct {
 	Codes string
 	// Stride is the codec.Options in-sequence stride (0 means 1).
 	Stride uint64
-	// Kernel is the pricing kernel name ("auto", "scalar", "plane").
+	// Kernel is the pricing kernel name ("auto" or "scalar").
 	Kernel string
 }
 

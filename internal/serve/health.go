@@ -18,7 +18,7 @@ import (
 // accepted work finishes.
 
 // kernelNames are the pricing kernels this build can route to.
-var kernelNames = []string{"auto", "scalar", "plane"}
+var kernelNames = []string{"auto", "scalar"}
 
 // Health returns the current capability snapshot.
 func (s *Server) Health() dist.PeerHealth {

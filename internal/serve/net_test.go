@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // The networked-pricing tests: a dist coordinator pointed at real
-// busencd-shaped peers over loopback TCP must be bit-identical to a
-// sequential RunFast for every codec — through trace shipping, digest
+// busencd-shaped peers over loopback TCP must be bit-identical to the
+// reference codec.Run for every codec — through trace shipping, digest
 // dedup, lock-step dispatch, a peer dying mid-sweep, and a checkpoint
 // stop/resume.
 
@@ -69,7 +70,8 @@ func netBETR(t *testing.T, s *trace.Stream) string {
 	return path
 }
 
-// checkNetParity compares a networked sweep against sequential RunFast.
+// checkNetParity compares a networked sweep against the reference
+// codec.Run, which shares no kernel with the Pricers the peers run.
 func checkNetParity(t *testing.T, got []codec.Result, s *trace.Stream, specs []dist.CodecSpec) {
 	t.Helper()
 	if len(got) != len(specs) {
@@ -80,13 +82,13 @@ func checkNetParity(t *testing.T, got []codec.Result, s *trace.Stream, specs []d
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := codec.RunFast(c, s, codec.RunOpts{Verify: codec.VerifyNone})
+		want, err := codec.Run(c, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got[i].Codec != want.Codec || got[i].Transitions != want.Transitions ||
 			got[i].Cycles != want.Cycles || got[i].MaxPerCycle != want.MaxPerCycle {
-			t.Errorf("codec %s: networked %+v != sequential %+v", want.Codec, got[i], want)
+			t.Errorf("codec %s: networked %+v != Run %+v", want.Codec, got[i], want)
 		}
 	}
 }
@@ -125,6 +127,9 @@ func TestHealthz(t *testing.T) {
 			}
 			if h.Codecs != len(codec.Names()) {
 				t.Errorf("codecs %d, want %d", h.Codecs, len(codec.Names()))
+			}
+			if !slices.Equal(h.Kernels, []string{"auto", "scalar"}) {
+				t.Errorf("kernels %v, want [auto scalar]", h.Kernels)
 			}
 			for _, frag := range []string{`"status"`, `"proto_version"`, `"kernels"`} {
 				if !strings.Contains(string(body), frag) {
@@ -182,7 +187,7 @@ func TestDistUpgradeRejects(t *testing.T) {
 }
 
 // TestNetSweepParity: a peers-only sweep over two loopback busencd
-// peers matches RunFast for all registered codecs; a re-sweep ships
+// peers matches Run for all registered codecs; a re-sweep ships
 // zero trace bytes (both peers dedup by digest); a mixed sweep (local
 // in-process worker + one peer) holds the same parity.
 func TestNetSweepParity(t *testing.T) {
@@ -271,7 +276,7 @@ func seederSpecs(t *testing.T, all []dist.CodecSpec) []dist.CodecSpec {
 // doomed first connection must receive a second job frame (with two
 // peers the healthy one can drain the queue before the fault fires).
 // All twelve codecs on one slot plan a single job; the peer, now past
-// its first connection, prices them to RunFast's results too. The
+// its first connection, prices them to Run's results too. The
 // two-peer kill scenario lives in TestNetSmoke.
 func TestNetPeerKill(t *testing.T) {
 	const width = 32
@@ -314,7 +319,7 @@ func TestNetPeerKill(t *testing.T) {
 // journal to a bit-identical result. The request is t0 and the Seeder
 // codecs: t0's one whole-trace group leaves a peer idle, so the plan
 // cuts seven entry shards besides. A last sweep of all twelve codecs,
-// one group per peer, matches RunFast for every registered codec.
+// one group per peer, matches Run for every registered codec.
 func TestNetSmoke(t *testing.T) {
 	const width = 32
 	s := netStream(width, 16000, 53)

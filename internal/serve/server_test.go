@@ -288,6 +288,7 @@ func TestServerEvalErrors(t *testing.T) {
 		{"bad stride", "/eval?trace=" + meta.Digest + "&stride=zero", 400},
 		{"bad mode", "/eval?trace=" + meta.Digest + "&mode=maybe", 400},
 		{"bad kernel", "/eval?trace=" + meta.Digest + "&kernel=quantum", 400},
+		{"retired plane kernel", "/eval?trace=" + meta.Digest + "&kernel=plane", 400},
 		{"unknown codec", "/eval?trace=" + meta.Digest + "&codes=nope", 422},
 		// The async path must reject at admission, not as a JobFailed
 		// snapshot discovered by a later poll.
